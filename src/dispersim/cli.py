@@ -17,10 +17,8 @@ from .experiments import (
     run_scenario,
     run_sweep,
 )
-from .fiber import beta2_to_d, d_to_beta2
+from .fiber import _BETA2_CONVENTIONAL, beta2_to_d, d_to_beta2
 from .signal import WindowError, WraparoundError
-
-_BETA2_CONVENTIONAL = 1e-27  # ps^2/km in s^2/m
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,10 +29,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--jobs", type=int, default=1, help="worker pool width")
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="reserved; experiments are deterministic",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,11 @@ error response ``E_D = 1 - sqrt(alpha) * H_pcf`` of the down branch, so a
 cascade of K such blocks realizes the truncated geometric sum that inverts
 the accumulated dispersion of a target span (see :mod:`dispersim.iterative`).
 
+Like :func:`dispersim.fiber.propagate`, every sampled response here is in
+the retarded frame: only dispersion orders i >= 2 enter it. The common
+delay carries no dispersion and is reported as
+:func:`compensation_latency` instead of shifting the time window.
+
 The splitter/combiner bookkeeping is an amplitude factor 1/sqrt(2) per
 split with no excess loss; the single output amplifier G (default
 ``alpha * 2**(K+1)``) restores the level, leaving every other element
@@ -28,7 +33,6 @@ from .signal import (
     TransferFunction,
     apply_tf,
     check_wraparound,
-    linear_phase_tf,
 )
 
 #: Group index used for the compensator fibers' default beta1.
@@ -88,6 +92,14 @@ class CompensatorSpec:
         if not (np.isfinite(self.gain) and self.gain > 0):
             raise ValueError("gain must be positive")
 
+    @property
+    def prefactor(self) -> float:
+        """Amplitude scale sqrt(G)/2**((K+1)/2) of the splitters and amplifier.
+
+        With the default gain it is exactly sqrt(alpha).
+        """
+        return math.sqrt(self.gain) / 2.0 ** ((self.k_stages + 1) / 2.0)
+
 
 def default_gain(alpha: float, k_stages: int) -> float:
     """Amplifier power gain alpha * 2**(K+1) that restores unit DC level."""
@@ -98,8 +110,8 @@ def subsystem_error_tf(sub: SubsystemSpec, grid: FrequencyGrid) -> TransferFunct
     """Error response E_D = 1 - sqrt(alpha) * H_pcf of the down branch.
 
     Only orders i >= 2 of the down-branch fiber contribute; the common
-    beta0/beta1 delay is factored out of the sub-system separately. The
-    value at delta_omega = 0 is exactly ``1 - sqrt(alpha)``.
+    beta0/beta1 delay is left out (retarded frame). The value at
+    delta_omega = 0 is exactly ``1 - sqrt(alpha)``.
     """
     return error_tf(dispersion_tf(sub.pcf, grid), math.sqrt(sub.alpha))
 
@@ -107,27 +119,21 @@ def subsystem_error_tf(sub: SubsystemSpec, grid: FrequencyGrid) -> TransferFunct
 def subsystem_tf(
     sub: SubsystemSpec, grid: FrequencyGrid, form: str = "factored"
 ) -> TransferFunction:
-    """Response of one sub-system.
+    """Response of one sub-system in the retarded frame.
 
-    ``form="exact"`` evaluates the two physical branches with their full
-    phase expansions: (H_smf - sqrt(alpha)*H_pcf) / sqrt(2). The default
-    ``form="factored"`` returns the delay-factored approximation
-    exp(-j*L*(beta0 + beta1*dw)) * E_D / sqrt(2), which drops the up
-    branch's own orders i >= 2. The two coincide when the up branch has no
+    ``form="exact"`` evaluates the two physical branches with all their
+    orders i >= 2: (H_smf - sqrt(alpha)*H_pcf) / sqrt(2). The default
+    ``form="factored"`` returns E_D / sqrt(2), which drops the up branch's
+    own orders i >= 2. The two coincide when the up branch has no
     dispersion beyond beta1.
     """
     if form == "exact":
-        up = dispersion_tf(sub.smf, grid, include_low_orders=True)
-        down = dispersion_tf(sub.pcf, grid, include_low_orders=True)
+        up = dispersion_tf(sub.smf, grid)
+        down = dispersion_tf(sub.pcf, grid)
         values = (up.values - math.sqrt(sub.alpha) * down.values) / math.sqrt(2.0)
         return TransferFunction(grid, values)
     if form == "factored":
-        delay = linear_phase_tf(
-            grid,
-            group_delay=sub.smf.beta1 * sub.length_m,
-            const_phase=sub.smf.beta0 * sub.length_m,
-        )
-        values = delay.values * subsystem_error_tf(sub, grid).values / math.sqrt(2.0)
+        values = subsystem_error_tf(sub, grid).values / math.sqrt(2.0)
         return TransferFunction(grid, values)
     raise ValueError(f"unknown form {form!r}")
 
@@ -177,9 +183,8 @@ def compensator_tf(
 ) -> TransferFunction:
     """Total response of the K-stage cascade plus output amplifier.
 
-    Factored form: sqrt(G)/2**((K+1)/2) * exp(-j*K*L*(beta0 + beta1*dw))
-    * sum_{k=0..K} E_D^k. With the default gain the prefactor is exactly
-    sqrt(alpha).
+    Factored form: ``spec.prefactor * sum_{k=0..K} E_D^k``. The bulk delay
+    K*L*beta1 is left out (retarded frame, see :func:`compensation_latency`).
 
     Exact form: each stage's identity path is the physical up-branch fiber
     and each error pass is the exact two-branch sub-system, i.e. the sum
@@ -187,28 +192,22 @@ def compensator_tf(
     """
     sub = spec.subsystem
     k_stages = spec.k_stages
-    prefactor = math.sqrt(spec.gain) / 2.0 ** ((k_stages + 1) / 2.0)
     if form == "factored":
         partial = neumann_sum_tf(
             dispersion_tf(sub.pcf, grid),
             IterationSpec(k_stages, math.sqrt(sub.alpha)),
         )
-        delay = linear_phase_tf(
-            grid,
-            group_delay=k_stages * sub.length_m * sub.smf.beta1,
-            const_phase=k_stages * sub.length_m * sub.smf.beta0,
-        )
-        return TransferFunction(grid, prefactor * delay.values * partial.values)
+        return TransferFunction(grid, spec.prefactor * partial.values)
     if form == "exact":
         stage = math.sqrt(2.0) * subsystem_tf(sub, grid, form="exact").values
-        ident = dispersion_tf(sub.smf, grid, include_low_orders=True).values
+        ident = dispersion_tf(sub.smf, grid).values
         # sum_{k=0..K} stage^k * ident^(K-k); |ident| = 1 so the division is safe
         term = ident**k_stages
         acc = term.copy()
         for _ in range(k_stages):
             term = term * stage / ident
             acc = acc + term
-        return TransferFunction(grid, prefactor * acc)
+        return TransferFunction(grid, spec.prefactor * acc)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -232,19 +231,17 @@ def compensate(
             dispersion_tf(sub.pcf, e.grid),
             IterationSpec(spec.k_stages, math.sqrt(sub.alpha)),
         )
-        prefactor = math.sqrt(spec.gain) / 2.0 ** ((spec.k_stages + 1) / 2.0)
-        delay = linear_phase_tf(
-            e.grid,
-            group_delay=spec.k_stages * sub.length_m * sub.smf.beta1,
-            const_phase=spec.k_stages * sub.length_m * sub.smf.beta0,
+        return Envelope(
+            e.grid, spec.prefactor * looped.samples, e.carrier_wavelength
         )
-        scaled = TransferFunction(e.grid, prefactor * delay.values)
-        return apply_tf(looped, scaled)
     raise ValueError(f"unknown realization {realization!r}")
 
 
 def compensation_latency(spec: CompensatorSpec) -> float:
-    """Bulk group delay K*L*beta1 added by the cascade, seconds."""
+    """Bulk group delay K*L*beta1 of the cascade, seconds.
+
+    Reported only: sampled responses are in the retarded frame.
+    """
     return spec.k_stages * spec.subsystem.length_m * spec.subsystem.smf.beta1
 
 
@@ -253,9 +250,9 @@ def band_residual(
 ) -> float:
     """Worst-case compensation residual max|E_D|^(K+1) over the band.
 
-    For a matched spec with default gain, the cascaded response deviates
-    from a pure delay by at most this amount at every bin with
-    |delta_omega| <= pi*B.
+    For a matched spec with default gain, the cascaded response times the
+    span's response deviates from identity by at most this amount at every
+    bin with |delta_omega| <= pi*B.
     """
     e_d = subsystem_error_tf(spec.subsystem, grid)
     mask = np.abs(grid.delta_omega) <= np.pi * bandwidth_hz * (1 + 1e-12)

@@ -11,14 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import d_to_beta2
+from .fiber import _BETA2_CONVENTIONAL, d_to_beta2
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
-
-_BETA2_CONVENTIONAL = 1e-27  # ps^2/km in s^2/m
 
 _TOP_KEYS = {
     "scenario",
@@ -212,6 +210,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         pcf = _section(doc, "pcf")
         _check_keys(pcf, {"d_ps_nm_km", "beta2_ps2_km"}, "pcf")
         pcf_beta2 = _beta2_from(pcf, "pcf", lambda0_m)
+        if pcf_beta2 * fiber_beta2 <= 0:
+            raise ConfigError(
+                "pcf and fiber dispersion must be nonzero and of the same sign"
+            )
 
     dcf_beta2 = None
     dcf_quoted_path_m = None
@@ -219,6 +221,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         dcf = _section(doc, "dcf")
         _check_keys(dcf, {"d_ps_nm_km", "beta2_ps2_km", "quoted_path_km"}, "dcf")
         dcf_beta2 = _beta2_from(dcf, "dcf", lambda0_m)
+        if dcf_beta2 == 0:
+            raise ConfigError("dcf dispersion must be nonzero")
         if "quoted_path_km" in dcf:
             dcf_quoted_path_m = (
                 _number(dcf["quoted_path_km"], "dcf.quoted_path_km", positive=True)

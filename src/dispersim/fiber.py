@@ -108,14 +108,10 @@ def group_delay(fiber: FiberParams) -> float:
     return fiber.beta1 * fiber.length_m
 
 
-def dispersion_tf(
-    fiber: FiberParams, grid: FrequencyGrid, include_low_orders: bool = False
-) -> TransferFunction:
-    """All-pass response of one span, exp(-j*z*sum beta_i/i! * dw^i).
+def dispersion_tf(fiber: FiberParams, grid: FrequencyGrid) -> TransferFunction:
+    """All-pass response of one span in the retarded frame.
 
-    By default only orders i >= 2 contribute (retarded frame); with
-    ``include_low_orders`` the constant phase beta0 and the group-delay term
-    beta1*dw are kept as well.
+    Only orders i >= 2 contribute: exp(-j*z*sum_{i>=2} beta_i/i! * dw^i).
     """
     dw = grid.delta_omega
     phase_per_m = np.zeros(grid.n_samples)
@@ -123,8 +119,6 @@ def dispersion_tf(
     for i in range(2, len(fiber.betas)):
         phase_per_m = phase_per_m + fiber.betas[i] / math.factorial(i) * power
         power = power * dw
-    if include_low_orders:
-        phase_per_m = phase_per_m + fiber.beta0 + fiber.beta1 * dw
     return TransferFunction(grid, np.exp(-1j * fiber.length_m * phase_per_m))
 
 

@@ -158,15 +158,6 @@ def identity_tf(grid: FrequencyGrid) -> TransferFunction:
     return TransferFunction(grid, np.ones(grid.n_samples))
 
 
-def linear_phase_tf(
-    grid: FrequencyGrid, group_delay: float, const_phase: float = 0.0
-) -> TransferFunction:
-    """All-pass exp(-j*(const_phase + delta_omega*group_delay))."""
-    return TransferFunction(
-        grid, np.exp(-1j * (const_phase + grid.delta_omega * group_delay))
-    )
-
-
 def to_spectrum(e: Envelope) -> Spectrum:
     """Forward transform; scaled so time and spectral energies are equal."""
     return Spectrum(e.grid, fft(e.samples) * e.grid.dt, e.carrier_wavelength)

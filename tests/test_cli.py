@@ -39,6 +39,23 @@ def scenario_doc(z_km=130.0, n_samples=8192):
     }
 
 
+def readme_doc(pcf_d_ps_nm_km=2200.0):
+    """The configuration printed in the README."""
+    return {
+        "scenario": "worked-example",
+        "fiber": {"beta2_ps2_km": -21.0, "lambda0_m": 1.55e-6, "z_km": 130.0},
+        "pcf": {"d_ps_nm_km": pcf_d_ps_nm_km},
+        "dcf": {"d_ps_nm_km": -250.0, "quoted_path_km": 7.0},
+        "compensator": {"alphas": [1.0], "k_max": 12, "target_broadening": 1.1},
+        "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 16384},
+        "sweep": {"xi": [0.5, 1.0, 2.0]},
+        "region": {
+            "bandwidths_hz": {"min": 1e9, "max": 1e10, "count": 40, "spacing": "log"}
+        },
+        "output": {"dir": "out"},
+    }
+
+
 class TestConvert:
     def test_d_to_beta2(self, capsys):
         assert main(["convert", "--d", "17", "--lambda", "1550e-9"]) == 0
@@ -204,14 +221,6 @@ class TestSweep:
         )
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
-    def test_seed_flag_accepted(self, tmp_path):
-        config = write_config(tmp_path, sweep_doc([1.0], [1.0], k_max=1))
-        out = tmp_path / "out"
-        assert (
-            main(["sweep-k", "--config", config, "--out", str(out), "--seed", "7"])
-            == 0
-        )
-
 
 class TestScenario:
     def test_report_values(self, tmp_path):
@@ -238,6 +247,18 @@ class TestScenario:
         )
         assert dcf["quoted_path_m"] == 7000.0
         assert report["width_metric"] == "fwhm_intensity_linear_interp"
+
+    @pytest.mark.parametrize("pcf_d", [2070.0, 2085.0])
+    def test_pulse_stays_in_the_window(self, tmp_path, pcf_d):
+        # a bulk delay applied circularly used to push the pulse over the edge
+        config = write_config(tmp_path, readme_doc(pcf_d))
+        assert main(["scenario", "--config", config, "--out", str(tmp_path / "o")]) == 0
+
+    def test_opposite_sign_pcf_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, readme_doc(-100.0))
+        rc = main(["scenario", "--config", config, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "same sign" in capsys.readouterr().err
 
     def test_unstable_point_exits_3(self, tmp_path, capsys):
         assert z_max(3e9, 1.0, -21e-27) < 2000e3

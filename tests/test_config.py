@@ -175,6 +175,20 @@ class TestFailClosed:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (base_doc(pcf={"d_ps_nm_km": 0.0}), "pcf"),
+            (base_doc(pcf={"d_ps_nm_km": -100.0}), "same sign"),
+            (base_doc(fiber={"beta2_ps2_km": 0.0, "z_km": 130.0}), "pcf"),
+            (base_doc(dcf={"d_ps_nm_km": 0.0}), "dcf"),
+        ],
+        ids=["zero-pcf", "opposite-sign-pcf", "zero-fiber-with-pcf", "zero-dcf"],
+    )
+    def test_unusable_dispersion_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+
     def test_scenario_required(self):
         with pytest.raises(ConfigError):
             parse_config({"fiber": {"d_ps_nm_km": 17.0}})
