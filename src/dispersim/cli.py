@@ -28,7 +28,6 @@ EXIT_NUMERICAL = 3
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool width")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +108,7 @@ def _cmd_region(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, outdir = _prepare(args)
-    return run_sweep(cfg, outdir, jobs=max(1, args.jobs))
+    return run_sweep(cfg, outdir)
 
 
 def _cmd_scenario(args) -> int:

@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
+from scipy.fft import fft, ifft
 
 from .fiber import FiberParams, dispersion_tf
-from .iterative import IterationSpec, error_tf, feedback_run, neumann_sum_tf
+from .iterative import error_tf, partial_sums
 from .signal import (
     Envelope,
     FrequencyGrid,
     TransferFunction,
-    apply_tf,
     check_wraparound,
 )
 
@@ -193,11 +193,9 @@ def compensator_tf(
     sub = spec.subsystem
     k_stages = spec.k_stages
     if form == "factored":
-        partial = neumann_sum_tf(
-            dispersion_tf(sub.pcf, grid),
-            IterationSpec(k_stages, math.sqrt(sub.alpha)),
-        )
-        return TransferFunction(grid, spec.prefactor * partial.values)
+        for partial in partial_sums(subsystem_error_tf(sub, grid).values, k_stages):
+            pass
+        return TransferFunction(grid, spec.prefactor * partial)
     if form == "exact":
         stage = math.sqrt(2.0) * subsystem_tf(sub, grid, form="exact").values
         ident = dispersion_tf(sub.smf, grid).values
@@ -211,30 +209,44 @@ def compensator_tf(
     raise ValueError(f"unknown form {form!r}")
 
 
-def compensate(
-    e: Envelope, spec: CompensatorSpec, realization: str = "direct"
-) -> Envelope:
+def compensate_stages(
+    e: Envelope, sub: SubsystemSpec, k_list, gain=None, bandwidth_hz=None
+):
+    """Yield ``(spec, envelope, residual)`` for each K of increasing ``k_list``.
+
+    One wraparound check at the largest K (the guard grows with K), one
+    forward FFT, one E_D and one running partial sum serve every K, plus one
+    inverse FFT per K. ``spec`` is ``CompensatorSpec(sub, k, gain)``, the
+    envelope equals ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for
+    bit, and ``residual`` is :func:`band_residual` over ``bandwidth_hz``
+    (None without a bandwidth).
+    """
+    if not k_list or k_list[0] < 0 or any(b <= a for a, b in zip(k_list, k_list[1:])):
+        raise ValueError("k_list must be non-negative and strictly increasing")
+    check_wraparound(e, k_list[-1] * abs(sub.pcf.beta2) * sub.length_m)
+    spectrum = fft(e.samples)
+    e_d = subsystem_error_tf(sub, e.grid)
+    worst = None if bandwidth_hz is None else band_error_max(e_d, bandwidth_hz)
+    for k, partial in enumerate(partial_sums(e_d.values, k_list[-1])):
+        if k not in k_list:
+            continue
+        spec = CompensatorSpec(sub, k, gain)
+        # spectrum * response in this order, as in apply_tf: with FMA the
+        # complex product is not bitwise commutative.
+        response = spec.prefactor * partial
+        np.multiply(spectrum, response, out=response)
+        out = Envelope(e.grid, ifft(response, overwrite_x=True), e.carrier_wavelength)
+        yield spec, out, None if worst is None else worst ** (k + 1)
+
+
+def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:
     """Run an envelope through the compensating structure.
 
-    ``realization="direct"`` applies :func:`compensator_tf`;
-    ``realization="feedback"`` cycles the input through the closed-loop
-    equivalent instead. Both reject window-wrapping configurations.
+    The one-K case of :func:`compensate_stages`: it applies
+    :func:`compensator_tf` and rejects window-wrapping configurations.
     """
-    sub = spec.subsystem
-    accumulated = spec.k_stages * abs(sub.pcf.beta2) * sub.length_m
-    check_wraparound(e, accumulated)
-    if realization == "direct":
-        return apply_tf(e, compensator_tf(spec, e.grid))
-    if realization == "feedback":
-        looped = feedback_run(
-            e,
-            dispersion_tf(sub.pcf, e.grid),
-            IterationSpec(spec.k_stages, math.sqrt(sub.alpha)),
-        )
-        return Envelope(
-            e.grid, spec.prefactor * looped.samples, e.carrier_wavelength
-        )
-    raise ValueError(f"unknown realization {realization!r}")
+    [(_, out, _)] = compensate_stages(e, spec.subsystem, (spec.k_stages,), spec.gain)
+    return out
 
 
 def compensation_latency(spec: CompensatorSpec) -> float:
@@ -255,6 +267,10 @@ def band_residual(
     bin with |delta_omega| <= pi*B.
     """
     e_d = subsystem_error_tf(spec.subsystem, grid)
-    mask = np.abs(grid.delta_omega) <= np.pi * bandwidth_hz * (1 + 1e-12)
-    worst = float(np.max(np.abs(e_d.values[mask])))
-    return worst ** (spec.k_stages + 1)
+    return band_error_max(e_d, bandwidth_hz) ** (spec.k_stages + 1)
+
+
+def band_error_max(e_d: TransferFunction, bandwidth_hz: float) -> float:
+    """Worst in-band magnitude max|E_D| over |delta_omega| <= pi*B."""
+    mask = np.abs(e_d.grid.delta_omega) <= np.pi * bandwidth_hz * (1 + 1e-12)
+    return float(np.max(np.abs(e_d.values[mask])))

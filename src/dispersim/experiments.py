@@ -8,16 +8,17 @@ pulse-width metric in use.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .compensator import (
     CompensatorSpec,
-    band_residual,
+    band_error_max,
     compensate,
+    compensate_stages,
     compensation_latency,
     match_pcf,
+    subsystem_error_tf,
 )
 from .config import ConfigError, ExperimentConfig
 from .convergence import stable, z_max
@@ -100,69 +101,43 @@ def run_region(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def _sweep_pair_rows(params: dict) -> list:
-    """Rows for one (xi, alpha) pair; module-level so worker pools can pickle it."""
-    xi = params["xi"]
-    alpha = params["alpha"]
-    beta2 = params["fiber_beta2"]
-    bandwidth = params["bandwidth_hz"]
+def _sweep_pair_rows(
+    cfg: ExperimentConfig, grid: FrequencyGrid, xi: float, alpha: float
+) -> list:
+    """Rows for one (xi, alpha) pair."""
+    beta2 = cfg.fiber_beta2
+    bandwidth = cfg.signal_bandwidth_hz()
     z_m = xi / (abs(beta2) * (2.0 * math.pi * bandwidth) ** 2)
-    grid = FrequencyGrid(params["n_samples"], params["dt_s"])
-    fiber = FiberParams((0.0, 0.0, beta2), z_m, label="transmission")
-    sub = match_pcf(fiber, params["pcf_beta2"], alpha=alpha)
-    inside = stable(alpha, beta2, bandwidth, z_m)
-    rows = []
-    if not inside:
-        for k in params["k_list"]:
-            spec = CompensatorSpec(sub, k, params["gain_override"])
-            residual = band_residual(spec, grid, bandwidth)
-            rows.append(f"{fmt(xi)},{fmt(alpha)},{k},diverged,{fmt(residual)}")
-        return rows
-    tx = make_sinc_pulse(
-        grid, params["width_s"], carrier_wavelength=params["lambda0_m"]
-    )
+    fiber = transmission_fiber(cfg, z_m)
+    sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
+    if not stable(alpha, beta2, bandwidth, z_m):
+        worst = band_error_max(subsystem_error_tf(sub, grid), bandwidth)
+        return [
+            f"{fmt(xi)},{fmt(alpha)},{k},diverged,{fmt(worst ** (k + 1))}"
+            for k in cfg.k_list
+        ]
+    tx = build_pulse(cfg, grid)
     rx = propagate(tx, fiber)
-    for k in params["k_list"]:
-        spec = CompensatorSpec(sub, k, params["gain_override"])
-        out = compensate(rx, spec)
-        factor = broadening_factor(tx, out)
-        residual = band_residual(spec, grid, bandwidth)
-        rows.append(f"{fmt(xi)},{fmt(alpha)},{k},{fmt(factor)},{fmt(residual)}")
-    return rows
+    return [
+        f"{fmt(xi)},{fmt(alpha)},{spec.k_stages},"
+        f"{fmt(broadening_factor(tx, out))},{fmt(residual)}"
+        for spec, out, residual in compensate_stages(
+            rx, sub, cfg.k_list, cfg.gain_override, bandwidth
+        )
+    ]
 
 
-def run_sweep(cfg: ExperimentConfig, outdir: Path, jobs: int = 1) -> int:
+def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     """Broadening factor against stage count for each (xi, alpha) pair."""
     if cfg.pcf_beta2 is None:
         raise ConfigError("pcf section is required for the sweep-k command")
     if cfg.pulse != "sinc":
         raise ConfigError("sweep-k runs on sinc pulses")
-    bandwidth = cfg.signal_bandwidth_hz()
-    pair_params = [
-        {
-            "xi": xi,
-            "alpha": alpha,
-            "fiber_beta2": cfg.fiber_beta2,
-            "pcf_beta2": cfg.pcf_beta2,
-            "bandwidth_hz": bandwidth,
-            "width_s": cfg.pulse_width_s(),
-            "lambda0_m": cfg.lambda0_m,
-            "n_samples": cfg.n_samples,
-            "dt_s": cfg.grid_dt(),
-            "k_list": cfg.k_list,
-            "gain_override": cfg.gain_override,
-        }
-        for xi in cfg.xi_values
-        for alpha in sorted(cfg.alphas)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            row_blocks = list(pool.map(_sweep_pair_rows, pair_params))
-    else:
-        row_blocks = [_sweep_pair_rows(p) for p in pair_params]
+    grid = build_grid(cfg)
     lines = [SWEEP_CSV_HEADER]
-    for block in row_blocks:
-        lines.extend(block)
+    for xi in cfg.xi_values:
+        for alpha in sorted(cfg.alphas):
+            lines.extend(_sweep_pair_rows(cfg, grid, xi, alpha))
     _write_text(outdir / "sweep.csv", lines)
     diverged = sum(1 for line in lines if ",diverged," in line)
     write_meta(
@@ -193,20 +168,17 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     tx = build_pulse(cfg, grid)
     rx = propagate(tx, fiber)
     k_table = []
-    required_k = None
-    for k in cfg.k_list:
-        spec = CompensatorSpec(sub, k, cfg.gain_override)
-        out = compensate(rx, spec)
+    required = None
+    for spec, out, residual in compensate_stages(
+        rx, sub, cfg.k_list, cfg.gain_override, bandwidth
+    ):
         factor = broadening_factor(tx, out)
         k_table.append(
-            {
-                "k": k,
-                "broadening_factor": factor,
-                "residual_max": band_residual(spec, grid, bandwidth),
-            }
+            {"k": spec.k_stages, "broadening_factor": factor, "residual_max": residual}
         )
-        if required_k is None and factor <= cfg.target_broadening:
-            required_k = k
+        if required is None and factor <= cfg.target_broadening:
+            required = spec
+    required_k = None if required is None else required.k_stages
     report = {
         "scenario": cfg.scenario,
         "inputs": {
@@ -232,12 +204,11 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
         },
         "width_metric": WIDTH_METRIC,
     }
-    if required_k is not None:
-        spec = CompensatorSpec(sub, required_k, cfg.gain_override)
+    if required is not None:
         report["compensator_path"] = {
             "length_m": required_k * sub.length_m,
             "formula": "K * L",
-            "latency_s": compensation_latency(spec),
+            "latency_s": compensation_latency(required),
             "latency_formula": "K * L * beta1_smf",
         }
     if cfg.dcf_beta2 is not None:

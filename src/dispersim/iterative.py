@@ -47,13 +47,25 @@ def neumann_sum_tf(h: TransferFunction, spec: IterationSpec) -> TransferFunction
     Convergence is not required to evaluate the sum; it is only needed for
     S_K to approximate 1/(mu*h).
     """
-    e = 1.0 - spec.mu * h.values
-    acc = np.ones_like(e)
+    for acc in partial_sums(1.0 - spec.mu * h.values, spec.k_terms):
+        pass
+    return TransferFunction(h.grid, acc)
+
+
+def partial_sums(e: np.ndarray, k_max: int):
+    """Yield S_k = S_{k-1} + e^k = sum_{j=0..k} e^j for k = 0..k_max, bin-wise.
+
+    Each yield is a fresh array. The running power e^k is dropped before
+    the last yield, so a caller that keeps only S_{k_max} holds one array less.
+    """
     term = np.ones_like(e)
-    for _ in range(spec.k_terms):
+    acc = np.ones_like(e)
+    for _ in range(k_max):
+        yield acc
         term = term * e
         acc = acc + term
-    return TransferFunction(h.grid, acc)
+    del term
+    yield acc
 
 
 def feedback_run(

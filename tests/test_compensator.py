@@ -10,7 +10,9 @@ from dispersim import (
     Envelope,
     FiberParams,
     FrequencyGrid,
+    IterationSpec,
     SubsystemSpec,
+    apply_tf,
     band_residual,
     broadening_factor,
     compensate,
@@ -18,6 +20,7 @@ from dispersim import (
     compensator_tf,
     default_gain,
     dispersion_tf,
+    feedback_run,
     make_sinc_pulse,
     match_pcf,
     propagate,
@@ -25,7 +28,7 @@ from dispersim import (
     subsystem_error_tf,
     subsystem_tf,
 )
-from dispersim.compensator import DEFAULT_SMF_BETA1
+from dispersim.compensator import DEFAULT_SMF_BETA1, compensate_stages
 from dispersim.fiber import d_to_beta2
 
 PS2_PER_KM = 1e-27
@@ -282,18 +285,16 @@ class TestCompensate:
         target = FiberParams((0.0, 0.0, -21e-27), 130e3)
         rx = propagate(self.tx, target)
         sub = match_pcf(target, -2806e-27, alpha=0.7)
+        h_pcf = dispersion_tf(sub.pcf, self.grid)
         for k in (0, 1, 5):
             spec = CompensatorSpec(sub, k)
-            direct = compensate(rx, spec, realization="direct")
-            loop = compensate(rx, spec, realization="feedback")
-            num = np.sum(np.abs(direct.samples - loop.samples) ** 2)
+            direct = compensate(rx, spec)
+            loop = spec.prefactor * feedback_run(
+                rx, h_pcf, IterationSpec(k, math.sqrt(sub.alpha))
+            ).samples
+            num = np.sum(np.abs(direct.samples - loop) ** 2)
             den = np.sum(np.abs(direct.samples) ** 2)
             assert num / den < 1e-10
-
-    def test_unknown_realization_rejected(self):
-        target, sub = matched_example()
-        with pytest.raises(ValueError):
-            compensate(self.tx, CompensatorSpec(sub, 1), realization="magic")
 
     def test_latency_bookkeeping(self):
         _, sub = matched_example()
@@ -301,6 +302,42 @@ class TestCompensate:
         assert compensation_latency(spec) == pytest.approx(
             4 * sub.length_m * DEFAULT_SMF_BETA1, rel=1e-15
         )
+
+
+class TestCompensateStages:
+    """The shared stage loop against the per-K reference path."""
+
+    grid = FrequencyGrid(16384, 64 * (2 / BAND_HZ) / 16384)
+
+    @pytest.mark.parametrize("gain", [None, 3.0])
+    def test_bit_exact_against_compensator_tf(self, gain):
+        target, sub = matched_example(alpha=0.7)
+        rx = propagate(make_sinc_pulse(self.grid, 2 / BAND_HZ), target)
+        k_list = (0, 3, 7, 20)
+        seen = []
+        for spec, out, residual in compensate_stages(rx, sub, k_list, gain, BAND_HZ):
+            assert spec == CompensatorSpec(sub, spec.k_stages, gain)
+            ref = apply_tf(rx, compensator_tf(spec, self.grid))
+            # int64 view: array_equal would let -0.0 and 0.0 pass as equal
+            assert np.array_equal(
+                out.samples.view(np.int64), ref.samples.view(np.int64)
+            )
+            assert residual == band_residual(spec, self.grid, BAND_HZ)
+            seen.append(spec.k_stages)
+        assert seen == list(k_list)
+
+    def test_residual_needs_a_band(self):
+        _, sub = matched_example()
+        tx = make_sinc_pulse(self.grid, 2 / BAND_HZ)
+        [(_, _, residual)] = compensate_stages(tx, sub, [2])
+        assert residual is None
+
+    @pytest.mark.parametrize("k_list", [[], [-1, 2], [3, 3], [4, 2]])
+    def test_bad_k_list_rejected(self, k_list):
+        _, sub = matched_example()
+        tx = make_sinc_pulse(self.grid, 2 / BAND_HZ)
+        with pytest.raises(ValueError, match="k_list"):
+            list(compensate_stages(tx, sub, k_list))
 
 
 class TestCompensateProperty:
