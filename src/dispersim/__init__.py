@@ -16,13 +16,12 @@ from .compensator import (
     subsystem_error_tf,
     subsystem_tf,
 )
-from .convergence import RegionQuery, region_table, stable, z_max
+from .convergence import stable, z_max
 from .fiber import (
     FiberParams,
     beta2_to_d,
     d_to_beta2,
     dispersion_tf,
-    group_delay,
     propagate,
 )
 from .iterative import (
@@ -31,27 +30,23 @@ from .iterative import (
     error_tf,
     feedback_run,
     neumann_sum_tf,
-    operator_norm,
 )
 from .signal import (
     Envelope,
     FrequencyGrid,
     GridMismatchError,
-    Spectrum,
     TransferFunction,
     WIDTH_METRIC,
+    WidthMetricError,
     WindowError,
     WraparoundError,
     apply_tf,
     broadening_factor,
     check_wraparound,
-    identity_tf,
     intensity_fwhm,
     make_gaussian_pulse,
     make_sinc_pulse,
     occupied_bandwidth,
-    to_envelope,
-    to_spectrum,
 )
 
 __all__ = [
@@ -62,11 +57,10 @@ __all__ = [
     "FrequencyGrid",
     "GridMismatchError",
     "IterationSpec",
-    "RegionQuery",
-    "Spectrum",
     "SubsystemSpec",
     "TransferFunction",
     "WIDTH_METRIC",
+    "WidthMetricError",
     "WindowError",
     "WraparoundError",
     "apply_tf",
@@ -82,21 +76,15 @@ __all__ = [
     "dispersion_tf",
     "error_tf",
     "feedback_run",
-    "group_delay",
-    "identity_tf",
     "intensity_fwhm",
     "make_gaussian_pulse",
     "make_sinc_pulse",
     "match_pcf",
     "neumann_sum_tf",
     "occupied_bandwidth",
-    "operator_norm",
     "propagate",
-    "region_table",
     "stable",
     "subsystem_error_tf",
     "subsystem_tf",
-    "to_envelope",
-    "to_spectrum",
     "z_max",
 ]

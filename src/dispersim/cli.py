@@ -2,7 +2,8 @@
 
 Exit codes: 0 when all requested rows were computed, 2 on configuration or
 usage errors, 3 when a numerical guard (window wraparound, operating point
-outside the convergence region) aborts the run.
+outside the convergence region, a pulse width that cannot be measured)
+aborts the run.
 """
 
 import argparse
@@ -18,7 +19,7 @@ from .experiments import (
     run_sweep,
 )
 from .fiber import _BETA2_CONVENTIONAL, beta2_to_d, d_to_beta2
-from .signal import WindowError, WraparoundError
+from .signal import WidthMetricError, WindowError, WraparoundError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
     except (ConfigError, WindowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (WraparoundError, DivergenceError) as exc:
+    except (WraparoundError, DivergenceError, WidthMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -38,7 +38,6 @@ from .signal import (
 #: Group index used for the compensator fibers' default beta1.
 SMF_GROUP_INDEX = 1.4682
 DEFAULT_SMF_BETA1 = SMF_GROUP_INDEX / SPEED_OF_LIGHT
-DEFAULT_SMF_BETA0 = 0.0
 
 
 def _relative_mismatch(a: float, b: float) -> float:
@@ -139,22 +138,17 @@ def subsystem_tf(
 
 
 def match_pcf(
-    target: FiberParams,
-    pcf_beta2: float,
-    alpha: float = 1.0,
-    orders: tuple | None = None,
-    smf_beta0: float = DEFAULT_SMF_BETA0,
-    smf_beta1: float = DEFAULT_SMF_BETA1,
+    target: FiberParams, pcf_beta2: float, alpha: float = 1.0
 ) -> SubsystemSpec:
     """Size a sub-system so one pass cancels the target span's dispersion.
 
     The branch length follows from beta2_pcf * L = beta2_target * z, and the
-    down branch's higher orders (all present in the target by default, or
-    the subset in ``orders``) are set to beta_i_target * z / L so every
-    matched order accumulates identically. The down-branch beta2 must be
-    nonzero and share the target's sign: a strongly dispersive fiber of the
-    same sign, run in an error-feedback cascade, replaces the conventional
-    opposite-sign span.
+    down branch's higher orders are set to beta_i_target * z / L for every
+    order i >= 3 of the target, so each order accumulates identically. Both
+    branches get beta0 = 0 and beta1 = :data:`DEFAULT_SMF_BETA1`. The
+    down-branch beta2 must be nonzero and share the target's sign: a
+    strongly dispersive fiber of the same sign, run in an error-feedback
+    cascade, replaces the conventional opposite-sign span.
     """
     if pcf_beta2 == 0:
         raise ValueError("pcf_beta2 must be nonzero")
@@ -163,18 +157,10 @@ def match_pcf(
             "pcf_beta2 must have the same sign as the target fiber's beta2"
         )
     length = target.beta2 * target.length_m / pcf_beta2
-    if orders is None:
-        orders = tuple(range(3, len(target.betas)))
-    pcf_betas = [smf_beta0, smf_beta1, pcf_beta2]
-    for i in orders:
-        if i < 3:
-            raise ValueError("only orders >= 3 can be matched explicitly")
-        while len(pcf_betas) <= i:
-            pcf_betas.append(0.0)
-        pcf_betas[i] = target.betas[i] * target.length_m / length
-    smf_betas = [smf_beta0, smf_beta1] + list(target.betas[2:])
-    smf = FiberParams(tuple(smf_betas), length, label="subsystem-up")
-    pcf = FiberParams(tuple(pcf_betas), length, label="subsystem-down")
+    higher = tuple(b * target.length_m / length for b in target.betas[3:])
+    low = (0.0, DEFAULT_SMF_BETA1)
+    smf = FiberParams(low + target.betas[2:], length)
+    pcf = FiberParams(low + (pcf_beta2,) + higher, length)
     return SubsystemSpec(smf=smf, pcf=pcf, alpha=alpha)
 
 
@@ -214,17 +200,18 @@ def compensate_stages(
 ):
     """Yield ``(spec, envelope, residual)`` for each K of increasing ``k_list``.
 
-    One wraparound check at the largest K (the guard grows with K), one
-    forward FFT, one E_D and one running partial sum serve every K, plus one
-    inverse FFT per K. ``spec`` is ``CompensatorSpec(sub, k, gain)``, the
-    envelope equals ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for
-    bit, and ``residual`` is :func:`band_residual` over ``bandwidth_hz``
-    (None without a bandwidth).
+    One forward FFT (which also feeds the wraparound check at the largest K,
+    where the guard is widest), one E_D and one running partial sum serve
+    every K, plus one inverse FFT per K. ``spec`` is
+    ``CompensatorSpec(sub, k, gain)``, the envelope equals
+    ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit, and
+    ``residual`` is :func:`band_residual` over ``bandwidth_hz`` (None
+    without a bandwidth).
     """
     if not k_list or k_list[0] < 0 or any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be non-negative and strictly increasing")
-    check_wraparound(e, k_list[-1] * abs(sub.pcf.beta2) * sub.length_m)
     spectrum = fft(e.samples)
+    check_wraparound(e, spectrum, k_list[-1] * abs(sub.pcf.beta2) * sub.length_m)
     e_d = subsystem_error_tf(sub, e.grid)
     worst = None if bandwidth_hz is None else band_error_max(e_d, bandwidth_hz)
     for k, partial in enumerate(partial_sums(e_d.values, k_list[-1])):
@@ -235,7 +222,7 @@ def compensate_stages(
         # complex product is not bitwise commutative.
         response = spec.prefactor * partial
         np.multiply(spectrum, response, out=response)
-        out = Envelope(e.grid, ifft(response, overwrite_x=True), e.carrier_wavelength)
+        out = Envelope(e.grid, ifft(response, overwrite_x=True))
         yield spec, out, None if worst is None else worst ** (k + 1)
 
 
@@ -271,6 +258,11 @@ def band_residual(
 
 
 def band_error_max(e_d: TransferFunction, bandwidth_hz: float) -> float:
-    """Worst in-band magnitude max|E_D| over |delta_omega| <= pi*B."""
+    """Worst in-band magnitude max|E_D| over |delta_omega| <= pi*B.
+
+    This is the operator norm of the error response on the band: the
+    truncated sums converge there iff it is below 1 (see
+    :data:`~dispersim.iterative.CONTRACTION_MARGIN` for a strict test).
+    """
     mask = np.abs(e_d.grid.delta_omega) <= np.pi * bandwidth_hz * (1 + 1e-12)
     return float(np.max(np.abs(e_d.values[mask])))

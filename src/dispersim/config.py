@@ -18,6 +18,11 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+#: Largest stage count K for which the default gain alpha * 2**(K+1) is a
+#: finite double.
+MAX_STAGES = 1022
+
+
 _TOP_KEYS = {
     "scenario",
     "fiber",
@@ -63,6 +68,16 @@ def _integer(value, path: str, minimum: int = 0) -> int:
     if value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}")
     return value
+
+
+def _stage_count(value, path: str) -> int:
+    k = _integer(value, path)
+    if k > MAX_STAGES:
+        raise ConfigError(
+            f"{path} must be <= {MAX_STAGES}: the gain alpha * 2**(K+1) "
+            "overflows past it"
+        )
+    return k
 
 
 def _beta2_from(section: dict, path: str, lambda0_m: float) -> float:
@@ -247,11 +262,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         k_raw = comp["k_list"]
         if not isinstance(k_raw, list) or not k_raw:
             raise ConfigError("compensator.k_list must be a non-empty list")
-        k_list = tuple(_integer(k, "compensator.k_list[]") for k in k_raw)
+        k_list = tuple(_stage_count(k, "compensator.k_list[]") for k in k_raw)
         if any(b <= a for a, b in zip(k_list, k_list[1:])):
             raise ConfigError("compensator.k_list must be strictly increasing")
     else:
-        k_max = _integer(comp.get("k_max", 12), "compensator.k_max")
+        k_max = _stage_count(comp.get("k_max", 12), "compensator.k_max")
         k_list = tuple(range(k_max + 1))
     gain_override = None
     if "gain" in comp:

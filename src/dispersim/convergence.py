@@ -9,35 +9,13 @@ which yields the maximum stable transmission length for a given bandwidth.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .iterative import CONTRACTION_MARGIN
 
-
-@dataclass(frozen=True)
-class RegionQuery:
-    """Axes for a stability-region scan at fixed alpha and fiber beta2."""
-
-    alpha: float
-    beta2_fib: float
-    bandwidth_grid: np.ndarray
-    z_grid: np.ndarray
-
-    def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise ValueError("alpha must lie in (0, 1]")
-        for name in ("bandwidth_grid", "z_grid"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError(f"{name} must be a non-empty 1-d array")
-            if not np.all(arr > 0):
-                raise ValueError(f"{name} values must be positive")
-            if not np.all(np.diff(arr) > 0):
-                raise ValueError(f"{name} must be strictly increasing")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+#: Points of the dense band scan used when higher dispersion orders are set.
+N_PROBE = 4097
 
 
 def _error_magnitude(alpha: float, theta) -> np.ndarray:
@@ -51,7 +29,6 @@ def stable(
     bandwidth_hz: float,
     z_m: float,
     extra_betas: tuple = (),
-    n_probe: int = 4097,
 ) -> bool:
     """True iff sup over |delta_omega| <= pi*B of the error magnitude is < 1.
 
@@ -59,7 +36,7 @@ def stable(
     beta2 present the supremum sits at the band edge (the magnitude is
     monotone in the accumulated phase while it stays below pi), so the edge
     value decides; configured higher orders ``extra_betas = (beta3, ...)``
-    switch to a dense numeric scan of the band.
+    switch to a dense numeric scan of the band at :data:`N_PROBE` points.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
@@ -74,7 +51,7 @@ def stable(
             return False
         worst = _error_magnitude(alpha, theta_edge)
     else:
-        dw = np.linspace(-edge, edge, n_probe)
+        dw = np.linspace(-edge, edge, N_PROBE)
         theta = beta2 / 2.0 * dw**2
         power = dw**2
         for i, beta_i in enumerate(extra_betas, start=3):
@@ -100,19 +77,3 @@ def z_max(bandwidth_hz: float, alpha: float, beta2: float) -> float:
         * math.acos(math.sqrt(alpha) / 2.0)
         / (abs(beta2) * (math.pi * bandwidth_hz) ** 2)
     )
-
-
-def region_table(q: RegionQuery) -> tuple[np.ndarray, np.ndarray]:
-    """Stability matrix over (B, z) plus the closed-form boundary curve.
-
-    Returns ``(matrix, boundary)`` with ``matrix[i, j] = stable(B_i, z_j)``
-    and ``boundary[i] = z_max(B_i)``. Rows are independent and the result
-    is deterministic.
-    """
-    matrix = np.empty((q.bandwidth_grid.size, q.z_grid.size), dtype=bool)
-    boundary = np.empty(q.bandwidth_grid.size)
-    for i, b in enumerate(q.bandwidth_grid):
-        boundary[i] = z_max(b, q.alpha, q.beta2_fib)
-        for j, z in enumerate(q.z_grid):
-            matrix[i, j] = stable(q.alpha, q.beta2_fib, b, z)
-    return matrix, boundary

@@ -27,7 +27,7 @@ from .signal import (
     Envelope,
     FrequencyGrid,
     WIDTH_METRIC,
-    broadening_factor,
+    intensity_fwhm,
     make_gaussian_pulse,
     make_sinc_pulse,
 )
@@ -68,16 +68,12 @@ def build_grid(cfg: ExperimentConfig) -> FrequencyGrid:
 
 def build_pulse(cfg: ExperimentConfig, grid: FrequencyGrid) -> Envelope:
     if cfg.pulse == "sinc":
-        return make_sinc_pulse(
-            grid, cfg.pulse_width_s(), carrier_wavelength=cfg.lambda0_m
-        )
-    return make_gaussian_pulse(
-        grid, cfg.pulse_width_s(), carrier_wavelength=cfg.lambda0_m
-    )
+        return make_sinc_pulse(grid, cfg.pulse_width_s())
+    return make_gaussian_pulse(grid, cfg.pulse_width_s())
 
 
 def transmission_fiber(cfg: ExperimentConfig, z_m: float) -> FiberParams:
-    return FiberParams((0.0, 0.0, cfg.fiber_beta2), z_m, label="transmission")
+    return FiberParams((0.0, 0.0, cfg.fiber_beta2), z_m)
 
 
 def dispersion_strength(beta2: float, z_m: float, bandwidth_hz: float) -> float:
@@ -104,7 +100,10 @@ def run_region(cfg: ExperimentConfig, outdir: Path) -> int:
 def _sweep_pair_rows(
     cfg: ExperimentConfig, grid: FrequencyGrid, xi: float, alpha: float
 ) -> list:
-    """Rows for one (xi, alpha) pair."""
+    """Rows for one (xi, alpha) pair.
+
+    The broadening factor divides by the transmitted width, measured once.
+    """
     beta2 = cfg.fiber_beta2
     bandwidth = cfg.signal_bandwidth_hz()
     z_m = xi / (abs(beta2) * (2.0 * math.pi * bandwidth) ** 2)
@@ -117,10 +116,11 @@ def _sweep_pair_rows(
             for k in cfg.k_list
         ]
     tx = build_pulse(cfg, grid)
+    tx_width = intensity_fwhm(tx)
     rx = propagate(tx, fiber)
     return [
         f"{fmt(xi)},{fmt(alpha)},{spec.k_stages},"
-        f"{fmt(broadening_factor(tx, out))},{fmt(residual)}"
+        f"{fmt(intensity_fwhm(out) / tx_width)},{fmt(residual)}"
         for spec, out, residual in compensate_stages(
             rx, sub, cfg.k_list, cfg.gain_override, bandwidth
         )
@@ -166,13 +166,14 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
     grid = build_grid(cfg)
     tx = build_pulse(cfg, grid)
+    tx_width = intensity_fwhm(tx)
     rx = propagate(tx, fiber)
     k_table = []
     required = None
     for spec, out, residual in compensate_stages(
         rx, sub, cfg.k_list, cfg.gain_override, bandwidth
     ):
-        factor = broadening_factor(tx, out)
+        factor = intensity_fwhm(out) / tx_width
         k_table.append(
             {"k": spec.k_stages, "broadening_factor": factor, "residual_max": residual}
         )

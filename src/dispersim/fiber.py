@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
+from scipy.fft import fft, ifft
 
-from .signal import (
-    Envelope,
-    FrequencyGrid,
-    TransferFunction,
-    apply_tf,
-    check_wraparound,
-)
+from .signal import Envelope, FrequencyGrid, TransferFunction, check_wraparound
 
 # ps/nm/km expressed in s/m^2
 _D_CONVENTIONAL = 1e-6
@@ -54,7 +49,6 @@ class FiberParams:
 
     betas: tuple
     length_m: float
-    label: str = ""
 
     def __post_init__(self):
         betas = tuple(float(b) for b in self.betas)
@@ -65,23 +59,6 @@ class FiberParams:
         if not (math.isfinite(self.length_m) and self.length_m >= 0):
             raise ValueError("length_m must be non-negative and finite")
         object.__setattr__(self, "betas", betas)
-
-    @classmethod
-    def from_conventional(
-        cls,
-        d_ps_nm_km: float,
-        lambda0_m: float,
-        length_km: float,
-        beta0: float = 0.0,
-        beta1: float = 0.0,
-        label: str = "",
-    ) -> "FiberParams":
-        """Build from D in ps/nm/km and length in km."""
-        return cls(
-            betas=(beta0, beta1, d_to_beta2(d_ps_nm_km, lambda0_m)),
-            length_m=length_km * 1e3,
-            label=label,
-        )
 
     @property
     def beta0(self) -> float:
@@ -94,18 +71,6 @@ class FiberParams:
     @property
     def beta2(self) -> float:
         return self.betas[2]
-
-    def d_ps_nm_km(self, lambda0_m: float) -> float:
-        """Conventional-unit view of beta2."""
-        return beta2_to_d(self.beta2, lambda0_m)
-
-    def with_length(self, length_m: float) -> "FiberParams":
-        return FiberParams(self.betas, length_m, self.label)
-
-
-def group_delay(fiber: FiberParams) -> float:
-    """Bulk delay beta1 * length removed by the retarded frame, seconds."""
-    return fiber.beta1 * fiber.length_m
 
 
 def dispersion_tf(fiber: FiberParams, grid: FrequencyGrid) -> TransferFunction:
@@ -126,7 +91,10 @@ def propagate(e: Envelope, fiber: FiberParams) -> Envelope:
     """Propagate an envelope through one span in the retarded frame.
 
     Rejects configurations where the dispersive spread would wrap around
-    the circular time window.
+    the circular time window. The input is transformed once, for the guard
+    and the product alike, and the product is formed in place.
     """
-    check_wraparound(e, fiber.beta2 * fiber.length_m)
-    return apply_tf(e, dispersion_tf(fiber, e.grid))
+    spectrum = fft(e.samples)
+    check_wraparound(e, spectrum, fiber.beta2 * fiber.length_m)
+    spectrum *= dispersion_tf(fiber, e.grid).values
+    return Envelope(e.grid, ifft(spectrum, overwrite_x=True))

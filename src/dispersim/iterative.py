@@ -83,27 +83,5 @@ def feedback_run(
     y = e_in
     for _ in range(spec.k_terms):
         fed_back = apply_tf(y, err)
-        y = Envelope(
-            e_in.grid, e_in.samples + fed_back.samples, e_in.carrier_wavelength
-        )
+        y = Envelope(e_in.grid, e_in.samples + fed_back.samples)
     return y
-
-
-def operator_norm(
-    h: TransferFunction, mu: float = 1.0, band_limit: float | None = None
-) -> float:
-    """max over |delta_omega| <= band_limit of |1 - mu*h|.
-
-    ``band_limit`` defaults to the whole grid. The sum converges on the band
-    iff this is < 1 (use :data:`CONTRACTION_MARGIN` for a strict test).
-    """
-    if band_limit is None:
-        band_limit = h.grid.max_abs_delta_omega
-    if band_limit < 0:
-        raise ValueError("band_limit must be non-negative")
-    if band_limit > h.grid.max_abs_delta_omega * (1 + 1e-12):
-        raise ValueError("band_limit exceeds the grid band")
-    mask = np.abs(h.grid.delta_omega) <= band_limit
-    if not np.any(mask):
-        raise ValueError("band contains no bins")
-    return float(np.max(np.abs(1.0 - mu * h.values[mask])))

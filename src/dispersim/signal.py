@@ -1,4 +1,4 @@
-"""Sampled-signal substrate: grids, envelopes, spectra, transforms and pulse metrics.
+"""Sampled-signal substrate: grids, envelopes, responses and pulse metrics.
 
 All quantities are SI (seconds, meters, rad/s). Frequency axes follow the
 DC-centered convention: bin k carries the signed baseband offset
@@ -25,6 +25,10 @@ class WindowError(ValueError):
 
 class WraparoundError(RuntimeError):
     """Raised when a circular spectral operation would wrap in time."""
+
+
+class WidthMetricError(ValueError):
+    """Raised when a pulse has no measurable half-maximum width."""
 
 
 @dataclass(frozen=True)
@@ -76,10 +80,6 @@ class FrequencyGrid:
         t.setflags(write=False)
         return t
 
-    @property
-    def max_abs_delta_omega(self) -> float:
-        return np.pi / self.dt
-
 
 def _as_complex_grid_array(values, grid: FrequencyGrid) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128).copy()
@@ -99,38 +99,16 @@ class Envelope:
 
     grid: FrequencyGrid
     samples: np.ndarray
-    carrier_wavelength: float = 1.55e-6
 
     def __post_init__(self):
         object.__setattr__(
             self, "samples", _as_complex_grid_array(self.samples, self.grid)
         )
-        if not (np.isfinite(self.carrier_wavelength) and self.carrier_wavelength > 0):
-            raise ValueError("carrier_wavelength must be positive")
 
     @property
     def energy(self) -> float:
         """Integrated power sum(|s|^2) * dt."""
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.dt)
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Complex spectral samples (continuous-transform scaling) on a grid."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-    carrier_wavelength: float = 1.55e-6
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _as_complex_grid_array(self.values, self.grid)
-        )
-
-    @property
-    def energy(self) -> float:
-        """Integrated spectral power sum(|V|^2) * df."""
-        return float(np.sum(np.abs(self.values) ** 2) * self.grid.df)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,23 +128,6 @@ class TransferFunction:
             raise GridMismatchError("cannot compose responses on different grids")
         return TransferFunction(self.grid, self.values * other.values)
 
-    def conjugate(self) -> "TransferFunction":
-        return TransferFunction(self.grid, np.conj(self.values))
-
-
-def identity_tf(grid: FrequencyGrid) -> TransferFunction:
-    return TransferFunction(grid, np.ones(grid.n_samples))
-
-
-def to_spectrum(e: Envelope) -> Spectrum:
-    """Forward transform; scaled so time and spectral energies are equal."""
-    return Spectrum(e.grid, fft(e.samples) * e.grid.dt, e.carrier_wavelength)
-
-
-def to_envelope(s: Spectrum) -> Envelope:
-    """Inverse of :func:`to_spectrum`."""
-    return Envelope(s.grid, ifft(s.values) / s.grid.dt, s.carrier_wavelength)
-
 
 def apply_tf(e: Envelope, h: TransferFunction) -> Envelope:
     """Multiply the envelope's spectrum bin-wise by ``h``.
@@ -180,14 +141,13 @@ def apply_tf(e: Envelope, h: TransferFunction) -> Envelope:
             f"envelope grid ({e.grid.n_samples} x {e.grid.dt!r}) does not match "
             f"response grid ({h.grid.n_samples} x {h.grid.dt!r})"
         )
-    return Envelope(e.grid, ifft(fft(e.samples) * h.values), e.carrier_wavelength)
+    return Envelope(e.grid, ifft(fft(e.samples) * h.values))
 
 
 def make_sinc_pulse(
     grid: FrequencyGrid,
     zero_to_zero_width: float,
     amplitude: float = 1.0,
-    carrier_wavelength: float = 1.55e-6,
 ) -> Envelope:
     """Band-limited sinc pulse centered mid-window.
 
@@ -233,14 +193,11 @@ def make_sinc_pulse(
         samples = np.zeros_like(samples)
     else:
         samples = samples * (amplitude / samples[center].real)
-    return Envelope(grid, samples, carrier_wavelength)
+    return Envelope(grid, samples)
 
 
 def make_gaussian_pulse(
-    grid: FrequencyGrid,
-    t0: float,
-    amplitude: float = 1.0,
-    carrier_wavelength: float = 1.55e-6,
+    grid: FrequencyGrid, t0: float, amplitude: float = 1.0
 ) -> Envelope:
     """Unchirped Gaussian ``A*exp(-(t-t_c)^2 / (2*t0^2))`` centered mid-window.
 
@@ -258,7 +215,7 @@ def make_gaussian_pulse(
     t_c = (grid.n_samples // 2) * grid.dt
     tau = grid.time_axis - t_c
     samples = amplitude * np.exp(-(tau**2) / (2.0 * t0**2))
-    return Envelope(grid, samples.astype(np.complex128), carrier_wavelength)
+    return Envelope(grid, samples.astype(np.complex128))
 
 
 def intensity_fwhm(e: Envelope) -> float:
@@ -267,12 +224,14 @@ def intensity_fwhm(e: Envelope) -> float:
     Crossings are located by linear interpolation of the intensity between
     samples. If several lobes exceed half maximum the outermost crossings
     are used and a warning is emitted. The width is computed from fractional
-    bin offsets only, so it is invariant under integer-sample delays.
+    bin offsets only, so it is invariant under integer-sample delays. An
+    all-zero signal or a lobe on the window edge raises
+    :class:`WidthMetricError`.
     """
     intensity = np.abs(e.samples) ** 2
     peak = intensity.max()
     if peak == 0:
-        raise ValueError("cannot measure the width of an all-zero signal")
+        raise WidthMetricError("cannot measure the width of an all-zero signal")
     half = 0.5 * peak
     above = np.nonzero(intensity >= half)[0]
     i_lo, i_hi = above[0], above[-1]
@@ -282,7 +241,7 @@ def intensity_fwhm(e: Envelope) -> float:
             stacklevel=2,
         )
     if i_lo == 0 or i_hi == e.grid.n_samples - 1:
-        raise ValueError("half-maximum lobe touches the window edge")
+        raise WidthMetricError("half-maximum lobe touches the window edge")
     frac_lo = (intensity[i_lo] - half) / (intensity[i_lo] - intensity[i_lo - 1])
     frac_hi = (intensity[i_hi] - half) / (intensity[i_hi] - intensity[i_hi + 1])
     return ((i_hi - i_lo) + frac_lo + frac_hi) * e.grid.dt
@@ -299,33 +258,41 @@ def broadening_factor(tx: Envelope, rx: Envelope) -> float:
     return intensity_fwhm(rx) / intensity_fwhm(tx)
 
 
-def occupied_bandwidth(e: Envelope, rel_threshold: float = 1e-6) -> float:
+#: A bin is occupied when its magnitude exceeds this fraction of the peak.
+OCCUPIED_THRESHOLD = 1e-6
+#: The time window must exceed pulse width plus dispersive spread this many times.
+GUARD_FACTOR = 4.0
+
+
+def occupied_bandwidth(grid: FrequencyGrid, spectrum: np.ndarray) -> float:
     """Two-sided bandwidth B = max occupied |delta_omega| / pi, Hz.
 
-    A bin counts as occupied when its spectral magnitude exceeds
-    ``rel_threshold`` times the spectral peak.
+    ``spectrum`` holds FFT samples on ``grid``; a bin counts as occupied
+    when its magnitude exceeds :data:`OCCUPIED_THRESHOLD` times the peak.
     """
-    mag = np.abs(fft(e.samples))
+    mag = np.abs(spectrum)
     peak = mag.max()
     if peak == 0:
         return 0.0
-    occupied = mag > rel_threshold * peak
-    return float(np.max(np.abs(e.grid.delta_omega[occupied])) / np.pi)
+    occupied = mag > OCCUPIED_THRESHOLD * peak
+    return float(np.max(np.abs(grid.delta_omega[occupied])) / np.pi)
 
 
 def check_wraparound(
-    e: Envelope, accumulated_gvd: float, guard_factor: float = 4.0
+    e: Envelope, spectrum: np.ndarray, accumulated_gvd: float
 ) -> None:
     """Reject circular propagation that could wrap in time.
 
+    ``spectrum`` is ``fft(e.samples)``, which the caller transforms anyway.
     ``accumulated_gvd`` is the worst-case |beta2 * length| product of the
     operation about to be applied (s^2). The dispersive spread across the
     occupied band 2*pi*B is ``accumulated_gvd * 2*pi*B`` and the time window
-    must exceed pulse width plus spread by ``guard_factor``.
+    must exceed pulse width plus spread by :data:`GUARD_FACTOR`.
     """
     width = intensity_fwhm(e)
-    spread = abs(accumulated_gvd) * 2.0 * np.pi * occupied_bandwidth(e)
-    needed = guard_factor * (width + spread)
+    band = occupied_bandwidth(e.grid, spectrum)
+    spread = abs(accumulated_gvd) * 2.0 * np.pi * band
+    needed = GUARD_FACTOR * (width + spread)
     if e.grid.window < needed:
         raise WraparoundError(
             f"time window {e.grid.window:.3e} s cannot absorb a pulse of "

@@ -211,6 +211,32 @@ class TestSweep:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["diverged_rows"] == 3
 
+    @pytest.mark.filterwarnings("ignore:multiple lobes")
+    def test_unmeasurable_width_exits_3(self, tmp_path, capsys):
+        # K=156 is past the stage-count ceiling: the output is rounding noise
+        doc = readme_doc()
+        doc["signal"]["n_samples"] = 4096
+        doc["compensator"] = {"alphas": [1.0], "k_list": [156]}
+        doc["sweep"]["xi"] = [0.2]
+        config = write_config(tmp_path, doc)
+        rc = main(["sweep-k", "--config", config, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "window edge" in err
+
+    def test_stage_count_past_float_range_exits_2(self, tmp_path, capsys):
+        # the default gain alpha * 2**1101 is not a finite double
+        doc = readme_doc()
+        doc["compensator"] = {"alphas": [1.0], "k_list": [1100]}
+        doc["signal"]["window_factor"] = 2000
+        config = write_config(tmp_path, doc)
+        rc = main(["sweep-k", "--config", config, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "1022" in err
+
     def test_byte_determinism(self, tmp_path):
         config = write_config(tmp_path, sweep_doc([0.5, 1.0], [0.5, 1.0], k_max=3))
         out1, out2 = tmp_path / "out1", tmp_path / "out2"

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
-from dispersim.config import ConfigError, load_config, parse_config
+from dispersim import default_gain
+from dispersim.config import MAX_STAGES, ConfigError, load_config, parse_config
 from dispersim.fiber import d_to_beta2
 
 
@@ -137,6 +139,16 @@ class TestFailClosed:
             )
         with pytest.raises(ConfigError):
             parse_config(base_doc(compensator={"k_list": [2, 1]}))
+
+    def test_stage_counts_past_float_range_rejected(self):
+        assert math.isfinite(default_gain(1.0, MAX_STAGES))
+        with pytest.raises(OverflowError):
+            default_gain(1.0, MAX_STAGES + 1)
+        for comp in ({"k_max": MAX_STAGES + 1}, {"k_list": [0, 1100]}):
+            with pytest.raises(ConfigError, match=str(MAX_STAGES)):
+                parse_config(base_doc(compensator=comp))
+        cfg = parse_config(base_doc(compensator={"k_list": [MAX_STAGES]}))
+        assert cfg.k_list == (MAX_STAGES,)
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ConfigError):

@@ -7,10 +7,8 @@ from dispersim import (
     CompensatorSpec,
     FiberParams,
     FrequencyGrid,
-    RegionQuery,
     band_residual,
     match_pcf,
-    region_table,
     stable,
     z_max,
 )
@@ -134,48 +132,40 @@ class TestZMax:
 
 
 class TestRegionTable:
-    def make_query(self, alpha):
-        return RegionQuery(
-            alpha=alpha,
-            beta2_fib=BETA2,
-            bandwidth_grid=np.geomspace(1e9, 10e9, 8),
-            z_grid=np.geomspace(1e3, 2e6, 160),
+    """stable() over a (B, z) grid against the closed-form boundary z_max(B)."""
+
+    bandwidths = np.geomspace(1e9, 10e9, 8)
+    zs = np.geomspace(1e3, 2e6, 160)
+
+    def table(self, alpha):
+        matrix = np.array(
+            [[stable(alpha, BETA2, b, z) for z in self.zs] for b in self.bandwidths]
         )
+        boundary = np.array([z_max(b, alpha, BETA2) for b in self.bandwidths])
+        return matrix, boundary
 
     def test_matrix_consistent_with_boundary(self):
-        q = self.make_query(0.6)
-        matrix, boundary = region_table(q)
-        for i, b in enumerate(q.bandwidth_grid):
-            for j, z in enumerate(q.z_grid):
-                cell_lo = q.z_grid[j - 1] if j > 0 else 0.0
-                cell_hi = q.z_grid[j + 1] if j + 1 < q.z_grid.size else np.inf
+        matrix, boundary = self.table(0.6)
+        for i in range(self.bandwidths.size):
+            for j in range(self.zs.size):
+                cell_lo = self.zs[j - 1] if j > 0 else 0.0
+                cell_hi = self.zs[j + 1] if j + 1 < self.zs.size else np.inf
                 if cell_hi < boundary[i]:
                     assert matrix[i, j]
                 if cell_lo > boundary[i]:
                     assert not matrix[i, j]
 
     def test_cells_below_minimum_boundary_all_true(self):
-        q = self.make_query(1.0)
-        matrix, boundary = region_table(q)
-        below = q.z_grid < boundary.min()
+        matrix, boundary = self.table(1.0)
+        below = self.zs < boundary.min()
         assert matrix[:, below].all()
 
     def test_region_shrinks_with_alpha(self):
-        q_low = self.make_query(0.3)
-        q_high = self.make_query(0.9)
-        m_low, b_low = region_table(q_low)
-        m_high, b_high = region_table(q_high)
+        m_low, b_low = self.table(0.3)
+        m_high, b_high = self.table(0.9)
         assert np.all(b_high <= b_low)
         # pointwise: anything stable at high alpha is stable at low alpha
         assert np.all(m_low | ~m_high)
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            RegionQuery(1.2, BETA2, np.array([1e9]), np.array([1e3]))
-        with pytest.raises(ValueError):
-            RegionQuery(0.5, BETA2, np.array([2e9, 1e9]), np.array([1e3]))
-        with pytest.raises(ValueError):
-            RegionQuery(0.5, BETA2, np.array([1e9]), np.array([-1.0]))
 
 
 class TestCrossModule:

@@ -10,7 +10,6 @@ from dispersim import (
     broadening_factor,
     d_to_beta2,
     dispersion_tf,
-    group_delay,
     make_gaussian_pulse,
     propagate,
 )
@@ -59,16 +58,6 @@ class TestFiberParams:
             FiberParams((0.0, 0.0, np.nan), 1e3)
         with pytest.raises(ValueError):
             FiberParams((0.0, 0.0, -21e-27), -1.0)
-
-    def test_from_conventional(self):
-        fiber = FiberParams.from_conventional(17.0, LAMBDA0, 130.0, label="smf")
-        assert fiber.length_m == 130e3
-        assert fiber.beta2 == pytest.approx(d_to_beta2(17.0, LAMBDA0), rel=1e-15)
-        assert fiber.d_ps_nm_km(LAMBDA0) == pytest.approx(17.0, rel=1e-12)
-
-    def test_group_delay(self):
-        fiber = FiberParams((0.0, 4.9e-9, -21e-27), 100e3)
-        assert group_delay(fiber) == pytest.approx(4.9e-4, rel=1e-15)
 
 
 def aligned_grid():

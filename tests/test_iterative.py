@@ -12,8 +12,8 @@ from dispersim import (
     error_tf,
     feedback_run,
     neumann_sum_tf,
-    operator_norm,
 )
+from dispersim.compensator import band_error_max
 
 
 def constant_tf(grid, value):
@@ -29,6 +29,8 @@ def random_tf(grid, seed, radius=1.0, center=1.0):
 
 
 GRID = FrequencyGrid(256, 1e-12)
+# pi*B reaches the Nyquist offset pi/dt: the band covers every bin
+WHOLE_BAND_HZ = 1 / GRID.dt
 
 
 class TestIterationSpec:
@@ -85,7 +87,7 @@ class TestNeumannSum:
 
     def test_geometric_remainder_bound(self):
         h = random_tf(GRID, seed=11, radius=0.6)  # contracting: |1 - h| <= 0.6
-        r = operator_norm(h)
+        r = band_error_max(error_tf(h), WHOLE_BAND_HZ)
         assert r < 1
         for k in (0, 1, 3, 8):
             s = neumann_sum_tf(h, IterationSpec(k))
@@ -135,34 +137,35 @@ class TestFeedbackRun:
 
 
 class TestOperatorNorm:
+    """The in-band norm max|1 - mu*H| that decides convergence."""
+
+    def chirp(self):
+        theta = 0.3 * (GRID.delta_omega * GRID.dt / np.pi) ** 2
+        return TransferFunction(GRID, np.exp(-1j * theta))
+
     def test_perfect_operator(self):
-        assert operator_norm(constant_tf(GRID, 1.0)) == 0.0
+        err = error_tf(constant_tf(GRID, 1.0))
+        assert band_error_max(err, WHOLE_BAND_HZ) == 0.0
 
     def test_boundary_case_not_contractive(self):
-        norm = operator_norm(constant_tf(GRID, 1.0), mu=2.0)
+        err = error_tf(constant_tf(GRID, 1.0), mu=2.0)
+        norm = band_error_max(err, WHOLE_BAND_HZ)
         assert norm == pytest.approx(1.0, abs=1e-15)
         assert not norm < 1.0 - CONTRACTION_MARGIN
 
     def test_all_pass_chord_identity(self):
         # |1 - exp(-j*theta)| = 2*sin(theta/2), largest phase wins
-        theta = 0.3 * (GRID.delta_omega / GRID.max_abs_delta_omega) ** 2
-        h = TransferFunction(GRID, np.exp(-1j * theta))
-        assert operator_norm(h) == pytest.approx(2 * np.sin(0.15), rel=1e-12)
+        norm = band_error_max(error_tf(self.chirp()), WHOLE_BAND_HZ)
+        assert norm == pytest.approx(2 * np.sin(0.15), rel=1e-12)
 
     def test_band_limit_restricts_bins(self):
-        theta = 0.3 * (GRID.delta_omega / GRID.max_abs_delta_omega) ** 2
-        h = TransferFunction(GRID, np.exp(-1j * theta))
-        half = GRID.max_abs_delta_omega / 2
-        inside = np.abs(GRID.delta_omega) <= half
+        h = self.chirp()
+        band_hz = 0.45 / GRID.dt  # the edge pi*B falls between bins
+        inside = np.abs(GRID.delta_omega) <= np.pi * band_hz
         expected = np.max(np.abs(1 - h.values[inside]))
-        assert operator_norm(h, band_limit=half) == pytest.approx(expected, rel=1e-15)
-
-    def test_band_validation(self):
-        h = constant_tf(GRID, 1.0)
-        with pytest.raises(ValueError):
-            operator_norm(h, band_limit=-1.0)
-        with pytest.raises(ValueError):
-            operator_norm(h, band_limit=GRID.max_abs_delta_omega * 2)
+        norm = band_error_max(error_tf(h), band_hz)
+        assert norm == pytest.approx(expected, rel=1e-15)
+        assert norm < band_error_max(error_tf(h), WHOLE_BAND_HZ)
 
 
 class TestScalingTradeOff:

@@ -1,9 +1,12 @@
-"""The README's library example runs against the current API."""
+"""The README's library example and configuration run against the current code."""
 
 import re
 from pathlib import Path
 
+import pytest
+
 from dispersim import broadening_factor
+from dispersim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +22,13 @@ def test_library_example_compensates(capsys):
     compensated = broadening_factor(namespace["tx"], namespace["out"])
     assert [float(x) for x in printed] == [uncompensated, compensated]
     assert compensated < uncompensated
+
+
+@pytest.mark.parametrize("command", ["region", "sweep-k", "scenario", "propagate"])
+def test_config_example_runs(tmp_path, command):
+    text = README.read_text(encoding="utf-8")
+    [block] = re.findall(r"```json\n(.*?)```", text, re.S)
+    config = tmp_path / "config.json"
+    config.write_text(block, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0

@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
+from scipy.fft import fft
 
 from dispersim import (
     Envelope,
     FrequencyGrid,
     GridMismatchError,
     TransferFunction,
+    WidthMetricError,
     WindowError,
     WraparoundError,
     apply_tf,
     broadening_factor,
     check_wraparound,
-    identity_tf,
     intensity_fwhm,
     make_gaussian_pulse,
     make_sinc_pulse,
     occupied_bandwidth,
-    to_envelope,
-    to_spectrum,
 )
 
 
@@ -62,45 +61,46 @@ class TestFrequencyGrid:
 
 
 class TestTransforms:
+    """Spectral occupancy as the wraparound guard reads it."""
+
     def test_constant_signal_is_dc_only(self):
         grid = FrequencyGrid(8, 1e-12)
-        spec = to_spectrum(Envelope(grid, np.ones(8)))
-        mags = np.abs(spec.values)
-        assert mags[0] > 0
-        assert np.all(mags[1:] < 1e-12 * mags[0])
+        assert occupied_bandwidth(grid, fft(np.ones(8))) == 0.0
 
     def test_impulse_is_flat(self):
         grid = FrequencyGrid(8, 1e-12)
         samples = np.zeros(8)
         samples[3] = 1.0
-        mags = np.abs(to_spectrum(Envelope(grid, samples)).values)
-        np.testing.assert_allclose(mags, mags[0], rtol=1e-12)
+        # every bin is occupied, up to the Nyquist offset pi/dt
+        assert occupied_bandwidth(grid, fft(samples)) == pytest.approx(
+            1 / grid.dt, rel=1e-15
+        )
 
     def test_round_trip_and_parseval(self):
+        # an all-pass response and its conjugate: energy kept, input restored
         grid = FrequencyGrid(1024, 0.5e-12)
         e = random_envelope(grid, seed=42)
-        spec = to_spectrum(e)
-        back = to_envelope(spec)
-        assert abs(back.energy / e.energy - 1) < 1e-12
+        phase = np.random.default_rng(43).uniform(0, 2 * np.pi, 1024)
+        there = apply_tf(e, TransferFunction(grid, np.exp(1j * phase)))
+        back = apply_tf(there, TransferFunction(grid, np.exp(-1j * phase)))
+        assert abs(there.energy / e.energy - 1) < 1e-12
         np.testing.assert_allclose(back.samples, e.samples, rtol=0, atol=1e-12)
-        assert abs(spec.energy / e.energy - 1) < 1e-12
 
-    def test_round_trip_keeps_carrier(self):
-        grid = FrequencyGrid(64, 1e-12)
-        e = Envelope(grid, np.ones(64), carrier_wavelength=1.3e-6)
-        assert to_envelope(to_spectrum(e)).carrier_wavelength == 1.3e-6
+
+def unit_tf(grid):
+    return TransferFunction(grid, np.ones(grid.n_samples))
 
 
 class TestApplyTf:
     def test_identity(self):
         grid = FrequencyGrid(256, 1e-12)
         e = random_envelope(grid)
-        out = apply_tf(e, identity_tf(grid))
+        out = apply_tf(e, unit_tf(grid))
         np.testing.assert_allclose(out.samples, e.samples, atol=1e-14)
 
     def test_grid_mismatch_rejected(self):
         e = random_envelope(FrequencyGrid(256, 1e-12))
-        h = identity_tf(FrequencyGrid(256, 2e-12))
+        h = unit_tf(FrequencyGrid(256, 2e-12))
         with pytest.raises(GridMismatchError):
             apply_tf(e, h)
 
@@ -148,7 +148,8 @@ class TestSincPulse:
 
     def test_bandwidth_matches_width(self):
         e = make_sinc_pulse(self.grid, self.width)
-        assert abs(occupied_bandwidth(e) / (2 / self.width) - 1) < 1e-12
+        band = occupied_bandwidth(self.grid, fft(e.samples))
+        assert abs(band / (2 / self.width) - 1) < 1e-12
 
     def test_spectrum_is_rectangular(self):
         e = make_sinc_pulse(self.grid, self.width)
@@ -259,9 +260,9 @@ class TestWidthMetric:
 
     def test_zero_signal_rejected(self):
         zero = Envelope(self.grid, np.zeros(8192))
-        with pytest.raises(ValueError):
+        with pytest.raises(WidthMetricError, match="all-zero"):
             intensity_fwhm(zero)
-        with pytest.raises(ValueError):
+        with pytest.raises(WidthMetricError):
             broadening_factor(self.pulse, zero)
 
     def test_grid_mismatch_rejected(self):
@@ -281,7 +282,7 @@ class TestWidthMetric:
 
     def test_edge_touching_lobe_rejected(self):
         samples = np.ones(8192)
-        with pytest.raises(ValueError):
+        with pytest.raises(WidthMetricError, match="window edge"):
             intensity_fwhm(Envelope(self.grid, samples))
 
 
@@ -289,13 +290,13 @@ class TestWraparoundGuard:
     def test_accepts_mild_spread(self):
         grid = FrequencyGrid(16384, 64 * 100e-12 / 16384)
         e = make_gaussian_pulse(grid, 100e-12)
-        check_wraparound(e, 21e-27 * 100e3)
+        check_wraparound(e, fft(e.samples), 21e-27 * 100e3)
 
     def test_rejects_excessive_spread(self):
         grid = FrequencyGrid(512, 16 * 100e-12 / 512)
         e = make_gaussian_pulse(grid, 100e-12)
         with pytest.raises(WraparoundError):
-            check_wraparound(e, 21e-27 * 2e6)
+            check_wraparound(e, fft(e.samples), 21e-27 * 2e6)
 
 
 class TestEnvelope:
