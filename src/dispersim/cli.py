@@ -7,7 +7,9 @@ aborts the run.
 """
 
 import argparse
+import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, load_config
@@ -24,11 +26,6 @@ from .signal import WidthMetricError, WindowError, WraparoundError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--out", default=None, help="output directory (overrides config)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,23 +47,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     convert.set_defaults(func=_cmd_convert)
 
-    region = sub.add_parser("region", help="emit the stability boundary CSV")
-    _add_run_options(region)
-    region.set_defaults(func=_cmd_region)
-
-    sweep = sub.add_parser(
-        "sweep-k", help="broadening factor vs. stage count CSV"
-    )
-    _add_run_options(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
-
-    scenario = sub.add_parser("scenario", help="single-link design report JSON")
-    _add_run_options(scenario)
-    scenario.set_defaults(func=_cmd_scenario)
-
-    prop = sub.add_parser("propagate", help="debug envelope dumps as CSV")
-    _add_run_options(prop)
-    prop.set_defaults(func=_cmd_propagate)
+    # run_* are looked up per call, not at import, so rebinding them (as a
+    # tracer does) takes effect
+    for name, run, help_text in (
+        ("region", run_region, "emit the stability boundary CSV"),
+        ("sweep-k", run_sweep, "broadening factor vs. stage count CSV"),
+        ("scenario", run_scenario, "single-link design report JSON"),
+        ("propagate", run_propagate, "debug envelope dumps as CSV"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", required=True, help="path to the JSON config")
+        command.add_argument(
+            "--out", default=None, help="output directory (overrides config)"
+        )
+        command.set_defaults(func=partial(_cmd_run, run))
 
     return parser
 
@@ -76,6 +70,10 @@ def _cmd_convert(args) -> int:
         print("error: give exactly one of --d or --beta2", file=sys.stderr)
         return EXIT_CONFIG
     lambda0 = args.lambda0
+    value = args.d if args.d is not None else args.beta2
+    if not (math.isfinite(value) and math.isfinite(lambda0)):
+        print("error: --d, --beta2 and --lambda must be finite", file=sys.stderr)
+        return EXIT_CONFIG
     if lambda0 <= 0:
         print("error: --lambda must be positive", file=sys.stderr)
         return EXIT_CONFIG
@@ -95,31 +93,11 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _prepare(args):
+def _cmd_run(run, args) -> int:
     cfg = load_config(args.config)
     outdir = Path(args.out) if args.out is not None else Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    return cfg, outdir
-
-
-def _cmd_region(args) -> int:
-    cfg, outdir = _prepare(args)
-    return run_region(cfg, outdir)
-
-
-def _cmd_sweep(args) -> int:
-    cfg, outdir = _prepare(args)
-    return run_sweep(cfg, outdir)
-
-
-def _cmd_scenario(args) -> int:
-    cfg, outdir = _prepare(args)
-    return run_scenario(cfg, outdir)
-
-
-def _cmd_propagate(args) -> int:
-    cfg, outdir = _prepare(args)
-    return run_propagate(cfg, outdir)
+    return run(cfg, outdir)
 
 
 def main(argv=None) -> int:

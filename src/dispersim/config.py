@@ -88,7 +88,13 @@ def _beta2_from(section: dict, path: str, lambda0_m: float) -> float:
             f"{path} must give exactly one of d_ps_nm_km or beta2_ps2_km"
         )
     if has_d:
-        return d_to_beta2(_number(section["d_ps_nm_km"], f"{path}.d_ps_nm_km"), lambda0_m)
+        d = _number(section["d_ps_nm_km"], f"{path}.d_ps_nm_km")
+        try:
+            return d_to_beta2(d, lambda0_m)
+        except OverflowError as exc:  # lambda0_m**2 past the float range
+            raise ConfigError(
+                f"{path} beta2 overflows at lambda0_m {lambda0_m:g}"
+            ) from exc
     return (
         _number(section["beta2_ps2_km"], f"{path}.beta2_ps2_km")
         * _BETA2_CONVENTIONAL
@@ -135,8 +141,8 @@ class ExperimentConfig:
     gain_override: float | None
     target_broadening: float
     pulse: str
+    pulse_width_s: float | None
     bandwidth_hz: float | None
-    width_s: float | None
     n_samples: int
     dt_s: float | None
     window_factor: float
@@ -144,26 +150,6 @@ class ExperimentConfig:
     region_bandwidths_hz: tuple | None
     output_dir: str
     raw: dict
-
-    def pulse_width_s(self) -> float:
-        """Zero-to-zero width for sinc, 1/e-intensity half-width for gaussian."""
-        if self.width_s is not None:
-            return self.width_s
-        if self.pulse == "sinc" and self.bandwidth_hz is not None:
-            return 2.0 / self.bandwidth_hz
-        raise ConfigError("signal section must define a pulse width or bandwidth")
-
-    def signal_bandwidth_hz(self) -> float:
-        if self.pulse != "sinc":
-            raise ConfigError("bandwidth is only defined for the sinc pulse")
-        if self.bandwidth_hz is not None:
-            return self.bandwidth_hz
-        return 2.0 / self.width_s
-
-    def grid_dt(self) -> float:
-        if self.dt_s is not None:
-            return self.dt_s
-        return self.window_factor * self.pulse_width_s() / self.n_samples
 
     def resolved(self) -> dict:
         """SI view of the configuration, for meta emission."""
@@ -179,23 +165,14 @@ class ExperimentConfig:
             "gain_override": self.gain_override,
             "target_broadening": self.target_broadening,
             "pulse": self.pulse,
+            "pulse_width_s": self.pulse_width_s,
+            "bandwidth_hz": self.bandwidth_hz,
             "n_samples": self.n_samples,
+            "dt_s": self.dt_s,
             "window_factor": self.window_factor,
             "xi_values": list(self.xi_values),
             "output_dir": self.output_dir,
         }
-        try:
-            out["pulse_width_s"] = self.pulse_width_s()
-            out["dt_s"] = self.grid_dt()
-        except ConfigError:
-            out["pulse_width_s"] = None
-            out["dt_s"] = self.dt_s
-        if self.pulse == "sinc" and (
-            self.bandwidth_hz is not None or self.width_s is not None
-        ):
-            out["bandwidth_hz"] = self.signal_bandwidth_hz()
-        else:
-            out["bandwidth_hz"] = None
         if self.region_bandwidths_hz is not None:
             out["region_bandwidths_hz"] = list(self.region_bandwidths_hz)
         return out
@@ -285,8 +262,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     pulse = signal.get("pulse", "sinc")
     if pulse not in ("sinc", "gaussian"):
         raise ConfigError("signal.pulse must be 'sinc' or 'gaussian'")
+    # zero-to-zero width and B = 2/width for sinc, 1/e-intensity half-width
+    # and no bandwidth for gaussian
+    pulse_width_s = None
     bandwidth_hz = None
-    width_s = None
     if pulse == "sinc":
         has_b = "bandwidth_hz" in signal
         has_w = "width_s" in signal
@@ -296,23 +275,27 @@ def parse_config(doc: dict) -> ExperimentConfig:
             )
         if has_b:
             bandwidth_hz = _number(signal["bandwidth_hz"], "signal.bandwidth_hz", positive=True)
+            pulse_width_s = 2.0 / bandwidth_hz
         if has_w:
-            width_s = _number(signal["width_s"], "signal.width_s", positive=True)
+            pulse_width_s = _number(signal["width_s"], "signal.width_s", positive=True)
+            bandwidth_hz = 2.0 / pulse_width_s
     else:
         if "bandwidth_hz" in signal:
             raise ConfigError("signal.bandwidth_hz is not defined for gaussian pulses")
         if "width_s" not in signal:
             raise ConfigError("signal.width_s is required for gaussian pulses")
-        width_s = _number(signal["width_s"], "signal.width_s", positive=True)
+        pulse_width_s = _number(signal["width_s"], "signal.width_s", positive=True)
     n_samples = _integer(signal.get("n_samples", 16384), "signal.n_samples", minimum=2)
     if n_samples & (n_samples - 1):
         raise ConfigError("signal.n_samples must be a power of two")
-    dt_s = None
-    if "dt_s" in signal:
-        dt_s = _number(signal["dt_s"], "signal.dt_s", positive=True)
     window_factor = _number(
         signal.get("window_factor", 64.0), "signal.window_factor", positive=True
     )
+    dt_s = None
+    if "dt_s" in signal:
+        dt_s = _number(signal["dt_s"], "signal.dt_s", positive=True)
+    elif pulse_width_s is not None:
+        dt_s = window_factor * pulse_width_s / n_samples
 
     sweep = _section(doc, "sweep")
     _check_keys(sweep, {"xi"}, "sweep")
@@ -339,7 +322,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output.dir must be a non-empty string")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         scenario=scenario,
         fiber_beta2=fiber_beta2,
         lambda0_m=lambda0_m,
@@ -352,8 +335,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         gain_override=gain_override,
         target_broadening=target_broadening,
         pulse=pulse,
+        pulse_width_s=pulse_width_s,
         bandwidth_hz=bandwidth_hz,
-        width_s=width_s,
         n_samples=n_samples,
         dt_s=dt_s,
         window_factor=window_factor,
@@ -362,6 +345,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
         output_dir=output_dir,
         raw=doc,
     )
+    # products and quotients of finite inputs can still leave the float range
+    for name, value in cfg.resolved().items():
+        values = value if isinstance(value, list) else [value]
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            raise ConfigError(f"{name} resolves to a non-finite value")
+    if dt_s == 0:
+        raise ConfigError("dt_s resolves to zero: the pulse is too narrow to sample")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -62,14 +62,14 @@ def write_meta(outdir: Path, command: str, cfg: ExperimentConfig, extra: dict) -
     (outdir / "meta.json").write_text(text, encoding="utf-8", newline="\n")
 
 
-def build_grid(cfg: ExperimentConfig) -> FrequencyGrid:
-    return FrequencyGrid(cfg.n_samples, cfg.grid_dt())
-
-
-def build_pulse(cfg: ExperimentConfig, grid: FrequencyGrid) -> Envelope:
+def build_pulse(cfg: ExperimentConfig) -> Envelope:
+    """The transmitted pulse on the configured grid (``tx.grid``)."""
+    if cfg.pulse_width_s is None:
+        raise ConfigError("signal section must define a pulse width or bandwidth")
+    grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
     if cfg.pulse == "sinc":
-        return make_sinc_pulse(grid, cfg.pulse_width_s())
-    return make_gaussian_pulse(grid, cfg.pulse_width_s())
+        return make_sinc_pulse(grid, cfg.pulse_width_s)
+    return make_gaussian_pulse(grid, cfg.pulse_width_s)
 
 
 def transmission_fiber(cfg: ExperimentConfig, z_m: float) -> FiberParams:
@@ -97,47 +97,43 @@ def run_region(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def _sweep_pair_rows(
-    cfg: ExperimentConfig, grid: FrequencyGrid, xi: float, alpha: float
-) -> list:
-    """Rows for one (xi, alpha) pair.
-
-    The broadening factor divides by the transmitted width, measured once.
-    """
-    beta2 = cfg.fiber_beta2
-    bandwidth = cfg.signal_bandwidth_hz()
-    z_m = xi / (abs(beta2) * (2.0 * math.pi * bandwidth) ** 2)
-    fiber = transmission_fiber(cfg, z_m)
-    sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-    if not stable(alpha, beta2, bandwidth, z_m):
-        worst = band_error_max(subsystem_error_tf(sub, grid), bandwidth)
-        return [
-            f"{fmt(xi)},{fmt(alpha)},{k},diverged,{fmt(worst ** (k + 1))}"
-            for k in cfg.k_list
-        ]
-    tx = build_pulse(cfg, grid)
-    tx_width = intensity_fwhm(tx)
-    rx = propagate(tx, fiber)
-    return [
-        f"{fmt(xi)},{fmt(alpha)},{spec.k_stages},"
-        f"{fmt(intensity_fwhm(out) / tx_width)},{fmt(residual)}"
-        for spec, out, residual in compensate_stages(
-            rx, sub, cfg.k_list, cfg.gain_override, bandwidth
-        )
-    ]
-
-
 def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
-    """Broadening factor against stage count for each (xi, alpha) pair."""
+    """Broadening factor against stage count for each (xi, alpha) pair.
+
+    The pulse is built and its width measured once per run; each xi's span
+    is propagated once, at its first converging alpha, and never when all
+    of its pairs diverge.
+    """
     if cfg.pcf_beta2 is None:
         raise ConfigError("pcf section is required for the sweep-k command")
     if cfg.pulse != "sinc":
         raise ConfigError("sweep-k runs on sinc pulses")
-    grid = build_grid(cfg)
+    tx = build_pulse(cfg)
+    tx_width = intensity_fwhm(tx)
+    beta2, bandwidth = cfg.fiber_beta2, cfg.bandwidth_hz
     lines = [SWEEP_CSV_HEADER]
     for xi in cfg.xi_values:
+        z_m = xi / (abs(beta2) * (2.0 * math.pi * bandwidth) ** 2)
+        fiber = transmission_fiber(cfg, z_m)
+        rx = None
         for alpha in sorted(cfg.alphas):
-            lines.extend(_sweep_pair_rows(cfg, grid, xi, alpha))
+            sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
+            if not stable(alpha, beta2, bandwidth, z_m):
+                worst = band_error_max(subsystem_error_tf(sub, tx.grid), bandwidth)
+                lines.extend(
+                    f"{fmt(xi)},{fmt(alpha)},{k},diverged,{fmt(worst ** (k + 1))}"
+                    for k in cfg.k_list
+                )
+                continue
+            if rx is None:
+                rx = propagate(tx, fiber)
+            lines.extend(
+                f"{fmt(xi)},{fmt(alpha)},{spec.k_stages},"
+                f"{fmt(intensity_fwhm(out) / tx_width)},{fmt(residual)}"
+                for spec, out, residual in compensate_stages(
+                    rx, sub, cfg.k_list, cfg.gain_override, bandwidth
+                )
+            )
     _write_text(outdir / "sweep.csv", lines)
     diverged = sum(1 for line in lines if ",diverged," in line)
     write_meta(
@@ -154,7 +150,9 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
         raise ConfigError("pcf section is required for the scenario command")
     if cfg.pulse != "sinc":
         raise ConfigError("scenario runs on sinc pulses")
-    bandwidth = cfg.signal_bandwidth_hz()
+    if cfg.bandwidth_hz is None:
+        raise ConfigError("signal section is required for the scenario command")
+    bandwidth = cfg.bandwidth_hz
     alpha = cfg.alphas[0]
     if not stable(alpha, cfg.fiber_beta2, bandwidth, cfg.z_m):
         raise DivergenceError(
@@ -164,8 +162,7 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, bandwidth)
     fiber = transmission_fiber(cfg, cfg.z_m)
     sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-    grid = build_grid(cfg)
-    tx = build_pulse(cfg, grid)
+    tx = build_pulse(cfg)
     tx_width = intensity_fwhm(tx)
     rx = propagate(tx, fiber)
     k_table = []
@@ -228,21 +225,21 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def _envelope_csv(path: Path, e: Envelope) -> None:
+    """Stream one ``t_s,re,im`` line per sample to ``path``."""
     t = e.grid.time_axis
-    lines = [ENVELOPE_CSV_HEADER]
-    lines.extend(
-        f"{fmt(t[i])},{fmt(e.samples[i].real)},{fmt(e.samples[i].imag)}"
-        for i in range(e.grid.n_samples)
-    )
-    _write_text(path, lines)
+    with path.open("w", encoding="utf-8", newline="\n") as handle:
+        handle.write(ENVELOPE_CSV_HEADER + "\n")
+        handle.writelines(
+            f"{fmt(t[i])},{fmt(e.samples[i].real)},{fmt(e.samples[i].imag)}\n"
+            for i in range(e.grid.n_samples)
+        )
 
 
 def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     """Debug dump of the envelopes before/after the fiber (and compensator)."""
     if cfg.z_m is None:
         raise ConfigError("fiber.z_km is required for the propagate command")
-    grid = build_grid(cfg)
-    tx = build_pulse(cfg, grid)
+    tx = build_pulse(cfg)
     fiber = transmission_fiber(cfg, cfg.z_m)
     rx = propagate(tx, fiber)
     _envelope_csv(outdir / "envelope_input.csv", tx)

@@ -84,6 +84,18 @@ class TestConvert:
         assert main(["convert", "--d", "abc"]) == 2
         assert capsys.readouterr().err != ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--d", "inf"], ["--beta2", "nan"], ["--d", "17", "--lambda", "nan"]],
+        ids=["d-inf", "beta2-nan", "lambda-nan"],
+    )
+    def test_non_finite_input_exits_2(self, argv, capsys):
+        assert main(["convert", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "finite" in captured.err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dispersim", "convert", "--d", "17"],
@@ -225,6 +237,18 @@ class TestSweep:
         assert err.count("error:") == 1
         assert "window edge" in err
 
+    def test_pulse_outside_window_exits_2_when_all_pairs_diverge(
+        self, tmp_path, capsys
+    ):
+        doc = sweep_doc([20.0], [1.0], k_max=2)
+        doc["signal"]["window_factor"] = 4
+        config = write_config(tmp_path, doc)
+        rc = main(["sweep-k", "--config", config, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "guard margin" in err
+
     def test_stage_count_past_float_range_exits_2(self, tmp_path, capsys):
         # the default gain alpha * 2**1101 is not a finite double
         doc = readme_doc()
@@ -283,6 +307,16 @@ class TestScenario:
         rc = main(["scenario", "--config", config, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "same sign" in capsys.readouterr().err
+
+    def test_missing_signal_exits_2(self, tmp_path, capsys):
+        doc = readme_doc()
+        del doc["signal"]
+        config = write_config(tmp_path, doc)
+        rc = main(["scenario", "--config", config, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "signal section is required" in err
 
     def test_unstable_point_exits_3(self, tmp_path, capsys):
         assert z_max(3e9, 1.0, -21e-27) < 2000e3

@@ -1,7 +1,9 @@
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispersim import default_gain
 from dispersim.config import MAX_STAGES, ConfigError, load_config, parse_config
@@ -43,10 +45,10 @@ class TestParsing:
         assert cfg.z_m == 130e3
         assert cfg.pcf_beta2 == pytest.approx(d_to_beta2(2200.0, 1.55e-6))
         assert cfg.k_list == (0, 1, 2, 3)
-        assert cfg.signal_bandwidth_hz() == 3e9
-        assert cfg.pulse_width_s() == pytest.approx(2 / 3e9)
+        assert cfg.bandwidth_hz == 3e9
+        assert cfg.pulse_width_s == pytest.approx(2 / 3e9)
         # default grid: window = window_factor * width
-        assert cfg.grid_dt() == pytest.approx(64 * (2 / 3e9) / 4096)
+        assert cfg.dt_s == pytest.approx(64 * (2 / 3e9) / 4096)
 
     def test_dcf_section(self):
         doc = base_doc(dcf={"d_ps_nm_km": -250.0, "quoted_path_km": 7.0})
@@ -57,14 +59,13 @@ class TestParsing:
     def test_width_instead_of_bandwidth(self):
         doc = base_doc(signal={"pulse": "sinc", "width_s": 666.7e-12})
         cfg = parse_config(doc)
-        assert cfg.signal_bandwidth_hz() == pytest.approx(2 / 666.7e-12)
+        assert cfg.bandwidth_hz == pytest.approx(2 / 666.7e-12)
 
     def test_gaussian_signal(self):
         doc = base_doc(signal={"pulse": "gaussian", "width_s": 100e-12})
         cfg = parse_config(doc)
-        assert cfg.pulse_width_s() == 100e-12
-        with pytest.raises(ConfigError):
-            cfg.signal_bandwidth_hz()
+        assert cfg.pulse_width_s == 100e-12
+        assert cfg.bandwidth_hz is None
 
     def test_region_axis_list_and_range(self):
         doc = base_doc(region={"bandwidths_hz": [1e9, 2e9, 4e9]})
@@ -201,6 +202,33 @@ class TestFailClosed:
         with pytest.raises(ConfigError, match=message):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (base_doc(fiber={"d_ps_nm_km": 17.0, "lambda0_m": 1e200}), "overflows"),
+            (base_doc(fiber={"beta2_ps2_km": -21.0, "z_km": 1e306}), "z_m"),
+            (
+                base_doc(dcf={"d_ps_nm_km": -250.0, "quoted_path_km": 1e307}),
+                "dcf_quoted_path_m",
+            ),
+            (base_doc(signal={"pulse": "sinc", "width_s": 1e-320}), "bandwidth_hz"),
+            (
+                base_doc(
+                    signal={
+                        "pulse": "sinc",
+                        "bandwidth_hz": 1e308,
+                        "window_factor": 1e-300,
+                    }
+                ),
+                "dt_s",
+            ),
+        ],
+        ids=["lambda0", "z_km", "quoted_path_km", "width_s", "dt_underflow"],
+    )
+    def test_resolved_values_must_be_finite(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+
     def test_scenario_required(self):
         with pytest.raises(ConfigError):
             parse_config({"fiber": {"d_ps_nm_km": 17.0}})
@@ -218,3 +246,55 @@ class TestLoadConfig:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+
+def _replace_targets():
+    """(section, key) paths of a full document, optional keys included."""
+    doc = base_doc(
+        dcf={"d_ps_nm_km": -250.0, "quoted_path_km": 7.0},
+        region={"bandwidths_hz": {"min": 1e9, "max": 1e10, "count": 5}},
+    )
+    optional = {
+        "fiber": ["d_ps_nm_km"],
+        "compensator": ["k_list", "gain", "target_broadening"],
+        "signal": ["width_s", "dt_s", "window_factor"],
+    }
+    targets = [
+        (section, key)
+        for section, body in doc.items()
+        if isinstance(body, dict)
+        for key in [*body, *optional.get(section, [])]
+    ]
+    return doc, targets
+
+
+_FULL_DOC, _TARGETS = _replace_targets()
+# integers are capped so that no draw allocates a large region axis
+_SCALARS = st.one_of(
+    st.sampled_from([1e308, -1e308, 1e-320, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-4096, max_value=4096),
+    st.text(max_size=8),
+    st.none(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300)
+@given(
+    target=st.sampled_from(_TARGETS),
+    value=st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4)),
+)
+def test_replaced_key_is_rejected_or_resolves_finite(target, value):
+    doc = copy.deepcopy(_FULL_DOC)
+    section, key = target
+    doc[section][key] = value
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    for name, resolved in cfg.resolved().items():
+        values = resolved if isinstance(resolved, list) else [resolved]
+        assert all(
+            math.isfinite(v) for v in values if isinstance(v, float)
+        ), name
