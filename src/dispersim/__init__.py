@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .compensator import (
     CompensatorSpec,
     SubsystemSpec,
-    band_residual,
     compensate,
     compensation_latency,
     compensator_tf,
@@ -64,7 +63,6 @@ __all__ = [
     "WindowError",
     "WraparoundError",
     "apply_tf",
-    "band_residual",
     "beta2_to_d",
     "broadening_factor",
     "check_wraparound",

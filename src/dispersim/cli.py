@@ -70,19 +70,18 @@ def _cmd_convert(args) -> int:
         print("error: give exactly one of --d or --beta2", file=sys.stderr)
         return EXIT_CONFIG
     lambda0 = args.lambda0
-    value = args.d if args.d is not None else args.beta2
-    if not (math.isfinite(value) and math.isfinite(lambda0)):
-        print("error: --d, --beta2 and --lambda must be finite", file=sys.stderr)
+    try:
+        if args.d is not None:
+            d = args.d
+            beta2 = d_to_beta2(d, lambda0)
+        else:
+            beta2 = args.beta2 * _BETA2_CONVENTIONAL
+            d = beta2_to_d(beta2, lambda0)
+        if not (math.isfinite(d) and math.isfinite(beta2)):
+            raise ValueError("--d, --beta2 and their conversion must be finite")
+    except ValueError as exc:  # also the wavelength range rule of fiber.py
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if lambda0 <= 0:
-        print("error: --lambda must be positive", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.d is not None:
-        d = args.d
-        beta2 = d_to_beta2(d, lambda0)
-    else:
-        beta2 = args.beta2 * _BETA2_CONVENTIONAL
-        d = beta2_to_d(beta2, lambda0)
     print(f"lambda0  {lambda0 * 1e9:.6g} nm  ({lambda0:.9g} m)")
     print(f"D        {d:.6g} ps/nm/km  ({d * 1e-6:.9g} s/m^2)")
     print(f"beta2    {beta2 / _BETA2_CONVENTIONAL:.6g} ps^2/km  ({beta2:.9g} s^2/m)")

@@ -115,26 +115,17 @@ def subsystem_error_tf(sub: SubsystemSpec, grid: FrequencyGrid) -> TransferFunct
     return error_tf(dispersion_tf(sub.pcf, grid), math.sqrt(sub.alpha))
 
 
-def subsystem_tf(
-    sub: SubsystemSpec, grid: FrequencyGrid, form: str = "factored"
-) -> TransferFunction:
-    """Response of one sub-system in the retarded frame.
+def subsystem_tf(sub: SubsystemSpec, grid: FrequencyGrid) -> TransferFunction:
+    """Response (H_smf - sqrt(alpha)*H_pcf) / sqrt(2) of one physical sub-system.
 
-    ``form="exact"`` evaluates the two physical branches with all their
-    orders i >= 2: (H_smf - sqrt(alpha)*H_pcf) / sqrt(2). The default
-    ``form="factored"`` returns E_D / sqrt(2), which drops the up branch's
-    own orders i >= 2. The two coincide when the up branch has no
-    dispersion beyond beta1.
+    Both branches carry all their orders i >= 2 (retarded frame). When the
+    up branch has no dispersion beyond beta1 this equals
+    ``subsystem_error_tf / sqrt(2)``.
     """
-    if form == "exact":
-        up = dispersion_tf(sub.smf, grid)
-        down = dispersion_tf(sub.pcf, grid)
-        values = (up.values - math.sqrt(sub.alpha) * down.values) / math.sqrt(2.0)
-        return TransferFunction(grid, values)
-    if form == "factored":
-        values = subsystem_error_tf(sub, grid).values / math.sqrt(2.0)
-        return TransferFunction(grid, values)
-    raise ValueError(f"unknown form {form!r}")
+    up = dispersion_tf(sub.smf, grid)
+    down = dispersion_tf(sub.pcf, grid)
+    values = (up.values - math.sqrt(sub.alpha) * down.values) / math.sqrt(2.0)
+    return TransferFunction(grid, values)
 
 
 def match_pcf(
@@ -183,7 +174,7 @@ def compensator_tf(
             pass
         return TransferFunction(grid, spec.prefactor * partial)
     if form == "exact":
-        stage = math.sqrt(2.0) * subsystem_tf(sub, grid, form="exact").values
+        stage = math.sqrt(2.0) * subsystem_tf(sub, grid).values
         ident = dispersion_tf(sub.smf, grid).values
         # sum_{k=0..K} stage^k * ident^(K-k); |ident| = 1 so the division is safe
         term = ident**k_stages
@@ -205,8 +196,8 @@ def compensate_stages(
     every K, plus one inverse FFT per K. ``spec`` is
     ``CompensatorSpec(sub, k, gain)``, the envelope equals
     ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit, and
-    ``residual`` is :func:`band_residual` over ``bandwidth_hz`` (None
-    without a bandwidth).
+    ``residual`` bounds the in-band error of the matched cascade by
+    max|E_D|^(K+1) over ``bandwidth_hz`` (None without a bandwidth).
     """
     if not k_list or k_list[0] < 0 or any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be non-negative and strictly increasing")
@@ -242,19 +233,6 @@ def compensation_latency(spec: CompensatorSpec) -> float:
     Reported only: sampled responses are in the retarded frame.
     """
     return spec.k_stages * spec.subsystem.length_m * spec.subsystem.smf.beta1
-
-
-def band_residual(
-    spec: CompensatorSpec, grid: FrequencyGrid, bandwidth_hz: float
-) -> float:
-    """Worst-case compensation residual max|E_D|^(K+1) over the band.
-
-    For a matched spec with default gain, the cascaded response times the
-    span's response deviates from identity by at most this amount at every
-    bin with |delta_omega| <= pi*B.
-    """
-    e_d = subsystem_error_tf(spec.subsystem, grid)
-    return band_error_max(e_d, bandwidth_hz) ** (spec.k_stages + 1)
 
 
 def band_error_max(e_d: TransferFunction, bandwidth_hz: float) -> float:

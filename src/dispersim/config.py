@@ -91,10 +91,8 @@ def _beta2_from(section: dict, path: str, lambda0_m: float) -> float:
         d = _number(section["d_ps_nm_km"], f"{path}.d_ps_nm_km")
         try:
             return d_to_beta2(d, lambda0_m)
-        except OverflowError as exc:  # lambda0_m**2 past the float range
-            raise ConfigError(
-                f"{path} beta2 overflows at lambda0_m {lambda0_m:g}"
-            ) from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}.d_ps_nm_km: {exc}") from exc
     return (
         _number(section["beta2_ps2_km"], f"{path}.beta2_ps2_km")
         * _BETA2_CONVENTIONAL
@@ -352,6 +350,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"{name} resolves to a non-finite value")
     if dt_s == 0:
         raise ConfigError("dt_s resolves to zero: the pulse is too narrow to sample")
+    # sweep-k divides by |beta2| * (2*pi*B)^2 and region by a quarter of it
+    for b in ([bandwidth_hz] if bandwidth_hz else []) + list(region_bandwidths or []):
+        try:
+            per_m = abs(fiber_beta2) * (2.0 * math.pi * float(b)) ** 2
+        except OverflowError:
+            per_m = math.inf
+        if fiber_beta2 and not np.finfo(float).tiny <= per_m < math.inf:
+            raise ConfigError(
+                f"bandwidth {b:g} Hz is out of range: |beta2| * (2*pi*B)^2 is "
+                f"{per_m:g} 1/m, outside the normal double range"
+            )
     return cfg
 
 

@@ -14,29 +14,14 @@ import numpy as np
 
 from .iterative import CONTRACTION_MARGIN
 
-#: Points of the dense band scan used when higher dispersion orders are set.
-N_PROBE = 4097
 
-
-def _error_magnitude(alpha: float, theta) -> np.ndarray:
-    """|1 - sqrt(alpha)*exp(-j*theta)| via the law of cosines."""
-    return np.sqrt(1.0 + alpha - 2.0 * math.sqrt(alpha) * np.cos(theta))
-
-
-def stable(
-    alpha: float,
-    beta2: float,
-    bandwidth_hz: float,
-    z_m: float,
-    extra_betas: tuple = (),
-) -> bool:
+def stable(alpha: float, beta2: float, bandwidth_hz: float, z_m: float) -> bool:
     """True iff sup over |delta_omega| <= pi*B of the error magnitude is < 1.
 
-    The test is strict with a :data:`CONTRACTION_MARGIN` guard. With only
-    beta2 present the supremum sits at the band edge (the magnitude is
+    The test is strict with a :data:`CONTRACTION_MARGIN` guard. For a
+    beta2-only span the supremum sits at the band edge (the magnitude is
     monotone in the accumulated phase while it stays below pi), so the edge
-    value decides; configured higher orders ``extra_betas = (beta3, ...)``
-    switch to a dense numeric scan of the band at :data:`N_PROBE` points.
+    value decides.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
@@ -44,20 +29,11 @@ def stable(
         raise ValueError("bandwidth must be positive")
     if z_m < 0:
         raise ValueError("z must be non-negative")
-    edge = math.pi * bandwidth_hz
-    if not extra_betas:
-        theta_edge = abs(beta2) / 2.0 * edge**2 * z_m
-        if theta_edge >= math.pi:
-            return False
-        worst = _error_magnitude(alpha, theta_edge)
-    else:
-        dw = np.linspace(-edge, edge, N_PROBE)
-        theta = beta2 / 2.0 * dw**2
-        power = dw**2
-        for i, beta_i in enumerate(extra_betas, start=3):
-            power = power * dw
-            theta = theta + beta_i / math.factorial(i) * power
-        worst = float(np.max(_error_magnitude(alpha, z_m * theta)))
+    theta_edge = abs(beta2) / 2.0 * (math.pi * bandwidth_hz) ** 2 * z_m
+    if theta_edge >= math.pi:
+        return False
+    # |1 - sqrt(alpha)*exp(-j*theta)| via the law of cosines
+    worst = np.sqrt(1.0 + alpha - 2.0 * math.sqrt(alpha) * np.cos(theta_edge))
     return worst < 1.0 - CONTRACTION_MARGIN
 
 

@@ -23,20 +23,32 @@ _D_CONVENTIONAL = 1e-6
 _BETA2_CONVENTIONAL = 1e-27
 
 
+def _lambda0_squared(lambda0_m: float) -> float:
+    """lambda0**2 of a positive lambda0 whose square is a positive finite double."""
+    try:
+        square = lambda0_m**2
+    except OverflowError:
+        square = math.inf
+    if not (lambda0_m > 0 and 0 < square < math.inf):
+        raise ValueError(
+            f"wavelength {lambda0_m:g} m is out of range: it must be positive "
+            "and finite, and its square neither overflows nor underflows"
+        )
+    return square
+
+
 def d_to_beta2(d_ps_nm_km: float, lambda0_m: float) -> float:
     """Convert a dispersion coefficient D (ps/nm/km) to beta2 (s^2/m)."""
-    if lambda0_m <= 0:
-        raise ValueError("lambda0_m must be positive")
+    square = _lambda0_squared(lambda0_m)
     d_si = d_ps_nm_km * _D_CONVENTIONAL
     # + 0.0 normalizes the negative zero that the sign flip produces at D = 0
-    return -d_si * lambda0_m**2 / (2.0 * np.pi * SPEED_OF_LIGHT) + 0.0
+    return -d_si * square / (2.0 * np.pi * SPEED_OF_LIGHT) + 0.0
 
 
 def beta2_to_d(beta2_s2_m: float, lambda0_m: float) -> float:
     """Convert beta2 (s^2/m) to the dispersion coefficient D (ps/nm/km)."""
-    if lambda0_m <= 0:
-        raise ValueError("lambda0_m must be positive")
-    d_si = -beta2_s2_m * 2.0 * np.pi * SPEED_OF_LIGHT / lambda0_m**2
+    square = _lambda0_squared(lambda0_m)
+    d_si = -beta2_s2_m * 2.0 * np.pi * SPEED_OF_LIGHT / square
     return d_si / _D_CONVENTIONAL + 0.0
 
 

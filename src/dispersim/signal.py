@@ -144,12 +144,8 @@ def apply_tf(e: Envelope, h: TransferFunction) -> Envelope:
     return Envelope(e.grid, ifft(fft(e.samples) * h.values))
 
 
-def make_sinc_pulse(
-    grid: FrequencyGrid,
-    zero_to_zero_width: float,
-    amplitude: float = 1.0,
-) -> Envelope:
-    """Band-limited sinc pulse centered mid-window.
+def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
+    """Band-limited sinc pulse of unit peak, centered mid-window.
 
     The main-lobe nulls are separated by ``zero_to_zero_width`` (W) and the
     two-sided baseband bandwidth is B = 2/W, i.e. the spectrum is a flat
@@ -167,8 +163,6 @@ def make_sinc_pulse(
     grid : FrequencyGrid
     zero_to_zero_width : float
         Separation of the two main-lobe nulls, seconds.
-    amplitude : float
-        Peak amplitude at the window center.
     """
     w = zero_to_zero_width
     if not (np.isfinite(w) and w > 0):
@@ -189,17 +183,12 @@ def make_sinc_pulse(
     center = grid.n_samples // 2
     t_c = center * grid.dt
     samples = ifft(weights * np.exp(-1j * grid.delta_omega * t_c))
-    if amplitude == 0:
-        samples = np.zeros_like(samples)
-    else:
-        samples = samples * (amplitude / samples[center].real)
+    samples = samples * (1.0 / samples[center].real)
     return Envelope(grid, samples)
 
 
-def make_gaussian_pulse(
-    grid: FrequencyGrid, t0: float, amplitude: float = 1.0
-) -> Envelope:
-    """Unchirped Gaussian ``A*exp(-(t-t_c)^2 / (2*t0^2))`` centered mid-window.
+def make_gaussian_pulse(grid: FrequencyGrid, t0: float) -> Envelope:
+    """Unchirped Gaussian ``exp(-(t-t_c)^2 / (2*t0^2))``: unit peak, mid-window.
 
     ``t0`` is the half-width at the 1/e point of the intensity |s|^2; the
     intensity FWHM is ``2*sqrt(ln 2)*t0``.
@@ -214,7 +203,7 @@ def make_gaussian_pulse(
         )
     t_c = (grid.n_samples // 2) * grid.dt
     tau = grid.time_axis - t_c
-    samples = amplitude * np.exp(-(tau**2) / (2.0 * t0**2))
+    samples = np.exp(-(tau**2) / (2.0 * t0**2))
     return Envelope(grid, samples.astype(np.complex128))
 
 

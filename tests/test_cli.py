@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispersim.cli import main
 from dispersim.fiber import d_to_beta2
@@ -363,3 +368,110 @@ class TestPropagate:
         rc = main(["propagate", "--config", config, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "window" in capsys.readouterr().err
+
+
+def _doc(base, **sections):
+    doc = dict(base)
+    doc.update(sections)
+    return doc
+
+
+_HUGE_BAND = {"pulse": "sinc", "bandwidth_hz": 1e200, "n_samples": 256}
+_TINY_FIBER = {"beta2_ps2_km": -1e-200, "lambda0_m": 1.55e-6}
+
+
+class TestRangeRules:
+    """Inputs whose squares leave the double range exit 2, not with a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("sweep-k", _doc(sweep_doc([0.5], [1.0]), signal=_HUGE_BAND)),
+            ("scenario", _doc(scenario_doc(), signal=_HUGE_BAND)),
+            ("propagate", _doc(scenario_doc(), signal=_HUGE_BAND)),
+            ("region", _doc(scenario_doc(), region={"bandwidths_hz": [1e9, 1e200]})),
+            (
+                "region",
+                _doc(
+                    scenario_doc(),
+                    fiber=_TINY_FIBER,
+                    pcf={"beta2_ps2_km": -1.0},
+                    region={"bandwidths_hz": [1e-60, 1e9]},
+                ),
+            ),
+            (
+                "sweep-k",
+                _doc(
+                    sweep_doc([0.5], [1.0]),
+                    fiber=_TINY_FIBER,
+                    pcf={"beta2_ps2_km": -1.0},
+                    signal={"pulse": "sinc", "bandwidth_hz": 1e-60, "n_samples": 256},
+                ),
+            ),
+        ],
+        ids=[
+            "sweep-huge-band",
+            "scenario-huge-band",
+            "propagate-huge-band",
+            "region-huge-band",
+            "region-tiny-strength",
+            "sweep-tiny-strength",
+        ],
+    )
+    def test_bandwidth_out_of_range_exits_2(self, tmp_path, capsys, command, doc):
+        config = write_config(tmp_path, doc)
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "out of range" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--d", "17", "--lambda", "1e200"],
+            ["--beta2", "-21", "--lambda", "1e-170"],
+            ["--beta2", "-21", "--lambda", "1e-161"],
+        ],
+        ids=["square-overflows", "square-underflows", "result-overflows"],
+    )
+    def test_convert_out_of_range_exits_2(self, argv, capsys):
+        assert main(["convert", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+
+
+def _run_captured(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flag=st.sampled_from(["--d", "--beta2"]), value=_FINITE, lambda0=_POSITIVE)
+def test_convert_exits_0_or_2_on_finite_input(flag, value, lambda0):
+    rc, err = _run_captured(["convert", f"{flag}={value!r}", f"--lambda={lambda0!r}"])
+    assert (rc, err) == (0, "") or (rc == 2 and err.count("error:") == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    beta2=_FINITE.filter(bool),
+    bandwidths=st.lists(_POSITIVE, min_size=1, max_size=4, unique=True).map(sorted),
+)
+def test_region_exits_0_or_2_on_finite_bands(beta2, bandwidths):
+    doc = {
+        "scenario": "region-property",
+        "fiber": {"beta2_ps2_km": beta2},
+        "compensator": {"alphas": [0.25, 1.0]},
+        "region": {"bandwidths_hz": bandwidths},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), doc)
+        rc, err = _run_captured(["region", "--config", config, "--out", tmp])
+    assert (rc, err) == (0, "") or (rc == 2 and err.count("error:") == 1)

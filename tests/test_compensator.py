@@ -13,7 +13,6 @@ from dispersim import (
     IterationSpec,
     SubsystemSpec,
     apply_tf,
-    band_residual,
     broadening_factor,
     compensate,
     compensation_latency,
@@ -28,7 +27,11 @@ from dispersim import (
     subsystem_error_tf,
     subsystem_tf,
 )
-from dispersim.compensator import DEFAULT_SMF_BETA1, compensate_stages
+from dispersim.compensator import (
+    DEFAULT_SMF_BETA1,
+    band_error_max,
+    compensate_stages,
+)
 from dispersim.fiber import d_to_beta2
 
 PS2_PER_KM = 1e-27
@@ -112,40 +115,35 @@ class TestSubsystemTf:
         up = branch(-21e-27, 1e3)
         down = branch(-2806e-27, 1e3)
         sub = SubsystemSpec(up, down, alpha=1e-30)
-        got = subsystem_tf(sub, GRID, form="exact")
+        got = subsystem_tf(sub, GRID)
         expected = dispersion_tf(up, GRID).values / np.sqrt(2)
         np.testing.assert_allclose(got.values, expected, atol=1e-12)
 
     def test_identical_branches_cancel(self):
         up = branch(-21e-27, 1e3)
         sub = SubsystemSpec(up, up, alpha=1.0)
-        got = subsystem_tf(sub, GRID, form="exact")
+        got = subsystem_tf(sub, GRID)
         np.testing.assert_allclose(got.values, 0.0, atol=1e-15)
 
     def test_exact_equals_factored_without_up_branch_dispersion(self):
         up = branch(0.0, 973.0)
         down = branch(-2806e-27, 973.0)
         sub = SubsystemSpec(up, down, alpha=0.8)
-        exact = subsystem_tf(sub, GRID, form="exact")
-        factored = subsystem_tf(sub, GRID, form="factored")
-        np.testing.assert_allclose(exact.values, factored.values, atol=1e-12)
+        exact = subsystem_tf(sub, GRID).values
+        factored = subsystem_error_tf(sub, GRID).values / math.sqrt(2.0)
+        np.testing.assert_allclose(exact, factored, atol=1e-12)
 
     def test_factored_error_bounded_by_up_branch_phase(self):
         # beta1 = 0 so huge-argument trig rounding cannot mask the bound
         up = branch(-21e-27, 973.0, beta1=0.0)
         down = branch(-2806e-27, 973.0, beta1=0.0)
         sub = SubsystemSpec(up, down, alpha=1.0)
-        exact = subsystem_tf(sub, GRID, form="exact").values
-        factored = subsystem_tf(sub, GRID, form="factored").values
+        exact = subsystem_tf(sub, GRID).values
+        factored = subsystem_error_tf(sub, GRID).values / math.sqrt(2.0)
         phi_up = np.abs(up.beta2 / 2 * GRID.delta_omega**2 * up.length_m)
         gap = np.abs(exact - factored)
         assert np.all(gap <= phi_up / np.sqrt(2) + 1e-12)
         assert np.max(gap) > 0  # the approximation is not vacuous
-
-    def test_unknown_form_rejected(self):
-        _, sub = matched_example()
-        with pytest.raises(ValueError):
-            subsystem_tf(sub, GRID, form="nope")
 
 
 class TestMatchPcf:
@@ -276,7 +274,8 @@ class TestCompensate:
         sub = match_pcf(target, -2806e-27, alpha=1.0)
         out = compensate(rx, CompensatorSpec(sub, 8))
         # retarded frame: the bulk delay is not applied, so the pulse stays put
-        assert band_residual(CompensatorSpec(sub, 8), self.grid, BAND_HZ) < 1e-6
+        worst = band_error_max(subsystem_error_tf(sub, self.grid), BAND_HZ)
+        assert worst**9 < 1e-6
         err = np.sum(np.abs(out.samples - self.tx.samples) ** 2)
         ref = np.sum(np.abs(self.tx.samples) ** 2)
         assert err / ref < 1e-12
@@ -314,6 +313,7 @@ class TestCompensateStages:
         target, sub = matched_example(alpha=0.7)
         rx = propagate(make_sinc_pulse(self.grid, 2 / BAND_HZ), target)
         k_list = (0, 3, 7, 20)
+        worst = band_error_max(subsystem_error_tf(sub, self.grid), BAND_HZ)
         seen = []
         for spec, out, residual in compensate_stages(rx, sub, k_list, gain, BAND_HZ):
             assert spec == CompensatorSpec(sub, spec.k_stages, gain)
@@ -322,7 +322,7 @@ class TestCompensateStages:
             assert np.array_equal(
                 out.samples.view(np.int64), ref.samples.view(np.int64)
             )
-            assert residual == band_residual(spec, self.grid, BAND_HZ)
+            assert residual == worst ** (spec.k_stages + 1)
             seen.append(spec.k_stages)
         assert seen == list(k_list)
 

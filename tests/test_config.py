@@ -229,6 +229,27 @@ class TestFailClosed:
         with pytest.raises(ConfigError, match=message):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            base_doc(signal={"pulse": "sinc", "width_s": 1e-200, "n_samples": 256}),
+            base_doc(region={"bandwidths_hz": {"min": 1e9, "max": 1e160, "count": 3}}),
+            # |beta2| * (2*pi*B)^2 is a positive subnormal here
+            base_doc(region={"bandwidths_hz": [1.1e-143, 1e9]}),
+        ],
+        ids=["sinc-width-tiny", "region-axis-huge", "region-subnormal"],
+    )
+    def test_bandwidth_range_rule(self, doc):
+        with pytest.raises(ConfigError, match="out of range"):
+            parse_config(doc)
+
+    def test_bandwidth_range_rule_skips_zero_beta2(self):
+        doc = base_doc(
+            fiber={"beta2_ps2_km": 0.0}, signal={"pulse": "sinc", "bandwidth_hz": 1e200}
+        )
+        del doc["pcf"]
+        assert parse_config(doc).bandwidth_hz == 1e200
+
     def test_scenario_required(self):
         with pytest.raises(ConfigError):
             parse_config({"fiber": {"d_ps_nm_km": 17.0}})

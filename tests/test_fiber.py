@@ -44,8 +44,11 @@ class TestUnitConversions:
             )
 
     def test_bad_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            d_to_beta2(17.0, 0.0)
+        # not positive, or a square that is not a positive finite double
+        for lambda0 in (0.0, -1.55e-6, float("nan"), 1e200, 1e-170):
+            for convert in (d_to_beta2, beta2_to_d):
+                with pytest.raises(ValueError, match="out of range"):
+                    convert(17.0, lambda0)
 
 
 class TestFiberParams:

@@ -169,18 +169,13 @@ class TestSincPulse:
         assert np.max(outside) < 1e-3 * np.max(mags)
 
     def test_nulls_and_peak(self):
-        amplitude = 2.5
-        e = make_sinc_pulse(self.grid, self.width, amplitude)
+        e = make_sinc_pulse(self.grid, self.width)
         center = self.grid.n_samples // 2
         off = round(self.width / 2 / self.grid.dt)
-        assert abs(e.samples[center]) == pytest.approx(amplitude, rel=1e-12)
-        assert abs(e.samples[center + off]) < 1e-12 * amplitude
-        assert abs(e.samples[center - off]) < 1e-12 * amplitude
+        assert abs(e.samples[center]) == pytest.approx(1.0, rel=1e-12)
+        assert abs(e.samples[center + off]) < 1e-12
+        assert abs(e.samples[center - off]) < 1e-12
         assert np.argmax(np.abs(e.samples)) == center
-
-    def test_zero_amplitude(self):
-        e = make_sinc_pulse(self.grid, self.width, 0.0)
-        assert np.all(e.samples == 0)
 
     def test_window_guard(self):
         grid = FrequencyGrid(64, 1e-12)  # 64 ps window
@@ -200,10 +195,10 @@ class TestGaussianPulse:
         self.grid = FrequencyGrid(16384, 64 * self.t0 / 16384)
 
     def test_peak_at_center(self):
-        e = make_gaussian_pulse(self.grid, self.t0, 1.5)
+        e = make_gaussian_pulse(self.grid, self.t0)
         center = self.grid.n_samples // 2
         assert np.argmax(np.abs(e.samples)) == center
-        assert abs(e.samples[center]) == pytest.approx(1.5, rel=1e-12)
+        assert abs(e.samples[center]) == pytest.approx(1.0, rel=1e-12)
 
     def test_one_over_e_intensity_half_width(self):
         e = make_gaussian_pulse(self.grid, self.t0)
@@ -215,9 +210,8 @@ class TestGaussianPulse:
         assert abs(measured - self.t0) <= self.grid.dt
 
     def test_energy_closed_form(self):
-        amplitude = 0.8
-        e = make_gaussian_pulse(self.grid, self.t0, amplitude)
-        expected = amplitude**2 * self.t0 * np.sqrt(np.pi)
+        e = make_gaussian_pulse(self.grid, self.t0)
+        expected = self.t0 * np.sqrt(np.pi)
         assert abs(e.energy / expected - 1) < 1e-3
 
     def test_guards(self):
