@@ -2,16 +2,17 @@
 
 One sub-system splits the field between an ordinary fiber (up branch) and a
 strongly dispersive fiber of the same length (down branch, attenuated by
-alpha) and recombines the branches with opposite signs. With the branches
-matched in beta0/beta1, its response factors into a common delay times the
-error response ``E_D = 1 - sqrt(alpha) * H_pcf`` of the down branch, so a
-cascade of K such blocks realizes the truncated geometric sum that inverts
-the accumulated dispersion of a target span (see :mod:`dispersim.iterative`).
+alpha) and recombines the branches with opposite signs. Both branches are
+assumed to share one group index (:data:`SMF_GROUP_INDEX`), so its response
+factors into a common delay times the error response
+``E_D = 1 - sqrt(alpha) * H_pcf`` of the down branch, and a cascade of K
+such blocks realizes the truncated geometric sum that inverts the
+accumulated dispersion of a target span (see :mod:`dispersim.iterative`).
 
 Like :func:`dispersim.fiber.propagate`, every sampled response here is in
-the retarded frame: only dispersion orders i >= 2 enter it. The common
-delay carries no dispersion and is reported as
-:func:`compensation_latency` instead of shifting the time window.
+the retarded frame: only beta2 enters it. The common delay carries no
+dispersion and is reported as :func:`compensation_latency` instead of
+shifting the time window.
 
 The splitter/combiner bookkeeping is an amplitude factor 1/sqrt(2) per
 split with no excess loss; the single output amplifier G (default
@@ -35,14 +36,9 @@ from .signal import (
     check_wraparound,
 )
 
-#: Group index used for the compensator fibers' default beta1.
+#: Group index shared by both compensator branches; their beta1 (s/m) follows.
 SMF_GROUP_INDEX = 1.4682
 DEFAULT_SMF_BETA1 = SMF_GROUP_INDEX / SPEED_OF_LIGHT
-
-
-def _relative_mismatch(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -58,11 +54,6 @@ class SubsystemSpec:
             raise ValueError("branch fibers must have equal length")
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
-        for i, name in ((0, "beta0"), (1, "beta1")):
-            if _relative_mismatch(self.smf.betas[i], self.pcf.betas[i]) > 1e-12:
-                raise ValueError(
-                    f"branch {name} values must match (factored form premise)"
-                )
 
     @property
     def length_m(self) -> float:
@@ -108,9 +99,9 @@ def default_gain(alpha: float, k_stages: int) -> float:
 def subsystem_error_tf(sub: SubsystemSpec, grid: FrequencyGrid) -> TransferFunction:
     """Error response E_D = 1 - sqrt(alpha) * H_pcf of the down branch.
 
-    Only orders i >= 2 of the down-branch fiber contribute; the common
-    beta0/beta1 delay is left out (retarded frame). The value at
-    delta_omega = 0 is exactly ``1 - sqrt(alpha)``.
+    Only the down-branch beta2 contributes; the common delay is left out
+    (retarded frame). The value at delta_omega = 0 is exactly
+    ``1 - sqrt(alpha)``.
     """
     return error_tf(dispersion_tf(sub.pcf, grid), math.sqrt(sub.alpha))
 
@@ -118,9 +109,8 @@ def subsystem_error_tf(sub: SubsystemSpec, grid: FrequencyGrid) -> TransferFunct
 def subsystem_tf(sub: SubsystemSpec, grid: FrequencyGrid) -> TransferFunction:
     """Response (H_smf - sqrt(alpha)*H_pcf) / sqrt(2) of one physical sub-system.
 
-    Both branches carry all their orders i >= 2 (retarded frame). When the
-    up branch has no dispersion beyond beta1 this equals
-    ``subsystem_error_tf / sqrt(2)``.
+    Both branches carry their beta2 (retarded frame). For an up branch with
+    beta2 = 0 this equals ``subsystem_error_tf / sqrt(2)``.
     """
     up = dispersion_tf(sub.smf, grid)
     down = dispersion_tf(sub.pcf, grid)
@@ -133,13 +123,11 @@ def match_pcf(
 ) -> SubsystemSpec:
     """Size a sub-system so one pass cancels the target span's dispersion.
 
-    The branch length follows from beta2_pcf * L = beta2_target * z, and the
-    down branch's higher orders are set to beta_i_target * z / L for every
-    order i >= 3 of the target, so each order accumulates identically. Both
-    branches get beta0 = 0 and beta1 = :data:`DEFAULT_SMF_BETA1`. The
-    down-branch beta2 must be nonzero and share the target's sign: a
-    strongly dispersive fiber of the same sign, run in an error-feedback
-    cascade, replaces the conventional opposite-sign span.
+    The branch length follows from beta2_pcf * L = beta2_target * z; the up
+    branch carries the target's beta2. The down-branch beta2 must be nonzero
+    and share the target's sign: a strongly dispersive fiber of the same
+    sign, run in an error-feedback cascade, replaces the conventional
+    opposite-sign span.
     """
     if pcf_beta2 == 0:
         raise ValueError("pcf_beta2 must be nonzero")
@@ -148,10 +136,8 @@ def match_pcf(
             "pcf_beta2 must have the same sign as the target fiber's beta2"
         )
     length = target.beta2 * target.length_m / pcf_beta2
-    higher = tuple(b * target.length_m / length for b in target.betas[3:])
-    low = (0.0, DEFAULT_SMF_BETA1)
-    smf = FiberParams(low + target.betas[2:], length)
-    pcf = FiberParams(low + (pcf_beta2,) + higher, length)
+    smf = FiberParams(target.beta2, length)
+    pcf = FiberParams(pcf_beta2, length)
     return SubsystemSpec(smf=smf, pcf=pcf, alpha=alpha)
 
 
@@ -232,7 +218,7 @@ def compensation_latency(spec: CompensatorSpec) -> float:
 
     Reported only: sampled responses are in the retarded frame.
     """
-    return spec.k_stages * spec.subsystem.length_m * spec.subsystem.smf.beta1
+    return spec.k_stages * spec.subsystem.length_m * DEFAULT_SMF_BETA1
 
 
 def band_error_max(e_d: TransferFunction, bandwidth_hz: float) -> float:

@@ -361,6 +361,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 f"bandwidth {b:g} Hz is out of range: |beta2| * (2*pi*B)^2 is "
                 f"{per_m:g} 1/m, outside the normal double range"
             )
+    # each span z (sweep-k's is xi over the strength per meter above) and
+    # its matched branch length beta2 * z / beta2_pcf must be finite
+    spans = [] if z_m is None else [("fiber.z_km", z_m)]
+    if bandwidth_hz and fiber_beta2:
+        per_m = abs(fiber_beta2) * (2.0 * math.pi * bandwidth_hz) ** 2
+        spans += [(f"sweep.xi {xi:g}", xi / per_m) for xi in xi_values]
+    for name, z in spans:
+        length = z if pcf_beta2 is None else fiber_beta2 * z / pcf_beta2
+        if not (math.isfinite(z) and math.isfinite(length)):
+            raise ConfigError(
+                f"{name} is out of range: it gives a span of {z:g} m and a "
+                f"matched branch of {length:g} m, and both must be finite"
+            )
     return cfg
 
 

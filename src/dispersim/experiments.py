@@ -72,10 +72,6 @@ def build_pulse(cfg: ExperimentConfig) -> Envelope:
     return make_gaussian_pulse(grid, cfg.pulse_width_s)
 
 
-def transmission_fiber(cfg: ExperimentConfig, z_m: float) -> FiberParams:
-    return FiberParams((0.0, 0.0, cfg.fiber_beta2), z_m)
-
-
 def dispersion_strength(beta2: float, z_m: float, bandwidth_hz: float) -> float:
     """Dimensionless |beta2| * z * (2*pi*B)^2."""
     return abs(beta2) * z_m * (2.0 * math.pi * bandwidth_hz) ** 2
@@ -114,7 +110,7 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     lines = [SWEEP_CSV_HEADER]
     for xi in cfg.xi_values:
         z_m = xi / (abs(beta2) * (2.0 * math.pi * bandwidth) ** 2)
-        fiber = transmission_fiber(cfg, z_m)
+        fiber = FiberParams(beta2, z_m)
         rx = None
         for alpha in sorted(cfg.alphas):
             sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
@@ -160,7 +156,7 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
             "outside the convergence region"
         )
     xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, bandwidth)
-    fiber = transmission_fiber(cfg, cfg.z_m)
+    fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
     sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
     tx = build_pulse(cfg)
     tx_width = intensity_fwhm(tx)
@@ -240,7 +236,7 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.z_m is None:
         raise ConfigError("fiber.z_km is required for the propagate command")
     tx = build_pulse(cfg)
-    fiber = transmission_fiber(cfg, cfg.z_m)
+    fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
     rx = propagate(tx, fiber)
     _envelope_csv(outdir / "envelope_input.csv", tx)
     _envelope_csv(outdir / "envelope_dispersed.csv", rx)

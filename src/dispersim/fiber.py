@@ -1,11 +1,8 @@
-"""Fiber parameterization and the all-pass dispersion response.
+"""Fiber spans and the all-pass dispersion response.
 
-A fiber is described by the Taylor coefficients ``beta_i`` of its
-propagation constant around the carrier (beta0 rad/m, beta1 s/m, beta2
-s^2/m, ...). Linear propagation over length z multiplies the spectrum by
-``exp(-j * z * sum_i beta_i / i! * delta_omega^i)``; simulations run in the
-retarded frame, so only orders i >= 2 enter the sampled phase while beta0
-and beta1 stay available as bookkeeping constants.
+A span is described by its group-velocity dispersion beta2 (s^2/m) and its
+length z. Simulations run in the retarded frame, so linear propagation
+over z multiplies the spectrum by ``exp(-j * z * beta2/2 * delta_omega^2)``.
 """
 
 import math
@@ -54,48 +51,27 @@ def beta2_to_d(beta2_s2_m: float, lambda0_m: float) -> float:
 
 @dataclass(frozen=True)
 class FiberParams:
-    """Propagation-constant coefficients and length of one fiber span.
+    """Group-velocity dispersion ``beta2`` (s^2/m) and length of one span."""
 
-    ``betas[i]`` has units s^i/m; at least beta0..beta2 must be present.
-    """
-
-    betas: tuple
+    beta2: float
     length_m: float
 
     def __post_init__(self):
-        betas = tuple(float(b) for b in self.betas)
-        if len(betas) < 3:
-            raise ValueError("betas must include beta0, beta1 and beta2")
-        if not all(math.isfinite(b) for b in betas):
-            raise ValueError("betas must be finite")
+        if not math.isfinite(self.beta2):
+            raise ValueError("beta2 must be finite")
         if not (math.isfinite(self.length_m) and self.length_m >= 0):
             raise ValueError("length_m must be non-negative and finite")
-        object.__setattr__(self, "betas", betas)
 
     @property
-    def beta0(self) -> float:
-        return self.betas[0]
-
-    @property
-    def beta1(self) -> float:
-        return self.betas[1]
-
-    @property
-    def beta2(self) -> float:
-        return self.betas[2]
+    def betas(self) -> tuple:
+        # (beta0, beta1, beta2) in the retarded frame; perfbench/tracer.py keys on it
+        return (0.0, 0.0, self.beta2)
 
 
 def dispersion_tf(fiber: FiberParams, grid: FrequencyGrid) -> TransferFunction:
-    """All-pass response of one span in the retarded frame.
-
-    Only orders i >= 2 contribute: exp(-j*z*sum_{i>=2} beta_i/i! * dw^i).
-    """
+    """All-pass response exp(-j*z*beta2/2*dw^2) of one span in the retarded frame."""
     dw = grid.delta_omega
-    phase_per_m = np.zeros(grid.n_samples)
-    power = dw * dw
-    for i in range(2, len(fiber.betas)):
-        phase_per_m = phase_per_m + fiber.betas[i] / math.factorial(i) * power
-        power = power * dw
+    phase_per_m = fiber.beta2 / 2 * (dw * dw)
     return TransferFunction(grid, np.exp(-1j * fiber.length_m * phase_per_m))
 
 

@@ -172,7 +172,10 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
             f"time window {grid.window:.3e} s is below the 8x guard margin "
             f"for a {w:.3e} s wide pulse"
         )
-    half_band_bins = int(round(1.0 / (w * grid.df)))  # pi*B in units of d_omega
+    w_df = w * grid.df  # zero once the window leaves the float range
+    half_band = 1.0 / w_df if w_df else np.inf  # pi*B in units of d_omega
+    # capped at n, which fails the check below, so int() never sees inf
+    half_band_bins = int(round(min(half_band, grid.n_samples)))
     if half_band_bins > grid.n_samples // 2 - 1:
         raise WindowError(
             "time step too coarse: pulse bandwidth exceeds the grid band"

@@ -51,7 +51,7 @@ def test_criterion_1_residual_identity():
         beta2 = -rng.uniform(5, 30) * PS2_PER_KM
         z = rng.uniform(10e3, 200e3)
         pcf_beta2 = -rng.uniform(500, 5000) * PS2_PER_KM
-        target = FiberParams((0.0, 0.0, beta2), z)
+        target = FiberParams(beta2, z)
         sub = match_pcf(target, pcf_beta2, alpha=alpha)
         spec = CompensatorSpec(sub, k)
         product = compensator_tf(spec, grid) * dispersion_tf(target, grid)
@@ -98,7 +98,7 @@ def test_criterion_3_gaussian_oracle():
     z = 100e3
     grid = FrequencyGrid(16384, 64 * t0 / 16384)
     tx = make_gaussian_pulse(grid, t0)
-    rx = propagate(tx, FiberParams((0.0, 0.0, beta2), z))
+    rx = propagate(tx, FiberParams(beta2, z))
     measured = broadening_factor(tx, rx)
     expected = math.sqrt(1 + (beta2 * z / t0**2) ** 2)
     ok = abs(measured / expected - 1) < 0.005
@@ -137,7 +137,7 @@ def test_criterion_5_matched_length():
     pcf_beta2 = -2805.9860388889867 * PS2_PER_KM  # exact conversion of 2200 ps/nm/km
     lengths = []
     for fiber_beta2 in (-21 * PS2_PER_KM, -2.1682619391414893e-26):
-        target = FiberParams((0.0, 0.0, fiber_beta2), 130e3)
+        target = FiberParams(fiber_beta2, 130e3)
         lengths.append(match_pcf(target, pcf_beta2).length_m)
     ok = all(900.0 <= length <= 1100.0 for length in lengths)
     report(5, "matched length", ok)

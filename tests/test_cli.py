@@ -378,6 +378,7 @@ def _doc(base, **sections):
 
 _HUGE_BAND = {"pulse": "sinc", "bandwidth_hz": 1e200, "n_samples": 256}
 _TINY_FIBER = {"beta2_ps2_km": -1e-200, "lambda0_m": 1.55e-6}
+_SMALL_SINC = {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 256}
 
 
 class TestRangeRules:
@@ -424,6 +425,49 @@ class TestRangeRules:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "out of range" in err
+
+    @pytest.mark.parametrize(
+        "command, sections, name",
+        [
+            ("sweep-k", {"sweep": {"xi": [1e305]}}, "sweep.xi"),
+            (
+                "sweep-k",
+                {"sweep": {"xi": [1e40]}, "pcf": {"beta2_ps2_km": -1e-270}},
+                "sweep.xi",
+            ),
+            (
+                "scenario",
+                {
+                    "fiber": {"beta2_ps2_km": 1e308, "z_km": 1e10},
+                    "pcf": {"beta2_ps2_km": 5e-297},
+                    "signal": dict(_SMALL_SINC, bandwidth_hz=1e-150),
+                },
+                "fiber.z_km",
+            ),
+        ],
+        ids=["span-overflows", "branch-overflows", "scenario-branch-overflows"],
+    )
+    def test_span_length_out_of_range_exits_2(
+        self, tmp_path, capsys, command, sections, name
+    ):
+        doc = _doc(_doc(readme_doc(), signal=_SMALL_SINC), **sections)
+        doc["compensator"] = {"alphas": [1.0], "k_max": 2}
+        config = write_config(tmp_path, doc)
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"{name} " in err and "out of range" in err
+
+    @pytest.mark.parametrize("dt_s", [1e300, 1e307])
+    @pytest.mark.parametrize("command", ["propagate", "sweep-k", "scenario"])
+    def test_coarse_sinc_step_exits_2(self, tmp_path, capsys, command, dt_s):
+        # the window (or its inverse) leaves the float range
+        doc = _doc(readme_doc(), signal=dict(_SMALL_SINC, dt_s=dt_s))
+        config = write_config(tmp_path, doc)
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "time step too coarse" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -475,3 +519,40 @@ def test_region_exits_0_or_2_on_finite_bands(beta2, bandwidths):
         config = write_config(Path(tmp), doc)
         rc, err = _run_captured(["region", "--config", config, "--out", tmp])
     assert (rc, err) == (0, "") or (rc == 2 and err.count("error:") == 1)
+
+
+def _exits_cleanly(rc, err):
+    return (rc, err) == (0, "") or (rc in (2, 3) and err.count("error:") == 1)
+
+
+@pytest.mark.filterwarnings("ignore:multiple lobes")
+@settings(max_examples=100, deadline=None)
+@given(
+    xi=st.lists(_POSITIVE, min_size=1, max_size=3, unique=True).map(sorted),
+    pcf_beta2=st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+    k_max=st.integers(min_value=0, max_value=2),
+)
+def test_sweep_exits_cleanly_on_finite_strengths(xi, pcf_beta2, k_max):
+    doc = _doc(
+        readme_doc(),
+        pcf={"beta2_ps2_km": pcf_beta2},
+        compensator={"alphas": [0.25, 1.0], "k_max": k_max},
+        signal=_SMALL_SINC,
+        sweep={"xi": xi},
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), doc)
+        rc, err = _run_captured(["sweep-k", "--config", config, "--out", tmp])
+    assert _exits_cleanly(rc, err)
+
+
+@pytest.mark.filterwarnings("ignore:multiple lobes")
+@settings(max_examples=100, deadline=None)
+@given(dt_s=_POSITIVE)
+def test_propagate_exits_cleanly_on_finite_steps(dt_s):
+    doc = _doc(readme_doc(), signal=dict(_SMALL_SINC, dt_s=dt_s))
+    doc["compensator"] = {"alphas": [1.0], "k_max": 2}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), doc)
+        rc, err = _run_captured(["propagate", "--config", config, "--out", tmp])
+    assert _exits_cleanly(rc, err)

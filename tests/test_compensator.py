@@ -37,12 +37,8 @@ from dispersim.fiber import d_to_beta2
 PS2_PER_KM = 1e-27
 
 
-def branch(beta2, length_m, beta0=0.0, beta1=DEFAULT_SMF_BETA1, extra=()):
-    return FiberParams((beta0, beta1, beta2) + tuple(extra), length_m)
-
-
 def matched_example(alpha=1.0):
-    target = FiberParams((0.0, 0.0, -21 * PS2_PER_KM), 130e3)
+    target = FiberParams(-21 * PS2_PER_KM, 130e3)
     return target, match_pcf(target, -2806 * PS2_PER_KM, alpha=alpha)
 
 
@@ -53,18 +49,16 @@ BAND_HZ = 3e9
 class TestSubsystemSpec:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SubsystemSpec(branch(-21e-27, 1e3), branch(-2806e-27, 2e3), 1.0)
+            SubsystemSpec(
+                FiberParams(-21e-27, 1e3), FiberParams(-2806e-27, 2e3), 1.0
+            )
 
     def test_alpha_bounds(self):
         for alpha in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                SubsystemSpec(branch(-21e-27, 1e3), branch(-2806e-27, 1e3), alpha)
-
-    def test_low_order_mismatch_rejected(self):
-        up = branch(-21e-27, 1e3, beta1=4.9e-9)
-        down = branch(-2806e-27, 1e3, beta1=5.0e-9)
-        with pytest.raises(ValueError):
-            SubsystemSpec(up, down, 1.0)
+                SubsystemSpec(
+                    FiberParams(-21e-27, 1e3), FiberParams(-2806e-27, 1e3), alpha
+                )
 
 
 class TestCompensatorSpec:
@@ -112,31 +106,30 @@ class TestSubsystemErrorTf:
 
 class TestSubsystemTf:
     def test_vanishing_alpha_leaves_up_branch(self):
-        up = branch(-21e-27, 1e3)
-        down = branch(-2806e-27, 1e3)
+        up = FiberParams(-21e-27, 1e3)
+        down = FiberParams(-2806e-27, 1e3)
         sub = SubsystemSpec(up, down, alpha=1e-30)
         got = subsystem_tf(sub, GRID)
         expected = dispersion_tf(up, GRID).values / np.sqrt(2)
         np.testing.assert_allclose(got.values, expected, atol=1e-12)
 
     def test_identical_branches_cancel(self):
-        up = branch(-21e-27, 1e3)
+        up = FiberParams(-21e-27, 1e3)
         sub = SubsystemSpec(up, up, alpha=1.0)
         got = subsystem_tf(sub, GRID)
         np.testing.assert_allclose(got.values, 0.0, atol=1e-15)
 
     def test_exact_equals_factored_without_up_branch_dispersion(self):
-        up = branch(0.0, 973.0)
-        down = branch(-2806e-27, 973.0)
+        up = FiberParams(0.0, 973.0)
+        down = FiberParams(-2806e-27, 973.0)
         sub = SubsystemSpec(up, down, alpha=0.8)
         exact = subsystem_tf(sub, GRID).values
         factored = subsystem_error_tf(sub, GRID).values / math.sqrt(2.0)
         np.testing.assert_allclose(exact, factored, atol=1e-12)
 
     def test_factored_error_bounded_by_up_branch_phase(self):
-        # beta1 = 0 so huge-argument trig rounding cannot mask the bound
-        up = branch(-21e-27, 973.0, beta1=0.0)
-        down = branch(-2806e-27, 973.0, beta1=0.0)
+        up = FiberParams(-21e-27, 973.0)
+        down = FiberParams(-2806e-27, 973.0)
         sub = SubsystemSpec(up, down, alpha=1.0)
         exact = subsystem_tf(sub, GRID).values
         factored = subsystem_error_tf(sub, GRID).values / math.sqrt(2.0)
@@ -152,30 +145,26 @@ class TestMatchPcf:
         assert sub.length_m == pytest.approx(972.9151817533856, rel=1e-12)
 
     def test_self_match(self):
-        target = FiberParams((0.0, 0.0, -21e-27), 130e3)
+        target = FiberParams(-21e-27, 130e3)
         sub = match_pcf(target, -21e-27)
         assert sub.length_m == pytest.approx(130e3, rel=1e-15)
 
     def test_inverse_proportionality(self):
-        target = FiberParams((0.0, 0.0, -21e-27), 130e3)
+        target = FiberParams(-21e-27, 130e3)
         l1 = match_pcf(target, -1000e-27).length_m
         l2 = match_pcf(target, -2000e-27).length_m
         assert l1 == pytest.approx(2 * l2, rel=1e-15)
 
     def test_sign_and_zero_rejected(self):
-        target = FiberParams((0.0, 0.0, -21e-27), 130e3)
+        target = FiberParams(-21e-27, 130e3)
         with pytest.raises(ValueError):
             match_pcf(target, 2806e-27)
         with pytest.raises(ValueError):
             match_pcf(target, 0.0)
 
-    def test_higher_orders_accumulate_identically(self):
-        beta3 = 0.12e-39
-        target = FiberParams((0.0, 0.0, -21e-27, beta3), 130e3)
+    def test_down_branch_mirrors_the_span(self):
+        target = FiberParams(-21e-27, 130e3)
         sub = match_pcf(target, -2806e-27)
-        assert sub.pcf.betas[3] * sub.length_m == pytest.approx(
-            beta3 * target.length_m, rel=1e-12
-        )
         # matched accumulation makes the down branch mirror the whole span
         h_target = dispersion_tf(target, GRID)
         h_down = dispersion_tf(sub.pcf, GRID)
@@ -202,7 +191,7 @@ class TestCompensatorTf:
             beta2 = -rng.uniform(5, 30) * PS2_PER_KM
             z = rng.uniform(10e3, 200e3)
             pcf_beta2 = -rng.uniform(500, 5000) * PS2_PER_KM
-            target = FiberParams((0.0, 0.0, beta2), z)
+            target = FiberParams(beta2, z)
             sub = match_pcf(target, pcf_beta2, alpha=alpha)
             spec = CompensatorSpec(sub, k)
             product = compensator_tf(spec, GRID) * dispersion_tf(target, GRID)
@@ -234,8 +223,8 @@ class TestCompensatorTf:
         assert np.max(gap) <= bound + 1e-12
 
     def test_exact_form_matches_factored_without_up_dispersion(self):
-        up = branch(0.0, 973.0)
-        down = branch(-2806e-27, 973.0)
+        up = FiberParams(0.0, 973.0)
+        down = FiberParams(-2806e-27, 973.0)
         sub = SubsystemSpec(up, down, alpha=0.9)
         spec = CompensatorSpec(sub, 5)
         fac = compensator_tf(spec, GRID, form="factored")
@@ -263,13 +252,13 @@ class TestCompensate:
         self.tx = make_sinc_pulse(self.grid, 666.7e-12)
 
     def test_zero_length_target_is_identity(self):
-        target = FiberParams((0.0, 0.0, -21e-27), 0.0)
+        target = FiberParams(-21e-27, 0.0)
         sub = match_pcf(target, -2806e-27, alpha=1.0)
         out = compensate(self.tx, CompensatorSpec(sub, 0))
         np.testing.assert_allclose(out.samples, self.tx.samples, atol=1e-12)
 
     def test_round_trip_restores_pulse(self):
-        target = FiberParams((0.0, 0.0, -21e-27), 130e3)
+        target = FiberParams(-21e-27, 130e3)
         rx = propagate(self.tx, target)
         sub = match_pcf(target, -2806e-27, alpha=1.0)
         out = compensate(rx, CompensatorSpec(sub, 8))
@@ -281,7 +270,7 @@ class TestCompensate:
         assert err / ref < 1e-12
 
     def test_direct_and_feedback_agree(self):
-        target = FiberParams((0.0, 0.0, -21e-27), 130e3)
+        target = FiberParams(-21e-27, 130e3)
         rx = propagate(self.tx, target)
         sub = match_pcf(target, -2806e-27, alpha=0.7)
         h_pcf = dispersion_tf(sub.pcf, self.grid)
@@ -357,7 +346,7 @@ class TestCompensateProperty:
         beta2 = -21 * PS2_PER_KM
         z = xi / (abs(beta2) * (2 * np.pi * BAND_HZ) ** 2)
         assume(stable(alpha, beta2, BAND_HZ, z))
-        target = FiberParams((0.0, 0.0, beta2), z)
+        target = FiberParams(beta2, z)
         sub = match_pcf(target, d_to_beta2(pcf_d, 1.55e-6), alpha=alpha)
         rx = propagate(self.tx, target)
         with warnings.catch_warnings():

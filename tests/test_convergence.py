@@ -171,7 +171,7 @@ class TestCrossModule:
         for alpha, frac in ((1.0, 0.5), (0.5, 0.8), (0.25, 0.9)):
             z = frac * z_max(bandwidth, alpha, BETA2)
             assert stable(alpha, BETA2, bandwidth, z)
-            target = FiberParams((0.0, 0.0, BETA2), z)
+            target = FiberParams(BETA2, z)
             sub = match_pcf(target, -2806 * PS2_PER_KM, alpha=alpha)
             worst = band_error_max(subsystem_error_tf(sub, grid), bandwidth)
             residuals = [worst ** (k + 1) for k in (0, 5, 30, 200)]
