@@ -6,6 +6,7 @@ a ``meta.json`` holding the raw configuration, its SI resolution and the
 pulse-width metric in use.
 """
 
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -35,6 +36,7 @@ from .signal import (
 REGION_CSV_HEADER = "B_hz,z_max_m,alpha,beta2_si"
 SWEEP_CSV_HEADER = "xi,alpha,K,broadening_factor,residual_max"
 ENVELOPE_CSV_HEADER = "t_s,re,im"
+ENVELOPE_BLOCK = 1024  # samples per _envelope_csv block; bounds its per-block lists
 
 
 class DivergenceError(RuntimeError):
@@ -220,31 +222,43 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def _envelope_csv(path: Path, e: Envelope) -> None:
-    """Stream one ``t_s,re,im`` line per sample to ``path``."""
-    t = e.grid.time_axis
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(ENVELOPE_CSV_HEADER + "\n")
-        handle.writelines(
-            f"{fmt(t[i])},{fmt(e.samples[i].real)},{fmt(e.samples[i].imag)}\n"
-            for i in range(e.grid.n_samples)
-        )
+def _envelope_csv(outdir: Path, envelopes: dict) -> None:
+    """Write each ``file name -> Envelope`` as ``t_s,re,im`` lines, all together.
+
+    The envelopes share one grid; each block of ``ENVELOPE_BLOCK`` time values
+    is formatted once and reused in every file.
+    """
+    t = next(iter(envelopes.values())).grid.time_axis
+    line = "{},{:.9g},{:.9g}\n".format
+    with contextlib.ExitStack() as stack:
+        files = []
+        for name, e in envelopes.items():
+            path = outdir / name
+            handle = stack.enter_context(path.open("w", encoding="utf-8", newline="\n"))
+            handle.write(ENVELOPE_CSV_HEADER + "\n")
+            files.append((handle, e.samples))
+        for lo in range(0, t.size, ENVELOPE_BLOCK):
+            hi = lo + ENVELOPE_BLOCK
+            times = [format(x, ".9g") for x in t[lo:hi].tolist()]
+            for handle, s in files:
+                re, im = s[lo:hi].real.tolist(), s[lo:hi].imag.tolist()
+                handle.writelines(map(line, times, re, im))
 
 
 def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
-    """Debug dump of the envelopes before/after the fiber (and compensator)."""
+    """Dump the envelopes before/after the fiber (and compensator), all or none."""
     if cfg.z_m is None:
         raise ConfigError("fiber.z_km is required for the propagate command")
     tx = build_pulse(cfg)
     fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
     rx = propagate(tx, fiber)
-    _envelope_csv(outdir / "envelope_input.csv", tx)
-    _envelope_csv(outdir / "envelope_dispersed.csv", rx)
+    envelopes = {"envelope_input.csv": tx, "envelope_dispersed.csv": rx}
     extra = {"compensated": False}
     if cfg.pcf_beta2 is not None:
         sub = match_pcf(fiber, cfg.pcf_beta2, alpha=cfg.alphas[0])
         spec = CompensatorSpec(sub, cfg.k_list[-1], cfg.gain_override)
-        _envelope_csv(outdir / "envelope_compensated.csv", compensate(rx, spec))
+        envelopes["envelope_compensated.csv"] = compensate(rx, spec)
         extra = {"compensated": True, "k_stages": cfg.k_list[-1]}
+    _envelope_csv(outdir, envelopes)
     write_meta(outdir, "propagate", cfg, extra)
     return 0

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispersim.cli import main
-from dispersim.fiber import d_to_beta2
+from dispersim.compensator import CompensatorSpec, compensate, match_pcf
+from dispersim.config import parse_config
+from dispersim.experiments import ENVELOPE_BLOCK, build_pulse, fmt
+from dispersim.fiber import FiberParams, d_to_beta2, propagate
 from dispersim.convergence import z_max
 
 
@@ -368,6 +371,48 @@ class TestPropagate:
         rc = main(["propagate", "--config", config, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "window" in capsys.readouterr().err
+
+    def test_failed_cascade_writes_no_envelope(self, tmp_path, capsys):
+        doc = self.propagate_doc(z_km=100.0)
+        doc["compensator"]["k_max"] = 40
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", config, "--out", str(out)]) == 3
+        assert "window" in capsys.readouterr().err
+        assert list(out.glob("envelope_*.csv")) == []
+
+    @pytest.mark.parametrize("pulse", ["gaussian", "sinc"])
+    @pytest.mark.parametrize(
+        "n_samples", [ENVELOPE_BLOCK // 4, ENVELOPE_BLOCK, 8 * ENVELOPE_BLOCK]
+    )
+    def test_envelope_bytes_match_per_sample_rule(self, tmp_path, pulse, n_samples):
+        if pulse == "gaussian":
+            doc = self.propagate_doc(z_km=100.0, n_samples=n_samples)
+        else:
+            doc = _doc(readme_doc(), signal=dict(_SMALL_SINC, n_samples=n_samples))
+            doc["compensator"] = {"alphas": [1.0], "k_max": 2}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["propagate", "--config", config, "--out", str(out)]) == 0
+        cfg = parse_config(doc)
+        tx = build_pulse(cfg)
+        fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
+        rx = propagate(tx, fiber)
+        spec = CompensatorSpec(match_pcf(fiber, cfg.pcf_beta2, alpha=1.0), 2)
+        envelopes = {
+            "envelope_input.csv": tx,
+            "envelope_dispersed.csv": rx,
+            "envelope_compensated.csv": compensate(rx, spec),
+        }
+        if pulse == "gaussian":
+            assert not tx.samples.imag.any()
+        for name, e in envelopes.items():
+            t, s = e.grid.time_axis, e.samples
+            expected = "t_s,re,im\n" + "".join(
+                f"{fmt(t[i])},{fmt(s[i].real)},{fmt(s[i].imag)}\n"
+                for i in range(n_samples)
+            )
+            assert (out / name).read_bytes() == expected.encode("utf-8"), name
 
 
 def _doc(base, **sections):
