@@ -15,8 +15,8 @@ dispersion and is reported as :func:`compensation_latency` instead of
 shifting the time window.
 
 The splitter/combiner bookkeeping is an amplitude factor 1/sqrt(2) per
-split with no excess loss; the single output amplifier G (default
-``alpha * 2**(K+1)``) restores the level, leaving every other element
+split with no excess loss; the single output amplifier G =
+``alpha * 2**(K+1)`` restores the level, leaving every other element
 passive.
 """
 
@@ -66,7 +66,6 @@ class CompensatorSpec:
 
     subsystem: SubsystemSpec
     k_stages: int
-    gain: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.k_stages, (int, np.integer)) or isinstance(
@@ -75,18 +74,17 @@ class CompensatorSpec:
             raise ValueError("k_stages must be an integer")
         if self.k_stages < 0:
             raise ValueError("k_stages must be non-negative")
-        if self.gain is None:
-            object.__setattr__(
-                self, "gain", default_gain(self.subsystem.alpha, self.k_stages)
-            )
-        if not (np.isfinite(self.gain) and self.gain > 0):
-            raise ValueError("gain must be positive")
+
+    @property
+    def gain(self) -> float:
+        """Amplifier power gain, always :func:`default_gain` of (alpha, K)."""
+        return default_gain(self.subsystem.alpha, self.k_stages)
 
     @property
     def prefactor(self) -> float:
         """Amplitude scale sqrt(G)/2**((K+1)/2) of the splitters and amplifier.
 
-        With the default gain it is exactly sqrt(alpha).
+        It equals sqrt(alpha) up to rounding.
         """
         return math.sqrt(self.gain) / 2.0 ** ((self.k_stages + 1) / 2.0)
 
@@ -172,15 +170,13 @@ def compensator_tf(
     raise ValueError(f"unknown form {form!r}")
 
 
-def compensate_stages(
-    e: Envelope, sub: SubsystemSpec, k_list, gain=None, bandwidth_hz=None
-):
+def compensate_stages(e: Envelope, sub: SubsystemSpec, k_list, bandwidth_hz=None):
     """Yield ``(spec, envelope, residual)`` for each K of increasing ``k_list``.
 
     One forward FFT (which also feeds the wraparound check at the largest K,
     where the guard is widest), one E_D and one running partial sum serve
     every K, plus one inverse FFT per K. ``spec`` is
-    ``CompensatorSpec(sub, k, gain)``, the envelope equals
+    ``CompensatorSpec(sub, k)``, the envelope equals
     ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit, and
     ``residual`` bounds the in-band error of the matched cascade by
     max|E_D|^(K+1) over ``bandwidth_hz`` (None without a bandwidth).
@@ -194,7 +190,7 @@ def compensate_stages(
     for k, partial in enumerate(partial_sums(e_d.values, k_list[-1])):
         if k not in k_list:
             continue
-        spec = CompensatorSpec(sub, k, gain)
+        spec = CompensatorSpec(sub, k)
         # spectrum * response in this order, as in apply_tf: with FMA the
         # complex product is not bitwise commutative.
         response = spec.prefactor * partial
@@ -209,7 +205,7 @@ def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:
     The one-K case of :func:`compensate_stages`: it applies
     :func:`compensator_tf` and rejects window-wrapping configurations.
     """
-    [(_, out, _)] = compensate_stages(e, spec.subsystem, (spec.k_stages,), spec.gain)
+    [(_, out, _)] = compensate_stages(e, spec.subsystem, (spec.k_stages,))
     return out
 
 

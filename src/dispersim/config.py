@@ -18,8 +18,8 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-#: Largest stage count K for which the default gain alpha * 2**(K+1) is a
-#: finite double.
+#: Largest stage count K for which the gain alpha * 2**(K+1) is a finite
+#: double.
 MAX_STAGES = 1022
 
 
@@ -52,7 +52,10 @@ def _section(doc: dict, name: str) -> dict:
 def _number(value, path: str, positive: bool = False, nonnegative: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the double range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{path} must be finite")
     if positive and value <= 0:
@@ -136,7 +139,6 @@ class ExperimentConfig:
     dcf_quoted_path_m: float | None
     alphas: tuple
     k_list: tuple
-    gain_override: float | None
     target_broadening: float
     pulse: str
     pulse_width_s: float | None
@@ -160,7 +162,6 @@ class ExperimentConfig:
             "dcf_quoted_path_m": self.dcf_quoted_path_m,
             "alphas": list(self.alphas),
             "k_list": list(self.k_list),
-            "gain_override": self.gain_override,
             "target_broadening": self.target_broadening,
             "pulse": self.pulse,
             "pulse_width_s": self.pulse_width_s,
@@ -221,9 +222,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     comp = _section(doc, "compensator")
     _check_keys(
-        comp,
-        {"alphas", "k_max", "k_list", "gain", "target_broadening"},
-        "compensator",
+        comp, {"alphas", "k_max", "k_list", "target_broadening"}, "compensator"
     )
     alphas_raw = comp.get("alphas", [1.0])
     if not isinstance(alphas_raw, list) or not alphas_raw:
@@ -243,9 +242,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     else:
         k_max = _stage_count(comp.get("k_max", 12), "compensator.k_max")
         k_list = tuple(range(k_max + 1))
-    gain_override = None
-    if "gain" in comp:
-        gain_override = _number(comp["gain"], "compensator.gain", positive=True)
     target_broadening = _number(
         comp.get("target_broadening", 1.1), "compensator.target_broadening",
         positive=True,
@@ -330,7 +326,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         dcf_quoted_path_m=dcf_quoted_path_m,
         alphas=alphas,
         k_list=k_list,
-        gain_override=gain_override,
         target_broadening=target_broadening,
         pulse=pulse,
         pulse_width_s=pulse_width_s,
@@ -381,6 +376,8 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: {exc}") from exc
+    except ValueError as exc:  # also an integer past int()'s digit limit
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_config(doc)

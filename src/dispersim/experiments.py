@@ -129,7 +129,7 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
                 f"{fmt(xi)},{fmt(alpha)},{spec.k_stages},"
                 f"{fmt(intensity_fwhm(out) / tx_width)},{fmt(residual)}"
                 for spec, out, residual in compensate_stages(
-                    rx, sub, cfg.k_list, cfg.gain_override, bandwidth
+                    rx, sub, cfg.k_list, bandwidth
                 )
             )
     _write_text(outdir / "sweep.csv", lines)
@@ -165,9 +165,7 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     rx = propagate(tx, fiber)
     k_table = []
     required = None
-    for spec, out, residual in compensate_stages(
-        rx, sub, cfg.k_list, cfg.gain_override, bandwidth
-    ):
+    for spec, out, residual in compensate_stages(rx, sub, cfg.k_list, bandwidth):
         factor = intensity_fwhm(out) / tx_width
         k_table.append(
             {"k": spec.k_stages, "broadening_factor": factor, "residual_max": residual}
@@ -256,7 +254,7 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     extra = {"compensated": False}
     if cfg.pcf_beta2 is not None:
         sub = match_pcf(fiber, cfg.pcf_beta2, alpha=cfg.alphas[0])
-        spec = CompensatorSpec(sub, cfg.k_list[-1], cfg.gain_override)
+        spec = CompensatorSpec(sub, cfg.k_list[-1])
         envelopes["envelope_compensated.csv"] = compensate(rx, spec)
         extra = {"compensated": True, "k_stages": cfg.k_list[-1]}
     _envelope_csv(outdir, envelopes)

@@ -196,6 +196,17 @@ class TestRegion:
         assert main(["region", "--config", "/nonexistent.json"]) == 2
         assert capsys.readouterr().err != ""
 
+    @pytest.mark.parametrize("command", ["region", "propagate"])
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys, command):
+        config = tmp_path / "utf16.json"
+        config.write_bytes(b"\xff\xfe" + json.dumps(readme_doc()).encode("utf-16-le"))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "utf16.json is not UTF-8" in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_rows_and_convergence(self, tmp_path):
@@ -258,7 +269,7 @@ class TestSweep:
         assert "guard margin" in err
 
     def test_stage_count_past_float_range_exits_2(self, tmp_path, capsys):
-        # the default gain alpha * 2**1101 is not a finite double
+        # the gain alpha * 2**1101 is not a finite double
         doc = readme_doc()
         doc["compensator"] = {"alphas": [1.0], "k_list": [1100]}
         doc["signal"]["window_factor"] = 2000
@@ -502,6 +513,22 @@ class TestRangeRules:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert f"{name} " in err and "out of range" in err
+
+    @pytest.mark.parametrize(
+        "digits, message",
+        [(400, "fiber.z_km must be finite"), (5000, "invalid JSON")],
+        ids=["past-double-range", "past-int-digit-limit"],
+    )
+    def test_integer_past_double_range_exits_2(self, tmp_path, capsys, digits, message):
+        # spliced into the text: json.dumps refuses integers past the digit limit
+        text = json.dumps(scenario_doc(z_km="Z")).replace('"Z"', "1" + "0" * digits)
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        rc = main(["propagate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert message in err
 
     @pytest.mark.parametrize("dt_s", [1e300, 1e307])
     @pytest.mark.parametrize("command", ["propagate", "sweep-k", "scenario"])

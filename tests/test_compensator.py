@@ -32,6 +32,7 @@ from dispersim.compensator import (
     band_error_max,
     compensate_stages,
 )
+from dispersim.config import MAX_STAGES
 from dispersim.fiber import d_to_beta2
 
 PS2_PER_KM = 1e-27
@@ -68,11 +69,15 @@ class TestCompensatorSpec:
         assert spec.gain == 0.25 * 2**4
         assert default_gain(0.25, 3) == 0.25 * 2**4
 
-    def test_gain_override(self):
+    def test_gain_is_always_the_rule(self):
+        _, sub = matched_example(alpha=0.5)
+        for k in (0, 1, 7, MAX_STAGES):
+            assert CompensatorSpec(sub, k).gain == default_gain(0.5, k)
+        with pytest.raises(TypeError):
+            CompensatorSpec(sub, 1, gain=7.0)
+
+    def test_negative_stage_count_rejected(self):
         _, sub = matched_example()
-        assert CompensatorSpec(sub, 1, gain=7.0).gain == 7.0
-        with pytest.raises(ValueError):
-            CompensatorSpec(sub, 1, gain=0.0)
         with pytest.raises(ValueError):
             CompensatorSpec(sub, -1)
 
@@ -297,15 +302,14 @@ class TestCompensateStages:
 
     grid = FrequencyGrid(16384, 64 * (2 / BAND_HZ) / 16384)
 
-    @pytest.mark.parametrize("gain", [None, 3.0])
-    def test_bit_exact_against_compensator_tf(self, gain):
+    def test_bit_exact_against_compensator_tf(self):
         target, sub = matched_example(alpha=0.7)
         rx = propagate(make_sinc_pulse(self.grid, 2 / BAND_HZ), target)
         k_list = (0, 3, 7, 20)
         worst = band_error_max(subsystem_error_tf(sub, self.grid), BAND_HZ)
         seen = []
-        for spec, out, residual in compensate_stages(rx, sub, k_list, gain, BAND_HZ):
-            assert spec == CompensatorSpec(sub, spec.k_stages, gain)
+        for spec, out, residual in compensate_stages(rx, sub, k_list, BAND_HZ):
+            assert spec == CompensatorSpec(sub, spec.k_stages)
             ref = apply_tf(rx, compensator_tf(spec, self.grid))
             # int64 view: array_equal would let -0.0 and 0.0 pass as equal
             assert np.array_equal(

@@ -105,6 +105,7 @@ class TestFailClosed:
             base_doc(signal={"pulse": "sinc", "bandwidth_hz": 3e9, "win": 2}),
             base_doc(sweep={"xis": [1.0]}),
             base_doc(output={"path": "x"}),
+            base_doc(compensator={"alphas": [1.0], "gain": 3.0}),
         ],
     )
     def test_unknown_keys_rejected(self, doc):
@@ -268,6 +269,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(base_doc()).encode("utf-16-le"))
+        with pytest.raises(ConfigError, match="utf16.json is not UTF-8"):
+            load_config(path)
+
 
 def _replace_targets():
     """(section, key) paths of a full document, optional keys included."""
@@ -277,7 +284,7 @@ def _replace_targets():
     )
     optional = {
         "fiber": ["d_ps_nm_km"],
-        "compensator": ["k_list", "gain", "target_broadening"],
+        "compensator": ["k_list", "target_broadening"],
         "signal": ["width_s", "dt_s", "window_factor"],
     }
     targets = [
@@ -290,9 +297,10 @@ def _replace_targets():
 
 
 _FULL_DOC, _TARGETS = _replace_targets()
-# integers are capped so that no draw allocates a large region axis
+# integers are capped so that no draw allocates a large region axis; the two
+# past the double range are neither powers of two nor stage counts
 _SCALARS = st.one_of(
-    st.sampled_from([1e308, -1e308, 1e-320, 5e-324]),
+    st.sampled_from([1e308, -1e308, 1e-320, 5e-324, 10**400, -(10**400)]),
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(min_value=-4096, max_value=4096),
     st.text(max_size=8),
