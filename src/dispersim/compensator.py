@@ -24,16 +24,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.fft import fft, ifft
 
-from .fiber import FiberParams, dispersion_tf
+from .fiber import SPEED_OF_LIGHT, FiberParams, dispersion_tf
 from .iterative import error_tf, partial_sums
 from .signal import (
     Envelope,
     FrequencyGrid,
     TransferFunction,
     check_wraparound,
+    fft,
+    ifft,
 )
 
 #: Group index shared by both compensator branches; their beta1 (s/m) follows.
@@ -187,13 +187,14 @@ def compensate_stages(e: Envelope, sub: SubsystemSpec, k_list, bandwidth_hz=None
     check_wraparound(e, spectrum, k_list[-1] * abs(sub.pcf.beta2) * sub.length_m)
     e_d = subsystem_error_tf(sub, e.grid)
     worst = None if bandwidth_hz is None else band_error_max(e_d, bandwidth_hz)
+    response = np.empty_like(spectrum)  # one buffer for every K's product
     for k, partial in enumerate(partial_sums(e_d.values, k_list[-1])):
         if k not in k_list:
             continue
         spec = CompensatorSpec(sub, k)
         # spectrum * response in this order, as in apply_tf: with FMA the
         # complex product is not bitwise commutative.
-        response = spec.prefactor * partial
+        np.multiply(spec.prefactor, partial, out=response)
         np.multiply(spectrum, response, out=response)
         out = Envelope(e.grid, ifft(response, overwrite_x=True))
         yield spec, out, None if worst is None else worst ** (k + 1)

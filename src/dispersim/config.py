@@ -378,6 +378,8 @@ def load_config(path) -> ExperimentConfig:
             doc = json.load(handle)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8: {exc}") from exc
-    except ValueError as exc:  # also an integer past int()'s digit limit
+    # ValueError also covers an integer past int()'s digit limit, and
+    # RecursionError arrays or objects nested too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_config(doc)

@@ -9,10 +9,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.fft import fft, ifft
 
-from .signal import Envelope, FrequencyGrid, TransferFunction, check_wraparound
+from .signal import (
+    Envelope,
+    FrequencyGrid,
+    TransferFunction,
+    check_wraparound,
+    fft,
+    ifft,
+)
+
+#: Speed of light in vacuum, m/s (exact in the SI).
+SPEED_OF_LIGHT = 299792458.0
 
 # ps/nm/km expressed in s/m^2
 _D_CONVENTIONAL = 1e-6

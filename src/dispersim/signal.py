@@ -4,7 +4,7 @@ All quantities are SI (seconds, meters, rad/s). Frequency axes follow the
 DC-centered convention: bin k carries the signed baseband offset
 ``delta_omega[k] = 2*pi*f_k`` with ``f_k in [-1/(2*dt), 1/(2*dt))`` and the
 Nyquist bin assigned to the negative side, i.e. the ordering of
-``scipy.fft.fftfreq``.
+``numpy.fft.fftfreq``.
 """
 
 import warnings
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import fft, ifft, fftfreq
+from numpy.fft import fftfreq
 
 
 class GridMismatchError(ValueError):
@@ -29,6 +29,19 @@ class WraparoundError(RuntimeError):
 
 class WidthMetricError(ValueError):
     """Raised when a pulse has no measurable half-maximum width."""
+
+
+def fft(x):
+    """Forward DFT of ``x`` (numpy's pocketfft), into a new array."""
+    return np.fft.fft(x)
+
+
+def ifft(x, overwrite_x=False):
+    """Inverse DFT of ``x``; with ``overwrite_x`` the result is written into ``x``.
+
+    ``x`` must then be a complex128 array that the caller no longer needs.
+    """
+    return np.fft.ifft(x, out=x if overwrite_x else None)
 
 
 @dataclass(frozen=True)
@@ -141,7 +154,7 @@ def apply_tf(e: Envelope, h: TransferFunction) -> Envelope:
             f"envelope grid ({e.grid.n_samples} x {e.grid.dt!r}) does not match "
             f"response grid ({h.grid.n_samples} x {h.grid.dt!r})"
         )
-    return Envelope(e.grid, ifft(fft(e.samples) * h.values))
+    return Envelope(e.grid, ifft(fft(e.samples) * h.values, overwrite_x=True))
 
 
 def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
@@ -185,7 +198,8 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
     weights[k == half_band_bins] = 0.5
     center = grid.n_samples // 2
     t_c = center * grid.dt
-    samples = ifft(weights * np.exp(-1j * grid.delta_omega * t_c))
+    spectrum = weights * np.exp(-1j * grid.delta_omega * t_c)
+    samples = ifft(spectrum, overwrite_x=True)
     samples = samples * (1.0 / samples[center].real)
     return Envelope(grid, samples)
 

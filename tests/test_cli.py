@@ -207,6 +207,17 @@ class TestRegion:
         assert "utf16.json is not UTF-8" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["region", "propagate"])
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, command):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "invalid JSON" in err and "recursion" in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_rows_and_convergence(self, tmp_path):

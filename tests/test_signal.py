@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.fft import fft
+from numpy.fft import fft
 
 from dispersim import (
     Envelope,
@@ -18,6 +18,7 @@ from dispersim import (
     make_sinc_pulse,
     occupied_bandwidth,
 )
+from dispersim.signal import ifft
 
 
 def random_envelope(grid, seed=0):
@@ -85,6 +86,18 @@ class TestTransforms:
         back = apply_tf(there, TransferFunction(grid, np.exp(-1j * phase)))
         assert abs(there.energy / e.energy - 1) < 1e-12
         np.testing.assert_allclose(back.samples, e.samples, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 256, 16384, 65536])
+    def test_in_place_inverse_is_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expected = np.fft.ifft(x)
+        kept = ifft(x)
+        assert not np.shares_memory(kept, x)
+        out = ifft(x, overwrite_x=True)
+        assert np.shares_memory(out, x)
+        for got in (kept, out):
+            assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 
 
 def unit_tf(grid):
