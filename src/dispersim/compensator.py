@@ -187,16 +187,15 @@ def compensate_stages(e: Envelope, sub: SubsystemSpec, k_list, bandwidth_hz=None
     check_wraparound(e, spectrum, k_list[-1] * abs(sub.pcf.beta2) * sub.length_m)
     e_d = subsystem_error_tf(sub, e.grid)
     worst = None if bandwidth_hz is None else band_error_max(e_d, bandwidth_hz)
-    response = np.empty_like(spectrum)  # one buffer for every K's product
     for k, partial in enumerate(partial_sums(e_d.values, k_list[-1])):
         if k not in k_list:
             continue
         spec = CompensatorSpec(sub, k)
         # spectrum * response in this order, as in apply_tf: with FMA the
         # complex product is not bitwise commutative.
-        np.multiply(spec.prefactor, partial, out=response)
+        response = spec.prefactor * partial
         np.multiply(spectrum, response, out=response)
-        out = Envelope(e.grid, ifft(response, overwrite_x=True))
+        out = Envelope(e.grid, ifft(response))
         yield spec, out, None if worst is None else worst ** (k + 1)
 
 

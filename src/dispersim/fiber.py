@@ -93,4 +93,4 @@ def propagate(e: Envelope, fiber: FiberParams) -> Envelope:
     spectrum = fft(e.samples)
     check_wraparound(e, spectrum, fiber.beta2 * fiber.length_m)
     spectrum *= dispersion_tf(fiber, e.grid).values
-    return Envelope(e.grid, ifft(spectrum, overwrite_x=True))
+    return Envelope(e.grid, ifft(spectrum))

@@ -55,17 +55,15 @@ def neumann_sum_tf(h: TransferFunction, spec: IterationSpec) -> TransferFunction
 def partial_sums(e: np.ndarray, k_max: int):
     """Yield S_k = S_{k-1} + e^k = sum_{j=0..k} e^j for k = 0..k_max, bin-wise.
 
-    The sums are formed in place: every yield is the same array, overwritten
-    by the next step, so a caller that needs S_k past the next step copies
-    it. The running power e^k is dropped before the last yield, so a caller
-    that keeps only S_{k_max} holds one array less.
+    Each yield is a fresh array. The running power e^k is dropped before
+    the last yield, so a caller that keeps only S_{k_max} holds one array less.
     """
     term = np.ones_like(e)
     acc = np.ones_like(e)
     for _ in range(k_max):
         yield acc
-        term *= e
-        acc += term
+        term = term * e
+        acc = acc + term
     del term
     yield acc
 

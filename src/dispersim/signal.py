@@ -36,12 +36,12 @@ def fft(x):
     return np.fft.fft(x)
 
 
-def ifft(x, overwrite_x=False):
-    """Inverse DFT of ``x``; with ``overwrite_x`` the result is written into ``x``.
+def ifft(x):
+    """Inverse DFT of ``x``, written in place into ``x``.
 
-    ``x`` must then be a complex128 array that the caller no longer needs.
+    ``x`` must be a complex128 array that the caller no longer needs.
     """
-    return np.fft.ifft(x, out=x if overwrite_x else None)
+    return np.fft.ifft(x, out=x)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def apply_tf(e: Envelope, h: TransferFunction) -> Envelope:
             f"envelope grid ({e.grid.n_samples} x {e.grid.dt!r}) does not match "
             f"response grid ({h.grid.n_samples} x {h.grid.dt!r})"
         )
-    return Envelope(e.grid, ifft(fft(e.samples) * h.values, overwrite_x=True))
+    return Envelope(e.grid, ifft(fft(e.samples) * h.values))
 
 
 def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
@@ -198,8 +198,7 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
     weights[k == half_band_bins] = 0.5
     center = grid.n_samples // 2
     t_c = center * grid.dt
-    spectrum = weights * np.exp(-1j * grid.delta_omega * t_c)
-    samples = ifft(spectrum, overwrite_x=True)
+    samples = ifft(weights * np.exp(-1j * grid.delta_omega * t_c))
     samples = samples * (1.0 / samples[center].real)
     return Envelope(grid, samples)
 
