@@ -9,6 +9,7 @@ maximum stable transmission length for a given bandwidth.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -16,8 +17,17 @@ from .iterative import CONTRACTION_MARGIN
 
 
 def dispersion_strength(beta2: float, z_m: float, bandwidth_hz: float) -> float:
-    """Dimensionless xi = |beta2| * z * (2*pi*B)^2."""
-    return abs(beta2) * z_m * (2.0 * math.pi * bandwidth_hz) ** 2
+    """Dimensionless xi = |beta2| * z * (2*pi*B)^2.
+
+    When |beta2| * z leaves the normal double range, xi is the per-metre
+    strength times z instead: multiplying first would lose digits, or all of
+    them, to underflow.
+    """
+    omega_sq = (2.0 * math.pi * bandwidth_hz) ** 2
+    beta2_z = abs(beta2) * z_m
+    if beta2_z < sys.float_info.min and beta2 and z_m:
+        return abs(beta2) * omega_sq * z_m
+    return beta2_z * omega_sq
 
 
 def span_length(xi: float, beta2: float, bandwidth_hz: float) -> float:

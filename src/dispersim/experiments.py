@@ -35,7 +35,7 @@ from .signal import (
 REGION_CSV_HEADER = "B_hz,z_max_m,alpha,beta2_si"
 SWEEP_CSV_HEADER = "xi,alpha,K,broadening_factor,residual_max"
 ENVELOPE_CSV_HEADER = "t_s,re,im"
-ENVELOPE_BLOCK = 1024  # samples per _envelope_csv block; bounds its per-block lists
+ENVELOPE_BLOCK = 1024  # samples per _envelope_csv block: one % format per file
 
 
 class DivergenceError(RuntimeError):
@@ -223,10 +223,10 @@ def _envelope_csv(outdir: Path, envelopes: dict) -> None:
     """Write each ``file name -> Envelope`` as ``t_s,re,im`` lines, all together.
 
     The envelopes share one grid; each block of ``ENVELOPE_BLOCK`` time values
-    is formatted once and reused in every file.
+    is formatted once and reused in every file, and each file's block is one
+    ``%`` format. ``%.9g`` and :func:`fmt` format a float identically.
     """
     t = next(iter(envelopes.values())).grid.time_axis
-    line = "{},{:.9g},{:.9g}\n".format
     with contextlib.ExitStack() as stack:
         files = []
         for name, e in envelopes.items():
@@ -237,9 +237,13 @@ def _envelope_csv(outdir: Path, envelopes: dict) -> None:
         for lo in range(0, t.size, ENVELOPE_BLOCK):
             hi = lo + ENVELOPE_BLOCK
             times = [format(x, ".9g") for x in t[lo:hi].tolist()]
+            block = "%s,%.9g,%.9g\n" * len(times)
+            fields = [None] * (3 * len(times))
+            fields[0::3] = times
             for handle, s in files:
-                re, im = s[lo:hi].real.tolist(), s[lo:hi].imag.tolist()
-                handle.writelines(map(line, times, re, im))
+                fields[1::3] = s[lo:hi].real.tolist()
+                fields[2::3] = s[lo:hi].imag.tolist()
+                handle.write(block % tuple(fields))
 
 
 def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:

@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dispersim.cli import main
 from dispersim.compensator import CompensatorSpec, compensate, match_pcf
@@ -450,6 +450,19 @@ class TestPropagate:
                 for i in range(n_samples)
             )
             assert (out / name).read_bytes() == expected.encode("utf-8"), name
+
+
+@settings(max_examples=1000)
+@given(x=st.floats())
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=-5e-324)
+@example(x=float("inf"))
+@example(x=float("-inf"))
+@example(x=float("nan"))
+def test_envelope_block_format_matches_per_sample_rule(x):
+    # _envelope_csv formats each block with "%.9g"
+    assert "%.9g" % x == format(x, ".9g")
 
 
 def _doc(base, **sections):

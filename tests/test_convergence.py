@@ -92,13 +92,33 @@ class TestStable:
             stable(0.5, BETA2, 1e9, -1.0)
 
 
+class TestDispersionStrength:
+    @pytest.mark.parametrize("z_km", [1e-300, 1e-302])
+    def test_tiny_span_keeps_its_digits(self, z_km):
+        # |beta2| * z is subnormal at 1e-300 km and rounds to zero at 1e-302 km
+        per_metre = dispersion_strength(BETA2, 1.0, 3e9)
+        strength = dispersion_strength(BETA2, z_km * 1e3, 3e9)
+        assert strength == pytest.approx(per_metre * z_km * 1e3, rel=1e-15, abs=0)
+
+    def test_tiny_strength_round_trips_through_span_length(self):
+        beta2 = -1.0 * PS2_PER_KM
+        z = span_length(1.1e-308, beta2, 1e8)
+        strength = dispersion_strength(beta2, z, 1e8)
+        assert strength == pytest.approx(1.1e-308, rel=1e-15, abs=0)
+
+    def test_normal_range_keeps_product_order(self):
+        expected = abs(BETA2) * 130e3 * (2 * math.pi * 3e9) ** 2
+        assert dispersion_strength(BETA2, 130e3, 3e9) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     beta2_ps2_km=st.floats(1.0, 100.0),
     sign=st.sampled_from([-1.0, 1.0]),
     bandwidth=st.floats(1e8, 1e11),
-    # below about 1e-290 the product |beta2| * z leaves the normal double range
-    xi=st.floats(1e-12, 20.0),
+    # xi / 8 is subnormal below 1.8e-307, and from about 2.2e-308 down
+    # 8 * edge_phase misses xi by more than 1e-15
+    xi=st.floats(1e-307, 20.0),
     alpha=st.floats(0.01, 1.0),
 )
 def test_length_bandwidth_law_has_one_source(beta2_ps2_km, sign, bandwidth, xi, alpha):
