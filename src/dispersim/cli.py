@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when all requested rows were computed, 2 on configuration or
-usage errors, 3 when a numerical guard (window wraparound, operating point
-outside the convergence region, a pulse width that cannot be measured)
-aborts the run.
+usage errors (a grid too large to allocate included), 3 when a numerical
+guard (window wraparound, operating point outside the convergence region, a
+pulse width that cannot be measured) aborts the run.
 """
 
 import argparse
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, WindowError, OSError) as exc:
+    except (ConfigError, WindowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (WraparoundError, DivergenceError, WidthMetricError) as exc:

@@ -227,6 +227,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     alphas = tuple(_number(a, "compensator.alphas[]") for a in alphas_raw)
     if any(not (0 < a <= 1) for a in alphas):
         raise ConfigError("compensator.alphas values must lie in (0, 1]")
+    if len(set(alphas)) < len(alphas):
+        raise ConfigError("compensator.alphas must not repeat a value")
     if "k_max" in comp and "k_list" in comp:
         raise ConfigError("compensator must give at most one of k_max or k_list")
     if "k_list" in comp:
@@ -245,47 +247,28 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
     signal = _section(doc, "signal")
-    _check_keys(
-        signal,
-        {"pulse", "bandwidth_hz", "width_s", "n_samples", "dt_s", "window_factor"},
-        "signal",
-    )
     pulse = signal.get("pulse", "sinc")
     if pulse not in ("sinc", "gaussian"):
         raise ConfigError("signal.pulse must be 'sinc' or 'gaussian'")
-    # zero-to-zero width and B = 2/width for sinc, 1/e-intensity half-width
-    # and no bandwidth for gaussian
-    pulse_width_s = None
-    bandwidth_hz = None
-    if pulse == "sinc":
-        has_b = "bandwidth_hz" in signal
-        has_w = "width_s" in signal
-        if "signal" in doc and has_b == has_w:
-            raise ConfigError(
-                "signal must give exactly one of bandwidth_hz or width_s"
-            )
-        if has_b:
-            bandwidth_hz = _number(signal["bandwidth_hz"], "signal.bandwidth_hz", positive=True)
-            pulse_width_s = 2.0 / bandwidth_hz
-        if has_w:
-            pulse_width_s = _number(signal["width_s"], "signal.width_s", positive=True)
-            bandwidth_hz = 2.0 / pulse_width_s
-    else:
-        if "bandwidth_hz" in signal:
-            raise ConfigError("signal.bandwidth_hz is not defined for gaussian pulses")
-        if "width_s" not in signal:
-            raise ConfigError("signal.width_s is required for gaussian pulses")
-        pulse_width_s = _number(signal["width_s"], "signal.width_s", positive=True)
+    # a sinc pulse is set by its bandwidth B (zero-to-zero width 2/B), a
+    # gaussian by its 1/e-intensity half-width and has no bandwidth
+    width_key = "bandwidth_hz" if pulse == "sinc" else "width_s"
+    _check_keys(signal, {"pulse", width_key, "n_samples", "window_factor"}, "signal")
     n_samples = _integer(signal.get("n_samples", 16384), "signal.n_samples", minimum=2)
     if n_samples & (n_samples - 1):
         raise ConfigError("signal.n_samples must be a power of two")
     window_factor = _number(
         signal.get("window_factor", 64.0), "signal.window_factor", positive=True
     )
-    dt_s = None
-    if "dt_s" in signal:
-        dt_s = _number(signal["dt_s"], "signal.dt_s", positive=True)
-    elif pulse_width_s is not None:
+    pulse_width_s = bandwidth_hz = dt_s = None
+    if "signal" in doc:
+        if width_key not in signal:
+            raise ConfigError(f"signal.{width_key} is required for {pulse} pulses")
+        width = _number(signal[width_key], f"signal.{width_key}", positive=True)
+        if pulse == "sinc":
+            bandwidth_hz, pulse_width_s = width, 2.0 / width
+        else:
+            pulse_width_s = width
         dt_s = window_factor * pulse_width_s / n_samples
 
     sweep = _section(doc, "sweep")
@@ -371,14 +354,25 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return cfg
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` that refuses a key repeated within one object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8: {exc}") from exc
-    # ValueError also covers an integer past int()'s digit limit, and
-    # RecursionError arrays or objects nested too deep to decode
+    # ValueError also covers an integer past int()'s digit limit and the
+    # ConfigError of a repeated key, and RecursionError arrays or objects
+    # nested too deep to decode
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_config(doc)

@@ -63,7 +63,7 @@ def stable(alpha: float, beta2: float, bandwidth_hz: float, z_m: float) -> bool:
         return False
     # |1 - sqrt(alpha)*exp(-j*theta)| via the law of cosines
     worst = np.sqrt(1.0 + alpha - 2.0 * math.sqrt(alpha) * np.cos(theta_edge))
-    return worst < 1.0 - CONTRACTION_MARGIN
+    return bool(worst < 1.0 - CONTRACTION_MARGIN)
 
 
 def z_max(bandwidth_hz: float, alpha: float, beta2: float) -> float:

@@ -66,7 +66,7 @@ def write_meta(outdir: Path, command: str, cfg: ExperimentConfig, extra: dict) -
 def build_pulse(cfg: ExperimentConfig) -> Envelope:
     """The transmitted pulse on the configured grid (``tx.grid``)."""
     if cfg.pulse_width_s is None:
-        raise ConfigError("signal section must define a pulse width or bandwidth")
+        raise ConfigError("signal section is required")
     grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
     if cfg.pulse == "sinc":
         return make_sinc_pulse(grid, cfg.pulse_width_s)
@@ -151,15 +151,13 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
         raise ConfigError("pcf section is required for the scenario command")
     if cfg.pulse != "sinc":
         raise ConfigError("scenario runs on sinc pulses")
-    if cfg.bandwidth_hz is None:
-        raise ConfigError("signal section is required for the scenario command")
+    tx = build_pulse(cfg)
     bandwidth = cfg.bandwidth_hz
     alpha = cfg.alphas[0]
     _require_convergence(cfg, alpha)
     xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, bandwidth)
     fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
     sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-    tx = build_pulse(cfg)
     tx_width = intensity_fwhm(tx)
     rx = propagate(tx, fiber)
     k_table = []

@@ -218,6 +218,39 @@ class TestRegion:
         assert "invalid JSON" in err and "recursion" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            # last-wins would run 1400 km, outside the convergence region
+            ('"z_km": 130.0', '"z_km": 130.0, "z_km": 1400.0', "z_km"),
+            ('"scenario": ', '"fiber": {"d_ps_nm_km": 17.0}, "scenario": ', "fiber"),
+        ],
+        ids=["nested-key", "top-level-section"],
+    )
+    def test_repeated_json_key_exits_2(self, tmp_path, capsys, old, new, key):
+        text = json.dumps(readme_doc()).replace(old, new, 1)
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["scenario", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"repeated key '{key}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["region", "sweep-k"])
+    def test_repeated_alpha_exits_2(self, tmp_path, capsys, command):
+        doc = _doc(
+            readme_doc(), signal=_SMALL_SINC, compensator={"alphas": [1.0, 0.5, 1.0]}
+        )
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "compensator.alphas must not repeat a value" in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_rows_and_convergence(self, tmp_path):
@@ -569,16 +602,28 @@ class TestRangeRules:
         assert err.count("error:") == 1
         assert message in err
 
-    @pytest.mark.parametrize("dt_s", [1e300, 1e307])
+    @pytest.mark.parametrize("window_factor", [1e300, 4096])
     @pytest.mark.parametrize("command", ["propagate", "sweep-k", "scenario"])
-    def test_coarse_sinc_step_exits_2(self, tmp_path, capsys, command, dt_s):
-        # the window (or its inverse) leaves the float range
-        doc = _doc(readme_doc(), signal=dict(_SMALL_SINC, dt_s=dt_s))
+    def test_coarse_sinc_step_exits_2(self, tmp_path, capsys, command, window_factor):
+        # the band spans window_factor bins on each side of zero, past the
+        # 127 that 256 samples hold; 1e300 also runs the cap before int()
+        doc = _doc(readme_doc(), signal=dict(_SMALL_SINC, window_factor=window_factor))
         config = write_config(tmp_path, doc)
         assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "time step too coarse" in err
+
+    @pytest.mark.parametrize("command", ["sweep-k", "scenario", "propagate"])
+    def test_unallocatable_grid_exits_2(self, tmp_path, capsys, command):
+        # 2**58 samples ask for 2 EiB per array, past any address space, so
+        # the request fails at once without touching memory
+        doc = _doc(readme_doc(), signal=dict(_SMALL_SINC, n_samples=2**58))
+        config = write_config(tmp_path, doc)
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "allocate" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -659,9 +704,10 @@ def test_sweep_exits_cleanly_on_finite_strengths(xi, pcf_beta2, k_max):
 
 @pytest.mark.filterwarnings("ignore:multiple lobes")
 @settings(max_examples=100, deadline=None)
-@given(dt_s=_POSITIVE)
-def test_propagate_exits_cleanly_on_finite_steps(dt_s):
-    doc = _doc(readme_doc(), signal=dict(_SMALL_SINC, dt_s=dt_s))
+@given(window_factor=_POSITIVE)
+def test_propagate_exits_cleanly_on_finite_steps(window_factor):
+    # the time step is window_factor * (2/B) / n_samples
+    doc = _doc(readme_doc(), signal=dict(_SMALL_SINC, window_factor=window_factor))
     doc["compensator"] = {"alphas": [1.0], "k_max": 2}
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), doc)

@@ -56,11 +56,6 @@ class TestParsing:
         assert cfg.dcf_beta2 == pytest.approx(d_to_beta2(-250.0, 1.55e-6))
         assert cfg.dcf_quoted_path_m == 7000.0
 
-    def test_width_instead_of_bandwidth(self):
-        doc = base_doc(signal={"pulse": "sinc", "width_s": 666.7e-12})
-        cfg = parse_config(doc)
-        assert cfg.bandwidth_hz == pytest.approx(2 / 666.7e-12)
-
     def test_gaussian_signal(self):
         doc = base_doc(signal={"pulse": "gaussian", "width_s": 100e-12})
         cfg = parse_config(doc)
@@ -106,27 +101,28 @@ class TestFailClosed:
             base_doc(sweep={"xis": [1.0]}),
             base_doc(output={"path": "x"}),
             base_doc(compensator={"alphas": [1.0], "gain": 3.0}),
+            # each pulse kind takes one width key, and the step follows from
+            # window_factor alone
+            base_doc(signal={"pulse": "sinc", "width_s": 1e-10}),
+            base_doc(signal={"pulse": "sinc", "bandwidth_hz": 3e9, "width_s": 1e-10}),
+            base_doc(signal={"pulse": "gaussian", "width_s": 1e-10, "bandwidth_hz": 3e9}),
+            base_doc(signal={"pulse": "sinc", "bandwidth_hz": 3e9, "dt_s": 1e-12}),
         ],
     )
     def test_unknown_keys_rejected(self, doc):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("signal", [{"pulse": "sinc"}, {"n_samples": 256}])
+    def test_sinc_requires_bandwidth(self, signal):
+        with pytest.raises(ConfigError, match="bandwidth_hz is required for sinc"):
+            parse_config(base_doc(signal=signal))
+
     def test_fiber_requires_exactly_one_dispersion_value(self):
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config(base_doc(fiber={"d_ps_nm_km": 17.0, "beta2_ps2_km": -21.0}))
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config(base_doc(fiber={"lambda0_m": 1.55e-6}))
-
-    def test_signal_requires_exactly_one_width(self):
-        with pytest.raises(ConfigError, match="exactly one"):
-            parse_config(
-                base_doc(
-                    signal={"pulse": "sinc", "bandwidth_hz": 3e9, "width_s": 1e-10}
-                )
-            )
-        with pytest.raises(ConfigError, match="exactly one"):
-            parse_config(base_doc(signal={"pulse": "sinc"}))
 
     def test_gaussian_rules(self):
         with pytest.raises(ConfigError):
@@ -212,7 +208,11 @@ class TestFailClosed:
                 base_doc(dcf={"d_ps_nm_km": -250.0, "quoted_path_km": 1e307}),
                 "dcf_quoted_path_m",
             ),
-            (base_doc(signal={"pulse": "sinc", "width_s": 1e-320}), "bandwidth_hz"),
+            # the pulse width 2/B overflows to inf
+            (
+                base_doc(signal={"pulse": "sinc", "bandwidth_hz": 1e-320}),
+                "pulse_width_s",
+            ),
             (
                 base_doc(
                     signal={
@@ -233,7 +233,7 @@ class TestFailClosed:
     @pytest.mark.parametrize(
         "doc",
         [
-            base_doc(signal={"pulse": "sinc", "width_s": 1e-200, "n_samples": 256}),
+            base_doc(signal={"pulse": "sinc", "bandwidth_hz": 2e200, "n_samples": 256}),
             base_doc(region={"bandwidths_hz": {"min": 1e9, "max": 1e160, "count": 3}}),
             # |beta2| * (2*pi*B)^2 is a positive subnormal here
             base_doc(region={"bandwidths_hz": [1.1e-143, 1e9]}),
@@ -285,7 +285,7 @@ def _replace_targets():
     optional = {
         "fiber": ["d_ps_nm_km"],
         "compensator": ["k_list", "target_broadening"],
-        "signal": ["width_s", "dt_s", "window_factor"],
+        "signal": ["window_factor"],
     }
     targets = [
         (section, key)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -44,6 +45,17 @@ class TestStable:
         bandwidth = 3e9
         z = math.pi / 2 / (abs(BETA2) / 2 * (math.pi * bandwidth) ** 2)
         assert not stable(1.0, BETA2, bandwidth, z)
+
+    def test_returns_a_python_bool(self):
+        # both decisions come from the law-of-cosines branch, not theta >= pi
+        quarter_turn = math.pi / 2 / edge_phase(BETA2, 3e9, 1.0)
+        inside = stable(1.0, BETA2, 3e9, 0.0)
+        outside = stable(1.0, BETA2, 3e9, quarter_turn)
+        assert inside is True
+        assert outside is False
+        assert json.loads(json.dumps({"stable": [inside, outside]})) == {
+            "stable": [True, False]
+        }
 
     def test_boundary_is_excluded(self):
         alpha = 0.8
