@@ -45,6 +45,11 @@ DEFAULT_SMF_BETA1 = SMF_GROUP_INDEX / SPEED_OF_LIGHT
 MAX_STAGES = 1022
 
 
+def _is_stage_count(k) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
 @dataclass(frozen=True)
 class SubsystemSpec:
     """One two-branch block: up-branch fiber, down-branch fiber, attenuator."""
@@ -72,9 +77,7 @@ class CompensatorSpec:
     k_stages: int
 
     def __post_init__(self):
-        if not isinstance(self.k_stages, (int, np.integer)) or isinstance(
-            self.k_stages, bool
-        ):
+        if not _is_stage_count(self.k_stages):
             raise ValueError("k_stages must be an integer")
         if not 0 <= self.k_stages <= MAX_STAGES:
             raise ValueError(f"k_stages must lie in 0..{MAX_STAGES}")
@@ -156,25 +159,27 @@ def compensator_tf(spec: CompensatorSpec, grid: FrequencyGrid) -> TransferFuncti
     return TransferFunction(grid, spec.prefactor * total.values)
 
 
-def compensate_stages(e: Envelope, sub: SubsystemSpec, k_list, bandwidth_hz=None):
-    """Yield ``(spec, envelope, residual)`` for each K of increasing ``k_list``.
+def compensate_stages(e: Envelope, sub: SubsystemSpec, k_list):
+    """Yield ``(spec, envelope)`` for each K of increasing ``k_list``.
 
     One forward FFT (which also feeds the wraparound check at the largest K,
     where the guard is widest), one E_D and one running partial sum serve
     every K, plus one inverse FFT per K. ``spec`` is
-    ``CompensatorSpec(sub, k)``, the envelope equals
-    ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit, and
-    ``residual`` bounds the in-band error of the matched cascade by
-    max|E_D|^(K+1) over ``bandwidth_hz`` (None without a bandwidth).
+    ``CompensatorSpec(sub, k)`` and the envelope equals
+    ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit.
     """
-    if not k_list or not 0 <= k_list[0] <= k_list[-1] <= MAX_STAGES or any(
-        b <= a for a, b in zip(k_list, k_list[1:])
+    if (
+        not k_list
+        or not all(map(_is_stage_count, k_list))
+        or not 0 <= k_list[0] <= k_list[-1] <= MAX_STAGES
+        or any(b <= a for a, b in zip(k_list, k_list[1:]))
     ):
-        raise ValueError(f"k_list must be strictly increasing within 0..{MAX_STAGES}")
+        raise ValueError(
+            f"k_list must be strictly increasing integers within 0..{MAX_STAGES}"
+        )
     spectrum = fft(e.samples)
     check_wraparound(e, spectrum, k_list[-1] * abs(sub.pcf.beta2) * sub.length_m)
     e_d = subsystem_error_tf(sub, e.grid)
-    worst = None if bandwidth_hz is None else band_error_max(e_d, bandwidth_hz)
     for k, partial in enumerate(partial_sums(e_d.values, k_list[-1])):
         if k not in k_list:
             continue
@@ -183,8 +188,7 @@ def compensate_stages(e: Envelope, sub: SubsystemSpec, k_list, bandwidth_hz=None
         # complex product is not bitwise commutative.
         response = spec.prefactor * partial
         np.multiply(spectrum, response, out=response)
-        out = Envelope(e.grid, ifft(response))
-        yield spec, out, None if worst is None else worst ** (k + 1)
+        yield spec, Envelope(e.grid, ifft(response))
 
 
 def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:
@@ -193,7 +197,7 @@ def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:
     The one-K case of :func:`compensate_stages`: it applies
     :func:`compensator_tf` and rejects window-wrapping configurations.
     """
-    [(_, out, _)] = compensate_stages(e, spec.subsystem, (spec.k_stages,))
+    [(_, out)] = compensate_stages(e, spec.subsystem, (spec.k_stages,))
     return out
 
 
@@ -203,14 +207,3 @@ def compensation_latency(spec: CompensatorSpec) -> float:
     Reported only: sampled responses are in the retarded frame.
     """
     return spec.k_stages * spec.subsystem.length_m * DEFAULT_SMF_BETA1
-
-
-def band_error_max(e_d: TransferFunction, bandwidth_hz: float) -> float:
-    """Worst in-band magnitude max|E_D| over |delta_omega| <= pi*B.
-
-    This is the operator norm of the error response on the band: the
-    truncated sums converge there iff it is below 1 (see
-    :data:`~dispersim.iterative.CONTRACTION_MARGIN` for a strict test).
-    """
-    mask = np.abs(e_d.grid.delta_omega) <= np.pi * bandwidth_hz * (1 + 1e-12)
-    return float(np.max(np.abs(e_d.values[mask])))

@@ -8,10 +8,9 @@ beta2-only span this reduces to a closed-form bound on the phase
 maximum stable transmission length for a given bandwidth.
 """
 
+import cmath
 import math
 import sys
-
-import numpy as np
 
 from .iterative import CONTRACTION_MARGIN
 
@@ -44,26 +43,29 @@ def edge_phase(beta2: float, bandwidth_hz: float, z_m: float) -> float:
     return abs(beta2) * (math.pi * bandwidth_hz) ** 2 * z_m / 2.0
 
 
-def stable(alpha: float, beta2: float, bandwidth_hz: float, z_m: float) -> bool:
-    """True iff sup over |delta_omega| <= pi*B of the error magnitude is < 1.
+def edge_error(alpha: float, beta2: float, bandwidth_hz: float, z_m: float) -> float:
+    """Worst in-band error magnitude: sup of |1 - sqrt(alpha)*exp(-j*theta)|.
 
-    The test is strict with a :data:`CONTRACTION_MARGIN` guard. For a
-    beta2-only span the supremum sits at the band edge (the magnitude is
-    monotone in the accumulated phase while it stays below pi), so the edge
-    value decides.
+    The supremum over |delta_omega| <= pi*B sits at the band edge, because
+    the magnitude grows with the accumulated phase up to pi, where it peaks
+    at 1 + sqrt(alpha); :func:`edge_phase` is capped there. K stages leave an
+    in-band error of at most this value to the power K+1. The complex
+    modulus keeps its digits at small phase, where the law of cosines
+    1 + alpha - 2*sqrt(alpha)*cos(theta) cancels.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
-    if bandwidth_hz <= 0:
+    if not bandwidth_hz > 0:
         raise ValueError("bandwidth must be positive")
-    if z_m < 0:
+    if not z_m >= 0:
         raise ValueError("z must be non-negative")
-    theta_edge = edge_phase(beta2, bandwidth_hz, z_m)
-    if theta_edge >= math.pi:
-        return False
-    # |1 - sqrt(alpha)*exp(-j*theta)| via the law of cosines
-    worst = np.sqrt(1.0 + alpha - 2.0 * math.sqrt(alpha) * np.cos(theta_edge))
-    return bool(worst < 1.0 - CONTRACTION_MARGIN)
+    theta_edge = min(edge_phase(beta2, bandwidth_hz, z_m), math.pi)
+    return abs(1 - math.sqrt(alpha) * cmath.exp(-1j * theta_edge))
+
+
+def stable(alpha: float, beta2: float, bandwidth_hz: float, z_m: float) -> bool:
+    """True iff :func:`edge_error` < 1 - :data:`CONTRACTION_MARGIN` (a strict test)."""
+    return bool(edge_error(alpha, beta2, bandwidth_hz, z_m) < 1.0 - CONTRACTION_MARGIN)
 
 
 def z_max(bandwidth_hz: float, alpha: float, beta2: float) -> float:
@@ -71,7 +73,7 @@ def z_max(bandwidth_hz: float, alpha: float, beta2: float) -> float:
 
     Unbounded (inf) when beta2 is zero.
     """
-    if bandwidth_hz <= 0:
+    if not bandwidth_hz > 0:
         raise ValueError("bandwidth must be positive")
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")

@@ -13,15 +13,13 @@ from pathlib import Path
 from . import __version__
 from .compensator import (
     CompensatorSpec,
-    band_error_max,
     compensate,
     compensate_stages,
     compensation_latency,
     match_pcf,
-    subsystem_error_tf,
 )
 from .config import ConfigError, ExperimentConfig
-from .convergence import dispersion_strength, span_length, stable, z_max
+from .convergence import dispersion_strength, edge_error, span_length, stable, z_max
 from .fiber import FiberParams, propagate
 from .signal import (
     Envelope,
@@ -103,7 +101,9 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
 
     The pulse is built and its width measured once per run; each xi's span
     is propagated once, at its first converging alpha, and never when all
-    of its pairs diverge.
+    of its pairs diverge. ``residual_max`` is the closed-form band-edge bound
+    ``edge_error ** (K+1)`` for every pair, so a diverged pair builds no
+    response.
     """
     if cfg.pcf_beta2 is None:
         raise ConfigError("pcf section is required for the sweep-k command")
@@ -118,22 +118,20 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
         fiber = FiberParams(beta2, z_m)
         rx = None
         for alpha in sorted(cfg.alphas):
-            sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-            if not stable(alpha, beta2, bandwidth, z_m):
-                worst = band_error_max(subsystem_error_tf(sub, tx.grid), bandwidth)
-                lines.extend(
-                    f"{fmt(xi)},{fmt(alpha)},{k},diverged,{fmt(worst ** (k + 1))}"
-                    for k in cfg.k_list
-                )
-                continue
-            if rx is None:
-                rx = propagate(tx, fiber)
+            if stable(alpha, beta2, bandwidth, z_m):
+                if rx is None:
+                    rx = propagate(tx, fiber)
+                sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
+                factors = [
+                    fmt(intensity_fwhm(out) / tx_width)
+                    for _, out in compensate_stages(rx, sub, cfg.k_list)
+                ]
+            else:
+                factors = ["diverged"] * len(cfg.k_list)
+            worst = edge_error(alpha, beta2, bandwidth, z_m)
             lines.extend(
-                f"{fmt(xi)},{fmt(alpha)},{spec.k_stages},"
-                f"{fmt(intensity_fwhm(out) / tx_width)},{fmt(residual)}"
-                for spec, out, residual in compensate_stages(
-                    rx, sub, cfg.k_list, bandwidth
-                )
+                f"{fmt(xi)},{fmt(alpha)},{k},{factor},{fmt(worst ** (k + 1))}"
+                for k, factor in zip(cfg.k_list, factors)
             )
     _write_text(outdir / "sweep.csv", lines)
     diverged = sum(1 for line in lines if ",diverged," in line)
@@ -160,10 +158,12 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
     tx_width = intensity_fwhm(tx)
     rx = propagate(tx, fiber)
+    worst = edge_error(alpha, cfg.fiber_beta2, bandwidth, cfg.z_m)
     k_table = []
     required = None
-    for spec, out, residual in compensate_stages(rx, sub, cfg.k_list, bandwidth):
+    for spec, out in compensate_stages(rx, sub, cfg.k_list):
         factor = intensity_fwhm(out) / tx_width
+        residual = worst ** (spec.k_stages + 1)
         k_table.append(
             {"k": spec.k_stages, "broadening_factor": factor, "residual_max": residual}
         )

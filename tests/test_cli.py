@@ -14,7 +14,7 @@ from dispersim.compensator import CompensatorSpec, compensate, match_pcf
 from dispersim.config import parse_config
 from dispersim.experiments import ENVELOPE_BLOCK, build_pulse, fmt
 from dispersim.fiber import FiberParams, d_to_beta2, propagate
-from dispersim.convergence import z_max
+from dispersim.convergence import edge_error, span_length, z_max
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -254,7 +254,8 @@ class TestRegion:
 
 class TestSweep:
     def test_rows_and_convergence(self, tmp_path):
-        config = write_config(tmp_path, sweep_doc([0.5, 1.0], [1.0], k_max=4))
+        doc = sweep_doc([0.5, 1.0], [1.0], k_max=4)
+        config = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["sweep-k", "--config", config, "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().strip().split("\n")
@@ -264,10 +265,13 @@ class TestSweep:
         # sort key ordering: xi, then alpha, then K
         keys = [(float(r[0]), float(r[1]), int(r[2])) for r in rows]
         assert keys == sorted(keys)
+        beta2 = parse_config(doc).fiber_beta2
         for r in rows:
             k = int(r[2])
             residual = float(r[4])
             factor = float(r[3])
+            z = span_length(float(r[0]), beta2, 3e9)
+            assert r[4] == fmt(edge_error(float(r[1]), beta2, 3e9, z) ** (k + 1))
             if residual < 1e-3:
                 assert factor == pytest.approx(1.0, abs=0.01)
             if k > 0:
@@ -285,6 +289,23 @@ class TestSweep:
             assert float(r[4]) >= 1.0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["diverged_rows"] == 3
+
+    @pytest.mark.parametrize("xi", [12.0, 100.0])
+    def test_diverged_pair_builds_no_response(self, tmp_path, monkeypatch, xi):
+        # xi 12 puts the edge phase past acos(1/2); from 8*pi on it is capped
+        calls = []
+        for module in ("dispersim.fiber", "dispersim.compensator"):
+            monkeypatch.setattr(f"{module}.dispersion_tf", lambda *a: calls.append(a))
+        doc = sweep_doc([xi], [1.0], k_max=2)
+        config, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["sweep-k", "--config", config, "--out", str(out)]) == 0
+        assert calls == []
+        beta2 = parse_config(doc).fiber_beta2
+        worst = edge_error(1.0, beta2, 3e9, span_length(xi, beta2, 3e9))
+        lines = (out / "sweep.csv").read_text().strip().split("\n")
+        assert lines[1:] == [
+            f"{fmt(xi)},1,{k},diverged,{fmt(worst ** (k + 1))}" for k in range(3)
+        ]
 
     @pytest.mark.filterwarnings("ignore:multiple lobes")
     def test_unmeasurable_width_exits_3(self, tmp_path, capsys):

@@ -14,11 +14,22 @@ from dispersim import (
     subsystem_error_tf,
     z_max,
 )
-from dispersim.compensator import band_error_max
-from dispersim.convergence import dispersion_strength, edge_phase, span_length
+from dispersim.convergence import (
+    dispersion_strength,
+    edge_error,
+    edge_phase,
+    span_length,
+)
+from dispersim.fiber import d_to_beta2
 
 BETA2 = -21e-27
 PS2_PER_KM = 1e-27
+
+
+def band_bin_max(e_d, bandwidth_hz):
+    """Largest sampled |E_D| over the bins with |delta_omega| <= pi*B."""
+    in_band = np.abs(e_d.grid.delta_omega) <= np.pi * bandwidth_hz * (1 + 1e-12)
+    return float(np.max(np.abs(e_d.values[in_band])))
 
 
 def bisect_boundary(alpha, beta2, bandwidth_hz, z_hi=1e9, rel_tol=1e-12):
@@ -102,6 +113,57 @@ class TestStable:
             stable(0.5, BETA2, -1e9, 1e3)
         with pytest.raises(ValueError):
             stable(0.5, BETA2, 1e9, -1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: stable(1.0, BETA2, math.nan, 1e5),
+            lambda: stable(1.0, BETA2, 3e9, math.nan),
+            lambda: edge_error(1.0, BETA2, math.nan, 1e5),
+            lambda: edge_error(1.0, BETA2, 3e9, math.nan),
+            lambda: z_max(math.nan, 1.0, BETA2),
+        ],
+        ids=["stable-B", "stable-z", "edge_error-B", "edge_error-z", "z_max-B"],
+    )
+    def test_nan_is_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+
+class TestEdgeError:
+    """The worst in-band |1 - sqrt(alpha)*exp(-j*theta)| in closed form."""
+
+    @staticmethod
+    def span(theta_e, bandwidth=3e9):
+        """Span length whose band-edge phase is theta_e."""
+        return theta_e / edge_phase(BETA2, bandwidth, 1.0)
+
+    def test_perfect_operator(self):
+        assert edge_error(1.0, BETA2, 3e9, 0.0) == 0.0
+
+    def test_boundary_case_not_contractive(self):
+        for alpha in (0.3, 0.8, 1.0):
+            worst = edge_error(alpha, BETA2, 3e9, z_max(3e9, alpha, BETA2))
+            assert worst == pytest.approx(1.0, abs=1e-15)
+            assert not worst < 1.0 - CONTRACTION_MARGIN
+
+    @pytest.mark.parametrize("theta_e", [1e-3, 0.3, 1.0, math.pi / 2, 3.0])
+    def test_all_pass_chord_identity(self, theta_e):
+        # |1 - exp(-j*theta)| = 2*sin(theta/2)
+        worst = edge_error(1.0, BETA2, 3e9, self.span(theta_e))
+        assert worst == pytest.approx(2 * math.sin(theta_e / 2), rel=1e-12)
+
+    def test_small_strength_keeps_its_digits(self):
+        # 1 + alpha - 2*sqrt(alpha)*cos(theta) cancels to 0 here
+        xi = 1e-9
+        worst = edge_error(1.0, BETA2, 3e9, span_length(xi, BETA2, 3e9))
+        assert worst == pytest.approx(xi / 8, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_phase_is_capped_at_a_half_turn(self, alpha):
+        for theta_e in (math.pi, 4.0, 1e3):
+            worst = edge_error(alpha, BETA2, 3e9, self.span(theta_e))
+            assert worst == 1 + math.sqrt(alpha)
 
 
 class TestDispersionStrength:
@@ -232,7 +294,36 @@ class TestCrossModule:
             assert stable(alpha, BETA2, bandwidth, z)
             target = FiberParams(BETA2, z)
             sub = match_pcf(target, -2806 * PS2_PER_KM, alpha=alpha)
-            worst = band_error_max(subsystem_error_tf(sub, grid), bandwidth)
+            worst = edge_error(alpha, BETA2, bandwidth, z)
+            sampled = band_bin_max(subsystem_error_tf(sub, grid), bandwidth)
+            assert sampled <= worst * (1 + 1e-14)
             residuals = [worst ** (k + 1) for k in (0, 5, 30, 200)]
             assert all(b < a for a, b in zip(residuals, residuals[1:]))
             assert residuals[-1] < 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta_e=st.floats(1e-6, math.pi, exclude_max=True),
+    alpha=st.floats(0.01, 1.0),
+    beta2_ps2_km=st.floats(1.0, 100.0),
+    pcf_d=st.floats(1500.0, 3000.0),
+    bandwidth=st.floats(1e8, 1e11),
+    window_factor=st.integers(1, 100),
+    offset=st.sampled_from([0.0, 0.5, 0.25]),
+)
+def test_edge_error_is_the_band_bin_maximum(
+    theta_e, alpha, beta2_ps2_km, pcf_d, bandwidth, window_factor, offset
+):
+    # an integer window factor puts the band edge pi*B on a bin
+    n = 256
+    grid = FrequencyGrid(n, (window_factor + offset) * (2 / bandwidth) / n)
+    beta2 = -beta2_ps2_km * PS2_PER_KM
+    z = theta_e / edge_phase(beta2, bandwidth, 1.0)
+    sub = match_pcf(FiberParams(beta2, z), d_to_beta2(pcf_d, 1.55e-6), alpha=alpha)
+    sampled = band_bin_max(subsystem_error_tf(sub, grid), bandwidth)
+    worst = edge_error(alpha, beta2, bandwidth, z)
+    if offset == 0.0:
+        assert worst == pytest.approx(sampled, rel=1e-14, abs=0)
+    else:
+        assert worst >= sampled * (1 - 1e-14)
