@@ -44,6 +44,10 @@ DEFAULT_SMF_BETA1 = SMF_GROUP_INDEX / SPEED_OF_LIGHT
 #: double.
 MAX_STAGES = 1022
 
+#: Rows of the block in which :func:`compensate_stages` inverse-transforms
+#: its stages.
+STAGE_BLOCK = 2
+
 
 def _is_stage_count(k) -> bool:
     """True for a Python or numpy integer that is not a bool."""
@@ -167,6 +171,20 @@ def compensate_stages(e: Envelope, sub: SubsystemSpec, k_list):
     every K, plus one inverse FFT per K. ``spec`` is
     ``CompensatorSpec(sub, k)`` and the envelope equals
     ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit.
+
+    The products of up to :data:`STAGE_BLOCK` consecutive K are formed in the
+    rows of one block allocated once per call, then inverse-transformed in
+    place, one row at a time; each yielded :class:`Envelope` copies its row,
+    so the block is reused. The block fixes memory churn, not arithmetic.
+    glibc's dynamic mmap and trim thresholds follow the largest block the
+    program frees. With a fresh one-row response per K that is one row (1 MB
+    at N=65536), less than a pocketfft transform's scratch, so the memory
+    under every transform goes back to the system and is faulted in again:
+    about 24 000 minor page faults per scenario-deep op. Freeing the two-row
+    block lifts the thresholds past the scratch: the faults drop to about
+    3 300 per op and the op runs about 23 % faster (``BENCH_15.json``). A
+    reused one-row buffer stays below the thresholds and gains nothing; do
+    not shrink the block to one row.
     """
     if (
         not k_list
@@ -180,15 +198,25 @@ def compensate_stages(e: Envelope, sub: SubsystemSpec, k_list):
     spectrum = fft(e.samples)
     check_wraparound(e, spectrum, k_list[-1] * abs(sub.pcf.beta2) * sub.length_m)
     e_d = subsystem_error_tf(sub, e.grid)
+    rows = min(STAGE_BLOCK, len(k_list))
+    block = np.empty((rows, e.grid.n_samples), np.complex128)
+    specs = []
     for k, partial in enumerate(partial_sums(e_d.values, k_list[-1])):
         if k not in k_list:
             continue
         spec = CompensatorSpec(sub, k)
+        row = block[len(specs)]
         # spectrum * response in this order, as in apply_tf: with FMA the
         # complex product is not bitwise commutative.
-        response = spec.prefactor * partial
-        np.multiply(spectrum, response, out=response)
-        yield spec, Envelope(e.grid, ifft(response))
+        np.multiply(spec.prefactor, partial, out=row)
+        np.multiply(spectrum, row, out=row)
+        specs.append(spec)
+        if len(specs) == rows or k == k_list[-1]:
+            for row in block[: len(specs)]:
+                ifft(row)
+            for spec, row in zip(specs, block):
+                yield spec, Envelope(e.grid, row)
+            specs = []
 
 
 def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:

@@ -43,6 +43,19 @@ def edge_phase(beta2: float, bandwidth_hz: float, z_m: float) -> float:
     return abs(beta2) * (math.pi * bandwidth_hz) ** 2 * z_m / 2.0
 
 
+def _check_band(alpha: float, beta2: float, bandwidth_hz: float) -> None:
+    """Raise ValueError unless 0 < alpha <= 1, beta2 is finite and 0 < B < inf.
+
+    Every comparison is written so that NaN fails it.
+    """
+    if not (0 < alpha <= 1):
+        raise ValueError("alpha must lie in (0, 1]")
+    if not math.isfinite(beta2):
+        raise ValueError("beta2 must be finite")
+    if not 0 < bandwidth_hz < math.inf:
+        raise ValueError("bandwidth must be positive and finite")
+
+
 def edge_error(alpha: float, beta2: float, bandwidth_hz: float, z_m: float) -> float:
     """Worst in-band error magnitude: sup of |1 - sqrt(alpha)*exp(-j*theta)|.
 
@@ -53,10 +66,7 @@ def edge_error(alpha: float, beta2: float, bandwidth_hz: float, z_m: float) -> f
     modulus keeps its digits at small phase, where the law of cosines
     1 + alpha - 2*sqrt(alpha)*cos(theta) cancels.
     """
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1]")
-    if not bandwidth_hz > 0:
-        raise ValueError("bandwidth must be positive")
+    _check_band(alpha, beta2, bandwidth_hz)
     if not z_m >= 0:
         raise ValueError("z must be non-negative")
     theta_edge = min(edge_phase(beta2, bandwidth_hz, z_m), math.pi)
@@ -73,10 +83,7 @@ def z_max(bandwidth_hz: float, alpha: float, beta2: float) -> float:
 
     Unbounded (inf) when beta2 is zero.
     """
-    if not bandwidth_hz > 0:
-        raise ValueError("bandwidth must be positive")
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_band(alpha, beta2, bandwidth_hz)
     if beta2 == 0:
         return math.inf
     return math.acos(math.sqrt(alpha) / 2.0) / edge_phase(beta2, bandwidth_hz, 1.0)

@@ -322,20 +322,49 @@ class TestCompensateStages:
 
     grid = FrequencyGrid(16384, 64 * (2 / BAND_HZ) / 16384)
 
-    def test_bit_exact_against_compensator_tf(self):
-        target, sub = matched_example(alpha=0.7)
-        rx = propagate(make_sinc_pulse(self.grid, 2 / BAND_HZ), target)
-        k_list = (0, 3, 7, 20)
+    @staticmethod
+    def assert_bit_exact(rx, sub, k_list):
         seen = []
         for spec, out in compensate_stages(rx, sub, k_list):
             assert spec == CompensatorSpec(sub, spec.k_stages)
-            ref = apply_tf(rx, compensator_tf(spec, self.grid))
+            ref = apply_tf(rx, compensator_tf(spec, rx.grid))
             # int64 view: array_equal would let -0.0 and 0.0 pass as equal
             assert np.array_equal(
                 out.samples.view(np.int64), ref.samples.view(np.int64)
             )
             seen.append(spec.k_stages)
         assert seen == list(k_list)
+
+    # lengths 1 to 5 against STAGE_BLOCK rows: a lone K, full blocks only,
+    # and a partial last block
+    @pytest.mark.parametrize(
+        "k_list", [(20,), (0, 3), (0, 3, 7), (0, 3, 7, 20), (0, 1, 3, 7, 20)]
+    )
+    def test_bit_exact_against_compensator_tf(self, k_list):
+        target, sub = matched_example(alpha=0.7)
+        rx = propagate(make_sinc_pulse(self.grid, 2 / BAND_HZ), target)
+        self.assert_bit_exact(rx, sub, k_list)
+
+    def test_yielded_envelope_survives_later_blocks(self):
+        target, sub = matched_example(alpha=0.7)
+        rx = propagate(make_sinc_pulse(self.grid, 2 / BAND_HZ), target)
+        stages = compensate_stages(rx, sub, (0, 3, 7, 12, 20))
+        first_spec, first = next(stages)
+        later = list(stages)
+        assert len(later) == 4
+        ref = apply_tf(rx, compensator_tf(first_spec, self.grid))
+        assert np.array_equal(first.samples.view(np.int64), ref.samples.view(np.int64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k_list=st.lists(st.integers(0, 20), min_size=1, unique=True).map(sorted),
+        alpha=st.floats(0.05, 1.0),
+    )
+    def test_any_k_list_is_bit_exact(self, k_list, alpha):
+        grid = FrequencyGrid(1024, 64 * (2 / BAND_HZ) / 1024)
+        target, sub = matched_example(alpha=alpha)
+        rx = propagate(make_sinc_pulse(grid, 2 / BAND_HZ), target)
+        self.assert_bit_exact(rx, sub, k_list)
 
     @pytest.mark.parametrize("k_list", [[], [-1, 2], [3, 3], [4, 2], [0, 2.5, 3]])
     def test_bad_k_list_rejected(self, k_list):

@@ -129,6 +129,32 @@ class TestStable:
         with pytest.raises(ValueError):
             call()
 
+    @pytest.mark.parametrize(
+        "beta2, bandwidth, match",
+        [
+            (math.nan, 3e9, "beta2"),
+            (math.inf, 3e9, "beta2"),
+            (-math.inf, 3e9, "beta2"),
+            # inf * 0 is nan: the zero-length span must not hide the band
+            (BETA2, math.inf, "bandwidth"),
+        ],
+        ids=["beta2-nan", "beta2-inf", "beta2-minus-inf", "bandwidth-inf"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda beta2, bandwidth: stable(1.0, beta2, bandwidth, 0.0),
+            lambda beta2, bandwidth: edge_error(1.0, beta2, bandwidth, 0.0),
+            lambda beta2, bandwidth: z_max(bandwidth, 1.0, beta2),
+        ],
+        ids=["stable", "edge_error", "z_max"],
+    )
+    def test_non_finite_beta2_or_bandwidth_is_rejected(
+        self, call, beta2, bandwidth, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            call(beta2, bandwidth)
+
 
 class TestEdgeError:
     """The worst in-band |1 - sqrt(alpha)*exp(-j*theta)| in closed form."""
