@@ -67,8 +67,8 @@ def edge_error(alpha: float, beta2: float, bandwidth_hz: float, z_m: float) -> f
     1 + alpha - 2*sqrt(alpha)*cos(theta) cancels.
     """
     _check_band(alpha, beta2, bandwidth_hz)
-    if not z_m >= 0:
-        raise ValueError("z must be non-negative")
+    if not 0 <= z_m < math.inf:
+        raise ValueError("z must be non-negative and finite")
     theta_edge = min(edge_phase(beta2, bandwidth_hz, z_m), math.pi)
     return abs(1 - math.sqrt(alpha) * cmath.exp(-1j * theta_edge))
 
@@ -81,9 +81,10 @@ def stable(alpha: float, beta2: float, bandwidth_hz: float, z_m: float) -> bool:
 def z_max(bandwidth_hz: float, alpha: float, beta2: float) -> float:
     """Longest stable span for a given band: the z where theta_e = acos(sqrt(alpha)/2).
 
-    Unbounded (inf) when beta2 is zero.
+    Unbounded (inf) when beta2 is 0 or the phase over one metre underflows to 0.
+    Zero beta2 returns first: with a huge band, (pi*B)^2 would overflow.
     """
     _check_band(alpha, beta2, bandwidth_hz)
-    if beta2 == 0:
+    if beta2 == 0 or (unit_phase := edge_phase(beta2, bandwidth_hz, 1.0)) == 0:
         return math.inf
-    return math.acos(math.sqrt(alpha) / 2.0) / edge_phase(beta2, bandwidth_hz, 1.0)
+    return math.acos(math.sqrt(alpha) / 2.0) / unit_phase

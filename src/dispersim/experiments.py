@@ -8,6 +8,7 @@ pulse-width metric in use.
 
 import contextlib
 import json
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -96,14 +97,43 @@ def run_region(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One K of a stage search; the factor is None where the pair diverges."""
+
+    k: int
+    broadening_factor: float | None
+    residual_max: float
+
+
+def _stage_search(cfg: ExperimentConfig, tx: Envelope, tx_width: float, z_m, alphas):
+    """Yield ``(alpha, [Stage per K of cfg.k_list])`` for each alpha on one span.
+
+    The span is propagated once, at its first converging alpha, and never when
+    every alpha diverges; a diverged alpha builds no response.
+    """
+    beta2, bandwidth = cfg.fiber_beta2, cfg.bandwidth_hz
+    fiber = FiberParams(beta2, z_m)
+    rx = None
+    for alpha in alphas:
+        factors = [None] * len(cfg.k_list)
+        if stable(alpha, beta2, bandwidth, z_m):
+            if rx is None:
+                rx = propagate(tx, fiber)
+            sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
+            outputs = compensate_stages(rx, sub, cfg.k_list)
+            factors = [intensity_fwhm(out) / tx_width for _, out in outputs]
+        worst = edge_error(alpha, beta2, bandwidth, z_m)
+        yield alpha, [
+            Stage(k, factor, worst ** (k + 1)) for k, factor in zip(cfg.k_list, factors)
+        ]
+
+
 def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     """Broadening factor against stage count for each (xi, alpha) pair.
 
     The pulse is built and its width measured once per run; each xi's span
-    is propagated once, at its first converging alpha, and never when all
-    of its pairs diverge. ``residual_max`` is the closed-form band-edge bound
-    ``edge_error ** (K+1)`` for every pair, so a diverged pair builds no
-    response.
+    runs one :func:`_stage_search` over the sorted alphas.
     """
     if cfg.pcf_beta2 is None:
         raise ConfigError("pcf section is required for the sweep-k command")
@@ -111,30 +141,19 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
         raise ConfigError("sweep-k runs on sinc pulses")
     tx = build_pulse(cfg)
     tx_width = intensity_fwhm(tx)
-    beta2, bandwidth = cfg.fiber_beta2, cfg.bandwidth_hz
     lines = [SWEEP_CSV_HEADER]
+    diverged = 0
     for xi in cfg.xi_values:
-        z_m = span_length(xi, beta2, bandwidth)
-        fiber = FiberParams(beta2, z_m)
-        rx = None
-        for alpha in sorted(cfg.alphas):
-            if stable(alpha, beta2, bandwidth, z_m):
-                if rx is None:
-                    rx = propagate(tx, fiber)
-                sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-                factors = [
-                    fmt(intensity_fwhm(out) / tx_width)
-                    for _, out in compensate_stages(rx, sub, cfg.k_list)
-                ]
-            else:
-                factors = ["diverged"] * len(cfg.k_list)
-            worst = edge_error(alpha, beta2, bandwidth, z_m)
-            lines.extend(
-                f"{fmt(xi)},{fmt(alpha)},{k},{factor},{fmt(worst ** (k + 1))}"
-                for k, factor in zip(cfg.k_list, factors)
-            )
+        z_m = span_length(xi, cfg.fiber_beta2, cfg.bandwidth_hz)
+        for alpha, stages in _stage_search(cfg, tx, tx_width, z_m, sorted(cfg.alphas)):
+            for s in stages:
+                factor = s.broadening_factor
+                diverged += factor is None
+                factor = "diverged" if factor is None else fmt(factor)
+                lines.append(
+                    f"{fmt(xi)},{fmt(alpha)},{s.k},{factor},{fmt(s.residual_max)}"
+                )
     _write_text(outdir / "sweep.csv", lines)
-    diverged = sum(1 for line in lines if ",diverged," in line)
     write_meta(
         outdir, "sweep-k", cfg, {"rows": len(lines) - 1, "diverged_rows": diverged}
     )
@@ -154,22 +173,11 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     alpha = cfg.alphas[0]
     _require_convergence(cfg, alpha)
     xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, bandwidth)
-    fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
-    sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-    tx_width = intensity_fwhm(tx)
-    rx = propagate(tx, fiber)
-    worst = edge_error(alpha, cfg.fiber_beta2, bandwidth, cfg.z_m)
-    k_table = []
-    required = None
-    for spec, out in compensate_stages(rx, sub, cfg.k_list):
-        factor = intensity_fwhm(out) / tx_width
-        residual = worst ** (spec.k_stages + 1)
-        k_table.append(
-            {"k": spec.k_stages, "broadening_factor": factor, "residual_max": residual}
-        )
-        if required is None and factor <= cfg.target_broadening:
-            required = spec
-    required_k = None if required is None else required.k_stages
+    sub = match_pcf(FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.pcf_beta2, alpha=alpha)
+    [(_, stages)] = _stage_search(cfg, tx, intensity_fwhm(tx), cfg.z_m, [alpha])
+    required_k = next(
+        (s.k for s in stages if s.broadening_factor <= cfg.target_broadening), None
+    )
     report = {
         "scenario": cfg.scenario,
         "inputs": {
@@ -190,16 +198,16 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
         },
         "stage_search": {
             "target_broadening": cfg.target_broadening,
-            "k_table": k_table,
+            "k_table": [asdict(s) for s in stages],
             "required_k": required_k,
         },
         "width_metric": WIDTH_METRIC,
     }
-    if required is not None:
+    if required_k is not None:
         report["compensator_path"] = {
             "length_m": required_k * sub.length_m,
             "formula": "K * L",
-            "latency_s": compensation_latency(required),
+            "latency_s": compensation_latency(CompensatorSpec(sub, required_k)),
             "latency_formula": "K * L * beta1_smf",
         }
     if cfg.dcf_beta2 is not None:

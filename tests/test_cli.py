@@ -290,6 +290,19 @@ class TestSweep:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["diverged_rows"] == 3
 
+    def test_diverged_rows_count_a_mixed_sweep(self, tmp_path):
+        # at xi 9.5 alpha 0.25 still converges and alpha 1 diverges
+        doc = sweep_doc([0.5, 9.5], [0.25, 1.0], k_max=3)
+        config, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["sweep-k", "--config", config, "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().strip().split("\n")
+        rows = [line.split(",") for line in lines[1:]]
+        diverged = [r[:3] for r in rows if r[3] == "diverged"]
+        assert diverged == [["9.5", "1", str(k)] for k in range(4)]
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["diverged_rows"] == len(diverged)
+        assert meta["rows"] == len(rows) == 16
+
     @pytest.mark.parametrize("xi", [12.0, 100.0])
     def test_diverged_pair_builds_no_response(self, tmp_path, monkeypatch, xi):
         # xi 12 puts the edge phase past acos(1/2); from 8*pi on it is capped
@@ -379,6 +392,29 @@ class TestScenario:
         )
         assert dcf["quoted_path_m"] == 7000.0
         assert report["width_metric"] == "fwhm_intensity_linear_interp"
+
+    def test_k_table_matches_sweep_rows(self, tmp_path, monkeypatch):
+        # sweep.csv prints 9 digits; print 17 so the full numbers are compared
+        monkeypatch.setattr("dispersim.experiments.fmt", lambda x: f"{float(x):.17g}")
+        xi, alpha = 2.0, 0.5
+        sweep = sweep_doc([xi], [alpha], k_max=6)
+        beta2 = parse_config(sweep).fiber_beta2
+        scenario = scenario_doc(z_km=span_length(xi, beta2, 3e9) / 1e3, n_samples=4096)
+        scenario["compensator"] = {"alphas": [alpha], "k_max": 6}
+        out = tmp_path / "out"
+        for command, doc in (("sweep-k", sweep), ("scenario", scenario)):
+            config = write_config(tmp_path, doc, name=f"{command}.json")
+            assert main([command, "--config", config, "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().strip().split("\n")
+        rows = [line.split(",") for line in lines[1:]]
+        report = json.loads((out / "scenario.json").read_text())
+        table = report["stage_search"]["k_table"]
+        assert [entry["k"] for entry in table] == [int(r[2]) for r in rows]
+        assert len(table) == 7
+        for entry, r in zip(table, rows):
+            # z round-trips through km, so the numbers agree but not to the bit
+            assert entry["broadening_factor"] == pytest.approx(float(r[3]), rel=1e-12)
+            assert entry["residual_max"] == pytest.approx(float(r[4]), rel=1e-12)
 
     @pytest.mark.parametrize("pcf_d", [2070.0, 2085.0])
     def test_pulse_stays_in_the_window(self, tmp_path, pcf_d):

@@ -155,6 +155,12 @@ class TestStable:
         with pytest.raises(ValueError, match=match):
             call(beta2, bandwidth)
 
+    @pytest.mark.parametrize("call", [stable, edge_error], ids=["stable", "edge_error"])
+    def test_infinite_length_is_rejected(self, call):
+        # zero beta2 times an infinite span is nan inside edge_phase
+        with pytest.raises(ValueError, match="finite"):
+            call(1.0, 0.0, 3e9, math.inf)
+
 
 class TestEdgeError:
     """The worst in-band |1 - sqrt(alpha)*exp(-j*theta)| in closed form."""
@@ -252,6 +258,12 @@ class TestZMax:
 
     def test_zero_beta2_unbounded(self):
         assert z_max(3e9, 0.5, 0.0) == math.inf
+        # (pi*B)^2 overflows at this band, so zero beta2 must return first
+        assert z_max(4.267837816154154e153, 1.0, 0.0) == math.inf
+
+    def test_underflowing_unit_phase_is_unbounded(self):
+        # |beta2| * (pi*B)^2 underflows to 0; the true bound is about 1e700 m
+        assert z_max(1e-200, 1.0, -1e-300) == math.inf
 
     def test_subnormal_beta2_does_not_divide_by_zero(self):
         # |beta2| / 2 rounds to zero here; |beta2| * (pi*B)^2 does not
