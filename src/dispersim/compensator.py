@@ -44,10 +44,6 @@ DEFAULT_SMF_BETA1 = SMF_GROUP_INDEX / SPEED_OF_LIGHT
 #: double.
 MAX_STAGES = 1022
 
-#: Rows of the block in which :func:`compensate_stages` inverse-transforms
-#: its stages.
-STAGE_BLOCK = 2
-
 
 def _is_stage_count(k) -> bool:
     """True for a Python or numpy integer that is not a bool."""
@@ -163,70 +159,24 @@ def compensator_tf(spec: CompensatorSpec, grid: FrequencyGrid) -> TransferFuncti
     return TransferFunction(grid, spec.prefactor * total.values)
 
 
-def compensate_stages(e: Envelope, sub: SubsystemSpec, k_list):
-    """Yield ``(spec, envelope)`` for each K of increasing ``k_list``.
-
-    One forward FFT (which also feeds the wraparound check at the largest K,
-    where the guard is widest), one E_D and one running partial sum serve
-    every K, plus one inverse FFT per K. ``spec`` is
-    ``CompensatorSpec(sub, k)`` and the envelope equals
-    ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit.
-
-    The products of up to :data:`STAGE_BLOCK` consecutive K are formed in the
-    rows of one block allocated once per call, then inverse-transformed in
-    place, one row at a time; each yielded :class:`Envelope` copies its row,
-    so the block is reused. The block fixes memory churn, not arithmetic.
-    glibc's dynamic mmap and trim thresholds follow the largest block the
-    program frees. With a fresh one-row response per K that is one row (1 MB
-    at N=65536), less than a pocketfft transform's scratch, so the memory
-    under every transform goes back to the system and is faulted in again:
-    about 24 000 minor page faults per scenario-deep op. Freeing the two-row
-    block lifts the thresholds past the scratch: the faults drop to about
-    3 300 per op and the op runs about 23 % faster (``BENCH_15.json``). A
-    reused one-row buffer stays below the thresholds and gains nothing; do
-    not shrink the block to one row.
-    """
-    if (
-        not k_list
-        or not all(map(_is_stage_count, k_list))
-        or not 0 <= k_list[0] <= k_list[-1] <= MAX_STAGES
-        or any(b <= a for a, b in zip(k_list, k_list[1:]))
-    ):
-        raise ValueError(
-            f"k_list must be strictly increasing integers within 0..{MAX_STAGES}"
-        )
-    spectrum = fft(e.samples)
-    check_wraparound(e, spectrum, k_list[-1] * abs(sub.pcf.beta2) * sub.length_m)
-    e_d = subsystem_error_tf(sub, e.grid)
-    rows = min(STAGE_BLOCK, len(k_list))
-    block = np.empty((rows, e.grid.n_samples), np.complex128)
-    specs = []
-    for k, partial in enumerate(partial_sums(e_d.values, k_list[-1])):
-        if k not in k_list:
-            continue
-        spec = CompensatorSpec(sub, k)
-        row = block[len(specs)]
-        # spectrum * response in this order, as in apply_tf: with FMA the
-        # complex product is not bitwise commutative.
-        np.multiply(spec.prefactor, partial, out=row)
-        np.multiply(spectrum, row, out=row)
-        specs.append(spec)
-        if len(specs) == rows or k == k_list[-1]:
-            for row in block[: len(specs)]:
-                ifft(row)
-            for spec, row in zip(specs, block):
-                yield spec, Envelope(e.grid, row)
-            specs = []
-
-
 def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:
     """Run an envelope through the compensating structure.
 
-    The one-K case of :func:`compensate_stages`: it applies
-    :func:`compensator_tf` and rejects window-wrapping configurations.
+    One forward transform of the envelope feeds the wraparound check over
+    the K stages' down-branch dispersion, which rejects window-wrapping
+    configurations, and the product with the cascade response. The result
+    equals ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit; the
+    response is formed as there, without its intermediate validated copies.
     """
-    [(_, out)] = compensate_stages(e, spec.subsystem, (spec.k_stages,))
-    return out
+    sub = spec.subsystem
+    spectrum = fft(e.samples)
+    check_wraparound(e, spectrum, spec.k_stages * abs(sub.pcf.beta2) * sub.length_m)
+    for total in partial_sums(subsystem_error_tf(sub, e.grid).values, spec.k_stages):
+        pass
+    # spectrum * response in this order, as in apply_tf: with FMA the complex
+    # product is not bitwise commutative
+    spectrum *= spec.prefactor * total
+    return Envelope(e.grid, ifft(spectrum))
 
 
 def compensation_latency(spec: CompensatorSpec) -> float:

@@ -38,9 +38,16 @@ def edge_phase(beta2: float, bandwidth_hz: float, z_m: float) -> float:
     """Dispersion phase theta_e = |beta2|/2 * (pi*B)^2 * z at the band edge.
 
     The halving comes last: halving a subnormal |beta2| first can round it
-    to zero and make :func:`z_max` divide by zero.
+    to zero and make :func:`z_max` divide by zero. A band whose (pi*B)^2
+    overflows raises ValueError.
     """
-    return abs(beta2) * (math.pi * bandwidth_hz) ** 2 * z_m / 2.0
+    try:
+        band_sq = (math.pi * bandwidth_hz) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"bandwidth {bandwidth_hz:g} Hz is out of range: (pi*B)^2 overflows"
+        ) from None
+    return abs(beta2) * band_sq * z_m / 2.0
 
 
 def _check_band(alpha: float, beta2: float, bandwidth_hz: float) -> None:
@@ -82,7 +89,8 @@ def z_max(bandwidth_hz: float, alpha: float, beta2: float) -> float:
     """Longest stable span for a given band: the z where theta_e = acos(sqrt(alpha)/2).
 
     Unbounded (inf) when beta2 is 0 or the phase over one metre underflows to 0.
-    Zero beta2 returns first: with a huge band, (pi*B)^2 would overflow.
+    Zero beta2 returns first, so that a huge band still gives inf there; for
+    a nonzero beta2 a band whose (pi*B)^2 overflows raises ValueError.
     """
     _check_band(alpha, beta2, bandwidth_hz)
     if beta2 == 0 or (unit_phase := edge_phase(beta2, bandwidth_hz, 1.0)) == 0:

@@ -8,27 +8,28 @@ pulse-width metric in use.
 
 import contextlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .compensator import (
-    CompensatorSpec,
-    compensate,
-    compensate_stages,
-    compensation_latency,
-    match_pcf,
-)
+from .compensator import CompensatorSpec, compensate, compensation_latency, match_pcf
 from .config import ConfigError, ExperimentConfig
 from .convergence import dispersion_strength, edge_error, span_length, stable, z_max
-from .fiber import FiberParams, propagate
+from .fiber import FiberParams, dispersion_response, propagate
+from .iterative import partial_sums
 from .signal import (
     Envelope,
     FrequencyGrid,
     WIDTH_METRIC,
+    band_bins,
+    band_intensity_fwhm,
+    check_wraparound,
+    fft,
     intensity_fwhm,
     make_gaussian_pulse,
     make_sinc_pulse,
+    sinc_band_bins,
 )
 
 REGION_CSV_HEADER = "B_hz,z_max_m,alpha,beta2_si"
@@ -110,19 +111,39 @@ def _stage_search(cfg: ExperimentConfig, tx: Envelope, tx_width: float, z_m, alp
     """Yield ``(alpha, [Stage per K of cfg.k_list])`` for each alpha on one span.
 
     The span is propagated once, at its first converging alpha, and never when
-    every alpha diverges; a diverged alpha builds no response.
+    every alpha diverges; a diverged alpha builds no response. After the
+    propagation and its wraparound check, everything runs on the bins of the
+    sinc's band: the received spectrum, the pcf response (once per span, as
+    the matched length does not depend on alpha), each alpha's error
+    response E_D, its running partial sum and the width of every K's output.
+    The output spectrum is the one :func:`compensate` forms there, and
+    :func:`band_intensity_fwhm` measures it as :func:`intensity_fwhm` would
+    measure its inverse transform.
     """
     beta2, bandwidth = cfg.fiber_beta2, cfg.bandwidth_hz
     fiber = FiberParams(beta2, z_m)
-    rx = None
+    grid = tx.grid
+    rx_band = None
     for alpha in alphas:
         factors = [None] * len(cfg.k_list)
         if stable(alpha, beta2, bandwidth, z_m):
-            if rx is None:
-                rx = propagate(tx, fiber)
             sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-            outputs = compensate_stages(rx, sub, cfg.k_list)
-            factors = [intensity_fwhm(out) / tx_width for _, out in outputs]
+            if rx_band is None:
+                rx = propagate(tx, fiber)
+                spectrum = fft(rx.samples)
+                k_gvd = cfg.k_list[-1] * abs(sub.pcf.beta2) * sub.length_m
+                check_wraparound(rx, spectrum, k_gvd)
+                h = sinc_band_bins(grid, cfg.pulse_width_s)
+                bins = band_bins(grid.n_samples, h)
+                rx_band = spectrum[bins]
+                h_pcf = dispersion_response(sub.pcf, grid.delta_omega[bins])
+            e_d = 1.0 - math.sqrt(alpha) * h_pcf
+            factors = []
+            for k, partial in enumerate(partial_sums(e_d, cfg.k_list[-1])):
+                if k in cfg.k_list:
+                    prefactor = CompensatorSpec(sub, k).prefactor
+                    out = rx_band * (prefactor * partial)
+                    factors.append(band_intensity_fwhm(grid, out) / tx_width)
         worst = edge_error(alpha, beta2, bandwidth, z_m)
         yield alpha, [
             Stage(k, factor, worst ** (k + 1)) for k, factor in zip(cfg.k_list, factors)

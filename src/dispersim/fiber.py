@@ -76,11 +76,19 @@ class FiberParams:
         return (0.0, 0.0, self.beta2)
 
 
+def dispersion_response(fiber: FiberParams, dw: np.ndarray) -> np.ndarray:
+    """Values exp(-j*z*beta2/2*dw^2) of one span's response at the offsets ``dw``.
+
+    ``dw`` holds baseband offsets in rad/s: a grid's ``delta_omega`` or any
+    subset of it, such as the bins of a signal band.
+    """
+    phase_per_m = fiber.beta2 / 2 * (dw * dw)
+    return np.exp(-1j * fiber.length_m * phase_per_m)
+
+
 def dispersion_tf(fiber: FiberParams, grid: FrequencyGrid) -> TransferFunction:
     """All-pass response exp(-j*z*beta2/2*dw^2) of one span in the retarded frame."""
-    dw = grid.delta_omega
-    phase_per_m = fiber.beta2 / 2 * (dw * dw)
-    return TransferFunction(grid, np.exp(-1j * fiber.length_m * phase_per_m))
+    return TransferFunction(grid, dispersion_response(fiber, grid.delta_omega))
 
 
 def propagate(e: Envelope, fiber: FiberParams) -> Envelope:

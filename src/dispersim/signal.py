@@ -9,7 +9,7 @@ Nyquist bin assigned to the negative side, i.e. the ordering of
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.fft import fftfreq
@@ -185,14 +185,7 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
             f"time window {grid.window:.3e} s is below the 8x guard margin "
             f"for a {w:.3e} s wide pulse"
         )
-    w_df = w * grid.df  # zero once the window leaves the float range
-    half_band = 1.0 / w_df if w_df else np.inf  # pi*B in units of d_omega
-    # capped at n, which fails the check below, so int() never sees inf
-    half_band_bins = int(round(min(half_band, grid.n_samples)))
-    if half_band_bins > grid.n_samples // 2 - 1:
-        raise WindowError(
-            "time step too coarse: pulse bandwidth exceeds the grid band"
-        )
+    half_band_bins = sinc_band_bins(grid, w)
     k = np.abs(grid.bin_index)
     weights = np.where(k < half_band_bins, 1.0, 0.0)
     weights[k == half_band_bins] = 0.5
@@ -201,6 +194,29 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
     samples = ifft(weights * np.exp(-1j * grid.delta_omega * t_c))
     samples = samples * (1.0 / samples[center].real)
     return Envelope(grid, samples)
+
+
+def sinc_band_bins(grid: FrequencyGrid, zero_to_zero_width: float) -> int:
+    """Half-band bin count h of a sinc pulse: its spectrum lives on |k| <= h.
+
+    h is pi*B in units of the grid's d_omega, with B = 2/W, rounded to the
+    nearest bin (see :func:`make_sinc_pulse`). Raises :class:`WindowError`
+    when that band does not fit below the grid's Nyquist bin.
+    """
+    w_df = zero_to_zero_width * grid.df  # zero once the window leaves the float range
+    half_band = 1.0 / w_df if w_df else np.inf  # pi*B in units of d_omega
+    # capped at n, which fails the check below, so int() never sees inf
+    h = int(round(min(half_band, grid.n_samples)))
+    if h > grid.n_samples // 2 - 1:
+        raise WindowError(
+            "time step too coarse: pulse bandwidth exceeds the grid band"
+        )
+    return h
+
+
+def band_bins(n_samples: int, h: int) -> np.ndarray:
+    """Indices of the bins |k| <= h of an n-point DFT, in FFT order (0..h, -h..-1)."""
+    return np.r_[0 : h + 1, n_samples - h : n_samples]
 
 
 def make_gaussian_pulse(grid: FrequencyGrid, t0: float) -> Envelope:
@@ -233,23 +249,169 @@ def intensity_fwhm(e: Envelope) -> float:
     all-zero signal or a lobe on the window edge raises
     :class:`WidthMetricError`.
     """
-    intensity = np.abs(e.samples) ** 2
+    return _fwhm(np.abs(e.samples) ** 2, e.grid.dt)
+
+
+def _fwhm(intensity: np.ndarray, dt: float) -> float:
+    """:func:`intensity_fwhm` of the sampled intensity ``|s|^2`` with step ``dt``."""
     peak = intensity.max()
     if peak == 0:
         raise WidthMetricError("cannot measure the width of an all-zero signal")
     half = 0.5 * peak
     above = np.nonzero(intensity >= half)[0]
     i_lo, i_hi = above[0], above[-1]
-    if above.size != i_hi - i_lo + 1:
+    one_lobe = above.size == i_hi - i_lo + 1
+    return _crossing_width(
+        intensity.__getitem__, half, i_lo, i_hi, one_lobe, intensity.size, dt
+    )
+
+
+def _crossing_width(at, half, i_lo, i_hi, one_lobe, n, dt) -> float:
+    """The interpolated width between the outermost samples ``i_lo``/``i_hi``.
+
+    ``at(i)`` is the intensity of sample i; ``one_lobe`` is False when a
+    sample between them falls below ``half``.
+    """
+    if not one_lobe:
         warnings.warn(
             "multiple lobes cross half maximum; using outermost crossings",
-            stacklevel=2,
+            stacklevel=4,
         )
-    if i_lo == 0 or i_hi == e.grid.n_samples - 1:
+    if i_lo == 0 or i_hi == n - 1:
         raise WidthMetricError("half-maximum lobe touches the window edge")
-    frac_lo = (intensity[i_lo] - half) / (intensity[i_lo] - intensity[i_lo - 1])
-    frac_hi = (intensity[i_hi] - half) / (intensity[i_hi] - intensity[i_hi + 1])
-    return ((i_hi - i_lo) + frac_lo + frac_hi) * e.grid.dt
+    frac_lo = (at(i_lo) - half) / (at(i_lo) - at(i_lo - 1))
+    frac_hi = (at(i_hi) - half) / (at(i_hi) - at(i_hi + 1))
+    return ((i_hi - i_lo) + frac_lo + frac_hi) * dt
+
+
+#: The coarse grid of :func:`band_intensity_fwhm` has at least this many
+#: samples per band bin (a power of two, capped at the grid size).
+COARSE_PER_BIN = 64
+
+
+def band_intensity_fwhm(grid: FrequencyGrid, band: np.ndarray) -> float:
+    """:func:`intensity_fwhm` of an envelope whose spectrum lives on a band.
+
+    ``band`` holds the DFT of the envelope on ``grid`` at the bins |k| <= h,
+    in the order of :func:`band_bins`; every other bin is zero. The width,
+    warning and errors are those of :func:`intensity_fwhm` applied to the
+    inverse transform of the whole spectrum, but no N-point array is built:
+
+    - an M-point inverse transform of the band gives every (N/M)-th sample,
+      with M = :data:`COARSE_PER_BIN` * h rounded up to a power of two and
+      capped at N (where it gives every sample and the rule runs on those);
+    - that coarse grid bounds the intensity between its samples, which
+      leaves a few (N/M)-sample stretches that may hold the peak or a
+      half-maximum crossing;
+    - direct sums over the band give the samples of those stretches, and
+      the linear-interpolation rule runs on them.
+    """
+    n = grid.n_samples
+    h = band.size // 2
+    if band.shape != (2 * h + 1,) or 2 * h + 1 >= n:
+        raise ValueError(f"expected 2h+1 < {n} band bins, got shape {band.shape}")
+    m = min(n, 1 << max(1, (COARSE_PER_BIN * h - 1).bit_length()))
+    coarse = np.zeros(m, np.complex128)
+    scale = m / n  # a power of two: exact
+    np.multiply(band[: h + 1], scale, out=coarse[: h + 1])
+    np.multiply(band[h + 1 :], scale, out=coarse[m - h :])
+    intensity = np.abs(ifft(coarse)) ** 2  # |s|^2 at samples 0, r, 2r, ...
+    if m == n:
+        return _fwhm(intensity, grid.dt)
+    return _sparse_fwhm(intensity, _BandSamples(band, n, n // m), grid.dt)
+
+
+class _BandSamples:
+    """Intensity of the band-limited envelope at any sample, by direct sums.
+
+    Samples are evaluated for whole coarse intervals j at a time, as the
+    r+2 samples jr-1..jr+r (indices modulo n), and kept.
+    """
+
+    #: Intervals evaluated in one matrix product.
+    CHUNK = 64
+
+    def __init__(self, band: np.ndarray, n: int, r: int):
+        self.k, self.table = _stretch_table(n, band.size // 2, r)
+        self.band = band / n
+        self.n, self.r = n, r
+        self.known = {}
+
+    def evaluate(self, intervals) -> float:
+        """Evaluate the r+2 samples of each of ``intervals``; return the largest."""
+        top = -np.inf
+        for lo in range(0, len(intervals), self.CHUNK):
+            starts = np.asarray(intervals[lo : lo + self.CHUNK]) * self.r - 1
+            turns = np.outer(starts, self.k) % self.n  # exact: no phase digits lost
+            rotated = self.band * np.exp((2j * np.pi / self.n) * turns)
+            chunk = np.abs(rotated @ self.table) ** 2
+            for start, row in zip(starts.tolist(), chunk.tolist()):
+                self.known.update(zip(range(start, start + self.r + 2), row))
+            top = max(top, chunk.max())
+        return top
+
+    def at(self, i: int) -> float:
+        if i not in self.known:
+            self.evaluate([(i + 1) // self.r])
+        return self.known[i]
+
+
+@lru_cache(maxsize=4)
+def _stretch_table(n: int, h: int, r: int):
+    """Band bin numbers k, and exp(2j*pi*k*t/n) for the offsets t = 0..r+1."""
+    k = np.r_[0 : h + 1, -h:0]
+    table = np.exp((2j * np.pi / n) * np.outer(k, np.arange(r + 2)))
+    k.setflags(write=False)
+    table.setflags(write=False)
+    return k, table
+
+
+def _sparse_fwhm(coarse: np.ndarray, fine: _BandSamples, dt: float) -> float:
+    """:func:`_fwhm` of the fine samples, given every r-th of them in ``coarse``.
+
+    The intensity is a trigonometric polynomial of degree 2h over the
+    window, so (Bernstein) its second derivative stays below
+    (4*pi*h/N)**2 times its maximum. Between two coarse samples it then
+    strays from their chord by at most 1/8 of that times r**2, which is
+    q = 2*(pi*h/M)**2 times the maximum: ``slack`` bounds that (doubled,
+    for rounding). So every sample of interval j (samples jr..jr+r) lies
+    in [lower[j], upper[j]], and only the intervals whose bounds straddle
+    the peak or half maximum are evaluated sample by sample.
+    """
+    peak_c = coarse.max()
+    if peak_c == 0:
+        raise WidthMetricError("cannot measure the width of an all-zero signal")
+    r, m = fine.r, coarse.size
+    q = 2.0 * (np.pi * (fine.k.size // 2) / m) ** 2
+    slack = 2.0 * q / (1.0 - q) * peak_c
+    ends = np.append(coarse, coarse[0])  # interval j runs from sample jr to (j+1)r
+    upper = np.maximum(ends[:-1], ends[1:]) + slack
+    lower = np.minimum(ends[:-1], ends[1:]) - slack
+    peak = fine.evaluate(np.nonzero(upper >= peak_c)[0])
+    half = 0.5 * peak
+    reach = upper >= half  # intervals that may hold a sample >= half
+    fine.evaluate(np.nonzero(reach & (lower < half))[0])
+
+    def outermost(intervals, pick):
+        # the first interval, in the given order, holding a sample >= half
+        for j in intervals.tolist():
+            hits = [i for i in range(j * r, j * r + r) if fine.at(i) >= half]
+            if hits:
+                return pick(hits)
+        raise AssertionError("the peak interval holds a sample >= half")
+
+    reach = np.nonzero(reach)[0]
+    i_lo = outermost(reach, min)
+    i_hi = outermost(reach[::-1], max)
+    # a sample between the crossings below half lies in an interval whose
+    # lower bound is below half
+    first, last = (i_lo + 1) // r, (i_hi - 1) // r
+    one_lobe = not any(
+        fine.at(i) < half
+        for j in (np.nonzero(lower[first : last + 1] < half)[0] + first).tolist()
+        for i in range(max(j * r, i_lo + 1), min(j * r + r, i_hi))
+    )
+    return _crossing_width(fine.at, half, i_lo, i_hi, one_lobe, fine.n, dt)
 
 
 #: Identifier of the pulse-width metric, recorded in all emitted outputs.

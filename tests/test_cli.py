@@ -15,6 +15,7 @@ from dispersim.config import parse_config
 from dispersim.experiments import ENVELOPE_BLOCK, build_pulse, fmt
 from dispersim.fiber import FiberParams, d_to_beta2, propagate
 from dispersim.convergence import edge_error, span_length, z_max
+from dispersim.signal import WidthMetricError, intensity_fwhm
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -309,6 +310,9 @@ class TestSweep:
         calls = []
         for module in ("dispersim.fiber", "dispersim.compensator"):
             monkeypatch.setattr(f"{module}.dispersion_tf", lambda *a: calls.append(a))
+        monkeypatch.setattr(
+            "dispersim.experiments.dispersion_response", lambda *a: calls.append(a)
+        )
         doc = sweep_doc([xi], [1.0], k_max=2)
         config, out = write_config(tmp_path, doc), tmp_path / "out"
         assert main(["sweep-k", "--config", config, "--out", str(out)]) == 0
@@ -320,13 +324,45 @@ class TestSweep:
             f"{fmt(xi)},1,{k},diverged,{fmt(worst ** (k + 1))}" for k in range(3)
         ]
 
-    @pytest.mark.filterwarnings("ignore:multiple lobes")
-    def test_unmeasurable_width_exits_3(self, tmp_path, capsys):
-        # K=156 is past the stage-count ceiling: the output is rounding noise
+    def test_deep_stages_carry_no_rounding_noise(self, tmp_path):
+        # Outside the band |E_D| reaches 1 + sqrt(alpha), so a full-grid
+        # stage search amplified rounding noise there until it took over the
+        # width: alpha 1 read 135.5 at K=55, with 69 multi-lobe warnings. The
+        # stage search runs on the band bins, where every K has converged by
+        # K=30. A warning fails the test (pytest turns it into an error).
+        doc = readme_doc()
+        doc["compensator"] = {"alphas": [0.5, 1.0], "k_max": 90}
+        doc["sweep"]["xi"] = [2.0]
+        config, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["sweep-k", "--config", config, "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().strip().split("\n")
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 2 * 91
+        factors = {(r[1], int(r[2])): float(r[3]) for r in rows}
+        for (alpha, k), factor in factors.items():
+            if k >= 30:
+                assert abs(factor - factors[alpha, 30]) <= 1e-6, (alpha, k)
+
+    def test_stage_count_past_the_old_noise_ceiling_is_measured(self, tmp_path):
+        # K=156 at alpha 1 used to be amplified rounding noise whose lobe
+        # touched the window edge (exit 3); the output is the sent pulse
         doc = readme_doc()
         doc["signal"]["n_samples"] = 4096
         doc["compensator"] = {"alphas": [1.0], "k_list": [156]}
         doc["sweep"]["xi"] = [0.2]
+        config, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["sweep-k", "--config", config, "--out", str(out)]) == 0
+        [row] = (out / "sweep.csv").read_text().strip().split("\n")[1:]
+        assert float(row.split(",")[3]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unmeasurable_width_exits_3(self, tmp_path, capsys, monkeypatch):
+        # no converged stage search is known to reach the width errors, so the
+        # band width function raises one here
+        def edge(grid, band):
+            raise WidthMetricError("half-maximum lobe touches the window edge")
+
+        monkeypatch.setattr("dispersim.experiments.band_intensity_fwhm", edge)
+        doc = sweep_doc([0.2], [1.0], k_max=2)
         config = write_config(tmp_path, doc)
         rc = main(["sweep-k", "--config", config, "--out", str(tmp_path / "o")])
         assert rc == 3
@@ -392,6 +428,25 @@ class TestScenario:
         )
         assert dcf["quoted_path_m"] == 7000.0
         assert report["width_metric"] == "fwhm_intensity_linear_interp"
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_k_table_matches_the_full_grid_path(self, tmp_path, alpha):
+        # the stage search measures every K from the band bins; up to K=12 it
+        # must give the width of the full-grid compensate output
+        doc = scenario_doc(n_samples=65536)
+        doc["compensator"] = {"alphas": [alpha], "k_max": 12}
+        config, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["scenario", "--config", config, "--out", str(out)]) == 0
+        report = json.loads((out / "scenario.json").read_text())
+        cfg = parse_config(doc)
+        tx = build_pulse(cfg)
+        fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
+        rx = propagate(tx, fiber)
+        sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
+        for entry in report["stage_search"]["k_table"]:
+            out_k = compensate(rx, CompensatorSpec(sub, entry["k"]))
+            want = intensity_fwhm(out_k) / intensity_fwhm(tx)
+            assert entry["broadening_factor"] == pytest.approx(want, rel=1e-12)
 
     def test_k_table_matches_sweep_rows(self, tmp_path, monkeypatch):
         # sweep.csv prints 9 digits; print 17 so the full numbers are compared

@@ -28,7 +28,7 @@ from dispersim import (
     subsystem_error_tf,
     subsystem_tf,
 )
-from dispersim.compensator import DEFAULT_SMF_BETA1, MAX_STAGES, compensate_stages
+from dispersim.compensator import DEFAULT_SMF_BETA1, MAX_STAGES
 from dispersim.convergence import edge_error
 from dispersim.fiber import d_to_beta2
 
@@ -317,71 +317,41 @@ class TestCompensate:
         )
 
 
-class TestCompensateStages:
-    """The shared stage loop against the per-K reference path."""
+class TestCompensateFullGrid:
+    """compensate against the per-K reference path, and its input checks."""
 
     grid = FrequencyGrid(16384, 64 * (2 / BAND_HZ) / 16384)
 
     @staticmethod
-    def assert_bit_exact(rx, sub, k_list):
-        seen = []
-        for spec, out in compensate_stages(rx, sub, k_list):
-            assert spec == CompensatorSpec(sub, spec.k_stages)
-            ref = apply_tf(rx, compensator_tf(spec, rx.grid))
-            # int64 view: array_equal would let -0.0 and 0.0 pass as equal
-            assert np.array_equal(
-                out.samples.view(np.int64), ref.samples.view(np.int64)
-            )
-            seen.append(spec.k_stages)
-        assert seen == list(k_list)
+    def assert_bit_exact(rx, spec):
+        out = compensate(rx, spec)
+        ref = apply_tf(rx, compensator_tf(spec, rx.grid))
+        # int64 view: array_equal would let -0.0 and 0.0 pass as equal
+        assert np.array_equal(out.samples.view(np.int64), ref.samples.view(np.int64))
 
-    # lengths 1 to 5 against STAGE_BLOCK rows: a lone K, full blocks only,
-    # and a partial last block
-    @pytest.mark.parametrize(
-        "k_list", [(20,), (0, 3), (0, 3, 7), (0, 3, 7, 20), (0, 1, 3, 7, 20)]
-    )
-    def test_bit_exact_against_compensator_tf(self, k_list):
+    @pytest.mark.parametrize("k", [0, 3, 7, 20])
+    def test_bit_exact_against_compensator_tf(self, k):
         target, sub = matched_example(alpha=0.7)
         rx = propagate(make_sinc_pulse(self.grid, 2 / BAND_HZ), target)
-        self.assert_bit_exact(rx, sub, k_list)
-
-    def test_yielded_envelope_survives_later_blocks(self):
-        target, sub = matched_example(alpha=0.7)
-        rx = propagate(make_sinc_pulse(self.grid, 2 / BAND_HZ), target)
-        stages = compensate_stages(rx, sub, (0, 3, 7, 12, 20))
-        first_spec, first = next(stages)
-        later = list(stages)
-        assert len(later) == 4
-        ref = apply_tf(rx, compensator_tf(first_spec, self.grid))
-        assert np.array_equal(first.samples.view(np.int64), ref.samples.view(np.int64))
+        self.assert_bit_exact(rx, CompensatorSpec(sub, k))
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        k_list=st.lists(st.integers(0, 20), min_size=1, unique=True).map(sorted),
-        alpha=st.floats(0.05, 1.0),
-    )
-    def test_any_k_list_is_bit_exact(self, k_list, alpha):
+    @given(k=st.integers(0, 20), alpha=st.floats(0.05, 1.0))
+    def test_any_stage_count_is_bit_exact(self, k, alpha):
         grid = FrequencyGrid(1024, 64 * (2 / BAND_HZ) / 1024)
         target, sub = matched_example(alpha=alpha)
         rx = propagate(make_sinc_pulse(grid, 2 / BAND_HZ), target)
-        self.assert_bit_exact(rx, sub, k_list)
-
-    @pytest.mark.parametrize("k_list", [[], [-1, 2], [3, 3], [4, 2], [0, 2.5, 3]])
-    def test_bad_k_list_rejected(self, k_list):
-        _, sub = matched_example()
-        tx = make_sinc_pulse(self.grid, 2 / BAND_HZ)
-        with pytest.raises(ValueError, match="k_list"):
-            list(compensate_stages(tx, sub, k_list))
+        self.assert_bit_exact(rx, CompensatorSpec(sub, k))
 
     def test_stage_ceiling_checked_before_any_work(self):
         # a span this long fails the window guard at MAX_STAGES; one stage
-        # more reports the ceiling instead, so that is checked first
+        # more is refused by the spec, before compensate transforms anything
         sub = match_pcf(FiberParams(-21 * PS2_PER_KM, 40 * 130e3), -2806 * PS2_PER_KM)
         tx = make_sinc_pulse(self.grid, 2 / BAND_HZ)
         with pytest.raises(WraparoundError):
-            list(compensate_stages(tx, sub, [MAX_STAGES]))
+            compensate(tx, CompensatorSpec(sub, MAX_STAGES))
         with pytest.raises(ValueError, match=str(MAX_STAGES)):
-            list(compensate_stages(tx, sub, [MAX_STAGES + 1]))
+            compensate(tx, CompensatorSpec(sub, MAX_STAGES + 1))
 
 
 class TestCompensateProperty:

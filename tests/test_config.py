@@ -138,6 +138,11 @@ class TestFailClosed:
         with pytest.raises(ConfigError):
             parse_config(base_doc(compensator={"k_list": [2, 1]}))
 
+    @pytest.mark.parametrize("k_list", [[], [-1, 2], [3, 3], [4, 2], [0, 2.5, 3]])
+    def test_bad_k_list_rejected(self, k_list):
+        with pytest.raises(ConfigError, match="k_list"):
+            parse_config(base_doc(compensator={"k_list": k_list}))
+
     def test_stage_counts_past_float_range_rejected(self):
         assert math.isfinite(default_gain(1.0, MAX_STAGES))
         with pytest.raises(OverflowError):

@@ -155,6 +155,21 @@ class TestStable:
         with pytest.raises(ValueError, match=match):
             call(beta2, bandwidth)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: stable(1.0, BETA2, 1e200, 1.0),
+            lambda: edge_error(1.0, BETA2, 1e200, 1.0),
+            lambda: edge_error(1.0, BETA2, 1e200, 0.0),
+            lambda: z_max(1e200, 1.0, BETA2),
+        ],
+        ids=["stable", "edge_error", "edge_error-zero-span", "z_max"],
+    )
+    def test_band_whose_square_overflows_is_rejected(self, call):
+        # a finite band, but (pi*B)^2 leaves the double range
+        with pytest.raises(ValueError, match="overflows"):
+            call()
+
     @pytest.mark.parametrize("call", [stable, edge_error], ids=["stable", "edge_error"])
     def test_infinite_length_is_rejected(self, call):
         # zero beta2 times an infinite span is nan inside edge_phase

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.fft import fft
 
 from dispersim import (
@@ -18,7 +21,15 @@ from dispersim import (
     make_sinc_pulse,
     occupied_bandwidth,
 )
-from dispersim.signal import ifft
+from dispersim.compensator import CompensatorSpec, compensate, match_pcf
+from dispersim.fiber import FiberParams, d_to_beta2, propagate
+from dispersim.signal import (
+    COARSE_PER_BIN,
+    band_bins,
+    band_intensity_fwhm,
+    ifft,
+    sinc_band_bins,
+)
 
 
 def random_envelope(grid, seed=0):
@@ -288,6 +299,181 @@ class TestWidthMetric:
         samples = np.ones(8192)
         with pytest.raises(WidthMetricError, match="window edge"):
             intensity_fwhm(Envelope(self.grid, samples))
+
+
+def full_grid(grid, band):
+    """The envelope whose spectrum is ``band`` on its bins and zero elsewhere."""
+    n = grid.n_samples
+    spectrum = np.zeros(n, np.complex128)
+    spectrum[band_bins(n, band.size // 2)] = band
+    return Envelope(grid, ifft(spectrum))
+
+
+def outcome(measure, *args):
+    """The width or WidthMetricError message, and the warnings, of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = measure(*args)
+        except WidthMetricError as exc:
+            value = str(exc)
+    return value, [str(w.message) for w in caught]
+
+
+def assert_same_outcome(grid, band, rel=1e-12):
+    got, got_warnings = outcome(band_intensity_fwhm, grid, band)
+    want, want_warnings = outcome(intensity_fwhm, full_grid(grid, band))
+    assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=rel, abs=0)
+
+
+def sinc_band(grid, delay_samples=None, amplitude=1.0):
+    """Band of the unit-peak sinc at 64 widths per window, ``delay`` samples late."""
+    n = grid.n_samples
+    h = sinc_band_bins(grid, grid.window / 64)
+    k = grid.bin_index[band_bins(n, h)]
+    weights = np.where(np.abs(k) == h, 0.5, 1.0) * amplitude * n / (2 * h)
+    delay = n // 2 if delay_samples is None else delay_samples
+    return weights * np.exp(-2j * np.pi * k * delay / n)
+
+
+class TestBandWidthMetric:
+    """band_intensity_fwhm against intensity_fwhm of the whole inverse transform."""
+
+    # 65536 samples measure on a coarse grid plus direct sums; 1024 on every sample
+    grids = [FrequencyGrid(65536, 1e-12), FrequencyGrid(1024, 1e-12)]
+
+    @pytest.mark.parametrize("grid", grids, ids=["sparse", "every-sample"])
+    def test_sinc_width(self, grid):
+        assert_same_outcome(grid, sinc_band(grid))
+
+    @pytest.mark.parametrize("grid", grids, ids=["sparse", "every-sample"])
+    def test_multi_lobe_warns_and_uses_outermost(self, grid):
+        n = grid.n_samples
+        band = sinc_band(grid, n // 4) + sinc_band(grid, 3 * n // 4, amplitude=0.9)
+        assert_same_outcome(grid, band)
+        with pytest.warns(UserWarning, match="multiple lobes"):
+            width = band_intensity_fwhm(grid, band)
+        assert width > grid.window / 2  # spans both lobes
+
+    @pytest.mark.parametrize("grid", grids, ids=["sparse", "every-sample"])
+    def test_zero_signal_rejected(self, grid):
+        band = np.zeros(129, np.complex128)
+        assert_same_outcome(grid, band)
+        with pytest.raises(WidthMetricError, match="all-zero"):
+            band_intensity_fwhm(grid, band)
+
+    @pytest.mark.parametrize("grid", grids, ids=["sparse", "every-sample"])
+    def test_edge_touching_lobe_rejected(self, grid):
+        # the lobe of a sinc centred d samples in, d its half-maximum reach,
+        # starts at the first sample and ends before the last
+        n = grid.n_samples
+        centred = np.abs(full_grid(grid, sinc_band(grid)).samples[n // 2 :]) ** 2
+        reach = np.count_nonzero(centred >= 0.5 * centred.max()) - 1
+        for delay in (reach, n - 1 - reach):
+            band = sinc_band(grid, delay)
+            assert_same_outcome(grid, band)
+            with pytest.raises(WidthMetricError, match="window edge"):
+                band_intensity_fwhm(grid, band)
+
+    @pytest.mark.parametrize("delay", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("grid", grids, ids=["sparse", "every-sample"])
+    def test_lobe_wrapping_past_the_edge_warns_and_is_rejected(self, grid, delay):
+        # centred on the first or last sample, the lobe wraps to the other end
+        band = sinc_band(grid, delay % grid.n_samples)
+        assert_same_outcome(grid, band)
+        with pytest.warns(UserWarning, match="multiple lobes"):
+            with pytest.raises(WidthMetricError, match="window edge"):
+                band_intensity_fwhm(grid, band)
+
+    @staticmethod
+    def stride(grid, band):
+        """Samples between two points of the coarse grid of band_intensity_fwhm."""
+        n, h = grid.n_samples, band.size // 2
+        return n // min(n, 1 << (COARSE_PER_BIN * h - 1).bit_length())
+
+    @staticmethod
+    def two_lobes(grid, second_delay, ratio):
+        """Sincs at n/4 and ``second_delay`` whose peak intensities are in ``ratio``."""
+        n = grid.n_samples
+        amplitude = np.sqrt(ratio)
+        for _ in range(4):  # the lobes' tails lift each other's peaks a little
+            band = sinc_band(grid, n // 4) + sinc_band(grid, second_delay, amplitude)
+            intensity = np.abs(full_grid(grid, band).samples) ** 2
+            got = intensity[second_delay] / intensity[n // 4]
+            amplitude *= np.sqrt(ratio / got)
+        return band
+
+    def test_lobe_just_above_half_between_coarse_samples(self):
+        # the second lobe tops out at half maximum + 1e-5, midway between
+        # two coarse samples, which both read below half maximum
+        grid = self.grids[0]
+        n, r = grid.n_samples, self.stride(grid, sinc_band(grid))
+        assert r > 1
+        band = self.two_lobes(grid, 3 * n // 4 + r // 2, 0.5 * (1 + 1e-5))
+        assert_same_outcome(grid, band)
+        with pytest.warns(UserWarning, match="multiple lobes"):
+            assert band_intensity_fwhm(grid, band) > grid.window / 2
+
+    def test_highest_peak_between_coarse_samples(self):
+        # two lobes 1e-6 apart in height: the higher one sits midway between
+        # coarse samples, the lower one on a coarse sample
+        grid = self.grids[0]
+        n, r = grid.n_samples, self.stride(grid, sinc_band(grid))
+        band = self.two_lobes(grid, 3 * n // 4 + r // 2, 1 + 1e-6)
+        assert_same_outcome(grid, band)
+
+    def test_band_must_fit_the_grid(self):
+        with pytest.raises(ValueError, match="band bins"):
+            band_intensity_fwhm(FrequencyGrid(16, 1e-12), np.ones(17, np.complex128))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2**p for p in range(10, 17)]),
+        h=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+        smooth=st.booleans(),
+    )
+    def test_any_band_spectrum(self, n, h, seed, smooth):
+        # random complex bins, optionally tapered: multi-lobe signals, edge
+        # lobes and single lobes of every shape
+        rng = np.random.default_rng(seed)
+        band = rng.standard_normal(2 * h + 1) + 1j * rng.standard_normal(2 * h + 1)
+        if smooth:
+            k = np.r_[0 : h + 1, -h:0]
+            band *= np.exp(-((k / (0.3 * h + 1)) ** 2))
+        assert_same_outcome(FrequencyGrid(n, 1e-12), band)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2**p for p in range(10, 17)]),
+        xi=st.floats(0.05, 6.0),
+        alpha=st.floats(0.05, 1.0),
+        k=st.integers(0, 30),
+        pcf_d=st.floats(300.0, 6000.0),
+    )
+    def test_compensated_pulse(self, n, xi, alpha, k, pcf_d):
+        # The full-grid output carries rounding noise outside the band, which
+        # the cascade amplifies. Where that noise is negligible the band alone
+        # must give the full-grid width. The noise moves the width by about
+        # sqrt(share)/20 (a share of 2e-21 moved it by 1.5e-12), so a share
+        # below 1e-24 is what 1e-12 needs.
+        bandwidth, beta2 = 3e9, -21e-27
+        grid = FrequencyGrid(n, 64 * (2 / bandwidth) / n)
+        tx = make_sinc_pulse(grid, 2 / bandwidth)
+        target = FiberParams(beta2, xi / (abs(beta2) * (2 * np.pi * bandwidth) ** 2))
+        sub = match_pcf(target, d_to_beta2(pcf_d, 1.55e-6), alpha=alpha)
+        out = compensate(propagate(tx, target), CompensatorSpec(sub, k))
+        spectrum = fft(out.samples)
+        bins = band_bins(n, sinc_band_bins(grid, 2 / bandwidth))
+        outside = np.sum(np.abs(np.delete(spectrum, bins)) ** 2)
+        if outside < 1e-24 * np.sum(np.abs(spectrum) ** 2):
+            got = band_intensity_fwhm(grid, spectrum[bins])
+            want = intensity_fwhm(Envelope(grid, ifft(spectrum)))  # in place
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestWraparoundGuard:
