@@ -329,7 +329,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for b in ([bandwidth_hz] if bandwidth_hz else []) + list(region_bandwidths or []):
         try:
             per_m = dispersion_strength(fiber_beta2, 1.0, float(b))
-        except OverflowError:
+        except ValueError:  # (2*pi*B)^2 overflows
             per_m = math.inf
         if fiber_beta2 and not np.finfo(float).tiny <= per_m < math.inf:
             raise ConfigError(

@@ -20,9 +20,14 @@ def dispersion_strength(beta2: float, z_m: float, bandwidth_hz: float) -> float:
 
     When |beta2| * z leaves the normal double range, xi is the per-metre
     strength times z instead: multiplying first would lose digits, or all of
-    them, to underflow.
+    them, to underflow. A band whose (2*pi*B)^2 overflows raises ValueError.
     """
-    omega_sq = (2.0 * math.pi * bandwidth_hz) ** 2
+    try:
+        omega_sq = (2.0 * math.pi * bandwidth_hz) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"bandwidth {bandwidth_hz:g} Hz is out of range: (2*pi*B)^2 overflows"
+        ) from None
     beta2_z = abs(beta2) * z_m
     if beta2_z < sys.float_info.min and beta2 and z_m:
         return abs(beta2) * omega_sq * z_m
@@ -30,7 +35,11 @@ def dispersion_strength(beta2: float, z_m: float, bandwidth_hz: float) -> float:
 
 
 def span_length(xi: float, beta2: float, bandwidth_hz: float) -> float:
-    """Span z of dispersion strength xi: xi / (|beta2| * (2*pi*B)^2)."""
+    """Span z of dispersion strength xi: xi / (|beta2| * (2*pi*B)^2).
+
+    Raises ValueError, as :func:`dispersion_strength` does, where (2*pi*B)^2
+    overflows.
+    """
     return xi / dispersion_strength(beta2, 1.0, bandwidth_hz)
 
 

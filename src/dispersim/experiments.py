@@ -22,14 +22,12 @@ from .signal import (
     Envelope,
     FrequencyGrid,
     WIDTH_METRIC,
-    band_bins,
     band_intensity_fwhm,
-    check_wraparound,
-    fft,
-    intensity_fwhm,
+    band_offsets,
+    check_band_wraparound,
     make_gaussian_pulse,
+    make_sinc_band,
     make_sinc_pulse,
-    sinc_band_bins,
 )
 
 REGION_CSV_HEADER = "B_hz,z_max_m,alpha,beta2_si"
@@ -63,11 +61,16 @@ def write_meta(outdir: Path, command: str, cfg: ExperimentConfig, extra: dict) -
     (outdir / "meta.json").write_text(text, encoding="utf-8", newline="\n")
 
 
-def build_pulse(cfg: ExperimentConfig) -> Envelope:
-    """The transmitted pulse on the configured grid (``tx.grid``)."""
+def _grid(cfg: ExperimentConfig) -> FrequencyGrid:
+    """The configured grid, which needs the signal section."""
     if cfg.pulse_width_s is None:
         raise ConfigError("signal section is required")
-    grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
+    return FrequencyGrid(cfg.n_samples, cfg.dt_s)
+
+
+def build_pulse(cfg: ExperimentConfig) -> Envelope:
+    """The transmitted pulse on the configured grid (``tx.grid``)."""
+    grid = _grid(cfg)
     if cfg.pulse == "sinc":
         return make_sinc_pulse(grid, cfg.pulse_width_s)
     return make_gaussian_pulse(grid, cfg.pulse_width_s)
@@ -107,36 +110,36 @@ class Stage:
     residual_max: float
 
 
-def _stage_search(cfg: ExperimentConfig, tx: Envelope, tx_width: float, z_m, alphas):
+def _stage_search(cfg: ExperimentConfig, grid, tx_band, tx_width: float, z_m, alphas):
     """Yield ``(alpha, [Stage per K of cfg.k_list])`` for each alpha on one span.
 
-    The span is propagated once, at its first converging alpha, and never when
-    every alpha diverges; a diverged alpha builds no response. After the
-    propagation and its wraparound check, everything runs on the bins of the
-    sinc's band: the received spectrum, the pcf response (once per span, as
-    the matched length does not depend on alpha), each alpha's error
-    response E_D, its running partial sum and the width of every K's output.
-    The output spectrum is the one :func:`compensate` forms there, and
-    :func:`band_intensity_fwhm` measures it as :func:`intensity_fwhm` would
-    measure its inverse transform.
+    Everything runs on the bins of the sinc's band ``tx_band``
+    (:func:`make_sinc_band` on ``grid``); no N-point array is built. The span
+    is propagated once, at its first converging alpha, and never when every
+    alpha diverges; a diverged alpha builds no response. The propagation
+    keeps both wraparound guards of the full-grid path: the span's, on the
+    sent pulse (:func:`propagate`), and the K stages', on the received one
+    (:func:`compensate`). The pcf response is built once per span, as the
+    matched length does not depend on alpha; then each alpha's error
+    response E_D, its running partial sum and the width of every K's
+    output. The output spectrum is the one :func:`compensate` forms there,
+    and :func:`band_intensity_fwhm` measures it as :func:`intensity_fwhm`
+    would measure its inverse transform.
     """
     beta2, bandwidth = cfg.fiber_beta2, cfg.bandwidth_hz
     fiber = FiberParams(beta2, z_m)
-    grid = tx.grid
     rx_band = None
     for alpha in alphas:
         factors = [None] * len(cfg.k_list)
         if stable(alpha, beta2, bandwidth, z_m):
             sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
             if rx_band is None:
-                rx = propagate(tx, fiber)
-                spectrum = fft(rx.samples)
+                check_band_wraparound(grid, tx_band, beta2 * z_m, width=tx_width)
+                offsets = band_offsets(grid, tx_band.size // 2)
+                rx_band = tx_band * dispersion_response(fiber, offsets)
                 k_gvd = cfg.k_list[-1] * abs(sub.pcf.beta2) * sub.length_m
-                check_wraparound(rx, spectrum, k_gvd)
-                h = sinc_band_bins(grid, cfg.pulse_width_s)
-                bins = band_bins(grid.n_samples, h)
-                rx_band = spectrum[bins]
-                h_pcf = dispersion_response(sub.pcf, grid.delta_omega[bins])
+                check_band_wraparound(grid, rx_band, k_gvd)
+                h_pcf = dispersion_response(sub.pcf, offsets)
             e_d = 1.0 - math.sqrt(alpha) * h_pcf
             factors = []
             for k, partial in enumerate(partial_sums(e_d, cfg.k_list[-1])):
@@ -153,20 +156,22 @@ def _stage_search(cfg: ExperimentConfig, tx: Envelope, tx_width: float, z_m, alp
 def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     """Broadening factor against stage count for each (xi, alpha) pair.
 
-    The pulse is built and its width measured once per run; each xi's span
-    runs one :func:`_stage_search` over the sorted alphas.
+    The pulse's band is built and its width measured once per run; each
+    xi's span runs one :func:`_stage_search` over the sorted alphas.
     """
     if cfg.pcf_beta2 is None:
         raise ConfigError("pcf section is required for the sweep-k command")
     if cfg.pulse != "sinc":
         raise ConfigError("sweep-k runs on sinc pulses")
-    tx = build_pulse(cfg)
-    tx_width = intensity_fwhm(tx)
+    grid = _grid(cfg)
+    tx_band = make_sinc_band(grid, cfg.pulse_width_s)
+    tx_width = band_intensity_fwhm(grid, tx_band)
     lines = [SWEEP_CSV_HEADER]
     diverged = 0
     for xi in cfg.xi_values:
         z_m = span_length(xi, cfg.fiber_beta2, cfg.bandwidth_hz)
-        for alpha, stages in _stage_search(cfg, tx, tx_width, z_m, sorted(cfg.alphas)):
+        search = _stage_search(cfg, grid, tx_band, tx_width, z_m, sorted(cfg.alphas))
+        for alpha, stages in search:
             for s in stages:
                 factor = s.broadening_factor
                 diverged += factor is None
@@ -189,13 +194,15 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
         raise ConfigError("pcf section is required for the scenario command")
     if cfg.pulse != "sinc":
         raise ConfigError("scenario runs on sinc pulses")
-    tx = build_pulse(cfg)
+    grid = _grid(cfg)
+    tx_band = make_sinc_band(grid, cfg.pulse_width_s)
     bandwidth = cfg.bandwidth_hz
     alpha = cfg.alphas[0]
     _require_convergence(cfg, alpha)
     xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, bandwidth)
     sub = match_pcf(FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.pcf_beta2, alpha=alpha)
-    [(_, stages)] = _stage_search(cfg, tx, intensity_fwhm(tx), cfg.z_m, [alpha])
+    tx_width = band_intensity_fwhm(grid, tx_band)
+    [(_, stages)] = _stage_search(cfg, grid, tx_band, tx_width, cfg.z_m, [alpha])
     required_k = next(
         (s.k for s in stages if s.broadening_factor <= cfg.target_broadening), None
     )

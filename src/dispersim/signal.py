@@ -81,13 +81,6 @@ class FrequencyGrid:
         return dw
 
     @cached_property
-    def bin_index(self) -> np.ndarray:
-        """Signed bin numbers k with f_k = k*df (Nyquist bin is -n/2)."""
-        k = np.rint(fftfreq(self.n_samples, 1.0) * self.n_samples).astype(int)
-        k.setflags(write=False)
-        return k
-
-    @cached_property
     def time_axis(self) -> np.ndarray:
         t = np.arange(self.n_samples) * self.dt
         t.setflags(write=False)
@@ -171,12 +164,42 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
     quantized to the grid; it is exact whenever the window is an integer
     multiple of W.
 
+    The samples are the N-point inverse transform of the band of
+    :func:`make_sinc_band` before its unit-peak scale; here the scale is
+    the sampled centre value.
+
     Parameters
     ----------
     grid : FrequencyGrid
     zero_to_zero_width : float
         Separation of the two main-lobe nulls, seconds.
     """
+    shape = _sinc_band_shape(grid, zero_to_zero_width)
+    n, center = grid.n_samples, grid.n_samples // 2
+    spectrum = np.zeros(n, np.complex128)
+    spectrum[band_bins(n, shape.size // 2)] = shape
+    samples = ifft(spectrum)
+    samples = samples * (1.0 / samples[center].real)
+    return Envelope(grid, samples)
+
+
+def make_sinc_band(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarray:
+    """The DFT of :func:`make_sinc_pulse` on its band bins, built without the pulse.
+
+    The values sit on ``band_bins(n, h)``, h = :func:`sinc_band_bins`, and
+    every other bin of the pulse's spectrum is zero. The unit-peak scale
+    is the centre sample taken as a sum over these bins, so the values
+    match the transform of the sampled pulse to rounding.
+    """
+    shape = _sinc_band_shape(grid, zero_to_zero_width)
+    # at the centre sample n/2 the inverse transform turns bin k by (-1)**k
+    signs = 1.0 - 2.0 * (_band_k(shape.size // 2) % 2)
+    peak = np.dot(shape.real, signs) / grid.n_samples
+    return shape * (1.0 / peak)
+
+
+def _sinc_band_shape(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarray:
+    """Unscaled sinc spectrum on ``band_bins(n, h)``: weights times centring phase."""
     w = zero_to_zero_width
     if not (np.isfinite(w) and w > 0):
         raise ValueError("zero_to_zero_width must be positive")
@@ -185,15 +208,11 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
             f"time window {grid.window:.3e} s is below the 8x guard margin "
             f"for a {w:.3e} s wide pulse"
         )
-    half_band_bins = sinc_band_bins(grid, w)
-    k = np.abs(grid.bin_index)
-    weights = np.where(k < half_band_bins, 1.0, 0.0)
-    weights[k == half_band_bins] = 0.5
-    center = grid.n_samples // 2
-    t_c = center * grid.dt
-    samples = ifft(weights * np.exp(-1j * grid.delta_omega * t_c))
-    samples = samples * (1.0 / samples[center].real)
-    return Envelope(grid, samples)
+    h = sinc_band_bins(grid, w)
+    weights = np.ones(2 * h + 1)
+    weights[[h, h + 1]] = 0.5  # the edge bins +h and -h
+    t_c = (grid.n_samples // 2) * grid.dt
+    return weights * np.exp(-1j * band_offsets(grid, h) * t_c)
 
 
 def sinc_band_bins(grid: FrequencyGrid, zero_to_zero_width: float) -> int:
@@ -217,6 +236,19 @@ def sinc_band_bins(grid: FrequencyGrid, zero_to_zero_width: float) -> int:
 def band_bins(n_samples: int, h: int) -> np.ndarray:
     """Indices of the bins |k| <= h of an n-point DFT, in FFT order (0..h, -h..-1)."""
     return np.r_[0 : h + 1, n_samples - h : n_samples]
+
+
+def _band_k(h: int) -> np.ndarray:
+    """Signed bin numbers k of :func:`band_bins`: 0..h, then -h..-1."""
+    return np.r_[0 : h + 1, -h:0]
+
+
+def band_offsets(grid: FrequencyGrid, h: int) -> np.ndarray:
+    """``grid.delta_omega`` at :func:`band_bins`, without the N-point axis.
+
+    2*pi*(k*df) is what :func:`numpy.fft.fftfreq` computes, bit for bit.
+    """
+    return 2.0 * np.pi * (_band_k(h) * grid.df)
 
 
 def make_gaussian_pulse(grid: FrequencyGrid, t0: float) -> Envelope:
@@ -359,7 +391,7 @@ class _BandSamples:
 @lru_cache(maxsize=4)
 def _stretch_table(n: int, h: int, r: int):
     """Band bin numbers k, and exp(2j*pi*k*t/n) for the offsets t = 0..r+1."""
-    k = np.r_[0 : h + 1, -h:0]
+    k = _band_k(h)
     table = np.exp((2j * np.pi / n) * np.outer(k, np.arange(r + 2)))
     k.setflags(write=False)
     table.setflags(write=False)
@@ -456,13 +488,35 @@ def check_wraparound(
     occupied band 2*pi*B is ``accumulated_gvd * 2*pi*B`` and the time window
     must exceed pulse width plus spread by :data:`GUARD_FACTOR`.
     """
-    width = intensity_fwhm(e)
-    band = occupied_bandwidth(e.grid, spectrum)
-    spread = abs(accumulated_gvd) * 2.0 * np.pi * band
+    bandwidth = occupied_bandwidth(e.grid, spectrum)
+    _require_window(e.grid, intensity_fwhm(e), bandwidth, accumulated_gvd)
+
+
+def check_band_wraparound(
+    grid: FrequencyGrid, band: np.ndarray, accumulated_gvd: float, width=None
+) -> None:
+    """:func:`check_wraparound` of the envelope whose spectrum is ``band``.
+
+    ``band`` is laid out as in :func:`band_intensity_fwhm`, which gives the
+    width unless the caller passes it as ``width``. The occupied band
+    reaches the edge bins +-h, as a sinc's half-weight edge bins do, so no
+    N-point scan is needed.
+    """
+    if width is None:
+        width = band_intensity_fwhm(grid, band)
+    h = band.size // 2
+    # delta_omega at bin h, over pi: what occupied_bandwidth reads for a sinc
+    bandwidth = float(band_offsets(grid, h)[h] / np.pi)
+    _require_window(grid, width, bandwidth, accumulated_gvd)
+
+
+def _require_window(grid, width, bandwidth, accumulated_gvd) -> None:
+    """Raise :class:`WraparoundError` unless the window holds width plus spread."""
+    spread = abs(accumulated_gvd) * 2.0 * np.pi * bandwidth
     needed = GUARD_FACTOR * (width + spread)
-    if e.grid.window < needed:
+    if grid.window < needed:
         raise WraparoundError(
-            f"time window {e.grid.window:.3e} s cannot absorb a pulse of "
+            f"time window {grid.window:.3e} s cannot absorb a pulse of "
             f"width {width:.3e} s with dispersive spread {spread:.3e} s "
             f"(need >= {needed:.3e} s)"
         )

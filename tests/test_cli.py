@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -394,6 +396,21 @@ class TestSweep:
         assert err.count("error:") == 1
         assert "1022" in err
 
+    def test_stage_guard_alone_rejects(self, tmp_path, capsys):
+        # 12 stages spread the pulse 12 times as far as the span does: the
+        # window holds the span's spread, but not the stages'
+        doc = sweep_doc([2.0], [1.0], k_max=12)
+        doc["signal"]["window_factor"] = 8
+        config = write_config(tmp_path, doc)
+        rc = main(["sweep-k", "--config", config, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        # the spread in the message is that of the stages, not of the span
+        beta2 = parse_config(doc).fiber_beta2
+        spread = 12 * abs(beta2) * span_length(2.0, beta2, 3e9) * 2 * math.pi * 3e9
+        assert f"dispersive spread {spread:.3e} s" in err
+
     def test_byte_determinism(self, tmp_path):
         config = write_config(tmp_path, sweep_doc([0.5, 1.0], [0.5, 1.0], k_max=3))
         out1, out2 = tmp_path / "out1", tmp_path / "out2"
@@ -493,12 +510,61 @@ class TestScenario:
         assert err.count("error:") == 1
         assert "signal section is required" in err
 
+    def test_span_guard_alone_rejects_at_k_max_0(self, tmp_path, capsys, monkeypatch):
+        # The span's guard needs at most 0.7 of an 8-width window wherever the
+        # cascade converges, so the point is let past the convergence check:
+        # xi 25 spreads the sent pulse past the window, while the received
+        # pulse, which is all that K = 0 checks, fits it
+        monkeypatch.setattr("dispersim.experiments.stable", lambda *args: True)
+        beta2 = -21e-27
+        z_m = span_length(25.0, beta2, 3e9)
+        doc = scenario_doc(z_km=z_m / 1e3)
+        doc["compensator"] = {"alphas": [1.0], "k_max": 0}
+        doc["signal"]["window_factor"] = 8
+        config = write_config(tmp_path, doc)
+        rc = main(["scenario", "--config", config, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        spread = abs(beta2) * z_m * 2 * math.pi * 3e9  # 8 widths: the band is exact
+        assert f"dispersive spread {spread:.3e} s" in err
+
     def test_unstable_point_exits_3(self, tmp_path, capsys):
         assert z_max(3e9, 1.0, -21e-27) < 2000e3
         config = write_config(tmp_path, scenario_doc(z_km=2000.0))
         rc = main(["scenario", "--config", config, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "convergence region" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep-k", "scenario"])
+def test_runners_never_leave_the_band(tmp_path, monkeypatch, command):
+    # One 2**20-sample complex array takes 16.8 MB; the sinc's band holds
+    # 129 bins, and n_samples only sets the resolution of the width metric
+    def full_grid(*args):
+        raise AssertionError("an N-point pulse, spectrum or guard was built")
+
+    for name in (
+        "experiments.make_sinc_pulse",
+        "experiments.propagate",
+        "signal.fft",
+        "signal.check_wraparound",
+    ):
+        monkeypatch.setattr(f"dispersim.{name}", full_grid)
+    if command == "scenario":
+        doc = scenario_doc(n_samples=2**20)
+        doc["compensator"] = {"alphas": [0.5], "k_max": 2}
+    else:
+        doc = sweep_doc([1.0], [0.5], k_max=2, n_samples=2**20)
+    config = write_config(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        rc = main([command, "--config", config, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 8e6
 
 
 class TestPropagate:

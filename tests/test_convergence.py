@@ -231,6 +231,20 @@ class TestDispersionStrength:
         expected = abs(BETA2) * 130e3 * (2 * math.pi * 3e9) ** 2
         assert dispersion_strength(BETA2, 130e3, 3e9) == expected
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: dispersion_strength(BETA2, 1.0, 1e200),
+            lambda: dispersion_strength(BETA2, 0.0, 1e200),
+            lambda: span_length(1.0, BETA2, 1e200),
+        ],
+        ids=["dispersion_strength", "dispersion_strength-zero-span", "span_length"],
+    )
+    def test_band_whose_square_overflows_is_rejected(self, call):
+        # a finite band, but (2*pi*B)^2 leaves the double range
+        with pytest.raises(ValueError, match=r"1e\+200 Hz is out of range"):
+            call()
+
 
 @settings(max_examples=300, deadline=None)
 @given(

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -22,14 +23,28 @@ from dispersim import (
     occupied_bandwidth,
 )
 from dispersim.compensator import CompensatorSpec, compensate, match_pcf
-from dispersim.fiber import FiberParams, d_to_beta2, propagate
+from dispersim.fiber import (
+    FiberParams,
+    d_to_beta2,
+    dispersion_response,
+    dispersion_tf,
+    propagate,
+)
 from dispersim.signal import (
     COARSE_PER_BIN,
     band_bins,
     band_intensity_fwhm,
+    band_offsets,
+    check_band_wraparound,
     ifft,
+    make_sinc_band,
     sinc_band_bins,
 )
+
+
+def bin_numbers(n):
+    """Signed bin numbers k of an n-point DFT, f_k = k*df (Nyquist bin is -n/2)."""
+    return np.rint(np.fft.fftfreq(n, 1.0) * n).astype(int)
 
 
 def random_envelope(grid, seed=0):
@@ -176,7 +191,7 @@ class TestSincPulse:
         e = make_sinc_pulse(self.grid, self.width)
         mags = np.abs(np.fft.fft(e.samples))
         half_band = round(1.0 / (self.width * self.grid.df))
-        k = self.grid.bin_index
+        k = bin_numbers(self.grid.n_samples)
         inner = mags[np.abs(k) < half_band]
         np.testing.assert_allclose(inner, inner[0], rtol=1e-12)
         edges = mags[np.abs(k) == half_band]
@@ -186,7 +201,7 @@ class TestSincPulse:
         e = make_sinc_pulse(self.grid, self.width)
         mags = np.abs(np.fft.fft(e.samples))
         half_band = round(1.0 / (self.width * self.grid.df))
-        outside = mags[np.abs(self.grid.bin_index) > half_band]
+        outside = mags[np.abs(bin_numbers(self.grid.n_samples)) > half_band]
         assert np.max(outside) < 1e-3 * np.max(mags)
 
     def test_nulls_and_peak(self):
@@ -208,6 +223,77 @@ class TestSincPulse:
         grid = FrequencyGrid(16, 1e-12)
         with pytest.raises(WindowError):
             make_sinc_pulse(grid, 2e-12)
+
+
+def frozen_sinc_pulse(grid, zero_to_zero_width):
+    """make_sinc_pulse's samples as the full-grid formula gave them: do not edit."""
+    half_band_bins = sinc_band_bins(grid, zero_to_zero_width)
+    k = np.abs(bin_numbers(grid.n_samples))
+    weights = np.where(k < half_band_bins, 1.0, 0.0)
+    weights[k == half_band_bins] = 0.5
+    center = grid.n_samples // 2
+    t_c = center * grid.dt
+    samples = ifft(weights * np.exp(-1j * grid.delta_omega * t_c))
+    return samples * (1.0 / samples[center].real)
+
+
+def sinc_grid(n, window_factor, width=2 / 3e9):
+    return FrequencyGrid(n, window_factor * width / n)
+
+
+class TestSincBand:
+    """make_sinc_band against the transform of the sampled make_sinc_pulse."""
+
+    width = 2 / 3e9
+
+    @pytest.mark.parametrize(
+        "n, window_factor",
+        [(256, 8.0), (1024, 50.5), (4096, 127.3), (16384, 64.0), (65536, 100.25)],
+    )
+    def test_pulse_keeps_its_bits(self, n, window_factor):
+        grid = sinc_grid(n, window_factor)
+        got = make_sinc_pulse(grid, self.width).samples
+        want = frozen_sinc_pulse(grid, self.width)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2**p for p in range(8, 17)]),
+        window_factor=st.one_of(
+            st.integers(8, 128).map(float), st.floats(8.0, 128.0)
+        ),
+    )
+    def test_band_is_the_pulse_spectrum(self, n, window_factor):
+        grid = sinc_grid(n, window_factor)
+        try:
+            pulse = make_sinc_pulse(grid, self.width)
+        except WindowError as exc:  # the 8x margin, or a band past Nyquist
+            with pytest.raises(WindowError, match=str(exc)):
+                make_sinc_band(grid, self.width)
+            return
+        np.testing.assert_array_equal(
+            pulse.samples.view(np.int64),
+            frozen_sinc_pulse(grid, self.width).view(np.int64),
+        )
+        band = make_sinc_band(grid, self.width)
+        h = band.size // 2
+        assert h == sinc_band_bins(grid, self.width)
+        bins = band_bins(n, h)
+        spectrum = fft(pulse.samples)
+        assert np.max(np.abs(band - spectrum[bins])) <= 1e-14 * np.max(np.abs(spectrum))
+        np.testing.assert_array_equal(
+            band_offsets(grid, h).view(np.int64), grid.delta_omega[bins].view(np.int64)
+        )
+        want = intensity_fwhm(pulse)
+        assert band_intensity_fwhm(grid, band) == pytest.approx(want, rel=1e-12)
+
+    def test_checks_are_those_of_the_pulse(self):
+        with pytest.raises(ValueError, match="positive"):
+            make_sinc_band(sinc_grid(1024, 64.0), 0.0)
+        with pytest.raises(WindowError, match="guard margin"):
+            make_sinc_band(sinc_grid(1024, 7.9), self.width)
+        with pytest.raises(WindowError, match="too coarse"):
+            make_sinc_band(sinc_grid(256, 128.0), self.width)
 
 
 class TestGaussianPulse:
@@ -334,7 +420,7 @@ def sinc_band(grid, delay_samples=None, amplitude=1.0):
     """Band of the unit-peak sinc at 64 widths per window, ``delay`` samples late."""
     n = grid.n_samples
     h = sinc_band_bins(grid, grid.window / 64)
-    k = grid.bin_index[band_bins(n, h)]
+    k = bin_numbers(n)[band_bins(n, h)]
     weights = np.where(np.abs(k) == h, 0.5, 1.0) * amplitude * n / (2 * h)
     delay = n // 2 if delay_samples is None else delay_samples
     return weights * np.exp(-2j * np.pi * k * delay / n)
@@ -487,6 +573,76 @@ class TestWraparoundGuard:
         e = make_gaussian_pulse(grid, 100e-12)
         with pytest.raises(WraparoundError):
             check_wraparound(e, fft(e.samples), 21e-27 * 2e6)
+
+
+def guard_outcome(check, *args):
+    """None or the WraparoundError/WidthMetricError message, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            check(*args)
+            raised = None
+        except (WraparoundError, WidthMetricError) as exc:
+            raised = f"{type(exc).__name__}: {exc}"
+    return raised, [str(w.message) for w in caught]
+
+
+class TestBandWraparoundGuard:
+    """check_band_wraparound against check_wraparound of the full-grid envelope."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2**p for p in range(8, 15)]),
+        window_factor=st.floats(8.0, 128.0),
+        span_xi=st.floats(0.0, 60.0),
+        margin=st.floats(0.25, 2.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_raises_exactly_when_the_full_grid_guard_does(
+        self, n, window_factor, span_xi, margin, sign
+    ):
+        # the sent sinc, dispersed over a span of strength span_xi, against a
+        # spread that asks for `margin` times the window (or none at all
+        # where the pulse width alone exceeds that)
+        bandwidth, beta2 = 3e9, -21e-27
+        grid = sinc_grid(n, window_factor)
+        try:
+            tx = make_sinc_pulse(grid, 2 / bandwidth)
+        except WindowError:
+            return
+        z = span_xi / (abs(beta2) * (2 * np.pi * bandwidth) ** 2)
+        fiber = FiberParams(beta2, z)
+        rx = apply_tf(tx, dispersion_tf(fiber, grid))  # no guard on the span
+        spectrum = fft(rx.samples)
+        band = make_sinc_band(grid, 2 / bandwidth)
+        rx_band = band * dispersion_response(fiber, band_offsets(grid, band.size // 2))
+        occupied = occupied_bandwidth(grid, spectrum)
+        width = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # guard_outcome compares the warnings
+            with contextlib.suppress(WidthMetricError):
+                width = intensity_fwhm(rx)
+        spread = max(grid.window * margin / 4 - width, 0.0)
+        gvd = sign * spread / (2 * np.pi * occupied)
+        needed = 4 * (width + abs(gvd) * 2 * np.pi * occupied)
+        if abs(grid.window / needed - 1) < 1e-9:
+            return  # the two widths may round to either side
+        got = guard_outcome(check_band_wraparound, grid, rx_band, gvd)
+        assert got == guard_outcome(check_wraparound, rx, spectrum, gvd)
+
+    def test_the_edge_bins_set_the_band(self):
+        # window factor 50.5 rounds the band to 50 bins: the occupied band,
+        # not the configured 3 GHz, sets the spread in the message
+        grid = sinc_grid(4096, 50.5)
+        tx = make_sinc_pulse(grid, 2 / 3e9)
+        band = make_sinc_band(grid, 2 / 3e9)
+        gvd = grid.window / (2 * np.pi * 3e9)
+        want = guard_outcome(check_wraparound, tx, fft(tx.samples), gvd)
+        assert want[0] is not None
+        assert guard_outcome(check_band_wraparound, grid, band, gvd) == want
+        width = band_intensity_fwhm(grid, band)
+        passed = guard_outcome(check_band_wraparound, grid, band, gvd, width)
+        assert passed == want
 
 
 class TestEnvelope:
