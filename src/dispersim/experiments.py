@@ -134,11 +134,12 @@ def _stage_search(cfg: ExperimentConfig, grid, tx_band, tx_width: float, z_m, al
         if stable(alpha, beta2, bandwidth, z_m):
             sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
             if rx_band is None:
-                check_band_wraparound(grid, tx_band, beta2 * z_m, width=tx_width)
+                check_band_wraparound(grid, tx_band, beta2 * z_m, tx_width)
                 offsets = band_offsets(grid, tx_band.size // 2)
                 rx_band = tx_band * dispersion_response(fiber, offsets)
                 k_gvd = cfg.k_list[-1] * abs(sub.pcf.beta2) * sub.length_m
-                check_band_wraparound(grid, rx_band, k_gvd)
+                rx_width = band_intensity_fwhm(grid, rx_band)
+                check_band_wraparound(grid, rx_band, k_gvd, rx_width)
                 h_pcf = dispersion_response(sub.pcf, offsets)
             e_d = 1.0 - math.sqrt(alpha) * h_pcf
             factors = []

@@ -319,6 +319,8 @@ def _crossing_width(at, half, i_lo, i_hi, one_lobe, n, dt) -> float:
 #: The coarse grid of :func:`band_intensity_fwhm` has at least this many
 #: samples per band bin (a power of two, capped at the grid size).
 COARSE_PER_BIN = 64
+#: Largest table of direct sums band_intensity_fwhm builds: 1 GiB of complex128.
+MAX_TABLE_SIZE = 2**26
 
 
 def band_intensity_fwhm(grid: FrequencyGrid, band: np.ndarray) -> float:
@@ -337,12 +339,22 @@ def band_intensity_fwhm(grid: FrequencyGrid, band: np.ndarray) -> float:
       half-maximum crossing;
     - direct sums over the band give the samples of those stretches, and
       the linear-interpolation rule runs on them.
+
+    Raises :class:`WindowError` where the table of those sums would exceed
+    :data:`MAX_TABLE_SIZE` values, before allocating it.
     """
     n = grid.n_samples
     h = band.size // 2
     if band.shape != (2 * h + 1,) or 2 * h + 1 >= n:
         raise ValueError(f"expected 2h+1 < {n} band bins, got shape {band.shape}")
     m = min(n, 1 << max(1, (COARSE_PER_BIN * h - 1).bit_length()))
+    r = n // m
+    if m < n and band.size * (r + 2) > MAX_TABLE_SIZE:
+        raise WindowError(
+            f"time step too fine: cannot allocate the width metric's "
+            f"{band.size}x{r + 2} table of direct sums (at most "
+            f"{MAX_TABLE_SIZE} values); use fewer samples"
+        )
     coarse = np.zeros(m, np.complex128)
     scale = m / n  # a power of two: exact
     np.multiply(band[: h + 1], scale, out=coarse[: h + 1])
@@ -350,7 +362,7 @@ def band_intensity_fwhm(grid: FrequencyGrid, band: np.ndarray) -> float:
     intensity = np.abs(ifft(coarse)) ** 2  # |s|^2 at samples 0, r, 2r, ...
     if m == n:
         return _fwhm(intensity, grid.dt)
-    return _sparse_fwhm(intensity, _BandSamples(band, n, n // m), grid.dt)
+    return _sparse_fwhm(intensity, _BandSamples(band, n, r), grid.dt)
 
 
 class _BandSamples:
@@ -493,17 +505,14 @@ def check_wraparound(
 
 
 def check_band_wraparound(
-    grid: FrequencyGrid, band: np.ndarray, accumulated_gvd: float, width=None
+    grid: FrequencyGrid, band: np.ndarray, accumulated_gvd: float, width: float
 ) -> None:
     """:func:`check_wraparound` of the envelope whose spectrum is ``band``.
 
-    ``band`` is laid out as in :func:`band_intensity_fwhm`, which gives the
-    width unless the caller passes it as ``width``. The occupied band
-    reaches the edge bins +-h, as a sinc's half-weight edge bins do, so no
-    N-point scan is needed.
+    ``band`` is laid out as in :func:`band_intensity_fwhm`, and ``width`` is
+    that function's value for it. The occupied band reaches the edge bins
+    +-h, as a sinc's half-weight edge bins do, so no N-point scan is needed.
     """
-    if width is None:
-        width = band_intensity_fwhm(grid, band)
     h = band.size // 2
     # delta_omega at bin h, over pi: what occupied_bandwidth reads for a sinc
     bandwidth = float(band_offsets(grid, h)[h] / np.pi)

@@ -794,8 +794,10 @@ class TestRangeRules:
 
     @pytest.mark.parametrize("command", ["sweep-k", "scenario", "propagate"])
     def test_unallocatable_grid_exits_2(self, tmp_path, capsys, command):
-        # 2**58 samples ask for 2 EiB per array, past any address space, so
-        # the request fails at once without touching memory
+        # propagate builds the pulse on 2**58 samples, 4 EiB per complex
+        # array, past any address space, so the request fails at once without
+        # touching memory; sweep-k and scenario never build that array, and
+        # the width metric refuses its 2**46-column table of direct sums
         doc = _doc(readme_doc(), signal=dict(_SMALL_SINC, n_samples=2**58))
         config = write_config(tmp_path, doc)
         assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2

@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from dispersim import (
     make_sinc_pulse,
     occupied_bandwidth,
 )
+from dispersim import signal as signal_module
 from dispersim.compensator import CompensatorSpec, compensate, match_pcf
 from dispersim.fiber import (
     FiberParams,
@@ -465,6 +467,28 @@ class TestBandWidthMetric:
             with pytest.raises(WidthMetricError, match="window edge"):
                 band_intensity_fwhm(grid, band)
 
+    def test_table_of_direct_sums_is_bounded(self, monkeypatch):
+        grid = self.grids[0]
+        band = sinc_band(grid)
+        size = band.size * (self.stride(grid, band) + 2)
+        monkeypatch.setattr(signal_module, "MAX_TABLE_SIZE", size)
+        assert band_intensity_fwhm(grid, band) > 0
+        monkeypatch.setattr(signal_module, "MAX_TABLE_SIZE", size - 1)
+        with pytest.raises(WindowError, match="cannot allocate"):
+            band_intensity_fwhm(grid, band)
+
+    def test_huge_grid_is_refused_before_allocating(self):
+        # 2**40 samples would ask for a 129 x (2**28 + 2) table: 550 GB
+        grid = FrequencyGrid(2**40, 1e-15)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WindowError, match="129x268435458"):
+                band_intensity_fwhm(grid, np.ones(129, np.complex128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     @pytest.mark.parametrize("delay", [0, -1], ids=["first", "last"])
     @pytest.mark.parametrize("grid", grids, ids=["sparse", "every-sample"])
     def test_lobe_wrapping_past_the_edge_warns_and_is_rejected(self, grid, delay):
@@ -587,6 +611,12 @@ def guard_outcome(check, *args):
     return raised, [str(w.message) for w in caught]
 
 
+def band_guard(grid, band, accumulated_gvd):
+    """check_band_wraparound with the band's width, as the stage search runs it."""
+    width = band_intensity_fwhm(grid, band)
+    check_band_wraparound(grid, band, accumulated_gvd, width)
+
+
 class TestBandWraparoundGuard:
     """check_band_wraparound against check_wraparound of the full-grid envelope."""
 
@@ -627,7 +657,7 @@ class TestBandWraparoundGuard:
         needed = 4 * (width + abs(gvd) * 2 * np.pi * occupied)
         if abs(grid.window / needed - 1) < 1e-9:
             return  # the two widths may round to either side
-        got = guard_outcome(check_band_wraparound, grid, rx_band, gvd)
+        got = guard_outcome(band_guard, grid, rx_band, gvd)
         assert got == guard_outcome(check_wraparound, rx, spectrum, gvd)
 
     def test_the_edge_bins_set_the_band(self):
@@ -639,10 +669,7 @@ class TestBandWraparoundGuard:
         gvd = grid.window / (2 * np.pi * 3e9)
         want = guard_outcome(check_wraparound, tx, fft(tx.samples), gvd)
         assert want[0] is not None
-        assert guard_outcome(check_band_wraparound, grid, band, gvd) == want
-        width = band_intensity_fwhm(grid, band)
-        passed = guard_outcome(check_band_wraparound, grid, band, gvd, width)
-        assert passed == want
+        assert guard_outcome(band_guard, grid, band, gvd) == want
 
 
 class TestEnvelope:
