@@ -1,16 +1,24 @@
 """Experiment runners behind the CLI: deterministic CSV/JSON emission.
 
-All numeric CSV fields use 9 significant digits and LF line endings so a
-fixed configuration reproduces byte-identical output. Every run also emits
-a ``meta.json`` holding the raw configuration, its SI resolution and the
-pulse-width metric in use.
+All numeric CSV fields use 9 significant digits (:func:`fmt`, ``%.9g``)
+and LF line endings so a fixed configuration reproduces byte-identical
+output. The envelope CSVs hold millions of numbers per ``propagate``; they
+are encoded a block of samples at a time by :func:`_encode_9g`, which
+writes the bytes of :func:`fmt` for a whole array. It hands back to
+:func:`fmt` only the values it cannot round exactly: magnitudes outside
+[1e-290, 1e290] other than zero, and significands within 1e-6 of a
+rounding tie. Every run also emits a ``meta.json`` holding the raw
+configuration, its SI resolution and the pulse-width metric in use.
 """
 
 import contextlib
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .compensator import CompensatorSpec, compensate, compensation_latency, match_pcf
@@ -33,7 +41,7 @@ from .signal import (
 REGION_CSV_HEADER = "B_hz,z_max_m,alpha,beta2_si"
 SWEEP_CSV_HEADER = "xi,alpha,K,broadening_factor,residual_max"
 ENVELOPE_CSV_HEADER = "t_s,re,im"
-ENVELOPE_BLOCK = 1024  # samples per _envelope_csv block: one % format per file
+ENVELOPE_BLOCK = 4096  # samples per _envelope_csv block: about 2 MB of arrays in all
 
 
 class DivergenceError(RuntimeError):
@@ -42,6 +50,122 @@ class DivergenceError(RuntimeError):
 
 def fmt(x: float) -> str:
     return f"{float(x):.9g}"
+
+
+# _encode_9g writes each value into one row of FIELD NUL-padded byte slots;
+# the NULs are dropped when the rows are joined, so a slot %g leaves out
+# simply stays NUL:
+#
+#   slot 0        sign
+#   slots 1-5     lead "0." to "0.000" of a fixed-notation value below 1
+#   slots 6-23    the 9 significant digits, each followed by a point slot
+#   slots 24-28   exponent "e+XX" or "e-XXX"
+#   slots 29-30   unused
+#   slot 31       column separator, left as the caller set it
+FIELD = 32
+_E_MIN, _E_MAX = -290, 290  # decimal exponents encoded without fmt
+_TIE_MARGIN = 1e-6
+
+
+@functools.cache
+def _encoder_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of :func:`_encode_9g`, built on first use.
+
+    - ``pow10``: 10**k at index k + 300 for k in [-300, 300], each correctly
+      rounded (numpy's power is not);
+    - ``group_text``: the 3 digits of each 3-digit group, each followed by a
+      NUL point slot, and ``group_zeros``: its count of trailing zeros;
+    - ``and_mask`` and ``or_mask``: 4 uint64 words per field. Row
+      ``(e - _E_MIN) * 9 + z`` is for a 9-digit significand with decimal
+      exponent e and z trailing zeros. The AND mask keeps the digits %g
+      prints (and the separator); the OR mask adds the lead, the point and
+      the exponent.
+    """
+    pow10 = np.array(
+        [float(10**k) if k >= 0 else 1 / 10**-k for k in range(-300, 301)]
+    )
+    groups = [f"{j:03d}" for j in range(1000)]
+    group_text = np.zeros((1000, 6), np.uint8)
+    group_text[:, ::2] = np.array(groups, "S3").view(np.uint8).reshape(1000, 3)
+    group_zeros = np.array([len(g) - len(g.rstrip("0")) for g in groups], np.int32)
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    fixed = (e >= -4) & (e < 9)
+    text = np.zeros((e.size, FIELD), np.uint8)
+    lead = [("0." + "0" * (-v - 1)) if -4 <= v < 0 else "" for v in e.tolist()]
+    expo = ["" if f else f"e{v:+03d}" for v, f in zip(e.tolist(), fixed)]
+    text[:, 1:6] = np.array(lead, "S5").view(np.uint8).reshape(-1, 5)
+    text[:, 24:29] = np.array(expo, "S5").view(np.uint8).reshape(-1, 5)
+    slot = np.arange(FIELD)
+    k, is_point = np.divmod(slot - 6, 2)  # digit index of slots 6-23
+    in_digits = (slot >= 6) & (slot < 24)
+    point_after = np.where(fixed, e, 0)[:, None, None]  # digit before the point
+    kept = 9 - np.arange(9)[:, None]  # digits left after the trailing zeros
+    keep = in_digits & (is_point == 0) & ((k < kept) | (k <= point_after))
+    fraction_left = kept > point_after + 1
+    point = in_digits & (is_point == 1) & (k == point_after) & fraction_left
+    and_mask = (keep | (slot == FIELD - 1)) * np.uint8(0xFF)
+    or_mask = text[:, None, :] | point * np.uint8(ord("."))
+    masks = [m.reshape(-1, FIELD).view(np.uint64) for m in (and_mask, or_mask)]
+    tables = (pow10, group_text, group_zeros, *masks)
+    for table in tables:  # shared by every call
+        table.setflags(write=False)
+    return tables
+
+
+def _encode_9g(x: np.ndarray, fields: np.ndarray) -> None:
+    """Write the bytes of :func:`fmt` of each value of ``x`` into ``fields``.
+
+    ``fields`` is a uint8 array of shape ``x.shape + (FIELD,)`` whose last
+    axis is contiguous; slot 31 of each row is kept. Every value of ``x``
+    must be finite. The decimal exponent e of |v| comes from log10 with one
+    correction pass, and its 9-digit significand from |v|·10^(8−e), rounded
+    to nearest. Then e ∈ [−4, 9) gives fixed notation and any
+    other e the d.dddddddde±XX form, without trailing zeros and a bare
+    point. Zeros are encoded as "0" and "-0". Values the scaling cannot
+    round exactly are formatted by :func:`fmt` and spliced in: magnitudes
+    outside [1e-290, 1e290], and significands near a rounding tie.
+    """
+    pow10, group_text, group_zeros, and_mask, or_mask = _encoder_tables()
+    a = np.abs(x)
+    zero = a == 0.0
+    by_fmt = ~zero & ((a < 1e-290) | (a > 1e290))
+    a[zero | by_fmt] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int32)  # one off at most, near 10**e
+    m = a * pow10.take(308 - e)  # |v|·10^(8−e)
+    e += m >= 1e9
+    e -= m < 1e8
+    m = a * pow10.take(308 - e)
+    # m carries two roundings (the table's and the product's), so it is
+    # within 2**-52 of |v|·10^(8−e) relative: under 2.3e-7 below 1e9. Its
+    # nearest integer is the exact one unless m lies that close to a tie;
+    # a margin of 1e-6, over four times the bound, sends those to fmt.
+    r = np.floor(m)
+    frac = m - r
+    by_fmt |= np.abs(frac - 0.5) < _TIE_MARGIN
+    r += frac > 0.5
+    carry = r >= 1e9  # 999999999.5 and up round to 1.00000000e(e+1)
+    e += carry
+    sig = np.where(carry, 1e8, r).astype(np.int32)
+    hi, rest = np.divmod(sig, 1000000)
+    mid, lo = np.divmod(rest, 1000)
+    groups = np.stack([hi, mid, lo], axis=-1)
+    fields[..., 6:24] = group_text.take(groups, axis=0).reshape(x.shape + (18,))
+    zeros = np.where(
+        lo > 0,
+        group_zeros.take(lo),
+        np.where(mid > 0, 3 + group_zeros.take(mid), 6 + group_zeros.take(hi)),
+    )
+    key = (e - _E_MIN) * 9 + zeros
+    words = fields.view(np.uint64)
+    words &= and_mask.take(key, axis=0)
+    words |= or_mask.take(key, axis=0)
+    fields[..., 6][zero] = ord("0")  # encoded as 1e0, then the digit swapped
+    fields[..., 0] = np.signbit(x) * np.uint8(ord("-"))
+    if by_fmt.any():
+        where = np.nonzero(by_fmt)
+        text = np.array([fmt(v) for v in x[where].tolist()], f"S{FIELD - 1}")
+        text = text.view(np.uint8).reshape(-1, FIELD - 1)
+        fields[where + (slice(FIELD - 1),)] = text
 
 
 def _write_text(path: Path, lines) -> None:
@@ -257,28 +381,28 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
 def _envelope_csv(outdir: Path, envelopes: dict) -> None:
     """Write each ``file name -> Envelope`` as ``t_s,re,im`` lines, all together.
 
-    The envelopes share one grid; each block of ``ENVELOPE_BLOCK`` time values
-    is formatted once and reused in every file, and each file's block is one
-    ``%`` format. ``%.9g`` and :func:`fmt` format a float identically.
+    The envelopes share one grid. Each block of ``ENVELOPE_BLOCK`` lines is
+    one array of ``t,re,im`` rows of :func:`_encode_9g` fields: the time
+    column is encoded once and kept for every file, each file's re and im
+    columns are encoded over the last file's, and the block is written
+    without its NULs. Every value reads as :func:`fmt` writes it.
     """
     t = next(iter(envelopes.values())).grid.time_axis
+    rows = np.zeros((min(ENVELOPE_BLOCK, t.size), 3, FIELD), np.uint8)
+    rows[:, :, -1] = np.frombuffer(b",,\n", np.uint8)
     with contextlib.ExitStack() as stack:
         files = []
         for name, e in envelopes.items():
-            path = outdir / name
-            handle = stack.enter_context(path.open("w", encoding="utf-8", newline="\n"))
-            handle.write(ENVELOPE_CSV_HEADER + "\n")
-            files.append((handle, e.samples))
+            handle = stack.enter_context((outdir / name).open("wb"))
+            handle.write(ENVELOPE_CSV_HEADER.encode() + b"\n")
+            files.append((handle, e.samples.view(np.float64).reshape(-1, 2)))
         for lo in range(0, t.size, ENVELOPE_BLOCK):
             hi = lo + ENVELOPE_BLOCK
-            times = [format(x, ".9g") for x in t[lo:hi].tolist()]
-            block = "%s,%.9g,%.9g\n" * len(times)
-            fields = [None] * (3 * len(times))
-            fields[0::3] = times
-            for handle, s in files:
-                fields[1::3] = s[lo:hi].real.tolist()
-                fields[2::3] = s[lo:hi].imag.tolist()
-                handle.write(block % tuple(fields))
+            block = rows[: t.size - lo]
+            _encode_9g(t[lo:hi], block[:, 0])
+            for handle, re_im in files:
+                _encode_9g(re_im[lo:hi], block[:, 1:])
+                handle.write(block.tobytes().translate(None, b"\0"))
 
 
 def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:

@@ -8,16 +8,24 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dispersim.cli import main
 from dispersim.compensator import CompensatorSpec, compensate, match_pcf
 from dispersim.config import parse_config
-from dispersim.experiments import ENVELOPE_BLOCK, build_pulse, fmt
+from dispersim.experiments import (
+    ENVELOPE_BLOCK,
+    FIELD,
+    _encode_9g,
+    _envelope_csv,
+    build_pulse,
+    fmt,
+)
 from dispersim.fiber import FiberParams, d_to_beta2, propagate
 from dispersim.convergence import edge_error, span_length, z_max
-from dispersim.signal import WidthMetricError, intensity_fwhm
+from dispersim.signal import Envelope, FrequencyGrid, WidthMetricError, intensity_fwhm
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -631,7 +639,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("pulse", ["gaussian", "sinc"])
     @pytest.mark.parametrize(
-        "n_samples", [ENVELOPE_BLOCK // 4, ENVELOPE_BLOCK, 8 * ENVELOPE_BLOCK]
+        "n_samples", [ENVELOPE_BLOCK // 4, ENVELOPE_BLOCK, 2 * ENVELOPE_BLOCK]
     )
     def test_envelope_bytes_match_per_sample_rule(self, tmp_path, pulse, n_samples):
         if pulse == "gaussian":
@@ -663,17 +671,92 @@ class TestPropagate:
             assert (out / name).read_bytes() == expected.encode("utf-8"), name
 
 
-@settings(max_examples=1000)
-@given(x=st.floats())
-@example(x=-0.0)
-@example(x=5e-324)
-@example(x=-5e-324)
-@example(x=float("inf"))
-@example(x=float("-inf"))
-@example(x=float("nan"))
-def test_envelope_block_format_matches_per_sample_rule(x):
-    # _envelope_csv formats each block with "%.9g"
-    assert "%.9g" % x == format(x, ".9g")
+    def test_values_handed_to_fmt_anywhere_in_a_block(self, tmp_path, monkeypatch):
+        # values the encoder hands to fmt (beyond 1e290 or below 1e-290, or
+        # within 1e-6 of a 9-digit rounding tie) on the first, a middle and
+        # the last row of one block and on both ends of the next; zeros are
+        # encoded without fmt
+        n = 2 * ENVELOPE_BLOCK
+        rng = np.random.default_rng(7)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        planted = {
+            0: complex(1.5e300, 5e-324),
+            ENVELOPE_BLOCK // 2: complex(1.000000005, -2.345678915e-7),
+            ENVELOPE_BLOCK - 1: complex(-1e-300, 9.999999995e-5),
+            ENVELOPE_BLOCK: complex(999999999.5, 0.0),
+            n - 1: complex(-0.0, -5e290),
+        }
+        for row, value in planted.items():
+            samples[row] = value
+        grid = FrequencyGrid(n, 1e-12)
+        envelopes = {
+            "a.csv": Envelope(grid, samples),
+            "b.csv": Envelope(grid, samples[::-1] * 1e-3),
+        }
+        sent = []
+        monkeypatch.setattr(
+            "dispersim.experiments.fmt", lambda x: sent.append(x) or format(x, ".9g")
+        )
+        _envelope_csv(tmp_path, envelopes)
+        planted_values = {v for c in planted.values() for v in (c.real, c.imag)}
+        assert planted_values - {0.0} <= set(sent)
+        for name, e in envelopes.items():
+            t, s = e.grid.time_axis, e.samples
+            expected = "t_s,re,im\n" + "".join(
+                f"{t[i]:.9g},{s[i].real:.9g},{s[i].imag:.9g}\n" for i in range(n)
+            )
+            assert (tmp_path / name).read_bytes() == expected.encode("utf-8"), name
+
+
+def _encoded(values) -> list:
+    x = np.asarray(values, dtype=np.float64)
+    fields = np.zeros(x.shape + (FIELD,), np.uint8)
+    _encode_9g(x, fields)
+    return [row.tobytes().translate(None, b"\0") for row in fields]
+
+
+def _stepped(x: float, steps: int) -> float:
+    """``x`` moved ``steps`` doubles up (or down, for negative steps)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def _near(anchors):
+    """Strategy: an anchor or one of its 3 nearest doubles either way."""
+    return st.builds(_stepped, anchors, st.integers(-3, 3))
+
+
+# 9-digit significands followed by a 5: the value nearest a rounding tie
+_TIES = st.builds(
+    lambda digits, p: float(f"{digits}5e{p}"),
+    st.integers(10**8, 10**9 - 1),
+    st.integers(-333, 298),
+)
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    _near(_TIES),
+    # the log10 misestimate near 10**p and the 999999999.5 carry
+    _near(st.integers(-320, 308).map(lambda p: float(f"1e{p}"))),
+    # %g's switch from fixed notation at exponents -4 and 9
+    _near(
+        st.sampled_from(
+            [9.999999995e-5, 9.99999999e-5, 1e-4, 1e-5, 99999999.95, 999999999.5, 1e9]
+        )
+    ),
+    # 3-digit exponents, subnormals and zeros
+    st.floats(min_value=1e100, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e-100),
+    st.integers(1, 2**52 - 1).map(lambda n: n * 5e-324),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(values=st.lists(st.builds(math.copysign, _DOUBLES, st.sampled_from([1, -1]))))
+@example(values=[0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.5, 999999999.5])
+def test_encoder_writes_format_9g_bytes(values):
+    assert _encoded(values) == [format(v, ".9g").encode() for v in values]
 
 
 def _doc(base, **sections):
