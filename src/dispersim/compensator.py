@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import SPEED_OF_LIGHT, FiberParams, dispersion_tf
+from .fiber import SPEED_OF_LIGHT, FiberParams, dispersion_response, dispersion_tf
 from .iterative import IterationSpec, error_tf, neumann_sum_tf, partial_sums
 from .signal import (
     Envelope,
@@ -95,6 +95,12 @@ class CompensatorSpec:
         """
         return math.sqrt(self.gain) / 2.0 ** ((self.k_stages + 1) / 2.0)
 
+    @property
+    def stage_gvd(self) -> float:
+        """GVD K*|beta2_pcf|*L (s^2) of the K down branches, for the window guard."""
+        sub = self.subsystem
+        return self.k_stages * abs(sub.pcf.beta2) * sub.length_m
+
 
 def default_gain(alpha: float, k_stages: int) -> float:
     """Amplifier power gain alpha * 2**(K+1) that restores unit DC level."""
@@ -159,6 +165,23 @@ def compensator_tf(spec: CompensatorSpec, grid: FrequencyGrid) -> TransferFuncti
     return TransferFunction(grid, spec.prefactor * total.values)
 
 
+def stage_responses(sub: SubsystemSpec, h_pcf: np.ndarray, k_list):
+    """Yield the cascade response ``prefactor(K) * sum_{k=0..K} E_D^k`` per K.
+
+    ``h_pcf`` holds the down branch's response at any set of bins (a grid's
+    or a band's), and ``k_list`` is a strictly increasing list of stage
+    counts. E_D = 1 - sqrt(alpha) * H_pcf and its running partial sum are
+    formed once for all of them, and each yield is a fresh array equal, bit
+    for bit, to :func:`compensator_tf` of that K at those bins.
+    """
+    wanted = set(k_list)
+    e_d = 1.0 - math.sqrt(sub.alpha) * h_pcf
+    del h_pcf  # a caller that passes the response inline holds one array less
+    for k, partial in enumerate(partial_sums(e_d, k_list[-1])):
+        if k in wanted:
+            yield CompensatorSpec(sub, k).prefactor * partial
+
+
 def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:
     """Run an envelope through the compensating structure.
 
@@ -166,16 +189,17 @@ def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:
     the K stages' down-branch dispersion, which rejects window-wrapping
     configurations, and the product with the cascade response. The result
     equals ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit; the
-    response is formed as there, without its intermediate validated copies.
+    response is :func:`stage_responses` of the one K on the grid's bins.
     """
     sub = spec.subsystem
     spectrum = fft(e.samples)
-    check_wraparound(e, spectrum, spec.k_stages * abs(sub.pcf.beta2) * sub.length_m)
-    for total in partial_sums(subsystem_error_tf(sub, e.grid).values, spec.k_stages):
-        pass
+    check_wraparound(e, spectrum, spec.stage_gvd)
+    [response] = stage_responses(
+        sub, dispersion_response(sub.pcf, e.grid.delta_omega), [spec.k_stages]
+    )
     # spectrum * response in this order, as in apply_tf: with FMA the complex
     # product is not bitwise commutative
-    spectrum *= spec.prefactor * total
+    spectrum *= response
     return Envelope(e.grid, ifft(spectrum))
 
 

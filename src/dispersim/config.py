@@ -351,6 +351,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 f"{name} is out of range: it gives a span of {z:g} m and a "
                 f"matched branch of {length:g} m, and both must be finite"
             )
+    # a gaussian's samples divide tau**2, up to the squared half window, by
+    # 2 * width_s**2
+    if pulse == "gaussian" and pulse_width_s is not None:
+        half_window = window_factor * pulse_width_s / 2
+        squares = (pulse_width_s * pulse_width_s, half_window * half_window)
+        if not all(np.finfo(float).tiny <= sq < math.inf for sq in squares):
+            raise ConfigError(
+                f"signal.width_s {pulse_width_s:g} s is out of range: width_s**2 "
+                f"is {squares[0]:g} s^2 and the squared half window "
+                f"(window_factor * width_s / 2)**2 is {squares[1]:g} s^2, and "
+                "both must be normal finite doubles"
+            )
     return cfg
 
 

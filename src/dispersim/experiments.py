@@ -14,18 +14,22 @@ configuration, its SI resolution and the pulse-width metric in use.
 import contextlib
 import functools
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .compensator import CompensatorSpec, compensate, compensation_latency, match_pcf
+from .compensator import (
+    CompensatorSpec,
+    compensate,
+    compensation_latency,
+    match_pcf,
+    stage_responses,
+)
 from .config import ConfigError, ExperimentConfig
 from .convergence import dispersion_strength, edge_error, span_length, stable, z_max
 from .fiber import FiberParams, dispersion_response, propagate
-from .iterative import partial_sums
 from .signal import (
     Envelope,
     FrequencyGrid,
@@ -244,11 +248,11 @@ def _stage_search(cfg: ExperimentConfig, grid, tx_band, tx_width: float, z_m, al
     keeps both wraparound guards of the full-grid path: the span's, on the
     sent pulse (:func:`propagate`), and the K stages', on the received one
     (:func:`compensate`). The pcf response is built once per span, as the
-    matched length does not depend on alpha; then each alpha's error
-    response E_D, its running partial sum and the width of every K's
-    output. The output spectrum is the one :func:`compensate` forms there,
-    and :func:`band_intensity_fwhm` measures it as :func:`intensity_fwhm`
-    would measure its inverse transform.
+    matched length does not depend on alpha; then each alpha's
+    :func:`stage_responses` and the width of every K's output. The output
+    spectrum is the one :func:`compensate` forms there, and
+    :func:`band_intensity_fwhm` measures it as :func:`intensity_fwhm` would
+    measure its inverse transform.
     """
     beta2, bandwidth = cfg.fiber_beta2, cfg.bandwidth_hz
     fiber = FiberParams(beta2, z_m)
@@ -261,17 +265,14 @@ def _stage_search(cfg: ExperimentConfig, grid, tx_band, tx_width: float, z_m, al
                 check_band_wraparound(grid, tx_band, beta2 * z_m, tx_width)
                 offsets = band_offsets(grid, tx_band.size // 2)
                 rx_band = tx_band * dispersion_response(fiber, offsets)
-                k_gvd = cfg.k_list[-1] * abs(sub.pcf.beta2) * sub.length_m
+                k_gvd = CompensatorSpec(sub, cfg.k_list[-1]).stage_gvd
                 rx_width = band_intensity_fwhm(grid, rx_band)
                 check_band_wraparound(grid, rx_band, k_gvd, rx_width)
                 h_pcf = dispersion_response(sub.pcf, offsets)
-            e_d = 1.0 - math.sqrt(alpha) * h_pcf
-            factors = []
-            for k, partial in enumerate(partial_sums(e_d, cfg.k_list[-1])):
-                if k in cfg.k_list:
-                    prefactor = CompensatorSpec(sub, k).prefactor
-                    out = rx_band * (prefactor * partial)
-                    factors.append(band_intensity_fwhm(grid, out) / tx_width)
+            factors = [
+                band_intensity_fwhm(grid, rx_band * response) / tx_width
+                for response in stage_responses(sub, h_pcf, cfg.k_list)
+            ]
         worst = edge_error(alpha, beta2, bandwidth, z_m)
         yield alpha, [
             Stage(k, factor, worst ** (k + 1)) for k, factor in zip(cfg.k_list, factors)

@@ -96,9 +96,10 @@ def propagate(e: Envelope, fiber: FiberParams) -> Envelope:
 
     Rejects configurations where the dispersive spread would wrap around
     the circular time window. The input is transformed once, for the guard
-    and the product alike, and the product is formed in place.
+    and the product alike, and the product with :func:`dispersion_response`
+    on the grid is formed in place.
     """
     spectrum = fft(e.samples)
     check_wraparound(e, spectrum, fiber.beta2 * fiber.length_m)
-    spectrum *= dispersion_tf(fiber, e.grid).values
+    spectrum *= dispersion_response(fiber, e.grid.delta_omega)
     return Envelope(e.grid, ifft(spectrum))

@@ -255,7 +255,8 @@ def make_gaussian_pulse(grid: FrequencyGrid, t0: float) -> Envelope:
     """Unchirped Gaussian ``exp(-(t-t_c)^2 / (2*t0^2))``: unit peak, mid-window.
 
     ``t0`` is the half-width at the 1/e point of the intensity |s|^2; the
-    intensity FWHM is ``2*sqrt(ln 2)*t0``.
+    intensity FWHM is ``2*sqrt(ln 2)*t0``. Besides the window rules, t0**2
+    and the squared half window must be normal finite doubles.
     """
     if not (np.isfinite(t0) and t0 > 0):
         raise ValueError("t0 must be positive")
@@ -266,6 +267,13 @@ def make_gaussian_pulse(grid: FrequencyGrid, t0: float) -> Envelope:
             f"time window {grid.window:.3e} s too small: need >= 16*t0"
         )
     t_c = (grid.n_samples // 2) * grid.dt
+    # tau**2 reaches t_c**2, and the window rule above keeps 2*t0**2 below it
+    tiny = np.finfo(float).tiny
+    if not (tiny <= float(t0) * float(t0) and float(t_c) * float(t_c) < np.inf):
+        raise ValueError(
+            f"t0 = {t0:.3e} s is out of range: t0**2 and the squared half "
+            f"window ({t_c:.3e} s)**2 must be normal finite doubles"
+        )
     tau = grid.time_axis - t_c
     samples = np.exp(-(tau**2) / (2.0 * t0**2))
     return Envelope(grid, samples.astype(np.complex128))

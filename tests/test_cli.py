@@ -768,6 +768,15 @@ def _doc(base, **sections):
 _HUGE_BAND = {"pulse": "sinc", "bandwidth_hz": 1e200, "n_samples": 256}
 _TINY_FIBER = {"beta2_ps2_km": -1e-200, "lambda0_m": 1.55e-6}
 _SMALL_SINC = {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 256}
+# gaussian widths whose square, and whose squared half window of 32 widths at
+# the default window factor, sit on the edges of the normal double range
+_WIDTH_LO = math.sqrt(sys.float_info.min)
+_WIDTH_HI = math.sqrt(sys.float_info.max) / 32
+
+
+def _gaussian_doc(width_s):
+    signal = {"pulse": "gaussian", "width_s": width_s, "n_samples": 256}
+    return _doc(scenario_doc(z_km=1.0), signal=signal)
 
 
 class TestRangeRules:
@@ -862,6 +871,33 @@ class TestRangeRules:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "width_s",
+        [1e-300, 1e154, 1e300, 0.999 * _WIDTH_LO, 1.001 * _WIDTH_HI],
+        ids=["underflows", "window-overflows", "overflows", "below-lo", "above-hi"],
+    )
+    def test_gaussian_width_out_of_range_exits_2(self, tmp_path, capsys, width_s):
+        config = write_config(tmp_path, _gaussian_doc(width_s))
+        rc = main(["propagate", "--config", config, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "signal.width_s " in err and "out of range" in err
+
+    @pytest.mark.parametrize(
+        "width_s, code",
+        [(1.001 * _WIDTH_LO, 3), (0.999 * _WIDTH_HI, 0)],
+        ids=["above-lo", "below-hi"],
+    )
+    def test_gaussian_width_inside_range_runs(self, tmp_path, capsys, width_s, code):
+        # just above the lower bound the span's spread wraps the window (exit
+        # 3); just below the upper one the pulse propagates
+        config = write_config(tmp_path, _gaussian_doc(width_s))
+        rc = main(["propagate", "--config", config, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert _exits_cleanly(rc, err) and "out of range" not in err
 
     @pytest.mark.parametrize("window_factor", [1e300, 4096])
     @pytest.mark.parametrize("command", ["propagate", "sweep-k", "scenario"])
@@ -972,6 +1008,18 @@ def test_propagate_exits_cleanly_on_finite_steps(window_factor):
     # the time step is window_factor * (2/B) / n_samples
     doc = _doc(readme_doc(), signal=dict(_SMALL_SINC, window_factor=window_factor))
     doc["compensator"] = {"alphas": [1.0], "k_max": 2}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), doc)
+        rc, err = _run_captured(["propagate", "--config", config, "--out", tmp])
+    assert _exits_cleanly(rc, err)
+
+
+@pytest.mark.filterwarnings("ignore:multiple lobes")
+@settings(max_examples=100, deadline=None)
+@given(log2_width=st.floats(-1074.0, 1024.0, exclude_max=True))
+def test_propagate_exits_cleanly_on_gaussian_widths(log2_width):
+    # width_s log-uniform over the positive finite doubles, 2**-1074 and up
+    doc = _gaussian_doc(2.0**log2_width)
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), doc)
         rc, err = _run_captured(["propagate", "--config", config, "--out", tmp])

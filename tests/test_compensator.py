@@ -28,9 +28,9 @@ from dispersim import (
     subsystem_error_tf,
     subsystem_tf,
 )
-from dispersim.compensator import DEFAULT_SMF_BETA1, MAX_STAGES
+from dispersim.compensator import DEFAULT_SMF_BETA1, MAX_STAGES, stage_responses
 from dispersim.convergence import edge_error
-from dispersim.fiber import d_to_beta2
+from dispersim.fiber import d_to_beta2, dispersion_response
 
 PS2_PER_KM = 1e-27
 
@@ -379,6 +379,29 @@ class TestCompensateProperty:
             out = compensate(rx, CompensatorSpec(sub, k))
             factor = broadening_factor(self.tx, out)
         assert math.isfinite(factor) and factor > 0
+
+
+class TestStageResponses:
+    """The shared per-K cascade response against the per-K reference path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        k_list=st.lists(st.integers(0, 20), min_size=1, unique=True).map(sorted),
+        n=st.sampled_from([1024, 16384]),
+    )
+    def test_every_yield_is_bit_exact_against_compensator_tf(self, alpha, k_list, n):
+        # at N = 16384 a product with an unnamed temporary may be elided and
+        # reordered by numpy, which with FMA changes the last bit
+        grid = FrequencyGrid(n, 64 * (2 / BAND_HZ) / n)
+        _, sub = matched_example(alpha=alpha)
+        h_pcf = dispersion_response(sub.pcf, grid.delta_omega)
+        responses = list(stage_responses(sub, h_pcf, k_list))
+        assert len(responses) == len(k_list)
+        for k, response in zip(k_list, responses):
+            ref = compensator_tf(CompensatorSpec(sub, k), grid).values
+            # int64 view: array_equal would let -0.0 and 0.0 pass as equal
+            assert np.array_equal(response.view(np.int64), ref.view(np.int64))
 
 
 class TestPassivityAudit:

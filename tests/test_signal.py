@@ -329,6 +329,14 @@ class TestGaussianPulse:
         with pytest.raises(WindowError):
             make_gaussian_pulse(FrequencyGrid(64, 1e-12), 10e-12)  # window < 16 t0
 
+    @pytest.mark.parametrize("t0", [1e-300, 1e153, 1e300])
+    def test_squares_outside_double_range_raise(self, t0):
+        # t0**2 underflows, the squared half window 32*t0 overflows, or both
+        # squares overflow: a ValueError that says so, not an OverflowError
+        # or non-finite samples
+        with pytest.raises(ValueError, match="out of range"):
+            make_gaussian_pulse(FrequencyGrid(256, 64 * t0 / 256), t0)
+
     def test_quadratic_phase_broadens_per_closed_form(self):
         # dispersion oracle exercised through apply_tf alone
         beta2_z = -21e-27 * 100e3
