@@ -34,6 +34,7 @@ from .signal import (
     check_wraparound,
     fft,
     ifft,
+    is_integer,
 )
 
 #: Group index shared by both compensator branches; their beta1 (s/m) follows.
@@ -43,11 +44,6 @@ DEFAULT_SMF_BETA1 = SMF_GROUP_INDEX / SPEED_OF_LIGHT
 #: Largest stage count K for which the gain alpha * 2**(K+1) is a finite
 #: double.
 MAX_STAGES = 1022
-
-
-def _is_stage_count(k) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ class CompensatorSpec:
     k_stages: int
 
     def __post_init__(self):
-        if not _is_stage_count(self.k_stages):
+        if not is_integer(self.k_stages):
             raise ValueError("k_stages must be an integer")
         if not 0 <= self.k_stages <= MAX_STAGES:
             raise ValueError(f"k_stages must lie in 0..{MAX_STAGES}")
@@ -142,7 +138,7 @@ def match_pcf(
     """
     if pcf_beta2 == 0:
         raise ValueError("pcf_beta2 must be nonzero")
-    if pcf_beta2 * target.beta2 <= 0:
+    if not target.beta2 or (pcf_beta2 > 0) != (target.beta2 > 0):
         raise ValueError(
             "pcf_beta2 must have the same sign as the target fiber's beta2"
         )

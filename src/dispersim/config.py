@@ -7,12 +7,13 @@ ps/nm/km, beta2 in ps^2/km, lengths in km) and are resolved to SI here.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compensator import MAX_STAGES
-from .convergence import dispersion_strength, span_length
+from .convergence import span_length
 from .fiber import _BETA2_CONVENTIONAL, d_to_beta2
 
 
@@ -90,9 +91,10 @@ def _beta2_from(section: dict, path: str, lambda0_m: float) -> float:
     if has_d:
         d = _number(section["d_ps_nm_km"], f"{path}.d_ps_nm_km")
         try:
-            return d_to_beta2(d, lambda0_m)
+            beta2 = d_to_beta2(d, lambda0_m)
         except ValueError as exc:
             raise ConfigError(f"{path}.d_ps_nm_km: {exc}") from exc
+        return _number(beta2, f"{path}.d_ps_nm_km in s^2/m")
     return (
         _number(section["beta2_ps2_km"], f"{path}.beta2_ps2_km")
         * _BETA2_CONVENTIONAL
@@ -149,29 +151,70 @@ class ExperimentConfig:
     raw: dict
 
     def resolved(self) -> dict:
-        """SI view of the configuration, for meta emission."""
+        """SI view of the configuration, for meta emission.
+
+        Every field but ``scenario`` and ``raw``, tuples as lists, each
+        dispersion under its SI name, and no region axis when none is set.
+        """
         out = {
-            "fiber_beta2_s2_m": self.fiber_beta2,
-            "lambda0_m": self.lambda0_m,
-            "z_m": self.z_m,
-            "pcf_beta2_s2_m": self.pcf_beta2,
-            "dcf_beta2_s2_m": self.dcf_beta2,
-            "dcf_quoted_path_m": self.dcf_quoted_path_m,
-            "alphas": list(self.alphas),
-            "k_list": list(self.k_list),
-            "target_broadening": self.target_broadening,
-            "pulse": self.pulse,
-            "pulse_width_s": self.pulse_width_s,
-            "bandwidth_hz": self.bandwidth_hz,
-            "n_samples": self.n_samples,
-            "dt_s": self.dt_s,
-            "window_factor": self.window_factor,
-            "xi_values": list(self.xi_values),
-            "output_dir": self.output_dir,
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in vars(self).items()
+            if key not in ("scenario", "raw")
         }
-        if self.region_bandwidths_hz is not None:
-            out["region_bandwidths_hz"] = list(self.region_bandwidths_hz)
+        for name in ("fiber", "pcf", "dcf"):
+            out[f"{name}_beta2_s2_m"] = out.pop(f"{name}_beta2")
+        if self.region_bandwidths_hz is None:
+            del out["region_bandwidths_hz"]
         return out
+
+
+def require_normal(quantities) -> None:
+    """Raise :class:`ConfigError` naming the first quantity out of range.
+
+    ``quantities`` yields ``(key, value, *factors)``. The value must be a
+    normal finite double, or an exact zero where one of its factors (the
+    inputs that can make it zero) is zero, however its float rounds.
+    """
+    for key, value, *factors in quantities:
+        if 0 not in factors and not sys.float_info.min <= abs(value) < math.inf:
+            raise ConfigError(f"{key} is out of range: {value:g}, not a normal double")
+
+
+def _formed(cfg: ExperimentConfig):
+    """Yield ``(key, value, *factors)`` for each quantity a run forms from ``cfg``.
+
+    Each is formed once those before it pass, so a span may divide by a
+    strength. Only ``propagate`` forms the grid's (pi/dt_s)**2, and checks it.
+    """
+    beta2, bandwidth, z_m = cfg.fiber_beta2, cfg.bandwidth_hz, cfg.z_m
+    if cfg.dt_s is not None:
+        yield "dt_s = window_factor * pulse_width_s / n_samples", cfg.dt_s
+    bands = [("signal.bandwidth_hz", bandwidth)] if bandwidth else []
+    bands += [("region.bandwidths_hz", b) for b in cfg.region_bandwidths_hz or ()]
+    for name, b in bands:
+        w = 2.0 * math.pi * float(b)
+        yield f"{name} {b:g}: |beta2| * (2*pi*B)^2", abs(beta2) * (w * w), beta2
+    # the configured span, and the span_length sweep-k derives from each xi
+    spans = [] if z_m is None else [("fiber.z_km", z_m, z_m)]
+    if bandwidth and beta2:
+        for x in cfg.xi_values:
+            spans.append((f"sweep.xi {x:g}", span_length(x, beta2, bandwidth), x))
+    for name, z, factor in spans:
+        yield f"{name} span z", z, factor
+        if cfg.pcf_beta2 is not None:
+            length, k = beta2 * z / cfg.pcf_beta2, cfg.k_list[-1]
+            yield f"{name} matched branch L = beta2 * z / beta2_pcf", length, factor
+            yield f"{name} cascade path K * L", k * length, k, factor
+    if cfg.dcf_beta2 is not None and z_m is not None:
+        path = z_m * abs(beta2) / abs(cfg.dcf_beta2)
+        yield "fiber.z_km dcf path z * |beta2| / |beta2_dcf|", path, z_m, beta2
+    if cfg.dcf_quoted_path_m is not None:
+        yield "dcf.quoted_path_km as dcf_quoted_path_m", cfg.dcf_quoted_path_m
+    # a gaussian divides tau**2, up to the squared half window, by 2 * width**2
+    if cfg.pulse == "gaussian" and cfg.pulse_width_s is not None:
+        width, window = cfg.pulse_width_s, cfg.window_factor * cfg.pulse_width_s
+        yield "signal.width_s squared", width * width
+        yield "signal.width_s half window squared", (window / 2) * (window / 2)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -198,7 +241,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         pcf = _section(doc, "pcf")
         _check_keys(pcf, {"d_ps_nm_km", "beta2_ps2_km"}, "pcf")
         pcf_beta2 = _beta2_from(pcf, "pcf", lambda0_m)
-        if pcf_beta2 * fiber_beta2 <= 0:
+        # signs compared: the product of two small values can underflow to zero
+        if not (pcf_beta2 and fiber_beta2 and (pcf_beta2 > 0) == (fiber_beta2 > 0)):
             raise ConfigError(
                 "pcf and fiber dispersion must be nonzero and of the same sign"
             )
@@ -212,15 +256,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if dcf_beta2 == 0:
             raise ConfigError("dcf dispersion must be nonzero")
         if "quoted_path_km" in dcf:
-            dcf_quoted_path_m = (
-                _number(dcf["quoted_path_km"], "dcf.quoted_path_km", positive=True)
-                * 1e3
-            )
+            quoted = _number(dcf["quoted_path_km"], "dcf.quoted_path_km", positive=True)
+            dcf_quoted_path_m = quoted * 1e3
 
     comp = _section(doc, "compensator")
-    _check_keys(
-        comp, {"alphas", "k_max", "k_list", "target_broadening"}, "compensator"
-    )
+    _check_keys(comp, {"alphas", "k_max", "k_list", "target_broadening"}, "compensator")
     alphas_raw = comp.get("alphas", [1.0])
     if not isinstance(alphas_raw, list) or not alphas_raw:
         raise ConfigError("compensator.alphas must be a non-empty list")
@@ -241,10 +281,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     else:
         k_max = _stage_count(comp.get("k_max", 12), "compensator.k_max")
         k_list = tuple(range(k_max + 1))
-    target_broadening = _number(
-        comp.get("target_broadening", 1.1), "compensator.target_broadening",
-        positive=True,
-    )
+    target = comp.get("target_broadening", 1.1)
+    target_broadening = _number(target, "compensator.target_broadening", positive=True)
 
     signal = _section(doc, "signal")
     pulse = signal.get("pulse", "sinc")
@@ -257,9 +295,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     n_samples = _integer(signal.get("n_samples", 16384), "signal.n_samples", minimum=2)
     if n_samples & (n_samples - 1):
         raise ConfigError("signal.n_samples must be a power of two")
-    window_factor = _number(
-        signal.get("window_factor", 64.0), "signal.window_factor", positive=True
-    )
+    window = signal.get("window_factor", 64.0)
+    window_factor = _number(window, "signal.window_factor", positive=True)
     pulse_width_s = bandwidth_hz = dt_s = None
     if "signal" in doc:
         if width_key not in signal:
@@ -318,51 +355,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         output_dir=output_dir,
         raw=doc,
     )
-    # products and quotients of finite inputs can still leave the float range
-    for name, value in cfg.resolved().items():
-        values = value if isinstance(value, list) else [value]
-        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-            raise ConfigError(f"{name} resolves to a non-finite value")
-    if dt_s == 0:
-        raise ConfigError("dt_s resolves to zero: the pulse is too narrow to sample")
-    # sweep-k divides by the strength per meter and region by a quarter of it
-    for b in ([bandwidth_hz] if bandwidth_hz else []) + list(region_bandwidths or []):
-        try:
-            per_m = dispersion_strength(fiber_beta2, 1.0, float(b))
-        except ValueError:  # (2*pi*B)^2 overflows
-            per_m = math.inf
-        if fiber_beta2 and not np.finfo(float).tiny <= per_m < math.inf:
-            raise ConfigError(
-                f"bandwidth {b:g} Hz is out of range: |beta2| * (2*pi*B)^2 is "
-                f"{per_m:g} 1/m, outside the normal double range"
-            )
-    # each span z (sweep-k's is the span_length of its xi) and its matched
-    # branch length beta2 * z / beta2_pcf must be finite
-    spans = [] if z_m is None else [("fiber.z_km", z_m)]
-    if bandwidth_hz and fiber_beta2:
-        spans += [
-            (f"sweep.xi {xi:g}", span_length(xi, fiber_beta2, bandwidth_hz))
-            for xi in xi_values
-        ]
-    for name, z in spans:
-        length = z if pcf_beta2 is None else fiber_beta2 * z / pcf_beta2
-        if not (math.isfinite(z) and math.isfinite(length)):
-            raise ConfigError(
-                f"{name} is out of range: it gives a span of {z:g} m and a "
-                f"matched branch of {length:g} m, and both must be finite"
-            )
-    # a gaussian's samples divide tau**2, up to the squared half window, by
-    # 2 * width_s**2
-    if pulse == "gaussian" and pulse_width_s is not None:
-        half_window = window_factor * pulse_width_s / 2
-        squares = (pulse_width_s * pulse_width_s, half_window * half_window)
-        if not all(np.finfo(float).tiny <= sq < math.inf for sq in squares):
-            raise ConfigError(
-                f"signal.width_s {pulse_width_s:g} s is out of range: width_s**2 "
-                f"is {squares[0]:g} s^2 and the squared half window "
-                f"(window_factor * width_s / 2)**2 is {squares[1]:g} s^2, and "
-                "both must be normal finite doubles"
-            )
+    require_normal(_formed(cfg))
     return cfg
 
 

@@ -27,7 +27,7 @@ from .compensator import (
     match_pcf,
     stage_responses,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, require_normal
 from .convergence import dispersion_strength, edge_error, span_length, stable, z_max
 from .fiber import FiberParams, dispersion_response, propagate
 from .signal import (
@@ -411,6 +411,13 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.z_m is None:
         raise ConfigError("fiber.z_km is required for the propagate command")
     tx = build_pulse(cfg)
+    w_sq = (np.pi / cfg.dt_s) * (np.pi / cfg.dt_s)  # the full grid's largest dw**2
+    # its responses form beta2 / 2 * dw**2, which may underflow but not overflow
+    half_beta2 = max(1.0, abs(cfg.fiber_beta2) / 2, abs(cfg.pcf_beta2 or 0.0) / 2)
+    require_normal([
+        ("(pi / dt_s)**2", w_sq),
+        ("max(1, |beta2| / 2) * (pi / dt_s)**2", half_beta2 * w_sq),
+    ])
     if cfg.pcf_beta2 is not None and cfg.bandwidth_hz:  # a gaussian has no band
         _require_convergence(cfg, cfg.alphas[0])
     fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import Envelope, GridMismatchError, TransferFunction, apply_tf
+from .signal import Envelope, GridMismatchError, TransferFunction, apply_tf, is_integer
 
 #: Strictness margin for contraction tests, avoids boundary flapping.
 CONTRACTION_MARGIN = 1e-9
@@ -26,9 +26,7 @@ class IterationSpec:
     mu: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.k_terms, (int, np.integer)) or isinstance(
-            self.k_terms, bool
-        ):
+        if not is_integer(self.k_terms):
             raise ValueError("k_terms must be an integer")
         if self.k_terms < 0:
             raise ValueError("k_terms must be non-negative")

@@ -7,6 +7,7 @@ Nyquist bin assigned to the negative side, i.e. the ordering of
 ``numpy.fft.fftfreq``.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -29,6 +30,11 @@ class WraparoundError(RuntimeError):
 
 class WidthMetricError(ValueError):
     """Raised when a pulse has no measurable half-maximum width."""
+
+
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def fft(x):
@@ -57,7 +63,7 @@ class FrequencyGrid:
 
     def __post_init__(self):
         n = self.n_samples
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        if not is_integer(n):
             raise ValueError(f"n_samples must be an integer, got {n!r}")
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"n_samples must be a power of two >= 2, got {n}")
@@ -268,7 +274,7 @@ def make_gaussian_pulse(grid: FrequencyGrid, t0: float) -> Envelope:
         )
     t_c = (grid.n_samples // 2) * grid.dt
     # tau**2 reaches t_c**2, and the window rule above keeps 2*t0**2 below it
-    tiny = np.finfo(float).tiny
+    tiny = sys.float_info.min
     if not (tiny <= float(t0) * float(t0) and float(t_c) * float(t_c) < np.inf):
         raise ValueError(
             f"t0 = {t0:.3e} s is out of range: t0**2 and the squared half "

@@ -886,18 +886,25 @@ class TestRangeRules:
         assert "signal.width_s " in err and "out of range" in err
 
     @pytest.mark.parametrize(
-        "width_s, code",
-        [(1.001 * _WIDTH_LO, 3), (0.999 * _WIDTH_HI, 0)],
+        "width_s, code, message",
+        [(1.001 * _WIDTH_LO, 2, "error: (pi / dt_s)**2 is out of range"),
+         (0.999 * _WIDTH_HI, 0, "")],
         ids=["above-lo", "below-hi"],
     )
-    def test_gaussian_width_inside_range_runs(self, tmp_path, capsys, width_s, code):
-        # just above the lower bound the span's spread wraps the window (exit
-        # 3); just below the upper one the pulse propagates
+    def test_gaussian_width_inside_range_runs(
+        self, tmp_path, capsys, width_s, code, message
+    ):
+        # both widths pass the width rule. Just above its lower bound the step
+        # is so fine that (pi/dt_s)**2, which only propagate's full grid
+        # forms, overflows (exit 2, where the window guard used to stop it
+        # with exit 3); just below the upper one the pulse propagates, and
+        # its responses' beta2 / 2 * dw**2 underflows without harm
         config = write_config(tmp_path, _gaussian_doc(width_s))
         rc = main(["propagate", "--config", config, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == code
-        assert _exits_cleanly(rc, err) and "out of range" not in err
+        assert _exits_cleanly(rc, err) and "signal.width_s" not in err
+        assert err.startswith(message)
 
     @pytest.mark.parametrize("window_factor", [1e300, 4096])
     @pytest.mark.parametrize("command", ["propagate", "sweep-k", "scenario"])
@@ -1024,3 +1031,172 @@ def test_propagate_exits_cleanly_on_gaussian_widths(log2_width):
         config = write_config(Path(tmp), doc)
         rc, err = _run_captured(["propagate", "--config", config, "--out", tmp])
     assert _exits_cleanly(rc, err)
+
+
+# the configs that used to end in a traceback or in invalid JSON, and the
+# pair of same-sign dispersions whose product underflows (z in km, beta2 in
+# ps^2/km)
+_GAUSSIAN_GRID = {
+    "scenario": "g",
+    "fiber": {"beta2_ps2_km": -1e-290, "z_km": 1},
+    "signal": {"pulse": "gaussian", "width_s": 1.5e-154, "n_samples": 256},
+}
+_NYQUIST_GRID = {
+    "scenario": "n",
+    "fiber": {"beta2_ps2_km": -1e-293, "z_km": 1e9},
+    "pcf": {"beta2_ps2_km": -1e24},
+    "signal": {"pulse": "sinc", "bandwidth_hz": 1e153, "n_samples": 4096},
+}
+_DCF_PATH = {
+    "scenario": "d",
+    "fiber": {"beta2_ps2_km": -1e300, "z_km": 1e5},
+    "pcf": {"beta2_ps2_km": -1e301},
+    "dcf": {"beta2_ps2_km": 1e-290},
+    "compensator": {"alphas": [1.0], "k_max": 2},
+    "signal": {"pulse": "sinc", "bandwidth_hz": 1e-145, "n_samples": 1024},
+}
+# the span's spread fits the window, but beta2 / 2 * (pi / dt_s)**2 overflows
+_GRID_PHASE = {
+    "scenario": "p",
+    "fiber": {"beta2_ps2_km": -1e36, "z_km": 1e-308},
+    "signal": {"pulse": "gaussian", "width_s": 1e-148, "n_samples": 4096},
+}
+# the stage search's K meets the target, and scenario reports K * L
+_CASCADE_PATH = {
+    "scenario": "c",
+    "fiber": {"beta2_ps2_km": -21.0, "z_km": 9.6e33},
+    "pcf": {"beta2_ps2_km": -1.7e-270},
+    "compensator": {"alphas": [1.0], "k_list": [0, 2], "target_broadening": 1.0},
+    "signal": {"pulse": "sinc", "bandwidth_hz": 1e-6, "n_samples": 4096},
+}
+_SMALL_SAME_SIGN = {
+    "scenario": "s",
+    "fiber": {"beta2_ps2_km": -1e-143},
+    "pcf": {"beta2_ps2_km": -1e-133},
+    "region": {"bandwidths_hz": [1e9, 3e9]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, message",
+    [
+        ("propagate", _GAUSSIAN_GRID, 2, "error: (pi / dt_s)**2 is out of range"),
+        ("propagate", _NYQUIST_GRID, 2, "error: (pi / dt_s)**2 is out of range"),
+        ("propagate", _GRID_PHASE, 2, "error: max(1, |beta2| / 2) * (pi / dt_s)**2"),
+        # only propagate forms (pi/dt_s)**2: the band runners never leave the band
+        ("scenario", _NYQUIST_GRID, 0, ""),
+        ("sweep-k", _doc(_NYQUIST_GRID, sweep={"xi": [0.5, 1.0]}), 0, ""),
+        ("scenario", _DCF_PATH, 2, "error: fiber.z_km dcf path"),
+        ("scenario", _CASCADE_PATH, 2, "error: fiber.z_km cascade path K * L"),
+        ("region", _SMALL_SAME_SIGN, 0, ""),
+    ],
+    ids=["gaussian-grid", "nyquist-grid", "grid-phase", "nyquist-scenario",
+         "nyquist-sweep", "dcf-path", "cascade-path", "small-same-sign"],
+)
+def test_range_rule_cases(tmp_path, capsys, command, doc, code, message):
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("error:") == (code != 0)
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# a double log-uniform over [2**-1074, 2**1024)
+_MAGNITUDE = st.floats(-1074.0, 1024.0, exclude_max=True).map(lambda e: 2.0**e)
+
+
+@st.composite
+def _any_config(draw):
+    """A config over every float key, each the README's value or a log-uniform draw.
+
+    One key in four is drawn: log-uniform over +-[2**-1074, 2**1024) with
+    the README value's sign (one in eight), with the other sign or zero (one
+    in sixteen each). The others keep their README value, so that most
+    draws reach the runners. An optional section or key stays in three
+    times in four, and the lists are sorted, as their rules ask.
+    """
+
+    def often():
+        return draw(st.sampled_from([True, True, True, False]))
+
+    def value(readme):
+        if often():
+            return readme
+        sign = draw(st.sampled_from([1.0, 1.0, -1.0, 0.0]))
+        return math.copysign(sign, readme) * draw(_MAGNITUDE)
+
+    def values(readme, size):
+        return sorted({value(readme) for _ in range(draw(st.integers(1, size)))})
+
+    def maybe(section):
+        return {k: v for k, v in section.items() if often()}
+
+    def dispersion(beta2_ps2_km, d_ps_nm_km):  # the README's, in either unit
+        if draw(st.booleans()):
+            return {"beta2_ps2_km": value(beta2_ps2_km)}
+        return {"d_ps_nm_km": value(d_ps_nm_km)}
+
+    pulse = draw(st.sampled_from(["sinc", "gaussian"]))
+    width = ("bandwidth_hz", 3e9) if pulse == "sinc" else ("width_s", 100e-12)
+    # 256 samples and up hold the README pulses in their windows
+    n_samples = 2 ** draw(st.integers(8, 12) if often() else st.integers(1, 7))
+    if draw(st.booleans()):
+        axis = values(3e9, 2)
+    else:
+        axis = {"min": value(1e9), "max": value(1e10), "count": draw(st.integers(2, 4)),
+                "spacing": draw(st.sampled_from(["linear", "log"]))}
+    fiber = dispersion(-21.0, 16.5)
+    fiber.update(maybe({"lambda0_m": value(1.55e-6), "z_km": value(130.0)}))
+    doc = {
+        "scenario": "any",
+        "fiber": fiber,
+        "compensator": {
+            "alphas": values(1.0, 2),
+            "k_max": draw(st.integers(0, 64)),
+            **maybe({"target_broadening": value(1.1)}),
+        },
+        "signal": {
+            "pulse": pulse,
+            width[0]: value(width[1]),
+            "n_samples": n_samples,
+            **maybe({"window_factor": value(64.0)}),
+        },
+        "sweep": {"xi": values(1.0, 3)},
+    }
+    dcf = dispersion(319.0, -250.0)
+    dcf.update(maybe({"quoted_path_km": value(7.0)}))
+    doc.update(maybe({
+        "pcf": dispersion(-2806.0, 2200.0),
+        "dcf": dcf,
+        "region": {"bandwidths_hz": axis},
+    }))
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore:multiple lobes")
+@settings(max_examples=400, deadline=None)
+@given(doc=_any_config())
+@example(doc=_GAUSSIAN_GRID)
+@example(doc=_NYQUIST_GRID)
+@example(doc=_DCF_PATH)
+@example(doc=_GRID_PHASE)
+@example(doc=_CASCADE_PATH)
+@example(doc=_SMALL_SAME_SIGN)
+def test_every_command_exits_cleanly_on_any_config(doc):
+    # each run exits 0, 2 or 3 with at most one error: line, and on exit 0
+    # every JSON it writes is valid JSON: no Infinity or NaN
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), doc)
+        for command in ("region", "sweep-k", "scenario", "propagate"):
+            out = Path(tmp) / command
+            rc, err = _run_captured([command, "--config", config, "--out", str(out)])
+            assert rc in (0, 2, 3) and err.count("error:") <= 1, (command, rc, err)
+            for path in out.glob("*.json") if rc == 0 else ():
+                text = path.read_text(encoding="utf-8")
+                json.loads(text, parse_constant=_no_constant)

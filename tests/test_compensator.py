@@ -78,6 +78,13 @@ class TestCompensatorSpec:
         with pytest.raises(ValueError):
             CompensatorSpec(sub, -1)
 
+    @pytest.mark.parametrize("k", [True, 2.0])
+    def test_stage_count_must_be_an_integer(self, k):
+        _, sub = matched_example()
+        with pytest.raises(ValueError, match="k_stages must be an integer"):
+            CompensatorSpec(sub, k)
+        assert CompensatorSpec(sub, np.int64(2)).k_stages == 2
+
     def test_stage_count_past_gain_range_rejected(self):
         _, sub = matched_example()
         with pytest.raises(ValueError, match=str(MAX_STAGES)):
@@ -168,6 +175,17 @@ class TestMatchPcf:
             match_pcf(target, 2806e-27)
         with pytest.raises(ValueError):
             match_pcf(target, 0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_small_values_of_one_sign_match(self, sign):
+        # the product of the two beta2 values underflows to zero; their signs
+        # still agree, so the branch length is well defined
+        sub = match_pcf(FiberParams(sign * -1e-170, 1.3e5), sign * -1e-160)
+        assert sub.length_m == pytest.approx(1.3e-5, rel=1e-12)
+
+    def test_zero_target_rejected(self):
+        with pytest.raises(ValueError, match="same sign"):
+            match_pcf(FiberParams(0.0, 1.3e5), -1e-160)
 
     def test_down_branch_mirrors_the_span(self):
         target = FiberParams(-21e-27, 130e3)

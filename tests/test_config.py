@@ -204,11 +204,28 @@ class TestFailClosed:
         with pytest.raises(ConfigError, match=message):
             parse_config(doc)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_small_dispersions_of_one_sign_accepted(self, sign):
+        # in SI units the product of the two beta2 values underflows to zero
+        doc = {
+            "scenario": "tiny",
+            "fiber": {"beta2_ps2_km": sign * -1e-143},
+            "pcf": {"beta2_ps2_km": sign * -1e-133},
+        }
+        cfg = parse_config(doc)
+        assert cfg.fiber_beta2 * cfg.pcf_beta2 == 0
+        assert cfg.pcf_beta2 == pytest.approx(sign * -1e-160)
+
     @pytest.mark.parametrize(
         "doc, message",
         [
             (base_doc(fiber={"d_ps_nm_km": 17.0, "lambda0_m": 1e200}), "overflows"),
-            (base_doc(fiber={"beta2_ps2_km": -21.0, "z_km": 1e306}), "z_m"),
+            (base_doc(fiber={"beta2_ps2_km": -21.0, "z_km": 1e306}), "fiber.z_km"),
+            # D * lambda0**2 overflows, though lambda0**2 does not
+            (
+                base_doc(fiber={"d_ps_nm_km": 1e308, "lambda0_m": 1e6}),
+                "fiber.d_ps_nm_km in s.2/m must be finite",
+            ),
             (
                 base_doc(dcf={"d_ps_nm_km": -250.0, "quoted_path_km": 1e307}),
                 "dcf_quoted_path_m",
@@ -229,7 +246,9 @@ class TestFailClosed:
                 "dt_s",
             ),
         ],
-        ids=["lambda0", "z_km", "quoted_path_km", "width_s", "dt_underflow"],
+        ids=[
+            "lambda0", "z_km", "d_to_beta2", "quoted_path_km", "width_s", "dt_underflow"
+        ],
     )
     def test_resolved_values_must_be_finite(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -247,6 +266,14 @@ class TestFailClosed:
     )
     def test_bandwidth_range_rule(self, doc):
         with pytest.raises(ConfigError, match="out of range"):
+            parse_config(doc)
+
+    def test_span_without_pcf_must_be_finite(self):
+        # with a pcf section the matched branch overflows too; without one the
+        # span alone carries the rule
+        doc = base_doc(fiber={"beta2_ps2_km": -21.0, "z_km": 1e306})
+        del doc["pcf"]
+        with pytest.raises(ConfigError, match=r"fiber\.z_km span z is out of range"):
             parse_config(doc)
 
     def test_bandwidth_range_rule_skips_zero_beta2(self):

@@ -37,6 +37,9 @@ class TestIterationSpec:
             IterationSpec(2, mu=0.0)
         with pytest.raises(ValueError):
             IterationSpec(2.5)  # type: ignore[arg-type]
+        with pytest.raises(ValueError, match="k_terms must be an integer"):
+            IterationSpec(True)
+        assert IterationSpec(np.int64(3)).k_terms == 3
 
 
 class TestErrorTf:

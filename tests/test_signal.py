@@ -62,6 +62,12 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(1000, 1e-12)
 
+    @pytest.mark.parametrize("n", [True, 8.0, np.bool_(True)])
+    def test_rejects_non_integer_sizes(self, n):
+        with pytest.raises(ValueError, match=f"must be an integer, got {n!r}"):
+            FrequencyGrid(n, 1e-12)
+        assert FrequencyGrid(np.int64(8), 1e-12).n_samples == 8
+
     def test_rejects_tiny_or_bad_dt(self):
         with pytest.raises(ValueError):
             FrequencyGrid(1, 1e-12)
