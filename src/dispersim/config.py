@@ -187,6 +187,13 @@ def _formed(cfg: ExperimentConfig):
     strength. Only ``propagate`` forms the grid's (pi/dt_s)**2, and checks it.
     """
     beta2, bandwidth, z_m = cfg.fiber_beta2, cfg.bandwidth_hz, cfg.z_m
+    # each beta2 in SI, with the number given as its factor: a nonzero one
+    # must not underflow to zero or to a subnormal
+    for name in ("fiber", "pcf", "dcf"):
+        value, section = getattr(cfg, f"{name}_beta2"), cfg.raw.get(name)
+        if value is not None:
+            key = "beta2_ps2_km" if "beta2_ps2_km" in section else "d_ps_nm_km"
+            yield f"{name}.{key} in s^2/m", value, section[key]
     if cfg.dt_s is not None:
         yield "dt_s = window_factor * pulse_width_s / n_samples", cfg.dt_s
     bands = [("signal.bandwidth_hz", bandwidth)] if bandwidth else []

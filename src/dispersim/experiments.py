@@ -5,10 +5,10 @@ and LF line endings so a fixed configuration reproduces byte-identical
 output. The envelope CSVs hold millions of numbers per ``propagate``; they
 are encoded a block of samples at a time by :func:`_encode_9g`, which
 writes the bytes of :func:`fmt` for a whole array. It hands back to
-:func:`fmt` only the values it cannot round exactly: magnitudes outside
-[1e-290, 1e290] other than zero, and significands within 1e-6 of a
-rounding tie. Every run also emits a ``meta.json`` holding the raw
-configuration, its SI resolution and the pulse-width metric in use.
+:func:`fmt` only the values it does not round itself: magnitudes outside
+[1e-290, 1e290] other than zero, and exact rounding ties. Every run also
+emits a ``meta.json`` holding the raw configuration, its SI resolution and
+the pulse-width metric in use.
 """
 
 import contextlib
@@ -36,6 +36,7 @@ from .signal import (
     WIDTH_METRIC,
     band_intensity_fwhm,
     band_offsets,
+    band_samples,
     check_band_wraparound,
     make_gaussian_pulse,
     make_sinc_band,
@@ -69,6 +70,18 @@ def fmt(x: float) -> str:
 FIELD = 32
 _E_MIN, _E_MAX = -290, 290  # decimal exponents encoded without fmt
 _TIE_MARGIN = 1e-6
+_SPLIT = 2.0**27 + 1  # Dekker's split of a double into two 26-bit halves
+
+
+def _pow10_pair(k: int) -> tuple[float, float]:
+    """10**k as hi + lo: hi correctly rounded, lo the correctly rounded rest.
+
+    Both come from exact rationals: Python's int / int rounds correctly.
+    """
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    return hi, (num * d - n * den) / (den * d)
 
 
 @functools.cache
@@ -76,7 +89,8 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
     """The lookup tables of :func:`_encode_9g`, built on first use.
 
     - ``pow10``: 10**k at index k + 300 for k in [-300, 300], each correctly
-      rounded (numpy's power is not);
+      rounded (numpy's power is not), and ``pow10_lo``: the rest 10**k - hi,
+      correctly rounded, so that the pair holds 10**k to about 2**-106;
     - ``group_text``: the 3 digits of each 3-digit group, each followed by a
       NUL point slot, and ``group_zeros``: its count of trailing zeros;
     - ``and_mask`` and ``or_mask``: 4 uint64 words per field. Row
@@ -85,9 +99,7 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
       prints (and the separator); the OR mask adds the lead, the point and
       the exponent.
     """
-    pow10 = np.array(
-        [float(10**k) if k >= 0 else 1 / 10**-k for k in range(-300, 301)]
-    )
+    pow10, pow10_lo = np.array([_pow10_pair(k) for k in range(-300, 301)]).T.copy()
     groups = [f"{j:03d}" for j in range(1000)]
     group_text = np.zeros((1000, 6), np.uint8)
     group_text[:, ::2] = np.array(groups, "S3").view(np.uint8).reshape(1000, 3)
@@ -110,7 +122,7 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
     and_mask = (keep | (slot == FIELD - 1)) * np.uint8(0xFF)
     or_mask = text[:, None, :] | point * np.uint8(ord("."))
     masks = [m.reshape(-1, FIELD).view(np.uint64) for m in (and_mask, or_mask)]
-    tables = (pow10, group_text, group_zeros, *masks)
+    tables = (pow10, pow10_lo, group_text, group_zeros, *masks)
     for table in tables:  # shared by every call
         table.setflags(write=False)
     return tables
@@ -125,11 +137,12 @@ def _encode_9g(x: np.ndarray, fields: np.ndarray) -> None:
     correction pass, and its 9-digit significand from |v|·10^(8−e), rounded
     to nearest. Then e ∈ [−4, 9) gives fixed notation and any
     other e the d.dddddddde±XX form, without trailing zeros and a bare
-    point. Zeros are encoded as "0" and "-0". Values the scaling cannot
-    round exactly are formatted by :func:`fmt` and spliced in: magnitudes
-    outside [1e-290, 1e290], and significands near a rounding tie.
+    point. Zeros are encoded as "0" and "-0". A significand within 1e-6 of
+    a rounding tie is rounded by the exact comparison of :func:`_tie_side`.
+    The rest are formatted by :func:`fmt` and spliced in: magnitudes outside
+    [1e-290, 1e290], and exact ties, which %g rounds to even.
     """
-    pow10, group_text, group_zeros, and_mask, or_mask = _encoder_tables()
+    pow10, pow10_lo, group_text, group_zeros, and_mask, or_mask = _encoder_tables()
     a = np.abs(x)
     zero = a == 0.0
     by_fmt = ~zero & ((a < 1e-290) | (a > 1e290))
@@ -142,11 +155,18 @@ def _encode_9g(x: np.ndarray, fields: np.ndarray) -> None:
     # m carries two roundings (the table's and the product's), so it is
     # within 2**-52 of |v|·10^(8−e) relative: under 2.3e-7 below 1e9. Its
     # nearest integer is the exact one unless m lies that close to a tie;
-    # a margin of 1e-6, over four times the bound, sends those to fmt.
+    # within a margin of 1e-6, over four times the bound, the side of the
+    # tie is decided exactly, and only an exact tie goes to fmt.
     r = np.floor(m)
     frac = m - r
-    by_fmt |= np.abs(frac - 0.5) < _TIE_MARGIN
-    r += frac > 0.5
+    up = frac > 0.5
+    near = np.nonzero(np.abs(frac - 0.5) < _TIE_MARGIN)
+    if near[0].size:
+        k = 308 - e[near]
+        side = _tie_side(a[near], pow10.take(k), pow10_lo.take(k), r[near] + 0.5)
+        up[near] = side > 0
+        by_fmt[near] |= side == 0
+    r += up
     carry = r >= 1e9  # 999999999.5 and up round to 1.00000000e(e+1)
     e += carry
     sig = np.where(carry, 1e8, r).astype(np.int32)
@@ -170,6 +190,26 @@ def _encode_9g(x: np.ndarray, fields: np.ndarray) -> None:
         text = np.array([fmt(v) for v in x[where].tolist()], f"S{FIELD - 1}")
         text = text.view(np.uint8).reshape(-1, FIELD - 1)
         fields[where + (slice(FIELD - 1),)] = text
+
+
+def _tie_side(a, hi, lo, tie):
+    """Sign of a·(hi + lo) − tie, with 0 where they are equal up to rounding.
+
+    ``hi + lo`` is a pair of :func:`_pow10_pair`, and a·hi lies within 1e-6
+    of ``tie`` = r + 1/2 with r in [1e8, 1e9). Dekker's product gives a·hi
+    exactly as p + err, and p − tie is exact (Sterbenz), so the sum below
+    is off by about 2**-104 of ``tie`` at most. A gap that small is treated
+    as an exact tie.
+    """
+    p = a * hi
+    a_hi = _SPLIT * a
+    a_hi -= a_hi - a
+    h_hi = _SPLIT * hi
+    h_hi -= h_hi - hi
+    a_lo, h_lo = a - a_hi, hi - h_hi
+    err = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
+    gap = (p - tie) + (err + a * lo)
+    return np.where(np.abs(gap) > tie * 2.0**-96, np.sign(gap), 0.0)
 
 
 def _write_text(path: Path, lines) -> None:
@@ -238,17 +278,35 @@ class Stage:
     residual_max: float
 
 
+def _propagate_band(grid, tx_band, tx_width: float, fiber: FiberParams, spec):
+    """The received band over ``fiber``, and the pcf response of ``spec`` at its bins.
+
+    ``tx_band`` is a sinc's band (:func:`make_sinc_band` on ``grid``) and
+    ``tx_width`` its :func:`band_intensity_fwhm`; no N-point array is built.
+    The propagation keeps the wraparound guards of the full-grid path: the
+    span's, on the sent pulse (:func:`propagate`), and, with a
+    :class:`CompensatorSpec`, the K stages', on the received one
+    (:func:`compensate`). Where ``spec`` is None the pcf response is too.
+    """
+    check_band_wraparound(grid, tx_band, fiber.beta2 * fiber.length_m, tx_width)
+    offsets = band_offsets(grid, tx_band.size // 2)
+    rx_band = tx_band * dispersion_response(fiber, offsets)
+    if spec is None:
+        return rx_band, None
+    rx_width = band_intensity_fwhm(grid, rx_band)
+    check_band_wraparound(grid, rx_band, spec.stage_gvd, rx_width)
+    return rx_band, dispersion_response(spec.subsystem.pcf, offsets)
+
+
 def _stage_search(cfg: ExperimentConfig, grid, tx_band, tx_width: float, z_m, alphas):
     """Yield ``(alpha, [Stage per K of cfg.k_list])`` for each alpha on one span.
 
     Everything runs on the bins of the sinc's band ``tx_band``
     (:func:`make_sinc_band` on ``grid``); no N-point array is built. The span
-    is propagated once, at its first converging alpha, and never when every
-    alpha diverges; a diverged alpha builds no response. The propagation
-    keeps both wraparound guards of the full-grid path: the span's, on the
-    sent pulse (:func:`propagate`), and the K stages', on the received one
-    (:func:`compensate`). The pcf response is built once per span, as the
-    matched length does not depend on alpha; then each alpha's
+    is propagated and guarded once (:func:`_propagate_band`, to the last K),
+    at its first converging alpha, and never when every alpha diverges; a
+    diverged alpha builds no response. The pcf response is built once per
+    span, as the matched length does not depend on alpha; then each alpha's
     :func:`stage_responses` and the width of every K's output. The output
     spectrum is the one :func:`compensate` forms there, and
     :func:`band_intensity_fwhm` measures it as :func:`intensity_fwhm` would
@@ -262,13 +320,8 @@ def _stage_search(cfg: ExperimentConfig, grid, tx_band, tx_width: float, z_m, al
         if stable(alpha, beta2, bandwidth, z_m):
             sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
             if rx_band is None:
-                check_band_wraparound(grid, tx_band, beta2 * z_m, tx_width)
-                offsets = band_offsets(grid, tx_band.size // 2)
-                rx_band = tx_band * dispersion_response(fiber, offsets)
-                k_gvd = CompensatorSpec(sub, cfg.k_list[-1]).stage_gvd
-                rx_width = band_intensity_fwhm(grid, rx_band)
-                check_band_wraparound(grid, rx_band, k_gvd, rx_width)
-                h_pcf = dispersion_response(sub.pcf, offsets)
+                spec = CompensatorSpec(sub, cfg.k_list[-1])
+                rx_band, h_pcf = _propagate_band(grid, tx_band, tx_width, fiber, spec)
             factors = [
                 band_intensity_fwhm(grid, rx_band * response) / tx_width
                 for response in stage_responses(sub, h_pcf, cfg.k_list)
@@ -406,8 +459,34 @@ def _envelope_csv(outdir: Path, envelopes: dict) -> None:
                 handle.write(block.tobytes().translate(None, b"\0"))
 
 
+def _sinc_envelopes(cfg: ExperimentConfig, fiber: FiberParams, spec) -> dict:
+    """The dispersed and, unless ``spec`` is None, compensated sinc, on its band bins.
+
+    The sent band is :func:`make_sinc_band`, propagated and guarded by
+    :func:`_propagate_band`; the compensated band is the received one times
+    :func:`stage_responses` of the one K. Only the last step leaves the
+    band: each envelope is the N-point inverse transform of its band
+    (:func:`band_samples`). No bin outside the band holds rounding noise
+    for the cascade to amplify, whatever K.
+    """
+    grid = _grid(cfg)
+    tx_band = make_sinc_band(grid, cfg.pulse_width_s)
+    tx_width = band_intensity_fwhm(grid, tx_band)
+    rx_band, h_pcf = _propagate_band(grid, tx_band, tx_width, fiber, spec)
+    bands = {"envelope_dispersed.csv": rx_band}
+    if spec is not None:
+        [response] = stage_responses(spec.subsystem, h_pcf, [spec.k_stages])
+        bands["envelope_compensated.csv"] = rx_band * response
+    return {name: Envelope(grid, band_samples(grid, b)) for name, b in bands.items()}
+
+
 def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
-    """Dump the envelopes before/after the fiber (and compensator), all or none."""
+    """Dump the envelopes before/after the fiber (and compensator), all or none.
+
+    A sinc is propagated on its band bins (:func:`_sinc_envelopes`), a
+    gaussian, which has no band, on the full grid (:func:`propagate` and
+    :func:`compensate`). The input envelope is :func:`build_pulse` either way.
+    """
     if cfg.z_m is None:
         raise ConfigError("fiber.z_km is required for the propagate command")
     tx = build_pulse(cfg)
@@ -421,14 +500,19 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.pcf_beta2 is not None and cfg.bandwidth_hz:  # a gaussian has no band
         _require_convergence(cfg, cfg.alphas[0])
     fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
-    rx = propagate(tx, fiber)
-    envelopes = {"envelope_input.csv": tx, "envelope_dispersed.csv": rx}
+    spec = None
     extra = {"compensated": False}
     if cfg.pcf_beta2 is not None:
         sub = match_pcf(fiber, cfg.pcf_beta2, alpha=cfg.alphas[0])
         spec = CompensatorSpec(sub, cfg.k_list[-1])
-        envelopes["envelope_compensated.csv"] = compensate(rx, spec)
         extra = {"compensated": True, "k_stages": cfg.k_list[-1]}
+    envelopes = {"envelope_input.csv": tx}
+    if cfg.pulse == "sinc":
+        envelopes.update(_sinc_envelopes(cfg, fiber, spec))
+    else:
+        envelopes["envelope_dispersed.csv"] = rx = propagate(tx, fiber)
+        if spec is not None:
+            envelopes["envelope_compensated.csv"] = compensate(rx, spec)
     _envelope_csv(outdir, envelopes)
     write_meta(outdir, "propagate", cfg, extra)
     return 0

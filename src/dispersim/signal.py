@@ -180,12 +180,8 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
     zero_to_zero_width : float
         Separation of the two main-lobe nulls, seconds.
     """
-    shape = _sinc_band_shape(grid, zero_to_zero_width)
-    n, center = grid.n_samples, grid.n_samples // 2
-    spectrum = np.zeros(n, np.complex128)
-    spectrum[band_bins(n, shape.size // 2)] = shape
-    samples = ifft(spectrum)
-    samples = samples * (1.0 / samples[center].real)
+    samples = band_samples(grid, _sinc_band_shape(grid, zero_to_zero_width))
+    samples = samples * (1.0 / samples[grid.n_samples // 2].real)
     return Envelope(grid, samples)
 
 
@@ -255,6 +251,18 @@ def band_offsets(grid: FrequencyGrid, h: int) -> np.ndarray:
     2*pi*(k*df) is what :func:`numpy.fft.fftfreq` computes, bit for bit.
     """
     return 2.0 * np.pi * (_band_k(h) * grid.df)
+
+
+def band_samples(grid: FrequencyGrid, band: np.ndarray) -> np.ndarray:
+    """The samples on ``grid`` whose DFT is ``band`` on its bins and zero elsewhere.
+
+    ``band`` holds 2h+1 bins in the order of :func:`band_bins`, as in
+    :func:`band_intensity_fwhm`; the result is the N-point inverse transform
+    of the zero-padded spectrum, in a new array.
+    """
+    spectrum = np.zeros(grid.n_samples, np.complex128)
+    spectrum[band_bins(grid.n_samples, band.size // 2)] = band
+    return ifft(spectrum)
 
 
 def make_gaussian_pulse(grid: FrequencyGrid, t0: float) -> Envelope:

@@ -6,26 +6,43 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dispersim.cli import main
-from dispersim.compensator import CompensatorSpec, compensate, match_pcf
+from dispersim.compensator import (
+    CompensatorSpec,
+    compensate,
+    match_pcf,
+    stage_responses,
+)
 from dispersim.config import parse_config
 from dispersim.experiments import (
     ENVELOPE_BLOCK,
     FIELD,
     _encode_9g,
     _envelope_csv,
+    _sinc_envelopes,
     build_pulse,
     fmt,
 )
-from dispersim.fiber import FiberParams, d_to_beta2, propagate
-from dispersim.convergence import edge_error, span_length, z_max
-from dispersim.signal import Envelope, FrequencyGrid, WidthMetricError, intensity_fwhm
+from dispersim.fiber import FiberParams, d_to_beta2, dispersion_response, propagate
+from dispersim.convergence import edge_error, span_length, stable, z_max
+from dispersim.signal import (
+    Envelope,
+    FrequencyGrid,
+    WidthMetricError,
+    WraparoundError,
+    band_offsets,
+    band_samples,
+    intensity_fwhm,
+    make_sinc_band,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -653,15 +670,25 @@ class TestPropagate:
         cfg = parse_config(doc)
         tx = build_pulse(cfg)
         fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
-        rx = propagate(tx, fiber)
         spec = CompensatorSpec(match_pcf(fiber, cfg.pcf_beta2, alpha=1.0), 2)
+        if pulse == "gaussian":
+            assert not tx.samples.imag.any()
+            rx = propagate(tx, fiber)
+            out_e = compensate(rx, spec)
+        else:  # a sinc is propagated on its band bins, then zero-padded
+            grid = tx.grid
+            tx_band = make_sinc_band(grid, cfg.pulse_width_s)
+            offsets = band_offsets(grid, tx_band.size // 2)
+            rx_band = tx_band * dispersion_response(fiber, offsets)
+            h_pcf = dispersion_response(spec.subsystem.pcf, offsets)
+            [response] = stage_responses(spec.subsystem, h_pcf, [2])
+            rx = Envelope(grid, band_samples(grid, rx_band))
+            out_e = Envelope(grid, band_samples(grid, rx_band * response))
         envelopes = {
             "envelope_input.csv": tx,
             "envelope_dispersed.csv": rx,
-            "envelope_compensated.csv": compensate(rx, spec),
+            "envelope_compensated.csv": out_e,
         }
-        if pulse == "gaussian":
-            assert not tx.samples.imag.any()
         for name, e in envelopes.items():
             t, s = e.grid.time_axis, e.samples
             expected = "t_s,re,im\n" + "".join(
@@ -673,16 +700,16 @@ class TestPropagate:
 
     def test_values_handed_to_fmt_anywhere_in_a_block(self, tmp_path, monkeypatch):
         # values the encoder hands to fmt (beyond 1e290 or below 1e-290, or
-        # within 1e-6 of a 9-digit rounding tie) on the first, a middle and
-        # the last row of one block and on both ends of the next; zeros are
-        # encoded without fmt
+        # exactly on a 9-digit rounding tie, such as 2**-13 = 1.220703125e-4)
+        # on the first, a middle and the last row of one block and on both
+        # ends of the next; zeros are encoded without fmt
         n = 2 * ENVELOPE_BLOCK
         rng = np.random.default_rng(7)
         samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         planted = {
             0: complex(1.5e300, 5e-324),
-            ENVELOPE_BLOCK // 2: complex(1.000000005, -2.345678915e-7),
-            ENVELOPE_BLOCK - 1: complex(-1e-300, 9.999999995e-5),
+            ENVELOPE_BLOCK // 2: complex(123456789.5, -1.220703125e-4),
+            ENVELOPE_BLOCK - 1: complex(-1e-300, 6.103515625e-5),
             ENVELOPE_BLOCK: complex(999999999.5, 0.0),
             n - 1: complex(-0.0, -5e290),
         }
@@ -706,6 +733,74 @@ class TestPropagate:
                 f"{t[i]:.9g},{s[i].real:.9g},{s[i].imag:.9g}\n" for i in range(n)
             )
             assert (tmp_path / name).read_bytes() == expected.encode("utf-8"), name
+
+    @pytest.mark.parametrize("k_max", [50, 60])
+    def test_deep_stage_count_gives_back_the_sent_pulse(self, tmp_path, k_max):
+        # xi 2, alpha 1: in band |E_D|**(K+1) is below 1e-30, while outside
+        # it the full grid's rounding noise grows like 2**(K+1); the same
+        # cascade on the full grid leaves 5.5e-2 (K=50) and 54.8 (K=60) here
+        doc = {
+            "scenario": "deep-k",
+            "fiber": {"beta2_ps2_km": -21.0, "z_km": 268.045},
+            "pcf": {"d_ps_nm_km": 2200.0},
+            "compensator": {"alphas": [1.0], "k_max": k_max},
+            "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 4096},
+        }
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["propagate", "--config", config, "--out", str(out)]) == 0
+        sent, compensated = (
+            np.loadtxt(out / f"envelope_{name}.csv", delimiter=",", skiprows=1)
+            for name in ("input", "compensated")
+        )
+        assert np.abs(sent - compensated).max() <= 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:multiple lobes")
+@settings(max_examples=60, deadline=None)
+@given(
+    xi=st.floats(0.05, 8.0),
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    log2_n=st.integers(9, 12),
+    window_factor=st.floats(16.0, 128.0),
+    k_max=st.integers(0, 12),
+)
+def test_sinc_band_envelopes_match_the_full_grid(
+    xi, alpha, log2_n, window_factor, k_max
+):
+    # the full grid holds rounding noise outside the band, which the cascade
+    # amplifies up to (1+sqrt(alpha))**(K+1) times; up to K=12 the two paths
+    # stay within 1e-12 of the peak
+    beta2 = -21e-27
+    assume(stable(alpha, beta2, 3e9, span_length(xi, beta2, 3e9)))
+    doc = {
+        "scenario": "band-vs-grid",
+        "fiber": {"beta2_ps2_km": -21.0, "z_km": span_length(xi, beta2, 3e9) / 1e3},
+        "pcf": {"d_ps_nm_km": 2200.0},
+        "compensator": {"alphas": [alpha], "k_max": k_max},
+        "signal": {
+            "pulse": "sinc",
+            "bandwidth_hz": 3e9,
+            "n_samples": 2**log2_n,
+            "window_factor": window_factor,
+        },
+    }
+    cfg = parse_config(doc)
+    fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
+    spec = CompensatorSpec(match_pcf(fiber, cfg.pcf_beta2, alpha=alpha), k_max)
+    try:
+        rx = propagate(build_pulse(cfg), fiber)
+        full = {
+            "envelope_dispersed.csv": rx,
+            "envelope_compensated.csv": compensate(rx, spec),
+        }
+    except WraparoundError:
+        with pytest.raises(WraparoundError):
+            _sinc_envelopes(cfg, fiber, spec)
+        return
+    for name, e in _sinc_envelopes(cfg, fiber, spec).items():
+        peak = np.abs(full[name].samples).max()
+        assert np.abs(e.samples - full[name].samples).max() <= 1e-12 * peak, name
 
 
 def _encoded(values) -> list:
@@ -733,6 +828,29 @@ _TIES = st.builds(
     st.integers(10**8, 10**9 - 1),
     st.integers(-333, 298),
 )
+# the bandwidths and window factors of time axes drawn below
+_AXIS_BANDWIDTHS = st.one_of(
+    st.sampled_from([1e9, 1.25e9, 2.5e9, 3e9, 10e9, 40e9]), st.floats(1e8, 1e11)
+)
+_AXIS_WINDOWS = st.one_of(
+    st.sampled_from([16.0, 50.5, 64.0, 100.25]), st.floats(8.0, 1024.0)
+)
+
+
+def _time_axis(bandwidth_hz, window_factor, n_samples):
+    """A sinc grid's time axis, with the step as the configuration forms it."""
+    dt_s = window_factor * (2.0 / bandwidth_hz) / n_samples
+    return FrequencyGrid(n_samples, dt_s).time_axis
+
+
+# sample k of a time axis k * dt
+_TIME_SAMPLES = st.builds(
+    lambda b, w, log2_n, u: float(_time_axis(b, w, 2**log2_n)[int(u * 2**log2_n)]),
+    _AXIS_BANDWIDTHS,
+    _AXIS_WINDOWS,
+    st.integers(8, 16),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
 _DOUBLES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     _near(_TIES),
@@ -749,6 +867,7 @@ _DOUBLES = st.one_of(
     st.floats(min_value=0.0, max_value=1e-100),
     st.integers(1, 2**52 - 1).map(lambda n: n * 5e-324),
     st.sampled_from([0.0, -0.0]),
+    _TIME_SAMPLES,
 )
 
 
@@ -757,6 +876,37 @@ _DOUBLES = st.one_of(
 @example(values=[0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.5, 999999999.5])
 def test_encoder_writes_format_9g_bytes(values):
     assert _encoded(values) == [format(v, ".9g").encode() for v in values]
+
+
+def _is_exact_tie(v: float) -> bool:
+    """True where |v| lies exactly halfway between two 9-digit decimals."""
+    e = Decimal(v).adjusted()  # the exact value's decimal exponent
+    return (Fraction(abs(v)) * Fraction(10) ** (8 - e)).denominator == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bandwidth_hz=_AXIS_BANDWIDTHS,
+    window_factor=_AXIS_WINDOWS,
+    log2_n=st.integers(8, 16),
+)
+def test_time_axis_reaches_fmt_only_on_exact_ties(bandwidth_hz, window_factor, log2_n):
+    t = _time_axis(bandwidth_hz, window_factor, 2**log2_n)
+    sent = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            "dispersim.experiments.fmt", lambda x: sent.append(x) or format(x, ".9g")
+        )
+        assert _encoded(t) == [format(v, ".9g").encode() for v in t.tolist()]
+    assert all(_is_exact_tie(v) for v in sent), sent
+
+
+def test_propagate_dump_time_axis_needs_no_fmt(monkeypatch):
+    # 65536 samples of 64 widths of a 3 GHz sinc; 6485 of them lie within
+    # 1e-6 of a 9-digit tie, and none on one
+    monkeypatch.setattr("dispersim.experiments.fmt", lambda x: pytest.fail(repr(x)))
+    t = _time_axis(3e9, 64.0, 65536)
+    assert _encoded(t) == [format(v, ".9g").encode() for v in t.tolist()]
 
 
 def _doc(base, **sections):
@@ -837,7 +987,7 @@ class TestRangeRules:
                 "scenario",
                 {
                     "fiber": {"beta2_ps2_km": 1e308, "z_km": 1e10},
-                    "pcf": {"beta2_ps2_km": 5e-297},
+                    "pcf": {"beta2_ps2_km": 1e-270},
                     "signal": dict(_SMALL_SINC, bandwidth_hz=1e-150),
                 },
                 "fiber.z_km",
@@ -1038,12 +1188,12 @@ def test_propagate_exits_cleanly_on_gaussian_widths(log2_width):
 # ps^2/km)
 _GAUSSIAN_GRID = {
     "scenario": "g",
-    "fiber": {"beta2_ps2_km": -1e-290, "z_km": 1},
+    "fiber": {"beta2_ps2_km": -1e-270, "z_km": 1},
     "signal": {"pulse": "gaussian", "width_s": 1.5e-154, "n_samples": 256},
 }
 _NYQUIST_GRID = {
     "scenario": "n",
-    "fiber": {"beta2_ps2_km": -1e-293, "z_km": 1e9},
+    "fiber": {"beta2_ps2_km": -1e-270, "z_km": 1e-14},
     "pcf": {"beta2_ps2_km": -1e24},
     "signal": {"pulse": "sinc", "bandwidth_hz": 1e153, "n_samples": 4096},
 }
@@ -1051,7 +1201,7 @@ _DCF_PATH = {
     "scenario": "d",
     "fiber": {"beta2_ps2_km": -1e300, "z_km": 1e5},
     "pcf": {"beta2_ps2_km": -1e301},
-    "dcf": {"beta2_ps2_km": 1e-290},
+    "dcf": {"beta2_ps2_km": 1e-270},
     "compensator": {"alphas": [1.0], "k_max": 2},
     "signal": {"pulse": "sinc", "bandwidth_hz": 1e-145, "n_samples": 1024},
 }
@@ -1075,6 +1225,8 @@ _SMALL_SAME_SIGN = {
     "pcf": {"beta2_ps2_km": -1e-133},
     "region": {"bandwidths_hz": [1e9, 3e9]},
 }
+# a fiber beta2 of -1e-317 s^2/m, a subnormal
+_SUBNORMAL_BETA2 = _doc(readme_doc(), fiber={"beta2_ps2_km": -1e-290, "z_km": 130.0})
 
 
 @pytest.mark.parametrize(
@@ -1089,9 +1241,15 @@ _SMALL_SAME_SIGN = {
         ("scenario", _DCF_PATH, 2, "error: fiber.z_km dcf path"),
         ("scenario", _CASCADE_PATH, 2, "error: fiber.z_km cascade path K * L"),
         ("region", _SMALL_SAME_SIGN, 0, ""),
+        *[
+            (command, _SUBNORMAL_BETA2, 2, "error: fiber.beta2_ps2_km in s^2/m")
+            for command in ("region", "sweep-k", "scenario", "propagate")
+        ],
     ],
     ids=["gaussian-grid", "nyquist-grid", "grid-phase", "nyquist-scenario",
-         "nyquist-sweep", "dcf-path", "cascade-path", "small-same-sign"],
+         "nyquist-sweep", "dcf-path", "cascade-path", "small-same-sign",
+         "subnormal-region", "subnormal-sweep", "subnormal-scenario",
+         "subnormal-propagate"],
 )
 def test_range_rule_cases(tmp_path, capsys, command, doc, code, message):
     config = write_config(tmp_path, doc)
@@ -1188,6 +1346,7 @@ def _any_config(draw):
 @example(doc=_GRID_PHASE)
 @example(doc=_CASCADE_PATH)
 @example(doc=_SMALL_SAME_SIGN)
+@example(doc=_SUBNORMAL_BETA2)
 def test_every_command_exits_cleanly_on_any_config(doc):
     # each run exits 0, 2 or 3 with at most one error: line, and on exit 0
     # every JSON it writes is valid JSON: no Infinity or NaN

@@ -268,6 +268,39 @@ class TestFailClosed:
         with pytest.raises(ConfigError, match="out of range"):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # -1e-317 s^2/m: a subnormal
+            (
+                base_doc(fiber={"beta2_ps2_km": -1e-290, "z_km": 130.0}),
+                r"fiber\.beta2_ps2_km in s\^2/m is out of range: -1e-317",
+            ),
+            # a nonzero beta2 that underflows to zero, with no pcf to refuse it
+            (
+                {"scenario": "s", "fiber": {"beta2_ps2_km": -1e-300}},
+                r"fiber\.beta2_ps2_km in s\^2/m is out of range: -0,",
+            ),
+            (
+                base_doc(pcf={"d_ps_nm_km": 1e-290}),
+                r"pcf\.d_ps_nm_km in s\^2/m is out of range",
+            ),
+            (
+                base_doc(dcf={"beta2_ps2_km": 1e-290}),
+                r"dcf\.beta2_ps2_km in s\^2/m is out of range",
+            ),
+        ],
+        ids=["fiber-subnormal", "fiber-underflows", "pcf-d-subnormal", "dcf-subnormal"],
+    )
+    def test_beta2_range_rule(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+
+    def test_beta2_range_rule_skips_zero(self):
+        # an exact zero is the input's own value: only an underflow is refused
+        cfg = parse_config({"scenario": "s", "fiber": {"beta2_ps2_km": 0}})
+        assert cfg.fiber_beta2 == 0
+
     def test_span_without_pcf_must_be_finite(self):
         # with a pcf section the matched branch overflows too; without one the
         # span alone carries the rule
