@@ -4,9 +4,12 @@ All numeric CSV fields use 9 significant digits (:func:`fmt`, ``%.9g``)
 and LF line endings so a fixed configuration reproduces byte-identical
 output. The envelope CSVs hold millions of numbers per ``propagate``; they
 are encoded a block of samples at a time by :func:`_encode_9g`, which
-writes the bytes of :func:`fmt` for a whole array. It hands back to
-:func:`fmt` only the values it does not round itself: magnitudes outside
-[1e-290, 1e290] other than zero, and exact rounding ties. Every run also
+writes the bytes of :func:`fmt` for a whole array. It builds each value's
+field as four uint64 words, from one lookup for its layout and one for each
+3-digit group of its significand, in a work array allocated once per dump,
+and copies them into the block once. It hands back to :func:`fmt` only
+the values it does not round itself: magnitudes outside [1e-290, 1e290]
+other than zero, and exact rounding ties. Every run also
 emits a ``meta.json`` holding the raw configuration, its SI resolution and
 the pulse-width metric in use.
 """
@@ -46,7 +49,7 @@ from .signal import (
 REGION_CSV_HEADER = "B_hz,z_max_m,alpha,beta2_si"
 SWEEP_CSV_HEADER = "xi,alpha,K,broadening_factor,residual_max"
 ENVELOPE_CSV_HEADER = "t_s,re,im"
-ENVELOPE_BLOCK = 4096  # samples per _envelope_csv block: about 2 MB of arrays in all
+ENVELOPE_BLOCK = 4096  # samples per _envelope_csv block: about 1.8 MB of arrays at peak
 
 
 class DivergenceError(RuntimeError):
@@ -57,17 +60,21 @@ def fmt(x: float) -> str:
     return f"{float(x):.9g}"
 
 
-# _encode_9g writes each value into one row of FIELD NUL-padded byte slots;
-# the NULs are dropped when the rows are joined, so a slot %g leaves out
-# simply stays NUL:
+# _encode_9g builds each value as one row of FIELD NUL-padded byte slots, held
+# as WORDS uint64 words; the NULs are dropped when the rows are joined, so a
+# slot %g leaves out simply stays NUL:
 #
-#   slot 0        sign
-#   slots 1-5     lead "0." to "0.000" of a fixed-notation value below 1
-#   slots 6-23    the 9 significant digits, each followed by a point slot
-#   slots 24-28   exponent "e+XX" or "e-XXX"
-#   slots 29-30   unused
-#   slot 31       column separator, left as the caller set it
+#   slot 0        sign                                        word 0
+#   slots 1-5     lead "0." to "0.000" of a fixed-notation    word 0
+#                 value below 1
+#   slots 6-23    the 9 significant digits, each followed     words 0-2
+#                 by a point slot: the hi 3-digit group in
+#                 slots 6-11, mid in 12-17 and lo in 18-23
+#   slots 24-28   exponent "e+XX" or "e-XXX"                  word 3
+#   slots 29-30   unused                                      word 3
+#   slot 31       column separator, left as the caller set it word 3
 FIELD = 32
+WORDS = FIELD // 8
 _E_MIN, _E_MAX = -290, 290  # decimal exponents encoded without fmt
 _TIE_MARGIN = 1e-6
 _SPLIT = 2.0**27 + 1  # Dekker's split of a double into two 26-bit halves
@@ -84,6 +91,15 @@ def _pow10_pair(k: int) -> tuple[float, float]:
     return hi, (num * d - n * den) / (den * d)
 
 
+def _words(fields: np.ndarray) -> np.ndarray:
+    """Byte rows of FIELD slots as rows of WORDS words.
+
+    OR-ing words ORs their bytes slot by slot, and copying them copies the
+    bytes, whatever the host's byte order.
+    """
+    return np.ascontiguousarray(fields, np.uint8).view(np.uint64)
+
+
 @functools.cache
 def _encoder_tables() -> tuple[np.ndarray, ...]:
     """The lookup tables of :func:`_encode_9g`, built on first use.
@@ -91,19 +107,28 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
     - ``pow10``: 10**k at index k + 300 for k in [-300, 300], each correctly
       rounded (numpy's power is not), and ``pow10_lo``: the rest 10**k - hi,
       correctly rounded, so that the pair holds 10**k to about 2**-106;
-    - ``group_text``: the 3 digits of each 3-digit group, each followed by a
-      NUL point slot, and ``group_zeros``: its count of trailing zeros;
-    - ``and_mask`` and ``or_mask``: 4 uint64 words per field. Row
-      ``(e - _E_MIN) * 9 + z`` is for a 9-digit significand with decimal
-      exponent e and z trailing zeros. The AND mask keeps the digits %g
-      prints (and the separator); the OR mask adds the lead, the point and
-      the exponent.
+    - ``hi_words``, ``mid_words`` and ``lo_words``: row j holds the digits
+      of the 3-digit group j in that group's slots, and row j + 1000 the
+      same without their trailing zeros, for a group whose later groups are
+      all zero (always, for lo). ``stripped_zeros`` counts the zeros a row
+      leaves out;
+    - ``or_words``: row ``(e - _E_MIN) * 10 + z`` is for a 9-digit
+      significand with decimal exponent e and z trailing zeros (z = 9 for
+      a zero). It holds the lead, the point, the exponent and the zeros of
+      the integer part, which the stripped group rows leave out;
+    - ``minus``: the word 0 of a "-" sign, and ``separator``: a mask of
+      slot 31 in word 3.
     """
     pow10, pow10_lo = np.array([_pow10_pair(k) for k in range(-300, 301)]).T.copy()
     groups = [f"{j:03d}" for j in range(1000)]
-    group_text = np.zeros((1000, 6), np.uint8)
-    group_text[:, ::2] = np.array(groups, "S3").view(np.uint8).reshape(1000, 3)
-    group_zeros = np.array([len(g) - len(g.rstrip("0")) for g in groups], np.int32)
+    stripped = [g.rstrip("0") for g in groups]
+    stripped_zeros = np.array([0] * 1000 + [3 - len(g) for g in stripped], np.intp)
+    digits = np.array(groups + stripped, "S3").view(np.uint8).reshape(2000, 3)
+    group_words = []
+    for first in (6, 12, 18):  # the hi, mid and lo groups
+        rows = np.zeros((2000, FIELD), np.uint8)
+        rows[:, first : first + 6 : 2] = digits
+        group_words.append(_words(rows))
     e = np.arange(_E_MIN, _E_MAX + 1)
     fixed = (e >= -4) & (e < 9)
     text = np.zeros((e.size, FIELD), np.uint8)
@@ -115,39 +140,52 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
     k, is_point = np.divmod(slot - 6, 2)  # digit index of slots 6-23
     in_digits = (slot >= 6) & (slot < 24)
     point_after = np.where(fixed, e, 0)[:, None, None]  # digit before the point
-    kept = 9 - np.arange(9)[:, None]  # digits left after the trailing zeros
-    keep = in_digits & (is_point == 0) & ((k < kept) | (k <= point_after))
+    kept = 9 - np.arange(10)[:, None]  # digits left after the trailing zeros
+    zero = in_digits & (is_point == 0) & (k >= kept) & (k <= point_after)
     fraction_left = kept > point_after + 1
     point = in_digits & (is_point == 1) & (k == point_after) & fraction_left
-    and_mask = (keep | (slot == FIELD - 1)) * np.uint8(0xFF)
-    or_mask = text[:, None, :] | point * np.uint8(ord("."))
-    masks = [m.reshape(-1, FIELD).view(np.uint64) for m in (and_mask, or_mask)]
-    tables = (pow10, pow10_lo, group_text, group_zeros, *masks)
+    layout = text[:, None, :] | zero * np.uint8(ord("0")) | point * np.uint8(ord("."))
+    or_words = _words(layout.reshape(-1, FIELD))
+    marks = np.zeros((2, FIELD), np.uint8)
+    marks[0, 0] = ord("-")
+    marks[1, FIELD - 1] = 0xFF
+    minus, separator = _words(marks)[[0, 1], [0, WORDS - 1]]
+    tables = (pow10, pow10_lo, stripped_zeros, *group_words, or_words)
     for table in tables:  # shared by every call
         table.setflags(write=False)
-    return tables
+    return (*tables, minus, separator)
 
 
-def _encode_9g(x: np.ndarray, fields: np.ndarray) -> None:
+def _encode_9g(
+    x: np.ndarray, fields: np.ndarray, work: np.ndarray | None = None
+) -> None:
     """Write the bytes of :func:`fmt` of each value of ``x`` into ``fields``.
 
     ``fields`` is a uint8 array of shape ``x.shape + (FIELD,)`` whose last
-    axis is contiguous; slot 31 of each row is kept. Every value of ``x``
-    must be finite. The decimal exponent e of |v| comes from log10 with one
-    correction pass, and its 9-digit significand from |v|·10^(8−e), rounded
-    to nearest. Then e ∈ [−4, 9) gives fixed notation and any
-    other e the d.dddddddde±XX form, without trailing zeros and a bare
-    point. Zeros are encoded as "0" and "-0". A significand within 1e-6 of
-    a rounding tie is rounded by the exact comparison of :func:`_tie_side`.
-    The rest are formatted by :func:`fmt` and spliced in: magnitudes outside
-    [1e-290, 1e290], and exact ties, which %g rounds to even.
+    axis is contiguous; slot 31 of each row is kept. ``work``, if given, is
+    a uint64 array of shape ``(2, n, WORDS)`` with n >= x.size, reused from
+    call to call. Every value of ``x`` must be finite. The decimal exponent e
+    of |v| comes from log10 with one correction pass, and its 9-digit
+    significand from |v|·10^(8−e), rounded to nearest. Then e ∈ [−4, 9)
+    gives fixed notation and any other e the d.dddddddde±XX form, without
+    trailing zeros and a bare point. Zeros are encoded as "0" and "-0". A
+    significand within 1e-6 of a rounding tie is rounded by the exact
+    comparison of :func:`_tie_side`. Each field is built in ``work`` as
+    WORDS words, from one row of the layout table and one of each digit
+    group's table, and copied into ``fields`` with its sign and separator.
+    The rest are formatted by :func:`fmt` and spliced in: magnitudes
+    outside [1e-290, 1e290], and exact ties, which %g rounds to even.
     """
-    pow10, pow10_lo, group_text, group_zeros, and_mask, or_mask = _encoder_tables()
+    (pow10, pow10_lo, stripped_zeros, hi_words, mid_words, lo_words, or_words,
+     minus, separator) = _encoder_tables()
+    if work is None:
+        work = np.empty((2, x.size, WORDS), np.uint64)
+    words, part = work[:, : x.size]
     a = np.abs(x)
     zero = a == 0.0
     by_fmt = ~zero & ((a < 1e-290) | (a > 1e290))
     a[zero | by_fmt] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int32)  # one off at most, near 10**e
+    e = np.floor(np.log10(a)).astype(np.intp)  # one off at most, near 10**e
     m = a * pow10.take(308 - e)  # |v|·10^(8−e)
     e += m >= 1e9
     e -= m < 1e8
@@ -169,22 +207,28 @@ def _encode_9g(x: np.ndarray, fields: np.ndarray) -> None:
     r += up
     carry = r >= 1e9  # 999999999.5 and up round to 1.00000000e(e+1)
     e += carry
-    sig = np.where(carry, 1e8, r).astype(np.int32)
-    hi, rest = np.divmod(sig, 1000000)
-    mid, lo = np.divmod(rest, 1000)
-    groups = np.stack([hi, mid, lo], axis=-1)
-    fields[..., 6:24] = group_text.take(groups, axis=0).reshape(x.shape + (18,))
-    zeros = np.where(
-        lo > 0,
-        group_zeros.take(lo),
-        np.where(mid > 0, 3 + group_zeros.take(mid), 6 + group_zeros.take(hi)),
-    )
-    key = (e - _E_MIN) * 9 + zeros
-    words = fields.view(np.uint64)
-    words &= and_mask.take(key, axis=0)
-    words |= or_mask.take(key, axis=0)
-    fields[..., 6][zero] = ord("0")  # encoded as 1e0, then the digit swapped
-    fields[..., 0] = np.signbit(x) * np.uint8(ord("-"))
+    r[carry] = 1e8
+    r[zero] = 0.0  # every group stripped: or_words writes the "0"
+    lo = r.astype(np.intp).ravel()  # the groups are split off in place
+    mid = lo // 1000
+    hi = mid // 1000
+    lo -= mid * 1000
+    mid -= hi * 1000
+    lo += 1000  # the last group's row is always a stripped one
+    mid += (lo == 1000) * 1000  # a group's stripped row follows a stripped 0
+    hi += (mid == 1000) * 1000
+    zeros = stripped_zeros.take(hi) + stripped_zeros.take(mid)
+    zeros += stripped_zeros.take(lo)
+    # every row index is in range by construction, which mode="clip" takes
+    # for granted: it skips the bounds check and writes to out= directly
+    or_words.take((e.ravel() - _E_MIN) * 10 + zeros, axis=0, out=words, mode="clip")
+    for table, group in ((hi_words, hi), (mid_words, mid), (lo_words, lo)):
+        table.take(group, axis=0, out=part, mode="clip")
+        words |= part
+    words[:, 0] |= np.signbit(x.ravel()) * minus
+    dest = fields.view(np.uint64)
+    words[:, -1] |= (dest[..., -1] & separator).ravel()
+    dest[...] = words.reshape(dest.shape)
     if by_fmt.any():
         where = np.nonzero(by_fmt)
         text = np.array([fmt(v) for v in x[where].tolist()], f"S{FIELD - 1}")
@@ -439,11 +483,13 @@ def _envelope_csv(outdir: Path, envelopes: dict) -> None:
     one array of ``t,re,im`` rows of :func:`_encode_9g` fields: the time
     column is encoded once and kept for every file, each file's re and im
     columns are encoded over the last file's, and the block is written
-    without its NULs. Every value reads as :func:`fmt` writes it.
+    without its NULs. Every call of the encoder builds its words in one work
+    array, allocated here. Every value reads as :func:`fmt` writes it.
     """
     t = next(iter(envelopes.values())).grid.time_axis
     rows = np.zeros((min(ENVELOPE_BLOCK, t.size), 3, FIELD), np.uint8)
     rows[:, :, -1] = np.frombuffer(b",,\n", np.uint8)
+    work = np.empty((2, 2 * len(rows), WORDS), np.uint64)  # fits re and im
     with contextlib.ExitStack() as stack:
         files = []
         for name, e in envelopes.items():
@@ -453,9 +499,9 @@ def _envelope_csv(outdir: Path, envelopes: dict) -> None:
         for lo in range(0, t.size, ENVELOPE_BLOCK):
             hi = lo + ENVELOPE_BLOCK
             block = rows[: t.size - lo]
-            _encode_9g(t[lo:hi], block[:, 0])
+            _encode_9g(t[lo:hi], block[:, 0], work)
             for handle, re_im in files:
-                _encode_9g(re_im[lo:hi], block[:, 1:])
+                _encode_9g(re_im[lo:hi], block[:, 1:], work)
                 handle.write(block.tobytes().translate(None, b"\0"))
 
 

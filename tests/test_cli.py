@@ -25,6 +25,7 @@ from dispersim.config import parse_config
 from dispersim.experiments import (
     ENVELOPE_BLOCK,
     FIELD,
+    WORDS,
     _encode_9g,
     _envelope_csv,
     _sinc_envelopes,
@@ -851,6 +852,13 @@ _TIME_SAMPLES = st.builds(
     st.integers(8, 16),
     st.floats(0.0, 1.0, exclude_max=True),
 )
+# short decimals n·10^p, n of 1 to 9 digits: integer parts ending in zeros,
+# and significands whose lo group, or mid and lo groups, are zero
+_SHORT_DECIMALS = st.builds(
+    lambda n, p: float(f"{n}e{p}"),
+    st.integers(1, 9).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+    st.integers(-12, 12),
+)
 _DOUBLES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     _near(_TIES),
@@ -868,14 +876,40 @@ _DOUBLES = st.one_of(
     st.integers(1, 2**52 - 1).map(lambda n: n * 5e-324),
     st.sampled_from([0.0, -0.0]),
     _TIME_SAMPLES,
+    _SHORT_DECIMALS,
 )
 
 
 @settings(max_examples=1000, deadline=None)
 @given(values=st.lists(st.builds(math.copysign, _DOUBLES, st.sampled_from([1, -1]))))
 @example(values=[0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.5, 999999999.5])
+@example(values=[100.0, 1500.0, 1e8, 120000000.0, 0.001])
 def test_encoder_writes_format_9g_bytes(values):
     assert _encoded(values) == [format(v, ".9g").encode() for v in values]
+
+
+@pytest.mark.parametrize("n_rows", [1, ENVELOPE_BLOCK])
+def test_encoder_fills_a_strided_block(n_rows):
+    # the re/im columns of a t,re,im block, encoded as _envelope_csv does:
+    # through the block's view, with one work array reused from call to call
+    rng = np.random.default_rng(n_rows)
+    x = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-120, 120, (n_rows, 2))
+    planted = [-0.0, 1500.0, 1e8, -0.001, 2.5e-300, 123456789.5, 0.0, -1e-100]
+    x.flat[: len(planted)] = planted[: x.size]  # fmt's values and zeros among them
+    separators = np.frombuffer(b",,\n", np.uint8)
+    block = np.zeros((n_rows, 3, FIELD), np.uint8)
+    block[:, :, -1] = separators
+    work = np.empty((2, 2 * ENVELOPE_BLOCK, WORDS), np.uint64)
+    _encode_9g(-x[::-1], block[:, 1:], work)  # fields and work left over
+    _encode_9g(x, block[:, 1:], work)
+    contiguous = np.zeros(x.shape + (FIELD,), np.uint8)
+    _encode_9g(x, contiguous)
+    assert (block[:, :, -1] == separators).all()
+    assert not block[:, 0, :-1].any()
+    assert (block[:, 1:, :-1] == contiguous[..., :-1]).all()
+    fields = block[:, 1:, :-1].reshape(-1, FIELD - 1)
+    encoded = [row.tobytes().translate(None, b"\0") for row in fields]
+    assert encoded == [format(v, ".9g").encode() for v in x.ravel().tolist()]
 
 
 def _is_exact_tie(v: float) -> bool:
