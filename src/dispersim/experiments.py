@@ -12,6 +12,12 @@ the values it does not round itself: magnitudes outside [1e-290, 1e290]
 other than zero, and exact rounding ties. Every run also
 emits a ``meta.json`` holding the raw configuration, its SI resolution and
 the pulse-width metric in use.
+
+``sweep-k`` and ``scenario`` measure the width of every K's output on the
+sinc's band bins (:func:`band_intensity_fwhm`). The sent band is measured
+once per run, and its coarse bounds (:func:`band_reference`) stand in for
+the coarse transform of any output close enough to it, which the stage
+search's outputs become as K grows; the widths are the same bits either way.
 """
 
 import contextlib
@@ -37,8 +43,10 @@ from .signal import (
     Envelope,
     FrequencyGrid,
     WIDTH_METRIC,
+    BandReference,
     band_intensity_fwhm,
     band_offsets,
+    band_reference,
     band_samples,
     check_band_wraparound,
     make_gaussian_pulse,
@@ -322,39 +330,62 @@ class Stage:
     residual_max: float
 
 
-def _propagate_band(grid, tx_band, tx_width: float, fiber: FiberParams, spec):
+@dataclass(frozen=True, eq=False)
+class _Sent:
+    """A sinc's band on its grid (:func:`make_sinc_band`), and its width.
+
+    ``reference`` is the band's :func:`band_reference`, which measures every
+    band near it, such as the stage search's converging outputs, without a
+    coarse transform of its own; ``width`` is measured through it too.
+    """
+
+    grid: FrequencyGrid
+    band: np.ndarray
+    reference: BandReference | None
+    width: float
+
+
+def _sent_band(grid: FrequencyGrid, band: np.ndarray) -> _Sent:
+    """The sent band of :func:`make_sinc_band`, measured once per run."""
+    reference = band_reference(grid, band)
+    return _Sent(grid, band, reference, band_intensity_fwhm(grid, band, reference))
+
+
+def _propagate_band(sent: _Sent, fiber: FiberParams, spec):
     """The received band over ``fiber``, and the pcf response of ``spec`` at its bins.
 
-    ``tx_band`` is a sinc's band (:func:`make_sinc_band` on ``grid``) and
-    ``tx_width`` its :func:`band_intensity_fwhm`; no N-point array is built.
-    The propagation keeps the wraparound guards of the full-grid path: the
+    ``sent`` is a sinc's band and width; no N-point array is built. The
+    propagation keeps the wraparound guards of the full-grid path: the
     span's, on the sent pulse (:func:`propagate`), and, with a
     :class:`CompensatorSpec`, the K stages', on the received one
     (:func:`compensate`). Where ``spec`` is None the pcf response is too.
     """
-    check_band_wraparound(grid, tx_band, fiber.beta2 * fiber.length_m, tx_width)
+    grid, tx_band = sent.grid, sent.band
+    check_band_wraparound(grid, tx_band, fiber.beta2 * fiber.length_m, sent.width)
     offsets = band_offsets(grid, tx_band.size // 2)
     rx_band = tx_band * dispersion_response(fiber, offsets)
     if spec is None:
         return rx_band, None
-    rx_width = band_intensity_fwhm(grid, rx_band)
+    rx_width = band_intensity_fwhm(grid, rx_band, sent.reference)
     check_band_wraparound(grid, rx_band, spec.stage_gvd, rx_width)
     return rx_band, dispersion_response(spec.subsystem.pcf, offsets)
 
 
-def _stage_search(cfg: ExperimentConfig, grid, tx_band, tx_width: float, z_m, alphas):
+def _stage_search(cfg: ExperimentConfig, sent: _Sent, z_m, alphas):
     """Yield ``(alpha, [Stage per K of cfg.k_list])`` for each alpha on one span.
 
-    Everything runs on the bins of the sinc's band ``tx_band``
-    (:func:`make_sinc_band` on ``grid``); no N-point array is built. The span
-    is propagated and guarded once (:func:`_propagate_band`, to the last K),
-    at its first converging alpha, and never when every alpha diverges; a
-    diverged alpha builds no response. The pcf response is built once per
-    span, as the matched length does not depend on alpha; then each alpha's
+    Everything runs on the bins of the sent sinc's band; no N-point array
+    is built. The span is propagated and guarded once
+    (:func:`_propagate_band`, to the last K), at its first converging
+    alpha, and never when every alpha diverges; a diverged alpha builds no
+    response. The pcf response is built once per span, as the matched
+    length does not depend on alpha; then each alpha's
     :func:`stage_responses` and the width of every K's output. The output
     spectrum is the one :func:`compensate` forms there, and
     :func:`band_intensity_fwhm` measures it as :func:`intensity_fwhm` would
-    measure its inverse transform.
+    measure its inverse transform. As K grows the output nears the sent
+    band, and from there on the sent band's reference bounds it, so those
+    widths take no coarse transform.
     """
     beta2, bandwidth = cfg.fiber_beta2, cfg.bandwidth_hz
     fiber = FiberParams(beta2, z_m)
@@ -365,9 +396,10 @@ def _stage_search(cfg: ExperimentConfig, grid, tx_band, tx_width: float, z_m, al
             sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
             if rx_band is None:
                 spec = CompensatorSpec(sub, cfg.k_list[-1])
-                rx_band, h_pcf = _propagate_band(grid, tx_band, tx_width, fiber, spec)
+                rx_band, h_pcf = _propagate_band(sent, fiber, spec)
             factors = [
-                band_intensity_fwhm(grid, rx_band * response) / tx_width
+                band_intensity_fwhm(sent.grid, rx_band * response, sent.reference)
+                / sent.width
                 for response in stage_responses(sub, h_pcf, cfg.k_list)
             ]
         worst = edge_error(alpha, beta2, bandwidth, z_m)
@@ -379,21 +411,20 @@ def _stage_search(cfg: ExperimentConfig, grid, tx_band, tx_width: float, z_m, al
 def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     """Broadening factor against stage count for each (xi, alpha) pair.
 
-    The pulse's band is built and its width measured once per run; each
-    xi's span runs one :func:`_stage_search` over the sorted alphas.
+    The pulse's band is built and measured once per run (:func:`_sent_band`);
+    each xi's span runs one :func:`_stage_search` over the sorted alphas.
     """
     if cfg.pcf_beta2 is None:
         raise ConfigError("pcf section is required for the sweep-k command")
     if cfg.pulse != "sinc":
         raise ConfigError("sweep-k runs on sinc pulses")
     grid = _grid(cfg)
-    tx_band = make_sinc_band(grid, cfg.pulse_width_s)
-    tx_width = band_intensity_fwhm(grid, tx_band)
+    sent = _sent_band(grid, make_sinc_band(grid, cfg.pulse_width_s))
     lines = [SWEEP_CSV_HEADER]
     diverged = 0
     for xi in cfg.xi_values:
         z_m = span_length(xi, cfg.fiber_beta2, cfg.bandwidth_hz)
-        search = _stage_search(cfg, grid, tx_band, tx_width, z_m, sorted(cfg.alphas))
+        search = _stage_search(cfg, sent, z_m, sorted(cfg.alphas))
         for alpha, stages in search:
             for s in stages:
                 factor = s.broadening_factor
@@ -424,8 +455,8 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     _require_convergence(cfg, alpha)
     xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, bandwidth)
     sub = match_pcf(FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.pcf_beta2, alpha=alpha)
-    tx_width = band_intensity_fwhm(grid, tx_band)
-    [(_, stages)] = _stage_search(cfg, grid, tx_band, tx_width, cfg.z_m, [alpha])
+    sent = _sent_band(grid, tx_band)
+    [(_, stages)] = _stage_search(cfg, sent, cfg.z_m, [alpha])
     required_k = next(
         (s.k for s in stages if s.broadening_factor <= cfg.target_broadening), None
     )
@@ -516,9 +547,8 @@ def _sinc_envelopes(cfg: ExperimentConfig, fiber: FiberParams, spec) -> dict:
     for the cascade to amplify, whatever K.
     """
     grid = _grid(cfg)
-    tx_band = make_sinc_band(grid, cfg.pulse_width_s)
-    tx_width = band_intensity_fwhm(grid, tx_band)
-    rx_band, h_pcf = _propagate_band(grid, tx_band, tx_width, fiber, spec)
+    sent = _sent_band(grid, make_sinc_band(grid, cfg.pulse_width_s))
+    rx_band, h_pcf = _propagate_band(sent, fiber, spec)
     bands = {"envelope_dispersed.csv": rx_band}
     if spec is not None:
         [response] = stage_responses(spec.subsystem, h_pcf, [spec.k_stages])

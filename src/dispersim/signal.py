@@ -5,6 +5,13 @@ DC-centered convention: bin k carries the signed baseband offset
 ``delta_omega[k] = 2*pi*f_k`` with ``f_k in [-1/(2*dt), 1/(2*dt))`` and the
 Nyquist bin assigned to the negative side, i.e. the ordering of
 ``numpy.fft.fftfreq``.
+
+A band-limited envelope can be measured from its band bins alone:
+:func:`band_intensity_fwhm` bounds the intensity between the samples of a
+coarse transform and sums the band directly where the bounds leave the peak
+or a half-maximum crossing open. A :func:`band_reference` holds one band's
+coarse bounds, which, widened by a band's L1 distance from it, bound any
+band nearby without a transform of its own.
 """
 
 import sys
@@ -316,15 +323,17 @@ def _fwhm(intensity: np.ndarray, dt: float) -> float:
     i_lo, i_hi = above[0], above[-1]
     one_lobe = above.size == i_hi - i_lo + 1
     return _crossing_width(
-        intensity.__getitem__, half, i_lo, i_hi, one_lobe, intensity.size, dt
+        half, i_lo, i_hi, one_lobe, intensity.size, dt,
+        lambda: intensity[[i_lo - 1, i_lo, i_hi, i_hi + 1]],
     )
 
 
-def _crossing_width(at, half, i_lo, i_hi, one_lobe, n, dt) -> float:
+def _crossing_width(half, i_lo, i_hi, one_lobe, n, dt, edges) -> float:
     """The interpolated width between the outermost samples ``i_lo``/``i_hi``.
 
-    ``at(i)`` is the intensity of sample i; ``one_lobe`` is False when a
-    sample between them falls below ``half``.
+    ``one_lobe`` is False when a sample between them falls below ``half``.
+    ``edges()`` gives the intensity at i_lo - 1, i_lo, i_hi and i_hi + 1; it
+    is asked only once none of them lies outside the window.
     """
     if not one_lobe:
         warnings.warn(
@@ -333,19 +342,29 @@ def _crossing_width(at, half, i_lo, i_hi, one_lobe, n, dt) -> float:
         )
     if i_lo == 0 or i_hi == n - 1:
         raise WidthMetricError("half-maximum lobe touches the window edge")
-    frac_lo = (at(i_lo) - half) / (at(i_lo) - at(i_lo - 1))
-    frac_hi = (at(i_hi) - half) / (at(i_hi) - at(i_hi + 1))
+    out_lo, in_lo, in_hi, out_hi = edges()
+    frac_lo = (in_lo - half) / (in_lo - out_lo)
+    frac_hi = (in_hi - half) / (in_hi - out_hi)
     return ((i_hi - i_lo) + frac_lo + frac_hi) * dt
 
 
 #: The coarse grid of :func:`band_intensity_fwhm` has at least this many
 #: samples per band bin (a power of two, capped at the grid size).
 COARSE_PER_BIN = 64
-#: Largest table of direct sums band_intensity_fwhm builds: 1 GiB of complex128.
+#: Largest tables of direct sums band_intensity_fwhm builds, the sums and
+#: the roots of unity together: 1 GiB of complex128.
 MAX_TABLE_SIZE = 2**26
+#: :class:`BandReference` widens a band's distance by this factor, far more
+#: than the relative rounding of a sum over the 2h+1 < MAX_TABLE_SIZE bins.
+_DISTANCE_MARGIN = 1.0 + 2.0**-20
+#: :func:`band_reference` gives no reference for a coarse peak outside this
+#: range, so that every bound it widens stays far inside the double range.
+_REFERENCE_PEAKS = (2.0**-500, 2.0**500)
 
 
-def band_intensity_fwhm(grid: FrequencyGrid, band: np.ndarray) -> float:
+def band_intensity_fwhm(
+    grid: FrequencyGrid, band: np.ndarray, reference: "BandReference | None" = None
+) -> float:
     """:func:`intensity_fwhm` of an envelope whose spectrum lives on a band.
 
     ``band`` holds the DFT of the envelope on ``grid`` at the bins |k| <= h,
@@ -362,8 +381,31 @@ def band_intensity_fwhm(grid: FrequencyGrid, band: np.ndarray) -> float:
     - direct sums over the band give the samples of those stretches, and
       the linear-interpolation rule runs on them.
 
-    Raises :class:`WindowError` where the table of those sums would exceed
-    :data:`MAX_TABLE_SIZE` values, before allocating it.
+    ``reference``, a :func:`band_reference` on the same grid and band size,
+    only saves work: where ``band`` lies close enough to it, its bounds
+    stand in for the coarse grid, and ``band`` needs no transform. The
+    result, warning and errors are the same bits either way.
+
+    Raises :class:`WindowError` where the tables of those sums would exceed
+    :data:`MAX_TABLE_SIZE` values, before allocating them.
+    """
+    n = grid.n_samples
+    m = _coarse_size(grid, band)
+    if m == n:
+        return _fwhm(_coarse_intensity(band, n, n), grid.dt)
+    bounds = None if reference is None else reference.bounds(grid, band)
+    if bounds is None:
+        bounds = _chord_bounds(_coarse_intensity(band, n, m), band.size // 2)
+    return _sparse_fwhm(*bounds, _BandSamples(band, n, m), grid.dt)
+
+
+def _coarse_size(grid: FrequencyGrid, band: np.ndarray) -> int:
+    """The size M of the coarse grid of ``band``, once its shape and tables are checked.
+
+    Raises ValueError unless ``band`` has 2h+1 < N bins, and
+    :class:`WindowError` where the tables of :class:`_BandSamples` (the
+    (2h+1) x (N/M + 2) direct sums and the M roots of unity) would exceed
+    :data:`MAX_TABLE_SIZE` values.
     """
     n = grid.n_samples
     h = band.size // 2
@@ -371,113 +413,224 @@ def band_intensity_fwhm(grid: FrequencyGrid, band: np.ndarray) -> float:
         raise ValueError(f"expected 2h+1 < {n} band bins, got shape {band.shape}")
     m = min(n, 1 << max(1, (COARSE_PER_BIN * h - 1).bit_length()))
     r = n // m
-    if m < n and band.size * (r + 2) > MAX_TABLE_SIZE:
+    if m < n and band.size * (r + 2) + m > MAX_TABLE_SIZE:
         raise WindowError(
             f"time step too fine: cannot allocate the width metric's "
-            f"{band.size}x{r + 2} table of direct sums (at most "
-            f"{MAX_TABLE_SIZE} values); use fewer samples"
+            f"{band.size}x{r + 2} table of direct sums and {m} roots of unity "
+            f"(at most {MAX_TABLE_SIZE} values); use fewer samples"
         )
+    return m
+
+
+def _coarse_intensity(band: np.ndarray, n: int, m: int) -> np.ndarray:
+    """|s|^2 at the samples 0, r, 2r, ... (r = n/m), by an m-point inverse transform."""
+    h = band.size // 2
     coarse = np.zeros(m, np.complex128)
     scale = m / n  # a power of two: exact
     np.multiply(band[: h + 1], scale, out=coarse[: h + 1])
     np.multiply(band[h + 1 :], scale, out=coarse[m - h :])
-    intensity = np.abs(ifft(coarse)) ** 2  # |s|^2 at samples 0, r, 2r, ...
+    return np.abs(ifft(coarse)) ** 2
+
+
+def _slack(peak: float, h: int, m: int) -> float:
+    """How far the intensity may stray from the chord of two coarse samples, doubled.
+
+    The intensity is a trigonometric polynomial of degree 2h over the
+    window, so (Bernstein) its second derivative stays below (4*pi*h/N)**2
+    times its maximum. Between two coarse samples it then strays from their
+    chord by at most 1/8 of that times r**2, which is q = 2*(pi*h/M)**2
+    times the maximum, and the maximum is at most peak / (1 - q). The
+    factor 2 is room for rounding.
+    """
+    q = 2.0 * (np.pi * h / m) ** 2
+    return 2.0 * q / (1.0 - q) * peak
+
+
+def _chord_bounds(coarse: np.ndarray, h: int):
+    """The (upper, lower, floor) bounds of :func:`_sparse_fwhm` from the coarse samples.
+
+    Interval j runs from coarse sample j to j + 1 (the last one wraps to 0);
+    its bounds are their chord widened by :func:`_slack`, and the floor is
+    the largest coarse sample.
+    """
+    peak = coarse.max()
+    slack = _slack(peak, h, coarse.size)
+    ends = np.append(coarse, coarse[0])
+    upper = np.maximum(ends[:-1], ends[1:]) + slack
+    lower = np.minimum(ends[:-1], ends[1:]) - slack
+    return upper, lower, peak
+
+
+@dataclass(frozen=True, eq=False)
+class BandReference:
+    """The coarse bounds of one band, which bound the intensity of the bands near it.
+
+    For two bands b and b0 on the same bins, the inverse DFT sum and the
+    triangle inequality give |s_b(t) - s_b0(t)| <= eps = ||b - b0||_1 / N at
+    every sample t. So b0's bounds on its amplitude |s_b0| over each coarse
+    interval, widened by eps, bound b's intensity there too, and the
+    amplitude at b0's largest coarse sample, less eps, is a floor for b's
+    peak. They are used while eps <= ``reach`` = slack / (2*sqrt(peak)),
+    b0's :func:`_slack` and coarse peak: there the widened bounds are at most
+    about twice as loose as b's own would be. Build one with
+    :func:`band_reference`.
+    """
+
+    grid: FrequencyGrid
+    band: np.ndarray
+    amplitude_upper: np.ndarray
+    amplitude_lower: np.ndarray
+    amplitude_peak: float
+    reach: float
+
+    def bounds(self, grid: FrequencyGrid, band: np.ndarray):
+        """The (upper, lower, floor) of :func:`_sparse_fwhm` for ``band``, or None.
+
+        eps is widened by a margin for its own rounding; the rounding of the
+        bounds and of the direct sums is inside the slack's factor 2.
+        """
+        if grid != self.grid or band.shape != self.band.shape:
+            raise ValueError("the reference is for another grid or band size")
+        eps = np.abs(band - self.band).sum() * (_DISTANCE_MARGIN / grid.n_samples)
+        if not eps <= self.reach:  # also for a band that is not finite
+            return None
+        upper = (self.amplitude_upper + eps) ** 2
+        lower = np.maximum(self.amplitude_lower - eps, 0.0) ** 2
+        return upper, lower, (self.amplitude_peak - eps) ** 2
+
+
+def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference | None:
+    """The :class:`BandReference` of ``band``, from one coarse transform.
+
+    None where :func:`band_intensity_fwhm` would measure every sample (M = N)
+    and where the coarse peak lies outside ``_REFERENCE_PEAKS``. Raises as
+    :func:`band_intensity_fwhm` does for the band's shape and tables.
+    """
+    n = grid.n_samples
+    m = _coarse_size(grid, band)
     if m == n:
-        return _fwhm(intensity, grid.dt)
-    return _sparse_fwhm(intensity, _BandSamples(band, n, r), grid.dt)
+        return None
+    h = band.size // 2
+    upper, lower, peak = _chord_bounds(_coarse_intensity(band, n, m), h)
+    if not _REFERENCE_PEAKS[0] <= peak <= _REFERENCE_PEAKS[1]:
+        return None
+    band = band.copy()
+    band.setflags(write=False)
+    amplitude_peak = np.sqrt(peak)
+    return BandReference(
+        grid,
+        band,
+        np.sqrt(upper),
+        np.sqrt(np.maximum(lower, 0.0)),
+        amplitude_peak,
+        _slack(peak, h, m) / (2.0 * amplitude_peak),
+    )
 
 
 class _BandSamples:
-    """Intensity of the band-limited envelope at any sample, by direct sums.
+    """Intensity of the band-limited envelope on whole coarse intervals, by direct sums.
 
-    Samples are evaluated for whole coarse intervals j at a time, as the
-    r+2 samples jr-1..jr+r (indices modulo n), and kept.
+    Row j holds the r+2 samples jr-1..jr+r (indices modulo n) of interval j:
+    |s|^2 of the band turned by exp(2j*pi*k*jr/n), an m-th root of unity
+    taken from a table at the exact index k*j mod m, times the table of
+    exp(2j*pi*k*t/n) for t = -1..r. Each row is its own vector-matrix
+    product, so its bits do not depend on which rows are evaluated with it.
+    Sample i is read from the row of its interval i // r; the row's first
+    and last samples serve only a crossing found in that interval.
     """
 
-    #: Intervals evaluated in one matrix product.
+    #: Rows evaluated in one stacked product.
     CHUNK = 64
 
-    def __init__(self, band: np.ndarray, n: int, r: int):
-        self.k, self.table = _stretch_table(n, band.size // 2, r)
+    def __init__(self, band: np.ndarray, n: int, m: int):
+        self.k, self.roots, self.table = _direct_sum_tables(n, band.size // 2, m)
         self.band = band / n
-        self.n, self.r = n, r
-        self.known = {}
+        self.n, self.m, self.r = n, m, n // m
+        self.rows = {}
 
-    def evaluate(self, intervals) -> float:
-        """Evaluate the r+2 samples of each of ``intervals``; return the largest."""
+    def evaluate(self, intervals: list) -> float:
+        """Evaluate the rows of ``intervals``; return the largest sample they hold."""
         top = -np.inf
-        for lo in range(0, len(intervals), self.CHUNK):
-            starts = np.asarray(intervals[lo : lo + self.CHUNK]) * self.r - 1
-            turns = np.outer(starts, self.k) % self.n  # exact: no phase digits lost
-            rotated = self.band * np.exp((2j * np.pi / self.n) * turns)
-            chunk = np.abs(rotated @ self.table) ** 2
-            for start, row in zip(starts.tolist(), chunk.tolist()):
-                self.known.update(zip(range(start, start + self.r + 2), row))
-            top = max(top, chunk.max())
+        new = []
+        for j in intervals:
+            if j in self.rows:
+                top = max(top, self.rows[j][1:-1].max())
+            else:
+                new.append(j)
+        for lo in range(0, len(new), self.CHUNK):
+            chunk = new[lo : lo + self.CHUNK]
+            # k*j mod m, as m is a power of two (also for k < 0)
+            turns = np.multiply.outer(chunk, self.k) & (self.m - 1)
+            rows = np.abs((self.band * self.roots[turns])[:, None, :] @ self.table) ** 2
+            self.rows.update(zip(chunk, rows[:, 0]))
+            top = max(top, rows[:, 0, 1:-1].max())
         return top
 
-    def at(self, i: int) -> float:
-        if i not in self.known:
-            self.evaluate([(i + 1) // self.r])
-        return self.known[i]
+    def at(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """The samples lo..hi-1 from the row of interval j, within jr-1..jr+r."""
+        if j not in self.rows:
+            self.evaluate([j])
+        base = j * self.r - 1
+        return self.rows[j][lo - base : hi - base]
 
 
 @lru_cache(maxsize=4)
-def _stretch_table(n: int, h: int, r: int):
-    """Band bin numbers k, and exp(2j*pi*k*t/n) for the offsets t = 0..r+1."""
+def _direct_sum_tables(n: int, h: int, m: int):
+    """Bin numbers k, the m-th roots of unity, and exp(2j*pi*k*t/n) for t = -1..n/m."""
     k = _band_k(h)
-    table = np.exp((2j * np.pi / n) * np.outer(k, np.arange(r + 2)))
-    k.setflags(write=False)
-    table.setflags(write=False)
-    return k, table
+    roots = np.exp((2j * np.pi / m) * np.arange(m))
+    table = np.exp((2j * np.pi / n) * np.outer(k, np.arange(-1, n // m + 1)))
+    for values in (k, roots, table):
+        values.setflags(write=False)
+    return k, roots, table
 
 
-def _sparse_fwhm(coarse: np.ndarray, fine: _BandSamples, dt: float) -> float:
-    """:func:`_fwhm` of the fine samples, given every r-th of them in ``coarse``.
+def _sparse_fwhm(upper, lower, floor, fine: _BandSamples, dt: float) -> float:
+    """:func:`_fwhm` of the fine samples, given bounds on every coarse interval.
 
-    The intensity is a trigonometric polynomial of degree 2h over the
-    window, so (Bernstein) its second derivative stays below
-    (4*pi*h/N)**2 times its maximum. Between two coarse samples it then
-    strays from their chord by at most 1/8 of that times r**2, which is
-    q = 2*(pi*h/M)**2 times the maximum: ``slack`` bounds that (doubled,
-    for rounding). So every sample of interval j (samples jr..jr+r) lies
-    in [lower[j], upper[j]], and only the intervals whose bounds straddle
-    the peak or half maximum are evaluated sample by sample.
+    Every sample of interval j (samples jr..jr+r) lies in [lower[j],
+    upper[j]], and some sample reaches about ``floor`` (0 only for an
+    all-zero signal). Only the intervals whose bounds reach the floor, or
+    straddle half the peak, are evaluated sample by sample, and the
+    outcome depends on the samples alone: bounds from the band's own coarse
+    grid (:func:`_chord_bounds`) and from a :class:`BandReference` give the
+    same bits.
     """
-    peak_c = coarse.max()
-    if peak_c == 0:
+    if floor == 0:
         raise WidthMetricError("cannot measure the width of an all-zero signal")
-    r, m = fine.r, coarse.size
-    q = 2.0 * (np.pi * (fine.k.size // 2) / m) ** 2
-    slack = 2.0 * q / (1.0 - q) * peak_c
-    ends = np.append(coarse, coarse[0])  # interval j runs from sample jr to (j+1)r
-    upper = np.maximum(ends[:-1], ends[1:]) + slack
-    lower = np.minimum(ends[:-1], ends[1:]) - slack
-    peak = fine.evaluate(np.nonzero(upper >= peak_c)[0])
+    r = fine.r
+    peak = fine.evaluate(np.flatnonzero(upper >= floor).tolist())
     half = 0.5 * peak
     reach = upper >= half  # intervals that may hold a sample >= half
-    fine.evaluate(np.nonzero(reach & (lower < half))[0])
+    fine.evaluate(np.flatnonzero(reach & (lower < half)).tolist())
 
     def outermost(intervals, pick):
         # the first interval, in the given order, holding a sample >= half
-        for j in intervals.tolist():
-            hits = [i for i in range(j * r, j * r + r) if fine.at(i) >= half]
-            if hits:
-                return pick(hits)
+        for j in intervals:
+            hits = np.flatnonzero(fine.at(j, j * r, j * r + r) >= half)
+            if hits.size:
+                return j * r + int(hits[pick])
         raise AssertionError("the peak interval holds a sample >= half")
 
-    reach = np.nonzero(reach)[0]
-    i_lo = outermost(reach, min)
-    i_hi = outermost(reach[::-1], max)
+    reach = np.flatnonzero(reach).tolist()
+    i_lo = outermost(reach, 0)
+    i_hi = outermost(reversed(reach), -1)
     # a sample between the crossings below half lies in an interval whose
     # lower bound is below half
-    first, last = (i_lo + 1) // r, (i_hi - 1) // r
+    lo, hi = i_lo + 1, i_hi
+    first, last = lo // r, (hi - 1) // r
     one_lobe = not any(
-        fine.at(i) < half
-        for j in (np.nonzero(lower[first : last + 1] < half)[0] + first).tolist()
-        for i in range(max(j * r, i_lo + 1), min(j * r + r, i_hi))
+        (fine.at(j, max(j * r, lo), min(j * r + r, hi)) < half).any()
+        for j in (np.flatnonzero(lower[first : last + 1] < half) + first).tolist()
     )
-    return _crossing_width(fine.at, half, i_lo, i_hi, one_lobe, fine.n, dt)
+
+    def edges():
+        # both samples of a crossing come from the row of its inner one
+        out_lo, in_lo = fine.at(i_lo // r, i_lo - 1, i_lo + 1)
+        in_hi, out_hi = fine.at(i_hi // r, i_hi, i_hi + 2)
+        return out_lo, in_lo, in_hi, out_hi
+
+    return _crossing_width(half, i_lo, i_hi, one_lobe, fine.n, dt, edges)
 
 
 #: Identifier of the pulse-width metric, recorded in all emitted outputs.

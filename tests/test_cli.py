@@ -39,11 +39,13 @@ from dispersim.signal import (
     FrequencyGrid,
     WidthMetricError,
     WraparoundError,
+    band_intensity_fwhm,
     band_offsets,
     band_samples,
     intensity_fwhm,
     make_sinc_band,
 )
+from dispersim import signal as signal_module
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -385,8 +387,8 @@ class TestSweep:
 
     def test_unmeasurable_width_exits_3(self, tmp_path, capsys, monkeypatch):
         # no converged stage search is known to reach the width errors, so the
-        # band width function raises one here
-        def edge(grid, band):
+        # band width function raises one here, with or without a reference
+        def edge(grid, band, reference=None):
             raise WidthMetricError("half-maximum lobe touches the window edge")
 
         monkeypatch.setattr("dispersim.experiments.band_intensity_fwhm", edge)
@@ -513,6 +515,60 @@ class TestScenario:
             # z round-trips through km, so the numbers agree but not to the bit
             assert entry["broadening_factor"] == pytest.approx(float(r[3]), rel=1e-12)
             assert entry["residual_max"] == pytest.approx(float(r[4]), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:multiple lobes")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        xi=st.floats(0.05, 6.0),
+        alpha=st.floats(0.05, 1.0),
+        k_max=st.integers(0, 40),
+        n=st.sampled_from([16384, 65536]),
+    )
+    @example(xi=1.0, alpha=1.0, k_max=40, n=65536)
+    def test_k_table_matches_the_widths_without_a_reference(self, xi, alpha, k_max, n):
+        # The stage search measures each K near the sent band from the sent
+        # band's coarse bounds; every factor must be the bits of the width
+        # measured from the K's own coarse grid. Once the last K's
+        # residual_max is well inside the reference's reach (about 4.8e-3 of
+        # the unit peak), some K must have run without a coarse transform.
+        beta2 = -21e-27
+        assume(stable(alpha, beta2, 3e9, span_length(xi, beta2, 3e9)))
+        doc = scenario_doc(z_km=span_length(xi, beta2, 3e9) / 1e3, n_samples=n)
+        doc["compensator"] = {"alphas": [alpha], "k_max": k_max}
+        coarse = []
+        transform = signal_module._coarse_intensity
+
+        def counted(*args):
+            coarse.append(args)
+            return transform(*args)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signal_module, "_coarse_intensity", counted)
+            config = write_config(Path(tmp), doc)
+            rc, err = _run_captured(["scenario", "--config", config, "--out", tmp])
+            # the K stages' spread may exceed the window: the guard's exit 3
+            assert (rc, err) == (0, "") or (rc == 3 and "cannot absorb" in err)
+            assume(rc == 0)
+            report = json.loads((Path(tmp) / "scenario.json").read_text())
+        table = report["stage_search"]["k_table"]
+        cfg = parse_config(doc)
+        grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
+        tx_band = make_sinc_band(grid, cfg.pulse_width_s)
+        offsets = band_offsets(grid, tx_band.size // 2)
+        fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
+        rx_band = tx_band * dispersion_response(fiber, offsets)
+        sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
+        h_pcf = dispersion_response(sub.pcf, offsets)
+        tx_width = band_intensity_fwhm(grid, tx_band)
+        want = [
+            band_intensity_fwhm(grid, rx_band * response) / tx_width
+            for response in stage_responses(sub, h_pcf, cfg.k_list)
+        ]
+        assert [e["broadening_factor"].hex() for e in table] == [w.hex() for w in want]
+        # without a reference: the sent band, the received band and every K
+        assert len(coarse) <= 2 + len(table)
+        if table[-1]["residual_max"] < 4e-3:
+            assert len(coarse) < 2 + len(table)
 
     @pytest.mark.parametrize("pcf_d", [2070.0, 2085.0])
     def test_pulse_stays_in_the_window(self, tmp_path, pcf_d):

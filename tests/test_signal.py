@@ -37,6 +37,7 @@ from dispersim.signal import (
     band_bins,
     band_intensity_fwhm,
     band_offsets,
+    band_reference,
     check_band_wraparound,
     ifft,
     make_sinc_band,
@@ -482,22 +483,40 @@ class TestBandWidthMetric:
                 band_intensity_fwhm(grid, band)
 
     def test_table_of_direct_sums_is_bounded(self, monkeypatch):
+        # the direct sums and the roots of unity count together
         grid = self.grids[0]
         band = sinc_band(grid)
-        size = band.size * (self.stride(grid, band) + 2)
+        r = self.stride(grid, band)
+        size = band.size * (r + 2) + grid.n_samples // r
         monkeypatch.setattr(signal_module, "MAX_TABLE_SIZE", size)
         assert band_intensity_fwhm(grid, band) > 0
+        assert band_reference(grid, band) is not None
         monkeypatch.setattr(signal_module, "MAX_TABLE_SIZE", size - 1)
-        with pytest.raises(WindowError, match="cannot allocate"):
-            band_intensity_fwhm(grid, band)
+        for measure in (band_intensity_fwhm, band_reference):
+            with pytest.raises(WindowError, match="cannot allocate"):
+                measure(grid, band)
 
-    def test_huge_grid_is_refused_before_allocating(self):
-        # 2**40 samples would ask for a 129 x (2**28 + 2) table: 550 GB
-        grid = FrequencyGrid(2**40, 1e-15)
+    @pytest.mark.parametrize(
+        "n, h, sums_fit, message",
+        [
+            # a 129 x (2**28 + 2) table of direct sums: 550 GB
+            (2**40, 64, False, "129x268435458 table of direct sums and 4096 roots"),
+            # a 4194305 x 4 table, 268 MB, fits, but not with 2**27 roots
+            # of unity, 2 GiB, and as many coarse samples
+            (2**28, 2**21, True, "4194305x4 table of direct sums and 134217728 roots"),
+        ],
+        ids=["direct-sums", "roots-of-unity"],
+    )
+    def test_huge_grid_is_refused_before_allocating(self, n, h, sums_fit, message):
+        grid = FrequencyGrid(n, 1e-15)
+        band = np.broadcast_to(np.complex128(1), (2 * h + 1,))  # no memory
+        sums = band.size * (n // self.coarse_size(grid, band) + 2)
+        assert (sums <= signal_module.MAX_TABLE_SIZE) == sums_fit
         tracemalloc.start()
         try:
-            with pytest.raises(WindowError, match="129x268435458"):
-                band_intensity_fwhm(grid, np.ones(129, np.complex128))
+            for measure in (band_intensity_fwhm, band_reference):
+                with pytest.raises(WindowError, match=message):
+                    measure(grid, band)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -514,10 +533,15 @@ class TestBandWidthMetric:
                 band_intensity_fwhm(grid, band)
 
     @staticmethod
-    def stride(grid, band):
-        """Samples between two points of the coarse grid of band_intensity_fwhm."""
+    def coarse_size(grid, band):
+        """Points of the coarse grid of band_intensity_fwhm."""
         n, h = grid.n_samples, band.size // 2
-        return n // min(n, 1 << (COARSE_PER_BIN * h - 1).bit_length())
+        return min(n, 1 << (COARSE_PER_BIN * h - 1).bit_length())
+
+    @classmethod
+    def stride(cls, grid, band):
+        """Samples between two points of the coarse grid of band_intensity_fwhm."""
+        return grid.n_samples // cls.coarse_size(grid, band)
 
     @staticmethod
     def two_lobes(grid, second_delay, ratio):
@@ -598,6 +622,145 @@ class TestBandWidthMetric:
             got = band_intensity_fwhm(grid, spectrum[bins])
             want = intensity_fwhm(Envelope(grid, ifft(spectrum)))  # in place
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def bits(result):
+    """An :func:`outcome` with its width as the hex of its bits."""
+    value, caught = result
+    return (value.hex() if isinstance(value, float) else value), caught
+
+
+def near(grid, band, ratio, rng):
+    """``band`` moved by a random step of ratio times its reference's reach.
+
+    The step is measured as BandReference.bounds measures it: ||step||_1 / N.
+    """
+    reference = band_reference(grid, band)
+    step = rng.standard_normal(band.size) + 1j * rng.standard_normal(band.size)
+    step *= ratio * reference.reach * grid.n_samples / np.abs(step).sum()
+    return band + step
+
+
+class TestBandReference:
+    """band_intensity_fwhm with a band_reference against the call without one."""
+
+    @staticmethod
+    def reference_band(grid, kind, h, rng):
+        """A band of ``kind``; the sinc kinds are 64 widths per window (h = 64)."""
+        n = grid.n_samples
+        if kind in ("random", "tapered"):
+            band = rng.standard_normal(2 * h + 1) + 1j * rng.standard_normal(2 * h + 1)
+            if kind == "tapered":
+                band *= np.exp(-((np.r_[0 : h + 1, -h:0] / (0.3 * h + 1)) ** 2))
+            return band
+        if kind == "two-lobe":
+            delay = int(rng.integers(n // 2, n))
+            second = sinc_band(grid, delay, rng.uniform(0.6, 1.2))
+            return sinc_band(grid, n // 4) + second
+        # edge-touching: the lobe's half-maximum reach is about n / 128 samples
+        delay = int(rng.integers(0, n // 64))
+        return sinc_band(grid, delay if rng.random() < 0.5 else n - 1 - delay)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([2**p for p in range(13, 18)]),
+        h=st.integers(1, 80),
+        kind=st.sampled_from(
+            ["random", "tapered", "two-lobe", "edge-touching", "zero"]
+        ),
+        ratio=st.one_of(
+            st.sampled_from([0.0, 1e-9, 0.5, 0.999, 1.001, 2.0]), st.floats(0.0, 3.0)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_with_and_without_the_reference(self, n, h, kind, ratio, seed):
+        # a reference band of some kind and a band a drawn distance from it,
+        # on either side of the switch at ratio 1: the width, the warning
+        # and the error are the same bits either way
+        grid = FrequencyGrid(n, 1e-12)
+        rng = np.random.default_rng(seed)
+        reference_band = self.reference_band(grid, kind, h, rng)
+        reference = band_reference(grid, reference_band)
+        if kind == "zero":
+            band = np.zeros_like(reference_band)
+        elif reference is None:  # measured on every sample: M = N
+            assert TestBandWidthMetric.stride(grid, reference_band) == 1
+            band = reference_band
+        else:
+            band = near(grid, reference_band, ratio, rng)
+            if abs(ratio - 1) > 1e-3:
+                assert (reference.bounds(grid, band) is not None) == (ratio < 1)
+        got = outcome(band_intensity_fwhm, grid, band, reference)
+        assert bits(got) == bits(outcome(band_intensity_fwhm, grid, band))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["added", "taken"])
+    def test_bounds_hold_where_the_whole_distance_lands_on_one_sample(self, sign):
+        # The edge bins alone give a cosine intensity of frequency 2h, whose
+        # curvature meets Bernstein's bound; here its top lies midway between
+        # two coarse samples. The step from it adds its whole L1 size to the
+        # amplitude there (or takes it away): added, it lifts that sample
+        # above the reference's own bound, which only the widening covers.
+        n, h = 65536, 64
+        grid = FrequencyGrid(n, 1e-12)
+        r = TestBandWidthMetric.stride(grid, np.zeros(2 * h + 1))
+        top = n // 2 + r // 2
+        k = np.r_[0 : h + 1, -h:0]
+        reference_band = np.zeros(2 * h + 1, np.complex128)
+        reference_band[[h, h + 1]] = np.exp(-2j * np.pi * np.array([h, -h]) * top / n)
+        reference = band_reference(grid, reference_band)
+        amplitude = full_grid(grid, reference_band).samples[top]
+        eps = 0.999 * reference.reach
+        step = sign * eps * n / k.size * amplitude / abs(amplitude)
+        band = reference_band + step * np.exp(-2j * np.pi * k * top / n)
+        upper, lower, floor = reference.bounds(grid, band)
+        intensity = np.abs(full_grid(grid, band).samples) ** 2
+        ends = np.append(intensity, intensity[0])
+        for j in range(n // r):  # samples jr..jr+r
+            stretch = ends[j * r : j * r + r + 1]
+            assert lower[j] <= stretch.min() and stretch.max() <= upper[j], j
+        assert floor <= intensity.max()
+        unwidened = reference.amplitude_upper[top // r] ** 2
+        assert (intensity[top] > unwidened) == (sign > 0)
+
+    def test_no_reference_where_it_would_not_be_used(self):
+        grid = FrequencyGrid(4096, 1e-12)
+        assert band_reference(grid, sinc_band(grid)) is None  # M = N = 4096
+        grid = FrequencyGrid(8192, 1e-12)
+        assert band_reference(grid, sinc_band(grid)).reach > 0
+        # a zero band, and peaks (1e-320, 1e280) whose widened bounds could
+        # leave the normal doubles: a floor rounded to 0 would read all-zero
+        for scale in (0.0, 1e-160, 1e140):
+            assert band_reference(grid, scale * sinc_band(grid)) is None
+
+    def test_reference_of_another_grid_is_refused(self):
+        grid = FrequencyGrid(8192, 1e-12)
+        reference = band_reference(grid, sinc_band(grid))
+        other = FrequencyGrid(16384, 1e-12)
+        with pytest.raises(ValueError, match="another grid"):
+            band_intensity_fwhm(other, sinc_band(other), reference)
+        with pytest.raises(ValueError, match="another grid"):
+            band_intensity_fwhm(grid, np.ones(127, np.complex128), reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([2**13, 2**16, 2**20]),
+        h=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_a_row_has_the_same_bits_alone_or_among_others(self, n, h, seed, data):
+        rng = np.random.default_rng(seed)
+        band = rng.standard_normal(2 * h + 1) + 1j * rng.standard_normal(2 * h + 1)
+        m = TestBandWidthMetric.coarse_size(FrequencyGrid(n, 1e-12), band)
+        intervals = st.integers(0, m - 1)
+        j = data.draw(intervals)
+        others = data.draw(st.lists(intervals, max_size=150, unique=True))
+        others.insert(data.draw(st.integers(0, len(others))), j)
+        alone = signal_module._BandSamples(band, n, m)
+        alone.evaluate([j])
+        among = signal_module._BandSamples(band, n, m)
+        among.evaluate(list(dict.fromkeys(others)))
+        assert alone.rows[j].tobytes() == among.rows[j].tobytes()
 
 
 class TestWraparoundGuard:
