@@ -34,6 +34,7 @@ from .signal import (
     check_wraparound,
     fft,
     ifft,
+    intensity_fwhm,
     is_integer,
 )
 
@@ -187,12 +188,10 @@ def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:
     equals ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit; the
     response is :func:`stage_responses` of the one K on the grid's bins.
     """
-    sub = spec.subsystem
+    sub, dw = spec.subsystem, e.grid.delta_omega
     spectrum = fft(e.samples)
-    check_wraparound(e, spectrum, spec.stage_gvd)
-    [response] = stage_responses(
-        sub, dispersion_response(sub.pcf, e.grid.delta_omega), [spec.k_stages]
-    )
+    check_wraparound(e.grid, dw, spectrum, intensity_fwhm(e), spec.stage_gvd)
+    [response] = stage_responses(sub, dispersion_response(sub.pcf, dw), [spec.k_stages])
     # spectrum * response in this order, as in apply_tf: with FMA the complex
     # product is not bitwise commutative
     spectrum *= response

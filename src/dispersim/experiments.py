@@ -13,17 +13,17 @@ other than zero, and exact rounding ties. Every run also
 emits a ``meta.json`` holding the raw configuration, its SI resolution and
 the pulse-width metric in use.
 
-``sweep-k`` and ``scenario`` measure the width of every K's output on the
-sinc's band bins (:func:`band_intensity_fwhm`). The sent band is measured
-once per run, and its coarse bounds (:func:`band_reference`) stand in for
-the coarse transform of any output close enough to it, which the stage
-search's outputs become as K grows; the widths are the same bits either way.
+The sinc commands run on the sinc's band bins. One :func:`band_reference`
+per run holds the sent band and measures its width; its coarse bounds stand
+in for the coarse transform of any output close enough to it, which the
+stage search's outputs become as K grows, and the widths are the same bits
+either way (:func:`band_intensity_fwhm`).
 """
 
 import contextlib
 import functools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ from .signal import (
     band_offsets,
     band_reference,
     band_samples,
-    check_band_wraparound,
+    check_wraparound,
     make_gaussian_pulse,
     make_sinc_band,
     make_sinc_pulse,
@@ -288,14 +288,6 @@ def _grid(cfg: ExperimentConfig) -> FrequencyGrid:
     return FrequencyGrid(cfg.n_samples, cfg.dt_s)
 
 
-def build_pulse(cfg: ExperimentConfig) -> Envelope:
-    """The transmitted pulse on the configured grid (``tx.grid``)."""
-    grid = _grid(cfg)
-    if cfg.pulse == "sinc":
-        return make_sinc_pulse(grid, cfg.pulse_width_s)
-    return make_gaussian_pulse(grid, cfg.pulse_width_s)
-
-
 def _require_convergence(cfg: ExperimentConfig, alpha: float) -> None:
     """Raise :class:`DivergenceError` when (B, z, alpha) lies outside the region."""
     if not stable(alpha, cfg.fiber_beta2, cfg.bandwidth_hz, cfg.z_m):
@@ -330,48 +322,28 @@ class Stage:
     residual_max: float
 
 
-@dataclass(frozen=True, eq=False)
-class _Sent:
-    """A sinc's band on its grid (:func:`make_sinc_band`), and its width.
-
-    ``reference`` is the band's :func:`band_reference`, which measures every
-    band near it, such as the stage search's converging outputs, without a
-    coarse transform of its own; ``width`` is measured through it too.
-    """
-
-    grid: FrequencyGrid
-    band: np.ndarray
-    reference: BandReference | None
-    width: float
-
-
-def _sent_band(grid: FrequencyGrid, band: np.ndarray) -> _Sent:
-    """The sent band of :func:`make_sinc_band`, measured once per run."""
-    reference = band_reference(grid, band)
-    return _Sent(grid, band, reference, band_intensity_fwhm(grid, band, reference))
-
-
-def _propagate_band(sent: _Sent, fiber: FiberParams, spec):
+def _propagate_band(sent: BandReference, fiber: FiberParams, spec):
     """The received band over ``fiber``, and the pcf response of ``spec`` at its bins.
 
-    ``sent`` is a sinc's band and width; no N-point array is built. The
-    propagation keeps the wraparound guards of the full-grid path: the
-    span's, on the sent pulse (:func:`propagate`), and, with a
-    :class:`CompensatorSpec`, the K stages', on the received one
+    ``sent`` is the :func:`band_reference` of a sinc's band, which measures
+    its width and the bands near it; no N-point array is built. The
+    propagation runs the wraparound guards of the full-grid path on the
+    band's offsets: the span's, on the sent pulse (:func:`propagate`), and,
+    with a :class:`CompensatorSpec`, the K stages', on the received one
     (:func:`compensate`). Where ``spec`` is None the pcf response is too.
     """
     grid, tx_band = sent.grid, sent.band
-    check_band_wraparound(grid, tx_band, fiber.beta2 * fiber.length_m, sent.width)
     offsets = band_offsets(grid, tx_band.size // 2)
+    check_wraparound(grid, offsets, tx_band, sent.width, fiber.beta2 * fiber.length_m)
     rx_band = tx_band * dispersion_response(fiber, offsets)
     if spec is None:
         return rx_band, None
-    rx_width = band_intensity_fwhm(grid, rx_band, sent.reference)
-    check_band_wraparound(grid, rx_band, spec.stage_gvd, rx_width)
+    rx_width = band_intensity_fwhm(grid, rx_band, sent)
+    check_wraparound(grid, offsets, rx_band, rx_width, spec.stage_gvd)
     return rx_band, dispersion_response(spec.subsystem.pcf, offsets)
 
 
-def _stage_search(cfg: ExperimentConfig, sent: _Sent, z_m, alphas):
+def _stage_search(cfg: ExperimentConfig, sent: BandReference, z_m, alphas):
     """Yield ``(alpha, [Stage per K of cfg.k_list])`` for each alpha on one span.
 
     Everything runs on the bins of the sent sinc's band; no N-point array
@@ -398,8 +370,7 @@ def _stage_search(cfg: ExperimentConfig, sent: _Sent, z_m, alphas):
                 spec = CompensatorSpec(sub, cfg.k_list[-1])
                 rx_band, h_pcf = _propagate_band(sent, fiber, spec)
             factors = [
-                band_intensity_fwhm(sent.grid, rx_band * response, sent.reference)
-                / sent.width
+                band_intensity_fwhm(sent.grid, rx_band * response, sent) / sent.width
                 for response in stage_responses(sub, h_pcf, cfg.k_list)
             ]
         worst = edge_error(alpha, beta2, bandwidth, z_m)
@@ -411,7 +382,7 @@ def _stage_search(cfg: ExperimentConfig, sent: _Sent, z_m, alphas):
 def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     """Broadening factor against stage count for each (xi, alpha) pair.
 
-    The pulse's band is built and measured once per run (:func:`_sent_band`);
+    The pulse's band and its :func:`band_reference` are built once per run;
     each xi's span runs one :func:`_stage_search` over the sorted alphas.
     """
     if cfg.pcf_beta2 is None:
@@ -419,7 +390,7 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.pulse != "sinc":
         raise ConfigError("sweep-k runs on sinc pulses")
     grid = _grid(cfg)
-    sent = _sent_band(grid, make_sinc_band(grid, cfg.pulse_width_s))
+    sent = band_reference(grid, make_sinc_band(grid, cfg.pulse_width_s))
     lines = [SWEEP_CSV_HEADER]
     diverged = 0
     for xi in cfg.xi_values:
@@ -455,8 +426,7 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     _require_convergence(cfg, alpha)
     xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, bandwidth)
     sub = match_pcf(FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.pcf_beta2, alpha=alpha)
-    sent = _sent_band(grid, tx_band)
-    [(_, stages)] = _stage_search(cfg, sent, cfg.z_m, [alpha])
+    [(_, stages)] = _stage_search(cfg, band_reference(grid, tx_band), cfg.z_m, [alpha])
     required_k = next(
         (s.k for s in stages if s.broadening_factor <= cfg.target_broadening), None
     )
@@ -480,7 +450,10 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
         },
         "stage_search": {
             "target_broadening": cfg.target_broadening,
-            "k_table": [asdict(s) for s in stages],
+            "k_table": [
+                {"k": s.k, "broadening_factor": s.broadening_factor,
+                 "residual_max": s.residual_max} for s in stages
+            ],
             "required_k": required_k,
         },
         "width_metric": WIDTH_METRIC,
@@ -547,7 +520,7 @@ def _sinc_envelopes(cfg: ExperimentConfig, fiber: FiberParams, spec) -> dict:
     for the cascade to amplify, whatever K.
     """
     grid = _grid(cfg)
-    sent = _sent_band(grid, make_sinc_band(grid, cfg.pulse_width_s))
+    sent = band_reference(grid, make_sinc_band(grid, cfg.pulse_width_s))
     rx_band, h_pcf = _propagate_band(sent, fiber, spec)
     bands = {"envelope_dispersed.csv": rx_band}
     if spec is not None:
@@ -561,11 +534,12 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
 
     A sinc is propagated on its band bins (:func:`_sinc_envelopes`), a
     gaussian, which has no band, on the full grid (:func:`propagate` and
-    :func:`compensate`). The input envelope is :func:`build_pulse` either way.
+    :func:`compensate`). The input envelope is the full-grid pulse either way.
     """
     if cfg.z_m is None:
         raise ConfigError("fiber.z_km is required for the propagate command")
-    tx = build_pulse(cfg)
+    make_pulse = make_sinc_pulse if cfg.pulse == "sinc" else make_gaussian_pulse
+    tx = make_pulse(_grid(cfg), cfg.pulse_width_s)
     w_sq = (np.pi / cfg.dt_s) * (np.pi / cfg.dt_s)  # the full grid's largest dw**2
     # its responses form beta2 / 2 * dw**2, which may underflow but not overflow
     half_beta2 = max(1.0, abs(cfg.fiber_beta2) / 2, abs(cfg.pcf_beta2 or 0.0) / 2)

@@ -17,6 +17,7 @@ from .signal import (
     check_wraparound,
     fft,
     ifft,
+    intensity_fwhm,
 )
 
 #: Speed of light in vacuum, m/s (exact in the SI).
@@ -99,7 +100,8 @@ def propagate(e: Envelope, fiber: FiberParams) -> Envelope:
     and the product alike, and the product with :func:`dispersion_response`
     on the grid is formed in place.
     """
-    spectrum = fft(e.samples)
-    check_wraparound(e, spectrum, fiber.beta2 * fiber.length_m)
-    spectrum *= dispersion_response(fiber, e.grid.delta_omega)
+    spectrum, dw = fft(e.samples), e.grid.delta_omega
+    gvd = fiber.beta2 * fiber.length_m
+    check_wraparound(e.grid, dw, spectrum, intensity_fwhm(e), gvd)
+    spectrum *= dispersion_response(fiber, dw)
     return Envelope(e.grid, ifft(spectrum))

@@ -9,9 +9,13 @@ Nyquist bin assigned to the negative side, i.e. the ordering of
 A band-limited envelope can be measured from its band bins alone:
 :func:`band_intensity_fwhm` bounds the intensity between the samples of a
 coarse transform and sums the band directly where the bounds leave the peak
-or a half-maximum crossing open. A :func:`band_reference` holds one band's
-coarse bounds, which, widened by a band's L1 distance from it, bound any
-band nearby without a transform of its own.
+or a half-maximum crossing open. A :func:`band_reference` measures one
+band: its width, and its coarse bounds, which, widened by a band's L1
+distance from it, bound any band nearby without a transform of its own.
+
+:func:`check_wraparound` is the one window guard, for a whole spectrum at
+``grid.delta_omega`` and for a band at its :func:`band_offsets` alike: it
+reads the occupied band from the spectrum at its own offsets.
 """
 
 import sys
@@ -357,7 +361,7 @@ MAX_TABLE_SIZE = 2**26
 #: :class:`BandReference` widens a band's distance by this factor, far more
 #: than the relative rounding of a sum over the 2h+1 < MAX_TABLE_SIZE bins.
 _DISTANCE_MARGIN = 1.0 + 2.0**-20
-#: :func:`band_reference` gives no reference for a coarse peak outside this
+#: :func:`band_reference` gives no bounds for a coarse peak outside this
 #: range, so that every bound it widens stays far inside the double range.
 _REFERENCE_PEAKS = (2.0**-500, 2.0**500)
 
@@ -463,7 +467,7 @@ def _chord_bounds(coarse: np.ndarray, h: int):
 
 @dataclass(frozen=True, eq=False)
 class BandReference:
-    """The coarse bounds of one band, which bound the intensity of the bands near it.
+    """One band, its width, and the coarse bounds that bound the bands near it.
 
     For two bands b and b0 on the same bins, the inverse DFT sum and the
     triangle inequality give |s_b(t) - s_b0(t)| <= eps = ||b - b0||_1 / N at
@@ -472,16 +476,21 @@ class BandReference:
     amplitude at b0's largest coarse sample, less eps, is a floor for b's
     peak. They are used while eps <= ``reach`` = slack / (2*sqrt(peak)),
     b0's :func:`_slack` and coarse peak: there the widened bounds are at most
-    about twice as loose as b's own would be. Build one with
-    :func:`band_reference`.
+    about twice as loose as b's own would be. A reference without bounds
+    has reach -inf and bounds no band. Build one with :func:`band_reference`.
     """
 
     grid: FrequencyGrid
     band: np.ndarray
-    amplitude_upper: np.ndarray
-    amplitude_lower: np.ndarray
-    amplitude_peak: float
+    amplitude_upper: np.ndarray | None
+    amplitude_lower: np.ndarray | None
+    amplitude_peak: float | None
     reach: float
+
+    @cached_property
+    def width(self) -> float:
+        """:func:`band_intensity_fwhm` of the band, measured on first use."""
+        return band_intensity_fwhm(self.grid, self.band, self)
 
     def bounds(self, grid: FrequencyGrid, band: np.ndarray):
         """The (upper, lower, floor) of :func:`_sparse_fwhm` for ``band``, or None.
@@ -499,32 +508,32 @@ class BandReference:
         return upper, lower, (self.amplitude_peak - eps) ** 2
 
 
-def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference | None:
+def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference:
     """The :class:`BandReference` of ``band``, from one coarse transform.
 
-    None where :func:`band_intensity_fwhm` would measure every sample (M = N)
-    and where the coarse peak lies outside ``_REFERENCE_PEAKS``. Raises as
-    :func:`band_intensity_fwhm` does for the band's shape and tables.
+    It has no bounds where :func:`band_intensity_fwhm` would measure every
+    sample (M = N) and where the coarse peak lies outside
+    ``_REFERENCE_PEAKS``. Raises as :func:`band_intensity_fwhm` does for the
+    band's shape and tables; the width is measured only when asked for.
     """
     n = grid.n_samples
     m = _coarse_size(grid, band)
-    if m == n:
-        return None
-    h = band.size // 2
-    upper, lower, peak = _chord_bounds(_coarse_intensity(band, n, m), h)
-    if not _REFERENCE_PEAKS[0] <= peak <= _REFERENCE_PEAKS[1]:
-        return None
     band = band.copy()
     band.setflags(write=False)
-    amplitude_peak = np.sqrt(peak)
-    return BandReference(
-        grid,
-        band,
-        np.sqrt(upper),
-        np.sqrt(np.maximum(lower, 0.0)),
-        amplitude_peak,
-        _slack(peak, h, m) / (2.0 * amplitude_peak),
-    )
+    if m < n:
+        h = band.size // 2
+        upper, lower, peak = _chord_bounds(_coarse_intensity(band, n, m), h)
+        if _REFERENCE_PEAKS[0] <= peak <= _REFERENCE_PEAKS[1]:
+            amplitude_peak = np.sqrt(peak)
+            return BandReference(
+                grid,
+                band,
+                np.sqrt(upper),
+                np.sqrt(np.maximum(lower, 0.0)),
+                amplitude_peak,
+                _slack(peak, h, m) / (2.0 * amplitude_peak),
+            )
+    return BandReference(grid, band, None, None, None, -np.inf)
 
 
 class _BandSamples:
@@ -650,52 +659,38 @@ OCCUPIED_THRESHOLD = 1e-6
 GUARD_FACTOR = 4.0
 
 
-def occupied_bandwidth(grid: FrequencyGrid, spectrum: np.ndarray) -> float:
+def occupied_bandwidth(offsets: np.ndarray, spectrum: np.ndarray) -> float:
     """Two-sided bandwidth B = max occupied |delta_omega| / pi, Hz.
 
-    ``spectrum`` holds FFT samples on ``grid``; a bin counts as occupied
-    when its magnitude exceeds :data:`OCCUPIED_THRESHOLD` times the peak.
+    ``spectrum`` holds DFT values at the baseband offsets ``offsets``: a
+    grid's ``delta_omega`` or a band's :func:`band_offsets`. A bin counts
+    as occupied when its magnitude exceeds :data:`OCCUPIED_THRESHOLD` times
+    the peak.
     """
     mag = np.abs(spectrum)
     peak = mag.max()
     if peak == 0:
         return 0.0
     occupied = mag > OCCUPIED_THRESHOLD * peak
-    return float(np.max(np.abs(grid.delta_omega[occupied])) / np.pi)
+    return float(np.max(np.abs(offsets[occupied])) / np.pi)
 
 
 def check_wraparound(
-    e: Envelope, spectrum: np.ndarray, accumulated_gvd: float
+    grid: FrequencyGrid, offsets: np.ndarray, spectrum: np.ndarray,
+    width: float, accumulated_gvd: float,
 ) -> None:
     """Reject circular propagation that could wrap in time.
 
-    ``spectrum`` is ``fft(e.samples)``, which the caller transforms anyway.
-    ``accumulated_gvd`` is the worst-case |beta2 * length| product of the
-    operation about to be applied (s^2). The dispersive spread across the
-    occupied band 2*pi*B is ``accumulated_gvd * 2*pi*B`` and the time window
-    must exceed pulse width plus spread by :data:`GUARD_FACTOR`.
+    ``spectrum`` holds the DFT of a pulse on ``grid`` at ``offsets``, and
+    every other bin is zero: the whole spectrum at ``grid.delta_omega``, or
+    a band at its :func:`band_offsets`. ``width`` is the pulse's width
+    (:func:`intensity_fwhm`). ``accumulated_gvd`` is the worst-case
+    |beta2 * length| product of the operation about to be applied (s^2).
+    The dispersive spread across the occupied band 2*pi*B
+    (:func:`occupied_bandwidth`) is ``accumulated_gvd * 2*pi*B`` and the
+    time window must exceed width plus spread by :data:`GUARD_FACTOR`.
     """
-    bandwidth = occupied_bandwidth(e.grid, spectrum)
-    _require_window(e.grid, intensity_fwhm(e), bandwidth, accumulated_gvd)
-
-
-def check_band_wraparound(
-    grid: FrequencyGrid, band: np.ndarray, accumulated_gvd: float, width: float
-) -> None:
-    """:func:`check_wraparound` of the envelope whose spectrum is ``band``.
-
-    ``band`` is laid out as in :func:`band_intensity_fwhm`, and ``width`` is
-    that function's value for it. The occupied band reaches the edge bins
-    +-h, as a sinc's half-weight edge bins do, so no N-point scan is needed.
-    """
-    h = band.size // 2
-    # delta_omega at bin h, over pi: what occupied_bandwidth reads for a sinc
-    bandwidth = float(band_offsets(grid, h)[h] / np.pi)
-    _require_window(grid, width, bandwidth, accumulated_gvd)
-
-
-def _require_window(grid, width, bandwidth, accumulated_gvd) -> None:
-    """Raise :class:`WraparoundError` unless the window holds width plus spread."""
+    bandwidth = occupied_bandwidth(offsets, spectrum)
     spread = abs(accumulated_gvd) * 2.0 * np.pi * bandwidth
     needed = GUARD_FACTOR * (width + spread)
     if grid.window < needed:

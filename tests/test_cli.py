@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -9,6 +11,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +32,6 @@ from dispersim.experiments import (
     _encode_9g,
     _envelope_csv,
     _sinc_envelopes,
-    build_pulse,
     fmt,
 )
 from dispersim.fiber import FiberParams, d_to_beta2, dispersion_response, propagate
@@ -43,9 +45,13 @@ from dispersim.signal import (
     band_offsets,
     band_samples,
     intensity_fwhm,
+    make_gaussian_pulse,
     make_sinc_band,
+    make_sinc_pulse,
 )
-from dispersim import signal as signal_module
+from dispersim import experiments, signal as signal_module
+
+SRC = Path(signal_module.__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -76,6 +82,12 @@ def scenario_doc(z_km=130.0, n_samples=8192):
         "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": n_samples},
         "output": {"dir": "out"},
     }
+
+
+def sent_pulse(cfg):
+    """The configured pulse on the configured grid, as ``propagate`` dumps it."""
+    make_pulse = make_sinc_pulse if cfg.pulse == "sinc" else make_gaussian_pulse
+    return make_pulse(FrequencyGrid(cfg.n_samples, cfg.dt_s), cfg.pulse_width_s)
 
 
 def readme_doc(pcf_d_ps_nm_km=2200.0):
@@ -484,7 +496,7 @@ class TestScenario:
         assert main(["scenario", "--config", config, "--out", str(out)]) == 0
         report = json.loads((out / "scenario.json").read_text())
         cfg = parse_config(doc)
-        tx = build_pulse(cfg)
+        tx = sent_pulse(cfg)
         fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
         rx = propagate(tx, fiber)
         sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
@@ -624,15 +636,16 @@ def test_runners_never_leave_the_band(tmp_path, monkeypatch, command):
     # One 2**20-sample complex array takes 16.8 MB; the sinc's band holds
     # 129 bins, and n_samples only sets the resolution of the width metric
     def full_grid(*args):
-        raise AssertionError("an N-point pulse, spectrum or guard was built")
+        raise AssertionError("an N-point pulse, spectrum or axis was built")
 
     for name in (
         "experiments.make_sinc_pulse",
         "experiments.propagate",
+        "experiments.compensate",
         "signal.fft",
-        "signal.check_wraparound",
     ):
         monkeypatch.setattr(f"dispersim.{name}", full_grid)
+    monkeypatch.setattr(FrequencyGrid, "delta_omega", property(full_grid))
     if command == "scenario":
         doc = scenario_doc(n_samples=2**20)
         doc["compensator"] = {"alphas": [0.5], "k_max": 2}
@@ -647,6 +660,49 @@ def test_runners_never_leave_the_band(tmp_path, monkeypatch, command):
         tracemalloc.stop()
     assert rc == 0
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("command", ["sweep-k", "scenario", "propagate"])
+def test_sent_band_is_built_and_measured_once_per_run(tmp_path, monkeypatch, command):
+    # sweep-k over 3 xi x 2 alpha, scenario and a sinc propagate each build
+    # one sent band and one band_reference, which every span shares
+    spies = {
+        name: mock.Mock(wraps=getattr(experiments, name))
+        for name in ("make_sinc_band", "band_reference")
+    }
+    for name, spy in spies.items():
+        monkeypatch.setattr(experiments, name, spy)
+    if command == "sweep-k":
+        doc = sweep_doc([0.5, 1.0, 2.0], [0.5, 1.0], n_samples=16384)
+    else:
+        doc = scenario_doc(n_samples=16384)
+    config = write_config(tmp_path, doc)
+    assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert [spy.call_count for spy in spies.values()] == [1, 1]
+
+
+def test_scenario_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the width metric's direct sums are matrix products, which OpenBLAS may
+    # split across threads; each coarse interval is a product of its own, so
+    # scenario.json keeps its bytes at one thread and at two
+    config = write_config(tmp_path, scenario_doc(n_samples=2**20))
+    run = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from dispersim.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", run, str(SRC), "scenario", "--config", config,
+             "--out", str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(hashlib.sha256((out / "scenario.json").read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 class TestPropagate:
@@ -725,7 +781,7 @@ class TestPropagate:
         out = tmp_path / "out"
         assert main(["propagate", "--config", config, "--out", str(out)]) == 0
         cfg = parse_config(doc)
-        tx = build_pulse(cfg)
+        tx = sent_pulse(cfg)
         fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
         spec = CompensatorSpec(match_pcf(fiber, cfg.pcf_beta2, alpha=1.0), 2)
         if pulse == "gaussian":
@@ -846,7 +902,7 @@ def test_sinc_band_envelopes_match_the_full_grid(
     fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
     spec = CompensatorSpec(match_pcf(fiber, cfg.pcf_beta2, alpha=alpha), k_max)
     try:
-        rx = propagate(build_pulse(cfg), fiber)
+        rx = propagate(sent_pulse(cfg), fiber)
         full = {
             "envelope_dispersed.csv": rx,
             "envelope_compensated.csv": compensate(rx, spec),
@@ -1295,6 +1351,13 @@ _DCF_PATH = {
     "compensator": {"alphas": [1.0], "k_max": 2},
     "signal": {"pulse": "sinc", "bandwidth_hz": 1e-145, "n_samples": 1024},
 }
+# a zero beta2 passes the strength rule, but the sinc's band edge dw**2
+# overflows, so without the full-grid rule its responses would be 0 * inf = NaN
+_ZERO_BETA2_SINC = {
+    "scenario": "zero",
+    "fiber": {"beta2_ps2_km": 0, "z_km": 1},
+    "signal": {"pulse": "sinc", "bandwidth_hz": 1e156, "n_samples": 1024},
+}
 # the span's spread fits the window, but beta2 / 2 * (pi / dt_s)**2 overflows
 _GRID_PHASE = {
     "scenario": "p",
@@ -1324,6 +1387,7 @@ _SUBNORMAL_BETA2 = _doc(readme_doc(), fiber={"beta2_ps2_km": -1e-290, "z_km": 13
     [
         ("propagate", _GAUSSIAN_GRID, 2, "error: (pi / dt_s)**2 is out of range"),
         ("propagate", _NYQUIST_GRID, 2, "error: (pi / dt_s)**2 is out of range"),
+        ("propagate", _ZERO_BETA2_SINC, 2, "error: (pi / dt_s)**2 is out of range"),
         ("propagate", _GRID_PHASE, 2, "error: max(1, |beta2| / 2) * (pi / dt_s)**2"),
         # only propagate forms (pi/dt_s)**2: the band runners never leave the band
         ("scenario", _NYQUIST_GRID, 0, ""),
@@ -1336,7 +1400,7 @@ _SUBNORMAL_BETA2 = _doc(readme_doc(), fiber={"beta2_ps2_km": -1e-290, "z_km": 13
             for command in ("region", "sweep-k", "scenario", "propagate")
         ],
     ],
-    ids=["gaussian-grid", "nyquist-grid", "grid-phase", "nyquist-scenario",
+    ids=["gaussian-grid", "nyquist-grid", "zero-beta2-sinc", "grid-phase", "nyquist-scenario",
          "nyquist-sweep", "dcf-path", "cascade-path", "small-same-sign",
          "subnormal-region", "subnormal-sweep", "subnormal-scenario",
          "subnormal-propagate"],

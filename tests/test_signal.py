@@ -38,7 +38,6 @@ from dispersim.signal import (
     band_intensity_fwhm,
     band_offsets,
     band_reference,
-    check_band_wraparound,
     ifft,
     make_sinc_band,
     sinc_band_bins,
@@ -101,14 +100,14 @@ class TestTransforms:
 
     def test_constant_signal_is_dc_only(self):
         grid = FrequencyGrid(8, 1e-12)
-        assert occupied_bandwidth(grid, fft(np.ones(8))) == 0.0
+        assert occupied_bandwidth(grid.delta_omega, fft(np.ones(8))) == 0.0
 
     def test_impulse_is_flat(self):
         grid = FrequencyGrid(8, 1e-12)
         samples = np.zeros(8)
         samples[3] = 1.0
         # every bin is occupied, up to the Nyquist offset pi/dt
-        assert occupied_bandwidth(grid, fft(samples)) == pytest.approx(
+        assert occupied_bandwidth(grid.delta_omega, fft(samples)) == pytest.approx(
             1 / grid.dt, rel=1e-15
         )
 
@@ -193,7 +192,7 @@ class TestSincPulse:
 
     def test_bandwidth_matches_width(self):
         e = make_sinc_pulse(self.grid, self.width)
-        band = occupied_bandwidth(self.grid, fft(e.samples))
+        band = occupied_bandwidth(self.grid.delta_omega, fft(e.samples))
         assert abs(band / (2 / self.width) - 1) < 1e-12
 
     def test_spectrum_is_rectangular(self):
@@ -490,7 +489,7 @@ class TestBandWidthMetric:
         size = band.size * (r + 2) + grid.n_samples // r
         monkeypatch.setattr(signal_module, "MAX_TABLE_SIZE", size)
         assert band_intensity_fwhm(grid, band) > 0
-        assert band_reference(grid, band) is not None
+        assert band_reference(grid, band).reach > 0
         monkeypatch.setattr(signal_module, "MAX_TABLE_SIZE", size - 1)
         for measure in (band_intensity_fwhm, band_reference):
             with pytest.raises(WindowError, match="cannot allocate"):
@@ -683,7 +682,7 @@ class TestBandReference:
         reference = band_reference(grid, reference_band)
         if kind == "zero":
             band = np.zeros_like(reference_band)
-        elif reference is None:  # measured on every sample: M = N
+        elif reference.reach == -np.inf:  # measured on every sample: M = N
             assert TestBandWidthMetric.stride(grid, reference_band) == 1
             band = reference_band
         else:
@@ -724,13 +723,28 @@ class TestBandReference:
 
     def test_no_reference_where_it_would_not_be_used(self):
         grid = FrequencyGrid(4096, 1e-12)
-        assert band_reference(grid, sinc_band(grid)) is None  # M = N = 4096
+        reference = band_reference(grid, sinc_band(grid))
+        assert reference.reach == -np.inf  # M = N = 4096
+        assert reference.width == band_intensity_fwhm(grid, sinc_band(grid))
         grid = FrequencyGrid(8192, 1e-12)
         assert band_reference(grid, sinc_band(grid)).reach > 0
         # a zero band, and peaks (1e-320, 1e280) whose widened bounds could
         # leave the normal doubles: a floor rounded to 0 would read all-zero
         for scale in (0.0, 1e-160, 1e140):
-            assert band_reference(grid, scale * sinc_band(grid)) is None
+            reference = band_reference(grid, scale * sinc_band(grid))
+            assert reference.reach == -np.inf
+            assert reference.bounds(grid, sinc_band(grid)) is None
+
+    def test_width_is_measured_when_asked_for(self):
+        # a band without a measurable width (all zero, or a lobe across the
+        # window edge) is still a reference; its width raises and warns as
+        # band_intensity_fwhm does, and only when it is read
+        grid = FrequencyGrid(8192, 1e-12)
+        for band in (np.zeros(129, np.complex128), sinc_band(grid, 0)):
+            reference = band_reference(grid, band)
+            want = outcome(band_intensity_fwhm, grid, band)
+            assert isinstance(want[0], str)
+            assert outcome(lambda: reference.width) == want
 
     def test_reference_of_another_grid_is_refused(self):
         grid = FrequencyGrid(8192, 1e-12)
@@ -763,17 +777,23 @@ class TestBandReference:
         assert alone.rows[j].tobytes() == among.rows[j].tobytes()
 
 
+def grid_guard(e, spectrum, accumulated_gvd):
+    """check_wraparound on the full grid, as propagate and compensate run it."""
+    width = intensity_fwhm(e)
+    check_wraparound(e.grid, e.grid.delta_omega, spectrum, width, accumulated_gvd)
+
+
 class TestWraparoundGuard:
     def test_accepts_mild_spread(self):
         grid = FrequencyGrid(16384, 64 * 100e-12 / 16384)
         e = make_gaussian_pulse(grid, 100e-12)
-        check_wraparound(e, fft(e.samples), 21e-27 * 100e3)
+        grid_guard(e, fft(e.samples), 21e-27 * 100e3)
 
     def test_rejects_excessive_spread(self):
         grid = FrequencyGrid(512, 16 * 100e-12 / 512)
         e = make_gaussian_pulse(grid, 100e-12)
         with pytest.raises(WraparoundError):
-            check_wraparound(e, fft(e.samples), 21e-27 * 2e6)
+            grid_guard(e, fft(e.samples), 21e-27 * 2e6)
 
 
 def guard_outcome(check, *args):
@@ -789,13 +809,14 @@ def guard_outcome(check, *args):
 
 
 def band_guard(grid, band, accumulated_gvd):
-    """check_band_wraparound with the band's width, as the stage search runs it."""
+    """check_wraparound on the band's offsets, as the band path runs it."""
     width = band_intensity_fwhm(grid, band)
-    check_band_wraparound(grid, band, accumulated_gvd, width)
+    offsets = band_offsets(grid, band.size // 2)
+    check_wraparound(grid, offsets, band, width, accumulated_gvd)
 
 
 class TestBandWraparoundGuard:
-    """check_band_wraparound against check_wraparound of the full-grid envelope."""
+    """check_wraparound on the band's offsets against it on the full grid."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -823,7 +844,12 @@ class TestBandWraparoundGuard:
         spectrum = fft(rx.samples)
         band = make_sinc_band(grid, 2 / bandwidth)
         rx_band = band * dispersion_response(fiber, band_offsets(grid, band.size // 2))
-        occupied = occupied_bandwidth(grid, spectrum)
+        occupied = occupied_bandwidth(grid.delta_omega, spectrum)
+        # read from the band, the occupied band is the edge bin's, bit for bit
+        h = band.size // 2
+        edge = band_offsets(grid, h)[h] / np.pi
+        for b in (band, rx_band):
+            assert occupied_bandwidth(band_offsets(grid, h), b) == edge == occupied
         width = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # guard_outcome compares the warnings
@@ -835,7 +861,7 @@ class TestBandWraparoundGuard:
         if abs(grid.window / needed - 1) < 1e-9:
             return  # the two widths may round to either side
         got = guard_outcome(band_guard, grid, rx_band, gvd)
-        assert got == guard_outcome(check_wraparound, rx, spectrum, gvd)
+        assert got == guard_outcome(grid_guard, rx, spectrum, gvd)
 
     def test_the_edge_bins_set_the_band(self):
         # window factor 50.5 rounds the band to 50 bins: the occupied band,
@@ -844,7 +870,7 @@ class TestBandWraparoundGuard:
         tx = make_sinc_pulse(grid, 2 / 3e9)
         band = make_sinc_band(grid, 2 / 3e9)
         gvd = grid.window / (2 * np.pi * 3e9)
-        want = guard_outcome(check_wraparound, tx, fft(tx.samples), gvd)
+        want = guard_outcome(grid_guard, tx, fft(tx.samples), gvd)
         assert want[0] is not None
         assert guard_outcome(band_guard, grid, band, gvd) == want
 
