@@ -5,9 +5,11 @@ and LF line endings so a fixed configuration reproduces byte-identical
 output. The envelope CSVs hold millions of numbers per ``propagate``; they
 are encoded a block of samples at a time by :func:`_encode_9g`, which
 writes the bytes of :func:`fmt` for a whole array. It builds each value's
-field as four uint64 words, from one lookup for its layout and one for each
-3-digit group of its significand, in a work array allocated once per dump,
-and copies them into the block once. It hands back to :func:`fmt` only
+16-slot field as two uint64 words, from one lookup for its sign, lead and
+exponent and one for each 3-digit group of its significand at the
+placement its exponent gives, in a work array allocated once per dump, and
+copies them into the block once; the column separators sit outside the
+fields. It hands back to :func:`fmt` only
 the values it does not round itself: magnitudes outside [1e-290, 1e290]
 other than zero, and exact rounding ties. Every run also
 emits a ``meta.json`` holding the raw configuration, its SI resolution and
@@ -57,7 +59,7 @@ from .signal import (
 REGION_CSV_HEADER = "B_hz,z_max_m,alpha,beta2_si"
 SWEEP_CSV_HEADER = "xi,alpha,K,broadening_factor,residual_max"
 ENVELOPE_CSV_HEADER = "t_s,re,im"
-ENVELOPE_BLOCK = 4096  # samples per _envelope_csv block: about 1.8 MB of arrays at peak
+ENVELOPE_BLOCK = 4096  # samples per _envelope_csv block: about 1.2 MB of arrays at peak
 
 
 class DivergenceError(RuntimeError):
@@ -70,18 +72,23 @@ def fmt(x: float) -> str:
 
 # _encode_9g builds each value as one row of FIELD NUL-padded byte slots, held
 # as WORDS uint64 words; the NULs are dropped when the rows are joined, so a
-# slot %g leaves out simply stays NUL:
+# slot %g leaves out simply stays NUL. Where the 9 significant digits go
+# depends on the decimal exponent e, through the point:
 #
 #   slot 0        sign                                        word 0
-#   slots 1-5     lead "0." to "0.000" of a fixed-notation    word 0
-#                 value below 1
-#   slots 6-23    the 9 significant digits, each followed     words 0-2
-#                 by a point slot: the hi 3-digit group in
-#                 slots 6-11, mid in 12-17 and lo in 18-23
-#   slots 24-28   exponent "e+XX" or "e-XXX"                  word 3
-#   slots 29-30   unused                                      word 3
-#   slot 31       column separator, left as the caller set it word 3
-FIELD = 32
+#   slots 1-5     lead "0." to "0.000", below 1 in fixed      word 0
+#                 notation (e < 0); the digits follow in
+#                 slots 6-14
+#   slots 1-10    otherwise the digits and the point, which   words 0-1
+#                 follows digit 1 in the d.dddddddde±XX form
+#                 and digit e + 1 in fixed notation (e >= 0)
+#   slots 11-15   exponent "e+XX" or "e-XXX"                  word 1
+#
+# The longest fields, such as -1.23456789e-100, fill all 16 slots. Each
+# 3-digit group's row holds its digits at their slots and, where the point
+# falls in or just before the group, the point. The column separators lie
+# outside the fields (_envelope_csv).
+FIELD = 16
 WORDS = FIELD // 8
 _E_MIN, _E_MAX = -290, 290  # decimal exponents encoded without fmt
 _TIE_MARGIN = 1e-6
@@ -115,53 +122,60 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
     - ``pow10``: 10**k at index k + 300 for k in [-300, 300], each correctly
       rounded (numpy's power is not), and ``pow10_lo``: the rest 10**k - hi,
       correctly rounded, so that the pair holds 10**k to about 2**-106;
-    - ``hi_words``, ``mid_words`` and ``lo_words``: row j holds the digits
-      of the 3-digit group j in that group's slots, and row j + 1000 the
-      same without their trailing zeros, for a group whose later groups are
-      all zero (always, for lo). ``stripped_zeros`` counts the zeros a row
-      leaves out;
-    - ``or_words``: row ``(e - _E_MIN) * 10 + z`` is for a 9-digit
-      significand with decimal exponent e and z trailing zeros (z = 9 for
-      a zero). It holds the lead, the point, the exponent and the zeros of
-      the integer part, which the stripped group rows leave out;
-    - ``minus``: the word 0 of a "-" sign, and ``separator``: a mask of
-      slot 31 in word 3.
+    - ``group_words``: 18 blocks of 2000 rows, six placements of each
+      3-digit group (hi, mid, lo). A placement sets the slots of the
+      group's digits and whether the point is the group's to write: 0 to 3
+      of its digits before the point, or all of them after a lead. Row j
+      of a block holds group value j, and row j + 1000 the same without
+      the trailing zeros after the point, for a group whose later groups
+      are all zero (always, for lo). A row that keeps a digit after the
+      point also holds the point, if it lies in or just before the group;
+    - ``group_base``: row g, column e - _E_MIN holds the first row of the
+      block of group g at decimal exponent e;
+    - ``or_words``: row ``(e - _E_MIN) + 581 * s`` holds the sign (s = 1
+      for "-"), the lead and the exponent of a value with decimal
+      exponent e.
     """
     pow10, pow10_lo = np.array([_pow10_pair(k) for k in range(-300, 301)]).T.copy()
-    groups = [f"{j:03d}" for j in range(1000)]
-    stripped = [g.rstrip("0") for g in groups]
-    stripped_zeros = np.array([0] * 1000 + [3 - len(g) for g in stripped], np.intp)
-    digits = np.array(groups + stripped, "S3").view(np.uint8).reshape(2000, 3)
-    group_words = []
-    for first in (6, 12, 18):  # the hi, mid and lo groups
-        rows = np.zeros((2000, FIELD), np.uint8)
-        rows[:, first : first + 6 : 2] = digits
-        group_words.append(_words(rows))
+    j = np.arange(2000) % 1000  # each row's group value
+    digits = np.stack([j // 100, j // 10 % 10, j % 10], axis=1).astype(np.uint8)
+    digits += ord("0")
+    # the digits up to the last nonzero one in the stripped rows, all 3 above
+    nonzero = np.sign(j) + np.sign(j % 100) + np.sign(j % 10)
+    nonzero[:1000] = 3
     e = np.arange(_E_MIN, _E_MAX + 1)
     fixed = (e >= -4) & (e < 9)
-    text = np.zeros((e.size, FIELD), np.uint8)
+    point_after = np.where(fixed, e, 0)  # the digit index the point follows
+    # placement p of group g: 0 where the point lies before one of its
+    # earlier groups, 1 to 3 where 0 to 2 of its digits come before the
+    # point (the point is the group's), 4 where all 3 do, 5 after a lead
+    group = np.arange(3)[:, None]
+    ahead = np.minimum(np.maximum(point_after + 1 - 3 * group, -1), 3)  # digits before it
+    group_base = (group * 6 + np.where(point_after < 0, 5, ahead + 1)) * 2000
+    # the hi group's placements; mid's and lo's are the same 3 and 6 slots on
+    hi_rows = np.zeros((6, 2000, FIELD), np.uint8)
+    i = np.arange(3)
+    for p, before in enumerate([0, 0, 1, 2, 3, 0]):  # its digits before the point
+        kept = np.maximum(nonzero, before)[:, None]
+        slots = 6 + i if p == 5 else 1 + i + (i >= before)
+        hi_rows[p][:, slots] = np.where(i < kept, digits, 0)
+        if 1 <= p <= 3:  # the point is the group's
+            hi_rows[p, :, 1 + before] = (kept[:, 0] > before) * ord(".")
+    group_rows = np.zeros((3, 6, 2000, FIELD), np.uint8)
+    for g in range(3):
+        group_rows[g, ..., 3 * g :] = hi_rows[..., : FIELD - 3 * g]
+    group_words = _words(group_rows.reshape(-1, FIELD))
+    text = np.zeros((2, e.size, FIELD), np.uint8)
     lead = [("0." + "0" * (-v - 1)) if -4 <= v < 0 else "" for v in e.tolist()]
     expo = ["" if f else f"e{v:+03d}" for v, f in zip(e.tolist(), fixed)]
-    text[:, 1:6] = np.array(lead, "S5").view(np.uint8).reshape(-1, 5)
-    text[:, 24:29] = np.array(expo, "S5").view(np.uint8).reshape(-1, 5)
-    slot = np.arange(FIELD)
-    k, is_point = np.divmod(slot - 6, 2)  # digit index of slots 6-23
-    in_digits = (slot >= 6) & (slot < 24)
-    point_after = np.where(fixed, e, 0)[:, None, None]  # digit before the point
-    kept = 9 - np.arange(10)[:, None]  # digits left after the trailing zeros
-    zero = in_digits & (is_point == 0) & (k >= kept) & (k <= point_after)
-    fraction_left = kept > point_after + 1
-    point = in_digits & (is_point == 1) & (k == point_after) & fraction_left
-    layout = text[:, None, :] | zero * np.uint8(ord("0")) | point * np.uint8(ord("."))
-    or_words = _words(layout.reshape(-1, FIELD))
-    marks = np.zeros((2, FIELD), np.uint8)
-    marks[0, 0] = ord("-")
-    marks[1, FIELD - 1] = 0xFF
-    minus, separator = _words(marks)[[0, 1], [0, WORDS - 1]]
-    tables = (pow10, pow10_lo, stripped_zeros, *group_words, or_words)
+    text[1, :, 0] = ord("-")
+    text[:, :, 1:6] = np.array(lead, "S5").view(np.uint8).reshape(-1, 5)
+    text[:, :, 11:16] = np.array(expo, "S5").view(np.uint8).reshape(-1, 5)
+    or_words = _words(text.reshape(-1, FIELD))
+    tables = (pow10, pow10_lo, group_words, group_base, or_words)
     for table in tables:  # shared by every call
         table.setflags(write=False)
-    return (*tables, minus, separator)
+    return tables
 
 
 def _encode_9g(
@@ -170,7 +184,7 @@ def _encode_9g(
     """Write the bytes of :func:`fmt` of each value of ``x`` into ``fields``.
 
     ``fields`` is a uint8 array of shape ``x.shape + (FIELD,)`` whose last
-    axis is contiguous; slot 31 of each row is kept. ``work``, if given, is
+    axis is contiguous; its rows need not be aligned. ``work``, if given, is
     a uint64 array of shape ``(2, n, WORDS)`` with n >= x.size, reused from
     call to call. Every value of ``x`` must be finite. The decimal exponent e
     of |v| comes from log10 with one correction pass, and its 9-digit
@@ -179,13 +193,13 @@ def _encode_9g(
     trailing zeros and a bare point. Zeros are encoded as "0" and "-0". A
     significand within 1e-6 of a rounding tie is rounded by the exact
     comparison of :func:`_tie_side`. Each field is built in ``work`` as
-    WORDS words, from one row of the layout table and one of each digit
-    group's table, and copied into ``fields`` with its sign and separator.
-    The rest are formatted by :func:`fmt` and spliced in: magnitudes
-    outside [1e-290, 1e290], and exact ties, which %g rounds to even.
+    WORDS words, from one row of the layout table (sign, lead, exponent)
+    and one of each digit group's table at the placement e gives it, and
+    copied into ``fields`` as 16-byte items. The rest are formatted by
+    :func:`fmt` and spliced in: magnitudes outside [1e-290, 1e290], and
+    exact ties, which %g rounds to even.
     """
-    (pow10, pow10_lo, stripped_zeros, hi_words, mid_words, lo_words, or_words,
-     minus, separator) = _encoder_tables()
+    pow10, pow10_lo, group_words, group_base, or_words = _encoder_tables()
     if work is None:
         work = np.empty((2, x.size, WORDS), np.uint64)
     words, part = work[:, : x.size]
@@ -216,32 +230,32 @@ def _encode_9g(
     carry = r >= 1e9  # 999999999.5 and up round to 1.00000000e(e+1)
     e += carry
     r[carry] = 1e8
-    r[zero] = 0.0  # every group stripped: or_words writes the "0"
-    lo = r.astype(np.intp).ravel()  # the groups are split off in place
-    mid = lo // 1000
-    hi = mid // 1000
+    r[zero] = 0.0  # a zero's hi group keeps its one "0", before the point
+    groups = np.empty((3, x.size), np.intp)
+    hi, mid, lo = groups
+    lo[...] = r.ravel()  # the groups are split off in place
+    np.floor_divide(lo, 1000, out=mid)
+    np.floor_divide(mid, 1000, out=hi)
     lo -= mid * 1000
     mid -= hi * 1000
     lo += 1000  # the last group's row is always a stripped one
     mid += (lo == 1000) * 1000  # a group's stripped row follows a stripped 0
     hi += (mid == 1000) * 1000
-    zeros = stripped_zeros.take(hi) + stripped_zeros.take(mid)
-    zeros += stripped_zeros.take(lo)
+    e = e.ravel() - _E_MIN
+    groups += group_base.take(e, axis=1)  # each group's block at this e
+    e += np.signbit(x.ravel()) * (_E_MAX - _E_MIN + 1)  # the rows with a sign
     # every row index is in range by construction, which mode="clip" takes
     # for granted: it skips the bounds check and writes to out= directly
-    or_words.take((e.ravel() - _E_MIN) * 10 + zeros, axis=0, out=words, mode="clip")
-    for table, group in ((hi_words, hi), (mid_words, mid), (lo_words, lo)):
-        table.take(group, axis=0, out=part, mode="clip")
+    or_words.take(e, axis=0, out=words, mode="clip")
+    for group in groups:
+        group_words.take(group, axis=0, out=part, mode="clip")
         words |= part
-    words[:, 0] |= np.signbit(x.ravel()) * minus
-    dest = fields.view(np.uint64)
-    words[:, -1] |= (dest[..., -1] & separator).ravel()
-    dest[...] = words.reshape(dest.shape)
+    item = f"V{FIELD}"  # 16-byte items copy as fast unaligned as aligned
+    fields.view(item)[...] = words.view(item).reshape(fields.shape[:-1] + (1,))
     if by_fmt.any():
         where = np.nonzero(by_fmt)
-        text = np.array([fmt(v) for v in x[where].tolist()], f"S{FIELD - 1}")
-        text = text.view(np.uint8).reshape(-1, FIELD - 1)
-        fields[where + (slice(FIELD - 1),)] = text
+        text = np.array([fmt(v) for v in x[where].tolist()], f"S{FIELD}")
+        fields[where] = text.view(np.uint8).reshape(-1, FIELD)
 
 
 def _tie_side(a, hi, lo, tie):
@@ -484,15 +498,16 @@ def _envelope_csv(outdir: Path, envelopes: dict) -> None:
     """Write each ``file name -> Envelope`` as ``t_s,re,im`` lines, all together.
 
     The envelopes share one grid. Each block of ``ENVELOPE_BLOCK`` lines is
-    one array of ``t,re,im`` rows of :func:`_encode_9g` fields: the time
-    column is encoded once and kept for every file, each file's re and im
-    columns are encoded over the last file's, and the block is written
-    without its NULs. Every call of the encoder builds its words in one work
-    array, allocated here. Every value reads as :func:`fmt` writes it.
+    one array of ``t,re,im`` rows, each column a :func:`_encode_9g` field
+    and the separator after it, set once per dump: the time column is
+    encoded once and kept for every file, each file's re and im columns
+    are encoded over the last file's, and the block is written without its
+    NULs. Every call of the encoder builds its words in one work array,
+    allocated here. Every value reads as :func:`fmt` writes it.
     """
     t = next(iter(envelopes.values())).grid.time_axis
-    rows = np.zeros((min(ENVELOPE_BLOCK, t.size), 3, FIELD), np.uint8)
-    rows[:, :, -1] = np.frombuffer(b",,\n", np.uint8)
+    rows = np.zeros((min(ENVELOPE_BLOCK, t.size), 3, FIELD + 1), np.uint8)
+    rows[:, :, FIELD] = np.frombuffer(b",,\n", np.uint8)
     work = np.empty((2, 2 * len(rows), WORDS), np.uint64)  # fits re and im
     with contextlib.ExitStack() as stack:
         files = []
@@ -503,9 +518,9 @@ def _envelope_csv(outdir: Path, envelopes: dict) -> None:
         for lo in range(0, t.size, ENVELOPE_BLOCK):
             hi = lo + ENVELOPE_BLOCK
             block = rows[: t.size - lo]
-            _encode_9g(t[lo:hi], block[:, 0], work)
+            _encode_9g(t[lo:hi], block[:, 0, :FIELD], work)
             for handle, re_im in files:
-                _encode_9g(re_im[lo:hi], block[:, 1:], work)
+                _encode_9g(re_im[lo:hi], block[:, 1:, :FIELD], work)
                 handle.write(block.tobytes().translate(None, b"\0"))
 
 

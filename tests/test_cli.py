@@ -815,8 +815,10 @@ class TestPropagate:
         # values the encoder hands to fmt (beyond 1e290 or below 1e-290, or
         # exactly on a 9-digit rounding tie, such as 2**-13 = 1.220703125e-4)
         # on the first, a middle and the last row of one block and on both
-        # ends of the next; zeros are encoded without fmt
-        n = 2 * ENVELOPE_BLOCK
+        # ends of others; zeros are encoded without fmt. The longest fields,
+        # 16 characters from the encoder and from fmt, sit on the last row
+        # of the second block and the first of the third
+        n = 4 * ENVELOPE_BLOCK
         rng = np.random.default_rng(7)
         samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         planted = {
@@ -824,6 +826,8 @@ class TestPropagate:
             ENVELOPE_BLOCK // 2: complex(123456789.5, -1.220703125e-4),
             ENVELOPE_BLOCK - 1: complex(-1e-300, 6.103515625e-5),
             ENVELOPE_BLOCK: complex(999999999.5, 0.0),
+            2 * ENVELOPE_BLOCK - 1: complex(-1.23456789e-100, -1.23456789e300),
+            2 * ENVELOPE_BLOCK: complex(-4.94065646e-324, -9.87654321e289),
             n - 1: complex(-0.0, -5e290),
         }
         for row, value in planted.items():
@@ -839,12 +843,21 @@ class TestPropagate:
         )
         _envelope_csv(tmp_path, envelopes)
         planted_values = {v for c in planted.values() for v in (c.real, c.imag)}
-        assert planted_values - {0.0} <= set(sent)
+        assert {-1.23456789e300, -4.94065646e-324} <= set(sent)
+        assert not {-1.23456789e-100, -9.87654321e289} & set(sent)
+        assert planted_values - {0.0, -1.23456789e-100, -9.87654321e289} <= set(sent)
         for name, e in envelopes.items():
             t, s = e.grid.time_axis, e.samples
             expected = "t_s,re,im\n" + "".join(
                 f"{t[i]:.9g},{s[i].real:.9g},{s[i].imag:.9g}\n" for i in range(n)
             )
+            lines = (tmp_path / name).read_bytes().split(b"\n")
+            for row in (2 * ENVELOPE_BLOCK - 1, 2 * ENVELOPE_BLOCK):
+                # a separator overwritten by a field would merge or split columns
+                _, *re_im = lines[1 + row].split(b",")
+                assert re_im == [
+                    format(v, ".9g").encode() for v in (s[row].real, s[row].imag)
+                ], (name, row)
             assert (tmp_path / name).read_bytes() == expected.encode("utf-8"), name
 
     @pytest.mark.parametrize("k_max", [50, 60])
@@ -992,12 +1005,36 @@ _DOUBLES = st.one_of(
 )
 
 
+_SIGNED_DOUBLES = st.builds(math.copysign, _DOUBLES, st.sampled_from([1, -1]))
+
+
 @settings(max_examples=1000, deadline=None)
-@given(values=st.lists(st.builds(math.copysign, _DOUBLES, st.sampled_from([1, -1]))))
+@given(values=st.lists(_SIGNED_DOUBLES))
 @example(values=[0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.5, 999999999.5])
 @example(values=[100.0, 1500.0, 1e8, 120000000.0, 0.001])
 def test_encoder_writes_format_9g_bytes(values):
     assert _encoded(values) == [format(v, ".9g").encode() for v in values]
+
+
+_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
+_TIME_FIELD = np.frombuffer(b"0123456789abcdef", np.uint8)  # no NUL to hide a write
+
+
+def _strided_block(n_rows: int) -> np.ndarray:
+    """A t,re,im block as _envelope_csv lays it out: each field, then its separator."""
+    block = np.zeros((n_rows, 3, FIELD + 1), np.uint8)
+    block[:, :, FIELD] = _SEPARATORS
+    block[:, 0, :FIELD] = _TIME_FIELD
+    return block
+
+
+def _check_strided_block(block: np.ndarray, x: np.ndarray) -> None:
+    """The re/im fields of ``block`` hold format(x, ".9g"), the rest is untouched."""
+    assert (block[:, :, FIELD] == _SEPARATORS).all()
+    assert (block[:, 0, :FIELD] == _TIME_FIELD).all()
+    fields = block[:, 1:, :FIELD].reshape(-1, FIELD)
+    encoded = [row.tobytes().translate(None, b"\0") for row in fields]
+    assert encoded == [format(v, ".9g").encode() for v in x.ravel().tolist()]
 
 
 @pytest.mark.parametrize("n_rows", [1, ENVELOPE_BLOCK])
@@ -1006,22 +1043,38 @@ def test_encoder_fills_a_strided_block(n_rows):
     # through the block's view, with one work array reused from call to call
     rng = np.random.default_rng(n_rows)
     x = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-120, 120, (n_rows, 2))
-    planted = [-0.0, 1500.0, 1e8, -0.001, 2.5e-300, 123456789.5, 0.0, -1e-100]
+    planted = [-1.23456789e-100, -1.23456789e300, -0.0, 1500.0, 1e8, -0.001, 2.5e-300,
+               123456789.5, 0.0, -1e-100]
     x.flat[: len(planted)] = planted[: x.size]  # fmt's values and zeros among them
-    separators = np.frombuffer(b",,\n", np.uint8)
-    block = np.zeros((n_rows, 3, FIELD), np.uint8)
-    block[:, :, -1] = separators
+    # 16-character fields, from the encoder and from fmt, on the first row
+    # (planted above) and the last: the separators after them must stay
+    x[-1] = -9.87654321e289, -4.94065646e-324
+    block = _strided_block(n_rows)
     work = np.empty((2, 2 * ENVELOPE_BLOCK, WORDS), np.uint64)
-    _encode_9g(-x[::-1], block[:, 1:], work)  # fields and work left over
-    _encode_9g(x, block[:, 1:], work)
+    _encode_9g(-x[::-1], block[:, 1:, :FIELD], work)  # fields and work left over
+    _encode_9g(x, block[:, 1:, :FIELD], work)
     contiguous = np.zeros(x.shape + (FIELD,), np.uint8)
     _encode_9g(x, contiguous)
-    assert (block[:, :, -1] == separators).all()
-    assert not block[:, 0, :-1].any()
-    assert (block[:, 1:, :-1] == contiguous[..., :-1]).all()
-    fields = block[:, 1:, :-1].reshape(-1, FIELD - 1)
-    encoded = [row.tobytes().translate(None, b"\0") for row in fields]
-    assert encoded == [format(v, ".9g").encode() for v in x.ravel().tolist()]
+    assert (block[:, 1:, :FIELD] == contiguous).all()
+    _check_strided_block(block, x)
+
+
+_STRIDED_WORK = np.empty((2, 2 * ENVELOPE_BLOCK, WORDS), np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.tuples(_SIGNED_DOUBLES, _SIGNED_DOUBLES), min_size=1, max_size=ENVELOPE_BLOCK
+    )
+)
+def test_encoder_fills_a_strided_block_with_any_doubles(values):
+    # the 17-byte rows leave every field unaligned; one work array serves
+    # every example, holding the last example's words
+    x = np.array(values)
+    block = _strided_block(len(x))
+    _encode_9g(x, block[:, 1:, :FIELD], _STRIDED_WORK)
+    _check_strided_block(block, x)
 
 
 def _is_exact_tie(v: float) -> bool:
