@@ -19,7 +19,8 @@ The sinc commands run on the sinc's band bins. One :func:`band_reference`
 per run holds the sent band and measures its width; its coarse bounds stand
 in for the coarse transform of any output close enough to it, which the
 stage search's outputs become as K grows, and the widths are the same bits
-either way (:func:`band_intensity_fwhm`).
+either way (:func:`band_intensity_fwhm`). ``propagate`` dumps that band's
+inverse transform as its input envelope.
 """
 
 import contextlib
@@ -53,7 +54,6 @@ from .signal import (
     check_wraparound,
     make_gaussian_pulse,
     make_sinc_band,
-    make_sinc_pulse,
 )
 
 REGION_CSV_HEADER = "B_hz,z_max_m,alpha,beta2_si"
@@ -122,14 +122,15 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
     - ``pow10``: 10**k at index k + 300 for k in [-300, 300], each correctly
       rounded (numpy's power is not), and ``pow10_lo``: the rest 10**k - hi,
       correctly rounded, so that the pair holds 10**k to about 2**-106;
-    - ``group_words``: 18 blocks of 2000 rows, six placements of each
-      3-digit group (hi, mid, lo). A placement sets the slots of the
+    - ``group_words``: 16 blocks, one per placement of each 3-digit group
+      (hi, mid, lo) that a value reaches. A placement sets the slots of the
       group's digits and whether the point is the group's to write: 0 to 3
       of its digits before the point, or all of them after a lead. Row j
       of a block holds group value j, and row j + 1000 the same without
       the trailing zeros after the point, for a group whose later groups
-      are all zero (always, for lo). A row that keeps a digit after the
-      point also holds the point, if it lies in or just before the group;
+      are all zero; lo's blocks hold only these, at rows j. A row that
+      keeps a digit after the point also holds the point, if it lies in or
+      just before the group;
     - ``group_base``: row g, column e - _E_MIN holds the first row of the
       block of group g at decimal exponent e;
     - ``or_words``: row ``(e - _E_MIN) + 581 * s`` holds the sign (s = 1
@@ -151,20 +152,25 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
     # point (the point is the group's), 4 where all 3 do, 5 after a lead
     group = np.arange(3)[:, None]
     ahead = np.minimum(np.maximum(point_after + 1 - 3 * group, -1), 3)  # digits before it
-    group_base = (group * 6 + np.where(point_after < 0, 5, ahead + 1)) * 2000
-    # the hi group's placements; mid's and lo's are the same 3 and 6 slots on
-    hi_rows = np.zeros((6, 2000, FIELD), np.uint8)
+    # the blocks a value reaches: hi's placements 2 to 5 (it has a digit before
+    # the point or follows a lead), mid's six, and lo's stripped rows alone
+    sizes = np.array([[0, 0] + [2000] * 4, [2000] * 6, [1000] * 6])
+    block_start = (np.cumsum(sizes) - sizes.ravel()).reshape(3, 6)
+    group_base = block_start[group, np.where(point_after < 0, 5, ahead + 1)]
+    group_rows = np.zeros((sizes.sum(), FIELD), np.uint8)
     i = np.arange(3)
     for p, before in enumerate([0, 0, 1, 2, 3, 0]):  # its digits before the point
+        # the hi group's rows; mid's and lo's are the same 3 and 6 slots on
+        rows = np.zeros((2000, FIELD), np.uint8)
         kept = np.maximum(nonzero, before)[:, None]
         slots = 6 + i if p == 5 else 1 + i + (i >= before)
-        hi_rows[p][:, slots] = np.where(i < kept, digits, 0)
+        rows[:, slots] = np.where(i < kept, digits, 0)
         if 1 <= p <= 3:  # the point is the group's
-            hi_rows[p, :, 1 + before] = (kept[:, 0] > before) * ord(".")
-    group_rows = np.zeros((3, 6, 2000, FIELD), np.uint8)
-    for g in range(3):
-        group_rows[g, ..., 3 * g :] = hi_rows[..., : FIELD - 3 * g]
-    group_words = _words(group_rows.reshape(-1, FIELD))
+            rows[:, 1 + before] = (kept[:, 0] > before) * ord(".")
+        for g in range(3):  # a 1000-row block holds the last 1000, the stripped rows
+            block = group_rows[block_start[g, p] :][: sizes[g, p]]
+            block[:, 3 * g :] = rows[2000 - len(block) :, : FIELD - 3 * g]
+    group_words = _words(group_rows)
     text = np.zeros((2, e.size, FIELD), np.uint8)
     lead = [("0." + "0" * (-v - 1)) if -4 <= v < 0 else "" for v in e.tolist()]
     expo = ["" if f else f"e{v:+03d}" for v, f in zip(e.tolist(), fixed)]
@@ -238,8 +244,7 @@ def _encode_9g(
     np.floor_divide(mid, 1000, out=hi)
     lo -= mid * 1000
     mid -= hi * 1000
-    lo += 1000  # the last group's row is always a stripped one
-    mid += (lo == 1000) * 1000  # a group's stripped row follows a stripped 0
+    mid += (lo == 0) * 1000  # a group's stripped row follows a stripped 0
     hi += (mid == 1000) * 1000
     e = e.ravel() - _E_MIN
     groups += group_base.take(e, axis=1)  # each group's block at this e
@@ -524,37 +529,37 @@ def _envelope_csv(outdir: Path, envelopes: dict) -> None:
                 handle.write(block.tobytes().translate(None, b"\0"))
 
 
-def _sinc_envelopes(cfg: ExperimentConfig, fiber: FiberParams, spec) -> dict:
-    """The dispersed and, unless ``spec`` is None, compensated sinc, on its band bins.
+def _sinc_envelopes(sent: BandReference, fiber: FiberParams, spec) -> dict:
+    """The sent, dispersed and, unless ``spec`` is None, compensated sinc.
 
-    The sent band is :func:`make_sinc_band`, propagated and guarded by
-    :func:`_propagate_band`; the compensated band is the received one times
-    :func:`stage_responses` of the one K. Only the last step leaves the
-    band: each envelope is the N-point inverse transform of its band
-    (:func:`band_samples`). No bin outside the band holds rounding noise
-    for the cascade to amplify, whatever K.
+    ``sent`` is the :func:`band_reference` of the sent band, propagated and
+    guarded by :func:`_propagate_band`; the compensated band is the received
+    one times :func:`stage_responses` of the one K. Only the last step
+    leaves the band: each envelope is the N-point inverse transform of its
+    band (:func:`band_samples`). No bin outside the band holds rounding
+    noise for the cascade to amplify, whatever K.
     """
-    grid = _grid(cfg)
-    sent = band_reference(grid, make_sinc_band(grid, cfg.pulse_width_s))
     rx_band, h_pcf = _propagate_band(sent, fiber, spec)
-    bands = {"envelope_dispersed.csv": rx_band}
+    bands = {"envelope_input.csv": sent.band, "envelope_dispersed.csv": rx_band}
     if spec is not None:
         [response] = stage_responses(spec.subsystem, h_pcf, [spec.k_stages])
         bands["envelope_compensated.csv"] = rx_band * response
+    grid = sent.grid
     return {name: Envelope(grid, band_samples(grid, b)) for name, b in bands.items()}
 
 
 def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     """Dump the envelopes before/after the fiber (and compensator), all or none.
 
-    A sinc is propagated on its band bins (:func:`_sinc_envelopes`), a
-    gaussian, which has no band, on the full grid (:func:`propagate` and
-    :func:`compensate`). The input envelope is the full-grid pulse either way.
+    A sinc is built once, as its band (:func:`make_sinc_band`), and propagated
+    on its bins (:func:`_sinc_envelopes`); a gaussian, which has no band, on
+    the full grid (:func:`propagate` and :func:`compensate`).
     """
     if cfg.z_m is None:
         raise ConfigError("fiber.z_km is required for the propagate command")
-    make_pulse = make_sinc_pulse if cfg.pulse == "sinc" else make_gaussian_pulse
-    tx = make_pulse(_grid(cfg), cfg.pulse_width_s)
+    grid = _grid(cfg)
+    make_sent = make_sinc_band if cfg.pulse == "sinc" else make_gaussian_pulse
+    sent = make_sent(grid, cfg.pulse_width_s)  # a sinc's band, a gaussian's Envelope
     w_sq = (np.pi / cfg.dt_s) * (np.pi / cfg.dt_s)  # the full grid's largest dw**2
     # its responses form beta2 / 2 * dw**2, which may underflow but not overflow
     half_beta2 = max(1.0, abs(cfg.fiber_beta2) / 2, abs(cfg.pcf_beta2 or 0.0) / 2)
@@ -571,11 +576,11 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
         sub = match_pcf(fiber, cfg.pcf_beta2, alpha=cfg.alphas[0])
         spec = CompensatorSpec(sub, cfg.k_list[-1])
         extra = {"compensated": True, "k_stages": cfg.k_list[-1]}
-    envelopes = {"envelope_input.csv": tx}
     if cfg.pulse == "sinc":
-        envelopes.update(_sinc_envelopes(cfg, fiber, spec))
+        envelopes = _sinc_envelopes(band_reference(grid, sent), fiber, spec)
     else:
-        envelopes["envelope_dispersed.csv"] = rx = propagate(tx, fiber)
+        envelopes = {"envelope_input.csv": sent}
+        envelopes["envelope_dispersed.csv"] = rx = propagate(sent, fiber)
         if spec is not None:
             envelopes["envelope_compensated.csv"] = compensate(rx, spec)
     _envelope_csv(outdir, envelopes)

@@ -6,6 +6,8 @@ DC-centered convention: bin k carries the signed baseband offset
 Nyquist bin assigned to the negative side, i.e. the ordering of
 ``numpy.fft.fftfreq``.
 
+A sinc pulse is defined once, by its band (:func:`make_sinc_band`):
+:func:`make_sinc_pulse` is that band's inverse transform (:func:`band_samples`).
 A band-limited envelope can be measured from its band bins alone:
 :func:`band_intensity_fwhm` bounds the intensity between the samples of a
 coarse transform and sums the band directly where the bounds leave the peak
@@ -174,16 +176,11 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
     two-sided baseband bandwidth is B = 2/W, i.e. the spectrum is a flat
     rectangle over |delta_omega| <= pi*B.
 
-    The pulse is synthesized in the frequency domain on the nearest
-    bin-aligned band (half weight on the edge bins), which keeps the
+    The samples are the N-point inverse transform of :func:`make_sinc_band`
+    (:func:`band_samples`), so the pulse has no scale of its own and its
+    transform is the band, with every other bin zero. That keeps the
     out-of-band spectral content at rounding level instead of the ~1e-1
-    leakage a time-truncated sinc would exhibit. The realized bandwidth is
-    quantized to the grid; it is exact whenever the window is an integer
-    multiple of W.
-
-    The samples are the N-point inverse transform of the band of
-    :func:`make_sinc_band` before its unit-peak scale; here the scale is
-    the sampled centre value.
+    leakage a time-truncated sinc would exhibit.
 
     Parameters
     ----------
@@ -191,28 +188,19 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
     zero_to_zero_width : float
         Separation of the two main-lobe nulls, seconds.
     """
-    samples = band_samples(grid, _sinc_band_shape(grid, zero_to_zero_width))
-    samples = samples * (1.0 / samples[grid.n_samples // 2].real)
-    return Envelope(grid, samples)
+    return Envelope(grid, band_samples(grid, make_sinc_band(grid, zero_to_zero_width)))
 
 
 def make_sinc_band(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarray:
-    """The DFT of :func:`make_sinc_pulse` on its band bins, built without the pulse.
+    """The spectrum of the sinc pulse of :func:`make_sinc_pulse` on its band bins.
 
-    The values sit on ``band_bins(n, h)``, h = :func:`sinc_band_bins`, and
-    every other bin of the pulse's spectrum is zero. The unit-peak scale
-    is the centre sample taken as a sum over these bins, so the values
-    match the transform of the sampled pulse to rounding.
+    The values sit on ``band_bins(n, h)``, h = :func:`sinc_band_bins`: the
+    nearest bin-aligned band (half weight on the edge bins) times the phase
+    that centres the pulse on sample N/2. The realized bandwidth is
+    quantized to the grid; it is exact whenever the window is an integer
+    multiple of W. The unit-peak scale is the centre sample taken as a sum
+    over these bins, so the pulse's centre sample is 1 to rounding.
     """
-    shape = _sinc_band_shape(grid, zero_to_zero_width)
-    # at the centre sample n/2 the inverse transform turns bin k by (-1)**k
-    signs = 1.0 - 2.0 * (_band_k(shape.size // 2) % 2)
-    peak = np.dot(shape.real, signs) / grid.n_samples
-    return shape * (1.0 / peak)
-
-
-def _sinc_band_shape(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarray:
-    """Unscaled sinc spectrum on ``band_bins(n, h)``: weights times centring phase."""
     w = zero_to_zero_width
     if not (np.isfinite(w) and w > 0):
         raise ValueError("zero_to_zero_width must be positive")
@@ -225,7 +213,11 @@ def _sinc_band_shape(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarr
     weights = np.ones(2 * h + 1)
     weights[[h, h + 1]] = 0.5  # the edge bins +h and -h
     t_c = (grid.n_samples // 2) * grid.dt
-    return weights * np.exp(-1j * band_offsets(grid, h) * t_c)
+    shape = weights * np.exp(-1j * band_offsets(grid, h) * t_c)
+    # at the centre sample n/2 the inverse transform turns bin k by (-1)**k
+    signs = 1.0 - 2.0 * (_band_k(h) % 2)
+    peak = np.dot(shape.real, signs) / grid.n_samples
+    return shape * (1.0 / peak)
 
 
 def sinc_band_bins(grid: FrequencyGrid, zero_to_zero_width: float) -> int:
@@ -271,8 +263,15 @@ def band_samples(grid: FrequencyGrid, band: np.ndarray) -> np.ndarray:
     :func:`band_intensity_fwhm`; the result is the N-point inverse transform
     of the zero-padded spectrum, in a new array.
     """
-    spectrum = np.zeros(grid.n_samples, np.complex128)
-    spectrum[band_bins(grid.n_samples, band.size // 2)] = band
+    return _padded_ifft(band, grid.n_samples)
+
+
+def _padded_ifft(band: np.ndarray, m: int) -> np.ndarray:
+    """The m-point inverse transform of ``band`` on its bins, zero elsewhere."""
+    h = band.size // 2
+    spectrum = np.zeros(m, np.complex128)
+    spectrum[: h + 1] = band[: h + 1]
+    spectrum[m - h :] = band[h + 1 :]
     return ifft(spectrum)
 
 
@@ -428,12 +427,7 @@ def _coarse_size(grid: FrequencyGrid, band: np.ndarray) -> int:
 
 def _coarse_intensity(band: np.ndarray, n: int, m: int) -> np.ndarray:
     """|s|^2 at the samples 0, r, 2r, ... (r = n/m), by an m-point inverse transform."""
-    h = band.size // 2
-    coarse = np.zeros(m, np.complex128)
-    scale = m / n  # a power of two: exact
-    np.multiply(band[: h + 1], scale, out=coarse[: h + 1])
-    np.multiply(band[h + 1 :], scale, out=coarse[m - h :])
-    return np.abs(ifft(coarse)) ** 2
+    return np.abs(_padded_ifft(band * (m / n), m)) ** 2  # m/n is a power of two: exact
 
 
 def _slack(peak: float, h: int, m: int) -> float:

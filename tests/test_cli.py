@@ -43,6 +43,7 @@ from dispersim.signal import (
     WraparoundError,
     band_intensity_fwhm,
     band_offsets,
+    band_reference,
     band_samples,
     intensity_fwhm,
     make_gaussian_pulse,
@@ -639,7 +640,7 @@ def test_runners_never_leave_the_band(tmp_path, monkeypatch, command):
         raise AssertionError("an N-point pulse, spectrum or axis was built")
 
     for name in (
-        "experiments.make_sinc_pulse",
+        "signal.make_sinc_pulse",
         "experiments.propagate",
         "experiments.compensate",
         "signal.fft",
@@ -665,20 +666,25 @@ def test_runners_never_leave_the_band(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize("command", ["sweep-k", "scenario", "propagate"])
 def test_sent_band_is_built_and_measured_once_per_run(tmp_path, monkeypatch, command):
     # sweep-k over 3 xi x 2 alpha, scenario and a sinc propagate each build
-    # one sent band and one band_reference, which every span shares
+    # one grid, one sent band and one band_reference, which every span
+    # shares; propagate's input envelope is that band's transform, so no
+    # make_sinc_pulse synthesizes the band again
     spies = {
         name: mock.Mock(wraps=getattr(experiments, name))
-        for name in ("make_sinc_band", "band_reference")
+        for name in ("_grid", "make_sinc_band", "band_reference")
     }
     for name, spy in spies.items():
         monkeypatch.setattr(experiments, name, spy)
+    # the band make_sinc_pulse would build counts as a synthesis too
+    monkeypatch.setattr(signal_module, "make_sinc_band", spies["make_sinc_band"])
     if command == "sweep-k":
         doc = sweep_doc([0.5, 1.0, 2.0], [0.5, 1.0], n_samples=16384)
     else:
         doc = scenario_doc(n_samples=16384)
     config = write_config(tmp_path, doc)
     assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 0
-    assert [spy.call_count for spy in spies.values()] == [1, 1]
+    counts = {name: spy.call_count for name, spy in spies.items()}
+    assert counts == dict.fromkeys(spies, 1)
 
 
 def test_scenario_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -914,17 +920,23 @@ def test_sinc_band_envelopes_match_the_full_grid(
     cfg = parse_config(doc)
     fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
     spec = CompensatorSpec(match_pcf(fiber, cfg.pcf_beta2, alpha=alpha), k_max)
+    grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
+    sent = band_reference(grid, make_sinc_band(grid, cfg.pulse_width_s))
+    tx = sent_pulse(cfg)
     try:
-        rx = propagate(sent_pulse(cfg), fiber)
+        rx = propagate(tx, fiber)
         full = {
+            "envelope_input.csv": tx,
             "envelope_dispersed.csv": rx,
             "envelope_compensated.csv": compensate(rx, spec),
         }
     except WraparoundError:
         with pytest.raises(WraparoundError):
-            _sinc_envelopes(cfg, fiber, spec)
+            _sinc_envelopes(sent, fiber, spec)
         return
-    for name, e in _sinc_envelopes(cfg, fiber, spec).items():
+    envelopes = _sinc_envelopes(sent, fiber, spec)
+    assert envelopes.keys() == full.keys()
+    for name, e in envelopes.items():
         peak = np.abs(full[name].samples).max()
         assert np.abs(e.samples - full[name].samples).max() <= 1e-12 * peak, name
 

@@ -38,6 +38,7 @@ from dispersim.signal import (
     band_intensity_fwhm,
     band_offsets,
     band_reference,
+    band_samples,
     ifft,
     make_sinc_band,
     sinc_band_bins,
@@ -250,15 +251,16 @@ def sinc_grid(n, window_factor, width=2 / 3e9):
 
 
 class TestSincBand:
-    """make_sinc_band against the transform of the sampled make_sinc_pulse."""
+    """make_sinc_pulse as the inverse transform of make_sinc_band."""
 
     width = 2 / 3e9
 
     @pytest.mark.parametrize(
         "n, window_factor",
-        [(256, 8.0), (1024, 50.5), (4096, 127.3), (16384, 64.0), (65536, 100.25)],
+        [(256, 8.0), (1024, 16.0), (4096, 128.0), (16384, 64.0), (65536, 32.0)],
     )
     def test_pulse_keeps_its_bits(self, n, window_factor):
+        # h = window_factor is a power of two, so is the band's unit-peak scale
         grid = sinc_grid(n, window_factor)
         got = make_sinc_pulse(grid, self.width).samples
         want = frozen_sinc_pulse(grid, self.width)
@@ -268,7 +270,9 @@ class TestSincBand:
     @given(
         n=st.sampled_from([2**p for p in range(8, 17)]),
         window_factor=st.one_of(
-            st.integers(8, 128).map(float), st.floats(8.0, 128.0)
+            st.sampled_from([8.0, 16.0, 32.0, 64.0, 128.0]),
+            st.integers(8, 128).map(float),
+            st.floats(8.0, 128.0),
         ),
     )
     def test_band_is_the_pulse_spectrum(self, n, window_factor):
@@ -279,15 +283,23 @@ class TestSincBand:
             with pytest.raises(WindowError, match=str(exc)):
                 make_sinc_band(grid, self.width)
             return
-        np.testing.assert_array_equal(
-            pulse.samples.view(np.int64),
-            frozen_sinc_pulse(grid, self.width).view(np.int64),
-        )
         band = make_sinc_band(grid, self.width)
         h = band.size // 2
         assert h == sinc_band_bins(grid, self.width)
+        samples = pulse.samples
+        np.testing.assert_array_equal(
+            samples.view(np.int64), band_samples(grid, band).view(np.int64)
+        )
+        # the full-grid formula scaled by its own centre sample: the same bits
+        # where h, and so the scale, is a power of two, rounding elsewhere
+        frozen = frozen_sinc_pulse(grid, self.width)
+        if h & (h - 1) == 0:
+            np.testing.assert_array_equal(samples.view(np.int64), frozen.view(np.int64))
+        else:
+            assert np.abs(samples - frozen).max() <= 1e-15 * np.abs(frozen).max()
+        assert abs(samples[n // 2] - 1.0) <= 1e-15
         bins = band_bins(n, h)
-        spectrum = fft(pulse.samples)
+        spectrum = fft(samples)
         assert np.max(np.abs(band - spectrum[bins])) <= 1e-14 * np.max(np.abs(spectrum))
         np.testing.assert_array_equal(
             band_offsets(grid, h).view(np.int64), grid.delta_omega[bins].view(np.int64)
