@@ -16,11 +16,12 @@ emits a ``meta.json`` holding the raw configuration, its SI resolution and
 the pulse-width metric in use.
 
 The sinc commands run on the sinc's band bins. One :func:`band_reference`
-per run holds the sent band and measures its width; its coarse bounds stand
-in for the coarse transform of any output close enough to it, which the
-stage search's outputs become as K grows, and the widths are the same bits
-either way (:func:`band_intensity_fwhm`). ``propagate`` dumps that band's
-inverse transform as its input envelope.
+per run holds the sent band, checks its size and measures its width; every
+band of the run is measured through it, ``band_intensity_fwhm(sent, band)``,
+and its coarse bounds stand in for the coarse transform of any output close
+enough to it, which the stage search's outputs become as K grows, with the
+same bits either way. ``propagate`` dumps that band's inverse transform as
+its input envelope, writing the arrays the run built (:func:`_envelope_csv`).
 """
 
 import contextlib
@@ -43,12 +44,10 @@ from .config import ConfigError, ExperimentConfig, require_normal
 from .convergence import dispersion_strength, edge_error, span_length, stable, z_max
 from .fiber import FiberParams, dispersion_response, propagate
 from .signal import (
-    Envelope,
     FrequencyGrid,
     WIDTH_METRIC,
     BandReference,
     band_intensity_fwhm,
-    band_offsets,
     band_reference,
     band_samples,
     check_wraparound,
@@ -351,13 +350,12 @@ def _propagate_band(sent: BandReference, fiber: FiberParams, spec):
     with a :class:`CompensatorSpec`, the K stages', on the received one
     (:func:`compensate`). Where ``spec`` is None the pcf response is too.
     """
-    grid, tx_band = sent.grid, sent.band
-    offsets = band_offsets(grid, tx_band.size // 2)
+    grid, tx_band, offsets = sent.grid, sent.band, sent.offsets
     check_wraparound(grid, offsets, tx_band, sent.width, fiber.beta2 * fiber.length_m)
     rx_band = tx_band * dispersion_response(fiber, offsets)
     if spec is None:
         return rx_band, None
-    rx_width = band_intensity_fwhm(grid, rx_band, sent)
+    rx_width = band_intensity_fwhm(sent, rx_band)
     check_wraparound(grid, offsets, rx_band, rx_width, spec.stage_gvd)
     return rx_band, dispersion_response(spec.subsystem.pcf, offsets)
 
@@ -389,7 +387,7 @@ def _stage_search(cfg: ExperimentConfig, sent: BandReference, z_m, alphas):
                 spec = CompensatorSpec(sub, cfg.k_list[-1])
                 rx_band, h_pcf = _propagate_band(sent, fiber, spec)
             factors = [
-                band_intensity_fwhm(sent.grid, rx_band * response, sent) / sent.width
+                band_intensity_fwhm(sent, rx_band * response) / sent.width
                 for response in stage_responses(sub, h_pcf, cfg.k_list)
             ]
         worst = edge_error(alpha, beta2, bandwidth, z_m)
@@ -499,27 +497,28 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def _envelope_csv(outdir: Path, envelopes: dict) -> None:
-    """Write each ``file name -> Envelope`` as ``t_s,re,im`` lines, all together.
+def _envelope_csv(outdir: Path, grid: FrequencyGrid, envelopes: dict) -> None:
+    """Write each ``file name -> samples`` as ``t_s,re,im`` lines, all together.
 
-    The envelopes share one grid. Each block of ``ENVELOPE_BLOCK`` lines is
-    one array of ``t,re,im`` rows, each column a :func:`_encode_9g` field
-    and the separator after it, set once per dump: the time column is
-    encoded once and kept for every file, each file's re and im columns
-    are encoded over the last file's, and the block is written without its
-    NULs. Every call of the encoder builds its words in one work array,
-    allocated here. Every value reads as :func:`fmt` writes it.
+    The samples are complex128 arrays on ``grid``'s time axis. Each block
+    of ``ENVELOPE_BLOCK`` lines is one array of ``t,re,im`` rows, each
+    column a :func:`_encode_9g` field and the separator after it, set once
+    per dump: the time column is encoded once and kept for every file, each
+    file's re and im columns are encoded over the last file's, and the
+    block is written without its NULs. Every call of the encoder builds its
+    words in one work array, allocated here. Every value reads as
+    :func:`fmt` writes it.
     """
-    t = next(iter(envelopes.values())).grid.time_axis
+    t = grid.time_axis
     rows = np.zeros((min(ENVELOPE_BLOCK, t.size), 3, FIELD + 1), np.uint8)
     rows[:, :, FIELD] = np.frombuffer(b",,\n", np.uint8)
     work = np.empty((2, 2 * len(rows), WORDS), np.uint64)  # fits re and im
     with contextlib.ExitStack() as stack:
         files = []
-        for name, e in envelopes.items():
+        for name, samples in envelopes.items():
             handle = stack.enter_context((outdir / name).open("wb"))
             handle.write(ENVELOPE_CSV_HEADER.encode() + b"\n")
-            files.append((handle, e.samples.view(np.float64).reshape(-1, 2)))
+            files.append((handle, samples.view(np.float64).reshape(-1, 2)))
         for lo in range(0, t.size, ENVELOPE_BLOCK):
             hi = lo + ENVELOPE_BLOCK
             block = rows[: t.size - lo]
@@ -535,17 +534,16 @@ def _sinc_envelopes(sent: BandReference, fiber: FiberParams, spec) -> dict:
     ``sent`` is the :func:`band_reference` of the sent band, propagated and
     guarded by :func:`_propagate_band`; the compensated band is the received
     one times :func:`stage_responses` of the one K. Only the last step
-    leaves the band: each envelope is the N-point inverse transform of its
-    band (:func:`band_samples`). No bin outside the band holds rounding
-    noise for the cascade to amplify, whatever K.
+    leaves the band: each envelope is the samples of :func:`band_samples` of
+    its band. No bin outside the band holds rounding noise for the cascade
+    to amplify, whatever K.
     """
     rx_band, h_pcf = _propagate_band(sent, fiber, spec)
     bands = {"envelope_input.csv": sent.band, "envelope_dispersed.csv": rx_band}
     if spec is not None:
         [response] = stage_responses(spec.subsystem, h_pcf, [spec.k_stages])
         bands["envelope_compensated.csv"] = rx_band * response
-    grid = sent.grid
-    return {name: Envelope(grid, band_samples(grid, b)) for name, b in bands.items()}
+    return {name: band_samples(sent.grid, b) for name, b in bands.items()}
 
 
 def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
@@ -579,10 +577,11 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.pulse == "sinc":
         envelopes = _sinc_envelopes(band_reference(grid, sent), fiber, spec)
     else:
-        envelopes = {"envelope_input.csv": sent}
-        envelopes["envelope_dispersed.csv"] = rx = propagate(sent, fiber)
+        rx = propagate(sent, fiber)
+        envelopes = {"envelope_input.csv": sent.samples}
+        envelopes["envelope_dispersed.csv"] = rx.samples
         if spec is not None:
-            envelopes["envelope_compensated.csv"] = compensate(rx, spec)
-    _envelope_csv(outdir, envelopes)
+            envelopes["envelope_compensated.csv"] = compensate(rx, spec).samples
+    _envelope_csv(outdir, grid, envelopes)
     write_meta(outdir, "propagate", cfg, extra)
     return 0

@@ -9,11 +9,13 @@ Nyquist bin assigned to the negative side, i.e. the ordering of
 A sinc pulse is defined once, by its band (:func:`make_sinc_band`):
 :func:`make_sinc_pulse` is that band's inverse transform (:func:`band_samples`).
 A band-limited envelope can be measured from its band bins alone:
-:func:`band_intensity_fwhm` bounds the intensity between the samples of a
-coarse transform and sums the band directly where the bounds leave the peak
-or a half-maximum crossing open. A :func:`band_reference` measures one
-band: its width, and its coarse bounds, which, widened by a band's L1
-distance from it, bound any band nearby without a transform of its own.
+``band_intensity_fwhm(reference, band)`` bounds the intensity between the
+samples of a coarse transform and sums the band directly where the bounds
+leave the peak or a half-maximum crossing open. The reference, a
+:func:`band_reference` built once for every band it measures, checks the
+band size and the tables of those sums once, measures its own band's width,
+and holds its coarse bounds, which, widened by a band's L1 distance from it,
+bound any band nearby without a transform of its own.
 
 :func:`check_wraparound` is the one window guard, for a whole spectrum at
 ``grid.delta_omega`` and for a band at its :func:`band_offsets` alike: it
@@ -365,15 +367,14 @@ _DISTANCE_MARGIN = 1.0 + 2.0**-20
 _REFERENCE_PEAKS = (2.0**-500, 2.0**500)
 
 
-def band_intensity_fwhm(
-    grid: FrequencyGrid, band: np.ndarray, reference: "BandReference | None" = None
-) -> float:
+def band_intensity_fwhm(reference: "BandReference", band: np.ndarray) -> float:
     """:func:`intensity_fwhm` of an envelope whose spectrum lives on a band.
 
-    ``band`` holds the DFT of the envelope on ``grid`` at the bins |k| <= h,
-    in the order of :func:`band_bins`; every other bin is zero. The width,
-    warning and errors are those of :func:`intensity_fwhm` applied to the
-    inverse transform of the whole spectrum, but no N-point array is built:
+    ``band`` holds the DFT of the envelope on ``reference.grid`` at the bins
+    |k| <= h of the reference's band, in the order of :func:`band_bins`;
+    every other bin is zero. The width, warning and errors are those of
+    :func:`intensity_fwhm` applied to the inverse transform of the whole
+    spectrum, but no N-point array is built:
 
     - an M-point inverse transform of the band gives every (N/M)-th sample,
       with M = :data:`COARSE_PER_BIN` * h rounded up to a power of two and
@@ -384,45 +385,21 @@ def band_intensity_fwhm(
     - direct sums over the band give the samples of those stretches, and
       the linear-interpolation rule runs on them.
 
-    ``reference``, a :func:`band_reference` on the same grid and band size,
-    only saves work: where ``band`` lies close enough to it, its bounds
-    stand in for the coarse grid, and ``band`` needs no transform. The
-    result, warning and errors are the same bits either way.
-
-    Raises :class:`WindowError` where the tables of those sums would exceed
-    :data:`MAX_TABLE_SIZE` values, before allocating them.
+    Where ``band`` lies close enough to the :func:`band_reference`, the
+    reference's bounds stand in for the coarse grid, and ``band`` needs no
+    transform; the result, warning and errors are the same bits either way.
+    A reference of a zero band bounds no band. Raises ValueError for a band
+    of another size, or one that is not finite (:meth:`BandReference.bounds`).
     """
+    grid, m = reference.grid, reference.m
     n = grid.n_samples
-    m = _coarse_size(grid, band)
-    if m == n:
-        return _fwhm(_coarse_intensity(band, n, n), grid.dt)
-    bounds = None if reference is None else reference.bounds(grid, band)
+    bounds = reference.bounds(band)
     if bounds is None:
-        bounds = _chord_bounds(_coarse_intensity(band, n, m), band.size // 2)
+        coarse = _coarse_intensity(band, n, m)
+        if m == n:
+            return _fwhm(coarse, grid.dt)
+        bounds = _chord_bounds(coarse, band.size // 2)
     return _sparse_fwhm(*bounds, _BandSamples(band, n, m), grid.dt)
-
-
-def _coarse_size(grid: FrequencyGrid, band: np.ndarray) -> int:
-    """The size M of the coarse grid of ``band``, once its shape and tables are checked.
-
-    Raises ValueError unless ``band`` has 2h+1 < N bins, and
-    :class:`WindowError` where the tables of :class:`_BandSamples` (the
-    (2h+1) x (N/M + 2) direct sums and the M roots of unity) would exceed
-    :data:`MAX_TABLE_SIZE` values.
-    """
-    n = grid.n_samples
-    h = band.size // 2
-    if band.shape != (2 * h + 1,) or 2 * h + 1 >= n:
-        raise ValueError(f"expected 2h+1 < {n} band bins, got shape {band.shape}")
-    m = min(n, 1 << max(1, (COARSE_PER_BIN * h - 1).bit_length()))
-    r = n // m
-    if m < n and band.size * (r + 2) + m > MAX_TABLE_SIZE:
-        raise WindowError(
-            f"time step too fine: cannot allocate the width metric's "
-            f"{band.size}x{r + 2} table of direct sums and {m} roots of unity "
-            f"(at most {MAX_TABLE_SIZE} values); use fewer samples"
-        )
-    return m
 
 
 def _coarse_intensity(band: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -471,11 +448,13 @@ class BandReference:
     peak. They are used while eps <= ``reach`` = slack / (2*sqrt(peak)),
     b0's :func:`_slack` and coarse peak: there the widened bounds are at most
     about twice as loose as b's own would be. A reference without bounds
-    has reach -inf and bounds no band. Build one with :func:`band_reference`.
+    has reach -inf and bounds no band. ``m`` is the size M of the coarse
+    grid of :func:`band_intensity_fwhm`. Build one with :func:`band_reference`.
     """
 
     grid: FrequencyGrid
     band: np.ndarray
+    m: int
     amplitude_upper: np.ndarray | None
     amplitude_lower: np.ndarray | None
     amplitude_peak: float | None
@@ -484,18 +463,26 @@ class BandReference:
     @cached_property
     def width(self) -> float:
         """:func:`band_intensity_fwhm` of the band, measured on first use."""
-        return band_intensity_fwhm(self.grid, self.band, self)
+        return band_intensity_fwhm(self, self.band)
 
-    def bounds(self, grid: FrequencyGrid, band: np.ndarray):
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """:func:`band_offsets` of the band's bins."""
+        return band_offsets(self.grid, self.band.size // 2)
+
+    def bounds(self, band: np.ndarray):
         """The (upper, lower, floor) of :func:`_sparse_fwhm` for ``band``, or None.
 
         eps is widened by a margin for its own rounding; the rounding of the
-        bounds and of the direct sums is inside the slack's factor 2.
+        bounds and of the direct sums is inside the slack's factor 2. Raises
+        ValueError for a band of another size, or one that is not finite.
         """
-        if grid != self.grid or band.shape != self.band.shape:
-            raise ValueError("the reference is for another grid or band size")
-        eps = np.abs(band - self.band).sum() * (_DISTANCE_MARGIN / grid.n_samples)
-        if not eps <= self.reach:  # also for a band that is not finite
+        if band.shape != self.band.shape:
+            raise ValueError(f"expected {self.band.size} band bins, got {band.shape}")
+        eps = np.abs(band - self.band).sum() * (_DISTANCE_MARGIN / self.grid.n_samples)
+        if not eps < np.inf:  # the reference's band is finite
+            raise ValueError("band must be finite")
+        if not eps <= self.reach:
             return None
         upper = (self.amplitude_upper + eps) ** 2
         lower = np.maximum(self.amplitude_lower - eps, 0.0) ** 2
@@ -505,29 +492,39 @@ class BandReference:
 def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference:
     """The :class:`BandReference` of ``band``, from one coarse transform.
 
-    It has no bounds where :func:`band_intensity_fwhm` would measure every
-    sample (M = N) and where the coarse peak lies outside
-    ``_REFERENCE_PEAKS``. Raises as :func:`band_intensity_fwhm` does for the
-    band's shape and tables; the width is measured only when asked for.
+    Raises ValueError unless ``band`` has 2h+1 < N finite bins, and
+    :class:`WindowError` where the tables of :class:`_BandSamples` (the
+    (2h+1) x (N/M + 2) direct sums and the M roots of unity) would exceed
+    :data:`MAX_TABLE_SIZE` values, before allocating anything. The reference
+    has no bounds where :func:`band_intensity_fwhm` measures every sample
+    (M = N) and where the coarse peak lies outside ``_REFERENCE_PEAKS``;
+    its width is measured only when asked for.
     """
     n = grid.n_samples
-    m = _coarse_size(grid, band)
+    h = band.size // 2
+    if band.shape != (2 * h + 1,) or 2 * h + 1 >= n:
+        raise ValueError(f"expected 2h+1 < {n} band bins, got shape {band.shape}")
+    m = min(n, 1 << max(1, (COARSE_PER_BIN * h - 1).bit_length()))
+    r = n // m
+    if m < n and band.size * (r + 2) + m > MAX_TABLE_SIZE:
+        raise WindowError(
+            f"time step too fine: cannot allocate the width metric's "
+            f"{band.size}x{r + 2} table of direct sums and {m} roots of unity "
+            f"(at most {MAX_TABLE_SIZE} values); use fewer samples"
+        )
+    if not np.isfinite(band).all():
+        raise ValueError("band must be finite")
     band = band.copy()
     band.setflags(write=False)
     if m < n:
-        h = band.size // 2
         upper, lower, peak = _chord_bounds(_coarse_intensity(band, n, m), h)
         if _REFERENCE_PEAKS[0] <= peak <= _REFERENCE_PEAKS[1]:
             amplitude_peak = np.sqrt(peak)
             return BandReference(
-                grid,
-                band,
-                np.sqrt(upper),
-                np.sqrt(np.maximum(lower, 0.0)),
-                amplitude_peak,
-                _slack(peak, h, m) / (2.0 * amplitude_peak),
+                grid, band, m, np.sqrt(upper), np.sqrt(np.maximum(lower, 0.0)),
+                amplitude_peak, _slack(peak, h, m) / (2.0 * amplitude_peak),
             )
-    return BandReference(grid, band, None, None, None, -np.inf)
+    return BandReference(grid, band, m, None, None, None, -np.inf)
 
 
 class _BandSamples:

@@ -400,8 +400,8 @@ class TestSweep:
 
     def test_unmeasurable_width_exits_3(self, tmp_path, capsys, monkeypatch):
         # no converged stage search is known to reach the width errors, so the
-        # band width function raises one here, with or without a reference
-        def edge(grid, band, reference=None):
+        # band width function raises one here, for the sent band and the rest
+        def edge(reference, band):
             raise WidthMetricError("half-maximum lobe touches the window edge")
 
         monkeypatch.setattr("dispersim.experiments.band_intensity_fwhm", edge)
@@ -572,9 +572,10 @@ class TestScenario:
         rx_band = tx_band * dispersion_response(fiber, offsets)
         sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
         h_pcf = dispersion_response(sub.pcf, offsets)
-        tx_width = band_intensity_fwhm(grid, tx_band)
+        unbounded = band_reference(grid, np.zeros_like(tx_band))  # bounds no band
+        tx_width = band_intensity_fwhm(unbounded, tx_band)
         want = [
-            band_intensity_fwhm(grid, rx_band * response) / tx_width
+            band_intensity_fwhm(unbounded, rx_band * response) / tx_width
             for response in stage_responses(sub, h_pcf, cfg.k_list)
         ]
         assert [e["broadening_factor"].hex() for e in table] == [w.hex() for w in want]
@@ -685,6 +686,20 @@ def test_sent_band_is_built_and_measured_once_per_run(tmp_path, monkeypatch, com
     assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 0
     counts = {name: spy.call_count for name, spy in spies.items()}
     assert counts == dict.fromkeys(spies, 1)
+
+
+def test_sinc_propagate_builds_no_envelope(tmp_path, monkeypatch):
+    # a sinc propagate dumps the sample arrays it builds from its bands, so
+    # no Envelope copies and checks them again
+    spy = mock.Mock(wraps=signal_module._as_complex_grid_array)
+    monkeypatch.setattr(signal_module, "_as_complex_grid_array", spy)
+    config = write_config(tmp_path, scenario_doc(n_samples=16384))
+    out = tmp_path / "o"
+    assert main(["propagate", "--config", config, "--out", str(out)]) == 0
+    assert (out / "envelope_compensated.csv").exists()
+    assert spy.call_count == 0
+    Envelope(FrequencyGrid(16, 1e-12), np.zeros(16))  # the spy sees an Envelope
+    assert spy.call_count == 1
 
 
 def test_scenario_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -847,7 +862,7 @@ class TestPropagate:
         monkeypatch.setattr(
             "dispersim.experiments.fmt", lambda x: sent.append(x) or format(x, ".9g")
         )
-        _envelope_csv(tmp_path, envelopes)
+        _envelope_csv(tmp_path, grid, {n: e.samples for n, e in envelopes.items()})
         planted_values = {v for c in planted.values() for v in (c.real, c.imag)}
         assert {-1.23456789e300, -4.94065646e-324} <= set(sent)
         assert not {-1.23456789e-100, -9.87654321e289} & set(sent)
@@ -936,9 +951,9 @@ def test_sinc_band_envelopes_match_the_full_grid(
         return
     envelopes = _sinc_envelopes(sent, fiber, spec)
     assert envelopes.keys() == full.keys()
-    for name, e in envelopes.items():
+    for name, samples in envelopes.items():
         peak = np.abs(full[name].samples).max()
-        assert np.abs(e.samples - full[name].samples).max() <= 1e-12 * peak, name
+        assert np.abs(samples - full[name].samples).max() <= 1e-12 * peak, name
 
 
 def _encoded(values) -> list:

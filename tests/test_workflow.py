@@ -1,5 +1,9 @@
-"""The CI workflow's shell steps parse, and so do the Python scripts they run."""
+"""The CI workflow's shell steps parse, and so do the scripts and configs in them.
 
+Every ``python -`` heredoc compiles and every JSON config heredoc loads.
+"""
+
+import json
 import re
 import subprocess
 from pathlib import Path
@@ -26,12 +30,19 @@ def _python_heredocs(script: str) -> list:
     return re.findall(r"^\s*python -[^\n]*<<'EOF'\n(.*?)^EOF$", script, re.M | re.S)
 
 
+def _json_heredocs(script: str) -> list:
+    """The bodies of the ``cat > "$RUNNER_TEMP/*.json" <<'EOF'`` heredocs."""
+    pattern = r"^\s*cat > \"\$RUNNER_TEMP/[^\"]*\.json\" <<'EOF'\n(.*?)^EOF$"
+    return re.findall(pattern, script, re.M | re.S)
+
+
 STEPS = _run_steps()
 
 
 def test_workflow_has_run_steps_and_heredocs():
     assert len(STEPS) >= 5
     assert sum(len(_python_heredocs(script)) for _, script in STEPS) >= 5
+    assert sum(len(_json_heredocs(script)) for _, script in STEPS) >= 5
 
 
 @pytest.mark.parametrize("name, script", STEPS, ids=[name for name, _ in STEPS])
@@ -40,3 +51,5 @@ def test_run_script_parses(name, script):
     assert proc.returncode == 0, proc.stderr
     for body in _python_heredocs(script):
         compile(body, f"{WORKFLOW.name}: {name}", "exec")
+    for body in _json_heredocs(script):
+        json.loads(body)
