@@ -1,5 +1,9 @@
 """Command-line front end.
 
+One parser per process, built on first use. A run command calls its runner by
+name, looked up in this module per call, so a rebound runner (as a tracer's)
+runs. ``--out`` overrides ``output.dir`` and, like it, must not be empty.
+
 Exit codes: 0 when all requested rows were computed, 2 on configuration or
 usage errors (a grid too large to allocate included), 3 when a numerical
 guard (window wraparound, operating point outside the convergence region, a
@@ -9,7 +13,7 @@ pulse width that cannot be measured) aborts the run.
 import argparse
 import math
 import sys
-from functools import partial
+from functools import cache
 from pathlib import Path
 
 from .config import ConfigError, load_config
@@ -27,7 +31,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+#: run command -> (name of its runner in this module, help)
+RUNNERS = {
+    "region": ("run_region", "emit the stability boundary CSV"),
+    "sweep-k": ("run_sweep", "broadening factor vs. stage count CSV"),
+    "scenario": ("run_scenario", "single-link design report JSON"),
+    "propagate": ("run_propagate", "debug envelope dumps as CSV"),
+}
 
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dispersim",
@@ -38,30 +51,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     convert = sub.add_parser("convert", help="convert between D and beta2")
     convert.add_argument("--d", type=float, default=None, help="D in ps/nm/km")
-    convert.add_argument(
-        "--beta2", type=float, default=None, help="beta2 in ps^2/km"
-    )
+    convert.add_argument("--beta2", type=float, default=None, help="beta2 in ps^2/km")
     convert.add_argument(
         "--lambda", dest="lambda0", type=float, default=1.55e-6,
         help="carrier wavelength in meters (default 1.55e-6)",
     )
-    convert.set_defaults(func=_cmd_convert)
 
-    # run_* are looked up per call, not at import, so rebinding them (as a
-    # tracer does) takes effect
-    for name, run, help_text in (
-        ("region", run_region, "emit the stability boundary CSV"),
-        ("sweep-k", run_sweep, "broadening factor vs. stage count CSV"),
-        ("scenario", run_scenario, "single-link design report JSON"),
-        ("propagate", run_propagate, "debug envelope dumps as CSV"),
-    ):
+    for name, (_, help_text) in RUNNERS.items():
         command = sub.add_parser(name, help=help_text)
         command.add_argument("--config", required=True, help="path to the JSON config")
-        command.add_argument(
-            "--out", default=None, help="output directory (overrides config)"
-        )
-        command.set_defaults(func=partial(_cmd_run, run))
-
+        command.add_argument("--out", help="output directory (overrides config)")
     return parser
 
 
@@ -92,21 +91,20 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_run(run, args) -> int:
-    cfg = load_config(args.config)
-    outdir = Path(args.out) if args.out is not None else Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return run(cfg, outdir)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.command == "convert":
+            return _cmd_convert(args)
+        if args.out == "":
+            raise ConfigError("--out must be a non-empty string")
+        cfg = load_config(args.config)
+        outdir = Path(cfg.output_dir if args.out is None else args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        return globals()[RUNNERS[args.command][0]](cfg, outdir)
     except (ConfigError, WindowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

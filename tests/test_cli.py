@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -50,7 +51,7 @@ from dispersim.signal import (
     make_sinc_band,
     make_sinc_pulse,
 )
-from dispersim import experiments, signal as signal_module
+from dispersim import cli, experiments, signal as signal_module
 
 SRC = Path(signal_module.__file__).resolve().parent.parent
 
@@ -158,18 +159,84 @@ class TestConvert:
         assert "ps^2/km" in proc.stdout
 
 
-class TestRegion:
-    def region_doc(self):
-        return {
-            "scenario": "region-test",
-            "fiber": {"beta2_ps2_km": -21.0},
-            "compensator": {"alphas": [1.0, 0.25]},
-            "region": {"bandwidths_hz": [1e9, 3e9, 10e9]},
-            "output": {"dir": "out"},
-        }
+def region_doc():
+    return {
+        "scenario": "region-test",
+        "fiber": {"beta2_ps2_km": -21.0},
+        "compensator": {"alphas": [1.0, 0.25]},
+        "region": {"bandwidths_hz": [1e9, 3e9, 10e9]},
+        "output": {"dir": "out"},
+    }
 
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    assert main(["convert", "--d", "17"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    config = write_config(tmp_path, region_doc())
+    assert main(["region", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert main(["convert", "--d", "17"]) == 0
+    assert main(["sweep-k"]) == 2
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "command, runner",
+    [("region", "run_region"), ("sweep-k", "run_sweep"),
+     ("scenario", "run_scenario"), ("propagate", "run_propagate")],
+)
+def test_run_command_calls_the_runner_bound_in_cli(tmp_path, monkeypatch, command, runner):
+    # a tracer rebinds the runners after the parser exists; its wrapper must run
+    cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, runner, lambda cfg, outdir: calls.append(outdir) or 0)
+    doc = sweep_doc([0.5], [1.0], k_max=1, n_samples=1024)
+    config = write_config(tmp_path, {**doc, "region": {"bandwidths_hz": [1e9]}})
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out)]) == 0
+    assert calls == [out]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["region", "sweep-k"])
+def test_empty_out_exits_2_like_an_empty_output_dir(tmp_path, monkeypatch, capsys, command):
+    doc = sweep_doc([0.5], [1.0], k_max=1, n_samples=1024)
+    doc["region"] = {"bandwidths_hz": [1e9]}
+    config = write_config(tmp_path, doc)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([command, "--config", config, "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: --out must be a non-empty string\n"
+    doc["output"]["dir"] = ""
+    assert main([command, "--config", write_config(tmp_path, doc, "empty.json")]) == 2
+    assert capsys.readouterr().err == "error: output.dir must be a non-empty string\n"
+    assert list(cwd.iterdir()) == []
+
+
+def test_cli_module_entry_point(tmp_path):
+    config = write_config(tmp_path, region_doc())
+    for out, code in ((tmp_path / "o", 0), ("", 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dispersim.cli", "region", "--config", config,
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "o" / "region.csv").is_file()
+    assert proc.stderr.count("error:") == 1
+
+
+class TestRegion:
     def run(self, tmp_path, outname="out"):
-        config = write_config(tmp_path, self.region_doc())
+        config = write_config(tmp_path, region_doc())
         out = tmp_path / outname
         assert main(["region", "--config", config, "--out", str(out)]) == 0
         return (out / "region.csv").read_text(), out
@@ -223,13 +290,13 @@ class TestRegion:
         assert meta["config"]["scenario"] == "region-test"
 
     def test_missing_region_section(self, tmp_path):
-        doc = self.region_doc()
+        doc = region_doc()
         del doc["region"]
         config = write_config(tmp_path, doc)
         assert main(["region", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
     def test_unwritable_output(self, tmp_path, capsys):
-        config = write_config(tmp_path, self.region_doc())
+        config = write_config(tmp_path, region_doc())
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
         rc = main(["region", "--config", config, "--out", str(blocker / "sub")])
