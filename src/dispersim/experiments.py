@@ -17,10 +17,12 @@ the pulse-width metric in use.
 
 The sinc commands run on the sinc's band bins. One :func:`band_reference`
 per run holds the sent band, checks its size and measures its width; every
-band of the run is measured through it, ``band_intensity_fwhm(sent, band)``,
-and its coarse bounds stand in for the coarse transform of any output close
+band of the run is measured through it, ``band_widths(sent, bands)``, and
+its coarse bounds stand in for the coarse transform of any output close
 enough to it, which the stage search's outputs become as K grows, with the
-same bits either way. ``propagate`` dumps that band's inverse transform as
+same bits either way. The stage search hands it the outputs of every K and
+every converging alpha of a span as one stack; the sent and received bands
+are stacks of one. ``propagate`` dumps that band's inverse transform as
 its input envelope, writing the arrays the run built (:func:`_envelope_csv`).
 """
 
@@ -47,9 +49,9 @@ from .signal import (
     FrequencyGrid,
     WIDTH_METRIC,
     BandReference,
-    band_intensity_fwhm,
     band_reference,
     band_samples,
+    band_widths,
     check_wraparound,
     make_gaussian_pulse,
     make_sinc_band,
@@ -355,13 +357,13 @@ def _propagate_band(sent: BandReference, fiber: FiberParams, spec):
     rx_band = tx_band * dispersion_response(fiber, offsets)
     if spec is None:
         return rx_band, None
-    rx_width = band_intensity_fwhm(sent, rx_band)
+    [rx_width] = band_widths(sent, rx_band[None])
     check_wraparound(grid, offsets, rx_band, rx_width, spec.stage_gvd)
     return rx_band, dispersion_response(spec.subsystem.pcf, offsets)
 
 
-def _stage_search(cfg: ExperimentConfig, sent: BandReference, z_m, alphas):
-    """Yield ``(alpha, [Stage per K of cfg.k_list])`` for each alpha on one span.
+def _stage_search(cfg: ExperimentConfig, sent: BandReference, z_m, alphas) -> list:
+    """``(alpha, [Stage per K of cfg.k_list])`` for each alpha on one span.
 
     Everything runs on the bins of the sent sinc's band; no N-point array
     is built. The span is propagated and guarded once
@@ -369,31 +371,36 @@ def _stage_search(cfg: ExperimentConfig, sent: BandReference, z_m, alphas):
     alpha, and never when every alpha diverges; a diverged alpha builds no
     response. The pcf response is built once per span, as the matched
     length does not depend on alpha; then each alpha's
-    :func:`stage_responses` and the width of every K's output. The output
-    spectrum is the one :func:`compensate` forms there, and
-    :func:`band_intensity_fwhm` measures it as :func:`intensity_fwhm` would
-    measure its inverse transform. As K grows the output nears the sent
-    band, and from there on the sent band's reference bounds it, so those
-    widths take no coarse transform.
+    :func:`stage_responses`, and the output of every K, the spectrum
+    :func:`compensate` forms there. The outputs of every converging alpha
+    and K make one stack, which :func:`band_widths` measures through the
+    sent band's reference, each as :func:`intensity_fwhm` would measure its
+    inverse transform. As K grows the outputs near the sent band, and from
+    there on the reference's bounds stand in for their coarse transforms.
     """
     beta2, bandwidth = cfg.fiber_beta2, cfg.bandwidth_hz
     fiber = FiberParams(beta2, z_m)
-    rx_band = None
+    converging = [alpha for alpha in alphas if stable(alpha, beta2, bandwidth, z_m)]
+    outputs = np.empty((len(converging), len(cfg.k_list), sent.band.size), np.complex128)
+    for i, (stack, alpha) in enumerate(zip(outputs, converging)):
+        sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
+        if i == 0:
+            spec = CompensatorSpec(sub, cfg.k_list[-1])
+            rx_band, h_pcf = _propagate_band(sent, fiber, spec)
+        for output, response in zip(stack, stage_responses(sub, h_pcf, cfg.k_list)):
+            np.multiply(rx_band, response, out=output)
+    factors = {}
+    if converging:
+        widths = band_widths(sent, outputs.reshape(-1, sent.band.size)) / sent.width
+        factors = dict(zip(converging, widths.reshape(len(converging), -1).tolist()))
+    searches = []
     for alpha in alphas:
-        factors = [None] * len(cfg.k_list)
-        if stable(alpha, beta2, bandwidth, z_m):
-            sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-            if rx_band is None:
-                spec = CompensatorSpec(sub, cfg.k_list[-1])
-                rx_band, h_pcf = _propagate_band(sent, fiber, spec)
-            factors = [
-                band_intensity_fwhm(sent, rx_band * response) / sent.width
-                for response in stage_responses(sub, h_pcf, cfg.k_list)
-            ]
         worst = edge_error(alpha, beta2, bandwidth, z_m)
-        yield alpha, [
-            Stage(k, factor, worst ** (k + 1)) for k, factor in zip(cfg.k_list, factors)
-        ]
+        stages = zip(cfg.k_list, factors.get(alpha, [None] * len(cfg.k_list)))
+        searches.append(
+            (alpha, [Stage(k, factor, worst ** (k + 1)) for k, factor in stages])
+        )
+    return searches
 
 
 def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:

@@ -8,14 +8,17 @@ Nyquist bin assigned to the negative side, i.e. the ordering of
 
 A sinc pulse is defined once, by its band (:func:`make_sinc_band`):
 :func:`make_sinc_pulse` is that band's inverse transform (:func:`band_samples`).
-A band-limited envelope can be measured from its band bins alone:
-``band_intensity_fwhm(reference, band)`` bounds the intensity between the
-samples of a coarse transform and sums the band directly where the bounds
-leave the peak or a half-maximum crossing open. The reference, a
-:func:`band_reference` built once for every band it measures, checks the
-band size and the tables of those sums once, measures its own band's width,
-and holds its coarse bounds, which, widened by a band's L1 distance from it,
-bound any band nearby without a transform of its own.
+Band-limited envelopes can be measured from their band bins alone, a
+stack of them at a time: ``band_widths(reference, bands)`` bounds each
+intensity between the samples of a coarse transform and sums the band
+directly where the bounds leave the peak or a half-maximum crossing open,
+in one batched pass over the stack; a single band is a stack of one. The
+reference, a :func:`band_reference` built once for every band it measures,
+checks the band size and the tables of those sums once, measures its own
+band's width, and holds its coarse bounds, which, widened by a band's L1
+distance from it, bound any band nearby without a transform of its own.
+:func:`intensity_fwhm` runs the same width rule on every sample of a whole
+envelope.
 
 :func:`check_wraparound` is the one window guard, for a whole spectrum at
 ``grid.delta_omega`` and for a band at its :func:`band_offsets` alike: it
@@ -261,19 +264,22 @@ def band_offsets(grid: FrequencyGrid, h: int) -> np.ndarray:
 def band_samples(grid: FrequencyGrid, band: np.ndarray) -> np.ndarray:
     """The samples on ``grid`` whose DFT is ``band`` on its bins and zero elsewhere.
 
-    ``band`` holds 2h+1 bins in the order of :func:`band_bins`, as in
-    :func:`band_intensity_fwhm`; the result is the N-point inverse transform
+    ``band`` holds 2h+1 bins in the order of :func:`band_bins`, as each band
+    of :func:`band_widths` does; the result is the N-point inverse transform
     of the zero-padded spectrum, in a new array.
     """
     return _padded_ifft(band, grid.n_samples)
 
 
 def _padded_ifft(band: np.ndarray, m: int) -> np.ndarray:
-    """The m-point inverse transform of ``band`` on its bins, zero elsewhere."""
-    h = band.size // 2
-    spectrum = np.zeros(m, np.complex128)
-    spectrum[: h + 1] = band[: h + 1]
-    spectrum[m - h :] = band[h + 1 :]
+    """The m-point inverse transform of ``band`` on its bins, zero elsewhere.
+
+    A stack of bands, one per row of ``band``, gives one transform per row.
+    """
+    h = band.shape[-1] // 2
+    spectrum = np.zeros(band.shape[:-1] + (m,), np.complex128)
+    spectrum[..., : h + 1] = band[..., : h + 1]
+    spectrum[..., m - h :] = band[..., h + 1 :]
     return ifft(spectrum)
 
 
@@ -315,50 +321,91 @@ def intensity_fwhm(e: Envelope) -> float:
     all-zero signal or a lobe on the window edge raises
     :class:`WidthMetricError`.
     """
-    return _fwhm(np.abs(e.samples) ** 2, e.grid.dt)
+    return _report(*_every_sample((np.abs(e.samples) ** 2)[None], e.grid.dt))[0]
 
 
-def _fwhm(intensity: np.ndarray, dt: float) -> float:
-    """:func:`intensity_fwhm` of the sampled intensity ``|s|^2`` with step ``dt``."""
-    peak = intensity.max()
-    if peak == 0:
-        raise WidthMetricError("cannot measure the width of an all-zero signal")
-    half = 0.5 * peak
-    above = np.nonzero(intensity >= half)[0]
-    i_lo, i_hi = above[0], above[-1]
-    one_lobe = above.size == i_hi - i_lo + 1
-    return _crossing_width(
-        half, i_lo, i_hi, one_lobe, intensity.size, dt,
-        lambda: intensity[[i_lo - 1, i_lo, i_hi, i_hi + 1]],
-    )
+#: The errors of the width rule, by the code a band's outcome carries (0: none).
+_NOT_FINITE, _ALL_ZERO, _EDGE = 1, 2, 3
+_ERRORS = {
+    _NOT_FINITE: (ValueError, "band must be finite"),
+    _ALL_ZERO: (WidthMetricError, "cannot measure the width of an all-zero signal"),
+    _EDGE: (WidthMetricError, "half-maximum lobe touches the window edge"),
+}
 
 
-def _crossing_width(half, i_lo, i_hi, one_lobe, n, dt, edges) -> float:
-    """The interpolated width between the outermost samples ``i_lo``/``i_hi``.
+def _report(widths, multi, codes) -> np.ndarray:
+    """The widths of a stack, once its outcomes are reported in stack order.
 
-    ``one_lobe`` is False when a sample between them falls below ``half``.
-    ``edges()`` gives the intensity at i_lo - 1, i_lo, i_hi and i_hi + 1; it
-    is asked only once none of them lies outside the window.
+    ``multi`` flags each band with several lobes above half maximum and
+    ``codes`` its error. The bands are reported as one band at a time
+    would be: a band that is not finite or all zero raises before its lobes
+    are looked at; a band with several lobes warns, and then raises if a
+    lobe touches the window edge. The first error ends the stack.
     """
-    if not one_lobe:
+    errors = np.flatnonzero(codes)
+    end = errors[0] if errors.size else codes.size
+    warned = multi[: end + 1] if end < codes.size and codes[end] == _EDGE else multi[:end]
+    for _ in range(np.count_nonzero(warned)):
         warnings.warn(
             "multiple lobes cross half maximum; using outermost crossings",
-            stacklevel=4,
+            stacklevel=3,
         )
-    if i_lo == 0 or i_hi == n - 1:
-        raise WidthMetricError("half-maximum lobe touches the window edge")
-    out_lo, in_lo, in_hi, out_hi = edges()
+    if end < codes.size:
+        error, message = _ERRORS[codes[end]]
+        raise error(message)
+    return widths
+
+
+def _crossings(half, i_lo, i_hi, one_lobe, n, dt, edges):
+    """The outcomes of a stack from each band's outermost samples >= ``half``.
+
+    Those samples are ``i_lo`` and ``i_hi``, and ``one_lobe`` is False
+    where a sample between them falls below ``half``. ``edges(bands)``
+    gives the intensity at i_lo - 1, i_lo, i_hi and i_hi + 1 of the given
+    bands; it is asked only for bands none of whose samples lie outside the
+    window. Returns the interpolated widths (NaN on the
+    window edge), the multi-lobe flags and the codes of :func:`_report`.
+    """
+    on_edge = (i_lo == 0) | (i_hi == n - 1)
+    ok = np.flatnonzero(~on_edge)
+    out_lo, in_lo, in_hi, out_hi = edges(ok)
+    half, i_lo, i_hi = half[ok], i_lo[ok], i_hi[ok]
     frac_lo = (in_lo - half) / (in_lo - out_lo)
     frac_hi = (in_hi - half) / (in_hi - out_hi)
-    return ((i_hi - i_lo) + frac_lo + frac_hi) * dt
+    widths = np.full(on_edge.size, np.nan)
+    widths[ok] = ((i_hi - i_lo) + frac_lo + frac_hi) * dt
+    return widths, ~one_lobe, np.where(on_edge, _EDGE, 0)
 
 
-#: The coarse grid of :func:`band_intensity_fwhm` has at least this many
-#: samples per band bin (a power of two, capped at the grid size).
+def _every_sample(intensity: np.ndarray, dt: float):
+    """:func:`_crossings` of intensities ``|s|^2``, a band per row, sampled at ``dt``."""
+    n = intensity.shape[1]
+    peak = intensity.max(axis=1)
+    half = 0.5 * peak
+    above = intensity >= half[:, None]
+    i_lo = above.argmax(axis=1)
+    i_hi = n - 1 - above[:, ::-1].argmax(axis=1)
+    one_lobe = np.count_nonzero(above, axis=1) == i_hi - i_lo + 1
+
+    def edges(ok):
+        lo, hi = i_lo[ok], i_hi[ok]
+        return tuple(intensity[ok, i] for i in (lo - 1, lo, hi, hi + 1))
+
+    widths, multi, codes = _crossings(half, i_lo, i_hi, one_lobe, n, dt, edges)
+    codes[peak == 0] = _ALL_ZERO
+    return widths, multi, codes
+
+
+#: The coarse grid of :func:`band_widths` has at least this many samples per
+#: band bin (a power of two, capped at the grid size).
 COARSE_PER_BIN = 64
-#: Largest tables of direct sums band_intensity_fwhm builds, the sums and
-#: the roots of unity together: 1 GiB of complex128.
+#: Largest tables of direct sums band_widths builds, the sums and the roots
+#: of unity together: 1 GiB of complex128.
 MAX_TABLE_SIZE = 2**26
+#: :func:`band_widths` measures a stack in batches of at most this many
+#: coarse samples (bands times M), and at least one band, so that a batch's
+#: coarse transforms and bounds stay at a few MiB however deep the stack.
+BATCH_SAMPLES = 2**18
 #: :class:`BandReference` widens a band's distance by this factor, far more
 #: than the relative rounding of a sum over the 2h+1 < MAX_TABLE_SIZE bins.
 _DISTANCE_MARGIN = 1.0 + 2.0**-20
@@ -367,47 +414,107 @@ _DISTANCE_MARGIN = 1.0 + 2.0**-20
 _REFERENCE_PEAKS = (2.0**-500, 2.0**500)
 
 
-def band_intensity_fwhm(reference: "BandReference", band: np.ndarray) -> float:
-    """:func:`intensity_fwhm` of an envelope whose spectrum lives on a band.
+def band_widths(reference: "BandReference", bands: np.ndarray) -> np.ndarray:
+    """:func:`intensity_fwhm` of each envelope of a stack whose spectra live on a band.
 
-    ``band`` holds the DFT of the envelope on ``reference.grid`` at the bins
-    |k| <= h of the reference's band, in the order of :func:`band_bins`;
-    every other bin is zero. The width, warning and errors are those of
-    :func:`intensity_fwhm` applied to the inverse transform of the whole
-    spectrum, but no N-point array is built:
+    Row i of ``bands`` holds the DFT of an envelope on ``reference.grid`` at
+    the bins |k| <= h of the reference's band, in the order of
+    :func:`band_bins`; every other bin is zero. Each width, and the warnings
+    and the first error of the stack, are those of :func:`intensity_fwhm`
+    applied to the inverse transform of each whole spectrum in turn, but no
+    N-point array is built. Bands with the same bytes are measured once.
+    The stack is measured in batches of :data:`BATCH_SAMPLES`, each in one
+    pass of these steps over all its bands:
 
-    - an M-point inverse transform of the band gives every (N/M)-th sample,
-      with M = :data:`COARSE_PER_BIN` * h rounded up to a power of two and
-      capped at N (where it gives every sample and the rule runs on those);
-    - that coarse grid bounds the intensity between its samples, which
-      leaves a few (N/M)-sample stretches that may hold the peak or a
-      half-maximum crossing;
-    - direct sums over the band give the samples of those stretches, and
-      the linear-interpolation rule runs on them.
+    - the L1 distance of each band from the :func:`band_reference`
+      (:meth:`BandReference.distances`);
+    - bounds on the intensity between the samples of a coarse grid of M =
+      :data:`COARSE_PER_BIN` * h samples, rounded up to a power of two and
+      capped at N, on the coarse intervals that may reach half a band's
+      peak (:func:`_candidates`): for a band close enough to the reference,
+      the reference's bounds widened by the distance; for the others, the
+      chords of their own coarse samples, every (N/M)-th sample, from one
+      inverse transform of all of them (:func:`_chord_bounds`);
+    - the few intervals those bounds leave open, which may hold the peak or
+      a half-maximum crossing;
+    - their samples, as direct sums over the band bins, in stacked products
+      whose rows are each their own product (:class:`_DirectSums`);
+    - the crossings, by the linear-interpolation rule (:func:`_crossings`).
 
-    Where ``band`` lies close enough to the :func:`band_reference`, the
-    reference's bounds stand in for the coarse grid, and ``band`` needs no
-    transform; the result, warning and errors are the same bits either way.
-    A reference of a zero band bounds no band. Raises ValueError for a band
-    of another size, or one that is not finite (:meth:`BandReference.bounds`).
+    Where M = N the coarse grid holds every sample and the rule runs on it
+    (:func:`_every_sample`). Every formula is elementwise over the bands,
+    so a width has the same bits in any stack, and the same bits from the
+    reference's bounds as from its own. A reference of a zero band bounds
+    no band. Raises ValueError for bands of another size, and, in stack
+    order, for one that is not finite.
     """
+    if bands.ndim != 2 or bands.shape[1:] != reference.band.shape:
+        raise ValueError(
+            f"expected {reference.band.size} band bins per band, got shape {bands.shape}"
+        )
+    slots, firsts, which = {}, [], []
+    for i, band in enumerate(bands):
+        which.append(slots.setdefault(band.tobytes(), len(firsts)))
+        if which[-1] == len(firsts):
+            firsts.append(i)
+    count = len(firsts)
+    widths, multi = np.empty(count), np.empty(count, bool)
+    codes = np.empty(count, np.int8)
+    step = max(1, BATCH_SAMPLES // reference.m)
+    for lo in range(0, count, step):
+        batch = slice(lo, lo + step)
+        outcomes = _measure(reference, bands[firsts[batch]])
+        widths[batch], multi[batch], codes[batch] = outcomes
+    if count < len(bands):
+        widths, multi, codes = widths[which], multi[which], codes[which]
+    return _report(widths, multi, codes)
+
+
+def _measure(reference: "BandReference", bands: np.ndarray):
+    """The outcomes of :func:`_crossings` of a batch of bands."""
     grid, m = reference.grid, reference.m
-    n = grid.n_samples
-    bounds = reference.bounds(band)
-    if bounds is None:
-        coarse = _coarse_intensity(band, n, m)
-        if m == n:
-            return _fwhm(coarse, grid.dt)
-        bounds = _chord_bounds(coarse, band.size // 2)
-    return _sparse_fwhm(*bounds, _BandSamples(band, n, m), grid.dt)
+    n, h, count = grid.n_samples, bands.shape[1] // 2, len(bands)
+    widths, multi = np.full(count, np.nan), np.zeros(count, bool)
+    codes = np.zeros(count, np.int8)
+    eps = reference.distances(bands)
+    finite = eps < np.inf  # the reference's band is finite
+    codes[~finite] = _NOT_FINITE
+    near = eps <= reference.reach
+    far = finite & ~near
+    coarse = _coarse_intensity(bands[far], n, m) if far.any() else None
+    if m == n:  # the reference has no bounds then: every band is far
+        if coarse is not None:
+            widths[far], multi[far], codes[far] = _every_sample(coarse, grid.dt)
+        return widths, multi, codes
+    order = np.flatnonzero(near)
+    if coarse is not None:
+        order = np.concatenate([order, np.flatnonzero(far)])
+    if not order.size:
+        return widths, multi, codes
+    keys, upper, lower, floor, least = _candidates(reference, eps[near], coarse, h)
+    zero = floor == 0
+    if zero.any():  # those bands are all zero: the others are measured without them
+        codes[order[zero]] = _ALL_ZERO
+        order, kept = order[~zero], ~zero[: near.sum()]
+        if not order.size:
+            return widths, multi, codes
+        if coarse is not None:
+            coarse = coarse[~zero[kept.size :]]
+        candidates = _candidates(reference, eps[near][kept], coarse, h)
+        keys, upper, lower, floor, least = candidates
+    sums = _DirectSums(bands[order], keys, n, m)
+    outcomes = _sparse_widths(keys, upper, lower, floor, least, sums, grid.dt)
+    widths[order], multi[order], codes[order] = outcomes
+    return widths, multi, codes
 
 
-def _coarse_intensity(band: np.ndarray, n: int, m: int) -> np.ndarray:
-    """|s|^2 at the samples 0, r, 2r, ... (r = n/m), by an m-point inverse transform."""
-    return np.abs(_padded_ifft(band * (m / n), m)) ** 2  # m/n is a power of two: exact
+def _coarse_intensity(bands: np.ndarray, n: int, m: int) -> np.ndarray:
+    """|s|^2 at the samples 0, r, 2r, ... (r = n/m) of each band, by m-point ifft."""
+    intensity = np.abs(_padded_ifft(bands * (m / n), m))  # m/n is a power of two: exact
+    return np.square(intensity, out=intensity)
 
 
-def _slack(peak: float, h: int, m: int) -> float:
+def _slack(peak, h: int, m: int):
     """How far the intensity may stray from the chord of two coarse samples, doubled.
 
     The intensity is a trigonometric polynomial of degree 2h over the
@@ -422,18 +529,59 @@ def _slack(peak: float, h: int, m: int) -> float:
 
 
 def _chord_bounds(coarse: np.ndarray, h: int):
-    """The (upper, lower, floor) bounds of :func:`_sparse_fwhm` from the coarse samples.
+    """The upper bounds and slack of :func:`_sparse_widths` from coarse samples.
 
-    Interval j runs from coarse sample j to j + 1 (the last one wraps to 0);
-    its bounds are their chord widened by :func:`_slack`, and the floor is
-    the largest coarse sample.
+    ``coarse`` holds one band's coarse samples per row. Interval j runs from
+    coarse sample j to j + 1 (the last one wraps to 0); its bounds are their
+    chord widened by the :func:`_slack` of the band's largest coarse
+    sample: upper[j] = max(ends) + slack, and lower = min(ends) - slack,
+    which :func:`_candidates` forms only where it is asked for.
     """
-    peak = coarse.max()
-    slack = _slack(peak, h, coarse.size)
-    ends = np.append(coarse, coarse[0])
-    upper = np.maximum(ends[:-1], ends[1:]) + slack
-    lower = np.minimum(ends[:-1], ends[1:]) - slack
-    return upper, lower, peak
+    slack = _slack(coarse.max(axis=1), h, coarse.shape[1])
+    upper = np.empty_like(coarse)
+    np.maximum(coarse[:, :-1], coarse[:, 1:], out=upper[:, :-1])
+    np.maximum(coarse[:, -1], coarse[:, 0], out=upper[:, -1])
+    upper += slack[:, None]
+    return upper, slack
+
+
+def _candidates(reference: "BandReference", eps: np.ndarray, coarse, h: int):
+    """The coarse intervals of a batch that may reach half a band's floor, with bounds.
+
+    Interval j of band b has the key b*m + j. The first bands lie within the
+    reference's reach, at the distances ``eps``: their bounds are the
+    reference's amplitude bounds widened by eps and squared, and their
+    floor (amplitude_peak - eps)**2. The other bands, if ``coarse`` holds
+    their coarse samples, are bounded by those samples' chords
+    (:func:`_chord_bounds`), and their floor is the largest one. Returns
+    the keys, ascending, their upper and lower bounds, each band's floor,
+    and the least level :func:`_sparse_widths` may ask of each band: half
+    its floor (the batch's least, for the first bands), less a margin of
+    2**-20, which no rounding of the peak reaches.
+    """
+    m, parts = reference.m, []
+    if eps.size:
+        floor = (reference.amplitude_peak - eps) ** 2
+        least = np.full(eps.size, 0.5 * floor.min() * (1.0 - 2.0**-20))
+        # (U + eps)**2 >= level asks for U >= sqrt(level) - eps, up to a
+        # rounding far inside the margin of 2**-40
+        cut = np.sqrt(least[0]) * (1.0 - 2.0**-40) - eps.max()
+        columns = np.flatnonzero(reference.amplitude_upper >= cut)
+        widen = eps[:, None]
+        upper = (reference.amplitude_upper[columns] + widen) ** 2
+        lower = np.maximum(reference.amplitude_lower[columns] - widen, 0.0) ** 2
+        keys = np.arange(0, eps.size * m, m)[:, None] + columns
+        parts.append((keys.ravel(), upper.ravel(), lower.ravel(), floor, least))
+    if coarse is not None:
+        upper, slack = _chord_bounds(coarse, h)
+        floor = coarse.max(axis=1)
+        least = 0.5 * floor * (1.0 - 2.0**-20)
+        keys = np.flatnonzero(upper >= least[:, None])
+        band, j = np.divmod(keys, m)
+        lower = np.minimum(coarse[band, j], coarse[band, (j + 1) & (m - 1)]) - slack[band]
+        keys += eps.size * m
+        parts.append((keys, upper.reshape(-1)[keys - eps.size * m], lower, floor, least))
+    return tuple(np.concatenate(values) for values in zip(*parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,7 +597,7 @@ class BandReference:
     b0's :func:`_slack` and coarse peak: there the widened bounds are at most
     about twice as loose as b's own would be. A reference without bounds
     has reach -inf and bounds no band. ``m`` is the size M of the coarse
-    grid of :func:`band_intensity_fwhm`. Build one with :func:`band_reference`.
+    grid of :func:`band_widths`. Build one with :func:`band_reference`.
     """
 
     grid: FrequencyGrid
@@ -462,43 +610,33 @@ class BandReference:
 
     @cached_property
     def width(self) -> float:
-        """:func:`band_intensity_fwhm` of the band, measured on first use."""
-        return band_intensity_fwhm(self, self.band)
+        """The band's :func:`band_widths` (a stack of one), measured on first use."""
+        return band_widths(self, self.band[None])[0]
 
     @cached_property
     def offsets(self) -> np.ndarray:
         """:func:`band_offsets` of the band's bins."""
         return band_offsets(self.grid, self.band.size // 2)
 
-    def bounds(self, band: np.ndarray):
-        """The (upper, lower, floor) of :func:`_sparse_fwhm` for ``band``, or None.
+    def distances(self, bands: np.ndarray) -> np.ndarray:
+        """eps of each band of a stack of this band's size, widened for its own rounding.
 
-        eps is widened by a margin for its own rounding; the rounding of the
-        bounds and of the direct sums is inside the slack's factor 2. Raises
-        ValueError for a band of another size, or one that is not finite.
+        It is not finite for a band that is not finite.
         """
-        if band.shape != self.band.shape:
-            raise ValueError(f"expected {self.band.size} band bins, got {band.shape}")
-        eps = np.abs(band - self.band).sum() * (_DISTANCE_MARGIN / self.grid.n_samples)
-        if not eps < np.inf:  # the reference's band is finite
-            raise ValueError("band must be finite")
-        if not eps <= self.reach:
-            return None
-        upper = (self.amplitude_upper + eps) ** 2
-        lower = np.maximum(self.amplitude_lower - eps, 0.0) ** 2
-        return upper, lower, (self.amplitude_peak - eps) ** 2
+        eps = np.abs(bands - self.band).sum(axis=1)
+        return eps * (_DISTANCE_MARGIN / self.grid.n_samples)
 
 
 def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference:
     """The :class:`BandReference` of ``band``, from one coarse transform.
 
     Raises ValueError unless ``band`` has 2h+1 < N finite bins, and
-    :class:`WindowError` where the tables of :class:`_BandSamples` (the
+    :class:`WindowError` where the tables of :class:`_DirectSums` (the
     (2h+1) x (N/M + 2) direct sums and the M roots of unity) would exceed
     :data:`MAX_TABLE_SIZE` values, before allocating anything. The reference
-    has no bounds where :func:`band_intensity_fwhm` measures every sample
-    (M = N) and where the coarse peak lies outside ``_REFERENCE_PEAKS``;
-    its width is measured only when asked for.
+    has no bounds where :func:`band_widths` measures every sample (M = N)
+    and where the coarse peak lies outside ``_REFERENCE_PEAKS``; its width
+    is measured only when asked for.
     """
     n = grid.n_samples
     h = band.size // 2
@@ -517,61 +655,61 @@ def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference:
     band = band.copy()
     band.setflags(write=False)
     if m < n:
-        upper, lower, peak = _chord_bounds(_coarse_intensity(band, n, m), h)
+        coarse = _coarse_intensity(band[None], n, m)
+        (upper,), (slack,) = _chord_bounds(coarse, h)
+        [coarse] = coarse
+        peak = coarse.max()
         if _REFERENCE_PEAKS[0] <= peak <= _REFERENCE_PEAKS[1]:
+            lower = np.minimum(coarse, np.roll(coarse, -1)) - slack
             amplitude_peak = np.sqrt(peak)
             return BandReference(
                 grid, band, m, np.sqrt(upper), np.sqrt(np.maximum(lower, 0.0)),
-                amplitude_peak, _slack(peak, h, m) / (2.0 * amplitude_peak),
+                amplitude_peak, slack / (2.0 * amplitude_peak),
             )
     return BandReference(grid, band, m, None, None, None, -np.inf)
 
 
-class _BandSamples:
-    """Intensity of the band-limited envelope on whole coarse intervals, by direct sums.
+class _DirectSums:
+    """Intensity of band-limited envelopes on chosen coarse intervals, by direct sums.
 
-    Row j holds the r+2 samples jr-1..jr+r (indices modulo n) of interval j:
-    |s|^2 of the band turned by exp(2j*pi*k*jr/n), an m-th root of unity
-    taken from a table at the exact index k*j mod m, times the table of
-    exp(2j*pi*k*t/n) for t = -1..r. Each row is its own vector-matrix
-    product, so its bits do not depend on which rows are evaluated with it.
-    Sample i is read from the row of its interval i // r; the row's first
-    and last samples serve only a crossing found in that interval.
+    ``keys`` holds, ascending, the intervals that may be asked for: interval
+    j of band b has the key b*m + j. Its row holds the r+2 samples
+    jr-1..jr+r (indices modulo n): |s|^2 of the band turned by
+    exp(2j*pi*k*jr/n), an m-th root of unity taken from a table at the
+    exact index k*j mod m, times the table of exp(2j*pi*k*t/n) for
+    t = -1..r. Each row is its own (1, 2h+1) @ table product, so its bits
+    do not depend on which rows, of which bands, share its stacked product.
+    ``rows`` holds the rows evaluated so far and ``band`` their bands;
+    ``slot[i]`` is the index in ``rows`` of the row of ``keys[i]``, or -1. A
+    row's first and last samples serve only a crossing found in its
+    interval.
     """
 
     #: Rows evaluated in one stacked product.
     CHUNK = 64
 
-    def __init__(self, band: np.ndarray, n: int, m: int):
-        self.k, self.roots, self.table = _direct_sum_tables(n, band.size // 2, m)
-        self.band = band / n
+    def __init__(self, bands: np.ndarray, keys: np.ndarray, n: int, m: int):
+        self.k, self.roots, self.table = _direct_sum_tables(n, bands.shape[1] // 2, m)
+        self.bands, self.keys = bands / n, keys
         self.n, self.m, self.r = n, m, n // m
-        self.rows = {}
+        self.slot = np.full(keys.size, -1)
+        self.rows = np.empty((0, self.r + 2))
+        self.band = np.empty(0, np.intp)
 
-    def evaluate(self, intervals: list) -> float:
-        """Evaluate the rows of ``intervals``; return the largest sample they hold."""
-        top = -np.inf
-        new = []
-        for j in intervals:
-            if j in self.rows:
-                top = max(top, self.rows[j][1:-1].max())
-            else:
-                new.append(j)
-        for lo in range(0, len(new), self.CHUNK):
-            chunk = new[lo : lo + self.CHUNK]
+    def evaluate(self, at: np.ndarray) -> None:
+        """Evaluate the rows of the intervals ``keys[at]`` that are not evaluated yet."""
+        at = at[self.slot[at] < 0]
+        band, interval = np.divmod(self.keys[at], self.m)
+        rows = [self.rows]
+        for lo in range(0, at.size, self.CHUNK):
+            b, j = band[lo : lo + self.CHUNK], interval[lo : lo + self.CHUNK]
             # k*j mod m, as m is a power of two (also for k < 0)
-            turns = np.multiply.outer(chunk, self.k) & (self.m - 1)
-            rows = np.abs((self.band * self.roots[turns])[:, None, :] @ self.table) ** 2
-            self.rows.update(zip(chunk, rows[:, 0]))
-            top = max(top, rows[:, 0, 1:-1].max())
-        return top
-
-    def at(self, j: int, lo: int, hi: int) -> np.ndarray:
-        """The samples lo..hi-1 from the row of interval j, within jr-1..jr+r."""
-        if j not in self.rows:
-            self.evaluate([j])
-        base = j * self.r - 1
-        return self.rows[j][lo - base : hi - base]
+            turns = np.multiply.outer(j, self.k) & (self.m - 1)
+            sums = (self.bands[b] * self.roots[turns])[:, None, :] @ self.table
+            rows.append(np.abs(sums[:, 0]) ** 2)
+        self.slot[at] = np.arange(len(self.rows), len(self.rows) + at.size)
+        self.rows = np.concatenate(rows)
+        self.band = np.append(self.band, band)
 
 
 @lru_cache(maxsize=4)
@@ -585,52 +723,82 @@ def _direct_sum_tables(n: int, h: int, m: int):
     return k, roots, table
 
 
-def _sparse_fwhm(upper, lower, floor, fine: _BandSamples, dt: float) -> float:
-    """:func:`_fwhm` of the fine samples, given bounds on every coarse interval.
+def _sparse_widths(keys, upper, lower, floor, least, sums: _DirectSums, dt: float):
+    """:func:`_crossings` of the fine samples of bands bounded on their coarse intervals.
 
-    Every sample of interval j (samples jr..jr+r) lies in [lower[j],
-    upper[j]], and some sample reaches about ``floor`` (0 only for an
-    all-zero signal). Only the intervals whose bounds reach the floor, or
-    straddle half the peak, are evaluated sample by sample, and the
-    outcome depends on the samples alone: bounds from the band's own coarse
-    grid (:func:`_chord_bounds`) and from a :class:`BandReference` give the
-    same bits.
+    Every sample of band b's interval j (samples jr..jr+r), key b*m + j,
+    lies within the interval's bounds; ``keys`` holds, ascending, every
+    interval whose upper bound may reach half the band's peak, with their
+    ``upper`` and ``lower`` bounds (:func:`_candidates`). Some sample of
+    band b reaches about ``floor[b]``, which is positive. Only these
+    intervals are evaluated sample by sample (``sums``): those whose bounds
+    reach the floor, which hold the peak; those that straddle half the
+    peak; and, where the walk below meets them, intervals that reach half
+    the peak further in. The outcome depends on the samples alone: bounds
+    from the bands' own coarse grids and from a :class:`BandReference` give
+    the same bits.
     """
-    if floor == 0:
-        raise WidthMetricError("cannot measure the width of an all-zero signal")
-    r = fine.r
-    peak = fine.evaluate(np.flatnonzero(upper >= floor).tolist())
+    count, m, r = floor.size, sums.m, sums.r
+    band = keys // m
+    sums.evaluate(np.flatnonzero(upper >= floor[band]))
+    peak = np.full(count, -np.inf)
+    np.maximum.at(peak, sums.band, sums.rows[:, 1:-1].max(axis=1))
     half = 0.5 * peak
-    reach = upper >= half  # intervals that may hold a sample >= half
-    fine.evaluate(np.flatnonzero(reach & (lower < half)).tolist())
+    if not (half >= least).all():
+        raise AssertionError("a band's peak lies below its floor")
+    # the intervals that may hold a sample >= half, by band, and those of
+    # them that may also hold one below it (indices into keys)
+    reach = np.flatnonzero(upper >= half[band])
+    straddle = reach[lower[reach] < half[band[reach]]]
+    sums.evaluate(straddle)
+    every, band = np.arange(count), band[reach]
+    starts, ends = np.searchsorted(band, every), np.searchsorted(band, every, "right")
 
-    def outermost(intervals, pick):
-        # the first interval, in the given order, holding a sample >= half
-        for j in intervals:
-            hits = np.flatnonzero(fine.at(j, j * r, j * r + r) >= half)
-            if hits.size:
-                return j * r + int(hits[pick])
-        raise AssertionError("the peak interval holds a sample >= half")
+    # The outermost samples >= half: a walk from either end over the reach
+    # passes the intervals evaluated without one, and stops at the first
+    # that holds one or is not evaluated yet (slot -1, read as a stop),
+    # which it evaluates and looks at again.
+    while True:
+        above = sums.rows[:, 1:-1] >= half[sums.band, None]
+        stops = np.flatnonzero(np.append(above.any(axis=1), True)[sums.slot[reach]])
+        first = np.searchsorted(stops, starts)
+        last = np.searchsorted(stops, ends) - 1
+        if not (first <= last).all():
+            raise AssertionError("the peak interval holds a sample >= half")
+        at_lo, at_hi = reach[stops[first]], reach[stops[last]]
+        row_lo, row_hi = sums.slot[at_lo], sums.slot[at_hi]
+        if min(row_lo.min(), row_hi.min()) >= 0:
+            break
+        sums.evaluate(np.union1d(at_lo, at_hi))
+    j_lo, j_hi = keys[at_lo] % m, keys[at_hi] % m
+    i_lo = j_lo * r + above[row_lo].argmax(axis=1)
+    i_hi = j_hi * r + (r - 1) - above[row_hi, ::-1].argmax(axis=1)
 
-    reach = np.flatnonzero(reach).tolist()
-    i_lo = outermost(reach, 0)
-    i_hi = outermost(reversed(reach), -1)
-    # a sample between the crossings below half lies in an interval whose
-    # lower bound is below half
+    # Several lobes leave a sample strictly between the crossings below half.
+    # The last such sample before the next one >= half, v, lies in an
+    # interval that straddles half: its lower bound is below the sample, and
+    # its upper bound reaches sample v, which is in it or is its end. So the
+    # straddling intervals evaluated above show every band's dip.
     lo, hi = i_lo + 1, i_hi
-    first, last = lo // r, (hi - 1) // r
-    one_lobe = not any(
-        (fine.at(j, max(j * r, lo), min(j * r + r, hi)) < half).any()
-        for j in (np.flatnonzero(lower[first : last + 1] < half) + first).tolist()
-    )
+    band = keys[straddle] // m
+    t = (keys[straddle] % m)[:, None] * r + np.arange(r)  # the samples of each row
+    inside = (t >= lo[band, None]) & (t < hi[band, None])
+    below = sums.rows[sums.slot[straddle], 1:-1] < half[band, None]
+    dips = (below & inside).any(axis=1)
+    multi = np.zeros(count, bool)
+    multi[band[dips]] = True
 
-    def edges():
+    def edges(ok):
         # both samples of a crossing come from the row of its inner one
-        out_lo, in_lo = fine.at(i_lo // r, i_lo - 1, i_lo + 1)
-        in_hi, out_hi = fine.at(i_hi // r, i_hi, i_hi + 2)
-        return out_lo, in_lo, in_hi, out_hi
+        at_lo = i_lo[ok] - j_lo[ok] * r + 1  # i_lo's place in its row
+        at_hi = i_hi[ok] - j_hi[ok] * r + 1
+        rows, lo_rows, hi_rows = sums.rows, row_lo[ok], row_hi[ok]
+        return (
+            rows[lo_rows, at_lo - 1], rows[lo_rows, at_lo],
+            rows[hi_rows, at_hi], rows[hi_rows, at_hi + 1],
+        )
 
-    return _crossing_width(half, i_lo, i_hi, one_lobe, fine.n, dt, edges)
+    return _crossings(half, i_lo, i_hi, ~multi, sums.n, dt, edges)
 
 
 #: Identifier of the pulse-width metric, recorded in all emitted outputs.

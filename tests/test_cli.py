@@ -42,10 +42,10 @@ from dispersim.signal import (
     FrequencyGrid,
     WidthMetricError,
     WraparoundError,
-    band_intensity_fwhm,
     band_offsets,
     band_reference,
     band_samples,
+    band_widths,
     intensity_fwhm,
     make_gaussian_pulse,
     make_sinc_band,
@@ -468,10 +468,10 @@ class TestSweep:
     def test_unmeasurable_width_exits_3(self, tmp_path, capsys, monkeypatch):
         # no converged stage search is known to reach the width errors, so the
         # band width function raises one here, for the sent band and the rest
-        def edge(reference, band):
+        def edge(reference, bands):
             raise WidthMetricError("half-maximum lobe touches the window edge")
 
-        monkeypatch.setattr("dispersim.experiments.band_intensity_fwhm", edge)
+        monkeypatch.setattr("dispersim.experiments.band_widths", edge)
         doc = sweep_doc([0.2], [1.0], k_max=2)
         config = write_config(tmp_path, doc)
         rc = main(["sweep-k", "--config", config, "--out", str(tmp_path / "o")])
@@ -615,12 +615,12 @@ class TestScenario:
         assume(stable(alpha, beta2, 3e9, span_length(xi, beta2, 3e9)))
         doc = scenario_doc(z_km=span_length(xi, beta2, 3e9) / 1e3, n_samples=n)
         doc["compensator"] = {"alphas": [alpha], "k_max": k_max}
-        coarse = []
+        coarse = []  # the bands of each coarse transform
         transform = signal_module._coarse_intensity
 
-        def counted(*args):
-            coarse.append(args)
-            return transform(*args)
+        def counted(bands, *args):
+            coarse.append(len(bands))
+            return transform(bands, *args)
 
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(signal_module, "_coarse_intensity", counted)
@@ -640,16 +640,15 @@ class TestScenario:
         sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
         h_pcf = dispersion_response(sub.pcf, offsets)
         unbounded = band_reference(grid, np.zeros_like(tx_band))  # bounds no band
-        tx_width = band_intensity_fwhm(unbounded, tx_band)
-        want = [
-            band_intensity_fwhm(unbounded, rx_band * response) / tx_width
-            for response in stage_responses(sub, h_pcf, cfg.k_list)
-        ]
+        [tx_width] = band_widths(unbounded, tx_band[None])
+        responses = stage_responses(sub, h_pcf, cfg.k_list)
+        outputs = np.array([rx_band * response for response in responses])
+        want = band_widths(unbounded, outputs) / tx_width
         assert [e["broadening_factor"].hex() for e in table] == [w.hex() for w in want]
         # without a reference: the sent band, the received band and every K
-        assert len(coarse) <= 2 + len(table)
+        assert sum(coarse) <= 2 + len(table)
         if table[-1]["residual_max"] < 4e-3:
-            assert len(coarse) < 2 + len(table)
+            assert sum(coarse) < 2 + len(table)
 
     @pytest.mark.parametrize("pcf_d", [2070.0, 2085.0])
     def test_pulse_stays_in_the_window(self, tmp_path, pcf_d):

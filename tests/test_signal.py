@@ -35,10 +35,10 @@ from dispersim.fiber import (
 from dispersim.signal import (
     COARSE_PER_BIN,
     band_bins,
-    band_intensity_fwhm,
     band_offsets,
     band_reference,
     band_samples,
+    band_widths,
     ifft,
     make_sinc_band,
     sinc_band_bins,
@@ -434,14 +434,155 @@ def outcome(measure, *args):
     return value, [str(w.message) for w in caught]
 
 
+def width_of(reference, band):
+    """band_widths of ``band`` through ``reference``, as a stack of one."""
+    return band_widths(reference, band[None])[0]
+
+
 def own_width(grid, band):
-    """band_intensity_fwhm of ``band`` from its own coarse grid.
+    """band_widths of ``band`` from its own coarse grid.
 
     The reference holds a zero band, which bounds no band; it is broadcast,
     so that a reference refused for its tables allocates nothing.
     """
     zero = np.broadcast_to(np.complex128(0), band.shape)
-    return band_intensity_fwhm(band_reference(grid, zero), band)
+    return width_of(band_reference(grid, zero), band)
+
+
+# The per-band width path that band_widths replaced, kept as its reference:
+# one band at a time, its bounds from the reference when in reach and from
+# its own coarse transform otherwise, and its direct-sum rows kept in a dict
+# and evaluated as the walks over them ask for each.
+
+
+def reference_width(reference, band):
+    """The width of one band through ``reference``, by the per-band path."""
+    grid, m = reference.grid, reference.m
+    n, h = grid.n_samples, band.size // 2
+    if band.shape != reference.band.shape:
+        raise ValueError(f"expected {reference.band.size} band bins, got {band.shape}")
+    eps = np.abs(band - reference.band).sum() * (signal_module._DISTANCE_MARGIN / n)
+    if not eps < np.inf:
+        raise ValueError("band must be finite")
+    if eps <= reference.reach:
+        upper = (reference.amplitude_upper + eps) ** 2
+        lower = np.maximum(reference.amplitude_lower - eps, 0.0) ** 2
+        bounds = upper, lower, (reference.amplitude_peak - eps) ** 2
+    else:
+        spectrum = np.zeros(m, np.complex128)
+        spectrum[: h + 1] = band[: h + 1] * (m / n)
+        spectrum[m - h :] = band[h + 1 :] * (m / n)
+        coarse = np.abs(np.fft.ifft(spectrum, out=spectrum)) ** 2
+        if m == n:
+            return reference_fwhm(coarse, grid.dt)
+        peak = coarse.max()
+        q = 2.0 * (np.pi * h / m) ** 2
+        slack = 2.0 * q / (1.0 - q) * peak
+        ends = np.append(coarse, coarse[0])
+        upper = np.maximum(ends[:-1], ends[1:]) + slack
+        lower = np.minimum(ends[:-1], ends[1:]) - slack
+        bounds = upper, lower, peak
+    return reference_sparse_fwhm(*bounds, ReferenceSamples(band, n, m), grid.dt)
+
+
+def reference_fwhm(intensity, dt):
+    """The width rule on every sample of one intensity."""
+    peak = intensity.max()
+    if peak == 0:
+        raise WidthMetricError("cannot measure the width of an all-zero signal")
+    half = 0.5 * peak
+    above = np.nonzero(intensity >= half)[0]
+    i_lo, i_hi = above[0], above[-1]
+    one_lobe = above.size == i_hi - i_lo + 1
+    return reference_crossing_width(
+        half, i_lo, i_hi, one_lobe, intensity.size, dt,
+        lambda: intensity[[i_lo - 1, i_lo, i_hi, i_hi + 1]],
+    )
+
+
+def reference_crossing_width(half, i_lo, i_hi, one_lobe, n, dt, edges):
+    """The interpolated width between the outermost samples >= half, or its error."""
+    if not one_lobe:
+        warnings.warn("multiple lobes cross half maximum; using outermost crossings")
+    if i_lo == 0 or i_hi == n - 1:
+        raise WidthMetricError("half-maximum lobe touches the window edge")
+    out_lo, in_lo, in_hi, out_hi = edges()
+    frac_lo = (in_lo - half) / (in_lo - out_lo)
+    frac_hi = (in_hi - half) / (in_hi - out_hi)
+    return ((i_hi - i_lo) + frac_lo + frac_hi) * dt
+
+
+class ReferenceSamples:
+    """The direct-sum rows of one band, each evaluated on first use and kept."""
+
+    CHUNK = 64
+
+    def __init__(self, band, n, m):
+        self.k, self.roots, self.table = signal_module._direct_sum_tables(
+            n, band.size // 2, m
+        )
+        self.band = band / n
+        self.n, self.m, self.r = n, m, n // m
+        self.rows = {}
+
+    def evaluate(self, intervals):
+        """Evaluate the rows of ``intervals``; return the largest sample they hold."""
+        top = -np.inf
+        new = []
+        for j in intervals:
+            if j in self.rows:
+                top = max(top, self.rows[j][1:-1].max())
+            else:
+                new.append(j)
+        for lo in range(0, len(new), self.CHUNK):
+            chunk = new[lo : lo + self.CHUNK]
+            turns = np.multiply.outer(chunk, self.k) & (self.m - 1)
+            rows = np.abs((self.band * self.roots[turns])[:, None, :] @ self.table) ** 2
+            self.rows.update(zip(chunk, rows[:, 0]))
+            top = max(top, rows[:, 0, 1:-1].max())
+        return top
+
+    def at(self, j, lo, hi):
+        """The samples lo..hi-1 from the row of interval j, within jr-1..jr+r."""
+        if j not in self.rows:
+            self.evaluate([j])
+        base = j * self.r - 1
+        return self.rows[j][lo - base : hi - base]
+
+
+def reference_sparse_fwhm(upper, lower, floor, fine, dt):
+    """The width rule on the samples of the intervals the bounds leave open."""
+    if floor == 0:
+        raise WidthMetricError("cannot measure the width of an all-zero signal")
+    r = fine.r
+    peak = fine.evaluate(np.flatnonzero(upper >= floor).tolist())
+    half = 0.5 * peak
+    reach = upper >= half
+    fine.evaluate(np.flatnonzero(reach & (lower < half)).tolist())
+
+    def outermost(intervals, pick):
+        for j in intervals:
+            hits = np.flatnonzero(fine.at(j, j * r, j * r + r) >= half)
+            if hits.size:
+                return j * r + int(hits[pick])
+        raise AssertionError("the peak interval holds a sample >= half")
+
+    reach = np.flatnonzero(reach).tolist()
+    i_lo = outermost(reach, 0)
+    i_hi = outermost(reversed(reach), -1)
+    lo, hi = i_lo + 1, i_hi
+    first, last = lo // r, (hi - 1) // r
+    one_lobe = not any(
+        (fine.at(j, max(j * r, lo), min(j * r + r, hi)) < half).any()
+        for j in (np.flatnonzero(lower[first : last + 1] < half) + first).tolist()
+    )
+
+    def edges():
+        out_lo, in_lo = fine.at(i_lo // r, i_lo - 1, i_lo + 1)
+        in_hi, out_hi = fine.at(i_hi // r, i_hi, i_hi + 2)
+        return out_lo, in_lo, in_hi, out_hi
+
+    return reference_crossing_width(half, i_lo, i_hi, one_lobe, fine.n, dt, edges)
 
 
 def assert_same_outcome(grid, band, rel=1e-12):
@@ -465,7 +606,7 @@ def sinc_band(grid, delay_samples=None, amplitude=1.0):
 
 
 class TestBandWidthMetric:
-    """band_intensity_fwhm against intensity_fwhm of the whole inverse transform."""
+    """band_widths against intensity_fwhm of the whole inverse transform."""
 
     # 65536 samples measure on a coarse grid plus direct sums; 1024 on every sample
     grids = [FrequencyGrid(65536, 1e-12), FrequencyGrid(1024, 1e-12)]
@@ -502,6 +643,24 @@ class TestBandWidthMetric:
             assert_same_outcome(grid, band)
             with pytest.raises(WidthMetricError, match="window edge"):
                 own_width(grid, band)
+
+    def test_batches_bound_the_memory_of_a_deep_stack(self):
+        # 1000 distinct bands out of the reference's reach, each measured
+        # from its own 4096-point coarse transform: in one batch their
+        # transforms and bounds would take over 100 MB
+        grid = FrequencyGrid(2**17, 1e-12)
+        band = sinc_band(grid)
+        reference = band_reference(grid, band)
+        bands = band * np.linspace(2.0, 3.0, 1000)[:, None]
+        assert not (reference.distances(bands) <= reference.reach).any()
+        tracemalloc.start()
+        try:
+            widths = band_widths(reference, bands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert widths == pytest.approx(reference.width, rel=1e-12)
 
     def test_table_of_direct_sums_is_bounded(self, monkeypatch):
         # the direct sums and the roots of unity count together
@@ -555,13 +714,13 @@ class TestBandWidthMetric:
 
     @staticmethod
     def coarse_size(grid, band):
-        """Points of the coarse grid of band_intensity_fwhm."""
+        """Points of the coarse grid of band_widths."""
         n, h = grid.n_samples, band.size // 2
         return min(n, 1 << (COARSE_PER_BIN * h - 1).bit_length())
 
     @classmethod
     def stride(cls, grid, band):
-        """Samples between two points of the coarse grid of band_intensity_fwhm."""
+        """Samples between two points of the coarse grid of band_widths."""
         return grid.n_samples // cls.coarse_size(grid, band)
 
     @staticmethod
@@ -609,7 +768,7 @@ class TestBandWidthMetric:
         bad_band[3] = bad
         for reference in (band_reference(grid, band), band_reference(grid, 0 * band)):
             with pytest.raises(ValueError, match="band must be finite"):
-                band_intensity_fwhm(reference, bad_band)
+                width_of(reference, bad_band)
         with pytest.raises(ValueError, match="band must be finite"):
             band_reference(grid, bad_band).width
 
@@ -677,7 +836,7 @@ def near(grid, band, ratio, rng):
 
 
 class TestBandReference:
-    """band_intensity_fwhm through a band's reference against a zero band's."""
+    """band_widths through a band's reference against a zero band's."""
 
     @staticmethod
     def reference_band(grid, kind, h, rng):
@@ -724,9 +883,11 @@ class TestBandReference:
         else:
             band = near(grid, reference_band, ratio, rng)
             if abs(ratio - 1) > 1e-3:
-                assert (reference.bounds(band) is not None) == (ratio < 1)
-        got = outcome(band_intensity_fwhm, reference, band)
+                in_reach = reference.distances(band[None])[0] <= reference.reach
+                assert in_reach == (ratio < 1)
+        got = outcome(width_of, reference, band)
         assert bits(got) == bits(outcome(own_width, grid, band))
+        assert bits(got) == bits(outcome(reference_width, reference, band))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["added", "taken"])
     def test_bounds_hold_where_the_whole_distance_lands_on_one_sample(self, sign):
@@ -747,13 +908,21 @@ class TestBandReference:
         eps = 0.999 * reference.reach
         step = sign * eps * n / k.size * amplitude / abs(amplitude)
         band = reference_band + step * np.exp(-2j * np.pi * k * top / n)
-        upper, lower, floor = reference.bounds(band)
+        m = n // r
+        keys, upper, lower, floor, least = signal_module._candidates(
+            reference, reference.distances(band[None]), None, h
+        )
+        assert top // r in keys  # band 0's keys are its intervals j
         intensity = np.abs(full_grid(grid, band).samples) ** 2
         ends = np.append(intensity, intensity[0])
-        for j in range(n // r):  # samples jr..jr+r
+        for j in range(m):  # samples jr..jr+r
             stretch = ends[j * r : j * r + r + 1]
-            assert lower[j] <= stretch.min() and stretch.max() <= upper[j], j
-        assert floor <= intensity.max()
+            if j in keys:
+                i = np.searchsorted(keys, j)
+                assert lower[i] <= stretch.min() and stretch.max() <= upper[i], j
+            else:  # an interval left out cannot reach half the floor
+                assert stretch.max() < least[0], j
+        assert floor[0] <= intensity.max()
         unwidened = reference.amplitude_upper[top // r] ** 2
         assert (intensity[top] > unwidened) == (sign > 0)
 
@@ -769,12 +938,12 @@ class TestBandReference:
         for scale in (0.0, 1e-160, 1e140):
             reference = band_reference(grid, scale * sinc_band(grid))
             assert reference.reach == -np.inf
-            assert reference.bounds(sinc_band(grid)) is None
+            assert not reference.distances(sinc_band(grid)[None])[0] <= reference.reach
 
     def test_width_is_measured_when_asked_for(self):
         # a band without a measurable width (all zero, or a lobe across the
         # window edge) is still a reference; its width raises and warns as
-        # band_intensity_fwhm does, and only when it is read
+        # band_widths does, and only when it is read
         grid = FrequencyGrid(8192, 1e-12)
         for band in (np.zeros(129, np.complex128), sinc_band(grid, 0)):
             reference = band_reference(grid, band)
@@ -786,7 +955,7 @@ class TestBandReference:
         grid = FrequencyGrid(8192, 1e-12)
         reference = band_reference(grid, sinc_band(grid))
         with pytest.raises(ValueError, match="expected 129 band bins"):
-            band_intensity_fwhm(reference, np.ones(127, np.complex128))
+            width_of(reference, np.ones(127, np.complex128))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -796,18 +965,121 @@ class TestBandReference:
         data=st.data(),
     )
     def test_a_row_has_the_same_bits_alone_or_among_others(self, n, h, seed, data):
+        # Row j of one band, evaluated alone, and among rows of that band and
+        # of other bands of the stack, which share its stacked products
         rng = np.random.default_rng(seed)
-        band = rng.standard_normal(2 * h + 1) + 1j * rng.standard_normal(2 * h + 1)
-        m = TestBandWidthMetric.coarse_size(FrequencyGrid(n, 1e-12), band)
+        shape = (4, 2 * h + 1)
+        bands = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = TestBandWidthMetric.coarse_size(FrequencyGrid(n, 1e-12), bands[0])
         intervals = st.integers(0, m - 1)
+        b = data.draw(st.integers(0, 3))
         j = data.draw(intervals)
-        others = data.draw(st.lists(intervals, max_size=150, unique=True))
-        others.insert(data.draw(st.integers(0, len(others))), j)
-        alone = signal_module._BandSamples(band, n, m)
-        alone.evaluate([j])
-        among = signal_module._BandSamples(band, n, m)
-        among.evaluate(list(dict.fromkeys(others)))
-        assert alone.rows[j].tobytes() == among.rows[j].tobytes()
+        alone = signal_module._DirectSums(bands[b : b + 1], np.array([j]), n, m)
+        alone.evaluate(np.array([0]))
+        keys = {b * m + j}
+        for other in range(4):
+            drawn = data.draw(st.lists(intervals, max_size=50))
+            keys.update(other * m + i for i in drawn)
+        keys = np.array(sorted(keys))
+        among = signal_module._DirectSums(bands, keys, n, m)
+        among.evaluate(np.arange(keys.size))
+        assert among.rows.shape == (keys.size, 2 + n // m)
+        row = among.rows[among.slot[np.searchsorted(keys, b * m + j)]]
+        assert alone.rows[0].tobytes() == row.tobytes()
+        # so are the rows of the per-band reference, in its own products
+        single = ReferenceSamples(bands[b], n, m)
+        single.evaluate([j])
+        assert single.rows[j].tobytes() == row.tobytes()
+
+    @staticmethod
+    def stack(grid, reference, kinds, rng):
+        """Bands of the given kinds near, and far from, the reference's band."""
+        n, base = grid.n_samples, reference.band
+        h = base.size // 2
+        k = np.r_[0 : h + 1, -h:0]
+        scale = reference.reach if reference.reach > 0 else np.abs(base).sum() / n
+
+        def step(ratio):
+            re, im = rng.standard_normal((2, base.size))
+            direction = re + 1j * im
+            return base + direction * (ratio * scale * n / np.abs(direction).sum())
+
+        def delayed(band, samples):
+            return band * np.exp(-2j * np.pi * k * samples / n)
+
+        bands = []
+        for kind in kinds:
+            if kind == "near":
+                band = step(rng.uniform(0.0, 0.999))
+            elif kind == "far":
+                band = step(rng.uniform(1.001, 3.0))
+            elif kind == "zero":
+                band = np.zeros_like(base)
+            elif kind == "scaled":
+                band = base * rng.choice([1e-3, 0.5, 3.0, 1e4])
+            elif kind == "two-lobe":
+                band = base + delayed(base, int(rng.integers(n // 8, n // 2))) * 0.8
+            elif kind == "edge":  # the lobe moved onto the first sample
+                band = delayed(base, n // 2)
+            elif kind == "not-finite":
+                band = base.copy()
+                band[int(rng.integers(base.size))] = np.nan
+            else:  # "repeat": an earlier band of the stack, bit for bit
+                band = bands[int(rng.integers(len(bands)))] if bands else base.copy()
+            bands.append(band)
+        return np.array(bands)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.sampled_from([2**12, 2**13, 2**16]),
+        base=st.sampled_from(["sinc", "tapered"]),
+        h=st.integers(1, 80),
+        kinds=st.lists(
+            # the kinds that raise are drawn less often, so that most stacks
+            # are measured to their end
+            st.sampled_from(
+                ["near", "far", "scaled", "two-lobe", "repeat"] * 4
+                + ["zero", "edge", "not-finite"]
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_matches_the_per_band_reference(self, n, base, h, kinds, seed):
+        # Every width of a stack is the per-band path's, bit for bit, with its
+        # warnings in the same number and the same first error, band by band
+        # in stack order. A sinc base (h = 64) is measured on every sample at
+        # n = 4096 (M = N) and on its coarse grid above; a tapered one, of any
+        # h, mostly on its coarse grid.
+        grid = FrequencyGrid(n, 1e-12)
+        rng = np.random.default_rng(seed)
+        if base == "sinc":
+            band = sinc_band(grid, int(rng.integers(3 * n // 8, 5 * n // 8)))
+        else:
+            band = TestBandReference.reference_band(grid, "tapered", h, rng)
+        reference = band_reference(grid, band)
+        bands = self.stack(grid, reference, kinds, rng)
+
+        def per_band():
+            return [reference_width(reference, b) for b in bands]
+
+        def batched():
+            return band_widths(reference, bands).tolist()
+
+        got, want = stack_outcome(batched), stack_outcome(per_band)
+        assert got == want
+
+
+def stack_outcome(measure):
+    """The widths' bits or the first error, and the warnings, of one stack."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = [np.float64(w).view(np.int64) for w in measure()]
+        except ValueError as exc:  # WidthMetricError too
+            value = f"{type(exc).__name__}: {exc}"
+    return value, [str(w.message) for w in caught]
 
 
 def grid_guard(e, spectrum, accumulated_gvd):
