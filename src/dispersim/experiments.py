@@ -9,9 +9,14 @@ writes the bytes of :func:`fmt` for a whole array. It builds each value's
 exponent and one for each 3-digit group of its significand at the
 placement its exponent gives, in a work array allocated once per dump, and
 copies them into the block once; the column separators sit outside the
-fields. It hands back to :func:`fmt` only
-the values it does not round itself: magnitudes outside [1e-290, 1e290]
-other than zero, and exact rounding ties. Every run also
+fields. The decimal exponent comes from log10 with one correction pass,
+and the 9-digit significand from a correctly rounded power of ten; a
+significand within 1e-6 of a rounding tie is put on its side exactly, by
+Dekker's product of the value and a double-double power of ten
+(:func:`_tie_side`). The word tables are built from byte rows, so the
+fields have the same bytes on either byte order. It hands back to
+:func:`fmt` only the values it does not round itself: magnitudes outside
+[1e-290, 1e290] other than zero, and exact rounding ties. Every run also
 emits a ``meta.json`` holding the raw configuration, its SI resolution and
 the pulse-width metric in use.
 
@@ -21,9 +26,10 @@ band of the run is measured through it, ``band_widths(sent, bands)``, and
 its coarse bounds stand in for the coarse transform of any output close
 enough to it, which the stage search's outputs become as K grows, with the
 same bits either way. The stage search hands it the outputs of every K and
-every converging alpha of a span as one stack; the sent and received bands
-are stacks of one. ``propagate`` dumps that band's inverse transform as
-its input envelope, writing the arrays the run built (:func:`_envelope_csv`).
+every converging alpha of a span in stack order, a chunk of at most
+``BATCH_SAMPLES`` band values at a time; the sent and received bands are
+stacks of one. ``propagate`` dumps that band's inverse transform as its
+input envelope, writing the arrays the run built (:func:`_envelope_csv`).
 """
 
 import contextlib
@@ -46,6 +52,7 @@ from .config import ConfigError, ExperimentConfig, require_normal
 from .convergence import dispersion_strength, edge_error, span_length, stable, z_max
 from .fiber import FiberParams, dispersion_response, propagate
 from .signal import (
+    BATCH_SAMPLES,
     FrequencyGrid,
     WIDTH_METRIC,
     BandReference,
@@ -373,26 +380,37 @@ def _stage_search(cfg: ExperimentConfig, sent: BandReference, z_m, alphas) -> li
     length does not depend on alpha; then each alpha's
     :func:`stage_responses`, and the output of every K, the spectrum
     :func:`compensate` forms there. The outputs of every converging alpha
-    and K make one stack, which :func:`band_widths` measures through the
-    sent band's reference, each as :func:`intensity_fwhm` would measure its
-    inverse transform. As K grows the outputs near the sent band, and from
-    there on the reference's bounds stand in for their coarse transforms.
+    and K make one stack, filled into one reused chunk of at most
+    :data:`BATCH_SAMPLES` band values (and at least one output), so the
+    memory does not grow with the alphas and K. :func:`band_widths`
+    measures each chunk through the sent band's reference, each output as
+    :func:`intensity_fwhm` would measure its inverse transform, with the
+    same bits, warnings and first error as the whole stack. As K grows the
+    outputs near the sent band, and from there on the reference's bounds
+    stand in for their coarse transforms.
     """
     beta2, bandwidth = cfg.fiber_beta2, cfg.bandwidth_hz
     fiber = FiberParams(beta2, z_m)
     converging = [alpha for alpha in alphas if stable(alpha, beta2, bandwidth, z_m)]
-    outputs = np.empty((len(converging), len(cfg.k_list), sent.band.size), np.complex128)
-    for i, (stack, alpha) in enumerate(zip(outputs, converging)):
+    count = len(cfg.k_list)
+    total = len(converging) * count
+    rows = min(total, max(1, BATCH_SAMPLES // sent.band.size))
+    chunk = np.empty((rows, sent.band.size), np.complex128)
+    widths, filled = [], 0
+    for i, alpha in enumerate(converging):
         sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
         if i == 0:
             spec = CompensatorSpec(sub, cfg.k_list[-1])
             rx_band, h_pcf = _propagate_band(sent, fiber, spec)
-        for output, response in zip(stack, stage_responses(sub, h_pcf, cfg.k_list)):
-            np.multiply(rx_band, response, out=output)
-    factors = {}
-    if converging:
-        widths = band_widths(sent, outputs.reshape(-1, sent.band.size)) / sent.width
-        factors = dict(zip(converging, widths.reshape(len(converging), -1).tolist()))
+        for response in stage_responses(sub, h_pcf, cfg.k_list):
+            np.multiply(rx_band, response, out=chunk[filled])
+            filled += 1
+            if filled == rows or len(widths) + filled == total:
+                widths += (band_widths(sent, chunk[:filled]) / sent.width).tolist()
+                filled = 0
+    factors = {
+        alpha: widths[i * count : (i + 1) * count] for i, alpha in enumerate(converging)
+    }
     searches = []
     for alpha in alphas:
         worst = edge_error(alpha, beta2, bandwidth, z_m)

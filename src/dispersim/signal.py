@@ -10,9 +10,10 @@ A sinc pulse is defined once, by its band (:func:`make_sinc_band`):
 :func:`make_sinc_pulse` is that band's inverse transform (:func:`band_samples`).
 Band-limited envelopes can be measured from their band bins alone, a
 stack of them at a time: ``band_widths(reference, bands)`` bounds each
-intensity between the samples of a coarse transform and sums the band
-directly where the bounds leave the peak or a half-maximum crossing open,
-in one batched pass over the stack; a single band is a stack of one. The
+intensity between the samples of a coarse transform, picks by one rule on
+those bounds the few coarse intervals that may hold the peak or a
+half-maximum crossing, and sums the band directly there, in one batched
+pass over the stack; a single band is a stack of one. The
 reference, a :func:`band_reference` built once for every band it measures,
 checks the band size and the tables of those sums once, measures its own
 band's width, and holds its coarse bounds, which, widened by a band's L1
@@ -406,6 +407,8 @@ MAX_TABLE_SIZE = 2**26
 #: coarse samples (bands times M), and at least one band, so that a batch's
 #: coarse transforms and bounds stay at a few MiB however deep the stack.
 BATCH_SAMPLES = 2**18
+#: :func:`_direct_sums` evaluates this many rows in one stacked product.
+_CHUNK = 64
 #: :class:`BandReference` widens a band's distance by this factor, far more
 #: than the relative rounding of a sum over the 2h+1 < MAX_TABLE_SIZE bins.
 _DISTANCE_MARGIN = 1.0 + 2.0**-20
@@ -435,10 +438,9 @@ def band_widths(reference: "BandReference", bands: np.ndarray) -> np.ndarray:
       the reference's bounds widened by the distance; for the others, the
       chords of their own coarse samples, every (N/M)-th sample, from one
       inverse transform of all of them (:func:`_chord_bounds`);
-    - the few intervals those bounds leave open, which may hold the peak or
-      a half-maximum crossing;
-    - their samples, as direct sums over the band bins, in stacked products
-      whose rows are each their own product (:class:`_DirectSums`);
+    - the intervals that one rule on those bounds picks, and their samples,
+      as direct sums over the band bins whose rows are each their own
+      product (:func:`_sparse_widths`);
     - the crossings, by the linear-interpolation rule (:func:`_crossings`).
 
     Where M = N the coarse grid holds every sample and the rule runs on it
@@ -480,31 +482,24 @@ def _measure(reference: "BandReference", bands: np.ndarray):
     finite = eps < np.inf  # the reference's band is finite
     codes[~finite] = _NOT_FINITE
     near = eps <= reference.reach
-    far = finite & ~near
-    coarse = _coarse_intensity(bands[far], n, m) if far.any() else None
+    far = np.flatnonzero(finite & ~near)
+    coarse = _coarse_intensity(bands[far], n, m) if far.size else None
     if m == n:  # the reference has no bounds then: every band is far
         if coarse is not None:
             widths[far], multi[far], codes[far] = _every_sample(coarse, grid.dt)
         return widths, multi, codes
-    order = np.flatnonzero(near)
     if coarse is not None:
-        order = np.concatenate([order, np.flatnonzero(far)])
-    if not order.size:
-        return widths, multi, codes
-    keys, upper, lower, floor, least = _candidates(reference, eps[near], coarse, h)
-    zero = floor == 0
-    if zero.any():  # those bands are all zero: the others are measured without them
-        codes[order[zero]] = _ALL_ZERO
-        order, kept = order[~zero], ~zero[: near.sum()]
-        if not order.size:
-            return widths, multi, codes
-        if coarse is not None:
-            coarse = coarse[~zero[kept.size :]]
-        candidates = _candidates(reference, eps[near][kept], coarse, h)
-        keys, upper, lower, floor, least = candidates
-    sums = _DirectSums(bands[order], keys, n, m)
-    outcomes = _sparse_widths(keys, upper, lower, floor, least, sums, grid.dt)
-    widths[order], multi[order], codes[order] = outcomes
+        # a far band whose coarse peak is 0 is all zero; a near band's floor
+        # (A - eps)**2 is not, as eps <= reach <= q/(1-q)*A (:func:`_slack`)
+        # and q = 2*(pi*h/M)**2 <= 0.005
+        zero = coarse.max(axis=1) == 0
+        codes[far[zero]] = _ALL_ZERO
+        far, coarse = far[~zero], coarse[~zero]
+    order = np.concatenate([np.flatnonzero(near), far])
+    if order.size:
+        candidates = _candidates(reference, eps[near], coarse, h)
+        outcomes = _sparse_widths(bands[order], *candidates, n, m, grid.dt)
+        widths[order], multi[order], codes[order] = outcomes
     return widths, multi, codes
 
 
@@ -631,7 +626,7 @@ def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference:
     """The :class:`BandReference` of ``band``, from one coarse transform.
 
     Raises ValueError unless ``band`` has 2h+1 < N finite bins, and
-    :class:`WindowError` where the tables of :class:`_DirectSums` (the
+    :class:`WindowError` where the tables of :func:`_direct_sums` (the
     (2h+1) x (N/M + 2) direct sums and the M roots of unity) would exceed
     :data:`MAX_TABLE_SIZE` values, before allocating anything. The reference
     has no bounds where :func:`band_widths` measures every sample (M = N)
@@ -669,47 +664,27 @@ def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference:
     return BandReference(grid, band, m, None, None, None, -np.inf)
 
 
-class _DirectSums:
+def _direct_sums(bands: np.ndarray, keys: np.ndarray, n: int, m: int) -> np.ndarray:
     """Intensity of band-limited envelopes on chosen coarse intervals, by direct sums.
 
-    ``keys`` holds, ascending, the intervals that may be asked for: interval
-    j of band b has the key b*m + j. Its row holds the r+2 samples
+    Interval j of band b has the key b*m + j. Its row holds the r+2 samples
     jr-1..jr+r (indices modulo n): |s|^2 of the band turned by
     exp(2j*pi*k*jr/n), an m-th root of unity taken from a table at the
     exact index k*j mod m, times the table of exp(2j*pi*k*t/n) for
-    t = -1..r. Each row is its own (1, 2h+1) @ table product, so its bits
-    do not depend on which rows, of which bands, share its stacked product.
-    ``rows`` holds the rows evaluated so far and ``band`` their bands;
-    ``slot[i]`` is the index in ``rows`` of the row of ``keys[i]``, or -1. A
-    row's first and last samples serve only a crossing found in its
-    interval.
+    t = -1..r. Each row is its own (1, 2h+1) @ table product, stacked
+    :data:`_CHUNK` at a time, so its bits do not depend on its stack.
     """
-
-    #: Rows evaluated in one stacked product.
-    CHUNK = 64
-
-    def __init__(self, bands: np.ndarray, keys: np.ndarray, n: int, m: int):
-        self.k, self.roots, self.table = _direct_sum_tables(n, bands.shape[1] // 2, m)
-        self.bands, self.keys = bands / n, keys
-        self.n, self.m, self.r = n, m, n // m
-        self.slot = np.full(keys.size, -1)
-        self.rows = np.empty((0, self.r + 2))
-        self.band = np.empty(0, np.intp)
-
-    def evaluate(self, at: np.ndarray) -> None:
-        """Evaluate the rows of the intervals ``keys[at]`` that are not evaluated yet."""
-        at = at[self.slot[at] < 0]
-        band, interval = np.divmod(self.keys[at], self.m)
-        rows = [self.rows]
-        for lo in range(0, at.size, self.CHUNK):
-            b, j = band[lo : lo + self.CHUNK], interval[lo : lo + self.CHUNK]
-            # k*j mod m, as m is a power of two (also for k < 0)
-            turns = np.multiply.outer(j, self.k) & (self.m - 1)
-            sums = (self.bands[b] * self.roots[turns])[:, None, :] @ self.table
-            rows.append(np.abs(sums[:, 0]) ** 2)
-        self.slot[at] = np.arange(len(self.rows), len(self.rows) + at.size)
-        self.rows = np.concatenate(rows)
-        self.band = np.append(self.band, band)
+    k, roots, table = _direct_sum_tables(n, bands.shape[1] // 2, m)
+    bands = bands / n
+    band, interval = np.divmod(keys, m)
+    rows = np.empty((keys.size, n // m + 2))
+    for lo in range(0, keys.size, _CHUNK):
+        b, j = band[lo : lo + _CHUNK], interval[lo : lo + _CHUNK]
+        # k*j mod m, as m is a power of two (also for k < 0)
+        turns = np.multiply.outer(j, k) & (m - 1)
+        sums = (bands[b] * roots[turns])[:, None, :] @ table
+        rows[lo : lo + _CHUNK] = np.abs(sums[:, 0]) ** 2
+    return rows
 
 
 @lru_cache(maxsize=4)
@@ -723,82 +698,67 @@ def _direct_sum_tables(n: int, h: int, m: int):
     return k, roots, table
 
 
-def _sparse_widths(keys, upper, lower, floor, least, sums: _DirectSums, dt: float):
+def _sparse_widths(bands, keys, upper, lower, floor, least, n: int, m: int, dt: float):
     """:func:`_crossings` of the fine samples of bands bounded on their coarse intervals.
 
-    Every sample of band b's interval j (samples jr..jr+r), key b*m + j,
-    lies within the interval's bounds; ``keys`` holds, ascending, every
-    interval whose upper bound may reach half the band's peak, with their
-    ``upper`` and ``lower`` bounds (:func:`_candidates`). Some sample of
-    band b reaches about ``floor[b]``, which is positive. Only these
-    intervals are evaluated sample by sample (``sums``): those whose bounds
-    reach the floor, which hold the peak; those that straddle half the
-    peak; and, where the walk below meets them, intervals that reach half
-    the peak further in. The outcome depends on the samples alone: bounds
-    from the bands' own coarse grids and from a :class:`BandReference` give
-    the same bits.
+    Every sample of band b's interval j (samples jr..jr+r, r = n/m), key
+    b*m + j, lies within the interval's ``upper`` and ``lower`` bounds;
+    ``keys`` holds, ascending, every interval that may reach half the
+    band's peak (:func:`_candidates`), and some sample of band b reaches
+    about ``floor[b]`` > 0. One pass of :func:`_direct_sums` evaluates the
+    candidates that (a) reach the floor, which hold the peak; (b) have a
+    lower bound below half the band's largest upper bound, which takes
+    every interval that may straddle half the peak; (c) come right after
+    one of those; or (d) start or end the window.
+
+    The interval of the last sample >= half straddles, as its closed range
+    holds the next sample, unless it ends the window (d). That of the first
+    one straddles too, unless the sample starts it: then the interval before
+    straddles (b) and this one comes right after it (c), or it starts the
+    window (d). A dip below half between them shows in a straddling
+    interval, which holds the dip's last sample and the next one >= half.
+    So the outcome depends on the samples alone: bounds from the bands' own
+    coarse grids and from a :class:`BandReference` give the same bits.
     """
-    count, m, r = floor.size, sums.m, sums.r
-    band = keys // m
-    sums.evaluate(np.flatnonzero(upper >= floor[band]))
+    count, r = floor.size, n // m
+    band, interval = np.divmod(keys, m)
+    top = np.full(count, -np.inf)
+    np.maximum.at(top, band, upper)
+    pick = (upper >= floor[band]) | (lower < 0.5 * top[band])  # (a), (b)
+    pick[1:] |= pick[:-1]  # (c)
+    pick |= (interval == 0) | (interval == m - 1)  # (d)
+    keys, band, interval = keys[pick], band[pick], interval[pick]
+    rows = _direct_sums(bands, keys, n, m)
+    inner = rows[:, 1:-1]
     peak = np.full(count, -np.inf)
-    np.maximum.at(peak, sums.band, sums.rows[:, 1:-1].max(axis=1))
+    np.maximum.at(peak, band, inner.max(axis=1))
     half = 0.5 * peak
     if not (half >= least).all():
         raise AssertionError("a band's peak lies below its floor")
-    # the intervals that may hold a sample >= half, by band, and those of
-    # them that may also hold one below it (indices into keys)
-    reach = np.flatnonzero(upper >= half[band])
-    straddle = reach[lower[reach] < half[band[reach]]]
-    sums.evaluate(straddle)
-    every, band = np.arange(count), band[reach]
-    starts, ends = np.searchsorted(band, every), np.searchsorted(band, every, "right")
+    above = inner >= half[band, None]
 
-    # The outermost samples >= half: a walk from either end over the reach
-    # passes the intervals evaluated without one, and stops at the first
-    # that holds one or is not evaluated yet (slot -1, read as a stop),
-    # which it evaluates and looks at again.
-    while True:
-        above = sums.rows[:, 1:-1] >= half[sums.band, None]
-        stops = np.flatnonzero(np.append(above.any(axis=1), True)[sums.slot[reach]])
-        first = np.searchsorted(stops, starts)
-        last = np.searchsorted(stops, ends) - 1
-        if not (first <= last).all():
-            raise AssertionError("the peak interval holds a sample >= half")
-        at_lo, at_hi = reach[stops[first]], reach[stops[last]]
-        row_lo, row_hi = sums.slot[at_lo], sums.slot[at_hi]
-        if min(row_lo.min(), row_hi.min()) >= 0:
-            break
-        sums.evaluate(np.union1d(at_lo, at_hi))
-    j_lo, j_hi = keys[at_lo] % m, keys[at_hi] % m
-    i_lo = j_lo * r + above[row_lo].argmax(axis=1)
-    i_hi = j_hi * r + (r - 1) - above[row_hi, ::-1].argmax(axis=1)
+    # the first and last rows of each band that hold a sample >= half, in
+    # ascending key order, and the places p of the outermost such samples
+    holds = np.flatnonzero(above.any(axis=1))
+    row_lo = holds[np.searchsorted(band[holds], np.arange(count))]
+    row_hi = holds[np.searchsorted(band[holds], np.arange(count), "right") - 1]
+    p_lo = above[row_lo].argmax(axis=1)
+    p_hi = r - 1 - above[row_hi, ::-1].argmax(axis=1)
+    i_lo, i_hi = interval[row_lo] * r + p_lo, interval[row_hi] * r + p_hi
 
-    # Several lobes leave a sample strictly between the crossings below half.
-    # The last such sample before the next one >= half, v, lies in an
-    # interval that straddles half: its lower bound is below the sample, and
-    # its upper bound reaches sample v, which is in it or is its end. So the
-    # straddling intervals evaluated above show every band's dip.
-    lo, hi = i_lo + 1, i_hi
-    band = keys[straddle] // m
-    t = (keys[straddle] % m)[:, None] * r + np.arange(r)  # the samples of each row
-    inside = (t >= lo[band, None]) & (t < hi[band, None])
-    below = sums.rows[sums.slot[straddle], 1:-1] < half[band, None]
-    dips = (below & inside).any(axis=1)
+    # several lobes leave a sample strictly between the crossings below half
+    t = interval[:, None] * r + np.arange(r)  # the samples of each row
+    inside = (t > i_lo[band, None]) & (t < i_hi[band, None])
     multi = np.zeros(count, bool)
-    multi[band[dips]] = True
+    multi[band[(inside & ~above).any(axis=1)]] = True
 
     def edges(ok):
-        # both samples of a crossing come from the row of its inner one
-        at_lo = i_lo[ok] - j_lo[ok] * r + 1  # i_lo's place in its row
-        at_hi = i_hi[ok] - j_hi[ok] * r + 1
-        rows, lo_rows, hi_rows = sums.rows, row_lo[ok], row_hi[ok]
-        return (
-            rows[lo_rows, at_lo - 1], rows[lo_rows, at_lo],
-            rows[hi_rows, at_hi], rows[hi_rows, at_hi + 1],
-        )
+        # both samples of a crossing come from the row of its inner one,
+        # which holds inner sample p at index p + 1
+        lo, hi, p, q = row_lo[ok], row_hi[ok], p_lo[ok], p_hi[ok]
+        return rows[lo, p], rows[lo, p + 1], rows[hi, q + 1], rows[hi, q + 2]
 
-    return _crossings(half, i_lo, i_hi, ~multi, sums.n, dt, edges)
+    return _crossings(half, i_lo, i_hi, ~multi, n, dt, edges)
 
 
 #: Identifier of the pulse-width metric, recorded in all emitted outputs.

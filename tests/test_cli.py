@@ -519,6 +519,26 @@ class TestSweep:
         spread = 12 * abs(beta2) * span_length(2.0, beta2, 3e9) * 2 * math.pi * 3e9
         assert f"dispersive spread {spread:.3e} s" in err
 
+    def test_stage_search_memory_does_not_grow_with_the_alphas(self, tmp_path):
+        # At a window of 512 widths the band holds 1025 bins, so the outputs
+        # of K 0..600 take 9.9 MB per alpha. The stage search fills and
+        # measures them a chunk of BATCH_SAMPLES band values at a time: four
+        # alphas peak little above one, where a whole stack would hold 39 MB.
+        peaks = []
+        for alphas in ([1.0], [0.25, 0.5, 0.75, 1.0]):
+            doc = sweep_doc([0.3], alphas, k_max=600, n_samples=65536)
+            doc["signal"]["window_factor"] = 512
+            config, out = write_config(tmp_path, doc), tmp_path / f"out{len(alphas)}"
+            tracemalloc.start()
+            try:
+                rc = main(["sweep-k", "--config", config, "--out", str(out)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            assert "diverged" not in (out / "sweep.csv").read_text()
+        assert peaks[1] <= 1.3 * peaks[0]
+
     def test_byte_determinism(self, tmp_path):
         config = write_config(tmp_path, sweep_doc([0.5, 1.0], [0.5, 1.0], k_max=3))
         out1, out2 = tmp_path / "out1", tmp_path / "out2"

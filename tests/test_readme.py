@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dispersim import broadening_factor
+from dispersim import config as config_module
 from dispersim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -32,3 +33,46 @@ def test_config_example_runs(tmp_path, command):
     config.write_text(block, encoding="utf-8")
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 0
+
+
+def test_every_config_key_and_exit_code_is_documented(monkeypatch):
+    # parse_config checks each object's keys against the set it accepts;
+    # a sinc and a gaussian config, with the region axis in object form,
+    # visit every such check between them
+    accepted, paths = set(), set()
+    check_keys = config_module._check_keys
+
+    def recording(section, allowed, path):
+        accepted.update(allowed)
+        paths.add(path)
+        check_keys(section, allowed, path)
+
+    monkeypatch.setattr(config_module, "_check_keys", recording)
+    sinc = {
+        "scenario": "every-key",
+        "fiber": {"beta2_ps2_km": -21.0, "lambda0_m": 1.55e-6, "z_km": 130.0},
+        "pcf": {"d_ps_nm_km": 2200.0},
+        "dcf": {"d_ps_nm_km": -250.0, "quoted_path_km": 7.0},
+        "compensator": {"alphas": [1.0], "k_max": 12, "target_broadening": 1.1},
+        "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 16384},
+        "sweep": {"xi": [0.5]},
+        "region": {"bandwidths_hz": {"min": 1e9, "max": 1e10, "count": 4}},
+        "output": {"dir": "out"},
+    }
+    gaussian = {
+        "scenario": "every-key",
+        "fiber": {"beta2_ps2_km": -21.0},
+        "signal": {"pulse": "gaussian", "width_s": 1e-10},
+    }
+    for doc in (sinc, gaussian):
+        config_module.parse_config(doc)
+    sections = config_module._TOP_KEYS - {"scenario"}
+    assert paths == sections | {"configuration", "region.bandwidths_hz"}
+    text = README.read_text(encoding="utf-8")
+    missing = [
+        key for key in sorted(accepted)
+        if not re.search(rf"[`\".]{re.escape(key)}[`\"]", text)
+    ]
+    assert not missing
+    for code in (0, 2, 3):
+        assert f"`{code}`" in text

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.fft import fft
 
 from dispersim import (
@@ -779,6 +779,9 @@ class TestBandWidthMetric:
         seed=st.integers(0, 2**32 - 1),
         smooth=st.booleans(),
     )
+    # a lobe across the window edge: the first and last intervals hold
+    # only samples >= half
+    @example(n=1024, h=4, seed=0, smooth=False)
     def test_any_band_spectrum(self, n, h, seed, smooth):
         # random complex bins, optionally tapered: multi-lobe signals, edge
         # lobes and single lobes of every shape
@@ -867,6 +870,8 @@ class TestBandReference:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the first sample >= half starts an interval whose samples all reach half
+    @example(n=8192, h=33, kind="random", ratio=0.0, seed=1)
     def test_same_bits_with_and_without_the_reference(self, n, h, kind, ratio, seed):
         # a reference band of some kind and a band a drawn distance from it,
         # on either side of the switch at ratio 1: the width, the warning
@@ -974,18 +979,16 @@ class TestBandReference:
         intervals = st.integers(0, m - 1)
         b = data.draw(st.integers(0, 3))
         j = data.draw(intervals)
-        alone = signal_module._DirectSums(bands[b : b + 1], np.array([j]), n, m)
-        alone.evaluate(np.array([0]))
+        alone = signal_module._direct_sums(bands[b : b + 1], np.array([j]), n, m)
         keys = {b * m + j}
         for other in range(4):
             drawn = data.draw(st.lists(intervals, max_size=50))
             keys.update(other * m + i for i in drawn)
         keys = np.array(sorted(keys))
-        among = signal_module._DirectSums(bands, keys, n, m)
-        among.evaluate(np.arange(keys.size))
-        assert among.rows.shape == (keys.size, 2 + n // m)
-        row = among.rows[among.slot[np.searchsorted(keys, b * m + j)]]
-        assert alone.rows[0].tobytes() == row.tobytes()
+        among = signal_module._direct_sums(bands, keys, n, m)
+        assert among.shape == (keys.size, 2 + n // m)
+        row = among[np.searchsorted(keys, b * m + j)]
+        assert alone[0].tobytes() == row.tobytes()
         # so are the rows of the per-band reference, in its own products
         single = ReferenceSamples(bands[b], n, m)
         single.evaluate([j])
@@ -1046,6 +1049,8 @@ class TestBandReference:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the first sample >= half starts an interval whose samples all reach half
+    @example(n=8192, base="sinc", h=1, kinds=["two-lobe"], seed=54)
     def test_stack_matches_the_per_band_reference(self, n, base, h, kinds, seed):
         # Every width of a stack is the per-band path's, bit for bit, with its
         # warnings in the same number and the same first error, band by band
