@@ -3,11 +3,18 @@
 One sub-system splits the field between an ordinary fiber (up branch) and a
 strongly dispersive fiber of the same length (down branch, attenuated by
 alpha) and recombines the branches with opposite signs. Both branches are
-assumed to share one group index (:data:`SMF_GROUP_INDEX`), so its response
-factors into a common delay times the error response
-``E_D = 1 - sqrt(alpha) * H_pcf`` of the down branch, and a cascade of K
-such blocks realizes the truncated geometric sum that inverts the
-accumulated dispersion of a target span (see :mod:`dispersim.iterative`).
+assumed to share one group index (:data:`SMF_GROUP_INDEX`), and the up
+branch to carry no beta2. Only then does its response factor into a
+common delay times the error response ``E_D = 1 - sqrt(alpha) * H_pcf`` of
+the down branch, and a cascade of K such blocks realizes the truncated
+geometric sum that inverts the accumulated dispersion of a target span
+(see :mod:`dispersim.iterative`).
+
+:func:`match_pcf` gives the up branch the span's beta2, and every cascade
+here (:func:`compensator_tf`, :func:`stage_responses`, :func:`compensate`)
+uses E_D, which drops it. The physical sub-system (:func:`subsystem_tf`)
+keeps it: a cascade of those leaves a residual dispersion of
+(K+1)*L*beta2_smf that no stage removes.
 
 Like :func:`dispersim.fiber.propagate`, every sampled response here is in
 the retarded frame: only beta2 enters it. The common delay carries no

@@ -184,11 +184,42 @@ def _formed(cfg: ExperimentConfig):
     """Yield ``(key, value, *factors)`` for each quantity a run forms from ``cfg``.
 
     Each is formed once those before it pass, so a span may divide by a
-    strength. Only ``propagate`` forms the grid's (pi/dt_s)**2, and checks it.
+    strength. In order:
+
+    - each beta2 in s^2/m, resolved from ``beta2_ps2_km`` or
+      ``d_ps_nm_km``, with the given number as its factor: zero only where
+      that number is zero (``beta2_ps2_km`` -1e-290 is -1e-317 s^2/m, a
+      subnormal);
+    - the time step ``dt_s = window_factor * pulse_width_s / n_samples``;
+    - for the sinc bandwidth and every region bandwidth B, the fiber's
+      strength per meter ``|beta2| * (2*pi*B)^2``, zero where beta2 is;
+    - each span z: ``fiber.z_km``, and the :func:`span_length` that
+      ``sweep-k`` derives from each xi; with a pcf, each span's matched
+      branch ``L = beta2 * z / beta2_pcf`` and its cascade path ``K * L``
+      at the last stage count;
+    - with a dcf and ``fiber.z_km``, the dcf path ``z * |beta2| /
+      |beta2_dcf|`` that ``scenario`` reports, and the quoted path in m;
+    - a gaussian's ``width_s**2`` and squared half window
+      ``(window_factor * width_s / 2)**2``: the pulse divides the squared
+      time offsets, up to the squared half window, by ``2 * width_s**2``,
+      and :func:`~dispersim.signal.make_gaussian_pulse` raises ValueError
+      for the same squares.
+
+    Only ``propagate`` forms the full grid's ``(pi / dt_s)**2``, and it
+    checks that and ``max(1, |beta2| / 2) * (pi / dt_s)**2`` over the
+    fiber's and the pcf's beta2 itself. A gaussian's responses form
+    ``beta2 / 2 * dw**2`` out to ``dw = pi / dt_s``, which may underflow
+    without harm but must not overflow. A sinc's are formed on its band
+    bins, out to the band edge ``pi * B`` below ``pi / dt_s``; the strength
+    rule keeps that edge's square finite for a nonzero beta2 but exempts a
+    zero one: a fiber beta2 of 0 with a ``bandwidth_hz`` of 1e156 at 1024
+    samples squares the band edge to inf, and the responses would be
+    ``0 * inf`` = NaN. The full-grid rule refuses that configuration, so
+    ``propagate`` checks both quantities for either pulse. ``sweep-k`` and
+    ``scenario`` need a pcf, which is accepted only beside a nonzero fiber
+    beta2 of its sign; they form neither quantity and check neither.
     """
     beta2, bandwidth, z_m = cfg.fiber_beta2, cfg.bandwidth_hz, cfg.z_m
-    # each beta2 in SI, with the number given as its factor: a nonzero one
-    # must not underflow to zero or to a subnormal
     for name in ("fiber", "pcf", "dcf"):
         value, section = getattr(cfg, f"{name}_beta2"), cfg.raw.get(name)
         if value is not None:
@@ -201,7 +232,6 @@ def _formed(cfg: ExperimentConfig):
     for name, b in bands:
         w = 2.0 * math.pi * float(b)
         yield f"{name} {b:g}: |beta2| * (2*pi*B)^2", abs(beta2) * (w * w), beta2
-    # the configured span, and the span_length sweep-k derives from each xi
     spans = [] if z_m is None else [("fiber.z_km", z_m, z_m)]
     if bandwidth and beta2:
         for x in cfg.xi_values:
@@ -217,7 +247,6 @@ def _formed(cfg: ExperimentConfig):
         yield "fiber.z_km dcf path z * |beta2| / |beta2_dcf|", path, z_m, beta2
     if cfg.dcf_quoted_path_m is not None:
         yield "dcf.quoted_path_km as dcf_quoted_path_m", cfg.dcf_quoted_path_m
-    # a gaussian divides tau**2, up to the squared half window, by 2 * width**2
     if cfg.pulse == "gaussian" and cfg.pulse_width_s is not None:
         width, window = cfg.pulse_width_s, cfg.window_factor * cfg.pulse_width_s
         yield "signal.width_s squared", width * width

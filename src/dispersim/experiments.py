@@ -2,34 +2,13 @@
 
 All numeric CSV fields use 9 significant digits (:func:`fmt`, ``%.9g``)
 and LF line endings so a fixed configuration reproduces byte-identical
-output. The envelope CSVs hold millions of numbers per ``propagate``; they
-are encoded a block of samples at a time by :func:`_encode_9g`, which
-writes the bytes of :func:`fmt` for a whole array. It builds each value's
-16-slot field as two uint64 words, from one lookup for its sign, lead and
-exponent and one for each 3-digit group of its significand at the
-placement its exponent gives, in a work array allocated once per dump, and
-copies them into the block once; the column separators sit outside the
-fields. The decimal exponent comes from log10 with one correction pass,
-and the 9-digit significand from a correctly rounded power of ten; a
-significand within 1e-6 of a rounding tie is put on its side exactly, by
-Dekker's product of the value and a double-double power of ten
-(:func:`_tie_side`). The word tables are built from byte rows, so the
-fields have the same bytes on either byte order. It hands back to
-:func:`fmt` only the values it does not round itself: magnitudes outside
-[1e-290, 1e290] other than zero, and exact rounding ties. Every run also
-emits a ``meta.json`` holding the raw configuration, its SI resolution and
-the pulse-width metric in use.
+output. Every run also emits a ``meta.json`` holding the raw
+configuration, its SI resolution and the pulse-width metric in use.
 
-The sinc commands run on the sinc's band bins. One :func:`band_reference`
-per run holds the sent band, checks its size and measures its width; every
-band of the run is measured through it, ``band_widths(sent, bands)``, and
-its coarse bounds stand in for the coarse transform of any output close
-enough to it, which the stage search's outputs become as K grows, with the
-same bits either way. The stage search hands it the outputs of every K and
-every converging alpha of a span in stack order, a chunk of at most
-``BATCH_SAMPLES`` band values at a time; the sent and received bands are
-stacks of one. ``propagate`` dumps that band's inverse transform as its
-input envelope, writing the arrays the run built (:func:`_envelope_csv`).
+The sinc commands run on the sinc's band bins: ``sweep-k`` and
+``scenario`` through :func:`_stage_search`, ``propagate`` through
+:func:`_sinc_envelopes`. The envelope CSVs are written by
+:func:`_envelope_csv`, with the encoder :func:`_encode_9g`.
 """
 
 import contextlib
@@ -560,8 +539,9 @@ def _sinc_envelopes(sent: BandReference, fiber: FiberParams, spec) -> dict:
     guarded by :func:`_propagate_band`; the compensated band is the received
     one times :func:`stage_responses` of the one K. Only the last step
     leaves the band: each envelope is the samples of :func:`band_samples` of
-    its band. No bin outside the band holds rounding noise for the cascade
-    to amplify, whatever K.
+    its band, so the input envelope is :func:`make_sinc_pulse` bit for bit.
+    No bin outside the band holds rounding noise for the cascade to
+    amplify, whatever K.
     """
     rx_band, h_pcf = _propagate_band(sent, fiber, spec)
     bands = {"envelope_input.csv": sent.band, "envelope_dispersed.csv": rx_band}
@@ -584,7 +564,7 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     make_sent = make_sinc_band if cfg.pulse == "sinc" else make_gaussian_pulse
     sent = make_sent(grid, cfg.pulse_width_s)  # a sinc's band, a gaussian's Envelope
     w_sq = (np.pi / cfg.dt_s) * (np.pi / cfg.dt_s)  # the full grid's largest dw**2
-    # its responses form beta2 / 2 * dw**2, which may underflow but not overflow
+    # checked here rather than in parse_config, for either pulse: see config._formed
     half_beta2 = max(1.0, abs(cfg.fiber_beta2) / 2, abs(cfg.pcf_beta2 or 0.0) / 2)
     require_normal([
         ("(pi / dt_s)**2", w_sq),

@@ -6,24 +6,10 @@ DC-centered convention: bin k carries the signed baseband offset
 Nyquist bin assigned to the negative side, i.e. the ordering of
 ``numpy.fft.fftfreq``.
 
-A sinc pulse is defined once, by its band (:func:`make_sinc_band`):
-:func:`make_sinc_pulse` is that band's inverse transform (:func:`band_samples`).
-Band-limited envelopes can be measured from their band bins alone, a
-stack of them at a time: ``band_widths(reference, bands)`` bounds each
-intensity between the samples of a coarse transform, picks by one rule on
-those bounds the few coarse intervals that may hold the peak or a
-half-maximum crossing, and sums the band directly there, in one batched
-pass over the stack; a single band is a stack of one. The
-reference, a :func:`band_reference` built once for every band it measures,
-checks the band size and the tables of those sums once, measures its own
-band's width, and holds its coarse bounds, which, widened by a band's L1
-distance from it, bound any band nearby without a transform of its own.
-:func:`intensity_fwhm` runs the same width rule on every sample of a whole
-envelope.
-
-:func:`check_wraparound` is the one window guard, for a whole spectrum at
-``grid.delta_omega`` and for a band at its :func:`band_offsets` alike: it
-reads the occupied band from the spectrum at its own offsets.
+A sinc pulse is defined by its band (:func:`make_sinc_band`). The width
+metric is :func:`intensity_fwhm` on a whole envelope and
+:func:`band_widths` on a stack of band-limited ones, from their band bins
+alone. :func:`check_wraparound` is the one window guard for both.
 """
 
 import sys
@@ -205,7 +191,8 @@ def make_sinc_band(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarray
     that centres the pulse on sample N/2. The realized bandwidth is
     quantized to the grid; it is exact whenever the window is an integer
     multiple of W. The unit-peak scale is the centre sample taken as a sum
-    over these bins, so the pulse's centre sample is 1 to rounding.
+    over these bins, so the pulse's centre sample is 1 to within about
+    2e-16, and exactly 1 where h is a power of two.
     """
     w = zero_to_zero_width
     if not (np.isfinite(w) and w > 0):
@@ -422,12 +409,13 @@ def band_widths(reference: "BandReference", bands: np.ndarray) -> np.ndarray:
 
     Row i of ``bands`` holds the DFT of an envelope on ``reference.grid`` at
     the bins |k| <= h of the reference's band, in the order of
-    :func:`band_bins`; every other bin is zero. Each width, and the warnings
-    and the first error of the stack, are those of :func:`intensity_fwhm`
-    applied to the inverse transform of each whole spectrum in turn, but no
-    N-point array is built. Bands with the same bytes are measured once.
-    The stack is measured in batches of :data:`BATCH_SAMPLES`, each in one
-    pass of these steps over all its bands:
+    :func:`band_bins`; every other bin is zero. Each width, to about 1e-15
+    relative, and the warnings and the first error of the stack, are those
+    of :func:`intensity_fwhm` applied to the inverse transform of each whole
+    spectrum in turn, but no N-point array is built. Bands with the same
+    bytes are measured once. The stack is measured in batches of
+    :data:`BATCH_SAMPLES`, each in one pass of these steps over all its
+    bands:
 
     - the L1 distance of each band from the :func:`band_reference`
       (:meth:`BandReference.distances`);
@@ -808,6 +796,11 @@ def check_wraparound(
     The dispersive spread across the occupied band 2*pi*B
     (:func:`occupied_bandwidth`) is ``accumulated_gvd * 2*pi*B`` and the
     time window must exceed width plus spread by :data:`GUARD_FACTOR`.
+
+    A sinc's half-weight edge bins +-h lie far above
+    :data:`OCCUPIED_THRESHOLD`, and a span's phase keeps their magnitude, so
+    its band and its whole spectrum give the same B, bit for bit, for the
+    sent and the dispersed sinc alike.
     """
     bandwidth = occupied_bandwidth(offsets, spectrum)
     spread = abs(accumulated_gvd) * 2.0 * np.pi * bandwidth

@@ -1,13 +1,15 @@
-"""The README's library example and configuration run against the current code."""
+"""The README's examples run, and what it names exists, against the current code."""
 
+import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from dispersim import broadening_factor
 from dispersim import config as config_module
-from dispersim.cli import main
+from dispersim.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -76,3 +78,36 @@ def test_every_config_key_and_exit_code_is_documented(monkeypatch):
     assert not missing
     for code in (0, 2, 3):
         assert f"`{code}`" in text
+
+
+def test_shell_commands_parse():
+    text = README.read_text(encoding="utf-8")
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+        for line in block.splitlines()
+        if line.startswith("dispersim ")
+    ]
+    assert len(lines) >= 5
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"the parser refuses {line!r}")
+
+
+def test_named_objects_exist_and_are_public():
+    # inline code spans only: the tests above check the fenced blocks
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", text)
+    names = [name for span in spans for name in re.findall(r"\bdispersim(?:\.\w+)+", span)]
+    assert "dispersim.compensator.MAX_STAGES" in names
+    for name in names:
+        _, module, *attributes = name.split(".")
+        obj = importlib.import_module(f"dispersim.{module}")
+        for attribute in attributes:
+            assert hasattr(obj, attribute), f"{name} does not exist"
+            obj = getattr(obj, attribute)
+    private = [span for span in spans if re.search(r"(?<!\w)_\w", span)]
+    assert not private, f"private names in the README: {private}"

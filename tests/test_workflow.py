@@ -1,6 +1,7 @@
 """The CI workflow's shell steps parse, and so do the scripts and configs in them.
 
-Every ``python -`` heredoc compiles and every JSON config heredoc loads.
+Every ``python -`` heredoc compiles, and every JSON config heredoc is a
+configuration that ``parse_config`` accepts or refuses by its range rule.
 """
 
 import json
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+
+from dispersim.config import ConfigError, _unique_keys, parse_config
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
@@ -37,6 +40,11 @@ def _json_heredocs(script: str) -> list:
 
 
 STEPS = _run_steps()
+CONFIGS = [
+    (f"{name}: config {i}", body)
+    for name, script in STEPS
+    for i, body in enumerate(_json_heredocs(script))
+]
 
 
 def test_workflow_has_run_steps_and_heredocs():
@@ -51,5 +59,13 @@ def test_run_script_parses(name, script):
     assert proc.returncode == 0, proc.stderr
     for body in _python_heredocs(script):
         compile(body, f"{WORKFLOW.name}: {name}", "exec")
-    for body in _json_heredocs(script):
-        json.loads(body)
+
+
+@pytest.mark.parametrize("name, body", CONFIGS, ids=[name for name, _ in CONFIGS])
+def test_config_heredoc_parses_or_fails_the_range_rule(name, body):
+    # a step that expects exit 2 from the range rule would also read exit 2
+    # and one error: line from a mistyped or repeated key
+    try:
+        parse_config(json.loads(body, object_pairs_hook=_unique_keys))
+    except ConfigError as exc:
+        assert "is out of range" in str(exc), f"{name}: {exc}"
