@@ -35,12 +35,13 @@ from .signal import (
     FrequencyGrid,
     WIDTH_METRIC,
     BandReference,
+    band_outcomes,
     band_reference,
     band_samples,
-    band_widths,
     check_wraparound,
     make_gaussian_pulse,
     make_sinc_band,
+    report_outcomes,
 )
 
 REGION_CSV_HEADER = "B_hz,z_max_m,alpha,beta2_si"
@@ -109,6 +110,9 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
     - ``pow10``: 10**k at index k + 300 for k in [-300, 300], each correctly
       rounded (numpy's power is not), and ``pow10_lo``: the rest 10**k - hi,
       correctly rounded, so that the pair holds 10**k to about 2**-106;
+    - ``binade_exponent``: floor(log10(2**p)) at the biased binary exponent
+      p + 1023 of a double, for p in [-1023, 1024]. (p * 78913) >> 18 is
+      that floor, exactly, for |p| <= 1650;
     - ``group_words``: 16 blocks, one per placement of each 3-digit group
       (hi, mid, lo) that a value reaches. A placement sets the slots of the
       group's digits and whether the point is the group's to write: 0 to 3
@@ -125,6 +129,7 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
       exponent e.
     """
     pow10, pow10_lo = np.array([_pow10_pair(k) for k in range(-300, 301)]).T.copy()
+    binade_exponent = (np.arange(-1023, 1025) * 78913) >> 18
     j = np.arange(2000) % 1000  # each row's group value
     digits = np.stack([j // 100, j // 10 % 10, j % 10], axis=1).astype(np.uint8)
     digits += ord("0")
@@ -165,7 +170,7 @@ def _encoder_tables() -> tuple[np.ndarray, ...]:
     text[:, :, 1:6] = np.array(lead, "S5").view(np.uint8).reshape(-1, 5)
     text[:, :, 11:16] = np.array(expo, "S5").view(np.uint8).reshape(-1, 5)
     or_words = _words(text.reshape(-1, FIELD))
-    tables = (pow10, pow10_lo, group_words, group_base, or_words)
+    tables = (pow10, pow10_lo, binade_exponent, group_words, group_base, or_words)
     for table in tables:  # shared by every call
         table.setflags(write=False)
     return tables
@@ -180,8 +185,10 @@ def _encode_9g(
     axis is contiguous; its rows need not be aligned. ``work``, if given, is
     a uint64 array of shape ``(2, n, WORDS)`` with n >= x.size, reused from
     call to call. Every value of ``x`` must be finite. The decimal exponent e
-    of |v| comes from log10 with one correction pass, and its 9-digit
-    significand from |v|·10^(8−e), rounded to nearest. Then e ∈ [−4, 9)
+    of |v| is that of the least power of two of its binade, from its biased
+    binary exponent, or one above it: e goes up by one where |v|·10^(8−e)
+    reaches 1e9. The 9-digit significand is |v|·10^(8−e), rounded to
+    nearest. Then e ∈ [−4, 9)
     gives fixed notation and any other e the d.dddddddde±XX form, without
     trailing zeros and a bare point. Zeros are encoded as "0" and "-0". A
     significand within 1e-6 of a rounding tie is rounded by the exact
@@ -192,7 +199,9 @@ def _encode_9g(
     :func:`fmt` and spliced in: magnitudes outside [1e-290, 1e290], and
     exact ties, which %g rounds to even.
     """
-    pow10, pow10_lo, group_words, group_base, or_words = _encoder_tables()
+    pow10, pow10_lo, binade_exponent, group_words, group_base, or_words = (
+        _encoder_tables()
+    )
     if work is None:
         work = np.empty((2, x.size, WORDS), np.uint64)
     words, part = work[:, : x.size]
@@ -200,10 +209,11 @@ def _encode_9g(
     zero = a == 0.0
     by_fmt = ~zero & ((a < 1e-290) | (a > 1e290))
     a[zero | by_fmt] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)  # one off at most, near 10**e
+    # every |v| left is a normal double, whose binade [2**p, 2**(p+1)) spans
+    # under a decade: its decimal exponent is floor(log10(2**p)) or one more
+    e = binade_exponent.take(a.view(np.uint64) >> 52)
     m = a * pow10.take(308 - e)  # |v|·10^(8−e)
     e += m >= 1e9
-    e -= m < 1e8
     m = a * pow10.take(308 - e)
     # m carries two roundings (the table's and the product's), so it is
     # within 2**-52 of |v|·10^(8−e) relative: under 2.3e-7 below 1e9. Its
@@ -328,83 +338,156 @@ class Stage:
     residual_max: float
 
 
-def _propagate_band(sent: BandReference, fiber: FiberParams, spec):
-    """The received band over ``fiber``, and the pcf response of ``spec`` at its bins.
+class _WidthStream:
+    """The bands whose widths a sinc run measures, in one pass, reported in order.
 
-    ``sent`` is the :func:`band_reference` of a sinc's band, which measures
-    its width and the bands near it; no N-point array is built. The
-    propagation runs the wraparound guards of the full-grid path on the
-    band's offsets: the span's, on the sent pulse (:func:`propagate`), and,
-    with a :class:`CompensatorSpec`, the K stages', on the received one
-    (:func:`compensate`). Where ``spec`` is None the pcf response is too.
+    A run adds its bands in the order their outcomes are reported: the sent
+    band (added here), then, for each converging span, its received band
+    and its stage outputs. They are filled into one reused chunk of at most
+    :data:`BATCH_SAMPLES` band values (and at least one band). A full chunk
+    is measured when the next band comes, and the rest when the first
+    outcome is asked for, each by one :func:`band_outcomes` call through
+    the sent band's reference. So a run whose bands fit one chunk makes one
+    call, and a run that asks for no width, such as a sweep whose every
+    span diverges, makes none. As a width has the same bits in any stack,
+    :meth:`report` gives the widths, warnings and first error that
+    :func:`band_widths` of each reported part would give.
     """
+
+    def __init__(self, sent: BandReference, total: int):
+        self.reference = sent
+        rows = min(total, max(1, BATCH_SAMPLES // sent.band.size))
+        self.chunk = np.empty((rows, sent.band.size), np.complex128)
+        self.filled = 0
+        self.measured = []  # the outcomes of each measured chunk
+        self.outcomes = None  # all of them, once the first is reported
+        self.reported = 0
+        self.row()[...] = sent.band
+
+    def row(self) -> np.ndarray:
+        """The chunk row that the next band of the stream is written into."""
+        if self.filled == len(self.chunk):
+            self._measure()
+        self.filled += 1
+        return self.chunk[self.filled - 1]
+
+    def _measure(self) -> None:
+        self.measured.append(band_outcomes(self.reference, self.chunk[: self.filled]))
+        self.filled = 0
+
+    def report(self, count: int) -> np.ndarray:
+        """The widths of the next ``count`` bands, their outcomes reported in order."""
+        if self.outcomes is None:
+            if self.filled:
+                self._measure()
+            self.outcomes = [np.concatenate(parts) for parts in zip(*self.measured)]
+        part = slice(self.reported, self.reported + count)
+        self.reported += count
+        return report_outcomes(*(values[part] for values in self.outcomes))
+
+    @functools.cached_property
+    def sent_width(self) -> float:
+        """The sent band's width, reported the first time it is read."""
+        return self.report(1)[0]
+
+
+def _propagate_band(stream: _WidthStream, fiber: FiberParams, spec):
+    """The received band over ``fiber``, the pcf response at its bins, and the guard.
+
+    The sent band is the reference of ``stream``, a sinc's band; no N-point
+    array is built. With a :class:`CompensatorSpec` ``spec``, the received
+    band joins the stream; where ``spec`` is None the pcf response is None
+    too. The guard, called when the span's outcomes are due, runs the
+    wraparound guards of the full-grid path on the band's offsets, in its
+    order: the span's, on the sent pulse (:func:`propagate`), and, with a
+    spec, the K stages', on the received one (:func:`compensate`), each
+    with the width the stream reports for its pulse.
+    """
+    sent = stream.reference
     grid, tx_band, offsets = sent.grid, sent.band, sent.offsets
-    check_wraparound(grid, offsets, tx_band, sent.width, fiber.beta2 * fiber.length_m)
     rx_band = tx_band * dispersion_response(fiber, offsets)
-    if spec is None:
-        return rx_band, None
-    [rx_width] = band_widths(sent, rx_band[None])
-    check_wraparound(grid, offsets, rx_band, rx_width, spec.stage_gvd)
-    return rx_band, dispersion_response(spec.subsystem.pcf, offsets)
+    h_pcf = None
+    if spec is not None:
+        stream.row()[...] = rx_band
+        h_pcf = dispersion_response(spec.subsystem.pcf, offsets)
+
+    def guard():
+        gvd = fiber.beta2 * fiber.length_m
+        check_wraparound(grid, offsets, tx_band, stream.sent_width, gvd)
+        if spec is not None:
+            [rx_width] = stream.report(1)
+            check_wraparound(grid, offsets, rx_band, rx_width, spec.stage_gvd)
+
+    return rx_band, h_pcf, guard
 
 
-def _stage_search(cfg: ExperimentConfig, sent: BandReference, z_m, alphas) -> list:
-    """``(alpha, [Stage per K of cfg.k_list])`` for each alpha on one span.
+def _stage_search(cfg: ExperimentConfig, sent: BandReference, spans, alphas) -> list:
+    """``[(alpha, [Stage per K of cfg.k_list]) per alpha]`` for each span of ``spans``.
 
-    Everything runs on the bins of the sent sinc's band; no N-point array
-    is built. The span is propagated and guarded once
-    (:func:`_propagate_band`, to the last K), at its first converging
-    alpha, and never when every alpha diverges; a diverged alpha builds no
+    ``spans`` holds the span lengths z_m. Everything runs on the bins of the
+    sent sinc's band; no N-point array is built. Each span is propagated
+    (:func:`_propagate_band`, to the last K) at its first converging alpha,
+    and never when every alpha diverges; a diverged alpha builds no
     response. The pcf response is built once per span, as the matched
     length does not depend on alpha; then each alpha's
     :func:`stage_responses`, and the output of every K, the spectrum
-    :func:`compensate` forms there. The outputs of every converging alpha
-    and K make one stack, filled into one reused chunk of at most
-    :data:`BATCH_SAMPLES` band values (and at least one output), so the
-    memory does not grow with the alphas and K. :func:`band_widths`
-    measures each chunk through the sent band's reference, each output as
-    :func:`intensity_fwhm` would measure its inverse transform, with the
-    same bits, warnings and first error as the whole stack. As K grows the
-    outputs near the sent band, and from there on the reference's bounds
-    stand in for their coarse transforms.
+    :func:`compensate` forms there. Every band of the run goes into one
+    :class:`_WidthStream`: the sent band, then, for each converging span,
+    its received band and the outputs of its converging alphas and K. So
+    the memory does not grow with the spans, alphas and K, and a run whose
+    bands fit one chunk makes one :func:`band_outcomes` call. The outcomes
+    are reported one span after the other: the sent width, the span's
+    guard, the received width, the stages' guard, then the span's outputs,
+    each as :func:`intensity_fwhm` would measure its inverse transform,
+    with the same bits, warnings and first error. As K grows the outputs
+    near the sent band, and from there on the reference's bounds stand in
+    for their coarse transforms.
     """
-    beta2, bandwidth = cfg.fiber_beta2, cfg.bandwidth_hz
-    fiber = FiberParams(beta2, z_m)
-    converging = [alpha for alpha in alphas if stable(alpha, beta2, bandwidth, z_m)]
-    count = len(cfg.k_list)
-    total = len(converging) * count
-    rows = min(total, max(1, BATCH_SAMPLES // sent.band.size))
-    chunk = np.empty((rows, sent.band.size), np.complex128)
-    widths, filled = [], 0
-    for i, alpha in enumerate(converging):
-        sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-        if i == 0:
-            spec = CompensatorSpec(sub, cfg.k_list[-1])
-            rx_band, h_pcf = _propagate_band(sent, fiber, spec)
-        for response in stage_responses(sub, h_pcf, cfg.k_list):
-            np.multiply(rx_band, response, out=chunk[filled])
-            filled += 1
-            if filled == rows or len(widths) + filled == total:
-                widths += (band_widths(sent, chunk[:filled]) / sent.width).tolist()
-                filled = 0
-    factors = {
-        alpha: widths[i * count : (i + 1) * count] for i, alpha in enumerate(converging)
-    }
+    beta2, bandwidth, count = cfg.fiber_beta2, cfg.bandwidth_hz, len(cfg.k_list)
+    converging = [
+        [alpha for alpha in alphas if stable(alpha, beta2, bandwidth, z_m)]
+        for z_m in spans
+    ]
+    stream = _WidthStream(sent, 1 + sum(1 + len(c) * count for c in converging if c))
+    guards = []
+    for z_m, span_alphas in zip(spans, converging):
+        fiber = FiberParams(beta2, z_m)
+        guard = None
+        for i, alpha in enumerate(span_alphas):
+            sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
+            if i == 0:
+                spec = CompensatorSpec(sub, cfg.k_list[-1])
+                rx_band, h_pcf, guard = _propagate_band(stream, fiber, spec)
+            for response in stage_responses(sub, h_pcf, cfg.k_list):
+                np.multiply(rx_band, response, out=stream.row())
+        guards.append(guard)
     searches = []
-    for alpha in alphas:
-        worst = edge_error(alpha, beta2, bandwidth, z_m)
-        stages = zip(cfg.k_list, factors.get(alpha, [None] * len(cfg.k_list)))
-        searches.append(
-            (alpha, [Stage(k, factor, worst ** (k + 1)) for k, factor in stages])
-        )
+    for z_m, span_alphas, guard in zip(spans, converging, guards):
+        factors = {}
+        if guard is not None:
+            guard()
+            widths = stream.report(len(span_alphas) * count) / stream.sent_width
+            factors = {
+                alpha: widths[i * count : (i + 1) * count].tolist()
+                for i, alpha in enumerate(span_alphas)
+            }
+        search = []
+        for alpha in alphas:
+            worst = edge_error(alpha, beta2, bandwidth, z_m)
+            stages = zip(cfg.k_list, factors.get(alpha, [None] * count))
+            search.append(
+                (alpha, [Stage(k, factor, worst ** (k + 1)) for k, factor in stages])
+            )
+        searches.append(search)
     return searches
 
 
 def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     """Broadening factor against stage count for each (xi, alpha) pair.
 
-    The pulse's band and its :func:`band_reference` are built once per run;
-    each xi's span runs one :func:`_stage_search` over the sorted alphas.
+    The pulse's band and its :func:`band_reference` are built once per run,
+    and one :func:`_stage_search` runs every xi's span over the sorted
+    alphas, with one width stream for the whole run.
     """
     if cfg.pcf_beta2 is None:
         raise ConfigError("pcf section is required for the sweep-k command")
@@ -412,11 +495,11 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
         raise ConfigError("sweep-k runs on sinc pulses")
     grid = _grid(cfg)
     sent = band_reference(grid, make_sinc_band(grid, cfg.pulse_width_s))
+    spans = [span_length(xi, cfg.fiber_beta2, cfg.bandwidth_hz) for xi in cfg.xi_values]
+    searches = _stage_search(cfg, sent, spans, sorted(cfg.alphas))
     lines = [SWEEP_CSV_HEADER]
     diverged = 0
-    for xi in cfg.xi_values:
-        z_m = span_length(xi, cfg.fiber_beta2, cfg.bandwidth_hz)
-        search = _stage_search(cfg, sent, z_m, sorted(cfg.alphas))
+    for xi, search in zip(cfg.xi_values, searches):
         for alpha, stages in search:
             for s in stages:
                 factor = s.broadening_factor
@@ -433,7 +516,11 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
-    """Single-link design report: strength, matched lengths, stage search."""
+    """Single-link design report: strength, matched lengths, stage search.
+
+    The stage search (:func:`_stage_search`) runs the one span over the
+    first alpha, with one width stream for the run.
+    """
     if cfg.z_m is None:
         raise ConfigError("fiber.z_km is required for the scenario command")
     if cfg.pcf_beta2 is None:
@@ -447,7 +534,9 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     _require_convergence(cfg, alpha)
     xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, bandwidth)
     sub = match_pcf(FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.pcf_beta2, alpha=alpha)
-    [(_, stages)] = _stage_search(cfg, band_reference(grid, tx_band), cfg.z_m, [alpha])
+    [[(_, stages)]] = _stage_search(
+        cfg, band_reference(grid, tx_band), [cfg.z_m], [alpha]
+    )
     required_k = next(
         (s.k for s in stages if s.broadening_factor <= cfg.target_broadening), None
     )
@@ -536,14 +625,18 @@ def _sinc_envelopes(sent: BandReference, fiber: FiberParams, spec) -> dict:
     """The sent, dispersed and, unless ``spec`` is None, compensated sinc.
 
     ``sent`` is the :func:`band_reference` of the sent band, propagated and
-    guarded by :func:`_propagate_band`; the compensated band is the received
-    one times :func:`stage_responses` of the one K. Only the last step
-    leaves the band: each envelope is the samples of :func:`band_samples` of
-    its band, so the input envelope is :func:`make_sinc_pulse` bit for bit.
-    No bin outside the band holds rounding noise for the cascade to
-    amplify, whatever K.
+    guarded by :func:`_propagate_band`. Its width stream holds the sent
+    band and, with a spec, the received one, both measured in one
+    :func:`band_outcomes` call and reported in the guards' order. The
+    compensated band is the received one times :func:`stage_responses` of
+    the one K. Only the last step leaves the band: each envelope is the
+    samples of :func:`band_samples` of its band, so the input envelope is
+    :func:`make_sinc_pulse` bit for bit. No bin outside the band holds
+    rounding noise for the cascade to amplify, whatever K.
     """
-    rx_band, h_pcf = _propagate_band(sent, fiber, spec)
+    stream = _WidthStream(sent, 1 + (spec is not None))
+    rx_band, h_pcf, guard = _propagate_band(stream, fiber, spec)
+    guard()
     bands = {"envelope_input.csv": sent.band, "envelope_dispersed.csv": rx_band}
     if spec is not None:
         [response] = stage_responses(spec.subsystem, h_pcf, [spec.k_stages])

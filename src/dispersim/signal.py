@@ -309,7 +309,7 @@ def intensity_fwhm(e: Envelope) -> float:
     all-zero signal or a lobe on the window edge raises
     :class:`WidthMetricError`.
     """
-    return _report(*_every_sample((np.abs(e.samples) ** 2)[None], e.grid.dt))[0]
+    return report_outcomes(*_every_sample((np.abs(e.samples) ** 2)[None], e.grid.dt))[0]
 
 
 #: The errors of the width rule, by the code a band's outcome carries (0: none).
@@ -321,14 +321,17 @@ _ERRORS = {
 }
 
 
-def _report(widths, multi, codes) -> np.ndarray:
+def report_outcomes(widths, multi, codes) -> np.ndarray:
     """The widths of a stack, once its outcomes are reported in stack order.
 
     ``multi`` flags each band with several lobes above half maximum and
-    ``codes`` its error. The bands are reported as one band at a time
-    would be: a band that is not finite or all zero raises before its lobes
-    are looked at; a band with several lobes warns, and then raises if a
-    lobe touches the window edge. The first error ends the stack.
+    ``codes`` its error, as :func:`band_outcomes` gives them. The bands are
+    reported as one band at a time would be: a band that is not finite or
+    all zero raises before its lobes are looked at; a band with several
+    lobes warns, and then raises if a lobe touches the window edge. The
+    first error ends the stack. Reporting the parts of a stack one after
+    the other gives the warnings and the first error of the whole. Each
+    warning is attributed to the caller of this function's caller.
     """
     errors = np.flatnonzero(codes)
     end = errors[0] if errors.size else codes.size
@@ -352,7 +355,7 @@ def _crossings(half, i_lo, i_hi, one_lobe, n, dt, edges):
     gives the intensity at i_lo - 1, i_lo, i_hi and i_hi + 1 of the given
     bands; it is asked only for bands none of whose samples lie outside the
     window. Returns the interpolated widths (NaN on the
-    window edge), the multi-lobe flags and the codes of :func:`_report`.
+    window edge), the multi-lobe flags and the codes of :func:`report_outcomes`.
     """
     on_edge = (i_lo == 0) | (i_hi == n - 1)
     ok = np.flatnonzero(~on_edge)
@@ -390,7 +393,7 @@ COARSE_PER_BIN = 64
 #: Largest tables of direct sums band_widths builds, the sums and the roots
 #: of unity together: 1 GiB of complex128.
 MAX_TABLE_SIZE = 2**26
-#: :func:`band_widths` measures a stack in batches of at most this many
+#: :func:`band_outcomes` measures a stack in batches of at most this many
 #: coarse samples (bands times M), and at least one band, so that a batch's
 #: coarse transforms and bounds stay at a few MiB however deep the stack.
 BATCH_SAMPLES = 2**18
@@ -412,10 +415,23 @@ def band_widths(reference: "BandReference", bands: np.ndarray) -> np.ndarray:
     :func:`band_bins`; every other bin is zero. Each width, to about 1e-15
     relative, and the warnings and the first error of the stack, are those
     of :func:`intensity_fwhm` applied to the inverse transform of each whole
-    spectrum in turn, but no N-point array is built. Bands with the same
-    bytes are measured once. The stack is measured in batches of
-    :data:`BATCH_SAMPLES`, each in one pass of these steps over all its
-    bands:
+    spectrum in turn, but no N-point array is built. It is the measuring
+    pass :func:`band_outcomes` and then :func:`report_outcomes`. A width has
+    the same bits in any stack, so the sinc commands measure all the bands
+    of a run in one stream of :func:`band_outcomes` calls and report the
+    outcomes in their own order, that of one stack after another.
+    """
+    return report_outcomes(*band_outcomes(reference, bands))
+
+
+def band_outcomes(reference: "BandReference", bands: np.ndarray):
+    """The outcome of each band of a stack: its width, multi-lobe flag and error code.
+
+    The bands are those of :func:`band_widths`; nothing is reported, so
+    :func:`report_outcomes` gives the widths, warnings and first error of
+    any part of the stack. Bands with the same bytes are measured once. The
+    stack is measured in batches of :data:`BATCH_SAMPLES`, each in one pass
+    of these steps over all its bands:
 
     - the L1 distance of each band from the :func:`band_reference`
       (:meth:`BandReference.distances`);
@@ -435,8 +451,8 @@ def band_widths(reference: "BandReference", bands: np.ndarray) -> np.ndarray:
     (:func:`_every_sample`). Every formula is elementwise over the bands,
     so a width has the same bits in any stack, and the same bits from the
     reference's bounds as from its own. A reference of a zero band bounds
-    no band. Raises ValueError for bands of another size, and, in stack
-    order, for one that is not finite.
+    no band. Raises ValueError for bands of another size; a band that is
+    not finite gets its error code.
     """
     if bands.ndim != 2 or bands.shape[1:] != reference.band.shape:
         raise ValueError(
@@ -457,7 +473,7 @@ def band_widths(reference: "BandReference", bands: np.ndarray) -> np.ndarray:
         widths[batch], multi[batch], codes[batch] = outcomes
     if count < len(bands):
         widths, multi, codes = widths[which], multi[which], codes[which]
-    return _report(widths, multi, codes)
+    return widths, multi, codes
 
 
 def _measure(reference: "BandReference", bands: np.ndarray):
@@ -593,7 +609,11 @@ class BandReference:
 
     @cached_property
     def width(self) -> float:
-        """The band's :func:`band_widths` (a stack of one), measured on first use."""
+        """The band's :func:`band_widths` (a stack of one), measured on first use.
+
+        The sinc commands do not read it: each run measures its sent band
+        as the first band of its one stream of :func:`band_outcomes` calls.
+        """
         return band_widths(self, self.band[None])[0]
 
     @cached_property

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -467,11 +468,11 @@ class TestSweep:
 
     def test_unmeasurable_width_exits_3(self, tmp_path, capsys, monkeypatch):
         # no converged stage search is known to reach the width errors, so the
-        # band width function raises one here, for the sent band and the rest
+        # measuring pass raises one here, for the run's one stream of bands
         def edge(reference, bands):
             raise WidthMetricError("half-maximum lobe touches the window edge")
 
-        monkeypatch.setattr("dispersim.experiments.band_widths", edge)
+        monkeypatch.setattr("dispersim.experiments.band_outcomes", edge)
         doc = sweep_doc([0.2], [1.0], k_max=2)
         config = write_config(tmp_path, doc)
         rc = main(["sweep-k", "--config", config, "--out", str(tmp_path / "o")])
@@ -788,6 +789,146 @@ def test_sinc_propagate_builds_no_envelope(tmp_path, monkeypatch):
     assert spy.call_count == 1
 
 
+def measured_stacks(monkeypatch) -> list:
+    """The stack size of every band_outcomes call, counted at every name it is bound to."""
+    stacks, original = [], signal_module.band_outcomes
+
+    def counted(reference, bands):
+        stacks.append(len(bands))
+        return original(reference, bands)
+
+    names = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "dispersim" or module_name.startswith("dispersim."):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+                    names.append(f"{module_name}.{name}")
+    bound = {"dispersim.signal.band_outcomes", "dispersim.experiments.band_outcomes"}
+    assert bound <= set(names)
+    return stacks
+
+
+def edge_output(monkeypatch, call: int) -> None:
+    """Move the last output of the ``call``-th stage_responses call onto the window edge.
+
+    Turning band bin k by (-1)**k delays the pulse by half the window, so its
+    lobe straddles the first sample: the width rule fails for that output.
+    """
+    original, calls = experiments.stage_responses, []
+
+    def responses(sub, h_pcf, k_list):
+        calls.append(k_list)
+        out = list(original(sub, h_pcf, k_list))
+        if len(calls) == call:
+            h = h_pcf.size // 2
+            out[-1] = out[-1] * (1.0 - 2.0 * (np.r_[0 : h + 1, -h:0] % 2))
+        yield from out
+
+    monkeypatch.setattr(experiments, "stage_responses", responses)
+
+
+def run_recorded(argv):
+    """``main(argv)``'s exit code, stderr and every warning it raises."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, err.getvalue(), [(w.category, str(w.message)) for w in caught]
+
+
+class TestWidthStream:
+    """Each sinc run measures all its widths in one stream, reported in the old order."""
+
+    @staticmethod
+    def scenario_k40():
+        doc = scenario_doc(n_samples=16384)
+        doc["compensator"] = {"alphas": [1.0], "k_max": 40}
+        return doc
+
+    @staticmethod
+    def uncompensated():
+        doc = scenario_doc(n_samples=16384)
+        del doc["pcf"]
+        return doc
+
+    @pytest.mark.parametrize(
+        "command, doc, stacks",
+        [
+            # the sent band; xi 0.5: its received band and 2 x 13 outputs;
+            # xi 9.5: its received band and alpha 0.25's 13 (alpha 1 diverges)
+            ("sweep-k", sweep_doc([0.5, 9.5], [0.25, 1.0], 12, 16384), [1 + 27 + 14]),
+            ("scenario", scenario_k40(), [1 + 1 + 41]),
+            ("propagate", scenario_doc(n_samples=16384), [2]),
+            ("propagate", uncompensated(), [1]),
+            # every span diverges: no width is measured
+            ("sweep-k", sweep_doc([20.0, 100.0], [0.25, 1.0], 12, 16384), []),
+        ],
+        ids=["sweep", "scenario", "propagate", "uncompensated", "all-diverged"],
+    )
+    def test_one_measuring_call_per_run(self, tmp_path, monkeypatch, command, doc, stacks):
+        measured = measured_stacks(monkeypatch)
+        config = write_config(tmp_path, doc)
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 0
+        assert measured == stacks
+
+    @pytest.mark.parametrize(
+        "command, xis, k_list, window, call",
+        [
+            ("sweep-k", [2.0], [*range(13)], 8, 1),
+            ("scenario", [2.0], [*range(13)], 8, 1),
+            # xi 0.5 passes both guards; xi 2's stage guard stops the run
+            # before its own outputs, one of which fails the width rule
+            ("sweep-k", [0.5, 2.0], [*range(13)], 8, 2),
+            ("sweep-k", [0.5], [1000], 64, 1),
+        ],
+        ids=["sweep", "scenario", "second-span", "deep"],
+    )
+    def test_stage_guard_stops_the_run_before_its_outputs(
+        self, tmp_path, monkeypatch, command, xis, k_list, window, call
+    ):
+        # A later output's lobe lies on the window edge, which the width rule
+        # rejects; the received band's guard comes first and stops the run.
+        # Every band was built and measured, and no warning was raised.
+        edge_output(monkeypatch, call)
+        measured = measured_stacks(monkeypatch)
+        beta2 = -21e-27
+        doc = sweep_doc(xis, [1.0], n_samples=4096)
+        if command == "scenario":
+            doc = scenario_doc(z_km=span_length(xis[0], beta2, 3e9) / 1e3, n_samples=4096)
+        doc["compensator"] = {"alphas": [1.0], "k_list": k_list}
+        doc["signal"]["window_factor"] = window
+        config = write_config(tmp_path, doc)
+        argv = [command, "--config", config, "--out", str(tmp_path / "o")]
+        rc, err, caught = run_recorded(argv)
+        assert (rc, err.count("error:"), caught) == (3, 1, [])
+        z_m = span_length(xis[-1], beta2, 3e9)
+        spread = k_list[-1] * abs(beta2) * z_m * 2 * math.pi * 3e9  # the stages'
+        assert f"dispersive spread {spread:.3e} s" in err
+        assert measured == [len(xis) * (1 + len(k_list)) + 1]
+        # the same output fails the width rule once the window holds the spread
+        edge_output(monkeypatch, call)
+        doc["signal"]["window_factor"] = 16 * window
+        config = write_config(tmp_path, doc)
+        rc, err, _ = run_recorded(argv)
+        assert (rc, err.count("error:")) == (3, 1)
+        assert "window edge" in err
+
+    def test_earlier_span_outputs_come_before_a_later_guard(self, tmp_path, monkeypatch):
+        # xi 0.5's outputs are reported before xi 2's guard: the failing
+        # output of the first span stops the run with the width error
+        edge_output(monkeypatch, 1)
+        doc = sweep_doc([0.5, 2.0], [1.0], k_max=12, n_samples=4096)
+        doc["signal"]["window_factor"] = 8
+        config = write_config(tmp_path, doc)
+        rc, err, caught = run_recorded(
+            ["sweep-k", "--config", config, "--out", str(tmp_path / "o")]
+        )
+        assert (rc, err.count("error:")) == (3, 1)
+        assert "window edge" in err
+        assert [category for category, _ in caught] == [UserWarning]  # its two lobes
+
+
 def test_scenario_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the width metric's direct sums are matrix products, which OpenBLAS may
     # split across threads; each coarse interval is a product of its own, so
@@ -1100,8 +1241,11 @@ _SHORT_DECIMALS = st.builds(
 _DOUBLES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     _near(_TIES),
-    # the log10 misestimate near 10**p and the 999999999.5 carry
+    # the upward step of the decimal exponent near 10**p, and the
+    # 999999999.5 carry
     _near(st.integers(-320, 308).map(lambda p: float(f"1e{p}"))),
+    # the first double of each binade, where the exponent's estimate changes
+    _near(st.integers(-1074, 1023).map(lambda p: 2.0**p)),
     # %g's switch from fixed notation at exponents -4 and 9
     _near(
         st.sampled_from(
@@ -1127,6 +1271,16 @@ _SIGNED_DOUBLES = st.builds(math.copysign, _DOUBLES, st.sampled_from([1, -1]))
 @example(values=[100.0, 1500.0, 1e8, 120000000.0, 0.001])
 def test_encoder_writes_format_9g_bytes(values):
     assert _encoded(values) == [format(v, ".9g").encode() for v in values]
+
+
+def test_binade_exponent_table_is_exact():
+    # floor(log10(2**p)) for every biased binary exponent, from exact integers
+    # (2**p is never a power of ten for p != 0)
+    table = experiments._encoder_tables()[2]
+    want = [
+        len(str(1 << p)) - 1 if p >= 0 else -len(str(1 << -p)) for p in range(-1023, 1025)
+    ]
+    assert table.tolist() == want
 
 
 _SEPARATORS = np.frombuffer(b",,\n", np.uint8)

@@ -24,7 +24,13 @@ from dispersim import (
     occupied_bandwidth,
 )
 from dispersim import signal as signal_module
-from dispersim.compensator import CompensatorSpec, compensate, match_pcf
+from dispersim.compensator import (
+    CompensatorSpec,
+    compensate,
+    match_pcf,
+    stage_responses,
+)
+from dispersim.convergence import span_length
 from dispersim.fiber import (
     FiberParams,
     d_to_beta2,
@@ -36,11 +42,13 @@ from dispersim.signal import (
     COARSE_PER_BIN,
     band_bins,
     band_offsets,
+    band_outcomes,
     band_reference,
     band_samples,
     band_widths,
     ifft,
     make_sinc_band,
+    report_outcomes,
     sinc_band_bins,
 )
 
@@ -1074,6 +1082,72 @@ class TestBandReference:
 
         got, want = stack_outcome(batched), stack_outcome(per_band)
         assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2**12, 2**14, 2**16]),
+        xis=st.lists(st.floats(0.05, 8.0), min_size=2, max_size=2),
+        alpha=st.floats(0.05, 1.0),
+        k_max=st.integers(0, 12),
+        bad=st.sampled_from(["nan", "inf", "zero", "edge"]),
+        data=st.data(),
+    )
+    def test_mixed_stack_gives_each_band_its_stack_of_one(
+        self, n, xis, alpha, k_max, bad, data
+    ):
+        # A sinc run's width stream: the sent band (the reference's own), the
+        # received bands of two spans and their stage outputs, some repeated
+        # rows, and one band that is not finite, all zero or on the window
+        # edge, each at a drawn place. Every outcome has the bits of the
+        # band's stack of one. The warnings and the first error of the whole
+        # stack, and of its parts reported one after the other, are those of
+        # one band at a time.
+        width, beta2 = 2 / 3e9, -21e-27
+        grid = FrequencyGrid(n, 64 * width / n)  # a 3 GHz sinc, 64 widths
+        reference = band_reference(grid, make_sinc_band(grid, width))
+        offsets = reference.offsets
+        bands = [reference.band]
+        for xi in xis:
+            fiber = FiberParams(beta2, span_length(xi, beta2, 3e9))
+            rx = reference.band * dispersion_response(fiber, offsets)
+            sub = match_pcf(fiber, d_to_beta2(2200.0, 1.55e-6), alpha=alpha)
+            h_pcf = dispersion_response(sub.pcf, offsets)
+            bands.append(rx)
+            bands += [rx * r for r in stage_responses(sub, h_pcf, range(k_max + 1))]
+        places = st.integers(0, len(bands))
+        for _ in range(data.draw(st.integers(0, 4), label="repeats")):
+            row = bands[data.draw(st.integers(0, len(bands) - 1), label="repeated")]
+            bands.insert(data.draw(places, label="repeat place"), row)
+        if bad == "edge":  # the sent pulse half a window on: two lobes, on the edge
+            h = reference.band.size // 2
+            odd = reference.band * (1.0 - 2.0 * (np.r_[0 : h + 1, -h:0] % 2))
+        else:
+            value = {"nan": np.nan, "inf": np.inf, "zero": 0.0}[bad]
+            odd = np.full_like(reference.band, value)
+        bands.insert(data.draw(st.integers(0, len(bands)), label="odd place"), odd)
+        stack = np.array(bands)
+
+        def outcome_bits(outcomes):
+            widths, multi, codes = outcomes
+            bits = widths.view(np.int64).tolist()
+            return list(zip(bits, multi.tolist(), codes.tolist()))
+
+        outcomes = band_outcomes(reference, stack)
+        alone = [outcome_bits(band_outcomes(reference, band[None]))[0] for band in stack]
+        assert outcome_bits(outcomes) == alone
+
+        places = st.integers(0, len(stack))
+        cuts = sorted(data.draw(st.lists(places, max_size=3), label="cuts"))
+
+        def in_parts():
+            widths = []
+            for lo, hi in zip([0] + cuts, cuts + [len(stack)]):
+                widths += report_outcomes(*(v[lo:hi] for v in outcomes)).tolist()
+            return widths
+
+        want = stack_outcome(lambda: [width_of(reference, band) for band in stack])
+        assert stack_outcome(lambda: band_widths(reference, stack)) == want
+        assert stack_outcome(in_parts) == want
 
 
 def stack_outcome(measure):
