@@ -7,8 +7,11 @@ configuration, its SI resolution and the pulse-width metric in use.
 
 The sinc commands run on the sinc's band bins: ``sweep-k`` and
 ``scenario`` through :func:`_stage_search`, ``propagate`` through
-:func:`_sinc_envelopes`. The envelope CSVs are written by
-:func:`_envelope_csv`, with the encoder :func:`_encode_9g`.
+:func:`_sinc_envelopes`. Each measures every width of its run in one
+:func:`band_outcomes` call and reports the outcomes in its own order,
+with a wraparound guard (:func:`_guard_span`) between them. The
+envelope CSVs are written by :func:`_envelope_csv`, with the encoder
+:func:`_encode_9g`.
 """
 
 import contextlib
@@ -31,7 +34,6 @@ from .config import ConfigError, ExperimentConfig, require_normal
 from .convergence import dispersion_strength, edge_error, span_length, stable, z_max
 from .fiber import FiberParams, dispersion_response, propagate
 from .signal import (
-    BATCH_SAMPLES,
     FrequencyGrid,
     WIDTH_METRIC,
     BandReference,
@@ -338,87 +340,38 @@ class Stage:
     residual_max: float
 
 
-class _WidthStream:
-    """The bands whose widths a sinc run measures, in one pass, reported in order.
+def _report(outcomes, lo: int, hi: int) -> np.ndarray:
+    """:func:`report_outcomes` of bands lo..hi-1 of a run's :func:`band_outcomes`."""
+    return report_outcomes(*(values[lo:hi] for values in outcomes))
 
-    A run adds its bands in the order their outcomes are reported: the sent
-    band (added here), then, for each converging span, its received band
-    and its stage outputs. They are filled into one reused chunk of at most
-    :data:`BATCH_SAMPLES` band values (and at least one band). A full chunk
-    is measured when the next band comes, and the rest when the first
-    outcome is asked for, each by one :func:`band_outcomes` call through
-    the sent band's reference. So a run whose bands fit one chunk makes one
-    call, and a run that asks for no width, such as a sweep whose every
-    span diverges, makes none. As a width has the same bits in any stack,
-    :meth:`report` gives the widths, warnings and first error that
-    :func:`band_widths` of each reported part would give.
+
+def _propagate_band(sent: BandReference, fiber: FiberParams, spec):
+    """The received band over ``fiber`` and the pcf response at its bins.
+
+    The sent band is that of ``sent``, a sinc's band; no N-point array is
+    built. Where ``spec`` is None the pcf response is None too.
     """
-
-    def __init__(self, sent: BandReference, total: int):
-        self.reference = sent
-        rows = min(total, max(1, BATCH_SAMPLES // sent.band.size))
-        self.chunk = np.empty((rows, sent.band.size), np.complex128)
-        self.filled = 0
-        self.measured = []  # the outcomes of each measured chunk
-        self.outcomes = None  # all of them, once the first is reported
-        self.reported = 0
-        self.row()[...] = sent.band
-
-    def row(self) -> np.ndarray:
-        """The chunk row that the next band of the stream is written into."""
-        if self.filled == len(self.chunk):
-            self._measure()
-        self.filled += 1
-        return self.chunk[self.filled - 1]
-
-    def _measure(self) -> None:
-        self.measured.append(band_outcomes(self.reference, self.chunk[: self.filled]))
-        self.filled = 0
-
-    def report(self, count: int) -> np.ndarray:
-        """The widths of the next ``count`` bands, their outcomes reported in order."""
-        if self.outcomes is None:
-            if self.filled:
-                self._measure()
-            self.outcomes = [np.concatenate(parts) for parts in zip(*self.measured)]
-        part = slice(self.reported, self.reported + count)
-        self.reported += count
-        return report_outcomes(*(values[part] for values in self.outcomes))
-
-    @functools.cached_property
-    def sent_width(self) -> float:
-        """The sent band's width, reported the first time it is read."""
-        return self.report(1)[0]
-
-
-def _propagate_band(stream: _WidthStream, fiber: FiberParams, spec):
-    """The received band over ``fiber``, the pcf response at its bins, and the guard.
-
-    The sent band is the reference of ``stream``, a sinc's band; no N-point
-    array is built. With a :class:`CompensatorSpec` ``spec``, the received
-    band joins the stream; where ``spec`` is None the pcf response is None
-    too. The guard, called when the span's outcomes are due, runs the
-    wraparound guards of the full-grid path on the band's offsets, in its
-    order: the span's, on the sent pulse (:func:`propagate`), and, with a
-    spec, the K stages', on the received one (:func:`compensate`), each
-    with the width the stream reports for its pulse.
-    """
-    sent = stream.reference
-    grid, tx_band, offsets = sent.grid, sent.band, sent.offsets
-    rx_band = tx_band * dispersion_response(fiber, offsets)
+    rx_band = sent.band * dispersion_response(fiber, sent.offsets)
     h_pcf = None
     if spec is not None:
-        stream.row()[...] = rx_band
-        h_pcf = dispersion_response(spec.subsystem.pcf, offsets)
+        h_pcf = dispersion_response(spec.subsystem.pcf, sent.offsets)
+    return rx_band, h_pcf
 
-    def guard():
-        gvd = fiber.beta2 * fiber.length_m
-        check_wraparound(grid, offsets, tx_band, stream.sent_width, gvd)
-        if spec is not None:
-            [rx_width] = stream.report(1)
-            check_wraparound(grid, offsets, rx_band, rx_width, spec.stage_gvd)
 
-    return rx_band, h_pcf, guard
+def _guard_span(sent, sent_width, fiber, spec, rx_band, outcomes, at) -> None:
+    """The wraparound guards of the full-grid path for one span, on the band's offsets.
+
+    They run in its order: the span's, on the sent pulse of width
+    ``sent_width`` (:func:`propagate`), and, with a :class:`CompensatorSpec`
+    ``spec``, the K stages', on the received band (:func:`compensate`),
+    whose width is reported between the two, from band ``at`` of the run's
+    ``outcomes``.
+    """
+    grid, offsets = sent.grid, sent.offsets
+    check_wraparound(grid, offsets, sent.band, sent_width, fiber.beta2 * fiber.length_m)
+    if spec is not None:
+        [rx_width] = _report(outcomes, at, at + 1)
+        check_wraparound(grid, offsets, rx_band, rx_width, spec.stage_gvd)
 
 
 def _stage_search(cfg: ExperimentConfig, sent: BandReference, spans, alphas) -> list:
@@ -431,42 +384,53 @@ def _stage_search(cfg: ExperimentConfig, sent: BandReference, spans, alphas) -> 
     response. The pcf response is built once per span, as the matched
     length does not depend on alpha; then each alpha's
     :func:`stage_responses`, and the output of every K, the spectrum
-    :func:`compensate` forms there. Every band of the run goes into one
-    :class:`_WidthStream`: the sent band, then, for each converging span,
-    its received band and the outputs of its converging alphas and K. So
-    the memory does not grow with the spans, alphas and K, and a run whose
-    bands fit one chunk makes one :func:`band_outcomes` call. The outcomes
-    are reported one span after the other: the sent width, the span's
-    guard, the received width, the stages' guard, then the span's outputs,
-    each as :func:`intensity_fwhm` would measure its inverse transform,
-    with the same bits, warnings and first error. As K grows the outputs
-    near the sent band, and from there on the reference's bounds stand in
-    for their coarse transforms.
+    :func:`compensate` forms there. A generator yields every band of the
+    run to one :func:`band_outcomes` call: the sent band, then, for each
+    converging span, its received band and the outputs of its converging
+    alphas and K. So the memory does not grow with the spans, alphas and
+    K, and a run whose every span diverges measures nothing. The outcomes
+    are then reported one span after the other: the sent width (once), the
+    span's guards (:func:`_guard_span`), which report the received width
+    between them, then the span's outputs, each as :func:`intensity_fwhm`
+    would measure its inverse transform, with the same bits, warnings and
+    first error. As K grows the outputs near the sent band, and from there
+    on the reference's bounds stand in for their coarse transforms.
     """
     beta2, bandwidth, count = cfg.fiber_beta2, cfg.bandwidth_hz, len(cfg.k_list)
     converging = [
         [alpha for alpha in alphas if stable(alpha, beta2, bandwidth, z_m)]
         for z_m in spans
     ]
-    stream = _WidthStream(sent, 1 + sum(1 + len(c) * count for c in converging if c))
-    guards = []
-    for z_m, span_alphas in zip(spans, converging):
-        fiber = FiberParams(beta2, z_m)
-        guard = None
-        for i, alpha in enumerate(span_alphas):
-            sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-            if i == 0:
-                spec = CompensatorSpec(sub, cfg.k_list[-1])
-                rx_band, h_pcf, guard = _propagate_band(stream, fiber, spec)
-            for response in stage_responses(sub, h_pcf, cfg.k_list):
-                np.multiply(rx_band, response, out=stream.row())
-        guards.append(guard)
+    received = []  # (fiber, spec, rx_band) of each converging span, as it is built
+
+    def bands():
+        yield sent.band
+        for z_m, span_alphas in zip(spans, converging):
+            fiber = FiberParams(beta2, z_m)
+            for i, alpha in enumerate(span_alphas):
+                sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
+                if i == 0:
+                    spec = CompensatorSpec(sub, cfg.k_list[-1])
+                    rx_band, h_pcf = _propagate_band(sent, fiber, spec)
+                    received.append((fiber, spec, rx_band))
+                    yield rx_band
+                for response in stage_responses(sub, h_pcf, cfg.k_list):
+                    yield rx_band * response
+
+    if any(converging):
+        total = 1 + sum(1 + len(c) * count for c in converging if c)
+        outcomes = band_outcomes(sent, bands(), total)
+        [sent_width] = _report(outcomes, 0, 1)
+    built, at = iter(received), 1
     searches = []
-    for z_m, span_alphas, guard in zip(spans, converging, guards):
+    for z_m, span_alphas in zip(spans, converging):
         factors = {}
-        if guard is not None:
-            guard()
-            widths = stream.report(len(span_alphas) * count) / stream.sent_width
+        if span_alphas:
+            fiber, spec, rx_band = next(built)
+            _guard_span(sent, sent_width, fiber, spec, rx_band, outcomes, at)
+            end = at + 1 + len(span_alphas) * count
+            widths = _report(outcomes, at + 1, end) / sent_width
+            at = end
             factors = {
                 alpha: widths[i * count : (i + 1) * count].tolist()
                 for i, alpha in enumerate(span_alphas)
@@ -487,7 +451,7 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
 
     The pulse's band and its :func:`band_reference` are built once per run,
     and one :func:`_stage_search` runs every xi's span over the sorted
-    alphas, with one width stream for the whole run.
+    alphas, with one :func:`band_outcomes` call for the whole run.
     """
     if cfg.pcf_beta2 is None:
         raise ConfigError("pcf section is required for the sweep-k command")
@@ -519,7 +483,7 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     """Single-link design report: strength, matched lengths, stage search.
 
     The stage search (:func:`_stage_search`) runs the one span over the
-    first alpha, with one width stream for the run.
+    first alpha, with one :func:`band_outcomes` call for the run.
     """
     if cfg.z_m is None:
         raise ConfigError("fiber.z_km is required for the scenario command")
@@ -624,19 +588,21 @@ def _envelope_csv(outdir: Path, grid: FrequencyGrid, envelopes: dict) -> None:
 def _sinc_envelopes(sent: BandReference, fiber: FiberParams, spec) -> dict:
     """The sent, dispersed and, unless ``spec`` is None, compensated sinc.
 
-    ``sent`` is the :func:`band_reference` of the sent band, propagated and
-    guarded by :func:`_propagate_band`. Its width stream holds the sent
-    band and, with a spec, the received one, both measured in one
-    :func:`band_outcomes` call and reported in the guards' order. The
-    compensated band is the received one times :func:`stage_responses` of
-    the one K. Only the last step leaves the band: each envelope is the
-    samples of :func:`band_samples` of its band, so the input envelope is
+    ``sent`` is the :func:`band_reference` of the sent band, propagated by
+    :func:`_propagate_band`. The sent band and, with a spec, the received
+    one are measured in one :func:`band_outcomes` call; the sent width is
+    reported, then :func:`_guard_span` runs. The compensated band is the
+    received one times :func:`stage_responses` of the one K. Only the last
+    step leaves the band: each envelope is the samples of
+    :func:`band_samples` of its band, so the input envelope is
     :func:`make_sinc_pulse` bit for bit. No bin outside the band holds
     rounding noise for the cascade to amplify, whatever K.
     """
-    stream = _WidthStream(sent, 1 + (spec is not None))
-    rx_band, h_pcf, guard = _propagate_band(stream, fiber, spec)
-    guard()
+    rx_band, h_pcf = _propagate_band(sent, fiber, spec)
+    measured = [sent.band] if spec is None else [sent.band, rx_band]
+    outcomes = band_outcomes(sent, measured, len(measured))
+    [sent_width] = _report(outcomes, 0, 1)
+    _guard_span(sent, sent_width, fiber, spec, rx_band, outcomes, 1)
     bands = {"envelope_input.csv": sent.band, "envelope_dispersed.csv": rx_band}
     if spec is not None:
         [response] = stage_responses(spec.subsystem, h_pcf, [spec.k_stages])

@@ -7,9 +7,10 @@ Nyquist bin assigned to the negative side, i.e. the ordering of
 ``numpy.fft.fftfreq``.
 
 A sinc pulse is defined by its band (:func:`make_sinc_band`). The width
-metric is :func:`intensity_fwhm` on a whole envelope and
-:func:`band_widths` on a stack of band-limited ones, from their band bins
-alone. :func:`check_wraparound` is the one window guard for both.
+metric is :func:`intensity_fwhm` on a whole envelope, and
+:func:`band_outcomes` on the band-limited ones of a run (:func:`band_widths`
+on a stack), from their band bins alone. :func:`check_wraparound` is the
+one window guard for both.
 """
 
 import sys
@@ -393,9 +394,10 @@ COARSE_PER_BIN = 64
 #: Largest tables of direct sums band_widths builds, the sums and the roots
 #: of unity together: 1 GiB of complex128.
 MAX_TABLE_SIZE = 2**26
-#: :func:`band_outcomes` measures a stack in batches of at most this many
-#: coarse samples (bands times M), and at least one band, so that a batch's
-#: coarse transforms and bounds stay at a few MiB however deep the stack.
+#: :func:`band_outcomes` reads bands into a chunk of at most this many band
+#: values and measures it in batches of at most this many coarse samples
+#: (bands times M), each at least one band, so that the chunk and a batch's
+#: coarse transforms and bounds stay at a few MiB however many bands a run has.
 BATCH_SAMPLES = 2**18
 #: :func:`_direct_sums` evaluates this many rows in one stacked product.
 _CHUNK = 64
@@ -416,22 +418,26 @@ def band_widths(reference: "BandReference", bands: np.ndarray) -> np.ndarray:
     relative, and the warnings and the first error of the stack, are those
     of :func:`intensity_fwhm` applied to the inverse transform of each whole
     spectrum in turn, but no N-point array is built. It is the measuring
-    pass :func:`band_outcomes` and then :func:`report_outcomes`. A width has
-    the same bits in any stack, so the sinc commands measure all the bands
-    of a run in one stream of :func:`band_outcomes` calls and report the
-    outcomes in their own order, that of one stack after another.
+    pass :func:`band_outcomes` over the rows and then :func:`report_outcomes`.
     """
-    return report_outcomes(*band_outcomes(reference, bands))
+    return report_outcomes(*band_outcomes(reference, bands, len(bands)))
 
 
-def band_outcomes(reference: "BandReference", bands: np.ndarray):
-    """The outcome of each band of a stack: its width, multi-lobe flag and error code.
+def band_outcomes(reference: "BandReference", bands, count: int):
+    """The outcome of each band a run yields: its width, multi-lobe flag and error code.
 
-    The bands are those of :func:`band_widths`; nothing is reported, so
-    :func:`report_outcomes` gives the widths, warnings and first error of
-    any part of the stack. Bands with the same bytes are measured once. The
-    stack is measured in batches of :data:`BATCH_SAMPLES`, each in one pass
-    of these steps over all its bands:
+    ``bands`` is any iterable of bands, such as a generator, each one of
+    those of :func:`band_widths`, and ``count`` is the number of bands it
+    will yield. Nothing is reported, so :func:`report_outcomes` gives the
+    widths, warnings and first error of any part of the run; as a width has
+    the same bits in any stack, those are what :func:`band_widths` of each
+    part would give. The sinc commands measure every band of a run in one
+    call. The bands are read into one reused chunk of at most
+    :data:`BATCH_SAMPLES` band values, at most ``count`` bands and at least
+    one, so the run is never held whole. Each full chunk, and the rest at
+    the end, is measured with its bands of the same bytes once, in batches
+    of :data:`BATCH_SAMPLES` coarse samples, each in one pass of these steps
+    over all its bands:
 
     - the L1 distance of each band from the :func:`band_reference`
       (:meth:`BandReference.distances`);
@@ -451,13 +457,30 @@ def band_outcomes(reference: "BandReference", bands: np.ndarray):
     (:func:`_every_sample`). Every formula is elementwise over the bands,
     so a width has the same bits in any stack, and the same bits from the
     reference's bounds as from its own. A reference of a zero band bounds
-    no band. Raises ValueError for bands of another size; a band that is
+    no band. Raises ValueError for a band of another size; a band that is
     not finite gets its error code.
     """
-    if bands.ndim != 2 or bands.shape[1:] != reference.band.shape:
-        raise ValueError(
-            f"expected {reference.band.size} band bins per band, got shape {bands.shape}"
-        )
+    shape = reference.band.shape
+    rows = max(1, min(count, BATCH_SAMPLES // shape[0]))
+    chunk = np.empty((rows,) + shape, np.complex128)
+    parts, filled = [], 0
+    for band in bands:
+        if np.shape(band) != shape:
+            raise ValueError(
+                f"expected {shape[0]} band bins per band, got shape {np.shape(band)}"
+            )
+        chunk[filled] = band
+        filled += 1
+        if filled == rows:
+            parts.append(_distinct_outcomes(reference, chunk))
+            filled = 0
+    if filled or not parts:
+        parts.append(_distinct_outcomes(reference, chunk[:filled]))
+    return tuple(np.concatenate(values) for values in zip(*parts))
+
+
+def _distinct_outcomes(reference: "BandReference", bands: np.ndarray):
+    """The outcomes of a stack, its bands of the same bytes measured once, in batches."""
     slots, firsts, which = {}, [], []
     for i, band in enumerate(bands):
         which.append(slots.setdefault(band.tobytes(), len(firsts)))
@@ -585,7 +608,7 @@ def _candidates(reference: "BandReference", eps: np.ndarray, coarse, h: int):
 
 @dataclass(frozen=True, eq=False)
 class BandReference:
-    """One band, its width, and the coarse bounds that bound the bands near it.
+    """One band and the coarse bounds that bound the bands near it.
 
     For two bands b and b0 on the same bins, the inverse DFT sum and the
     triangle inequality give |s_b(t) - s_b0(t)| <= eps = ||b - b0||_1 / N at
@@ -606,15 +629,6 @@ class BandReference:
     amplitude_lower: np.ndarray | None
     amplitude_peak: float | None
     reach: float
-
-    @cached_property
-    def width(self) -> float:
-        """The band's :func:`band_widths` (a stack of one), measured on first use.
-
-        The sinc commands do not read it: each run measures its sent band
-        as the first band of its one stream of :func:`band_outcomes` calls.
-        """
-        return band_widths(self, self.band[None])[0]
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -638,8 +652,7 @@ def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference:
     (2h+1) x (N/M + 2) direct sums and the M roots of unity) would exceed
     :data:`MAX_TABLE_SIZE` values, before allocating anything. The reference
     has no bounds where :func:`band_widths` measures every sample (M = N)
-    and where the coarse peak lies outside ``_REFERENCE_PEAKS``; its width
-    is measured only when asked for.
+    and where the coarse peak lies outside ``_REFERENCE_PEAKS``.
     """
     n = grid.n_samples
     h = band.size // 2

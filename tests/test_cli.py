@@ -468,8 +468,8 @@ class TestSweep:
 
     def test_unmeasurable_width_exits_3(self, tmp_path, capsys, monkeypatch):
         # no converged stage search is known to reach the width errors, so the
-        # measuring pass raises one here, for the run's one stream of bands
-        def edge(reference, bands):
+        # measuring pass raises one here, for the run's one call
+        def edge(reference, bands, count):
             raise WidthMetricError("half-maximum lobe touches the window edge")
 
         monkeypatch.setattr("dispersim.experiments.band_outcomes", edge)
@@ -790,12 +790,18 @@ def test_sinc_propagate_builds_no_envelope(tmp_path, monkeypatch):
 
 
 def measured_stacks(monkeypatch) -> list:
-    """The stack size of every band_outcomes call, counted at every name it is bound to."""
+    """The bands every band_outcomes call reads, counted at every name it is bound to."""
     stacks, original = [], signal_module.band_outcomes
 
-    def counted(reference, bands):
-        stacks.append(len(bands))
-        return original(reference, bands)
+    def counted(reference, bands, count):
+        stacks.append(0)
+
+        def read():
+            for band in bands:
+                stacks[-1] += 1
+                yield band
+
+        return original(reference, read(), count)
 
     names = []
     for module_name, module in list(sys.modules.items()):

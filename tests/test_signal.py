@@ -668,7 +668,9 @@ class TestBandWidthMetric:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
-        assert widths == pytest.approx(reference.width, rel=1e-12)
+        assert widths == pytest.approx(
+            band_widths(reference, reference.band[None])[0], rel=1e-12
+        )
 
     def test_table_of_direct_sums_is_bounded(self, monkeypatch):
         # the direct sums and the roots of unity count together
@@ -778,7 +780,8 @@ class TestBandWidthMetric:
             with pytest.raises(ValueError, match="band must be finite"):
                 width_of(reference, bad_band)
         with pytest.raises(ValueError, match="band must be finite"):
-            band_reference(grid, bad_band).width
+            reference = band_reference(grid, bad_band)
+            band_widths(reference, reference.band[None])[0]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -943,7 +946,8 @@ class TestBandReference:
         grid = FrequencyGrid(4096, 1e-12)
         reference = band_reference(grid, sinc_band(grid))
         assert reference.reach == -np.inf  # M = N = 4096
-        assert reference.width == own_width(grid, sinc_band(grid))
+        width = band_widths(reference, reference.band[None])[0]
+        assert width == own_width(grid, sinc_band(grid))
         grid = FrequencyGrid(8192, 1e-12)
         assert band_reference(grid, sinc_band(grid)).reach > 0
         # a zero band, and peaks (1e-320, 1e280) whose widened bounds could
@@ -956,13 +960,14 @@ class TestBandReference:
     def test_width_is_measured_when_asked_for(self):
         # a band without a measurable width (all zero, or a lobe across the
         # window edge) is still a reference; its width raises and warns as
-        # band_widths does, and only when it is read
+        # its own band_widths does, and only when it is measured
         grid = FrequencyGrid(8192, 1e-12)
         for band in (np.zeros(129, np.complex128), sinc_band(grid, 0)):
             reference = band_reference(grid, band)
             want = outcome(own_width, grid, band)
             assert isinstance(want[0], str)
-            assert outcome(lambda: reference.width) == want
+            width = outcome(lambda: band_widths(reference, reference.band[None])[0])
+            assert width == want
 
     def test_band_of_another_size_is_refused(self):
         grid = FrequencyGrid(8192, 1e-12)
@@ -1126,14 +1131,8 @@ class TestBandReference:
             odd = np.full_like(reference.band, value)
         bands.insert(data.draw(st.integers(0, len(bands)), label="odd place"), odd)
         stack = np.array(bands)
-
-        def outcome_bits(outcomes):
-            widths, multi, codes = outcomes
-            bits = widths.view(np.int64).tolist()
-            return list(zip(bits, multi.tolist(), codes.tolist()))
-
-        outcomes = band_outcomes(reference, stack)
-        alone = [outcome_bits(band_outcomes(reference, band[None]))[0] for band in stack]
+        outcomes = band_outcomes(reference, stack, len(stack))
+        alone = [outcome_bits(band_outcomes(reference, band[None], 1))[0] for band in stack]
         assert outcome_bits(outcomes) == alone
 
         places = st.integers(0, len(stack))
@@ -1148,6 +1147,72 @@ class TestBandReference:
         want = stack_outcome(lambda: [width_of(reference, band) for band in stack])
         assert stack_outcome(lambda: band_widths(reference, stack)) == want
         assert stack_outcome(in_parts) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2**12, 2**13, 2**16]),
+        rows=st.integers(1, 4),
+        kinds=st.lists(
+            st.sampled_from(["near", "far", "scaled", "two-lobe", "repeat"]), max_size=10
+        ),
+        repeats=st.integers(1, 3),
+        relation=st.sampled_from(["below", "equal", "above"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_bands_are_read_from_any_iterable_a_chunk_at_a_time(
+        self, n, rows, kinds, repeats, relation, seed, data
+    ):
+        # BATCH_SAMPLES is cut so that a chunk holds 1 to 4 bands. A generator
+        # yields mixed bands: one that is not finite, one all zero, one on the
+        # window edge, and repeats of bands of an earlier chunk. With a count
+        # below, equal to or above the bands yielded, the outcomes are the
+        # bits of the whole stack's, and the first chunk is measured before
+        # the generator has yielded more than one chunk and one band.
+        grid = FrequencyGrid(n, 1e-12)
+        rng = np.random.default_rng(seed)
+        band = sinc_band(grid, int(rng.integers(3 * n // 8, 5 * n // 8)))
+        reference = band_reference(grid, band)
+        kinds = data.draw(st.permutations(kinds + ["zero", "edge", "not-finite"]))
+        bands = list(self.stack(grid, reference, kinds, rng))
+        total = len(bands) + repeats
+        count = {
+            "below": data.draw(st.integers(1, total - 1), label="count"),
+            "equal": total,
+            "above": total + data.draw(st.integers(1, 5), label="count"),
+        }[relation]
+        chunk = min(count, rows)  # the bands band_outcomes reads before measuring
+        for _ in range(repeats):
+            i = data.draw(st.integers(0, len(bands) - 1), label="repeated")
+            later = min((i // chunk + 1) * chunk, len(bands))  # the next chunk
+            bands.insert(data.draw(st.integers(later, len(bands)), label="place"), bands[i])
+        want = outcome_bits(band_outcomes(reference, np.array(bands), total))
+        yielded, first = [0], []
+
+        def read():
+            for band in bands:
+                yielded[0] += 1
+                yield band
+
+        def measure(*args):
+            first.append(yielded[0])
+            return original(*args)
+
+        original, size = signal_module._measure, reference.band.size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signal_module, "BATCH_SAMPLES", rows * size + int(rng.integers(size)))
+            mp.setattr(signal_module, "_measure", measure)
+            got = outcome_bits(band_outcomes(reference, read(), count))
+        assert got == want
+        assert yielded[0] == total
+        assert first[0] <= chunk + 1
+
+
+def outcome_bits(outcomes):
+    """Each band's width bits, multi-lobe flag and error code, of band_outcomes."""
+    widths, multi, codes = outcomes
+    bits = widths.view(np.int64).tolist()
+    return list(zip(bits, multi.tolist(), codes.tolist()))
 
 
 def stack_outcome(measure):
@@ -1194,7 +1259,8 @@ def guard_outcome(check, *args):
 
 def band_guard(grid, band, accumulated_gvd):
     """check_wraparound on the band's offsets, as the band path runs it."""
-    width = band_reference(grid, band).width
+    reference = band_reference(grid, band)
+    width = band_widths(reference, reference.band[None])[0]
     offsets = band_offsets(grid, band.size // 2)
     check_wraparound(grid, offsets, band, width, accumulated_gvd)
 
