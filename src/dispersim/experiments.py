@@ -418,8 +418,7 @@ def _stage_search(cfg: ExperimentConfig, sent: BandReference, spans, alphas) -> 
                     yield rx_band * response
 
     if any(converging):
-        total = 1 + sum(1 + len(c) * count for c in converging if c)
-        outcomes = band_outcomes(sent, bands(), total)
+        outcomes = band_outcomes(sent, bands())
         [sent_width] = _report(outcomes, 0, 1)
     built, at = iter(received), 1
     searches = []
@@ -600,7 +599,7 @@ def _sinc_envelopes(sent: BandReference, fiber: FiberParams, spec) -> dict:
     """
     rx_band, h_pcf = _propagate_band(sent, fiber, spec)
     measured = [sent.band] if spec is None else [sent.band, rx_band]
-    outcomes = band_outcomes(sent, measured, len(measured))
+    outcomes = band_outcomes(sent, measured)
     [sent_width] = _report(outcomes, 0, 1)
     _guard_span(sent, sent_width, fiber, spec, rx_band, outcomes, 1)
     bands = {"envelope_input.csv": sent.band, "envelope_dispersed.csv": rx_band}

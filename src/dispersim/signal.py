@@ -394,9 +394,9 @@ COARSE_PER_BIN = 64
 #: Largest tables of direct sums band_widths builds, the sums and the roots
 #: of unity together: 1 GiB of complex128.
 MAX_TABLE_SIZE = 2**26
-#: :func:`band_outcomes` reads bands into a chunk of at most this many band
-#: values and measures it in batches of at most this many coarse samples
-#: (bands times M), each at least one band, so that the chunk and a batch's
+#: :func:`band_outcomes` holds at most this many band values of a run before
+#: it measures them, in batches of at most this many coarse samples (bands
+#: times M), each at least one band, so that the bands held and a batch's
 #: coarse transforms and bounds stay at a few MiB however many bands a run has.
 BATCH_SAMPLES = 2**18
 #: :func:`_direct_sums` evaluates this many rows in one stacked product.
@@ -419,23 +419,24 @@ def band_widths(reference: "BandReference", bands: np.ndarray) -> np.ndarray:
     of :func:`intensity_fwhm` applied to the inverse transform of each whole
     spectrum in turn, but no N-point array is built. It is the measuring
     pass :func:`band_outcomes` over the rows and then :func:`report_outcomes`.
+    No command calls it: each sinc run makes one :func:`band_outcomes` call.
     """
-    return report_outcomes(*band_outcomes(reference, bands, len(bands)))
+    return report_outcomes(*band_outcomes(reference, bands))
 
 
-def band_outcomes(reference: "BandReference", bands, count: int):
+def band_outcomes(reference: "BandReference", bands):
     """The outcome of each band a run yields: its width, multi-lobe flag and error code.
 
     ``bands`` is any iterable of bands, such as a generator, each one of
-    those of :func:`band_widths`, and ``count`` is the number of bands it
-    will yield. Nothing is reported, so :func:`report_outcomes` gives the
-    widths, warnings and first error of any part of the run; as a width has
-    the same bits in any stack, those are what :func:`band_widths` of each
-    part would give. The sinc commands measure every band of a run in one
-    call. The bands are read into one reused chunk of at most
-    :data:`BATCH_SAMPLES` band values, at most ``count`` bands and at least
-    one, so the run is never held whole. Each full chunk, and the rest at
-    the end, is measured with its bands of the same bytes once, in batches
+    those of :func:`band_widths`; it may refill and yield one array each
+    time, as a copy of each band is held. Nothing is reported, so
+    :func:`report_outcomes` gives the widths, warnings and first error of
+    any part of the run; as a width has the same bits in any stack, those
+    are what :func:`band_widths` of each part would give. The sinc commands
+    measure every band of a run in one call. At most :data:`BATCH_SAMPLES`
+    band values, and at least one band, are held at a time, so the run is
+    never held whole. Each time that many are held, and once at the end,
+    they are measured with their bands of the same bytes once, in batches
     of :data:`BATCH_SAMPLES` coarse samples, each in one pass of these steps
     over all its bands:
 
@@ -461,38 +462,36 @@ def band_outcomes(reference: "BandReference", bands, count: int):
     not finite gets its error code.
     """
     shape = reference.band.shape
-    rows = max(1, min(count, BATCH_SAMPLES // shape[0]))
-    chunk = np.empty((rows,) + shape, np.complex128)
-    parts, filled = [], 0
+    rows = max(1, BATCH_SAMPLES // shape[0])
+    held, parts = [], []
     for band in bands:
         if np.shape(band) != shape:
             raise ValueError(
                 f"expected {shape[0]} band bins per band, got shape {np.shape(band)}"
             )
-        chunk[filled] = band
-        filled += 1
-        if filled == rows:
-            parts.append(_distinct_outcomes(reference, chunk))
-            filled = 0
-    if filled or not parts:
-        parts.append(_distinct_outcomes(reference, chunk[:filled]))
+        held.append(np.array(band, np.complex128))
+        if len(held) == rows:
+            parts.append(_distinct_outcomes(reference, held))
+            held = []
+    if held or not parts:
+        parts.append(_distinct_outcomes(reference, held))
     return tuple(np.concatenate(values) for values in zip(*parts))
 
 
-def _distinct_outcomes(reference: "BandReference", bands: np.ndarray):
-    """The outcomes of a stack, its bands of the same bytes measured once, in batches."""
-    slots, firsts, which = {}, [], []
-    for i, band in enumerate(bands):
-        which.append(slots.setdefault(band.tobytes(), len(firsts)))
-        if which[-1] == len(firsts):
-            firsts.append(i)
-    count = len(firsts)
+def _distinct_outcomes(reference: "BandReference", bands: list):
+    """The outcomes of a list of bands, each distinct band measured once, in batches."""
+    slots, distinct, which = {}, [], []
+    for band in bands:
+        which.append(slots.setdefault(band.tobytes(), len(distinct)))
+        if which[-1] == len(distinct):
+            distinct.append(band)
+    count = len(distinct)
     widths, multi = np.empty(count), np.empty(count, bool)
     codes = np.empty(count, np.int8)
     step = max(1, BATCH_SAMPLES // reference.m)
     for lo in range(0, count, step):
         batch = slice(lo, lo + step)
-        outcomes = _measure(reference, bands[firsts[batch]])
+        outcomes = _measure(reference, np.array(distinct[batch]))
         widths[batch], multi[batch], codes[batch] = outcomes
     if count < len(bands):
         widths, multi, codes = widths[which], multi[which], codes[which]

@@ -469,7 +469,7 @@ class TestSweep:
     def test_unmeasurable_width_exits_3(self, tmp_path, capsys, monkeypatch):
         # no converged stage search is known to reach the width errors, so the
         # measuring pass raises one here, for the run's one call
-        def edge(reference, bands, count):
+        def edge(reference, bands):
             raise WidthMetricError("half-maximum lobe touches the window edge")
 
         monkeypatch.setattr("dispersim.experiments.band_outcomes", edge)
@@ -793,7 +793,7 @@ def measured_stacks(monkeypatch) -> list:
     """The bands every band_outcomes call reads, counted at every name it is bound to."""
     stacks, original = [], signal_module.band_outcomes
 
-    def counted(reference, bands, count):
+    def counted(reference, bands):
         stacks.append(0)
 
         def read():
@@ -801,7 +801,7 @@ def measured_stacks(monkeypatch) -> list:
                 stacks[-1] += 1
                 yield band
 
-        return original(reference, read(), count)
+        return original(reference, read())
 
     names = []
     for module_name, module in list(sys.modules.items()):
