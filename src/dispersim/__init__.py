@@ -1,88 +1,68 @@
 """Frequency-domain fiber dispersion simulator with an iterative
 dispersion-compensating structure built from strongly dispersive
-same-sign fiber sub-systems."""
+same-sign fiber sub-systems.
+
+Every name in ``__all__`` is imported from its submodule on first access
+(PEP 562), so importing the package, or :mod:`dispersim.cli`, loads no
+numpy.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .compensator import (
-    CompensatorSpec,
-    SubsystemSpec,
-    compensate,
-    compensation_latency,
-    compensator_tf,
-    default_gain,
-    match_pcf,
-    subsystem_error_tf,
-    subsystem_tf,
-)
-from .convergence import stable, z_max
-from .fiber import (
-    FiberParams,
-    beta2_to_d,
-    d_to_beta2,
-    dispersion_tf,
-    propagate,
-)
-from .iterative import (
-    CONTRACTION_MARGIN,
-    IterationSpec,
-    error_tf,
-    feedback_run,
-    neumann_sum_tf,
-)
-from .signal import (
-    Envelope,
-    FrequencyGrid,
-    GridMismatchError,
-    TransferFunction,
-    WIDTH_METRIC,
-    WidthMetricError,
-    WindowError,
-    WraparoundError,
-    apply_tf,
-    broadening_factor,
-    check_wraparound,
-    intensity_fwhm,
-    make_gaussian_pulse,
-    make_sinc_pulse,
-    occupied_bandwidth,
-)
+#: exported name -> the submodule that defines it
+_HOMES = {
+    name: module
+    for module, names in {
+        "base": (
+            "WIDTH_METRIC",
+            "WidthMetricError",
+            "WindowError",
+            "WraparoundError",
+            "beta2_to_d",
+            "d_to_beta2",
+        ),
+        "compensator": (
+            "CompensatorSpec",
+            "SubsystemSpec",
+            "compensate",
+            "compensation_latency",
+            "compensator_tf",
+            "default_gain",
+            "match_pcf",
+            "subsystem_error_tf",
+            "subsystem_tf",
+        ),
+        "convergence": ("CONTRACTION_MARGIN", "stable", "z_max"),
+        "fiber": ("FiberParams", "dispersion_tf", "propagate"),
+        "iterative": ("IterationSpec", "error_tf", "feedback_run", "neumann_sum_tf"),
+        "signal": (
+            "Envelope",
+            "FrequencyGrid",
+            "GridMismatchError",
+            "TransferFunction",
+            "apply_tf",
+            "broadening_factor",
+            "check_wraparound",
+            "intensity_fwhm",
+            "make_gaussian_pulse",
+            "make_sinc_pulse",
+            "occupied_bandwidth",
+        ),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "CONTRACTION_MARGIN",
-    "CompensatorSpec",
-    "Envelope",
-    "FiberParams",
-    "FrequencyGrid",
-    "GridMismatchError",
-    "IterationSpec",
-    "SubsystemSpec",
-    "TransferFunction",
-    "WIDTH_METRIC",
-    "WidthMetricError",
-    "WindowError",
-    "WraparoundError",
-    "apply_tf",
-    "beta2_to_d",
-    "broadening_factor",
-    "check_wraparound",
-    "compensate",
-    "compensation_latency",
-    "compensator_tf",
-    "d_to_beta2",
-    "default_gain",
-    "dispersion_tf",
-    "error_tf",
-    "feedback_run",
-    "intensity_fwhm",
-    "make_gaussian_pulse",
-    "make_sinc_pulse",
-    "match_pcf",
-    "neumann_sum_tf",
-    "occupied_bandwidth",
-    "propagate",
-    "stable",
-    "subsystem_error_tf",
-    "subsystem_tf",
-    "z_max",
-]
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

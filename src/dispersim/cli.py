@@ -4,6 +4,13 @@ One parser per process, built on first use. A run command calls its runner by
 name, looked up in this module per call, so a rebound runner (as a tracer's)
 runs. ``--out`` overrides ``output.dir`` and, like it, must not be empty.
 
+Start-up loads no numpy: this module, the config and ``region`` need only
+:mod:`dispersim.base` and :mod:`dispersim.convergence`. The numeric modules
+(numpy, ``experiments``, ``signal``, ``fiber``, ``compensator`` and
+``iterative``) load when ``sweep-k``, ``scenario`` or ``propagate`` first
+looks up its runner here, after its config has parsed; numpy alone loads
+earlier for a config whose region axis is a min/max/count range.
+
 Exit codes: 0 when all requested rows were computed, 2 on configuration or
 usage errors (a grid too large to allocate included), 3 when a numerical
 guard (window wraparound, operating point outside the convergence region, a
@@ -16,16 +23,17 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .config import ConfigError, load_config
-from .experiments import (
+from .base import (
+    _BETA2_CONVENTIONAL,
     DivergenceError,
-    run_propagate,
+    WidthMetricError,
+    WindowError,
+    WraparoundError,
+    beta2_to_d,
+    d_to_beta2,
     run_region,
-    run_scenario,
-    run_sweep,
 )
-from .fiber import _BETA2_CONVENTIONAL, beta2_to_d, d_to_beta2
-from .signal import WidthMetricError, WindowError, WraparoundError
+from .config import ConfigError, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,6 +46,20 @@ RUNNERS = {
     "scenario": ("run_scenario", "single-link design report JSON"),
     "propagate": ("run_propagate", "debug envelope dumps as CSV"),
 }
+
+
+def __getattr__(name: str):
+    """Bind a runner that is not yet bound here from :mod:`dispersim.experiments`.
+
+    ``region``'s runner is imported above; the others load numpy with
+    ``experiments`` on their first lookup.
+    """
+    if name not in {runner for runner, _ in RUNNERS.values()}:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import experiments
+
+    runner = globals()[name] = getattr(experiments, name)
+    return runner
 
 
 @cache
@@ -104,7 +126,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         outdir = Path(cfg.output_dir if args.out is None else args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return globals()[RUNNERS[args.command][0]](cfg, outdir)
+        runner = getattr(sys.modules[__name__], RUNNERS[args.command][0])
+        return runner(cfg, outdir)
     except (ConfigError, WindowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import MAX_STAGES
 from .fiber import SPEED_OF_LIGHT, FiberParams, dispersion_response, dispersion_tf
 from .iterative import IterationSpec, error_tf, neumann_sum_tf, partial_sums
 from .signal import (
@@ -48,10 +49,6 @@ from .signal import (
 #: Group index shared by both compensator branches; their beta1 (s/m) follows.
 SMF_GROUP_INDEX = 1.4682
 DEFAULT_SMF_BETA1 = SMF_GROUP_INDEX / SPEED_OF_LIGHT
-
-#: Largest stage count K for which the gain alpha * 2**(K+1) is a finite
-#: double.
-MAX_STAGES = 1022
 
 
 @dataclass(frozen=True)

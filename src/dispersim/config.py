@@ -10,15 +10,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .compensator import MAX_STAGES
+from .base import _BETA2_CONVENTIONAL, MAX_STAGES, ConfigError, d_to_beta2
 from .convergence import span_length
-from .fiber import _BETA2_CONVENTIONAL, d_to_beta2
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent experiment configuration."""
 
 
 _TOP_KEYS = {
@@ -119,6 +112,8 @@ def _bandwidth_axis(spec, path: str) -> tuple:
             raise ConfigError(f"{path}.spacing must be 'linear' or 'log'")
         if hi <= lo:
             raise ConfigError(f"{path}.max must exceed {path}.min")
+        import numpy as np  # only a range axis loads numpy at start-up
+
         if spacing == "log":
             return tuple(np.geomspace(lo, hi, count))
         return tuple(np.linspace(lo, hi, count))

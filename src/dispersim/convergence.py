@@ -12,7 +12,8 @@ import cmath
 import math
 import sys
 
-from .iterative import CONTRACTION_MARGIN
+#: Strictness margin for contraction tests, avoids boundary flapping.
+CONTRACTION_MARGIN = 1e-9
 
 
 def dispersion_strength(beta2: float, z_m: float, bandwidth_hz: float) -> float:

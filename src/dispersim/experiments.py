@@ -4,6 +4,8 @@ All numeric CSV fields use 9 significant digits (:func:`fmt`, ``%.9g``)
 and LF line endings so a fixed configuration reproduces byte-identical
 output. Every run also emits a ``meta.json`` holding the raw
 configuration, its SI resolution and the pulse-width metric in use.
+Those emit helpers and the ``region`` runner, which needs no numpy, live
+in :mod:`dispersim.base`.
 
 The sinc commands run on the sinc's band bins: ``sweep-k`` and
 ``scenario`` through :func:`_stage_search`, ``propagate`` through
@@ -22,7 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from .base import (  # the region runner and emit helpers, kept at their old paths
+    REGION_CSV_HEADER,
+    WIDTH_METRIC,
+    DivergenceError,
+    _write_text,
+    fmt,
+    run_region,
+    write_meta,
+)
 from .compensator import (
     CompensatorSpec,
     compensate,
@@ -31,11 +41,10 @@ from .compensator import (
     stage_responses,
 )
 from .config import ConfigError, ExperimentConfig, require_normal
-from .convergence import dispersion_strength, edge_error, span_length, stable, z_max
+from .convergence import dispersion_strength, edge_error, span_length, stable
 from .fiber import FiberParams, dispersion_response, propagate
 from .signal import (
     FrequencyGrid,
-    WIDTH_METRIC,
     BandReference,
     band_outcomes,
     band_reference,
@@ -46,18 +55,9 @@ from .signal import (
     report_outcomes,
 )
 
-REGION_CSV_HEADER = "B_hz,z_max_m,alpha,beta2_si"
 SWEEP_CSV_HEADER = "xi,alpha,K,broadening_factor,residual_max"
 ENVELOPE_CSV_HEADER = "t_s,re,im"
 ENVELOPE_BLOCK = 4096  # samples per _envelope_csv block: about 1.2 MB of arrays at peak
-
-
-class DivergenceError(RuntimeError):
-    """The requested operating point lies outside the convergence region."""
-
-
-def fmt(x: float) -> str:
-    return f"{float(x):.9g}"
 
 
 # _encode_9g builds each value as one row of FIELD NUL-padded byte slots, held
@@ -282,23 +282,6 @@ def _tie_side(a, hi, lo, tie):
     return np.where(np.abs(gap) > tie * 2.0**-96, np.sign(gap), 0.0)
 
 
-def _write_text(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def write_meta(outdir: Path, command: str, cfg: ExperimentConfig, extra: dict) -> None:
-    meta = {
-        "command": command,
-        "version": __version__,
-        "config": cfg.raw,
-        "resolved_si": cfg.resolved(),
-        "width_metric": WIDTH_METRIC,
-    }
-    meta.update(extra)
-    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    (outdir / "meta.json").write_text(text, encoding="utf-8", newline="\n")
-
-
 def _grid(cfg: ExperimentConfig) -> FrequencyGrid:
     """The configured grid, which needs the signal section."""
     if cfg.pulse_width_s is None:
@@ -313,22 +296,6 @@ def _require_convergence(cfg: ExperimentConfig, alpha: float) -> None:
             f"(B={cfg.bandwidth_hz:.6g} Hz, z={cfg.z_m:.6g} m, alpha={alpha:.6g}) "
             "lies outside the convergence region"
         )
-
-
-def run_region(cfg: ExperimentConfig, outdir: Path) -> int:
-    """Emit the stability boundary z_max(B) per alpha as region.csv."""
-    if cfg.region_bandwidths_hz is None:
-        raise ConfigError("region.bandwidths_hz is required for the region command")
-    lines = [REGION_CSV_HEADER]
-    for b in cfg.region_bandwidths_hz:
-        for alpha in sorted(cfg.alphas):
-            z = z_max(b, alpha, cfg.fiber_beta2)
-            lines.append(
-                f"{fmt(b)},{fmt(z)},{fmt(alpha)},{fmt(cfg.fiber_beta2)}"
-            )
-    _write_text(outdir / "region.csv", lines)
-    write_meta(outdir, "region", cfg, {"rows": len(lines) - 1})
-    return 0
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import SPEED_OF_LIGHT, beta2_to_d, d_to_beta2  # kept at their old paths
 from .signal import (
     Envelope,
     FrequencyGrid,
@@ -19,43 +20,6 @@ from .signal import (
     ifft,
     intensity_fwhm,
 )
-
-#: Speed of light in vacuum, m/s (exact in the SI).
-SPEED_OF_LIGHT = 299792458.0
-
-# ps/nm/km expressed in s/m^2
-_D_CONVENTIONAL = 1e-6
-# ps^2/km expressed in s^2/m
-_BETA2_CONVENTIONAL = 1e-27
-
-
-def _lambda0_squared(lambda0_m: float) -> float:
-    """lambda0**2 of a positive lambda0 whose square is a positive finite double."""
-    try:
-        square = lambda0_m**2
-    except OverflowError:
-        square = math.inf
-    if not (lambda0_m > 0 and 0 < square < math.inf):
-        raise ValueError(
-            f"wavelength {lambda0_m:g} m is out of range: it must be positive "
-            "and finite, and its square neither overflows nor underflows"
-        )
-    return square
-
-
-def d_to_beta2(d_ps_nm_km: float, lambda0_m: float) -> float:
-    """Convert a dispersion coefficient D (ps/nm/km) to beta2 (s^2/m)."""
-    square = _lambda0_squared(lambda0_m)
-    d_si = d_ps_nm_km * _D_CONVENTIONAL
-    # + 0.0 normalizes the negative zero that the sign flip produces at D = 0
-    return -d_si * square / (2.0 * np.pi * SPEED_OF_LIGHT) + 0.0
-
-
-def beta2_to_d(beta2_s2_m: float, lambda0_m: float) -> float:
-    """Convert beta2 (s^2/m) to the dispersion coefficient D (ps/nm/km)."""
-    square = _lambda0_squared(lambda0_m)
-    d_si = -beta2_s2_m * 2.0 * np.pi * SPEED_OF_LIGHT / square
-    return d_si / _D_CONVENTIONAL + 0.0
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convergence import CONTRACTION_MARGIN  # kept at its old path
 from .signal import Envelope, GridMismatchError, TransferFunction, apply_tf, is_integer
-
-#: Strictness margin for contraction tests, avoids boundary flapping.
-CONTRACTION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)

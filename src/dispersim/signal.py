@@ -21,21 +21,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.fft import fftfreq
 
+from .base import WIDTH_METRIC, WidthMetricError, WindowError, WraparoundError
+
 
 class GridMismatchError(ValueError):
     """Raised when two sampled objects do not share the same grid."""
-
-
-class WindowError(ValueError):
-    """Raised when a pulse does not fit the requested time window."""
-
-
-class WraparoundError(RuntimeError):
-    """Raised when a circular spectral operation would wrap in time."""
-
-
-class WidthMetricError(ValueError):
-    """Raised when a pulse has no measurable half-maximum width."""
 
 
 def is_integer(x) -> bool:
@@ -779,10 +769,6 @@ def _sparse_widths(bands, keys, upper, lower, floor, least, n: int, m: int, dt: 
         return rows[lo, p], rows[lo, p + 1], rows[hi, q + 1], rows[hi, q + 2]
 
     return _crossings(half, i_lo, i_hi, ~multi, n, dt, edges)
-
-
-#: Identifier of the pulse-width metric, recorded in all emitted outputs.
-WIDTH_METRIC = "fwhm_intensity_linear_interp"
 
 
 def broadening_factor(tx: Envelope, rx: Envelope) -> float:

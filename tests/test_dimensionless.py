@@ -1,0 +1,95 @@
+"""The sinc commands report functions of (xi, alpha, K) and the grid alone.
+
+At a fixed dispersion strength xi, attenuation alpha, stage counts, sample
+count and window, the fiber's beta2, the pcf's D and the bandwidth B enter
+``sweep-k`` and ``scenario`` only through xi: their factors and band
+residuals do not move when (beta2, D, B) is drawn anew.
+"""
+
+import csv
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dispersim.cli import main
+from dispersim.config import parse_config
+from dispersim.convergence import span_length
+
+XI = [0.5, 2.0, 12.0]  # 12 diverges at alpha 1
+ALPHAS = [0.5, 1.0]
+SCENARIO_XI = 2.0
+K_MAX = 6
+N_SAMPLES = 1024
+RTOL = 1e-12
+
+
+def _doc(beta2_ps2_km, pcf_d_ps_nm_km, bandwidth_hz):
+    return {
+        "scenario": "dimensionless",
+        "fiber": {"beta2_ps2_km": beta2_ps2_km},
+        "pcf": {"d_ps_nm_km": pcf_d_ps_nm_km},
+        "compensator": {"alphas": ALPHAS, "k_max": K_MAX},
+        "signal": {"pulse": "sinc", "bandwidth_hz": bandwidth_hz, "n_samples": N_SAMPLES},
+        "sweep": {"xi": XI},
+    }
+
+
+def _run(tmp_path, command, doc):
+    config, out = tmp_path / f"{command}.json", tmp_path / command
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+def outputs(tmp_path, beta2_ps2_km, pcf_d_ps_nm_km, bandwidth_hz):
+    """sweep.csv's rows and scenario's k_table at one (beta2, pcf D, B)."""
+    doc = _doc(beta2_ps2_km, pcf_d_ps_nm_km, bandwidth_hz)
+    with (_run(tmp_path, "sweep-k", doc) / "sweep.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    beta2 = parse_config(doc).fiber_beta2
+    doc["fiber"]["z_km"] = span_length(SCENARIO_XI, beta2, bandwidth_hz) / 1e3
+    report = json.loads((_run(tmp_path, "scenario", doc) / "scenario.json").read_text())
+    return rows, report["stage_search"]["k_table"]
+
+
+def _close(got, want):
+    if want == "diverged":
+        return got == want
+    return float(got) == pytest.approx(float(want), rel=RTOL)
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """The outputs of the README fibers: beta2 -21 ps^2/km, pcf D 2200, B 3 GHz."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("dispersim.experiments.fmt", lambda x: f"{float(x):.17g}")
+        return outputs(tmp_path_factory.mktemp("reference"), -21.0, 2200.0, 3e9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    beta2_ps2_km=st.floats(-40.0, -1.0),
+    pcf_d_ps_nm_km=st.floats(300.0, 5000.0),
+    bandwidth_hz=st.floats(0.3e9, 100e9),
+)
+def test_factors_and_residuals_depend_on_xi_not_on_the_fibers_or_band(
+    reference, tmp_path_factory, beta2_ps2_km, pcf_d_ps_nm_km, bandwidth_hz
+):
+    # sweep.csv prints 9 digits, where a rounding boundary can flip the last
+    # one; 17 compare the numbers themselves
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("dispersim.experiments.fmt", lambda x: f"{float(x):.17g}")
+        rows, k_table = outputs(
+            tmp_path_factory.mktemp("draw"), beta2_ps2_km, pcf_d_ps_nm_km, bandwidth_hz
+        )
+    want_rows, want_table = reference
+    assert len(rows) == len(want_rows) == len(XI) * len(ALPHAS) * (K_MAX + 1)
+    for row, want in zip(rows, want_rows):
+        assert (row["xi"], row["alpha"], row["K"]) == (want["xi"], want["alpha"], want["K"])
+        for key in ("broadening_factor", "residual_max"):
+            assert _close(row[key], want[key]), (row, want)
+    assert [e["k"] for e in k_table] == [e["k"] for e in want_table]
+    for entry, want in zip(k_table, want_table):
+        for key in ("broadening_factor", "residual_max"):
+            assert entry[key] == pytest.approx(want[key], rel=RTOL), (entry, want)

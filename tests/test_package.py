@@ -1,13 +1,46 @@
 """The package's exported names and its import footprint."""
 
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dispersim
+from dispersim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(dispersim.__file__).resolve().parent.parent
+#: what a start of the CLI runs: import it and parse a config
+SETUP_PROBE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import dispersim.cli; "
+    "from dispersim.config import load_config; load_config(sys.argv[2]); "
+)
+NUMERIC_MODULES = {
+    "numpy",
+    "dispersim.experiments",
+    "dispersim.signal",
+    "dispersim.fiber",
+    "dispersim.compensator",
+    "dispersim.iterative",
+}
+#: runs dispersim.cli.main(argv) where numpy cannot be imported
+NUMPY_BLOCKED = (
+    "import sys; sys.modules['numpy'] = None; sys.path.insert(0, sys.argv[1]); "
+    "from dispersim.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+def _probe(config, report: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP_PROBE + report, str(SRC), str(config)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_star_import_resolves_every_export():
@@ -18,20 +51,97 @@ def test_star_import_resolves_every_export():
         assert namespace[name] is getattr(dispersim, name)
 
 
+def test_namespace_is_lazy_and_every_moved_name_keeps_its_old_path():
+    from dispersim import base, compensator, convergence, experiments, fiber, iterative, signal
+
+    assert set(dispersim.__all__) <= set(dir(dispersim))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dispersim.no_such_name
+    assert signal.WindowError is base.WindowError is dispersim.WindowError
+    assert signal.WIDTH_METRIC is base.WIDTH_METRIC
+    assert experiments.DivergenceError is base.DivergenceError
+    assert experiments.run_region is base.run_region
+    assert experiments.write_meta is base.write_meta
+    assert fiber.d_to_beta2 is base.d_to_beta2 is dispersim.d_to_beta2
+    assert compensator.MAX_STAGES is base.MAX_STAGES
+    assert iterative.CONTRACTION_MARGIN is convergence.CONTRACTION_MARGIN
+
+
 def test_cli_start_up_imports_no_scipy(tmp_path):
     [block] = re.findall(r"```json\n(.*?)```", README.read_text("utf-8"), re.S)
     config = tmp_path / "config.json"
     config.write_text(block, encoding="utf-8")
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import dispersim.cli; "
-        "from dispersim.config import load_config; load_config(sys.argv[2]); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    src = Path(dispersim.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, str(src), str(config)],
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _probe(config, report) == "[]\n"
+
+
+SWEEP = {
+    "scenario": "sweep",
+    "fiber": {"beta2_ps2_km": -21.0},
+    "pcf": {"d_ps_nm_km": 2200.0},
+    "compensator": {"alphas": [0.5, 1.0], "k_max": 12},
+    "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 16384},
+    "sweep": {"xi": [0.5, 1.0, 2.0]},
+}
+SCENARIO = {
+    "scenario": "scenario",
+    "fiber": {"beta2_ps2_km": -21.0, "z_km": 130.0},
+    "pcf": {"d_ps_nm_km": 2200.0},
+    "dcf": {"d_ps_nm_km": -250.0, "quoted_path_km": 7.0},
+    "compensator": {"alphas": [1.0], "k_max": 40},
+    "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 65536},
+}
+PROPAGATE = {
+    "scenario": "propagate",
+    "fiber": {"d_ps_nm_km": 17.0, "z_km": 100.0},
+    "pcf": {"d_ps_nm_km": 2200.0},
+    "compensator": {"alphas": [1.0], "k_max": 12},
+    "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 65536},
+}
+
+
+@pytest.mark.parametrize(
+    "doc", [SWEEP, SCENARIO, PROPAGATE], ids=["sweep", "scenario", "propagate"]
+)
+def test_cli_start_up_imports_no_numeric_module(tmp_path, doc):
+    # a config without a min/max/count range axis parses without numpy
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    report = f"print(sorted(sys.modules.keys() & {NUMERIC_MODULES!r}))"
+    assert _probe(config, report) == "[]\n"
+
+
+def _blocked(*argv, cwd):
+    return subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED, str(SRC), *argv],
         capture_output=True,
         text=True,
+        cwd=cwd,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+
+
+def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
+    proc = _blocked("convert", "--d", "17", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "-21.6826 ps^2/km" in proc.stdout
+    proc = _blocked("--help", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "sweep-k" in proc.stdout
+
+    doc = {**SWEEP, "region": {"bandwidths_hz": [1e9, 3e9, 10e9]}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _blocked("region", "--config", str(config), "--out", "blocked", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(["region", "--config", str(config), "--out", str(tmp_path / "ordinary")]) == 0
+    for name in ("region.csv", "meta.json"):
+        blocked, ordinary = (tmp_path / d / name for d in ("blocked", "ordinary"))
+        assert blocked.read_bytes() == ordinary.read_bytes(), name
+
+    # a refused config exits 2 before a numeric command loads numpy
+    doc["compensator"] = {"alphas": [2.0]}
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _blocked("sweep-k", "--config", str(config), "--out", "refused", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: compensator.alphas values must lie in (0, 1]\n"
+    assert not (tmp_path / "refused").exists()
