@@ -2,11 +2,12 @@
 command runs.
 
 It holds the exceptions behind the CLI's exit codes, the D <-> beta2
-conversions, the constants the configuration checks against, and the
-``region`` command (a closed form in :mod:`dispersim.convergence`) with the
-emit helpers it shares with :mod:`dispersim.experiments`. It imports the
-standard library and :mod:`dispersim.convergence` only, so ``convert``,
-``region`` on a list axis and a refused configuration run without numpy.
+conversions and matched lengths, the constants the configuration checks
+against, and the ``region`` command (a closed form in
+:mod:`dispersim.convergence`) with the emit helpers it shares with
+:mod:`dispersim.experiments`. It imports the standard library and
+:mod:`dispersim.convergence` only, so ``convert``, ``region`` on a list
+axis and a refused configuration run without numpy.
 The numeric modules import these names back, so each keeps its old path.
 """
 
@@ -80,6 +81,16 @@ def beta2_to_d(beta2_s2_m: float, lambda0_m: float) -> float:
     return d_si / _D_CONVENTIONAL + 0.0
 
 
+def matched_length(beta2: float, z_m: float, pcf_beta2: float) -> float:
+    """Length L = beta2 * z / beta2_pcf of a branch that cancels a span in one pass."""
+    return beta2 * z_m / pcf_beta2
+
+
+def dcf_path(z_m: float, beta2: float, dcf_beta2: float) -> float:
+    """Length z * |beta2| / |beta2_dcf| of dcf that cancels a span, m."""
+    return z_m * abs(beta2) / abs(dcf_beta2)
+
+
 #: Largest stage count K for which the gain alpha * 2**(K+1) is a finite
 #: double.
 MAX_STAGES = 1022
@@ -98,6 +109,11 @@ def _write_text(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _write_json(path: Path, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def write_meta(outdir: Path, command: str, cfg: "ExperimentConfig", extra: dict) -> None:
     meta = {
         "command": command,
@@ -107,8 +123,7 @@ def write_meta(outdir: Path, command: str, cfg: "ExperimentConfig", extra: dict)
         "width_metric": WIDTH_METRIC,
     }
     meta.update(extra)
-    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    (outdir / "meta.json").write_text(text, encoding="utf-8", newline="\n")
+    _write_json(outdir / "meta.json", meta)
 
 
 def run_region(cfg: "ExperimentConfig", outdir: Path) -> int:

@@ -14,7 +14,9 @@ geometric sum that inverts the accumulated dispersion of a target span
 here (:func:`compensator_tf`, :func:`stage_responses`, :func:`compensate`)
 uses E_D, which drops it. The physical sub-system (:func:`subsystem_tf`)
 keeps it: a cascade of those leaves a residual dispersion of
-(K+1)*L*beta2_smf that no stage removes.
+(K+1)*L*beta2_smf that no stage removes. At the matched length
+beta2_pcf * L = beta2 * z, so H_pcf is the span's own response, which the
+sinc commands hand :func:`stage_responses`.
 
 Like :func:`dispersim.fiber.propagate`, every sampled response here is in
 the retarded frame: only beta2 enters it. The common delay carries no
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MAX_STAGES
+from .base import MAX_STAGES, matched_length
 from .fiber import SPEED_OF_LIGHT, FiberParams, dispersion_response, dispersion_tf
 from .iterative import IterationSpec, error_tf, neumann_sum_tf, partial_sums
 from .signal import (
@@ -90,22 +92,21 @@ class CompensatorSpec:
 
     @property
     def prefactor(self) -> float:
-        """Amplitude scale sqrt(G)/2**((K+1)/2) of the splitters and amplifier.
-
-        It equals sqrt(alpha) up to rounding.
-        """
-        return math.sqrt(self.gain) / 2.0 ** ((self.k_stages + 1) / 2.0)
-
-    @property
-    def stage_gvd(self) -> float:
-        """GVD K*|beta2_pcf|*L (s^2) of the K down branches, for the window guard."""
-        sub = self.subsystem
-        return self.k_stages * abs(sub.pcf.beta2) * sub.length_m
+        """:func:`prefactor` of (alpha, K)."""
+        return prefactor(self.subsystem.alpha, self.k_stages)
 
 
 def default_gain(alpha: float, k_stages: int) -> float:
     """Amplifier power gain alpha * 2**(K+1) that restores unit DC level."""
     return alpha * 2.0 ** (k_stages + 1)
+
+
+def prefactor(alpha: float, k_stages: int) -> float:
+    """Amplitude scale sqrt(G)/2**((K+1)/2) of the splitters and amplifier.
+
+    It equals sqrt(alpha) up to rounding.
+    """
+    return math.sqrt(default_gain(alpha, k_stages)) / 2.0 ** ((k_stages + 1) / 2.0)
 
 
 def subsystem_error_tf(sub: SubsystemSpec, grid: FrequencyGrid) -> TransferFunction:
@@ -147,7 +148,7 @@ def match_pcf(
         raise ValueError(
             "pcf_beta2 must have the same sign as the target fiber's beta2"
         )
-    length = target.beta2 * target.length_m / pcf_beta2
+    length = matched_length(target.beta2, target.length_m, pcf_beta2)
     smf = FiberParams(target.beta2, length)
     pcf = FiberParams(pcf_beta2, length)
     return SubsystemSpec(smf=smf, pcf=pcf, alpha=alpha)
@@ -166,21 +167,21 @@ def compensator_tf(spec: CompensatorSpec, grid: FrequencyGrid) -> TransferFuncti
     return TransferFunction(grid, spec.prefactor * total.values)
 
 
-def stage_responses(sub: SubsystemSpec, h_pcf: np.ndarray, k_list):
-    """Yield the cascade response ``prefactor(K) * sum_{k=0..K} E_D^k`` per K.
+def stage_responses(alpha: float, h_pcf: np.ndarray, k_list):
+    """Yield the cascade response ``prefactor(alpha, K) * sum_{k=0..K} E_D^k`` per K.
 
     ``h_pcf`` holds the down branch's response at any set of bins (a grid's
     or a band's), and ``k_list`` is a strictly increasing list of stage
     counts. E_D = 1 - sqrt(alpha) * H_pcf and its running partial sum are
     formed once for all of them, and each yield is a fresh array equal, bit
-    for bit, to :func:`compensator_tf` of that K at those bins.
+    for bit, to :func:`compensator_tf` of that alpha and K at those bins.
     """
     wanted = set(k_list)
-    e_d = 1.0 - math.sqrt(sub.alpha) * h_pcf
+    e_d = 1.0 - math.sqrt(alpha) * h_pcf
     del h_pcf  # a caller that passes the response inline holds one array less
     for k, partial in enumerate(partial_sums(e_d, k_list[-1])):
         if k in wanted:
-            yield CompensatorSpec(sub, k).prefactor * partial
+            yield prefactor(alpha, k) * partial
 
 
 def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:
@@ -192,10 +193,11 @@ def compensate(e: Envelope, spec: CompensatorSpec) -> Envelope:
     equals ``apply_tf(e, compensator_tf(spec, e.grid))`` bit for bit; the
     response is :func:`stage_responses` of the one K on the grid's bins.
     """
-    sub, dw = spec.subsystem, e.grid.delta_omega
+    sub, k, dw = spec.subsystem, spec.k_stages, e.grid.delta_omega
     spectrum = fft(e.samples)
-    check_wraparound(e.grid, dw, spectrum, intensity_fwhm(e), spec.stage_gvd)
-    [response] = stage_responses(sub, dispersion_response(sub.pcf, dw), [spec.k_stages])
+    gvd = k * abs(sub.pcf.beta2) * sub.length_m  # the K down branches'
+    check_wraparound(e.grid, dw, spectrum, intensity_fwhm(e), gvd)
+    [response] = stage_responses(sub.alpha, dispersion_response(sub.pcf, dw), [k])
     # spectrum * response in this order, as in apply_tf: with FMA the complex
     # product is not bitwise commutative
     spectrum *= response

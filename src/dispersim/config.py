@@ -11,6 +11,7 @@ import sys
 from dataclasses import dataclass
 
 from .base import _BETA2_CONVENTIONAL, MAX_STAGES, ConfigError, d_to_beta2
+from .base import dcf_path, matched_length
 from .convergence import span_length
 
 
@@ -234,11 +235,11 @@ def _formed(cfg: ExperimentConfig):
     for name, z, factor in spans:
         yield f"{name} span z", z, factor
         if cfg.pcf_beta2 is not None:
-            length, k = beta2 * z / cfg.pcf_beta2, cfg.k_list[-1]
+            length, k = matched_length(beta2, z, cfg.pcf_beta2), cfg.k_list[-1]
             yield f"{name} matched branch L = beta2 * z / beta2_pcf", length, factor
             yield f"{name} cascade path K * L", k * length, k, factor
     if cfg.dcf_beta2 is not None and z_m is not None:
-        path = z_m * abs(beta2) / abs(cfg.dcf_beta2)
+        path = dcf_path(z_m, beta2, cfg.dcf_beta2)
         yield "fiber.z_km dcf path z * |beta2| / |beta2_dcf|", path, z_m, beta2
     if cfg.dcf_quoted_path_m is not None:
         yield "dcf.quoted_path_km as dcf_quoted_path_m", cfg.dcf_quoted_path_m

@@ -9,7 +9,9 @@ in :mod:`dispersim.base`.
 
 The sinc commands run on the sinc's band bins: ``sweep-k`` and
 ``scenario`` through :func:`_stage_search`, ``propagate`` through
-:func:`_sinc_envelopes`. Each measures every width of its run in one
+:func:`_sinc_envelopes`. The matched pcf's response is the span's own, so
+each span has one, and the pcf's D sets only ``scenario``'s lengths and
+latency. Each command measures every width of its run in one
 :func:`band_outcomes` call and reports the outcomes in its own order,
 with a wraparound guard (:func:`_guard_span`) between them. The
 envelope CSVs are written by :func:`_envelope_csv`, with the encoder
@@ -18,7 +20,6 @@ envelope CSVs are written by :func:`_envelope_csv`, with the encoder
 
 import contextlib
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from .base import (  # the region runner and emit helpers, kept at their old pat
     REGION_CSV_HEADER,
     WIDTH_METRIC,
     DivergenceError,
+    _write_json,
     _write_text,
+    dcf_path,
     fmt,
     run_region,
     write_meta,
@@ -312,99 +315,76 @@ def _report(outcomes, lo: int, hi: int) -> np.ndarray:
     return report_outcomes(*(values[lo:hi] for values in outcomes))
 
 
-def _propagate_band(sent: BandReference, fiber: FiberParams, spec):
-    """The received band over ``fiber`` and the pcf response at its bins.
-
-    The sent band is that of ``sent``, a sinc's band; no N-point array is
-    built. Where ``spec`` is None the pcf response is None too.
-    """
-    rx_band = sent.band * dispersion_response(fiber, sent.offsets)
-    h_pcf = None
-    if spec is not None:
-        h_pcf = dispersion_response(spec.subsystem.pcf, sent.offsets)
-    return rx_band, h_pcf
-
-
-def _guard_span(sent, sent_width, fiber, spec, rx_band, outcomes, at) -> None:
+def _guard_span(sent, sent_width, gvd, k, rx_band, outcomes, at) -> None:
     """The wraparound guards of the full-grid path for one span, on the band's offsets.
 
-    They run in its order: the span's, on the sent pulse of width
-    ``sent_width`` (:func:`propagate`), and, with a :class:`CompensatorSpec`
-    ``spec``, the K stages', on the received band (:func:`compensate`),
-    whose width is reported between the two, from band ``at`` of the run's
-    ``outcomes``.
+    They run in its order: the span's, of GVD ``gvd`` = beta2 * z, on the
+    sent pulse of width ``sent_width`` (:func:`propagate`), and, unless
+    ``k`` is None, the K matched stages', K * |gvd|, on the received band
+    (:func:`compensate`), whose width is reported between the two, from
+    band ``at`` of the run's ``outcomes``.
     """
     grid, offsets = sent.grid, sent.offsets
-    check_wraparound(grid, offsets, sent.band, sent_width, fiber.beta2 * fiber.length_m)
-    if spec is not None:
+    check_wraparound(grid, offsets, sent.band, sent_width, gvd)
+    if k is not None:
         [rx_width] = _report(outcomes, at, at + 1)
-        check_wraparound(grid, offsets, rx_band, rx_width, spec.stage_gvd)
+        check_wraparound(grid, offsets, rx_band, rx_width, k * abs(gvd))
 
 
 def _stage_search(cfg: ExperimentConfig, sent: BandReference, spans, alphas) -> list:
     """``[(alpha, [Stage per K of cfg.k_list]) per alpha]`` for each span of ``spans``.
 
     ``spans`` holds the span lengths z_m. Everything runs on the bins of the
-    sent sinc's band; no N-point array is built. Each span is propagated
-    (:func:`_propagate_band`, to the last K) at its first converging alpha,
-    and never when every alpha diverges; a diverged alpha builds no
-    response. The pcf response is built once per span, as the matched
-    length does not depend on alpha; then each alpha's
-    :func:`stage_responses`, and the output of every K, the spectrum
-    :func:`compensate` forms there. A generator yields every band of the
-    run to one :func:`band_outcomes` call: the sent band, then, for each
-    converging span, its received band and the outputs of its converging
-    alphas and K. So the memory does not grow with the spans, alphas and
-    K, and a run whose every span diverges measures nothing. The outcomes
-    are then reported one span after the other: the sent width (once), the
-    span's guards (:func:`_guard_span`), which report the received width
-    between them, then the span's outputs, each as :func:`intensity_fwhm`
-    would measure its inverse transform, with the same bits, warnings and
-    first error. As K grows the outputs near the sent band, and from there
-    on the reference's bounds stand in for their coarse transforms.
+    sent sinc's band; no N-point array is built. Each span where some alpha
+    converges gets one :func:`dispersion_response`, the matched pcf's too,
+    and its received band, built up front: two band-sized arrays per such
+    span. Each converging alpha's :func:`stage_responses` gives the output
+    of every K, the spectrum :func:`compensate` forms there. A generator
+    yields every band of the run to one :func:`band_outcomes` call: the sent
+    band, then, for each converging span, its received band and the outputs
+    of its converging alphas and K. So the memory does not grow with the
+    alphas and K, and a run whose every span diverges measures nothing. The
+    outcomes are then reported one span after the other: the sent width
+    (once), the span's guards (:func:`_guard_span`), which report the
+    received width between them, then the span's outputs, each as
+    :func:`intensity_fwhm` would measure its inverse transform, with the
+    same bits, warnings and first error. As K grows the outputs near the
+    sent band, and from there on the reference's bounds stand in for their
+    coarse transforms.
     """
     beta2, bandwidth, count = cfg.fiber_beta2, cfg.bandwidth_hz, len(cfg.k_list)
-    converging = [
-        [alpha for alpha in alphas if stable(alpha, beta2, bandwidth, z_m)]
-        for z_m in spans
-    ]
-    received = []  # (fiber, spec, rx_band) of each converging span, as it is built
+    k_max = cfg.k_list[-1]
+    received = {}  # span index -> (alphas, response, received band), if any converge
+    for i, z_m in enumerate(spans):
+        converging = [a for a in alphas if stable(a, beta2, bandwidth, z_m)]
+        if converging:
+            h_span = dispersion_response(FiberParams(beta2, z_m), sent.offsets)
+            received[i] = converging, h_span, sent.band * h_span
 
     def bands():
         yield sent.band
-        for z_m, span_alphas in zip(spans, converging):
-            fiber = FiberParams(beta2, z_m)
-            for i, alpha in enumerate(span_alphas):
-                sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-                if i == 0:
-                    spec = CompensatorSpec(sub, cfg.k_list[-1])
-                    rx_band, h_pcf = _propagate_band(sent, fiber, spec)
-                    received.append((fiber, spec, rx_band))
-                    yield rx_band
-                for response in stage_responses(sub, h_pcf, cfg.k_list):
+        for span_alphas, h_span, rx_band in received.values():
+            yield rx_band
+            for alpha in span_alphas:
+                for response in stage_responses(alpha, h_span, cfg.k_list):
                     yield rx_band * response
 
-    if any(converging):
+    if received:
         outcomes = band_outcomes(sent, bands())
         [sent_width] = _report(outcomes, 0, 1)
-    built, at = iter(received), 1
+    factors, at = {}, 1
+    for i, (span_alphas, _, rx_band) in received.items():
+        _guard_span(sent, sent_width, beta2 * spans[i], k_max, rx_band, outcomes, at)
+        end = at + 1 + len(span_alphas) * count
+        widths = _report(outcomes, at + 1, end) / sent_width
+        at = end
+        factors[i] = dict(zip(span_alphas, widths.reshape(-1, count).tolist()))
     searches = []
-    for z_m, span_alphas in zip(spans, converging):
-        factors = {}
-        if span_alphas:
-            fiber, spec, rx_band = next(built)
-            _guard_span(sent, sent_width, fiber, spec, rx_band, outcomes, at)
-            end = at + 1 + len(span_alphas) * count
-            widths = _report(outcomes, at + 1, end) / sent_width
-            at = end
-            factors = {
-                alpha: widths[i * count : (i + 1) * count].tolist()
-                for i, alpha in enumerate(span_alphas)
-            }
+    for i, z_m in enumerate(spans):
         search = []
         for alpha in alphas:
             worst = edge_error(alpha, beta2, bandwidth, z_m)
-            stages = zip(cfg.k_list, factors.get(alpha, [None] * count))
+            stages = zip(cfg.k_list, factors.get(i, {}).get(alpha, [None] * count))
             search.append(
                 (alpha, [Stage(k, factor, worst ** (k + 1)) for k, factor in stages])
             )
@@ -508,14 +488,13 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     if cfg.dcf_beta2 is not None:
         dcf = {
             "beta2_s2_m": cfg.dcf_beta2,
-            "path_m": cfg.z_m * abs(cfg.fiber_beta2) / abs(cfg.dcf_beta2),
+            "path_m": dcf_path(cfg.z_m, cfg.fiber_beta2, cfg.dcf_beta2),
             "formula": "z * |beta2_fib| / |beta2_dcf|",
         }
         if cfg.dcf_quoted_path_m is not None:
             dcf["quoted_path_m"] = cfg.dcf_quoted_path_m
         report["dcf_comparison"] = dcf
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    (outdir / "scenario.json").write_text(text, encoding="utf-8", newline="\n")
+    _write_json(outdir / "scenario.json", report)
     write_meta(outdir, "scenario", cfg, {"required_k": required_k})
     return 0
 
@@ -554,24 +533,26 @@ def _envelope_csv(outdir: Path, grid: FrequencyGrid, envelopes: dict) -> None:
 def _sinc_envelopes(sent: BandReference, fiber: FiberParams, spec) -> dict:
     """The sent, dispersed and, unless ``spec`` is None, compensated sinc.
 
-    ``sent`` is the :func:`band_reference` of the sent band, propagated by
-    :func:`_propagate_band`. The sent band and, with a spec, the received
-    one are measured in one :func:`band_outcomes` call; the sent width is
-    reported, then :func:`_guard_span` runs. The compensated band is the
-    received one times :func:`stage_responses` of the one K. Only the last
-    step leaves the band: each envelope is the samples of
-    :func:`band_samples` of its band, so the input envelope is
-    :func:`make_sinc_pulse` bit for bit. No bin outside the band holds
-    rounding noise for the cascade to amplify, whatever K.
+    ``sent`` is the :func:`band_reference` of the sent band. One
+    :func:`dispersion_response` of ``fiber`` on its bins gives the received
+    band and, as the matched pcf's, :func:`stage_responses` of the spec's
+    alpha and K. The sent band and, with a spec, the received one are
+    measured in one :func:`band_outcomes` call; the sent width is reported,
+    then :func:`_guard_span` runs. Only the last step leaves the band: each
+    envelope is the samples of :func:`band_samples` of its band, so the
+    input envelope is :func:`make_sinc_pulse` bit for bit. No bin outside
+    the band holds rounding noise for the cascade to amplify, whatever K.
     """
-    rx_band, h_pcf = _propagate_band(sent, fiber, spec)
+    h_span = dispersion_response(fiber, sent.offsets)
+    rx_band = sent.band * h_span
     measured = [sent.band] if spec is None else [sent.band, rx_band]
     outcomes = band_outcomes(sent, measured)
     [sent_width] = _report(outcomes, 0, 1)
-    _guard_span(sent, sent_width, fiber, spec, rx_band, outcomes, 1)
+    k = None if spec is None else spec.k_stages
+    _guard_span(sent, sent_width, fiber.beta2 * fiber.length_m, k, rx_band, outcomes, 1)
     bands = {"envelope_input.csv": sent.band, "envelope_dispersed.csv": rx_band}
     if spec is not None:
-        [response] = stage_responses(spec.subsystem, h_pcf, [spec.k_stages])
+        [response] = stage_responses(spec.subsystem.alpha, h_span, [k])
         bands["envelope_compensated.csv"] = rx_band * response
     return {name: band_samples(sent.grid, b) for name, b in bands.items()}
 

@@ -540,6 +540,23 @@ class TestSweep:
             assert "diverged" not in (out / "sweep.csv").read_text()
         assert peaks[1] <= 1.3 * peaks[0]
 
+    def test_one_dispersion_response_per_converging_span(self, tmp_path, monkeypatch):
+        # the matched pcf's response is the span's own: each span where some
+        # alpha converges builds one response, for its received band and its
+        # cascade alike, and xi 12, where every alpha diverges, builds none
+        calls = []
+
+        def counted(fiber, dw):
+            calls.append(fiber.length_m)
+            return dispersion_response(fiber, dw)
+
+        monkeypatch.setattr(experiments, "dispersion_response", counted)
+        doc = sweep_doc([0.5, 2.0, 12.0], [0.5, 1.0], k_max=3)
+        config = write_config(tmp_path, doc)
+        assert main(["sweep-k", "--config", config, "--out", str(tmp_path / "o")]) == 0
+        beta2 = parse_config(doc).fiber_beta2
+        assert calls == [span_length(xi, beta2, 3e9) for xi in (0.5, 2.0)]
+
     def test_byte_determinism(self, tmp_path):
         config = write_config(tmp_path, sweep_doc([0.5, 1.0], [0.5, 1.0], k_max=3))
         out1, out2 = tmp_path / "out1", tmp_path / "out2"
@@ -657,12 +674,11 @@ class TestScenario:
         tx_band = make_sinc_band(grid, cfg.pulse_width_s)
         offsets = band_offsets(grid, tx_band.size // 2)
         fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
-        rx_band = tx_band * dispersion_response(fiber, offsets)
-        sub = match_pcf(fiber, cfg.pcf_beta2, alpha=alpha)
-        h_pcf = dispersion_response(sub.pcf, offsets)
+        h_span = dispersion_response(fiber, offsets)  # the matched pcf's too
+        rx_band = tx_band * h_span
         unbounded = band_reference(grid, np.zeros_like(tx_band))  # bounds no band
         [tx_width] = band_widths(unbounded, tx_band[None])
-        responses = stage_responses(sub, h_pcf, cfg.k_list)
+        responses = stage_responses(alpha, h_span, cfg.k_list)
         outputs = np.array([rx_band * response for response in responses])
         want = band_widths(unbounded, outputs) / tx_width
         assert [e["broadening_factor"].hex() for e in table] == [w.hex() for w in want]
@@ -823,9 +839,9 @@ def edge_output(monkeypatch, call: int) -> None:
     """
     original, calls = experiments.stage_responses, []
 
-    def responses(sub, h_pcf, k_list):
+    def responses(alpha, h_pcf, k_list):
         calls.append(k_list)
-        out = list(original(sub, h_pcf, k_list))
+        out = list(original(alpha, h_pcf, k_list))
         if len(calls) == call:
             h = h_pcf.size // 2
             out[-1] = out[-1] * (1.0 - 2.0 * (np.r_[0 : h + 1, -h:0] % 2))
@@ -1046,9 +1062,9 @@ class TestPropagate:
             grid = tx.grid
             tx_band = make_sinc_band(grid, cfg.pulse_width_s)
             offsets = band_offsets(grid, tx_band.size // 2)
-            rx_band = tx_band * dispersion_response(fiber, offsets)
-            h_pcf = dispersion_response(spec.subsystem.pcf, offsets)
-            [response] = stage_responses(spec.subsystem, h_pcf, [2])
+            h_span = dispersion_response(fiber, offsets)  # the matched pcf's too
+            rx_band = tx_band * h_span
+            [response] = stage_responses(1.0, h_span, [2])
             rx = Envelope(grid, band_samples(grid, rx_band))
             out_e = Envelope(grid, band_samples(grid, rx_band * response))
         envelopes = {

@@ -414,7 +414,7 @@ class TestStageResponses:
         grid = FrequencyGrid(n, 64 * (2 / BAND_HZ) / n)
         _, sub = matched_example(alpha=alpha)
         h_pcf = dispersion_response(sub.pcf, grid.delta_omega)
-        responses = list(stage_responses(sub, h_pcf, k_list))
+        responses = list(stage_responses(sub.alpha, h_pcf, k_list))
         assert len(responses) == len(k_list)
         for k, response in zip(k_list, responses):
             ref = compensator_tf(CompensatorSpec(sub, k), grid).values

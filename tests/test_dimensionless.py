@@ -3,14 +3,16 @@
 At a fixed dispersion strength xi, attenuation alpha, stage counts, sample
 count and window, the fiber's beta2, the pcf's D and the bandwidth B enter
 ``sweep-k`` and ``scenario`` only through xi: their factors and band
-residuals do not move when (beta2, D, B) is drawn anew.
+residuals do not move when (beta2, D, B) is drawn anew. The pcf's D does
+not enter them at all: the matched branch's response is the span's own,
+so with the rest fixed every factor keeps its bits.
 """
 
 import csv
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dispersim.cli import main
 from dispersim.config import parse_config
@@ -93,3 +95,48 @@ def test_factors_and_residuals_depend_on_xi_not_on_the_fibers_or_band(
     for entry, want in zip(k_table, want_table):
         for key in ("broadening_factor", "residual_max"):
             assert entry[key] == pytest.approx(want[key], rel=RTOL), (entry, want)
+
+
+def _pcf_doc(pcf_d_ps_nm_km):
+    """The README fibers at z 400 km, alpha 0.5, K 0..20 and N 16384."""
+    return {
+        "scenario": "pcf-d",
+        "fiber": {"beta2_ps2_km": -21.0, "z_km": 400.0},
+        "pcf": {"d_ps_nm_km": pcf_d_ps_nm_km},
+        "compensator": {"alphas": [0.5], "k_max": 20},
+        "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 16384},
+        "sweep": {"xi": [0.5, 1.0, 2.0]},
+    }
+
+
+def _pcf_outputs(tmp_path, pcf_d_ps_nm_km):
+    """sweep.csv's 17-digit factors and scenario's k_table factors at one pcf D."""
+    doc = _pcf_doc(pcf_d_ps_nm_km)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("dispersim.experiments.fmt", lambda x: f"{float(x):.17g}")
+        sweep = _run(tmp_path, "sweep-k", doc) / "sweep.csv"
+        with sweep.open(encoding="utf-8") as fh:
+            rows = [row["broadening_factor"] for row in csv.DictReader(fh)]
+    report = json.loads((_run(tmp_path, "scenario", doc) / "scenario.json").read_text())
+    return rows, [e["broadening_factor"] for e in report["stage_search"]["k_table"]]
+
+
+@pytest.fixture(scope="module")
+def pcf_reference(tmp_path_factory):
+    """The outputs at the README's pcf D of 2200 ps/nm/km."""
+    return _pcf_outputs(tmp_path_factory.mktemp("pcf-reference"), 2200.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(pcf_d_ps_nm_km=st.floats(300.0, 6000.0))
+@example(pcf_d_ps_nm_km=1500.0)
+@example(pcf_d_ps_nm_km=3100.0)
+@example(pcf_d_ps_nm_km=5000.0)
+def test_factors_keep_their_bits_whatever_the_pcf_d(
+    pcf_reference, tmp_path_factory, pcf_d_ps_nm_km
+):
+    rows, k_table = _pcf_outputs(tmp_path_factory.mktemp("pcf-draw"), pcf_d_ps_nm_km)
+    want_rows, want_table = pcf_reference
+    assert len(rows) == 3 * 21 and len(k_table) == 21
+    assert rows == want_rows
+    assert k_table == want_table
