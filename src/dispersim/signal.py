@@ -8,9 +8,8 @@ Nyquist bin assigned to the negative side, i.e. the ordering of
 
 A sinc pulse is defined by its band (:func:`make_sinc_band`). The width
 metric is :func:`intensity_fwhm` on a whole envelope, and
-:func:`band_outcomes` on the band-limited ones of a run (:func:`band_widths`
-on a stack), from their band bins alone. :func:`check_wraparound` is the
-one window guard for both.
+:func:`band_outcomes` on the band-limited ones of a run, from their band
+bins alone. :func:`check_wraparound` is the one window guard for both.
 """
 
 import sys
@@ -177,8 +176,8 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
 def make_sinc_band(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarray:
     """The spectrum of the sinc pulse of :func:`make_sinc_pulse` on its band bins.
 
-    The values sit on ``band_bins(n, h)``, h = :func:`sinc_band_bins`: the
-    nearest bin-aligned band (half weight on the edge bins) times the phase
+    The values sit on the bins 0..h, then -h..-1, h = :func:`sinc_band_bins`:
+    the nearest bin-aligned band (half weight on the edge bins) times the phase
     that centres the pulse on sample N/2. The realized bandwidth is
     quantized to the grid; it is exact whenever the window is an integer
     multiple of W. The unit-peak scale is the centre sample taken as a sum
@@ -222,18 +221,13 @@ def sinc_band_bins(grid: FrequencyGrid, zero_to_zero_width: float) -> int:
     return h
 
 
-def band_bins(n_samples: int, h: int) -> np.ndarray:
-    """Indices of the bins |k| <= h of an n-point DFT, in FFT order (0..h, -h..-1)."""
-    return np.r_[0 : h + 1, n_samples - h : n_samples]
-
-
 def _band_k(h: int) -> np.ndarray:
-    """Signed bin numbers k of :func:`band_bins`: 0..h, then -h..-1."""
+    """Signed bin numbers k of the band bins |k| <= h, in FFT order: 0..h, -h..-1."""
     return np.r_[0 : h + 1, -h:0]
 
 
 def band_offsets(grid: FrequencyGrid, h: int) -> np.ndarray:
-    """``grid.delta_omega`` at :func:`band_bins`, without the N-point axis.
+    """``grid.delta_omega`` at the band bins 0..h, -h..-1, without the N-point axis.
 
     2*pi*(k*df) is what :func:`numpy.fft.fftfreq` computes, bit for bit.
     """
@@ -243,8 +237,8 @@ def band_offsets(grid: FrequencyGrid, h: int) -> np.ndarray:
 def band_samples(grid: FrequencyGrid, band: np.ndarray) -> np.ndarray:
     """The samples on ``grid`` whose DFT is ``band`` on its bins and zero elsewhere.
 
-    ``band`` holds 2h+1 bins in the order of :func:`band_bins`, as each band
-    of :func:`band_widths` does; the result is the N-point inverse transform
+    ``band`` holds 2h+1 bins in the order 0..h, -h..-1, as each band of
+    :func:`band_outcomes` does; the result is the N-point inverse transform
     of the zero-padded spectrum, in a new array.
     """
     return _padded_ifft(band, grid.n_samples)
@@ -378,11 +372,11 @@ def _every_sample(intensity: np.ndarray, dt: float):
     return widths, multi, codes
 
 
-#: The coarse grid of :func:`band_widths` has at least this many samples per
+#: The coarse grid of :func:`band_outcomes` has at least this many samples per
 #: band bin (a power of two, capped at the grid size).
 COARSE_PER_BIN = 64
-#: Largest tables of direct sums band_widths builds, the sums and the roots
-#: of unity together: 1 GiB of complex128.
+#: Largest tables of direct sums :func:`band_outcomes` builds, the sums and
+#: the roots of unity together: 1 GiB of complex128.
 MAX_TABLE_SIZE = 2**26
 #: :func:`band_outcomes` holds at most this many band values of a run before
 #: it measures them, in batches of at most this many coarse samples (bands
@@ -399,36 +393,25 @@ _DISTANCE_MARGIN = 1.0 + 2.0**-20
 _REFERENCE_PEAKS = (2.0**-500, 2.0**500)
 
 
-def band_widths(reference: "BandReference", bands: np.ndarray) -> np.ndarray:
-    """:func:`intensity_fwhm` of each envelope of a stack whose spectra live on a band.
-
-    Row i of ``bands`` holds the DFT of an envelope on ``reference.grid`` at
-    the bins |k| <= h of the reference's band, in the order of
-    :func:`band_bins`; every other bin is zero. Each width, to about 1e-15
-    relative, and the warnings and the first error of the stack, are those
-    of :func:`intensity_fwhm` applied to the inverse transform of each whole
-    spectrum in turn, but no N-point array is built. It is the measuring
-    pass :func:`band_outcomes` over the rows and then :func:`report_outcomes`.
-    No command calls it: each sinc run makes one :func:`band_outcomes` call.
-    """
-    return report_outcomes(*band_outcomes(reference, bands))
-
-
 def band_outcomes(reference: "BandReference", bands):
     """The outcome of each band a run yields: its width, multi-lobe flag and error code.
 
-    ``bands`` is any iterable of bands, such as a generator, each one of
-    those of :func:`band_widths`; it may refill and yield one array each
-    time, as a copy of each band is held. Nothing is reported, so
-    :func:`report_outcomes` gives the widths, warnings and first error of
-    any part of the run; as a width has the same bits in any stack, those
-    are what :func:`band_widths` of each part would give. The sinc commands
-    measure every band of a run in one call. At most :data:`BATCH_SAMPLES`
-    band values, and at least one band, are held at a time, so the run is
-    never held whole. Each time that many are held, and once at the end,
-    they are measured with their bands of the same bytes once, in batches
-    of :data:`BATCH_SAMPLES` coarse samples, each in one pass of these steps
-    over all its bands:
+    ``bands`` is any iterable of bands, such as a generator; it may refill
+    and yield one array each time, as a copy of each band is held. Each band
+    holds the DFT of an envelope on ``reference.grid`` at the bins |k| <= h
+    of the reference's band, in the order 0..h, -h..-1; every other bin is
+    zero. Nothing is reported, so :func:`report_outcomes` gives the widths,
+    warnings and first error of any part of the run. Each width, to about
+    1e-15 relative, and those warnings and that error are the ones of
+    :func:`intensity_fwhm` applied to the inverse transform of each whole
+    spectrum in turn, but no N-point array is built; as a width has the same
+    bits in any stack, they are what a call on each part alone would give.
+    The sinc commands measure every band of a run in one call. At most
+    :data:`BATCH_SAMPLES` band values, and at least one band, are held at a
+    time, so the run is never held whole. Each time that many are held, and
+    once at the end, they are measured with their bands of the same bytes
+    once, in batches of :data:`BATCH_SAMPLES` coarse samples, each in one
+    pass of these steps over all its bands:
 
     - the L1 distance of each band from the :func:`band_reference`
       (:meth:`BandReference.distances`);
@@ -608,7 +591,7 @@ class BandReference:
     b0's :func:`_slack` and coarse peak: there the widened bounds are at most
     about twice as loose as b's own would be. A reference without bounds
     has reach -inf and bounds no band. ``m`` is the size M of the coarse
-    grid of :func:`band_widths`. Build one with :func:`band_reference`.
+    grid of :func:`band_outcomes`. Build one with :func:`band_reference`.
     """
 
     grid: FrequencyGrid
@@ -640,7 +623,7 @@ def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference:
     :class:`WindowError` where the tables of :func:`_direct_sums` (the
     (2h+1) x (N/M + 2) direct sums and the M roots of unity) would exceed
     :data:`MAX_TABLE_SIZE` values, before allocating anything. The reference
-    has no bounds where :func:`band_widths` measures every sample (M = N)
+    has no bounds where :func:`band_outcomes` measures every sample (M = N)
     and where the coarse peak lies outside ``_REFERENCE_PEAKS``.
     """
     n = grid.n_samples

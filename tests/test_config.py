@@ -197,8 +197,21 @@ class TestFailClosed:
             (base_doc(pcf={"d_ps_nm_km": -100.0}), "same sign"),
             (base_doc(fiber={"beta2_ps2_km": 0.0, "z_km": 130.0}), "pcf"),
             (base_doc(dcf={"d_ps_nm_km": 0.0}), "dcf"),
+            # and documents that give no dispersion to use
+            ([base_doc()], "configuration root must be a JSON object"),
+            ({"scenario": "s"}, "fiber section is required"),
+            (base_doc(pcf=[{"d_ps_nm_km": 2200.0}]), "pcf must be an object"),
+            (base_doc(region={}), "region.bandwidths_hz is required"),
+            (
+                base_doc(region={"bandwidths_hz": [3e9, 1e9]}),
+                "region.bandwidths_hz must be strictly increasing",
+            ),
         ],
-        ids=["zero-pcf", "opposite-sign-pcf", "zero-fiber-with-pcf", "zero-dcf"],
+        ids=[
+            "zero-pcf", "opposite-sign-pcf", "zero-fiber-with-pcf", "zero-dcf",
+            "root-not-object", "no-fiber", "section-not-object", "region-no-axis",
+            "region-not-increasing",
+        ],
     )
     def test_unusable_dispersion_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):

@@ -40,12 +40,10 @@ from dispersim.fiber import (
 )
 from dispersim.signal import (
     COARSE_PER_BIN,
-    band_bins,
     band_offsets,
     band_outcomes,
     band_reference,
     band_samples,
-    band_widths,
     ifft,
     make_sinc_band,
     report_outcomes,
@@ -56,6 +54,16 @@ from dispersim.signal import (
 def bin_numbers(n):
     """Signed bin numbers k of an n-point DFT, f_k = k*df (Nyquist bin is -n/2)."""
     return np.rint(np.fft.fftfreq(n, 1.0) * n).astype(int)
+
+
+def band_bins(n, h):
+    """Indices of the bins |k| <= h of an n-point DFT, in FFT order (0..h, -h..-1)."""
+    return np.r_[0 : h + 1, n - h : n]
+
+
+def band_widths(reference, bands):
+    """The widths of a stack of bands: one band_outcomes call, then report_outcomes."""
+    return report_outcomes(*band_outcomes(reference, bands))
 
 
 def random_envelope(grid, seed=0):
