@@ -113,6 +113,11 @@ def _bandwidth_axis(spec, path: str) -> tuple:
             raise ConfigError(f"{path}.spacing must be 'linear' or 'log'")
         if hi <= lo:
             raise ConfigError(f"{path}.max must exceed {path}.min")
+        if count > sys.maxsize // 8:  # numpy refuses an array past the address space
+            raise ConfigError(
+                f"{path}.count must be at most {sys.maxsize // 8}: {count} doubles "
+                "do not fit in memory"
+            )
         import numpy as np  # only a range axis loads numpy at start-up
 
         if spacing == "log":
@@ -338,7 +343,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             bandwidth_hz, pulse_width_s = width, 2.0 / width
         else:
             pulse_width_s = width
-        dt_s = window_factor * pulse_width_s / n_samples
+        try:
+            dt_s = window_factor * pulse_width_s / n_samples
+        except OverflowError:  # n_samples past the double range: the rule refuses 0
+            dt_s = 0.0
 
     sweep = _section(doc, "sweep")
     _check_keys(sweep, {"xi"}, "sweep")

@@ -530,13 +530,15 @@ def _envelope_csv(outdir: Path, grid: FrequencyGrid, envelopes: dict) -> None:
                 handle.write(block.tobytes().translate(None, b"\0"))
 
 
-def _sinc_envelopes(sent: BandReference, fiber: FiberParams, spec) -> dict:
-    """The sent, dispersed and, unless ``spec`` is None, compensated sinc.
+def _sinc_envelopes(
+    sent: BandReference, fiber: FiberParams, alpha: float, k: int | None
+) -> dict:
+    """The sent, dispersed and, unless ``k`` is None, compensated sinc.
 
     ``sent`` is the :func:`band_reference` of the sent band. One
     :func:`dispersion_response` of ``fiber`` on its bins gives the received
-    band and, as the matched pcf's, :func:`stage_responses` of the spec's
-    alpha and K. The sent band and, with a spec, the received one are
+    band and, as the matched pcf's, :func:`stage_responses` of ``alpha`` at
+    K = ``k``. The sent band and, with a K, the received one are
     measured in one :func:`band_outcomes` call; the sent width is reported,
     then :func:`_guard_span` runs. Only the last step leaves the band: each
     envelope is the samples of :func:`band_samples` of its band, so the
@@ -545,14 +547,13 @@ def _sinc_envelopes(sent: BandReference, fiber: FiberParams, spec) -> dict:
     """
     h_span = dispersion_response(fiber, sent.offsets)
     rx_band = sent.band * h_span
-    measured = [sent.band] if spec is None else [sent.band, rx_band]
+    measured = [sent.band] if k is None else [sent.band, rx_band]
     outcomes = band_outcomes(sent, measured)
     [sent_width] = _report(outcomes, 0, 1)
-    k = None if spec is None else spec.k_stages
     _guard_span(sent, sent_width, fiber.beta2 * fiber.length_m, k, rx_band, outcomes, 1)
     bands = {"envelope_input.csv": sent.band, "envelope_dispersed.csv": rx_band}
-    if spec is not None:
-        [response] = stage_responses(spec.subsystem.alpha, h_span, [k])
+    if k is not None:
+        [response] = stage_responses(alpha, h_span, [k])
         bands["envelope_compensated.csv"] = rx_band * response
     return {name: band_samples(sent.grid, b) for name, b in bands.items()}
 
@@ -578,20 +579,19 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     ])
     if cfg.pcf_beta2 is not None and cfg.bandwidth_hz:  # a gaussian has no band
         _require_convergence(cfg, cfg.alphas[0])
-    fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
-    spec = None
+    fiber, alpha, k = FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.alphas[0], None
     extra = {"compensated": False}
     if cfg.pcf_beta2 is not None:
-        sub = match_pcf(fiber, cfg.pcf_beta2, alpha=cfg.alphas[0])
-        spec = CompensatorSpec(sub, cfg.k_list[-1])
-        extra = {"compensated": True, "k_stages": cfg.k_list[-1]}
+        k = cfg.k_list[-1]
+        extra = {"compensated": True, "k_stages": k}
     if cfg.pulse == "sinc":
-        envelopes = _sinc_envelopes(band_reference(grid, sent), fiber, spec)
+        envelopes = _sinc_envelopes(band_reference(grid, sent), fiber, alpha, k)
     else:
         rx = propagate(sent, fiber)
         envelopes = {"envelope_input.csv": sent.samples}
         envelopes["envelope_dispersed.csv"] = rx.samples
-        if spec is not None:
+        if k is not None:
+            spec = CompensatorSpec(match_pcf(fiber, cfg.pcf_beta2, alpha=alpha), k)
             envelopes["envelope_compensated.csv"] = compensate(rx, spec).samples
     _envelope_csv(outdir, grid, envelopes)
     write_meta(outdir, "propagate", cfg, extra)

@@ -378,10 +378,10 @@ COARSE_PER_BIN = 64
 #: Largest tables of direct sums :func:`band_outcomes` builds, the sums and
 #: the roots of unity together: 1 GiB of complex128.
 MAX_TABLE_SIZE = 2**26
-#: :func:`band_outcomes` holds at most this many band values of a run before
-#: it measures them, in batches of at most this many coarse samples (bands
-#: times M), each at least one band, so that the bands held and a batch's
-#: coarse transforms and bounds stay at a few MiB however many bands a run has.
+#: :func:`band_outcomes` holds at most this many coarse samples' worth of
+#: distinct bands (bands times M), and at least one band, before it measures
+#: them in one batch, so that the bands held and a batch's coarse transforms
+#: and bounds stay at a few MiB however many bands a run has.
 BATCH_SAMPLES = 2**18
 #: :func:`_direct_sums` evaluates this many rows in one stacked product.
 _CHUNK = 64
@@ -397,21 +397,22 @@ def band_outcomes(reference: "BandReference", bands):
     """The outcome of each band a run yields: its width, multi-lobe flag and error code.
 
     ``bands`` is any iterable of bands, such as a generator; it may refill
-    and yield one array each time, as a copy of each band is held. Each band
-    holds the DFT of an envelope on ``reference.grid`` at the bins |k| <= h
-    of the reference's band, in the order 0..h, -h..-1; every other bin is
-    zero. Nothing is reported, so :func:`report_outcomes` gives the widths,
-    warnings and first error of any part of the run. Each width, to about
-    1e-15 relative, and those warnings and that error are the ones of
+    and yield one array each time, as each band is read when it is yielded.
+    Each band holds the DFT of an envelope on ``reference.grid`` at the bins
+    |k| <= h of the reference's band, in the order 0..h, -h..-1; every other
+    bin is zero. Nothing is reported, so :func:`report_outcomes` gives the
+    widths, warnings and first error of any part of the run. Each width, to
+    about 1e-15 relative, and those warnings and that error are the ones of
     :func:`intensity_fwhm` applied to the inverse transform of each whole
     spectrum in turn, but no N-point array is built; as a width has the same
     bits in any stack, they are what a call on each part alone would give.
-    The sinc commands measure every band of a run in one call. At most
-    :data:`BATCH_SAMPLES` band values, and at least one band, are held at a
-    time, so the run is never held whole. Each time that many are held, and
-    once at the end, they are measured with their bands of the same bytes
-    once, in batches of :data:`BATCH_SAMPLES` coarse samples, each in one
-    pass of these steps over all its bands:
+    The sinc commands measure every band of a run in one call. Each band is
+    keyed by its bytes: a distinct band is held once, and a repeat of a band
+    held holds only its index. At most max(1, :data:`BATCH_SAMPLES` // M)
+    distinct bands are held at a time, so the run is never held whole. When
+    that many are held and another distinct band arrives, and once at the
+    end, the bands held are measured in one pass of these steps over all of
+    them:
 
     - the L1 distance of each band from the :func:`band_reference`
       (:meth:`BandReference.distances`);
@@ -435,40 +436,26 @@ def band_outcomes(reference: "BandReference", bands):
     not finite gets its error code.
     """
     shape = reference.band.shape
-    rows = max(1, BATCH_SAMPLES // shape[0])
-    held, parts = [], []
+    step = max(1, BATCH_SAMPLES // reference.m)
+    held, which, parts = {}, [], []
+
+    def measure():
+        # the keys of ``held``, in the order of their indices, are the bands
+        stack = np.frombuffer(b"".join(held), np.complex128).reshape(-1, shape[0])
+        parts.append(tuple(values[which] for values in _measure(reference, stack)))
+
     for band in bands:
         if np.shape(band) != shape:
             raise ValueError(
                 f"expected {shape[0]} band bins per band, got shape {np.shape(band)}"
             )
-        held.append(np.array(band, np.complex128))
-        if len(held) == rows:
-            parts.append(_distinct_outcomes(reference, held))
-            held = []
-    if held or not parts:
-        parts.append(_distinct_outcomes(reference, held))
+        key = np.asarray(band, np.complex128).tobytes()
+        if key not in held and len(held) == step:
+            measure()
+            held, which = {}, []
+        which.append(held.setdefault(key, len(held)))
+    measure()  # the last band read, if any, is held
     return tuple(np.concatenate(values) for values in zip(*parts))
-
-
-def _distinct_outcomes(reference: "BandReference", bands: list):
-    """The outcomes of a list of bands, each distinct band measured once, in batches."""
-    slots, distinct, which = {}, [], []
-    for band in bands:
-        which.append(slots.setdefault(band.tobytes(), len(distinct)))
-        if which[-1] == len(distinct):
-            distinct.append(band)
-    count = len(distinct)
-    widths, multi = np.empty(count), np.empty(count, bool)
-    codes = np.empty(count, np.int8)
-    step = max(1, BATCH_SAMPLES // reference.m)
-    for lo in range(0, count, step):
-        batch = slice(lo, lo + step)
-        outcomes = _measure(reference, np.array(distinct[batch]))
-        widths[batch], multi[batch], codes[batch] = outcomes
-    if count < len(bands):
-        widths, multi, codes = widths[which], multi[which], codes[which]
-    return widths, multi, codes
 
 
 def _measure(reference: "BandReference", bands: np.ndarray):

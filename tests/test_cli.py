@@ -542,12 +542,13 @@ class TestSweep:
 
     def test_stage_search_memory_does_not_grow_with_the_alphas(self, tmp_path):
         # At a window of 512 widths the band holds 1025 bins, so the outputs
-        # of K 0..600 take 9.9 MB per alpha. The stage search fills and
-        # measures them a chunk of BATCH_SAMPLES band values at a time: four
-        # alphas peak as high as the one whose bands lie farthest from the
-        # sent band (alpha 0.25, the most coarse transforms per batch), where
-        # a whole stack would hold 39 MB. The untraced first run fills
-        # the caches, whose first fill would otherwise count in a peak.
+        # of K 0..600 take 9.9 MB per alpha. The width metric holds at most
+        # BATCH_SAMPLES // M distinct outputs (M coarse samples per band) and
+        # measures them as one batch: four alphas peak as high as the one
+        # whose bands lie farthest from the sent band (alpha 0.25, the most
+        # coarse transforms per batch), where a whole stack would hold 39 MB.
+        # The untraced first run fills the caches, whose first fill would
+        # otherwise count in a peak.
         peaks = []
         for run, alphas in enumerate(([0.25], [0.25], [0.25, 0.5, 0.75, 1.0])):
             doc = sweep_doc([0.3], alphas, k_max=600, n_samples=65536)
@@ -839,9 +840,9 @@ def test_band_runs_peak_below_100_mb(tmp_path, command, doc, rows):
     # n_samples only sets the width metric's resolution: a 2**22-sample
     # scenario stays far below the 67 MB of one N-point complex array. A
     # design sweep reads the sent band, then each span's received band and
-    # 1204 stage outputs, from a generator, and measures them a chunk of a
-    # fixed size at a time: 4816 rows within the same bound. Each runs in a
-    # fresh interpreter, so that the peak is the run's own.
+    # 1204 stage outputs, from a generator, and measures them a batch of a
+    # fixed count of distinct bands at a time: 4816 rows within the same
+    # bound. Each runs in a fresh interpreter, so that the peak is the run's own.
     config, out = write_config(tmp_path, doc), tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS, command, "--config", config,
@@ -1287,9 +1288,9 @@ def test_sinc_band_envelopes_match_the_full_grid(
         }
     except WraparoundError:
         with pytest.raises(WraparoundError):
-            _sinc_envelopes(sent, fiber, spec)
+            _sinc_envelopes(sent, fiber, alpha, k_max)
         return
-    envelopes = _sinc_envelopes(sent, fiber, spec)
+    envelopes = _sinc_envelopes(sent, fiber, alpha, k_max)
     assert envelopes.keys() == full.keys()
     for name, samples in envelopes.items():
         peak = np.abs(full[name].samples).max()
@@ -1600,6 +1601,46 @@ class TestRangeRules:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "command, section, value, message",
+        [
+            *(
+                (command, "signal", dict(_SMALL_SINC, n_samples=n), "error: dt_s = ")
+                for n in (2**1024, 2**1100)
+                for command in ("region", "sweep-k", "scenario", "propagate")
+            ),
+            # counts whose axis numpy refuses before it allocates anything
+            *(
+                (
+                    "region",
+                    "region",
+                    {"bandwidths_hz": {"min": 1e9, "max": 1e10, "count": c, "spacing": s}},
+                    "error: region.bandwidths_hz.count must be at most "
+                    f"{sys.maxsize // 8}: {c} ",
+                )
+                for c in (2**62, 2**63 - 1, 10**20)
+                for s in ("linear", "log")
+            ),
+        ],
+        ids=[
+            *(f"n_samples-2**{p}-{command}" for p in (1024, 1100)
+              for command in ("region", "sweep-k", "scenario", "propagate")),
+            *(f"count-{c}-{spacing}" for c in ("2**62", "2**63-1", "10**20")
+              for spacing in ("linear", "log")),
+        ],
+    )
+    def test_integer_past_any_array_exits_2(
+        self, tmp_path, capsys, command, section, value, message
+    ):
+        # n_samples past the double range makes dt_s 0, which the range rule
+        # refuses; a range axis too long for the address space is refused
+        # before numpy is asked for it
+        config = write_config(tmp_path, _doc(readme_doc(), **{section: value}))
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.startswith(message)
 
     @pytest.mark.parametrize(
         "width_s",

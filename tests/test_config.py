@@ -206,11 +206,15 @@ class TestFailClosed:
                 base_doc(region={"bandwidths_hz": [3e9, 1e9]}),
                 "region.bandwidths_hz must be strictly increasing",
             ),
+            (
+                base_doc(region={"bandwidths_hz": []}),
+                "region.bandwidths_hz must not be empty",
+            ),
         ],
         ids=[
             "zero-pcf", "opposite-sign-pcf", "zero-fiber-with-pcf", "zero-dcf",
             "root-not-object", "no-fiber", "section-not-object", "region-no-axis",
-            "region-not-increasing",
+            "region-not-increasing", "region-empty-axis",
         ],
     )
     def test_unusable_dispersion_rejected(self, doc, message):
@@ -258,9 +262,18 @@ class TestFailClosed:
                 ),
                 "dt_s",
             ),
+            # n_samples past the double range: dt_s is refused, not an OverflowError
+            *(
+                (
+                    base_doc(signal={"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": n}),
+                    "dt_s",
+                )
+                for n in (2**1023, 2**1024, 2**1100)
+            ),
         ],
         ids=[
-            "lambda0", "z_km", "d_to_beta2", "quoted_path_km", "width_s", "dt_underflow"
+            "lambda0", "z_km", "d_to_beta2", "quoted_path_km", "width_s", "dt_underflow",
+            "n_samples-2**1023", "n_samples-2**1024", "n_samples-2**1100",
         ],
     )
     def test_resolved_values_must_be_finite(self, doc, message):

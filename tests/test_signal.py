@@ -119,6 +119,10 @@ class TestTransforms:
         grid = FrequencyGrid(8, 1e-12)
         assert occupied_bandwidth(grid.delta_omega, fft(np.ones(8))) == 0.0
 
+    def test_zero_spectrum_occupies_no_band(self):
+        grid = FrequencyGrid(8, 1e-12)
+        assert occupied_bandwidth(grid.delta_omega, np.zeros(8, complex)) == 0.0
+
     def test_impulse_is_flat(self):
         grid = FrequencyGrid(8, 1e-12)
         samples = np.zeros(8)
@@ -164,6 +168,8 @@ class TestApplyTf:
         h = unit_tf(FrequencyGrid(256, 2e-12))
         with pytest.raises(GridMismatchError):
             apply_tf(e, h)
+        with pytest.raises(GridMismatchError):
+            unit_tf(FrequencyGrid(256, 1e-12)) * h
 
     def test_linear_phase_is_circular_delay(self):
         grid = FrequencyGrid(256, 1e-12)
@@ -358,6 +364,9 @@ class TestGaussianPulse:
         assert abs(e.energy / expected - 1) < 1e-3
 
     def test_guards(self):
+        for t0 in (0.0, -50e-12):
+            with pytest.raises(ValueError, match="t0 must be positive"):
+                make_gaussian_pulse(self.grid, t0)
         with pytest.raises(WindowError):
             make_gaussian_pulse(FrequencyGrid(16384, 1e-12), 2e-12)  # t0 < 4 dt
         with pytest.raises(WindowError):
@@ -1169,11 +1178,12 @@ class TestBandReference:
     def test_bands_are_read_from_any_iterable_a_chunk_at_a_time(
         self, n, rows, kinds, repeats, seed, data
     ):
-        # BATCH_SAMPLES is cut so that a chunk holds 1 to 4 bands. A generator
-        # yields mixed bands: one that is not finite, one all zero, one on the
-        # window edge, and repeats of bands of an earlier chunk. The outcomes
-        # are the bits of the whole stack's, and the first chunk is measured
-        # before the generator has yielded more than one chunk and one band.
+        # BATCH_SAMPLES is cut so that a batch holds 1 to 4 distinct bands. A
+        # generator yields mixed bands: one that is not finite, one all zero,
+        # one on the window edge, and later repeats of earlier bands. The
+        # outcomes are the bits of the whole stack's. Each measured batch holds
+        # distinct bands only, and the first one is measured as soon as a
+        # distinct band arrives past a full batch, before the rest is read.
         grid = FrequencyGrid(n, 1e-12)
         rng = np.random.default_rng(seed)
         band = sinc_band(grid, int(rng.integers(3 * n // 8, 5 * n // 8)))
@@ -1183,28 +1193,31 @@ class TestBandReference:
         total = len(bands) + repeats
         for _ in range(repeats):
             i = data.draw(st.integers(0, len(bands) - 1), label="repeated")
-            later = min((i // rows + 1) * rows, len(bands))  # the next chunk
-            bands.insert(data.draw(st.integers(later, len(bands)), label="place"), bands[i])
+            bands.insert(data.draw(st.integers(i + 1, len(bands)), label="place"), bands[i])
         want = outcome_bits(band_outcomes(reference, np.array(bands)))
-        yielded, first = [0], []
+        keys = [row.tobytes() for row in bands]
+        starts = [i for i, key in enumerate(keys) if key not in keys[:i]]
+        yielded, calls = [0], []
 
         def read():
             for band in bands:
                 yielded[0] += 1
                 yield band
 
-        def measure(*args):
-            first.append(yielded[0])
-            return original(*args)
+        def measure(reference, stack):
+            calls.append((yielded[0], {row.tobytes() for row in stack}, len(stack)))
+            return original(reference, stack)
 
-        original, size = signal_module._measure, reference.band.size
+        original = signal_module._measure
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(signal_module, "BATCH_SAMPLES", rows * size + int(rng.integers(size)))
+            batch = rows * reference.m + int(rng.integers(reference.m))
+            mp.setattr(signal_module, "BATCH_SAMPLES", batch)
             mp.setattr(signal_module, "_measure", measure)
             got = outcome_bits(band_outcomes(reference, read()))
         assert got == want
         assert yielded[0] == total
-        assert first[0] <= rows + 1
+        assert all(len(distinct) == size <= rows for _, distinct, size in calls)
+        assert calls[0][0] == (starts[rows] + 1 if len(starts) > rows else total)
 
     def test_a_refilled_array_is_read_as_each_band_it_holds(self):
         # A generator that refills one array and yields it every time: each
@@ -1365,6 +1378,15 @@ class TestEnvelope:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Envelope(FrequencyGrid(8, 1e-12), np.ones(7))
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "inf-imag"]
+    )
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.ones(8, complex)
+        samples[3] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            Envelope(FrequencyGrid(8, 1e-12), samples)
 
     def test_samples_read_only(self):
         e = Envelope(FrequencyGrid(8, 1e-12), np.ones(8))
