@@ -1,14 +1,14 @@
 """The numpy-free base of the package: what the CLI needs before a numeric
 command runs.
 
-It holds the exceptions behind the CLI's exit codes, the D <-> beta2
-conversions and matched lengths, the constants the configuration checks
-against, and the ``region`` command (a closed form in
+It holds the exceptions behind the CLI's exit codes, the speed of light,
+the D <-> beta2 conversions and matched lengths, the constants the
+configuration checks against, and the ``region`` command (a closed form in
 :mod:`dispersim.convergence`) with the emit helpers it shares with
 :mod:`dispersim.experiments`. It imports the standard library and
 :mod:`dispersim.convergence` only, so ``convert``, ``region`` on a list
-axis and a refused configuration run without numpy.
-The numeric modules import these names back, so each keeps its old path.
+axis and a refused configuration run without numpy. The numeric modules
+import from here only what they use.
 """
 
 import json

@@ -100,7 +100,7 @@ def _cmd_convert(args) -> int:
             d = beta2_to_d(beta2, lambda0)
         if not (math.isfinite(d) and math.isfinite(beta2)):
             raise ValueError("--d, --beta2 and their conversion must be finite")
-    except ValueError as exc:  # also the wavelength range rule of fiber.py
+    except ValueError as exc:  # also the wavelength range rule of base.py
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"lambda0  {lambda0 * 1e9:.6g} nm  ({lambda0:.9g} m)")
@@ -134,7 +134,3 @@ def main(argv=None) -> int:
     except (WraparoundError, DivergenceError, WidthMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MAX_STAGES, matched_length
-from .fiber import SPEED_OF_LIGHT, FiberParams, dispersion_response, dispersion_tf
+from .base import MAX_STAGES, SPEED_OF_LIGHT, matched_length
+from .fiber import FiberParams, dispersion_response, dispersion_tf
 from .iterative import IterationSpec, error_tf, neumann_sum_tf, partial_sums
 from .signal import (
     Envelope,
@@ -84,16 +84,6 @@ class CompensatorSpec:
             raise ValueError("k_stages must be an integer")
         if not 0 <= self.k_stages <= MAX_STAGES:
             raise ValueError(f"k_stages must lie in 0..{MAX_STAGES}")
-
-    @property
-    def gain(self) -> float:
-        """Amplifier power gain, always :func:`default_gain` of (alpha, K)."""
-        return default_gain(self.subsystem.alpha, self.k_stages)
-
-    @property
-    def prefactor(self) -> float:
-        """:func:`prefactor` of (alpha, K)."""
-        return prefactor(self.subsystem.alpha, self.k_stages)
 
 
 def default_gain(alpha: float, k_stages: int) -> float:
@@ -155,7 +145,7 @@ def match_pcf(
 
 
 def compensator_tf(spec: CompensatorSpec, grid: FrequencyGrid) -> TransferFunction:
-    """Total response ``spec.prefactor * sum_{k=0..K} E_D^k`` of the cascade.
+    """Total response ``prefactor(alpha, K) * sum_{k=0..K} E_D^k`` of the cascade.
 
     The sum is :func:`neumann_sum_tf` of H_pcf with mu = sqrt(alpha): the
     cascade implements the iterative algorithm. The bulk delay K*L*beta1 is
@@ -164,7 +154,7 @@ def compensator_tf(spec: CompensatorSpec, grid: FrequencyGrid) -> TransferFuncti
     sub = spec.subsystem
     iteration = IterationSpec(spec.k_stages, math.sqrt(sub.alpha))
     total = neumann_sum_tf(dispersion_tf(sub.pcf, grid), iteration)
-    return TransferFunction(grid, spec.prefactor * total.values)
+    return TransferFunction(grid, prefactor(sub.alpha, spec.k_stages) * total.values)
 
 
 def stage_responses(alpha: float, h_pcf: np.ndarray, k_list):

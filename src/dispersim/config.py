@@ -8,7 +8,7 @@ ps/nm/km, beta2 in ps^2/km, lengths in km) and are resolved to SI here.
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .base import _BETA2_CONVENTIONAL, MAX_STAGES, ConfigError, d_to_beta2
 from .base import dcf_path, matched_length
@@ -126,8 +126,7 @@ def _bandwidth_axis(spec, path: str) -> tuple:
     raise ConfigError(f"{path} must be a list or a min/max/count object")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Validated configuration with SI-resolved physical values."""
 
     scenario: str
@@ -159,7 +158,7 @@ class ExperimentConfig:
         """
         out = {
             key: list(value) if isinstance(value, tuple) else value
-            for key, value in vars(self).items()
+            for key, value in self._asdict().items()
             if key not in ("scenario", "raw")
         }
         for name in ("fiber", "pcf", "dcf"):

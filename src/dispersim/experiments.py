@@ -25,15 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import (  # the region runner and emit helpers, kept at their old paths
-    REGION_CSV_HEADER,
+from .base import (
     WIDTH_METRIC,
     DivergenceError,
     _write_json,
     _write_text,
     dcf_path,
     fmt,
-    run_region,
     write_meta,
 )
 from .compensator import (

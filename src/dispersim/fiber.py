@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SPEED_OF_LIGHT, beta2_to_d, d_to_beta2  # kept at their old paths
 from .signal import (
     Envelope,
     FrequencyGrid,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convergence import CONTRACTION_MARGIN  # kept at its old path
 from .signal import Envelope, GridMismatchError, TransferFunction, apply_tf, is_integer
 
 

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.fft import fftfreq
 
-from .base import WIDTH_METRIC, WidthMetricError, WindowError, WraparoundError
+from .base import WidthMetricError, WindowError, WraparoundError
 
 
 class GridMismatchError(ValueError):
@@ -742,7 +742,7 @@ def _sparse_widths(bands, keys, upper, lower, floor, least, n: int, m: int, dt: 
 
 
 def broadening_factor(tx: Envelope, rx: Envelope) -> float:
-    """Ratio of received to transmitted pulse width (:data:`WIDTH_METRIC`)."""
+    """Ratio of received to transmitted pulse width (:data:`dispersim.base.WIDTH_METRIC`)."""
     if tx.grid != rx.grid:
         raise GridMismatchError("tx and rx must share a grid")
     return intensity_fwhm(rx) / intensity_fwhm(tx)

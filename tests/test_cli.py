@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from dispersim import d_to_beta2
 from dispersim.cli import main
 from dispersim.compensator import (
     CompensatorSpec,
@@ -36,7 +37,7 @@ from dispersim.experiments import (
     _sinc_envelopes,
     fmt,
 )
-from dispersim.fiber import FiberParams, d_to_beta2, dispersion_response, propagate
+from dispersim.fiber import FiberParams, dispersion_response, propagate
 from dispersim.convergence import edge_error, span_length, stable, z_max
 from dispersim.signal import (
     Envelope,
@@ -162,14 +163,26 @@ class TestConvert:
         assert captured.err.count("error:") == 1
         assert "finite" in captured.err
 
-    def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dispersim", "convert", "--d", "17"],
-            capture_output=True,
-            text=True,
-        )
+    def test_module_entry_point(self, tmp_path):
+        # ``python -m dispersim`` is the one module entry point; it runs main's
+        # commands and passes on main's exit code
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "dispersim", *argv],
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                capture_output=True, text=True, cwd=tmp_path,
+            )
+
+        proc = run("convert", "--d", "17")
         assert proc.returncode == 0
         assert "ps^2/km" in proc.stdout
+        config = write_config(tmp_path, region_doc())
+        proc = run("region", "--config", config, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "region.csv").is_file()
+        proc = run("region", "--config", config, "--out", "")
+        assert proc.returncode == 2
+        assert proc.stderr.count("error:") == 1
 
 
 def region_doc():
@@ -231,20 +244,6 @@ def test_empty_out_exits_2_like_an_empty_output_dir(tmp_path, monkeypatch, capsy
     assert main([command, "--config", write_config(tmp_path, doc, "empty.json")]) == 2
     assert capsys.readouterr().err == "error: output.dir must be a non-empty string\n"
     assert list(cwd.iterdir()) == []
-
-
-def test_cli_module_entry_point(tmp_path):
-    config = write_config(tmp_path, region_doc())
-    for out, code in ((tmp_path / "o", 0), ("", 2)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dispersim.cli", "region", "--config", config,
-             "--out", str(out)],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            capture_output=True, text=True, cwd=tmp_path,
-        )
-        assert proc.returncode == code, proc.stderr
-    assert (tmp_path / "o" / "region.csv").is_file()
-    assert proc.stderr.count("error:") == 1
 
 
 class TestRegion:

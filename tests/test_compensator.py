@@ -18,6 +18,7 @@ from dispersim import (
     compensate,
     compensation_latency,
     compensator_tf,
+    d_to_beta2,
     default_gain,
     dispersion_tf,
     feedback_run,
@@ -28,9 +29,9 @@ from dispersim import (
     subsystem_error_tf,
     subsystem_tf,
 )
-from dispersim.compensator import DEFAULT_SMF_BETA1, MAX_STAGES, stage_responses
+from dispersim.compensator import DEFAULT_SMF_BETA1, MAX_STAGES, prefactor, stage_responses
 from dispersim.convergence import edge_error
-from dispersim.fiber import d_to_beta2, dispersion_response
+from dispersim.fiber import dispersion_response
 
 PS2_PER_KM = 1e-27
 
@@ -61,15 +62,13 @@ class TestSubsystemSpec:
 
 class TestCompensatorSpec:
     def test_default_gain(self):
-        _, sub = matched_example(alpha=0.25)
-        spec = CompensatorSpec(sub, 3)
-        assert spec.gain == 0.25 * 2**4
         assert default_gain(0.25, 3) == 0.25 * 2**4
 
     def test_gain_is_always_the_rule(self):
+        # the spec holds no gain or prefactor of its own: both follow from (alpha, K)
         _, sub = matched_example(alpha=0.5)
-        for k in (0, 1, 7, MAX_STAGES):
-            assert CompensatorSpec(sub, k).gain == default_gain(0.5, k)
+        spec = CompensatorSpec(sub, 1)
+        assert not hasattr(spec, "gain") and not hasattr(spec, "prefactor")
         with pytest.raises(TypeError):
             CompensatorSpec(sub, 1, gain=7.0)
 
@@ -204,9 +203,7 @@ class TestCompensatorTf:
         np.testing.assert_allclose(np.abs(values), 0.7, rtol=1e-12)
 
     def test_default_gain_prefactor_is_sqrt_alpha(self):
-        _, sub = matched_example(alpha=0.36)
-        spec = CompensatorSpec(sub, 4)
-        assert spec.prefactor == pytest.approx(0.6, rel=1e-15)
+        assert prefactor(0.36, 4) == pytest.approx(0.6, rel=1e-15)
 
     def test_residual_identity_randomized(self):
         rng = np.random.default_rng(99)
@@ -258,7 +255,7 @@ class TestCompensatorTf:
         _, sub = matched_example(alpha=alpha)
         stage = math.sqrt(2.0) * subsystem_tf(sub, grid).values
         ident = dispersion_tf(sub.smf, grid).values
-        physical = CompensatorSpec(sub, k).prefactor * sum(
+        physical = prefactor(alpha, k) * sum(
             stage**j * ident ** (k - j) for j in range(k + 1)
         )
         length = sub.length_m
@@ -320,7 +317,7 @@ class TestCompensate:
         for k in (0, 1, 5):
             spec = CompensatorSpec(sub, k)
             direct = compensate(rx, spec)
-            loop = spec.prefactor * feedback_run(
+            loop = prefactor(sub.alpha, k) * feedback_run(
                 rx, h_pcf, IterationSpec(k, math.sqrt(sub.alpha))
             ).samples
             num = np.sum(np.abs(direct.samples - loop) ** 2)
@@ -432,5 +429,4 @@ class TestPassivityAudit:
         down_weight = math.sqrt(sub.alpha) / math.sqrt(2)
         assert up_weight <= 1
         assert down_weight <= 1
-        spec = CompensatorSpec(sub, 3)
-        assert spec.gain > 1  # the one active element
+        assert default_gain(sub.alpha, 3) > 1  # the one active element

@@ -5,9 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dispersim import default_gain
+from dispersim import d_to_beta2, default_gain
 from dispersim.config import MAX_STAGES, ConfigError, load_config, parse_config
-from dispersim.fiber import d_to_beta2
 
 
 def base_doc(**overrides):

@@ -9,6 +9,7 @@ from dispersim import (
     CONTRACTION_MARGIN,
     FiberParams,
     FrequencyGrid,
+    d_to_beta2,
     match_pcf,
     stable,
     subsystem_error_tf,
@@ -20,7 +21,6 @@ from dispersim.convergence import (
     edge_phase,
     span_length,
 )
-from dispersim.fiber import d_to_beta2
 
 BETA2 = -21e-27
 PS2_PER_KM = 1e-27

@@ -1,5 +1,7 @@
-"""The package's exported names and its import footprint."""
+"""The package's exported names, its import footprint and its entry points."""
 
+import ast
+import importlib
 import json
 import re
 import subprocess
@@ -11,14 +13,18 @@ import pytest
 import dispersim
 from dispersim.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 SRC = Path(dispersim.__file__).resolve().parent.parent
 #: what a start of the CLI runs: import it and parse a config
 SETUP_PROBE = (
     "import sys; sys.path.insert(0, sys.argv[1]); import dispersim.cli; "
     "from dispersim.config import load_config; load_config(sys.argv[2]); "
 )
-NUMERIC_MODULES = {
+#: modules a start must not load: the numeric ones, and ``dataclasses``, which
+#: brings ``inspect``, ``ast``, ``dis`` and ``tokenize`` with it
+NOT_AT_START_UP = {
+    "dataclasses",
     "numpy",
     "dispersim.experiments",
     "dispersim.signal",
@@ -51,20 +57,48 @@ def test_star_import_resolves_every_export():
         assert namespace[name] is getattr(dispersim, name)
 
 
-def test_namespace_is_lazy_and_every_moved_name_keeps_its_old_path():
-    from dispersim import base, compensator, convergence, experiments, fiber, iterative, signal
-
+def test_namespace_is_lazy_and_each_export_is_its_home_modules():
     assert set(dispersim.__all__) <= set(dir(dispersim))
     with pytest.raises(AttributeError, match="no_such_name"):
         dispersim.no_such_name
-    assert signal.WindowError is base.WindowError is dispersim.WindowError
-    assert signal.WIDTH_METRIC is base.WIDTH_METRIC
-    assert experiments.DivergenceError is base.DivergenceError
-    assert experiments.run_region is base.run_region
-    assert experiments.write_meta is base.write_meta
-    assert fiber.d_to_beta2 is base.d_to_beta2 is dispersim.d_to_beta2
-    assert compensator.MAX_STAGES is base.MAX_STAGES
-    assert iterative.CONTRACTION_MARGIN is convergence.CONTRACTION_MARGIN
+    for name, home in dispersim._HOMES.items():
+        module = importlib.import_module(f"dispersim.{home}")
+        assert getattr(dispersim, name) is getattr(module, name), name
+
+
+def _unused_sibling_imports(path: Path) -> list:
+    """The names ``path`` imports from a sibling module and never uses.
+
+    A use is a name in the code, or a string equal to the name: a runner
+    looked up by name, or a quoted annotation.
+    """
+    imported, used = [], set()
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return [name for name in imported if name not in used]
+
+
+def test_each_module_imports_from_its_siblings_only_what_it_uses():
+    # a name has one import path: its home; no module re-exports another's
+    unused = {
+        path.stem: names
+        for path in sorted((SRC / "dispersim").glob("*.py"))
+        if (names := _unused_sibling_imports(path))
+    }
+    assert unused == {}
+
+
+def test_console_script_target_runs():
+    text = (ROOT / "pyproject.toml").read_text("utf-8")
+    [scripts] = re.findall(r"^\[project\.scripts\]\n((?:[^\[\n].*\n|\n)*)", text, re.M)
+    [(module, attr)] = re.findall(r'^dispersim = "([\w.]+):(\w+)"$', scripts, re.M)
+    target = getattr(importlib.import_module(module), attr)
+    assert target(["convert", "--d", "17"]) == 0
 
 
 def test_cli_start_up_imports_no_scipy(tmp_path):
@@ -107,7 +141,7 @@ def test_cli_start_up_imports_no_numeric_module(tmp_path, doc):
     # a config without a min/max/count range axis parses without numpy
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
-    report = f"print(sorted(sys.modules.keys() & {NUMERIC_MODULES!r}))"
+    report = f"print(sorted(sys.modules.keys() & {NOT_AT_START_UP!r}))"
     assert _probe(config, report) == "[]\n"
 
 

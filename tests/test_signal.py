@@ -18,6 +18,7 @@ from dispersim import (
     apply_tf,
     broadening_factor,
     check_wraparound,
+    d_to_beta2,
     intensity_fwhm,
     make_gaussian_pulse,
     make_sinc_pulse,
@@ -33,7 +34,6 @@ from dispersim.compensator import (
 from dispersim.convergence import span_length
 from dispersim.fiber import (
     FiberParams,
-    d_to_beta2,
     dispersion_response,
     dispersion_tf,
     propagate,
@@ -958,6 +958,21 @@ class TestBandReference:
         assert floor[0] <= intensity.max()
         unwidened = reference.amplitude_upper[top // r] ** 2
         assert (intensity[top] > unwidened) == (sign > 0)
+
+    def test_peak_below_its_floor_is_refused(self):
+        # a least level above every sample means a bound failed: the width
+        # metric stops rather than measure a band whose peak it never reads
+        grid = FrequencyGrid(8192, 1e-12)
+        band = sinc_band(grid)
+        reference = band_reference(grid, band)
+        keys, upper, lower, floor, least = signal_module._candidates(
+            reference, reference.distances(band[None]), None, band.size // 2
+        )
+        args = (grid.n_samples, reference.m, grid.dt)
+        signal_module._sparse_widths(band[None], keys, upper, lower, floor, least, *args)
+        least = np.full_like(least, 2.0 * np.max(np.abs(full_grid(grid, band).samples) ** 2))
+        with pytest.raises(AssertionError, match="a band's peak lies below its floor"):
+            signal_module._sparse_widths(band[None], keys, upper, lower, floor, least, *args)
 
     def test_no_reference_where_it_would_not_be_used(self):
         grid = FrequencyGrid(4096, 1e-12)
