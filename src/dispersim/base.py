@@ -127,9 +127,11 @@ def write_meta(outdir: Path, command: str, cfg: "ExperimentConfig", extra: dict)
 
 
 def run_region(cfg: "ExperimentConfig", outdir: Path) -> int:
-    """Emit the stability boundary z_max(B) per alpha as region.csv."""
-    if cfg.region_bandwidths_hz is None:
-        raise ConfigError("region.bandwidths_hz is required for the region command")
+    """Emit the stability boundary z_max(B) per alpha as region.csv.
+
+    ``cfg`` has passed :func:`~dispersim.config.require_parts`: it has
+    ``region.bandwidths_hz``.
+    """
     lines = [REGION_CSV_HEADER]
     for b in cfg.region_bandwidths_hz:
         for alpha in sorted(cfg.alphas):

@@ -3,6 +3,7 @@
 One parser per process, built on first use. A run command calls its runner by
 name, looked up in this module per call, so a rebound runner (as a tracer's)
 runs. ``--out`` overrides ``output.dir`` and, like it, must not be empty.
+The parts check (:data:`REQUIRED_PARTS`) runs before the output directory exists.
 
 Start-up loads no numpy: this module, the config and ``region`` need only
 :mod:`dispersim.base` and :mod:`dispersim.convergence`. The numeric modules
@@ -33,7 +34,7 @@ from .base import (
     d_to_beta2,
     run_region,
 )
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, require_parts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,6 +46,13 @@ RUNNERS = {
     "sweep-k": ("run_sweep", "broadening factor vs. stage count CSV"),
     "scenario": ("run_scenario", "single-link design report JSON"),
     "propagate": ("run_propagate", "debug envelope dumps as CSV"),
+}
+#: run command -> the config parts (``config.PARTS``) its runner takes as given
+REQUIRED_PARTS = {
+    "region": ("region.bandwidths_hz",),
+    "sweep-k": ("pcf", "signal", "sinc"),
+    "scenario": ("fiber.z_km", "pcf", "signal", "sinc"),
+    "propagate": ("fiber.z_km", "signal"),
 }
 
 
@@ -88,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_convert(args) -> int:
     if (args.d is None) == (args.beta2 is None):
-        print("error: give exactly one of --d or --beta2", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("give exactly one of --d or --beta2")
     lambda0 = args.lambda0
     try:
         if args.d is not None:
@@ -98,11 +105,10 @@ def _cmd_convert(args) -> int:
         else:
             beta2 = args.beta2 * _BETA2_CONVENTIONAL
             d = beta2_to_d(beta2, lambda0)
-        if not (math.isfinite(d) and math.isfinite(beta2)):
-            raise ValueError("--d, --beta2 and their conversion must be finite")
-    except ValueError as exc:  # also the wavelength range rule of base.py
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:  # the wavelength range rule of base.py
+        raise ConfigError(str(exc)) from None
+    if not (math.isfinite(d) and math.isfinite(beta2)):
+        raise ConfigError("--d, --beta2 and their conversion must be finite")
     print(f"lambda0  {lambda0 * 1e9:.6g} nm  ({lambda0:.9g} m)")
     print(f"D        {d:.6g} ps/nm/km  ({d * 1e-6:.9g} s/m^2)")
     print(f"beta2    {beta2 / _BETA2_CONVENTIONAL:.6g} ps^2/km  ({beta2:.9g} s^2/m)")
@@ -124,6 +130,7 @@ def main(argv=None) -> int:
         if args.out == "":
             raise ConfigError("--out must be a non-empty string")
         cfg = load_config(args.config)
+        require_parts(cfg, args.command, REQUIRED_PARTS[args.command])
         outdir = Path(cfg.output_dir if args.out is None else args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         runner = getattr(sys.modules[__name__], RUNNERS[args.command][0])
@@ -134,3 +141,8 @@ def main(argv=None) -> int:
     except (WraparoundError, DivergenceError, WidthMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+
+
+if __name__ == "__main__":
+    print("error: run python -m dispersim, not python -m dispersim.cli", file=sys.stderr)
+    sys.exit(EXIT_CONFIG)

@@ -398,6 +398,27 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return cfg
 
 
+#: config part -> (the field a config without it leaves None, its refusal).
+#: Only a sinc's signal section gives a bandwidth, so "sinc" follows "signal"
+#: in a command's parts: a config without a signal section has a sinc pulse.
+PARTS = {
+    "fiber.z_km": ("z_m", "fiber.z_km is required for the {} command"),
+    "pcf": ("pcf_beta2", "pcf section is required for the {} command"),
+    "signal": ("pulse_width_s", "signal section is required"),
+    "sinc": ("bandwidth_hz", "{} runs on sinc pulses"),
+    "region.bandwidths_hz": (
+        "region_bandwidths_hz", "region.bandwidths_hz is required for the {} command"
+    ),
+}
+
+
+def require_parts(cfg: ExperimentConfig, command: str, parts) -> None:
+    """Raise :class:`ConfigError` for the first of ``parts`` that ``cfg`` lacks."""
+    for field, refusal in (PARTS[part] for part in parts):
+        if getattr(cfg, field) is None:
+            raise ConfigError(refusal.format(command))
+
+
 def _unique_keys(pairs: list) -> dict:
     """``object_pairs_hook`` that refuses a key repeated within one object."""
     obj = {}

@@ -41,7 +41,7 @@ from .compensator import (
     match_pcf,
     stage_responses,
 )
-from .config import ConfigError, ExperimentConfig, require_normal
+from .config import ExperimentConfig, require_normal
 from .convergence import dispersion_strength, edge_error, span_length, stable
 from .fiber import FiberParams, dispersion_response, propagate
 from .signal import (
@@ -283,13 +283,6 @@ def _tie_side(a, hi, lo, tie):
     return np.where(np.abs(gap) > tie * 2.0**-96, np.sign(gap), 0.0)
 
 
-def _grid(cfg: ExperimentConfig) -> FrequencyGrid:
-    """The configured grid, which needs the signal section."""
-    if cfg.pulse_width_s is None:
-        raise ConfigError("signal section is required")
-    return FrequencyGrid(cfg.n_samples, cfg.dt_s)
-
-
 def _require_convergence(cfg: ExperimentConfig, alpha: float) -> None:
     """Raise :class:`DivergenceError` when (B, z, alpha) lies outside the region."""
     if not stable(alpha, cfg.fiber_beta2, cfg.bandwidth_hz, cfg.z_m):
@@ -395,13 +388,11 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
 
     The pulse's band and its :func:`band_reference` are built once per run,
     and one :func:`_stage_search` runs every xi's span over the sorted
-    alphas, with one :func:`band_outcomes` call for the whole run.
+    alphas, with one :func:`band_outcomes` call for the whole run. ``cfg``
+    has passed :func:`~dispersim.config.require_parts`: it has a pcf, a
+    sinc pulse and a signal section.
     """
-    if cfg.pcf_beta2 is None:
-        raise ConfigError("pcf section is required for the sweep-k command")
-    if cfg.pulse != "sinc":
-        raise ConfigError("sweep-k runs on sinc pulses")
-    grid = _grid(cfg)
+    grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
     sent = band_reference(grid, make_sinc_band(grid, cfg.pulse_width_s))
     spans = [span_length(xi, cfg.fiber_beta2, cfg.bandwidth_hz) for xi in cfg.xi_values]
     searches = _stage_search(cfg, sent, spans, sorted(cfg.alphas))
@@ -427,15 +418,11 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     """Single-link design report: strength, matched lengths, stage search.
 
     The stage search (:func:`_stage_search`) runs the one span over the
-    first alpha, with one :func:`band_outcomes` call for the run.
+    first alpha, with one :func:`band_outcomes` call for the run. ``cfg``
+    has passed :func:`~dispersim.config.require_parts`: it has
+    ``fiber.z_km``, a pcf, a sinc pulse and a signal section.
     """
-    if cfg.z_m is None:
-        raise ConfigError("fiber.z_km is required for the scenario command")
-    if cfg.pcf_beta2 is None:
-        raise ConfigError("pcf section is required for the scenario command")
-    if cfg.pulse != "sinc":
-        raise ConfigError("scenario runs on sinc pulses")
-    grid = _grid(cfg)
+    grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
     tx_band = make_sinc_band(grid, cfg.pulse_width_s)
     bandwidth = cfg.bandwidth_hz
     alpha = cfg.alphas[0]
@@ -561,11 +548,11 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
 
     A sinc is built once, as its band (:func:`make_sinc_band`), and propagated
     on its bins (:func:`_sinc_envelopes`); a gaussian, which has no band, on
-    the full grid (:func:`propagate` and :func:`compensate`).
+    the full grid (:func:`propagate` and :func:`compensate`). ``cfg`` has
+    passed :func:`~dispersim.config.require_parts`: it has ``fiber.z_km``
+    and a signal section.
     """
-    if cfg.z_m is None:
-        raise ConfigError("fiber.z_km is required for the propagate command")
-    grid = _grid(cfg)
+    grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
     make_sent = make_sinc_band if cfg.pulse == "sinc" else make_gaussian_pulse
     sent = make_sent(grid, cfg.pulse_width_s)  # a sinc's band, a gaussian's Envelope
     w_sq = (np.pi / cfg.dt_s) * (np.pi / cfg.dt_s)  # the full grid's largest dw**2

@@ -124,17 +124,30 @@ def deep_doc(k_max, **signal):
 
 
 class TestConvert:
-    def test_d_to_beta2(self, capsys):
-        assert main(["convert", "--d", "17", "--lambda", "1550e-9"]) == 0
+    @pytest.mark.parametrize(
+        "d, lines",
+        [
+            ("17", ["beta2    -21.6826 ps^2/km  (-2.16826194e-26 s^2/m)",
+                    "D        17 ps/nm/km"]),
+            # a zero D converts to a zero beta2, not -0
+            ("0", ["beta2    0 ps^2/km  (0 s^2/m)"]),
+        ],
+        ids=["d-17", "d-0"],
+    )
+    def test_d_to_beta2(self, capsys, d, lines):
+        assert main(["convert", "--d", d, "--lambda", "1550e-9"]) == 0
         out = capsys.readouterr().out
-        assert "-21.6826 ps^2/km" in out
-        assert "-2.16826194e-26 s^2/m" in out
-        assert "17 ps/nm/km" in out
+        for line in lines:
+            assert line in out
 
-    def test_beta2_to_d(self, capsys):
-        assert main(["convert", "--beta2", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "D        0 ps/nm/km" in out
+    @pytest.mark.parametrize(
+        "beta2, line",
+        [("0", "D        0 ps/nm/km"), ("-21.6826", "D        17 ps/nm/km")],
+        ids=["beta2-0", "beta2-21.6826"],
+    )
+    def test_beta2_to_d(self, capsys, beta2, line):
+        assert main(["convert", "--beta2", beta2]) == 0
+        assert line in capsys.readouterr().out
 
     def test_high_dispersion_fiber(self, capsys):
         assert main(["convert", "--d", "2200", "--lambda", "1550e-9"]) == 0
@@ -166,12 +179,15 @@ class TestConvert:
     def test_module_entry_point(self, tmp_path):
         # ``python -m dispersim`` is the one module entry point; it runs main's
         # commands and passes on main's exit code
-        def run(*argv):
+        def run_module(module, *argv):
             return subprocess.run(
-                [sys.executable, "-m", "dispersim", *argv],
+                [sys.executable, "-m", module, *argv],
                 env=dict(os.environ, PYTHONPATH=str(SRC)),
                 capture_output=True, text=True, cwd=tmp_path,
             )
+
+        def run(*argv):
+            return run_module("dispersim", *argv)
 
         proc = run("convert", "--d", "17")
         assert proc.returncode == 0
@@ -183,6 +199,10 @@ class TestConvert:
         proc = run("region", "--config", config, "--out", "")
         assert proc.returncode == 2
         assert proc.stderr.count("error:") == 1
+        # the cli module is not an entry point: it refuses and names the one that is
+        proc = run_module("dispersim.cli", "convert", "--d", "17")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: run python -m dispersim, not python -m dispersim.cli\n"
 
 
 def region_doc():
@@ -223,6 +243,7 @@ def test_run_command_calls_the_runner_bound_in_cli(tmp_path, monkeypatch, comman
     calls = []
     monkeypatch.setattr(cli, runner, lambda cfg, outdir: calls.append(outdir) or 0)
     doc = sweep_doc([0.5], [1.0], k_max=1, n_samples=1024)
+    doc["fiber"]["z_km"] = 100.0  # every command's parts (cli.REQUIRED_PARTS)
     config = write_config(tmp_path, {**doc, "region": {"bandwidths_hz": [1e9]}})
     out = tmp_path / "o"
     assert main([command, "--config", config, "--out", str(out)]) == 0
@@ -301,11 +322,18 @@ class TestRegion:
         assert meta["resolved_si"]["fiber_beta2_s2_m"] == -21e-27
         assert meta["config"]["scenario"] == "region-test"
 
-    def test_missing_region_section(self, tmp_path):
+    def test_missing_region_section(self, tmp_path, capsys):
         doc = region_doc()
         del doc["region"]
         config = write_config(tmp_path, doc)
         assert main(["region", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        # a missing part is reported before the output path is made or refused
+        blocker = tmp_path / "blocker"
+        blocker.write_text("file, not a directory")
+        assert main(["region", "--config", config, "--out", str(blocker / "sub")]) == 2
+        refusal = "error: region.bandwidths_hz is required for the region command\n"
+        assert capsys.readouterr().err == 2 * refusal
 
     def test_unwritable_output(self, tmp_path, capsys):
         config = write_config(tmp_path, region_doc())
@@ -863,7 +891,7 @@ def test_sent_band_is_built_and_measured_once_per_run(tmp_path, monkeypatch, com
     # make_sinc_pulse synthesizes the band again
     spies = {
         name: mock.Mock(wraps=getattr(experiments, name))
-        for name in ("_grid", "make_sinc_band", "band_reference")
+        for name in ("FrequencyGrid", "make_sinc_band", "band_reference")
     }
     for name, spy in spies.items():
         monkeypatch.setattr(experiments, name, spy)

@@ -3,9 +3,10 @@
 At a fixed dispersion strength xi, attenuation alpha, stage counts, sample
 count and window, the fiber's beta2, the pcf's D and the bandwidth B enter
 ``sweep-k`` and ``scenario`` only through xi: their factors and band
-residuals do not move when (beta2, D, B) is drawn anew. The pcf's D does
-not enter them at all: the matched branch's response is the span's own,
-so with the rest fixed every factor keeps its bits.
+residuals do not move when (beta2, D, B) is drawn anew, with either sign of
+the dispersion. The pcf's D does not enter them at all: the matched
+branch's response is the span's own, so with the rest fixed every factor
+keeps its bits.
 """
 
 import csv
@@ -71,19 +72,25 @@ def reference(tmp_path_factory):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    beta2_ps2_km=st.floats(-40.0, -1.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    beta2_ps2_km=st.floats(1.0, 40.0),
     pcf_d_ps_nm_km=st.floats(300.0, 5000.0),
     bandwidth_hz=st.floats(0.3e9, 100e9),
 )
 def test_factors_and_residuals_depend_on_xi_not_on_the_fibers_or_band(
-    reference, tmp_path_factory, beta2_ps2_km, pcf_d_ps_nm_km, bandwidth_hz
+    reference, tmp_path_factory, sign, beta2_ps2_km, pcf_d_ps_nm_km, bandwidth_hz
 ):
+    # the sign of the dispersion is drawn too: beta2 > 0 (normal dispersion)
+    # goes with a pcf D < 0, and mirrors every response into its conjugate.
     # sweep.csv prints 9 digits, where a rounding boundary can flip the last
     # one; 17 compare the numbers themselves
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("dispersim.experiments.fmt", lambda x: f"{float(x):.17g}")
         rows, k_table = outputs(
-            tmp_path_factory.mktemp("draw"), beta2_ps2_km, pcf_d_ps_nm_km, bandwidth_hz
+            tmp_path_factory.mktemp("draw"),
+            sign * beta2_ps2_km,
+            -sign * pcf_d_ps_nm_km,
+            bandwidth_hz,
         )
     want_rows, want_table = reference
     assert len(rows) == len(want_rows) == len(XI) * len(ALPHAS) * (K_MAX + 1)

@@ -154,6 +154,41 @@ def _blocked(*argv, cwd):
     )
 
 
+def _lacking(z_km=None, pcf=True, signal="sinc"):
+    """SWEEP with ``fiber.z_km`` if given, without its pcf unless ``pcf``, and
+    with a sinc, a gaussian or no (None) signal section."""
+    doc = {**SWEEP, "fiber": {"beta2_ps2_km": -21.0}}
+    if z_km is not None:
+        doc["fiber"]["z_km"] = z_km
+    if not pcf:
+        del doc["pcf"]
+    if signal == "gaussian":
+        doc["signal"] = {"pulse": "gaussian", "width_s": 1e-10, "n_samples": 1024}
+    elif signal is None:
+        del doc["signal"]
+    return doc
+
+
+#: (command, a config that lacks a part, the refusal), for every part of
+#: every run command
+LACKING = [
+    ("region", _lacking(), "region.bandwidths_hz is required for the region command"),
+    ("sweep-k", _lacking(pcf=False, signal=None),
+     "pcf section is required for the sweep-k command"),
+    ("sweep-k", _lacking(signal=None), "signal section is required"),
+    ("sweep-k", _lacking(signal="gaussian"), "sweep-k runs on sinc pulses"),
+    ("scenario", _lacking(pcf=False, signal=None),
+     "fiber.z_km is required for the scenario command"),
+    ("scenario", _lacking(130.0, pcf=False, signal=None),
+     "pcf section is required for the scenario command"),
+    ("scenario", _lacking(130.0, signal=None), "signal section is required"),
+    ("scenario", _lacking(130.0, signal="gaussian"), "scenario runs on sinc pulses"),
+    ("propagate", _lacking(signal=None),
+     "fiber.z_km is required for the propagate command"),
+    ("propagate", _lacking(100.0, signal=None), "signal section is required"),
+]
+
+
 def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
     proc = _blocked("convert", "--d", "17", cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -179,3 +214,13 @@ def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == "error: compensator.alphas values must lie in (0, 1]\n"
     assert not (tmp_path / "refused").exists()
+
+    # so does a config that lacks a part its command needs (cli.REQUIRED_PARTS);
+    # where it can, each case also lacks the parts checked after the one it names
+    for i, (command, doc, refusal) in enumerate(LACKING):
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = f"lacking-{i}"
+        proc = _blocked(command, "--config", str(config), "--out", out, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, ""), (command, proc.stderr)
+        assert proc.stderr == f"error: {refusal}\n"
+        assert not (tmp_path / out).exists(), (command, refusal)
