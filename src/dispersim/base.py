@@ -3,12 +3,13 @@ command runs.
 
 It holds the exceptions behind the CLI's exit codes, the speed of light,
 the D <-> beta2 conversions and matched lengths, the constants the
-configuration checks against, and the ``region`` command (a closed form in
-:mod:`dispersim.convergence`) with the emit helpers it shares with
-:mod:`dispersim.experiments`. It imports the standard library and
-:mod:`dispersim.convergence` only, so ``convert``, ``region`` on a list
-axis and a refused configuration run without numpy. The numeric modules
-import from here only what they use.
+configuration checks against, the pulses' window rules, and the
+``region`` command (a closed form in :mod:`dispersim.convergence`) with
+the emit helpers it shares with :mod:`dispersim.experiments`. It imports
+the standard library and :mod:`dispersim.convergence` only, so
+``convert``, ``region`` on a list axis and a refused configuration or
+window run without numpy. The numeric modules import from here only what
+they use.
 """
 
 import json
@@ -89,6 +90,37 @@ def matched_length(beta2: float, z_m: float, pcf_beta2: float) -> float:
 def dcf_path(z_m: float, beta2: float, dcf_beta2: float) -> float:
     """Length z * |beta2| / |beta2_dcf| of dcf that cancels a span, m."""
     return z_m * abs(beta2) / abs(dcf_beta2)
+
+
+def check_window(pulse: str, width_s: float, n_samples: int, dt: float) -> int | None:
+    """Raise :class:`WindowError` where a pulse does not fit its grid.
+
+    The grid is ``n_samples`` points ``dt`` apart, as a
+    :class:`~dispersim.signal.FrequencyGrid`'s. A ``"sinc"`` of zero-to-zero
+    width ``width_s`` needs a window of at least 8 widths and its half band h
+    (:func:`~dispersim.signal.sinc_band_bins`) at most N/2 - 1 bins; h is
+    returned. A ``"gaussian"`` of 1/e half-width ``width_s`` (t0) needs
+    t0 >= 4*dt and a window of at least 16*t0.
+    """
+    window = n_samples * dt
+    if pulse == "gaussian":
+        if width_s < 4.0 * dt:
+            raise WindowError(f"t0 = {width_s:.3e} s under-resolved: need t0 >= 4*dt")
+        if window < 16.0 * width_s:
+            raise WindowError(f"time window {window:.3e} s too small: need >= 16*t0")
+        return None
+    if window < 8.0 * width_s:
+        raise WindowError(
+            f"time window {window:.3e} s is below the 8x guard margin "
+            f"for a {width_s:.3e} s wide pulse"
+        )
+    w_df = width_s * (1.0 / window)  # W * df: zero once the window leaves the float range
+    half_band = 1.0 / w_df if w_df else math.inf  # pi*B in units of d_omega
+    # capped at n, which fails the check below, so int() never sees inf
+    h = int(round(min(half_band, n_samples)))
+    if h > n_samples // 2 - 1:
+        raise WindowError("time step too coarse: pulse bandwidth exceeds the grid band")
+    return h
 
 
 #: Largest stage count K for which the gain alpha * 2**(K+1) is a finite

@@ -3,7 +3,9 @@
 One parser per process, built on first use. A run command calls its runner by
 name, looked up in this module per call, so a rebound runner (as a tracer's)
 runs. ``--out`` overrides ``output.dir`` and, like it, must not be empty.
-The parts check (:data:`REQUIRED_PARTS`) runs before the output directory exists.
+The parts check (:data:`REQUIRED_PARTS`) and, for a command that builds a
+pulse (one that needs a signal section), the pulse's window rules run before
+the output directory exists.
 
 Start-up loads no numpy: this module, the config and ``region`` need only
 :mod:`dispersim.base` and :mod:`dispersim.convergence`. The numeric modules
@@ -31,6 +33,7 @@ from .base import (
     WindowError,
     WraparoundError,
     beta2_to_d,
+    check_window,
     d_to_beta2,
     run_region,
 )
@@ -130,7 +133,10 @@ def main(argv=None) -> int:
         if args.out == "":
             raise ConfigError("--out must be a non-empty string")
         cfg = load_config(args.config)
-        require_parts(cfg, args.command, REQUIRED_PARTS[args.command])
+        parts = REQUIRED_PARTS[args.command]
+        require_parts(cfg, args.command, parts)
+        if "signal" in parts:  # the command builds a pulse
+            check_window(cfg.pulse, cfg.pulse_width_s, cfg.n_samples, cfg.dt_s)
         outdir = Path(cfg.output_dir if args.out is None else args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         runner = getattr(sys.modules[__name__], RUNNERS[args.command][0])

@@ -20,8 +20,9 @@ envelope CSVs are written by :func:`_envelope_csv`, with the encoder
 
 import contextlib
 import functools
-from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .signal import (
     report_outcomes,
 )
 
-SWEEP_CSV_HEADER = "xi,alpha,K,broadening_factor,residual_max"
 ENVELOPE_CSV_HEADER = "t_s,re,im"
 ENVELOPE_BLOCK = 4096  # samples per _envelope_csv block: about 1.2 MB of arrays at peak
 
@@ -292,13 +292,17 @@ def _require_convergence(cfg: ExperimentConfig, alpha: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One K of a stage search; the factor is None where the pair diverges."""
+class Stage(NamedTuple):
+    """One K of a stage search; the factor is None where the pair diverges.
+
+    The fields are ``sweep.csv``'s per-K columns and a ``k_table`` entry's keys.
+    """
 
     k: int
     broadening_factor: float | None
     residual_max: float
+
+SWEEP_CSV_HEADER = ",".join(("xi", "alpha", "K", *Stage._fields[1:]))  # K: Stage.k
 
 
 def _report(outcomes, lo: int, hi: int) -> np.ndarray:
@@ -375,10 +379,8 @@ def _stage_search(cfg: ExperimentConfig, sent: BandReference, spans, alphas) -> 
         search = []
         for alpha in alphas:
             worst = edge_error(alpha, beta2, bandwidth, z_m)
-            stages = zip(cfg.k_list, factors.get(i, {}).get(alpha, [None] * count))
-            search.append(
-                (alpha, [Stage(k, factor, worst ** (k + 1)) for k, factor in stages])
-            )
+            stages = zip_longest(cfg.k_list, factors.get(i, {}).get(alpha, ()))
+            search.append((alpha, [Stage(k, f, worst ** (k + 1)) for k, f in stages]))
         searches.append(search)
     return searches
 
@@ -401,12 +403,9 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     for xi, search in zip(cfg.xi_values, searches):
         for alpha, stages in search:
             for s in stages:
-                factor = s.broadening_factor
-                diverged += factor is None
-                factor = "diverged" if factor is None else fmt(factor)
-                lines.append(
-                    f"{fmt(xi)},{fmt(alpha)},{s.k},{factor},{fmt(s.residual_max)}"
-                )
+                diverged += s.broadening_factor is None
+                cells = (xi, alpha, *s)
+                lines.append(",".join("diverged" if v is None else fmt(v) for v in cells))
     _write_text(outdir / "sweep.csv", lines)
     write_meta(
         outdir, "sweep-k", cfg, {"rows": len(lines) - 1, "diverged_rows": diverged}
@@ -455,10 +454,7 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
         },
         "stage_search": {
             "target_broadening": cfg.target_broadening,
-            "k_table": [
-                {"k": s.k, "broadening_factor": s.broadening_factor,
-                 "residual_max": s.residual_max} for s in stages
-            ],
+            "k_table": [s._asdict() for s in stages],
             "required_k": required_k,
         },
         "width_metric": WIDTH_METRIC,

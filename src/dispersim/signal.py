@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.fft import fftfreq
 
-from .base import WidthMetricError, WindowError, WraparoundError
+from .base import WidthMetricError, WindowError, WraparoundError, check_window
 
 
 class GridMismatchError(ValueError):
@@ -187,11 +187,6 @@ def make_sinc_band(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarray
     w = zero_to_zero_width
     if not (np.isfinite(w) and w > 0):
         raise ValueError("zero_to_zero_width must be positive")
-    if grid.window < 8.0 * w:
-        raise WindowError(
-            f"time window {grid.window:.3e} s is below the 8x guard margin "
-            f"for a {w:.3e} s wide pulse"
-        )
     h = sinc_band_bins(grid, w)
     weights = np.ones(2 * h + 1)
     weights[[h, h + 1]] = 0.5  # the edge bins +h and -h
@@ -208,17 +203,10 @@ def sinc_band_bins(grid: FrequencyGrid, zero_to_zero_width: float) -> int:
 
     h is pi*B in units of the grid's d_omega, with B = 2/W, rounded to the
     nearest bin (see :func:`make_sinc_pulse`). Raises :class:`WindowError`
-    when that band does not fit below the grid's Nyquist bin.
+    when the window is under 8 widths or that band does not fit below the
+    grid's Nyquist bin (:func:`~dispersim.base.check_window`).
     """
-    w_df = zero_to_zero_width * grid.df  # zero once the window leaves the float range
-    half_band = 1.0 / w_df if w_df else np.inf  # pi*B in units of d_omega
-    # capped at n, which fails the check below, so int() never sees inf
-    h = int(round(min(half_band, grid.n_samples)))
-    if h > grid.n_samples // 2 - 1:
-        raise WindowError(
-            "time step too coarse: pulse bandwidth exceeds the grid band"
-        )
-    return h
+    return check_window("sinc", zero_to_zero_width, grid.n_samples, grid.dt)
 
 
 def _band_k(h: int) -> np.ndarray:
@@ -265,12 +253,7 @@ def make_gaussian_pulse(grid: FrequencyGrid, t0: float) -> Envelope:
     """
     if not (np.isfinite(t0) and t0 > 0):
         raise ValueError("t0 must be positive")
-    if t0 < 4.0 * grid.dt:
-        raise WindowError(f"t0 = {t0:.3e} s under-resolved: need t0 >= 4*dt")
-    if grid.window < 16.0 * t0:
-        raise WindowError(
-            f"time window {grid.window:.3e} s too small: need >= 16*t0"
-        )
+    check_window("gaussian", t0, grid.n_samples, grid.dt)
     t_c = (grid.n_samples // 2) * grid.dt
     # tau**2 reaches t_c**2, and the window rule above keeps 2*t0**2 below it
     tiny = sys.float_info.min

@@ -1,4 +1,4 @@
-"""Output bytes of a fixed sweep and scenario, pinned by sha256.
+"""Output bytes of fixed sweeps, a scenario and a region, pinned by sha256.
 
 The digests are those of the 9-digit outputs, which hold on any host: the
 17-digit ``k_table`` factors of ``scenario.json`` can move by about 1e-15
@@ -10,6 +10,8 @@ bytes on purpose must say so, and update the digest.
 import hashlib
 import json
 
+import pytest
+
 from dispersim.cli import main
 
 SWEEP = {
@@ -20,6 +22,23 @@ SWEEP = {
     "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 16384},
     # at xi 9.5 alpha 1 diverges
     "sweep": {"xi": [0.5, 2.0, 9.5]},
+    "output": {"dir": "out"},
+}
+# a k_list sweep: at xi 12 both alphas diverge, so half its rows read diverged
+K_LIST = {
+    "scenario": "golden-k-list",
+    "fiber": {"beta2_ps2_km": -21.0, "lambda0_m": 1.55e-6},
+    "pcf": {"d_ps_nm_km": 2200.0},
+    "compensator": {"alphas": [0.25, 1.0], "k_list": [0, 7, 150]},
+    "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 16384},
+    "sweep": {"xi": [0.5, 12.0]},
+    "output": {"dir": "out"},
+}
+REGION = {
+    "scenario": "golden-region",
+    "fiber": {"beta2_ps2_km": -21.0, "lambda0_m": 1.55e-6},
+    "compensator": {"alphas": [0.25, 1.0]},
+    "region": {"bandwidths_hz": [1e9, 3e9]},
     "output": {"dir": "out"},
 }
 SCENARIO = {
@@ -45,14 +64,27 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_sweep_bytes(tmp_path):
-    out = run(tmp_path, "sweep-k", SWEEP)
-    assert sha256((out / "sweep.csv").read_bytes()) == (
-        "a0912adaea8ff8a5c3466eb171118054809d4f593843c341e12adfcfc8b4135a"
-    )
-    assert sha256((out / "meta.json").read_bytes()) == (
-        "d7c6263cfa602821fe918f4615ef50498a1d0c2dba935747da308af676eedac2"
-    )
+@pytest.mark.parametrize(
+    "command, doc, digests",
+    [
+        ("sweep-k", SWEEP, {
+            "sweep.csv": "a0912adaea8ff8a5c3466eb171118054809d4f593843c341e12adfcfc8b4135a",
+            "meta.json": "d7c6263cfa602821fe918f4615ef50498a1d0c2dba935747da308af676eedac2",
+        }),
+        ("sweep-k", K_LIST, {
+            "sweep.csv": "d2212c848a13f188419efc02fa7555d9d9ce13ee548e46e97122ba2e07eac781",
+            "meta.json": "d8e2a6cebe7d4ea8ff60f02306d689bca3df35bed91c6cefbb78ab9896d87f78",
+        }),
+        ("region", REGION, {
+            "region.csv": "f946b53533945ecab9a5e58255c239902ece46f8103937a304c086a4c1bd7159",
+            "meta.json": "b888a001688772be11c3cd6a567a19b7b7c07bd21f0db45f612b69abb8043f57",
+        }),
+    ],
+    ids=["sweep", "k-list-sweep", "region"],
+)
+def test_csv_run_bytes(tmp_path, command, doc, digests):
+    out = run(tmp_path, command, doc)
+    assert {name: sha256((out / name).read_bytes()) for name in digests} == digests
 
 
 def test_scenario_bytes(tmp_path):

@@ -66,16 +66,18 @@ def test_namespace_is_lazy_and_each_export_is_its_home_modules():
         assert getattr(dispersim, name) is getattr(module, name), name
 
 
-def _unused_sibling_imports(path: Path) -> list:
-    """The names ``path`` imports from a sibling module and never uses.
+def _unused_imports(path: Path) -> list:
+    """The names ``path`` imports, by ``import`` or ``from ... import``, and never uses.
 
     A use is a name in the code, or a string equal to the name: a runner
     looked up by name, or a quoted annotation.
     """
     imported, used = [], set()
     for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.level:
+        if isinstance(node, ast.ImportFrom):
             imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):  # import a.b binds a
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -83,12 +85,12 @@ def _unused_sibling_imports(path: Path) -> list:
     return [name for name in imported if name not in used]
 
 
-def test_each_module_imports_from_its_siblings_only_what_it_uses():
+def test_each_module_imports_only_what_it_uses():
     # a name has one import path: its home; no module re-exports another's
     unused = {
         path.stem: names
         for path in sorted((SRC / "dispersim").glob("*.py"))
-        if (names := _unused_sibling_imports(path))
+        if (names := _unused_imports(path))
     }
     assert unused == {}
 
@@ -189,6 +191,29 @@ LACKING = [
 ]
 
 
+def _windowed(pulse, width, n_samples, window_factor):
+    """SWEEP with ``fiber.z_km``, a region axis and the given signal section."""
+    width_key = "bandwidth_hz" if pulse == "sinc" else "width_s"
+    signal = {"pulse": pulse, width_key: width, "n_samples": n_samples,
+              "window_factor": window_factor}
+    return {**SWEEP, "fiber": {"beta2_ps2_km": -21.0, "z_km": 100.0}, "signal": signal,
+            "region": {"bandwidths_hz": [1e9, 3e9]}}
+
+
+#: (command, a config whose pulse does not fit its window, the refusal), for
+#: each window rule of base.check_window
+WINDOW = [
+    ("sweep-k", _windowed("sinc", 3e9, 1024, 4.0),
+     "time window 2.667e-09 s is below the 8x guard margin for a 6.667e-10 s wide pulse"),
+    ("scenario", _windowed("sinc", 3e9, 64, 64.0),
+     "time step too coarse: pulse bandwidth exceeds the grid band"),
+    ("propagate", _windowed("gaussian", 1e-10, 1024, 8.0),
+     "time window 8.000e-10 s too small: need >= 16*t0"),
+    ("propagate", _windowed("gaussian", 1e-10, 8, 64.0),
+     "t0 = 1.000e-10 s under-resolved: need t0 >= 4*dt"),
+]
+
+
 def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
     proc = _blocked("convert", "--d", "17", cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -224,3 +249,14 @@ def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
         assert (proc.returncode, proc.stdout) == (2, ""), (command, proc.stderr)
         assert proc.stderr == f"error: {refusal}\n"
         assert not (tmp_path / out).exists(), (command, refusal)
+
+    # so does a pulse that does not fit its window, which region does not build
+    for i, (command, doc, refusal) in enumerate(WINDOW):
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = f"window-{i}"
+        proc = _blocked(command, "--config", str(config), "--out", out, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, ""), (command, proc.stderr)
+        assert proc.stderr == f"error: {refusal}\n"
+        assert not (tmp_path / out).exists(), (command, refusal)
+        proc = _blocked("region", "--config", str(config), "--out", out, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, ""), refusal

@@ -10,6 +10,7 @@ import pytest
 from dispersim import broadening_factor
 from dispersim import config as config_module
 from dispersim.cli import build_parser, main
+from dispersim.experiments import SWEEP_CSV_HEADER, Stage
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -111,3 +112,12 @@ def test_named_objects_exist_and_are_public():
             obj = getattr(obj, attribute)
     private = [span for span in spans if re.search(r"(?<!\w)_\w", span)]
     assert not private, f"private names in the README: {private}"
+
+
+def test_output_columns_are_the_stage_record():
+    text = README.read_text(encoding="utf-8")
+    [columns] = re.findall(r"^- `sweep\.csv`: `([^`]+)`", text, re.M)
+    assert columns == SWEEP_CSV_HEADER
+    [entry] = re.findall(r"^- `scenario\.json`:.*?(?=^- )", text, re.M | re.S)
+    missing = [key for key in Stage._fields if f"`{key}`" not in entry]
+    assert not missing, f"k_table keys the README does not name: {missing}"
