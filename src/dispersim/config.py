@@ -215,9 +215,15 @@ def _formed(cfg: ExperimentConfig):
     zero one: a fiber beta2 of 0 with a ``bandwidth_hz`` of 1e156 at 1024
     samples squares the band edge to inf, and the responses would be
     ``0 * inf`` = NaN. The full-grid rule refuses that configuration, so
-    ``propagate`` checks both quantities for either pulse. ``sweep-k`` and
-    ``scenario`` need a pcf, which is accepted only beside a nonzero fiber
-    beta2 of its sign; they form neither quantity and check neither.
+    ``propagate`` checks both quantities for either pulse. A sinc's span
+    then multiplies each ``beta2 / 2 * dw**2`` by ``fiber.z_km``, up to an
+    eighth of the span's dispersion strength xi: a ``z_km`` and a
+    ``bandwidth_hz`` of 1.5e110 each overflow that product to inf and the
+    response to NaN. So ``propagate`` also checks ``max(1, xi)`` for a sinc,
+    which lets a span's phase underflow. ``sweep-k`` and ``scenario`` need
+    a pcf, which is accepted only beside a nonzero fiber beta2 of its sign;
+    they form neither grid quantity and check neither, and they form a
+    span's responses only where it converges, which bounds its phase.
     """
     beta2, bandwidth, z_m = cfg.fiber_beta2, cfg.bandwidth_hz, cfg.z_m
     for name in ("fiber", "pcf", "dcf"):

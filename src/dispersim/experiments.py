@@ -558,6 +558,9 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
         ("(pi / dt_s)**2", w_sq),
         ("max(1, |beta2| / 2) * (pi / dt_s)**2", half_beta2 * w_sq),
     ])
+    if cfg.pulse == "sinc":  # z * beta2 / 2 * dw**2 out to the band edge, xi / 8
+        xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, cfg.bandwidth_hz)
+        require_normal([("max(1, fiber.z_km dispersion strength xi)", max(1.0, xi))])
     if cfg.pcf_beta2 is not None and cfg.bandwidth_hz:  # a gaussian has no band
         _require_convergence(cfg, cfg.alphas[0])
     fiber, alpha, k = FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.alphas[0], None

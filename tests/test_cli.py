@@ -1881,6 +1881,20 @@ _SMALL_SAME_SIGN = {
 }
 # a fiber beta2 of -1e-317 s^2/m, a subnormal
 _SUBNORMAL_BETA2 = _doc(readme_doc(), fiber={"beta2_ps2_km": -1e-290, "z_km": 130.0})
+# every strength and span passes, but the sinc's span z times beta2 / 2 * dw**2
+# overflows, so its responses would be exp(-1j * inf) = NaN
+_SPAN_PHASE = {
+    "scenario": "any",
+    "fiber": {"d_ps_nm_km": 16.5, "lambda0_m": 1.55e-06, "z_km": 1.5030672529752533e110},
+    "compensator": {"alphas": [1.0], "k_max": 0, "target_broadening": 1.1},
+    "signal": {"pulse": "sinc", "bandwidth_hz": 1.5030672529752533e110, "n_samples": 256,
+               "window_factor": 64.0},
+}
+# the same sinc on a span so short that its phase underflows to zero
+_SPAN_PHASE_UNDERFLOW = _doc(
+    _SPAN_PHASE, fiber={"d_ps_nm_km": 16.5, "z_km": 1e-300},
+    signal={"pulse": "sinc", "bandwidth_hz": 1e9, "n_samples": 256},
+)
 
 
 @pytest.mark.parametrize(
@@ -1900,11 +1914,13 @@ _SUBNORMAL_BETA2 = _doc(readme_doc(), fiber={"beta2_ps2_km": -1e-290, "z_km": 13
             (command, _SUBNORMAL_BETA2, 2, "error: fiber.beta2_ps2_km in s^2/m")
             for command in ("region", "sweep-k", "scenario", "propagate")
         ],
+        ("propagate", _SPAN_PHASE, 2, "error: max(1, fiber.z_km dispersion strength xi)"),
+        ("propagate", _SPAN_PHASE_UNDERFLOW, 0, ""),
     ],
     ids=["gaussian-grid", "nyquist-grid", "zero-beta2-sinc", "grid-phase", "nyquist-scenario",
          "nyquist-sweep", "dcf-path", "cascade-path", "small-same-sign",
          "subnormal-region", "subnormal-sweep", "subnormal-scenario",
-         "subnormal-propagate"],
+         "subnormal-propagate", "span-phase", "span-phase-underflow"],
 )
 def test_range_rule_cases(tmp_path, capsys, command, doc, code, message):
     config = write_config(tmp_path, doc)
@@ -2002,6 +2018,7 @@ def _any_config(draw):
 @example(doc=_CASCADE_PATH)
 @example(doc=_SMALL_SAME_SIGN)
 @example(doc=_SUBNORMAL_BETA2)
+@example(doc=_SPAN_PHASE)
 def test_every_command_exits_cleanly_on_any_config(doc):
     # each run exits 0, 2 or 3 with at most one error: line, and on exit 0
     # every JSON it writes is valid JSON: no Infinity or NaN
