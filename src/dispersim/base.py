@@ -3,22 +3,24 @@ command runs.
 
 It holds the exceptions behind the CLI's exit codes, the speed of light,
 the D <-> beta2 conversions and matched lengths, the constants the
-configuration checks against, the pulses' window rules, and the
-``region`` command (a closed form in :mod:`dispersim.convergence`) with
-the emit helpers it shares with :mod:`dispersim.experiments`. It imports
-the standard library and :mod:`dispersim.convergence` only, so
-``convert``, ``region`` on a list axis and a refused configuration or
-window run without numpy. The numeric modules import from here only what
-they use.
+configuration checks against, the range rule, the pulses' window rules,
+the width metric's grids and table rule, ``propagate``'s full-grid rule,
+and the ``region`` command (a closed form in :mod:`dispersim.convergence`)
+with the emit helpers it shares with :mod:`dispersim.experiments`. It
+imports the standard library and :mod:`dispersim.convergence` only, so
+``convert``, ``region`` on a list axis and a refused configuration,
+window or grid run without numpy. The numeric modules import from here
+only what they use.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .convergence import z_max
+from .convergence import dispersion_strength, z_max
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -121,6 +123,81 @@ def check_window(pulse: str, width_s: float, n_samples: int, dt: float) -> int |
     if h > n_samples // 2 - 1:
         raise WindowError("time step too coarse: pulse bandwidth exceeds the grid band")
     return h
+
+
+#: The width metric bounds a band's intensity on a coarse grid of at least
+#: this many samples per band bin (a power of two, capped at the grid size).
+COARSE_PER_BIN = 64
+#: The width metric evaluates samples in rows of up to this many, one row per
+#: interval of its evaluation grid (:func:`width_grids`).
+ROW_SAMPLES = 16
+#: Largest tables of direct sums the width metric builds, with its largest
+#: coarse transform: 1 GiB of complex128.
+MAX_TABLE_SIZE = 2**26
+
+
+def width_grids(n_samples: int, h: int) -> tuple[int, int]:
+    """The sizes (M, M_e) of the width metric's coarse and evaluation grids.
+
+    For a band of half width h on an N-point grid, M is
+    :data:`COARSE_PER_BIN` * h rounded up to a power of two and capped at N:
+    the grid on which a reference bounds the bands near it. M_e is the grid
+    on which every band is measured: N where M = N (every sample), and
+    otherwise min(M, max(M/4, N / :data:`ROW_SAMPLES`)). So a row holds up
+    to ROW_SAMPLES samples where M_e < M, and M_e >= 16h keeps the
+    Bernstein factor 2*(pi*h/M_e)**2 of a band's chord bounds on its own
+    samples at most 2*(pi/16)**2. M_e depends on (N, h) alone. Raises
+    :class:`WindowError` where the table of direct sums, (2h+1) x (N/M_e +
+    2) values, and the reference's M-point coarse transform, which is at
+    least as large as the M_e roots of unity, would exceed
+    :data:`MAX_TABLE_SIZE` values, before anything is allocated.
+    """
+    m = min(n_samples, 1 << max(1, (COARSE_PER_BIN * h - 1).bit_length()))
+    if m == n_samples:
+        return m, m
+    # M/4 >= 16h, and every grid has 2 points at least (h = 0)
+    m_e = min(m, max(m >> 2, n_samples // ROW_SAMPLES, 2))
+    rows, r = 2 * h + 1, n_samples // m_e
+    if rows * (r + 2) + m > MAX_TABLE_SIZE:
+        raise WindowError(
+            f"time step too fine: cannot allocate the width metric's "
+            f"{rows}x{r + 2} table of direct sums and {m}-point coarse transform "
+            f"(at most {MAX_TABLE_SIZE} values); use fewer samples"
+        )
+    return m, m_e
+
+
+def require_normal(quantities) -> None:
+    """Raise :class:`ConfigError` naming the first quantity out of range.
+
+    ``quantities`` yields ``(key, value, *factors)``. The value must be a
+    normal finite double, or an exact zero where one of its factors (the
+    inputs that can make it zero) is zero, however its float rounds.
+    """
+    for key, value, *factors in quantities:
+        if 0 not in factors and not sys.float_info.min <= abs(value) < math.inf:
+            raise ConfigError(f"{key} is out of range: {value:g}, not a normal double")
+
+
+def check_full_grid(cfg: "ExperimentConfig") -> None:
+    """Raise :class:`ConfigError` where ``propagate`` would form a quantity out of range.
+
+    Only ``propagate`` forms the full grid's largest ``dw**2``,
+    ``(pi / dt_s)**2``. For either pulse, it and ``max(1, |beta2| / 2)``
+    times it, over the fiber's and the pcf's beta2, must be normal doubles
+    (:func:`require_normal`); for a sinc, so must ``max(1, xi)``, eight
+    times the largest phase its span forms on the band. See
+    :func:`~dispersim.config._formed` for why.
+    """
+    w_sq = (math.pi / cfg.dt_s) * (math.pi / cfg.dt_s)  # the full grid's largest dw**2
+    half_beta2 = max(1.0, abs(cfg.fiber_beta2) / 2, abs(cfg.pcf_beta2 or 0.0) / 2)
+    require_normal([
+        ("(pi / dt_s)**2", w_sq),
+        ("max(1, |beta2| / 2) * (pi / dt_s)**2", half_beta2 * w_sq),
+    ])
+    if cfg.pulse == "sinc":  # z * beta2 / 2 * dw**2 out to the band edge, xi / 8
+        xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, cfg.bandwidth_hz)
+        require_normal([("max(1, fiber.z_km dispersion strength xi)", max(1.0, xi))])
 
 
 #: Largest stage count K for which the gain alpha * 2**(K+1) is a finite

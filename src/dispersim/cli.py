@@ -4,8 +4,9 @@ One parser per process, built on first use. A run command calls its runner by
 name, looked up in this module per call, so a rebound runner (as a tracer's)
 runs. ``--out`` overrides ``output.dir`` and, like it, must not be empty.
 The parts check (:data:`REQUIRED_PARTS`) and, for a command that builds a
-pulse (one that needs a signal section), the pulse's window rules run before
-the output directory exists.
+pulse (one that needs a signal section), the pulse's window rules,
+``propagate``'s full-grid range rule and a sinc's width-metric table rule
+run before the output directory exists.
 
 Start-up loads no numpy: this module, the config and ``region`` need only
 :mod:`dispersim.base` and :mod:`dispersim.convergence`. The numeric modules
@@ -33,9 +34,11 @@ from .base import (
     WindowError,
     WraparoundError,
     beta2_to_d,
+    check_full_grid,
     check_window,
     d_to_beta2,
     run_region,
+    width_grids,
 )
 from .config import ConfigError, load_config, require_parts
 
@@ -136,7 +139,11 @@ def main(argv=None) -> int:
         parts = REQUIRED_PARTS[args.command]
         require_parts(cfg, args.command, parts)
         if "signal" in parts:  # the command builds a pulse
-            check_window(cfg.pulse, cfg.pulse_width_s, cfg.n_samples, cfg.dt_s)
+            h = check_window(cfg.pulse, cfg.pulse_width_s, cfg.n_samples, cfg.dt_s)
+            if args.command == "propagate":
+                check_full_grid(cfg)
+            if h is not None:  # a sinc: its widths are measured on its band
+                width_grids(cfg.n_samples, h)
         outdir = Path(cfg.output_dir if args.out is None else args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         runner = getattr(sys.modules[__name__], RUNNERS[args.command][0])

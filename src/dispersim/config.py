@@ -11,7 +11,7 @@ import sys
 from typing import NamedTuple
 
 from .base import _BETA2_CONVENTIONAL, MAX_STAGES, ConfigError, d_to_beta2
-from .base import dcf_path, matched_length
+from .base import dcf_path, matched_length, require_normal
 from .convergence import span_length
 
 
@@ -168,18 +168,6 @@ class ExperimentConfig(NamedTuple):
         return out
 
 
-def require_normal(quantities) -> None:
-    """Raise :class:`ConfigError` naming the first quantity out of range.
-
-    ``quantities`` yields ``(key, value, *factors)``. The value must be a
-    normal finite double, or an exact zero where one of its factors (the
-    inputs that can make it zero) is zero, however its float rounds.
-    """
-    for key, value, *factors in quantities:
-        if 0 not in factors and not sys.float_info.min <= abs(value) < math.inf:
-            raise ConfigError(f"{key} is out of range: {value:g}, not a normal double")
-
-
 def _formed(cfg: ExperimentConfig):
     """Yield ``(key, value, *factors)`` for each quantity a run forms from ``cfg``.
 
@@ -205,9 +193,10 @@ def _formed(cfg: ExperimentConfig):
       and :func:`~dispersim.signal.make_gaussian_pulse` raises ValueError
       for the same squares.
 
-    Only ``propagate`` forms the full grid's ``(pi / dt_s)**2``, and it
+    Only ``propagate`` forms the full grid's ``(pi / dt_s)**2``, so the CLI
     checks that and ``max(1, |beta2| / 2) * (pi / dt_s)**2`` over the
-    fiber's and the pcf's beta2 itself. A gaussian's responses form
+    fiber's and the pcf's beta2 for that command alone
+    (:func:`~dispersim.base.check_full_grid`). A gaussian's responses form
     ``beta2 / 2 * dw**2`` out to ``dw = pi / dt_s``, which may underflow
     without harm but must not overflow. A sinc's are formed on its band
     bins, out to the band edge ``pi * B`` below ``pi / dt_s``; the strength
@@ -215,7 +204,7 @@ def _formed(cfg: ExperimentConfig):
     zero one: a fiber beta2 of 0 with a ``bandwidth_hz`` of 1e156 at 1024
     samples squares the band edge to inf, and the responses would be
     ``0 * inf`` = NaN. The full-grid rule refuses that configuration, so
-    ``propagate`` checks both quantities for either pulse. A sinc's span
+    both quantities are checked for either pulse. A sinc's span
     then multiplies each ``beta2 / 2 * dw**2`` by ``fiber.z_km``, up to an
     eighth of the span's dispersion strength xi: a ``z_km`` and a
     ``bandwidth_hz`` of 1.5e110 each overflow that product to inf and the

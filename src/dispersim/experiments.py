@@ -42,7 +42,7 @@ from .compensator import (
     match_pcf,
     stage_responses,
 )
-from .config import ExperimentConfig, require_normal
+from .config import ExperimentConfig
 from .convergence import dispersion_strength, edge_error, span_length, stable
 from .fiber import FiberParams, dispersion_response, propagate
 from .signal import (
@@ -546,21 +546,12 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     on its bins (:func:`_sinc_envelopes`); a gaussian, which has no band, on
     the full grid (:func:`propagate` and :func:`compensate`). ``cfg`` has
     passed :func:`~dispersim.config.require_parts`: it has ``fiber.z_km``
-    and a signal section.
+    and a signal section; and :func:`~dispersim.base.check_full_grid`: every
+    phase its responses form is a double.
     """
     grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
     make_sent = make_sinc_band if cfg.pulse == "sinc" else make_gaussian_pulse
     sent = make_sent(grid, cfg.pulse_width_s)  # a sinc's band, a gaussian's Envelope
-    w_sq = (np.pi / cfg.dt_s) * (np.pi / cfg.dt_s)  # the full grid's largest dw**2
-    # checked here rather than in parse_config, for either pulse: see config._formed
-    half_beta2 = max(1.0, abs(cfg.fiber_beta2) / 2, abs(cfg.pcf_beta2 or 0.0) / 2)
-    require_normal([
-        ("(pi / dt_s)**2", w_sq),
-        ("max(1, |beta2| / 2) * (pi / dt_s)**2", half_beta2 * w_sq),
-    ])
-    if cfg.pulse == "sinc":  # z * beta2 / 2 * dw**2 out to the band edge, xi / 8
-        xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, cfg.bandwidth_hz)
-        require_normal([("max(1, fiber.z_km dispersion strength xi)", max(1.0, xi))])
     if cfg.pcf_beta2 is not None and cfg.bandwidth_hz:  # a gaussian has no band
         _require_convergence(cfg, cfg.alphas[0])
     fiber, alpha, k = FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.alphas[0], None

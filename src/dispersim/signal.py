@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.fft import fftfreq
 
-from .base import WidthMetricError, WindowError, WraparoundError, check_window
+from .base import WidthMetricError, WraparoundError, check_window, width_grids
 
 
 class GridMismatchError(ValueError):
@@ -202,9 +202,10 @@ def sinc_band_bins(grid: FrequencyGrid, zero_to_zero_width: float) -> int:
     """Half-band bin count h of a sinc pulse: its spectrum lives on |k| <= h.
 
     h is pi*B in units of the grid's d_omega, with B = 2/W, rounded to the
-    nearest bin (see :func:`make_sinc_pulse`). Raises :class:`WindowError`
-    when the window is under 8 widths or that band does not fit below the
-    grid's Nyquist bin (:func:`~dispersim.base.check_window`).
+    nearest bin (see :func:`make_sinc_pulse`). Raises
+    :class:`~dispersim.base.WindowError` when the window is under 8 widths
+    or that band does not fit below the grid's Nyquist bin
+    (:func:`~dispersim.base.check_window`).
     """
     return check_window("sinc", zero_to_zero_width, grid.n_samples, grid.dt)
 
@@ -355,21 +356,16 @@ def _every_sample(intensity: np.ndarray, dt: float):
     return widths, multi, codes
 
 
-#: The coarse grid of :func:`band_outcomes` has at least this many samples per
-#: band bin (a power of two, capped at the grid size).
-COARSE_PER_BIN = 64
-#: Largest tables of direct sums :func:`band_outcomes` builds, the sums and
-#: the roots of unity together: 1 GiB of complex128.
-MAX_TABLE_SIZE = 2**26
 #: :func:`band_outcomes` holds at most this many coarse samples' worth of
-#: distinct bands (bands times M), and at least one band, before it measures
+#: distinct bands (bands times M_e), and at least one band, before it measures
 #: them in one batch, so that the bands held and a batch's coarse transforms
 #: and bounds stay at a few MiB however many bands a run has.
 BATCH_SAMPLES = 2**18
 #: :func:`_direct_sums` evaluates this many rows in one stacked product.
 _CHUNK = 64
 #: :class:`BandReference` widens a band's distance by this factor, far more
-#: than the relative rounding of a sum over the 2h+1 < MAX_TABLE_SIZE bins.
+#: than the relative rounding of a sum over the 2h+1 bins, fewer than
+#: :data:`~dispersim.base.MAX_TABLE_SIZE`.
 _DISTANCE_MARGIN = 1.0 + 2.0**-20
 #: :func:`band_reference` gives no bounds for a coarse peak outside this
 #: range, so that every bound it widens stays far inside the double range.
@@ -391,32 +387,33 @@ def band_outcomes(reference: "BandReference", bands):
     bits in any stack, they are what a call on each part alone would give.
     The sinc commands measure every band of a run in one call. Each band is
     keyed by its bytes: a distinct band is held once, and a repeat of a band
-    held holds only its index. At most max(1, :data:`BATCH_SAMPLES` // M)
+    held holds only its index. At most max(1, :data:`BATCH_SAMPLES` // M_e)
     distinct bands are held at a time, so the run is never held whole. When
     that many are held and another distinct band arrives, and once at the
     end, the bands held are measured in one pass of these steps over all of
-    them:
+    them, on the evaluation grid of M_e samples that
+    :func:`~dispersim.base.width_grids` gives for (N, h), ``reference.m``:
 
     - the L1 distance of each band from the :func:`band_reference`
       (:meth:`BandReference.distances`);
-    - bounds on the intensity between the samples of a coarse grid of M =
-      :data:`COARSE_PER_BIN` * h samples, rounded up to a power of two and
-      capped at N, on the coarse intervals that may reach half a band's
-      peak (:func:`_candidates`): for a band close enough to the reference,
-      the reference's bounds widened by the distance; for the others, the
-      chords of their own coarse samples, every (N/M)-th sample, from one
-      inverse transform of all of them (:func:`_chord_bounds`);
+    - bounds on the intensity over each interval of the evaluation grid
+      that may reach half a band's peak (:func:`_candidates`): for a band
+      close enough to the reference, the reference's bounds widened by the
+      distance, which it takes on its finer coarse grid of M samples and
+      merges onto the M_e intervals; for the others, the chords of their
+      own samples on the evaluation grid, every (N/M_e)-th sample, from one
+      M_e-point inverse transform of all of them (:func:`_chord_bounds`);
     - the intervals that one rule on those bounds picks, and their samples,
       as direct sums over the band bins whose rows are each their own
       product (:func:`_sparse_widths`);
     - the crossings, by the linear-interpolation rule (:func:`_crossings`).
 
-    Where M = N the coarse grid holds every sample and the rule runs on it
-    (:func:`_every_sample`). Every formula is elementwise over the bands,
-    so a width has the same bits in any stack, and the same bits from the
-    reference's bounds as from its own. A reference of a zero band bounds
-    no band. Raises ValueError for a band of another size; a band that is
-    not finite gets its error code.
+    Where M_e = N the evaluation grid holds every sample and the rule runs
+    on it (:func:`_every_sample`). Every formula is elementwise over the
+    bands and M_e depends on (N, h) alone, so a width has the same bits in
+    any stack, and the same bits from the reference's bounds as from its
+    own. A reference of a zero band bounds no band. Raises ValueError for a
+    band of another size; a band that is not finite gets its error code.
     """
     shape = reference.band.shape
     step = max(1, BATCH_SAMPLES // reference.m)
@@ -444,7 +441,7 @@ def band_outcomes(reference: "BandReference", bands):
 def _measure(reference: "BandReference", bands: np.ndarray):
     """The outcomes of :func:`_crossings` of a batch of bands."""
     grid, m = reference.grid, reference.m
-    n, h, count = grid.n_samples, bands.shape[1] // 2, len(bands)
+    n, count = grid.n_samples, len(bands)
     widths, multi = np.full(count, np.nan), np.zeros(count, bool)
     codes = np.zeros(count, np.int8)
     eps = reference.distances(bands)
@@ -460,13 +457,13 @@ def _measure(reference: "BandReference", bands: np.ndarray):
     if coarse is not None:
         # a far band whose coarse peak is 0 is all zero; a near band's floor
         # (A - eps)**2 is not, as eps <= reach <= q/(1-q)*A (:func:`_slack`)
-        # and q = 2*(pi*h/M)**2 <= 0.005
+        # and q = 2*(pi*h/M)**2 <= 0.005 on the reference's grid of M samples
         zero = coarse.max(axis=1) == 0
         codes[far[zero]] = _ALL_ZERO
         far, coarse = far[~zero], coarse[~zero]
     order = np.concatenate([np.flatnonzero(near), far])
     if order.size:
-        candidates = _candidates(reference, eps[near], coarse, h)
+        candidates = _candidates(reference, eps[near], coarse)
         outcomes = _sparse_widths(bands[order], *candidates, n, m, grid.dt)
         widths[order], multi[order], codes[order] = outcomes
     return widths, multi, codes
@@ -509,14 +506,15 @@ def _chord_bounds(coarse: np.ndarray, h: int):
     return upper, slack
 
 
-def _candidates(reference: "BandReference", eps: np.ndarray, coarse, h: int):
-    """The coarse intervals of a batch that may reach half a band's floor, with bounds.
+def _candidates(reference: "BandReference", eps: np.ndarray, coarse):
+    """The intervals of a batch that may reach half a band's floor, with bounds.
 
-    Interval j of band b has the key b*m + j. The first bands lie within the
-    reference's reach, at the distances ``eps``: their bounds are the
-    reference's amplitude bounds widened by eps and squared, and their
-    floor (amplitude_peak - eps)**2. The other bands, if ``coarse`` holds
-    their coarse samples, are bounded by those samples' chords
+    Interval j of the evaluation grid (m = ``reference.m`` samples) of band
+    b has the key b*m + j. The first bands lie within the reference's
+    reach, at the distances ``eps``: their bounds are the reference's
+    amplitude bounds widened by eps and squared, and their floor
+    (amplitude_peak - eps)**2. The other bands, if ``coarse`` holds their
+    samples on the evaluation grid, are bounded by those samples' chords
     (:func:`_chord_bounds`), and their floor is the largest one. Returns
     the keys, ascending, their upper and lower bounds, each band's floor,
     and the least level :func:`_sparse_widths` may ask of each band: half
@@ -537,7 +535,7 @@ def _candidates(reference: "BandReference", eps: np.ndarray, coarse, h: int):
         keys = np.arange(0, eps.size * m, m)[:, None] + columns
         parts.append((keys.ravel(), upper.ravel(), lower.ravel(), floor, least))
     if coarse is not None:
-        upper, slack = _chord_bounds(coarse, h)
+        upper, slack = _chord_bounds(coarse, reference.band.size // 2)
         floor = coarse.max(axis=1)
         least = 0.5 * floor * (1.0 - 2.0**-20)
         keys = np.flatnonzero(upper >= least[:, None])
@@ -554,14 +552,18 @@ class BandReference:
 
     For two bands b and b0 on the same bins, the inverse DFT sum and the
     triangle inequality give |s_b(t) - s_b0(t)| <= eps = ||b - b0||_1 / N at
-    every sample t. So b0's bounds on its amplitude |s_b0| over each coarse
+    every sample t. So b0's bounds on its amplitude |s_b0| over each
     interval, widened by eps, bound b's intensity there too, and the
     amplitude at b0's largest coarse sample, less eps, is a floor for b's
-    peak. They are used while eps <= ``reach`` = slack / (2*sqrt(peak)),
-    b0's :func:`_slack` and coarse peak: there the widened bounds are at most
-    about twice as loose as b's own would be. A reference without bounds
-    has reach -inf and bounds no band. ``m`` is the size M of the coarse
-    grid of :func:`band_outcomes`. Build one with :func:`band_reference`.
+    peak. b0's bounds are taken on its coarse grid of M samples and merged
+    onto the intervals of the evaluation grid of :func:`band_outcomes`,
+    whose size M_e is ``m``: each holds the largest upper and the least
+    lower bound of the M/M_e coarse intervals it spans. They are used while
+    eps <= ``reach`` = slack / (2*sqrt(peak)), b0's :func:`_slack` and
+    coarse peak on the M grid: there the widened bounds are at most about
+    twice as loose as b's own would be on that grid. A reference without
+    bounds has reach -inf and bounds no band. Build one with
+    :func:`band_reference`.
     """
 
     grid: FrequencyGrid
@@ -587,27 +589,21 @@ class BandReference:
 
 
 def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference:
-    """The :class:`BandReference` of ``band``, from one coarse transform.
+    """The :class:`BandReference` of ``band``, from one M-point coarse transform.
 
     Raises ValueError unless ``band`` has 2h+1 < N finite bins, and
-    :class:`WindowError` where the tables of :func:`_direct_sums` (the
-    (2h+1) x (N/M + 2) direct sums and the M roots of unity) would exceed
-    :data:`MAX_TABLE_SIZE` values, before allocating anything. The reference
-    has no bounds where :func:`band_outcomes` measures every sample (M = N)
-    and where the coarse peak lies outside ``_REFERENCE_PEAKS``.
+    :class:`~dispersim.base.WindowError` where the tables of
+    :func:`_direct_sums` would be too large
+    (:func:`~dispersim.base.width_grids`, which gives M and M_e), before
+    allocating anything. The reference has no bounds where
+    :func:`band_outcomes` measures every sample (M = N) and where the
+    coarse peak lies outside ``_REFERENCE_PEAKS``.
     """
     n = grid.n_samples
     h = band.size // 2
     if band.shape != (2 * h + 1,) or 2 * h + 1 >= n:
         raise ValueError(f"expected 2h+1 < {n} band bins, got shape {band.shape}")
-    m = min(n, 1 << max(1, (COARSE_PER_BIN * h - 1).bit_length()))
-    r = n // m
-    if m < n and band.size * (r + 2) + m > MAX_TABLE_SIZE:
-        raise WindowError(
-            f"time step too fine: cannot allocate the width metric's "
-            f"{band.size}x{r + 2} table of direct sums and {m} roots of unity "
-            f"(at most {MAX_TABLE_SIZE} values); use fewer samples"
-        )
+    m, m_e = width_grids(n, h)
     if not np.isfinite(band).all():
         raise ValueError("band must be finite")
     band = band.copy()
@@ -619,17 +615,23 @@ def band_reference(grid: FrequencyGrid, band: np.ndarray) -> BandReference:
         peak = coarse.max()
         if _REFERENCE_PEAKS[0] <= peak <= _REFERENCE_PEAKS[1]:
             lower = np.minimum(coarse, np.roll(coarse, -1)) - slack
+            # M/M_e coarse intervals make one interval of the evaluation grid
+            upper = upper.reshape(m_e, -1).max(axis=1)
+            lower = lower.reshape(m_e, -1).min(axis=1)
             amplitude_peak = np.sqrt(peak)
             return BandReference(
-                grid, band, m, np.sqrt(upper), np.sqrt(np.maximum(lower, 0.0)),
+                grid, band, m_e, np.sqrt(upper), np.sqrt(np.maximum(lower, 0.0)),
                 amplitude_peak, slack / (2.0 * amplitude_peak),
             )
-    return BandReference(grid, band, m, None, None, None, -np.inf)
+    return BandReference(grid, band, m_e, None, None, None, -np.inf)
 
 
 def _direct_sums(bands: np.ndarray, keys: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Intensity of band-limited envelopes on chosen coarse intervals, by direct sums.
+    """Intensity of band-limited envelopes on chosen intervals, by direct sums.
 
+    The intervals are those of the evaluation grid of :func:`band_outcomes`,
+    M_e = ``m`` samples, so a row holds at most
+    :data:`~dispersim.base.ROW_SAMPLES` + 2 samples where M_e < M.
     Interval j of band b has the key b*m + j. Its row holds the r+2 samples
     jr-1..jr+r (indices modulo n): |s|^2 of the band turned by
     exp(2j*pi*k*jr/n), an m-th root of unity taken from a table at the
@@ -662,7 +664,7 @@ def _direct_sum_tables(n: int, h: int, m: int):
 
 
 def _sparse_widths(bands, keys, upper, lower, floor, least, n: int, m: int, dt: float):
-    """:func:`_crossings` of the fine samples of bands bounded on their coarse intervals.
+    """:func:`_crossings` of the samples of bands bounded on their evaluation grid.
 
     Every sample of band b's interval j (samples jr..jr+r, r = n/m), key
     b*m + j, lies within the interval's ``upper`` and ``lower`` bounds;
@@ -681,7 +683,7 @@ def _sparse_widths(bands, keys, upper, lower, floor, least, n: int, m: int, dt: 
     window (d). A dip below half between them shows in a straddling
     interval, which holds the dip's last sample and the next one >= half.
     So the outcome depends on the samples alone: bounds from the bands' own
-    coarse grids and from a :class:`BandReference` give the same bits.
+    coarse samples and from a :class:`BandReference` give the same bits.
     """
     count, r = floor.size, n // m
     band, interval = np.divmod(keys, m)

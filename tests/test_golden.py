@@ -1,10 +1,12 @@
-"""Output bytes of fixed sweeps, a scenario and a region, pinned by sha256.
+"""Output bytes of fixed sweeps, a scenario and a region, pinned by sha256,
+and the width metric's work on the golden runs, pinned by exact counts.
 
 The digests are those of the 9-digit outputs, which hold on any host: the
 17-digit ``k_table`` factors of ``scenario.json`` can move by about 1e-15
 relative with the BLAS kernels and SIMD level, so they are hashed as
 ``%.9g``, and no envelope dump is pinned. A change that moves any of these
-bytes on purpose must say so, and update the digest.
+bytes on purpose must say so, and update the digest. So must a change that
+moves a work count: one that adds work fails here.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import json
 
 import pytest
 
+from dispersim import signal
 from dispersim.cli import main
 
 SWEEP = {
@@ -97,3 +100,38 @@ def test_scenario_bytes(tmp_path):
     assert sha256(text.encode()) == (
         "c820ccd51e5aa4e0481921c291908916949cefd5e4866b10fc2ac5173045336f"
     )
+
+
+@pytest.mark.parametrize(
+    "command, doc, points, rows",
+    [
+        # N = 16384, h = 64: rows of 16 samples on a 1024-point evaluation
+        # grid, a quarter of the 4096-point coarse grid. The points are the
+        # sent band's 4096 and 1024 for each of 31 bands out of its reach.
+        ("sweep-k", SWEEP, 4096 + 31 * 1024, 526),
+        # N = 65536, h = 64: N >= 1024h, so the evaluation grid is the
+        # 4096-point coarse grid itself, with rows of 16 samples. The points
+        # are the sent band's and those of 5 bands out of its reach.
+        ("scenario", {**SCENARIO, "signal": {**SCENARIO["signal"], "n_samples": 65536}},
+         6 * 4096, 234),
+    ],
+    ids=["sweep", "scenario-65536"],
+)
+def test_width_metric_work(tmp_path, monkeypatch, command, doc, points, rows):
+    # the points of every coarse inverse transform and the rows of every
+    # table of direct sums that a run's widths take
+    work = {"points": 0, "rows": 0}
+    coarse_intensity, direct_sums = signal._coarse_intensity, signal._direct_sums
+
+    def counted_coarse(bands, n, m):
+        work["points"] += len(bands) * m
+        return coarse_intensity(bands, n, m)
+
+    def counted_sums(bands, keys, n, m):
+        work["rows"] += keys.size
+        return direct_sums(bands, keys, n, m)
+
+    monkeypatch.setattr(signal, "_coarse_intensity", counted_coarse)
+    monkeypatch.setattr(signal, "_direct_sums", counted_sums)
+    run(tmp_path, command, doc)
+    assert work == {"points": points, "rows": rows}

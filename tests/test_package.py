@@ -214,6 +214,22 @@ WINDOW = [
 ]
 
 
+_TABLE = ("time step too fine: cannot allocate the width metric's 129x524290 table of "
+          "direct sums and 4096-point coarse transform (at most 67108864 values); "
+          "use fewer samples")
+
+#: (command, a config that passes the window rules but forms a grid quantity
+#: out of range, the refusal): the width metric's table rule, for each
+#: command that measures a sinc, and propagate's full-grid range rule
+GRID = [
+    ("sweep-k", _windowed("sinc", 3e9, 2**31, 64.0), _TABLE),
+    ("scenario", _windowed("sinc", 3e9, 2**31, 64.0), _TABLE),
+    ("propagate", _windowed("sinc", 3e9, 2**31, 64.0), _TABLE),
+    ("propagate", _windowed("gaussian", 1e-153, 1024, 64.0),
+     "(pi / dt_s)**2 is out of range: inf, not a normal double"),
+]
+
+
 def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
     proc = _blocked("convert", "--d", "17", cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -250,8 +266,9 @@ def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
         assert proc.stderr == f"error: {refusal}\n"
         assert not (tmp_path / out).exists(), (command, refusal)
 
-    # so does a pulse that does not fit its window, which region does not build
-    for i, (command, doc, refusal) in enumerate(WINDOW):
+    # so does a pulse that does not fit its window, or whose grid forms a
+    # table or a quantity out of range, which region does not build
+    for i, (command, doc, refusal) in enumerate(WINDOW + GRID):
         config.write_text(json.dumps(doc), encoding="utf-8")
         out = f"window-{i}"
         proc = _blocked(command, "--config", str(config), "--out", out, cwd=tmp_path)

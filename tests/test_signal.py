@@ -24,6 +24,7 @@ from dispersim import (
     make_sinc_pulse,
     occupied_bandwidth,
 )
+from dispersim import base as base_module
 from dispersim import signal as signal_module
 from dispersim.compensator import (
     CompensatorSpec,
@@ -31,6 +32,7 @@ from dispersim.compensator import (
     match_pcf,
     stage_responses,
 )
+from dispersim.base import COARSE_PER_BIN, ROW_SAMPLES
 from dispersim.convergence import span_length
 from dispersim.fiber import (
     FiberParams,
@@ -39,7 +41,6 @@ from dispersim.fiber import (
     propagate,
 )
 from dispersim.signal import (
-    COARSE_PER_BIN,
     band_offsets,
     band_outcomes,
     band_reference,
@@ -689,36 +690,42 @@ class TestBandWidthMetric:
             band_widths(reference, reference.band[None])[0], rel=1e-12
         )
 
-    def test_table_of_direct_sums_is_bounded(self, monkeypatch):
-        # the direct sums and the roots of unity count together
-        grid = self.grids[0]
+    @pytest.mark.parametrize("n, r", [(65536, 16), (16384, 16), (8192, 8)])
+    def test_table_of_direct_sums_is_bounded(self, monkeypatch, n, r):
+        # the direct sums on the evaluation grid and the 4096-point coarse
+        # transform count together. At h = 64 the evaluation grid is the
+        # coarse grid at 65536 (rows of 16 samples), and a quarter of it at
+        # 16384 (rows of 16) and at 8192 (rows of 8)
+        grid = FrequencyGrid(n, 1e-12)
         band = sinc_band(grid)
-        r = self.stride(grid, band)
-        size = band.size * (r + 2) + grid.n_samples // r
-        monkeypatch.setattr(signal_module, "MAX_TABLE_SIZE", size)
+        assert self.stride(grid, band) == r
+        size = band.size * (r + 2) + 4096
+        monkeypatch.setattr(base_module, "MAX_TABLE_SIZE", size)
         assert own_width(grid, band) > 0
         assert band_reference(grid, band).reach > 0
-        monkeypatch.setattr(signal_module, "MAX_TABLE_SIZE", size - 1)
+        monkeypatch.setattr(base_module, "MAX_TABLE_SIZE", size - 1)
         for measure in (own_width, band_reference):
-            with pytest.raises(WindowError, match="cannot allocate"):
+            with pytest.raises(WindowError, match=f"129x{r + 2} table .* 4096-point"):
                 measure(grid, band)
 
     @pytest.mark.parametrize(
-        "n, h, sums_fit, message",
+        "n, h, tables_fit, message",
         [
             # a 129 x (2**28 + 2) table of direct sums: 550 GB
-            (2**40, 64, False, "129x268435458 table of direct sums and 4096 roots"),
-            # a 4194305 x 4 table, 268 MB, fits, but not with 2**27 roots
-            # of unity, 2 GiB, and as many coarse samples
-            (2**28, 2**21, True, "4194305x4 table of direct sums and 134217728 roots"),
+            (2**40, 64, False, "129x268435458 table of direct sums and 4096-point"),
+            # a 3145729 x 10 table on 2**25 intervals, 503 MB, fits with
+            # their 2**25 roots of unity, but not with the 2**27-point coarse
+            # transform, 2 GiB
+            (2**28, 3 * 2**19, True, "3145729x10 table of direct sums and 134217728-point"),
         ],
-        ids=["direct-sums", "roots-of-unity"],
+        ids=["direct-sums", "coarse-transform"],
     )
-    def test_huge_grid_is_refused_before_allocating(self, n, h, sums_fit, message):
+    def test_huge_grid_is_refused_before_allocating(self, n, h, tables_fit, message):
         grid = FrequencyGrid(n, 1e-15)
         band = np.broadcast_to(np.complex128(1), (2 * h + 1,))  # no memory
-        sums = band.size * (n // self.coarse_size(grid, band) + 2)
-        assert (sums <= signal_module.MAX_TABLE_SIZE) == sums_fit
+        m_e = self.evaluation_size(grid, band)
+        sums = band.size * (n // m_e + 2)
+        assert (sums + m_e <= base_module.MAX_TABLE_SIZE) == tables_fit
         tracemalloc.start()
         try:
             for measure in (own_width, band_reference):
@@ -740,15 +747,21 @@ class TestBandWidthMetric:
                 own_width(grid, band)
 
     @staticmethod
-    def coarse_size(grid, band):
-        """Points of the coarse grid of band_widths."""
+    def evaluation_size(grid, band):
+        """Points M_e of the grid band_widths measures on.
+
+        Its coarse grid M has COARSE_PER_BIN points per band bin, rounded up
+        to a power of two; M_e is N where M reaches N, and otherwise M/4, or
+        more where N/M_e would pass ROW_SAMPLES, up to M.
+        """
         n, h = grid.n_samples, band.size // 2
-        return min(n, 1 << (COARSE_PER_BIN * h - 1).bit_length())
+        m = min(n, 1 << (COARSE_PER_BIN * h - 1).bit_length())
+        return m if m == n else min(m, max(m // 4, n // ROW_SAMPLES))
 
     @classmethod
     def stride(cls, grid, band):
-        """Samples between two points of the coarse grid of band_widths."""
-        return grid.n_samples // cls.coarse_size(grid, band)
+        """Samples between two points of the evaluation grid of band_widths."""
+        return grid.n_samples // cls.evaluation_size(grid, band)
 
     @staticmethod
     def two_lobes(grid, second_delay, ratio):
@@ -900,6 +913,10 @@ class TestBandReference:
     )
     # the first sample >= half starts an interval whose samples all reach half
     @example(n=8192, h=33, kind="random", ratio=0.0, seed=1)
+    # rows of 16 and of 8 samples, under merged bounds and under the band's own
+    @example(n=16384, h=64, kind="two-lobe", ratio=0.5, seed=2)
+    @example(n=8192, h=64, kind="tapered", ratio=0.999, seed=3)
+    @example(n=16384, h=64, kind="random", ratio=1.001, seed=4)
     def test_same_bits_with_and_without_the_reference(self, n, h, kind, ratio, seed):
         # a reference band of some kind and a band a drawn distance from it,
         # on either side of the switch at ratio 1: the width, the warning
@@ -922,17 +939,21 @@ class TestBandReference:
         assert bits(got) == bits(outcome(own_width, grid, band))
         assert bits(got) == bits(outcome(reference_width, reference, band))
 
+    @pytest.mark.parametrize("n", [65536, 16384], ids=["coarse", "merged"])
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["added", "taken"])
-    def test_bounds_hold_where_the_whole_distance_lands_on_one_sample(self, sign):
+    def test_bounds_hold_where_the_whole_distance_lands_on_one_sample(self, sign, n):
         # The edge bins alone give a cosine intensity of frequency 2h, whose
         # curvature meets Bernstein's bound; here its top lies midway between
         # two coarse samples. The step from it adds its whole L1 size to the
         # amplitude there (or takes it away): added, it lifts that sample
         # above the reference's own bound, which only the widening covers.
-        n, h = 65536, 64
+        # At 16384 samples the reference's bounds are merged 4:1 onto the
+        # intervals of the evaluation grid, whose rows hold 16 samples.
+        h = 64
         grid = FrequencyGrid(n, 1e-12)
         r = TestBandWidthMetric.stride(grid, np.zeros(2 * h + 1))
-        top = n // 2 + r // 2
+        assert r == 16
+        top = n // 2 + n // (COARSE_PER_BIN * h) // 2
         k = np.r_[0 : h + 1, -h:0]
         reference_band = np.zeros(2 * h + 1, np.complex128)
         reference_band[[h, h + 1]] = np.exp(-2j * np.pi * np.array([h, -h]) * top / n)
@@ -943,7 +964,7 @@ class TestBandReference:
         band = reference_band + step * np.exp(-2j * np.pi * k * top / n)
         m = n // r
         keys, upper, lower, floor, least = signal_module._candidates(
-            reference, reference.distances(band[None]), None, h
+            reference, reference.distances(band[None]), None
         )
         assert top // r in keys  # band 0's keys are its intervals j
         intensity = np.abs(full_grid(grid, band).samples) ** 2
@@ -966,7 +987,7 @@ class TestBandReference:
         band = sinc_band(grid)
         reference = band_reference(grid, band)
         keys, upper, lower, floor, least = signal_module._candidates(
-            reference, reference.distances(band[None]), None, band.size // 2
+            reference, reference.distances(band[None]), None
         )
         args = (grid.n_samples, reference.m, grid.dt)
         signal_module._sparse_widths(band[None], keys, upper, lower, floor, least, *args)
@@ -1009,7 +1030,7 @@ class TestBandReference:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.sampled_from([2**13, 2**16, 2**20]),
+        n=st.sampled_from([2**13, 2**14, 2**16, 2**20]),
         h=st.integers(1, 80),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
@@ -1020,7 +1041,7 @@ class TestBandReference:
         rng = np.random.default_rng(seed)
         shape = (4, 2 * h + 1)
         bands = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        m = TestBandWidthMetric.coarse_size(FrequencyGrid(n, 1e-12), bands[0])
+        m = TestBandWidthMetric.evaluation_size(FrequencyGrid(n, 1e-12), bands[0])
         intervals = st.integers(0, m - 1)
         b = data.draw(st.integers(0, 3))
         j = data.draw(intervals)
@@ -1079,7 +1100,7 @@ class TestBandReference:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        n=st.sampled_from([2**12, 2**13, 2**16]),
+        n=st.sampled_from([2**12, 2**13, 2**14, 2**16]),
         base=st.sampled_from(["sinc", "tapered"]),
         h=st.integers(1, 80),
         kinds=st.lists(
@@ -1096,12 +1117,16 @@ class TestBandReference:
     )
     # the first sample >= half starts an interval whose samples all reach half
     @example(n=8192, base="sinc", h=1, kinds=["two-lobe"], seed=54)
+    # a sinc base on rows of 16 and of 8 samples
+    @example(n=16384, base="sinc", h=64, kinds=["near", "far", "two-lobe", "repeat"], seed=5)
+    @example(n=8192, base="sinc", h=64, kinds=["far", "near", "scaled", "edge"], seed=6)
     def test_stack_matches_the_per_band_reference(self, n, base, h, kinds, seed):
         # Every width of a stack is the per-band path's, bit for bit, with its
         # warnings in the same number and the same first error, band by band
         # in stack order. A sinc base (h = 64) is measured on every sample at
-        # n = 4096 (M = N) and on its coarse grid above; a tapered one, of any
-        # h, mostly on its coarse grid.
+        # n = 4096 (M = N), on an evaluation grid a quarter of its coarse grid
+        # at 8192 and 16384 (rows of 8 and 16 samples), and on its coarse grid
+        # at 65536; a tapered one, of any h, mostly on a grid coarser than N.
         grid = FrequencyGrid(n, 1e-12)
         rng = np.random.default_rng(seed)
         if base == "sinc":
@@ -1181,7 +1206,7 @@ class TestBandReference:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.sampled_from([2**12, 2**13, 2**16]),
+        n=st.sampled_from([2**12, 2**13, 2**14, 2**16]),
         rows=st.integers(1, 4),
         kinds=st.lists(
             st.sampled_from(["near", "far", "scaled", "two-lobe", "repeat"]), max_size=10

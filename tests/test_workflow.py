@@ -2,7 +2,8 @@
 
 The ``python -`` heredoc compiles, and the JSON config heredoc, on which
 every run command of the runtime-only install must exit 0, is a
-configuration that ``parse_config`` accepts.
+configuration that ``parse_config`` accepts, on a grid where the width
+metric's evaluation grid is coarser than its coarse grid.
 """
 
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from dispersim.base import check_window, width_grids
 from dispersim.config import _unique_keys, parse_config
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
@@ -60,6 +62,11 @@ def test_run_script_parses(name, script):
 
 
 def test_smoke_config_passes_the_range_rule():
-    # a mistyped or repeated key would fail every run command on it
+    # a mistyped or repeated key would fail every run command on it; and
+    # its sinc's widths are measured on an evaluation grid coarser than the
+    # coarse grid that bounds them, so the smoke runs the direct sums' rows
     [body] = (body for _, script in STEPS for body in _json_heredocs(script))
-    parse_config(json.loads(body, object_pairs_hook=_unique_keys))
+    cfg = parse_config(json.loads(body, object_pairs_hook=_unique_keys))
+    h = check_window(cfg.pulse, cfg.pulse_width_s, cfg.n_samples, cfg.dt_s)
+    m, m_e = width_grids(cfg.n_samples, h)
+    assert m_e < m < cfg.n_samples
