@@ -4,13 +4,12 @@ command runs.
 It holds the exceptions behind the CLI's exit codes, the speed of light,
 the D <-> beta2 conversions and matched lengths, the constants the
 configuration checks against, the range rule, the pulses' window rules,
-the width metric's grids and table rule, ``propagate``'s full-grid rule,
-and the ``region`` command (a closed form in :mod:`dispersim.convergence`)
-with the emit helpers it shares with :mod:`dispersim.experiments`. It
-imports the standard library and :mod:`dispersim.convergence` only, so
-``convert``, ``region`` on a list axis and a refused configuration,
-window or grid run without numpy. The numeric modules import from here
-only what they use.
+the width metric's grids and table rule, and the ``region`` command (a
+closed form in :mod:`dispersim.convergence`) with the emit helpers it
+shares with :mod:`dispersim.experiments`. It imports the standard library
+and :mod:`dispersim.convergence` only, so ``convert``, ``region`` on a
+list axis and every refusal of :func:`~dispersim.config.check_run` run
+without numpy. The numeric modules import from here only what they use.
 """
 
 import json
@@ -20,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .convergence import dispersion_strength, z_max
+from .convergence import z_max
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -100,9 +99,9 @@ def check_window(pulse: str, width_s: float, n_samples: int, dt: float) -> int |
     The grid is ``n_samples`` points ``dt`` apart, as a
     :class:`~dispersim.signal.FrequencyGrid`'s. A ``"sinc"`` of zero-to-zero
     width ``width_s`` needs a window of at least 8 widths and its half band h
-    (:func:`~dispersim.signal.sinc_band_bins`) at most N/2 - 1 bins; h is
-    returned. A ``"gaussian"`` of 1/e half-width ``width_s`` (t0) needs
-    t0 >= 4*dt and a window of at least 16*t0.
+    (the bins of :func:`~dispersim.signal.make_sinc_band`) at most N/2 - 1
+    bins; h is returned. A ``"gaussian"`` of 1/e half-width ``width_s``
+    (t0) needs t0 >= 4*dt and a window of at least 16*t0.
     """
     window = n_samples * dt
     if pulse == "gaussian":
@@ -179,27 +178,6 @@ def require_normal(quantities) -> None:
             raise ConfigError(f"{key} is out of range: {value:g}, not a normal double")
 
 
-def check_full_grid(cfg: "ExperimentConfig") -> None:
-    """Raise :class:`ConfigError` where ``propagate`` would form a quantity out of range.
-
-    Only ``propagate`` forms the full grid's largest ``dw**2``,
-    ``(pi / dt_s)**2``. For either pulse, it and ``max(1, |beta2| / 2)``
-    times it, over the fiber's and the pcf's beta2, must be normal doubles
-    (:func:`require_normal`); for a sinc, so must ``max(1, xi)``, eight
-    times the largest phase its span forms on the band. See
-    :func:`~dispersim.config._formed` for why.
-    """
-    w_sq = (math.pi / cfg.dt_s) * (math.pi / cfg.dt_s)  # the full grid's largest dw**2
-    half_beta2 = max(1.0, abs(cfg.fiber_beta2) / 2, abs(cfg.pcf_beta2 or 0.0) / 2)
-    require_normal([
-        ("(pi / dt_s)**2", w_sq),
-        ("max(1, |beta2| / 2) * (pi / dt_s)**2", half_beta2 * w_sq),
-    ])
-    if cfg.pulse == "sinc":  # z * beta2 / 2 * dw**2 out to the band edge, xi / 8
-        xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, cfg.bandwidth_hz)
-        require_normal([("max(1, fiber.z_km dispersion strength xi)", max(1.0, xi))])
-
-
 #: Largest stage count K for which the gain alpha * 2**(K+1) is a finite
 #: double.
 MAX_STAGES = 1022
@@ -238,7 +216,7 @@ def write_meta(outdir: Path, command: str, cfg: "ExperimentConfig", extra: dict)
 def run_region(cfg: "ExperimentConfig", outdir: Path) -> int:
     """Emit the stability boundary z_max(B) per alpha as region.csv.
 
-    ``cfg`` has passed :func:`~dispersim.config.require_parts`: it has
+    ``cfg`` has passed :func:`~dispersim.config.check_run`: it has
     ``region.bandwidths_hz``.
     """
     lines = [REGION_CSV_HEADER]

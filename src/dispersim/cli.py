@@ -3,10 +3,8 @@
 One parser per process, built on first use. A run command calls its runner by
 name, looked up in this module per call, so a rebound runner (as a tracer's)
 runs. ``--out`` overrides ``output.dir`` and, like it, must not be empty.
-The parts check (:data:`REQUIRED_PARTS`) and, for a command that builds a
-pulse (one that needs a signal section), the pulse's window rules,
-``propagate``'s full-grid range rule and a sinc's width-metric table rule
-run before the output directory exists.
+:func:`~dispersim.config.check_run` makes every closed-form refusal of a
+run command before the output directory exists.
 
 Start-up loads no numpy: this module, the config and ``region`` need only
 :mod:`dispersim.base` and :mod:`dispersim.convergence`. The numeric modules
@@ -34,13 +32,10 @@ from .base import (
     WindowError,
     WraparoundError,
     beta2_to_d,
-    check_full_grid,
-    check_window,
     d_to_beta2,
     run_region,
-    width_grids,
 )
-from .config import ConfigError, load_config, require_parts
+from .config import ConfigError, check_run, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,13 +47,6 @@ RUNNERS = {
     "sweep-k": ("run_sweep", "broadening factor vs. stage count CSV"),
     "scenario": ("run_scenario", "single-link design report JSON"),
     "propagate": ("run_propagate", "debug envelope dumps as CSV"),
-}
-#: run command -> the config parts (``config.PARTS``) its runner takes as given
-REQUIRED_PARTS = {
-    "region": ("region.bandwidths_hz",),
-    "sweep-k": ("pcf", "signal", "sinc"),
-    "scenario": ("fiber.z_km", "pcf", "signal", "sinc"),
-    "propagate": ("fiber.z_km", "signal"),
 }
 
 
@@ -136,14 +124,7 @@ def main(argv=None) -> int:
         if args.out == "":
             raise ConfigError("--out must be a non-empty string")
         cfg = load_config(args.config)
-        parts = REQUIRED_PARTS[args.command]
-        require_parts(cfg, args.command, parts)
-        if "signal" in parts:  # the command builds a pulse
-            h = check_window(cfg.pulse, cfg.pulse_width_s, cfg.n_samples, cfg.dt_s)
-            if args.command == "propagate":
-                check_full_grid(cfg)
-            if h is not None:  # a sinc: its widths are measured on its band
-                width_grids(cfg.n_samples, h)
+        check_run(cfg, args.command)
         outdir = Path(cfg.output_dir if args.out is None else args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         runner = getattr(sys.modules[__name__], RUNNERS[args.command][0])

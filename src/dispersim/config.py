@@ -3,6 +3,8 @@
 Unknown keys are rejected everywhere so typos cannot silently fall back to
 defaults. Physical values use conventional units at this boundary (D in
 ps/nm/km, beta2 in ps^2/km, lengths in km) and are resolved to SI here.
+:func:`check_run` then makes every closed-form refusal of a run command,
+without numpy.
 """
 
 import json
@@ -10,9 +12,10 @@ import math
 import sys
 from typing import NamedTuple
 
-from .base import _BETA2_CONVENTIONAL, MAX_STAGES, ConfigError, d_to_beta2
-from .base import dcf_path, matched_length, require_normal
-from .convergence import span_length
+from .base import _BETA2_CONVENTIONAL, MAX_STAGES, ConfigError, DivergenceError
+from .base import check_window, d_to_beta2, dcf_path, matched_length, require_normal
+from .base import width_grids
+from .convergence import dispersion_strength, span_length, stable
 
 
 _TOP_KEYS = {
@@ -193,26 +196,7 @@ def _formed(cfg: ExperimentConfig):
       and :func:`~dispersim.signal.make_gaussian_pulse` raises ValueError
       for the same squares.
 
-    Only ``propagate`` forms the full grid's ``(pi / dt_s)**2``, so the CLI
-    checks that and ``max(1, |beta2| / 2) * (pi / dt_s)**2`` over the
-    fiber's and the pcf's beta2 for that command alone
-    (:func:`~dispersim.base.check_full_grid`). A gaussian's responses form
-    ``beta2 / 2 * dw**2`` out to ``dw = pi / dt_s``, which may underflow
-    without harm but must not overflow. A sinc's are formed on its band
-    bins, out to the band edge ``pi * B`` below ``pi / dt_s``; the strength
-    rule keeps that edge's square finite for a nonzero beta2 but exempts a
-    zero one: a fiber beta2 of 0 with a ``bandwidth_hz`` of 1e156 at 1024
-    samples squares the band edge to inf, and the responses would be
-    ``0 * inf`` = NaN. The full-grid rule refuses that configuration, so
-    both quantities are checked for either pulse. A sinc's span
-    then multiplies each ``beta2 / 2 * dw**2`` by ``fiber.z_km``, up to an
-    eighth of the span's dispersion strength xi: a ``z_km`` and a
-    ``bandwidth_hz`` of 1.5e110 each overflow that product to inf and the
-    response to NaN. So ``propagate`` also checks ``max(1, xi)`` for a sinc,
-    which lets a span's phase underflow. ``sweep-k`` and ``scenario`` need
-    a pcf, which is accepted only beside a nonzero fiber beta2 of its sign;
-    they form neither grid quantity and check neither, and they form a
-    span's responses only where it converges, which bounds its phase.
+    The grid quantities that only ``propagate`` forms are :func:`check_run`'s.
     """
     beta2, bandwidth, z_m = cfg.fiber_beta2, cfg.bandwidth_hz, cfg.z_m
     for name in ("fiber", "pcf", "dcf"):
@@ -407,11 +391,83 @@ PARTS = {
 }
 
 
-def require_parts(cfg: ExperimentConfig, command: str, parts) -> None:
-    """Raise :class:`ConfigError` for the first of ``parts`` that ``cfg`` lacks."""
+#: run command -> the config parts (:data:`PARTS`) its runner takes as given
+REQUIRED_PARTS = {
+    "region": ("region.bandwidths_hz",),
+    "sweep-k": ("pcf", "signal", "sinc"),
+    "scenario": ("fiber.z_km", "pcf", "signal", "sinc"),
+    "propagate": ("fiber.z_km", "signal"),
+}
+
+
+def check_run(cfg: ExperimentConfig, command: str) -> None:
+    """Refuse ``cfg`` for run ``command`` by the first closed-form rule it fails.
+
+    The CLI calls this once, before the output directory is made and before
+    numpy loads; each runner takes ``cfg`` as checked here. In order:
+
+    1. the parts ``command`` needs (:data:`REQUIRED_PARTS`), ConfigError;
+    2. for a command that builds a pulse (one that needs a signal section),
+       the pulse's window rules (:func:`~dispersim.base.check_window`),
+       WindowError;
+    3. for ``propagate``, the full-grid range rule below, ConfigError;
+    4. for a sinc, the width metric's table rule
+       (:func:`~dispersim.base.width_grids`), WindowError;
+    5. for ``scenario`` and a compensated sinc ``propagate``, the first
+       alpha's convergence on the span (:func:`stable`), DivergenceError.
+
+    Only ``propagate`` forms the full grid's largest ``dw**2``,
+    ``(pi / dt_s)**2``, so for that command alone it and ``max(1, |beta2| /
+    2) * (pi / dt_s)**2``, over the fiber's and the pcf's beta2, must be
+    normal doubles (:func:`~dispersim.base.require_normal`). A gaussian's
+    responses form ``beta2 / 2 * dw**2`` out to ``dw = pi / dt_s``, which
+    may underflow without harm but must not overflow. A sinc's are formed
+    on its band bins, out to the band edge ``pi * B`` below ``pi / dt_s``;
+    the strength rule of :func:`_formed` keeps that edge's square finite for
+    a nonzero beta2 but exempts a zero one: a fiber beta2 of 0 with a
+    ``bandwidth_hz`` of 1e156 at 1024 samples squares the band edge to inf,
+    and the responses would be ``0 * inf`` = NaN. The full-grid rule
+    refuses that configuration, so both quantities are checked for either
+    pulse. A sinc's span then multiplies each ``beta2 / 2 * dw**2`` by
+    ``fiber.z_km``, up to an eighth of the span's dispersion strength xi: a
+    ``z_km`` and a ``bandwidth_hz`` of 1.5e110 each overflow that product to
+    inf and the response to NaN. So ``propagate`` also checks ``max(1,
+    xi)`` for a sinc on a nonzero beta2, which lets a span's phase
+    underflow. ``sweep-k`` and ``scenario`` need a pcf, which is accepted
+    only beside a nonzero fiber beta2 of its sign; they form neither grid
+    quantity and check neither, and they form a span's responses only where
+    it converges, which bounds its phase.
+    """
+    parts = REQUIRED_PARTS[command]
     for field, refusal in (PARTS[part] for part in parts):
         if getattr(cfg, field) is None:
             raise ConfigError(refusal.format(command))
+    if "signal" not in parts:  # region builds no pulse
+        return
+    h = check_window(cfg.pulse, cfg.pulse_width_s, cfg.n_samples, cfg.dt_s)
+    if command == "propagate":
+        w_sq = (math.pi / cfg.dt_s) * (math.pi / cfg.dt_s)
+        half_beta2 = max(1.0, abs(cfg.fiber_beta2) / 2, abs(cfg.pcf_beta2 or 0.0) / 2)
+        require_normal([
+            ("(pi / dt_s)**2", w_sq),
+            ("max(1, |beta2| / 2) * (pi / dt_s)**2", half_beta2 * w_sq),
+        ])
+        # z * beta2 / 2 * dw**2 out to the band edge, xi / 8: zero for a zero
+        # beta2, whose band may square to inf while the full grid does not
+        if h is not None and cfg.fiber_beta2:
+            xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, cfg.bandwidth_hz)
+            require_normal([("max(1, fiber.z_km dispersion strength xi)", max(1.0, xi))])
+    if h is None:  # a gaussian has no band to measure or to converge on
+        return
+    width_grids(cfg.n_samples, h)
+    alpha = cfg.alphas[0]
+    # sweep-k reports a diverged span in its rows instead
+    compensated = command != "sweep-k" and cfg.pcf_beta2 is not None
+    if compensated and not stable(alpha, cfg.fiber_beta2, cfg.bandwidth_hz, cfg.z_m):
+        raise DivergenceError(
+            f"(B={cfg.bandwidth_hz:.6g} Hz, z={cfg.z_m:.6g} m, alpha={alpha:.6g}) "
+            "lies outside the convergence region"
+        )
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .base import (
     WIDTH_METRIC,
-    DivergenceError,
     _write_json,
     _write_text,
     dcf_path,
@@ -283,15 +282,6 @@ def _tie_side(a, hi, lo, tie):
     return np.where(np.abs(gap) > tie * 2.0**-96, np.sign(gap), 0.0)
 
 
-def _require_convergence(cfg: ExperimentConfig, alpha: float) -> None:
-    """Raise :class:`DivergenceError` when (B, z, alpha) lies outside the region."""
-    if not stable(alpha, cfg.fiber_beta2, cfg.bandwidth_hz, cfg.z_m):
-        raise DivergenceError(
-            f"(B={cfg.bandwidth_hz:.6g} Hz, z={cfg.z_m:.6g} m, alpha={alpha:.6g}) "
-            "lies outside the convergence region"
-        )
-
-
 class Stage(NamedTuple):
     """One K of a stage search; the factor is None where the pair diverges.
 
@@ -391,8 +381,7 @@ def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     The pulse's band and its :func:`band_reference` are built once per run,
     and one :func:`_stage_search` runs every xi's span over the sorted
     alphas, with one :func:`band_outcomes` call for the whole run. ``cfg``
-    has passed :func:`~dispersim.config.require_parts`: it has a pcf, a
-    sinc pulse and a signal section.
+    has passed :func:`~dispersim.config.check_run`.
     """
     grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
     sent = band_reference(grid, make_sinc_band(grid, cfg.pulse_width_s))
@@ -418,14 +407,12 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
 
     The stage search (:func:`_stage_search`) runs the one span over the
     first alpha, with one :func:`band_outcomes` call for the run. ``cfg``
-    has passed :func:`~dispersim.config.require_parts`: it has
-    ``fiber.z_km``, a pcf, a sinc pulse and a signal section.
+    has passed :func:`~dispersim.config.check_run`, so the span converges.
     """
     grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
     tx_band = make_sinc_band(grid, cfg.pulse_width_s)
     bandwidth = cfg.bandwidth_hz
     alpha = cfg.alphas[0]
-    _require_convergence(cfg, alpha)
     xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, bandwidth)
     sub = match_pcf(FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.pcf_beta2, alpha=alpha)
     [[(_, stages)]] = _stage_search(
@@ -545,15 +532,12 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     A sinc is built once, as its band (:func:`make_sinc_band`), and propagated
     on its bins (:func:`_sinc_envelopes`); a gaussian, which has no band, on
     the full grid (:func:`propagate` and :func:`compensate`). ``cfg`` has
-    passed :func:`~dispersim.config.require_parts`: it has ``fiber.z_km``
-    and a signal section; and :func:`~dispersim.base.check_full_grid`: every
-    phase its responses form is a double.
+    passed :func:`~dispersim.config.check_run`, so every phase its
+    responses form is a double.
     """
     grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
     make_sent = make_sinc_band if cfg.pulse == "sinc" else make_gaussian_pulse
     sent = make_sent(grid, cfg.pulse_width_s)  # a sinc's band, a gaussian's Envelope
-    if cfg.pcf_beta2 is not None and cfg.bandwidth_hz:  # a gaussian has no band
-        _require_convergence(cfg, cfg.alphas[0])
     fiber, alpha, k = FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.alphas[0], None
     extra = {"compensated": False}
     if cfg.pcf_beta2 is not None:

@@ -176,7 +176,9 @@ def make_sinc_pulse(grid: FrequencyGrid, zero_to_zero_width: float) -> Envelope:
 def make_sinc_band(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarray:
     """The spectrum of the sinc pulse of :func:`make_sinc_pulse` on its band bins.
 
-    The values sit on the bins 0..h, then -h..-1, h = :func:`sinc_band_bins`:
+    The values sit on the bins 0..h, then -h..-1, with h pi*B (B = 2/W) in
+    units of the grid's d_omega, rounded to the nearest bin, as
+    :func:`~dispersim.base.check_window` returns it after its window rules:
     the nearest bin-aligned band (half weight on the edge bins) times the phase
     that centres the pulse on sample N/2. The realized bandwidth is
     quantized to the grid; it is exact whenever the window is an integer
@@ -187,7 +189,7 @@ def make_sinc_band(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarray
     w = zero_to_zero_width
     if not (np.isfinite(w) and w > 0):
         raise ValueError("zero_to_zero_width must be positive")
-    h = sinc_band_bins(grid, w)
+    h = check_window("sinc", w, grid.n_samples, grid.dt)
     weights = np.ones(2 * h + 1)
     weights[[h, h + 1]] = 0.5  # the edge bins +h and -h
     t_c = (grid.n_samples // 2) * grid.dt
@@ -196,18 +198,6 @@ def make_sinc_band(grid: FrequencyGrid, zero_to_zero_width: float) -> np.ndarray
     signs = 1.0 - 2.0 * (_band_k(h) % 2)
     peak = np.dot(shape.real, signs) / grid.n_samples
     return shape * (1.0 / peak)
-
-
-def sinc_band_bins(grid: FrequencyGrid, zero_to_zero_width: float) -> int:
-    """Half-band bin count h of a sinc pulse: its spectrum lives on |k| <= h.
-
-    h is pi*B in units of the grid's d_omega, with B = 2/W, rounded to the
-    nearest bin (see :func:`make_sinc_pulse`). Raises
-    :class:`~dispersim.base.WindowError` when the window is under 8 widths
-    or that band does not fit below the grid's Nyquist bin
-    (:func:`~dispersim.base.check_window`).
-    """
-    return check_window("sinc", zero_to_zero_width, grid.n_samples, grid.dt)
 
 
 def _band_k(h: int) -> np.ndarray:

@@ -243,7 +243,7 @@ def test_run_command_calls_the_runner_bound_in_cli(tmp_path, monkeypatch, comman
     calls = []
     monkeypatch.setattr(cli, runner, lambda cfg, outdir: calls.append(outdir) or 0)
     doc = sweep_doc([0.5], [1.0], k_max=1, n_samples=1024)
-    doc["fiber"]["z_km"] = 100.0  # every command's parts (cli.REQUIRED_PARTS)
+    doc["fiber"]["z_km"] = 100.0  # every command's parts (config.REQUIRED_PARTS)
     config = write_config(tmp_path, {**doc, "region": {"bandwidths_hz": [1e9]}})
     out = tmp_path / "o"
     assert main([command, "--config", config, "--out", str(out)]) == 0
@@ -781,9 +781,11 @@ class TestScenario:
 
     def test_span_guard_alone_rejects_at_k_max_0(self, tmp_path, capsys, monkeypatch):
         # The span's guard needs at most 0.7 of an 8-width window wherever the
-        # cascade converges, so the point is let past the convergence check:
-        # xi 25 spreads the sent pulse past the window, while the received
-        # pulse, which is all that K = 0 checks, fits it
+        # cascade converges, so the point is let past the convergence checks
+        # of the config and of the stage search: xi 25 spreads the sent pulse
+        # past the window, while the received pulse, which is all that K = 0
+        # checks, fits it
+        monkeypatch.setattr("dispersim.config.stable", lambda *args: True)
         monkeypatch.setattr("dispersim.experiments.stable", lambda *args: True)
         beta2 = -21e-27
         z_m = span_length(25.0, beta2, 3e9)
@@ -1859,6 +1861,12 @@ _ZERO_BETA2_SINC = {
     "fiber": {"beta2_ps2_km": 0, "z_km": 1},
     "signal": {"pulse": "sinc", "bandwidth_hz": 1e156, "n_samples": 1024},
 }
+# the same zero beta2 on a band whose (2*pi*B)**2 overflows but whose full
+# grid's (pi / dt_s)**2 does not: its span's xi is 0, not a ValueError
+_ZERO_BETA2_WIDE = _doc(
+    _ZERO_BETA2_SINC, signal={"pulse": "sinc", "bandwidth_hz": 2.2e153,
+                              "n_samples": 1024, "window_factor": 300},
+)
 # the span's spread fits the window, but beta2 / 2 * (pi / dt_s)**2 overflows
 _GRID_PHASE = {
     "scenario": "p",
@@ -1903,6 +1911,7 @@ _SPAN_PHASE_UNDERFLOW = _doc(
         ("propagate", _GAUSSIAN_GRID, 2, "error: (pi / dt_s)**2 is out of range"),
         ("propagate", _NYQUIST_GRID, 2, "error: (pi / dt_s)**2 is out of range"),
         ("propagate", _ZERO_BETA2_SINC, 2, "error: (pi / dt_s)**2 is out of range"),
+        ("propagate", _ZERO_BETA2_WIDE, 0, ""),
         ("propagate", _GRID_PHASE, 2, "error: max(1, |beta2| / 2) * (pi / dt_s)**2"),
         # only propagate forms (pi/dt_s)**2: the band runners never leave the band
         ("scenario", _NYQUIST_GRID, 0, ""),
@@ -1917,7 +1926,8 @@ _SPAN_PHASE_UNDERFLOW = _doc(
         ("propagate", _SPAN_PHASE, 2, "error: max(1, fiber.z_km dispersion strength xi)"),
         ("propagate", _SPAN_PHASE_UNDERFLOW, 0, ""),
     ],
-    ids=["gaussian-grid", "nyquist-grid", "zero-beta2-sinc", "grid-phase", "nyquist-scenario",
+    ids=["gaussian-grid", "nyquist-grid", "zero-beta2-sinc", "zero-beta2-wide-band",
+         "grid-phase", "nyquist-scenario",
          "nyquist-sweep", "dcf-path", "cascade-path", "small-same-sign",
          "subnormal-region", "subnormal-sweep", "subnormal-scenario",
          "subnormal-propagate", "span-phase", "span-phase-underflow"],
@@ -2021,13 +2031,18 @@ def _any_config(draw):
 @example(doc=_SPAN_PHASE)
 def test_every_command_exits_cleanly_on_any_config(doc):
     # each run exits 0, 2 or 3 with at most one error: line, and on exit 0
-    # every JSON it writes is valid JSON: no Infinity or NaN
+    # every JSON it writes is valid JSON: no Infinity or NaN. A refused
+    # config or a span outside the convergence region is refused before the
+    # output directory is made; only a guard of the run itself (wraparound,
+    # the width metric) exits 3 after it
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), doc)
         for command in ("region", "sweep-k", "scenario", "propagate"):
             out = Path(tmp) / command
             rc, err = _run_captured([command, "--config", config, "--out", str(out)])
             assert rc in (0, 2, 3) and err.count("error:") <= 1, (command, rc, err)
+            if rc == 2 or "outside the convergence region" in err:
+                assert not out.exists(), (command, rc, err)
             for path in out.glob("*.json") if rc == 0 else ():
                 text = path.read_text(encoding="utf-8")
                 json.loads(text, parse_constant=_no_constant)

@@ -229,6 +229,16 @@ GRID = [
      "(pi / dt_s)**2 is out of range: inf, not a normal double"),
 ]
 
+_FAR = {**_windowed("sinc", 3e9, 1024, 64.0), "compensator": {"alphas": [1.0]},
+        "fiber": {"beta2_ps2_km": -21.0, "z_km": 5000.0}}
+#: (command, a config whose compensated span, xi 37, lies outside the
+#: convergence region, the refusal), for each command that compensates a span
+DIVERGING = [
+    (command, _FAR,
+     "(B=3e+09 Hz, z=5e+06 m, alpha=1) lies outside the convergence region")
+    for command in ("scenario", "propagate")
+]
+
 
 def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
     proc = _blocked("convert", "--d", "17", cwd=tmp_path)
@@ -256,7 +266,7 @@ def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
     assert proc.stderr == "error: compensator.alphas values must lie in (0, 1]\n"
     assert not (tmp_path / "refused").exists()
 
-    # so does a config that lacks a part its command needs (cli.REQUIRED_PARTS);
+    # so does a config that lacks a part its command needs (config.REQUIRED_PARTS);
     # where it can, each case also lacks the parts checked after the one it names
     for i, (command, doc, refusal) in enumerate(LACKING):
         config.write_text(json.dumps(doc), encoding="utf-8")
@@ -267,12 +277,14 @@ def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
         assert not (tmp_path / out).exists(), (command, refusal)
 
     # so does a pulse that does not fit its window, or whose grid forms a
-    # table or a quantity out of range, which region does not build
-    for i, (command, doc, refusal) in enumerate(WINDOW + GRID):
+    # table or a quantity out of range, which region does not build; a span
+    # outside the convergence region, whose boundary region reports, exits 3
+    refused = [(2, *case) for case in WINDOW + GRID] + [(3, *case) for case in DIVERGING]
+    for i, (code, command, doc, refusal) in enumerate(refused):
         config.write_text(json.dumps(doc), encoding="utf-8")
         out = f"window-{i}"
         proc = _blocked(command, "--config", str(config), "--out", out, cwd=tmp_path)
-        assert (proc.returncode, proc.stdout) == (2, ""), (command, proc.stderr)
+        assert (proc.returncode, proc.stdout) == (code, ""), (command, proc.stderr)
         assert proc.stderr == f"error: {refusal}\n"
         assert not (tmp_path / out).exists(), (command, refusal)
         proc = _blocked("region", "--config", str(config), "--out", out, cwd=tmp_path)

@@ -32,7 +32,7 @@ from dispersim.compensator import (
     match_pcf,
     stage_responses,
 )
-from dispersim.base import COARSE_PER_BIN, ROW_SAMPLES
+from dispersim.base import COARSE_PER_BIN, ROW_SAMPLES, check_window
 from dispersim.convergence import span_length
 from dispersim.fiber import (
     FiberParams,
@@ -48,7 +48,6 @@ from dispersim.signal import (
     ifft,
     make_sinc_band,
     report_outcomes,
-    sinc_band_bins,
 )
 
 
@@ -259,7 +258,9 @@ class TestSincPulse:
 
 def frozen_sinc_pulse(grid, zero_to_zero_width):
     """make_sinc_pulse's samples as the full-grid formula gave them: do not edit."""
-    half_band_bins = sinc_band_bins(grid, zero_to_zero_width)
+    half_band_bins = check_window(
+        "sinc", zero_to_zero_width, grid.n_samples, grid.dt
+    )
     k = np.abs(bin_numbers(grid.n_samples))
     weights = np.where(k < half_band_bins, 1.0, 0.0)
     weights[k == half_band_bins] = 0.5
@@ -308,7 +309,7 @@ class TestSincBand:
             return
         band = make_sinc_band(grid, self.width)
         h = band.size // 2
-        assert h == sinc_band_bins(grid, self.width)
+        assert h == check_window("sinc", self.width, grid.n_samples, grid.dt)
         samples = pulse.samples
         np.testing.assert_array_equal(
             samples.view(np.int64), band_samples(grid, band).view(np.int64)
@@ -624,7 +625,7 @@ def assert_same_outcome(grid, band, rel=1e-12):
 def sinc_band(grid, delay_samples=None, amplitude=1.0):
     """Band of the unit-peak sinc at 64 widths per window, ``delay`` samples late."""
     n = grid.n_samples
-    h = sinc_band_bins(grid, grid.window / 64)
+    h = check_window("sinc", grid.window / 64, grid.n_samples, grid.dt)
     k = bin_numbers(n)[band_bins(n, h)]
     weights = np.where(np.abs(k) == h, 0.5, 1.0) * amplitude * n / (2 * h)
     delay = n // 2 if delay_samples is None else delay_samples
@@ -854,7 +855,7 @@ class TestBandWidthMetric:
         sub = match_pcf(target, d_to_beta2(pcf_d, 1.55e-6), alpha=alpha)
         out = compensate(propagate(tx, target), CompensatorSpec(sub, k))
         spectrum = fft(out.samples)
-        bins = band_bins(n, sinc_band_bins(grid, 2 / bandwidth))
+        bins = band_bins(n, check_window("sinc", 2 / bandwidth, n, grid.dt))
         outside = np.sum(np.abs(np.delete(spectrum, bins)) ** 2)
         if outside < 1e-24 * np.sum(np.abs(spectrum) ** 2):
             got = own_width(grid, spectrum[bins])
