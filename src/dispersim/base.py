@@ -1,20 +1,15 @@
 """The numpy-free base of the package: what the CLI needs before a numeric
 command runs.
 
-It holds the exceptions behind the CLI's exit codes, the speed of light,
-the D <-> beta2 conversions and matched lengths, the constants the
-configuration checks against, the range rule, the pulses' window rules,
-the width metric's grids and table rule, and the ``region`` command (a
-closed form in :mod:`dispersim.convergence`) with the emit helpers it
+It holds the exit-code exceptions, the D <-> beta2 conversions and matched
+lengths, the stage ceiling, the pulses' window rules, the width metric's
+grids and table rule, and the ``region`` runner with the emit helpers it
 shares with :mod:`dispersim.experiments`. It imports the standard library
-and :mod:`dispersim.convergence` only, so ``convert``, ``region`` on a
-list axis and every refusal of :func:`~dispersim.config.check_run` run
-without numpy. The numeric modules import from here only what they use.
+and :mod:`dispersim.convergence` only.
 """
 
 import json
 import math
-import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -164,18 +159,6 @@ def width_grids(n_samples: int, h: int) -> tuple[int, int]:
             f"(at most {MAX_TABLE_SIZE} values); use fewer samples"
         )
     return m, m_e
-
-
-def require_normal(quantities) -> None:
-    """Raise :class:`ConfigError` naming the first quantity out of range.
-
-    ``quantities`` yields ``(key, value, *factors)``. The value must be a
-    normal finite double, or an exact zero where one of its factors (the
-    inputs that can make it zero) is zero, however its float rounds.
-    """
-    for key, value, *factors in quantities:
-        if 0 not in factors and not sys.float_info.min <= abs(value) < math.inf:
-            raise ConfigError(f"{key} is out of range: {value:g}, not a normal double")
 
 
 #: Largest stage count K for which the gain alpha * 2**(K+1) is a finite

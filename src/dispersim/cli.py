@@ -10,8 +10,7 @@ Start-up loads no numpy: this module, the config and ``region`` need only
 :mod:`dispersim.base` and :mod:`dispersim.convergence`. The numeric modules
 (numpy, ``experiments``, ``signal``, ``fiber``, ``compensator`` and
 ``iterative``) load when ``sweep-k``, ``scenario`` or ``propagate`` first
-looks up its runner here, after its config has parsed; numpy alone loads
-earlier for a config whose region axis is a min/max/count range.
+looks up its runner here, after its config has parsed.
 
 Exit codes: 0 when all requested rows were computed, 2 on configuration or
 usage errors (a grid too large to allocate included), 3 when a numerical
@@ -20,7 +19,6 @@ pulse width that cannot be measured) aborts the run.
 """
 
 import argparse
-import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -35,7 +33,7 @@ from .base import (
     d_to_beta2,
     run_region,
 )
-from .config import ConfigError, check_run, load_config
+from .config import ConfigError, check_domain, check_run, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,17 +90,15 @@ def _cmd_convert(args) -> int:
     if (args.d is None) == (args.beta2 is None):
         raise ConfigError("give exactly one of --d or --beta2")
     lambda0 = args.lambda0
-    try:
-        if args.d is not None:
-            d = args.d
-            beta2 = d_to_beta2(d, lambda0)
-        else:
-            beta2 = args.beta2 * _BETA2_CONVENTIONAL
-            d = beta2_to_d(beta2, lambda0)
-    except ValueError as exc:  # the wavelength range rule of base.py
-        raise ConfigError(str(exc)) from None
-    if not (math.isfinite(d) and math.isfinite(beta2)):
-        raise ConfigError("--d, --beta2 and their conversion must be finite")
+    check_domain(lambda0, "--lambda", "lambda0_m")
+    if args.d is not None:
+        d = args.d
+        check_domain(d, "--d", "d_ps_nm_km")
+        beta2 = d_to_beta2(d, lambda0)
+    else:
+        check_domain(args.beta2, "--beta2", "beta2_ps2_km")
+        beta2 = args.beta2 * _BETA2_CONVENTIONAL
+        d = beta2_to_d(beta2, lambda0)
     print(f"lambda0  {lambda0 * 1e9:.6g} nm  ({lambda0:.9g} m)")
     print(f"D        {d:.6g} ps/nm/km  ({d * 1e-6:.9g} s/m^2)")
     print(f"beta2    {beta2 / _BETA2_CONVENTIONAL:.6g} ps^2/km  ({beta2:.9g} s^2/m)")

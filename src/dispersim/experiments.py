@@ -532,8 +532,7 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
     A sinc is built once, as its band (:func:`make_sinc_band`), and propagated
     on its bins (:func:`_sinc_envelopes`); a gaussian, which has no band, on
     the full grid (:func:`propagate` and :func:`compensate`). ``cfg`` has
-    passed :func:`~dispersim.config.check_run`, so every phase its
-    responses form is a double.
+    passed :func:`~dispersim.config.check_run`.
     """
     grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
     make_sent = make_sinc_band if cfg.pulse == "sinc" else make_gaussian_pulse

@@ -1,12 +1,29 @@
 import copy
+import importlib.util
+import itertools
 import json
 import math
+import re
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispersim import d_to_beta2, default_gain
-from dispersim.config import MAX_STAGES, ConfigError, load_config, parse_config
+from dispersim.base import dcf_path, matched_length
+from dispersim.config import (
+    DOMAINS,
+    MAX_STAGES,
+    ConfigError,
+    check_run,
+    load_config,
+    parse_config,
+)
+from dispersim.convergence import dispersion_strength, span_length
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def base_doc(**overrides):
@@ -207,7 +224,7 @@ class TestFailClosed:
             ),
             (
                 base_doc(region={"bandwidths_hz": []}),
-                "region.bandwidths_hz must not be empty",
+                "region.bandwidths_hz must be a non-empty list",
             ),
         ],
         ids=[
@@ -222,34 +239,41 @@ class TestFailClosed:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_small_dispersions_of_one_sign_accepted(self, sign):
-        # in SI units the product of the two beta2 values underflows to zero
+        # the smallest of the domains: beta2 1e-6 ps^2/km, and D 1e-6
+        # ps/nm/km at a lambda0 of 1e-7 m, whose beta2 is about 5.3e-36 s^2/m
         doc = {
             "scenario": "tiny",
-            "fiber": {"beta2_ps2_km": sign * -1e-143},
-            "pcf": {"beta2_ps2_km": sign * -1e-133},
+            "fiber": {"beta2_ps2_km": sign * -1e-6, "lambda0_m": 1e-7},
+            "pcf": {"d_ps_nm_km": sign * 1e-6},
         }
         cfg = parse_config(doc)
-        assert cfg.fiber_beta2 * cfg.pcf_beta2 == 0
-        assert cfg.pcf_beta2 == pytest.approx(sign * -1e-160)
+        assert cfg.fiber_beta2 == sign * -1e-33
+        assert cfg.pcf_beta2 == pytest.approx(sign * -5.3e-36, rel=1e-2)
 
     @pytest.mark.parametrize(
         "doc, message",
         [
-            (base_doc(fiber={"d_ps_nm_km": 17.0, "lambda0_m": 1e200}), "overflows"),
-            (base_doc(fiber={"beta2_ps2_km": -21.0, "z_km": 1e306}), "fiber.z_km"),
+            (
+                base_doc(fiber={"d_ps_nm_km": 17.0, "lambda0_m": 1e200}),
+                r"fiber\.lambda0_m = 1e\+200 is outside its domain \[1e-07, 0\.0001\] m",
+            ),
+            (
+                base_doc(fiber={"beta2_ps2_km": -21.0, "z_km": 1e306}),
+                r"fiber\.z_km = 1e\+306 is outside",
+            ),
             # D * lambda0**2 overflows, though lambda0**2 does not
             (
                 base_doc(fiber={"d_ps_nm_km": 1e308, "lambda0_m": 1e6}),
-                "fiber.d_ps_nm_km in s.2/m must be finite",
+                r"fiber\.lambda0_m = 1000000\.0 is outside",
             ),
             (
                 base_doc(dcf={"d_ps_nm_km": -250.0, "quoted_path_km": 1e307}),
-                "dcf_quoted_path_m",
+                r"dcf\.quoted_path_km = 1e\+307 is outside its domain \[1e-06, 1e\+06\] km",
             ),
             # the pulse width 2/B overflows to inf
             (
                 base_doc(signal={"pulse": "sinc", "bandwidth_hz": 1e-320}),
-                "pulse_width_s",
+                r"signal\.bandwidth_hz = 1e-320 is outside its domain \[1000, 1e\+15\] Hz",
             ),
             (
                 base_doc(
@@ -259,13 +283,13 @@ class TestFailClosed:
                         "window_factor": 1e-300,
                     }
                 ),
-                "dt_s",
+                r"signal\.window_factor = 1e-300 is outside its domain \[1, 1e\+06\]$",
             ),
-            # n_samples past the double range: dt_s is refused, not an OverflowError
+            # n_samples past the double range
             *(
                 (
                     base_doc(signal={"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": n}),
-                    "dt_s",
+                    rf"signal\.n_samples = {n} is outside its domain \[2, 1073741824\]",
                 )
                 for n in (2**1023, 2**1024, 2**1100)
             ),
@@ -284,35 +308,34 @@ class TestFailClosed:
         [
             base_doc(signal={"pulse": "sinc", "bandwidth_hz": 2e200, "n_samples": 256}),
             base_doc(region={"bandwidths_hz": {"min": 1e9, "max": 1e160, "count": 3}}),
-            # |beta2| * (2*pi*B)^2 is a positive subnormal here
             base_doc(region={"bandwidths_hz": [1.1e-143, 1e9]}),
         ],
         ids=["sinc-width-tiny", "region-axis-huge", "region-subnormal"],
     )
     def test_bandwidth_range_rule(self, doc):
-        with pytest.raises(ConfigError, match="out of range"):
+        with pytest.raises(ConfigError, match=r"is outside its domain \[1000, 1e\+15\] Hz"):
             parse_config(doc)
 
     @pytest.mark.parametrize(
         "doc, message",
         [
-            # -1e-317 s^2/m: a subnormal
             (
                 base_doc(fiber={"beta2_ps2_km": -1e-290, "z_km": 130.0}),
-                r"fiber\.beta2_ps2_km in s\^2/m is out of range: -1e-317",
+                r"fiber\.beta2_ps2_km = -1e-290 is outside its domain "
+                r"0 or ±\[1e-06, 1e\+07\] ps\^2/km",
             ),
-            # a nonzero beta2 that underflows to zero, with no pcf to refuse it
             (
                 {"scenario": "s", "fiber": {"beta2_ps2_km": -1e-300}},
-                r"fiber\.beta2_ps2_km in s\^2/m is out of range: -0,",
+                r"fiber\.beta2_ps2_km = -1e-300 is outside",
             ),
             (
                 base_doc(pcf={"d_ps_nm_km": 1e-290}),
-                r"pcf\.d_ps_nm_km in s\^2/m is out of range",
+                r"pcf\.d_ps_nm_km = 1e-290 is outside its domain "
+                r"0 or ±\[1e-06, 1e\+07\] ps/nm/km",
             ),
             (
                 base_doc(dcf={"beta2_ps2_km": 1e-290}),
-                r"dcf\.beta2_ps2_km in s\^2/m is out of range",
+                r"dcf\.beta2_ps2_km = 1e-290 is outside",
             ),
         ],
         ids=["fiber-subnormal", "fiber-underflows", "pcf-d-subnormal", "dcf-subnormal"],
@@ -322,24 +345,23 @@ class TestFailClosed:
             parse_config(doc)
 
     def test_beta2_range_rule_skips_zero(self):
-        # an exact zero is the input's own value: only an underflow is refused
+        # zero lies in a dispersion's domain
         cfg = parse_config({"scenario": "s", "fiber": {"beta2_ps2_km": 0}})
         assert cfg.fiber_beta2 == 0
 
     def test_span_without_pcf_must_be_finite(self):
-        # with a pcf section the matched branch overflows too; without one the
-        # span alone carries the rule
         doc = base_doc(fiber={"beta2_ps2_km": -21.0, "z_km": 1e306})
         del doc["pcf"]
-        with pytest.raises(ConfigError, match=r"fiber\.z_km span z is out of range"):
+        with pytest.raises(ConfigError, match=r"fiber\.z_km = 1e\+306 is outside"):
             parse_config(doc)
 
     def test_bandwidth_range_rule_skips_zero_beta2(self):
+        # a zero beta2 takes every band of the domain
         doc = base_doc(
-            fiber={"beta2_ps2_km": 0.0}, signal={"pulse": "sinc", "bandwidth_hz": 1e200}
+            fiber={"beta2_ps2_km": 0.0}, signal={"pulse": "sinc", "bandwidth_hz": 1e15}
         )
         del doc["pcf"]
-        assert parse_config(doc).bandwidth_hz == 1e200
+        assert parse_config(doc).bandwidth_hz == 1e15
 
     def test_scenario_required(self):
         with pytest.raises(ConfigError):
@@ -417,3 +439,148 @@ def test_replaced_key_is_rejected_or_resolves_finite(target, value):
         assert all(
             math.isfinite(v) for v in values if isinstance(v, float)
         ), name
+
+
+def _bounds(key):
+    """The magnitudes on the bounds of ``key``'s domain, and 0 where it holds 0."""
+    domain = DOMAINS[key]
+    return [domain.lo, domain.hi] + [0] * domain.zero
+
+
+def _resolved(**sections):
+    return parse_config({"scenario": "corner", **sections})
+
+
+def test_every_formed_quantity_is_normal_at_every_corner_of_the_domains():
+    # each quantity a command forms from its config, at every corner of the
+    # domains of the keys it is formed from, is a normal double with 10
+    # decades to spare at either end, or an exact zero where one of its
+    # factors is zero. Every such quantity is monotone in each factor, so
+    # its extremes over the domain box lie on these corners
+    lo, hi = sys.float_info.min * 1e10, sys.float_info.max / 1e10
+    bad = []
+
+    def check(name, value, *factors):
+        if not (lo <= abs(value) <= hi or (value == 0 and 0 in factors)):
+            bad.append((name, value, factors))
+
+    # each beta2 in s^2/m: as given, and from D at both lambda0_m bounds
+    resolved = [(b, _resolved(fiber={"beta2_ps2_km": b})) for b in _bounds("beta2_ps2_km")]
+    resolved += [
+        (d, _resolved(fiber={"d_ps_nm_km": d, "lambda0_m": lam}))
+        for d, lam in itertools.product(_bounds("d_ps_nm_km"), _bounds("lambda0_m"))
+    ]
+    for given, cfg in resolved:
+        check("beta2 in s^2/m", cfg.fiber_beta2, given)
+    beta2s = sorted({abs(cfg.fiber_beta2) for _, cfg in resolved})
+    nonzero = [b for b in beta2s if b]
+    assert len(nonzero) == 6
+
+    # the time step of either pulse, and the full grid's squares over it
+    steps = []
+    for width, window, n in itertools.product(
+        _bounds("bandwidth_hz") + _bounds("width_s"),
+        _bounds("window_factor"),
+        _bounds("n_samples"),
+    ):
+        pulse, key = ("sinc", "bandwidth_hz") if width >= 1 else ("gaussian", "width_s")
+        signal = {"pulse": pulse, key: width, "window_factor": window, "n_samples": n}
+        steps.append(_resolved(fiber={"beta2_ps2_km": 1}, signal=signal).dt_s)
+    for dt_s, beta2 in itertools.product(steps, beta2s):
+        w_sq = (math.pi / dt_s) * (math.pi / dt_s)
+        check("dt_s", dt_s)
+        check("(pi / dt_s)**2", w_sq)
+        check("max(1, |beta2| / 2) * (pi / dt_s)**2", max(1.0, beta2 / 2) * w_sq)
+
+    # a gaussian's squares
+    for width, window in itertools.product(_bounds("width_s"), _bounds("window_factor")):
+        check("width_s**2", width * width)
+        check("(window_factor * width_s / 2)**2", (window * width / 2) ** 2)
+
+    # the strength |beta2| * (2*pi*B)**2 of the sinc's and the region's bands
+    bands = _bounds("bandwidth_hz") + _bounds("bandwidths_hz")
+    for beta2, band in itertools.product(beta2s, bands):
+        w = 2.0 * math.pi * band
+        check("|beta2| * (2*pi*B)**2", beta2 * (w * w), beta2)
+
+    # each span: fiber.z_km, and each sweep.xi's on a nonzero beta2, with a
+    # pcf's branch L = beta2 * z / beta2_pcf and cascade path K * L
+    spans = [_resolved(fiber={"beta2_ps2_km": 1, "z_km": z}).z_m for z in _bounds("z_km")]
+    spans += [
+        span_length(xi, beta2, band)
+        for xi, beta2, band in itertools.product(_bounds("xi"), nonzero, bands)
+    ]
+    for z in spans:
+        check("span z", z, z)
+        for beta2, pcf_beta2, k in itertools.product(nonzero, nonzero, _bounds("k_max")):
+            length = matched_length(beta2, z, pcf_beta2)
+            check("L = beta2 * z / beta2_pcf", length, z)
+            check("K * L", k * length, k, z)
+
+    # the dcf path beside fiber.z_km, and the quoted path in m
+    for z_km, beta2, dcf_beta2 in itertools.product(_bounds("z_km"), beta2s, nonzero):
+        check("z * |beta2| / |beta2_dcf|", dcf_path(z_km * 1e3, beta2, dcf_beta2), z_km, beta2)
+    for quoted in _bounds("quoted_path_km"):
+        dcf = {"beta2_ps2_km": 1, "quoted_path_km": quoted}
+        check("dcf_quoted_path_m", _resolved(fiber={"beta2_ps2_km": 1}, dcf=dcf).dcf_quoted_path_m)
+
+    # a sinc's span phase max(1, xi), and a gaussian's on the full grid
+    for beta2, z_km, band in itertools.product(beta2s, _bounds("z_km"), bands):
+        check("max(1, xi)", max(1.0, dispersion_strength(beta2, z_km * 1e3, band)))
+    for beta2, z_km, dt_s in itertools.product(beta2s, _bounds("z_km"), steps):
+        phase = z_km * 1e3 * beta2 / 2 * (math.pi / dt_s) ** 2
+        check("z * |beta2| / 2 * (pi / dt_s)**2", phase, z_km, beta2)
+    assert not bad
+
+
+def _load(path: Path):
+    """The module at ``path``, loaded from its file without changing it."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traffic():
+    """(command, config) of what runs: the benchmark, the README, CI and golden."""
+    workloads = _load(ROOT / "perfbench" / "workloads.py")
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in range(1, 6):
+            for doc in itertools.islice(workloads.config_docs(name, seed), 100):
+                yield workload.command, doc
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    [readme] = re.findall(r"```json\n(.*?)```", text, re.S)
+    workflow = _load(ROOT / "tests" / "test_workflow.py")
+    [smoke] = [body for _, s in workflow.STEPS for body in workflow._json_heredocs(s)]
+    for body in (readme, smoke):
+        for command in ("region", "sweep-k", "scenario", "propagate"):
+            yield command, json.loads(body)
+    golden = _load(ROOT / "tests" / "test_golden.py")
+    for command, doc in [
+        ("sweep-k", golden.SWEEP), ("sweep-k", golden.K_LIST), ("region", golden.REGION),
+        ("region", golden.README_REGION), ("scenario", golden.SCENARIO),
+    ]:
+        yield command, doc
+
+
+def test_benchmark_and_pinned_configs_lie_inside_the_domains():
+    # the first 100 configs of each benchmark workload for seeds 1-5, the
+    # README's and CI's configs and every golden config pass every check
+    # before a run: a bound tightened past any of them fails here
+    traffic = list(_traffic())
+    assert len(traffic) == 3 * 5 * 100 + 2 * 4 + 5
+    for command, doc in traffic:
+        check_run(parse_config(doc), command)
+
+
+_AXIS_BOUNDS = st.floats(DOMAINS["bandwidths_hz"].lo, DOMAINS["bandwidths_hz"].hi)
+
+
+@settings(max_examples=300)
+@given(ends=st.lists(_AXIS_BOUNDS, min_size=2, max_size=2, unique=True).map(sorted),
+       count=st.integers(2, 2000))
+def test_linear_axis_is_numpy_linspace(ends, count):
+    lo, hi = ends
+    axis = {"min": lo, "max": hi, "count": count, "spacing": "linear"}
+    resolved = parse_config(base_doc(region={"bandwidths_hz": axis})).region_bandwidths_hz
+    assert resolved == tuple(np.linspace(lo, hi, count).tolist())

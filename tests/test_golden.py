@@ -44,6 +44,14 @@ REGION = {
     "region": {"bandwidths_hz": [1e9, 3e9]},
     "output": {"dir": "out"},
 }
+# the README's region axis: 40 log-spaced bands, spaced without numpy
+README_REGION = {
+    "scenario": "worked-example",
+    "fiber": {"beta2_ps2_km": -21.0, "lambda0_m": 1.55e-6, "z_km": 130.0},
+    "compensator": {"alphas": [1.0]},
+    "region": {"bandwidths_hz": {"min": 1e9, "max": 1e10, "count": 40, "spacing": "log"}},
+    "output": {"dir": "out"},
+}
 SCENARIO = {
     "scenario": "golden-scenario",
     "fiber": {"beta2_ps2_km": -21.0, "lambda0_m": 1.55e-6, "z_km": 400.0},
@@ -82,8 +90,13 @@ def sha256(data: bytes) -> str:
             "region.csv": "f946b53533945ecab9a5e58255c239902ece46f8103937a304c086a4c1bd7159",
             "meta.json": "b888a001688772be11c3cd6a567a19b7b7c07bd21f0db45f612b69abb8043f57",
         }),
+        # meta.json's 17-digit bands are not pinned: they hold libm's log10
+        # and pow
+        ("region", README_REGION, {
+            "region.csv": "3d338cebd6b0e4295301d4097f90c6e5bc614968e6642477c738bfb96f476476",
+        }),
     ],
-    ids=["sweep", "k-list-sweep", "region"],
+    ids=["sweep", "k-list-sweep", "region", "readme-region"],
 )
 def test_csv_run_bytes(tmp_path, command, doc, digests):
     out = run(tmp_path, command, doc)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import dispersim
+from dispersim import config
 from dispersim.cli import main
+from dispersim.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -136,11 +139,20 @@ PROPAGATE = {
 }
 
 
+#: a region axis of each spacing, with the README's log axis
+AXES = [
+    {"min": 1e9, "max": 1e10, "count": 40, "spacing": "log"},
+    {"min": 1e9, "max": 7.5e9, "count": 33, "spacing": "linear"},
+]
+
+
 @pytest.mark.parametrize(
-    "doc", [SWEEP, SCENARIO, PROPAGATE], ids=["sweep", "scenario", "propagate"]
+    "doc",
+    [SWEEP, SCENARIO, PROPAGATE, {**SWEEP, "region": {"bandwidths_hz": AXES[0]}}],
+    ids=["sweep", "scenario", "propagate", "range-axis"],
 )
 def test_cli_start_up_imports_no_numeric_module(tmp_path, doc):
-    # a config without a min/max/count range axis parses without numpy
+    # every config parses without numpy, a min/max/count range axis included
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     report = f"print(sorted(sys.modules.keys() & {NOT_AT_START_UP!r}))"
@@ -214,19 +226,16 @@ WINDOW = [
 ]
 
 
-_TABLE = ("time step too fine: cannot allocate the width metric's 129x524290 table of "
-          "direct sums and 4096-point coarse transform (at most 67108864 values); "
+_TABLE = ("time step too fine: cannot allocate the width metric's 2000001x18 table of "
+          "direct sums and 67108864-point coarse transform (at most 67108864 values); "
           "use fewer samples")
 
-#: (command, a config that passes the window rules but forms a grid quantity
-#: out of range, the refusal): the width metric's table rule, for each
-#: command that measures a sinc, and propagate's full-grid range rule
+#: (command, a config that passes the window rules but whose width metric
+#: would build too large a table, the refusal), for each command that
+#: measures a sinc: at the top of the n_samples and window_factor domains
 GRID = [
-    ("sweep-k", _windowed("sinc", 3e9, 2**31, 64.0), _TABLE),
-    ("scenario", _windowed("sinc", 3e9, 2**31, 64.0), _TABLE),
-    ("propagate", _windowed("sinc", 3e9, 2**31, 64.0), _TABLE),
-    ("propagate", _windowed("gaussian", 1e-153, 1024, 64.0),
-     "(pi / dt_s)**2 is out of range: inf, not a normal double"),
+    (command, _windowed("sinc", 3e9, 2**30, 1e6), _TABLE)
+    for command in ("sweep-k", "scenario", "propagate")
 ]
 
 _FAR = {**_windowed("sinc", 3e9, 1024, 64.0), "compensator": {"alphas": [1.0]},
@@ -248,22 +257,26 @@ def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "sweep-k" in proc.stdout
 
-    doc = {**SWEEP, "region": {"bandwidths_hz": [1e9, 3e9, 10e9]}}
+    # region runs on a list axis and on a range axis of either spacing
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc), encoding="utf-8")
-    proc = _blocked("region", "--config", str(config), "--out", "blocked", cwd=tmp_path)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert main(["region", "--config", str(config), "--out", str(tmp_path / "ordinary")]) == 0
-    for name in ("region.csv", "meta.json"):
-        blocked, ordinary = (tmp_path / d / name for d in ("blocked", "ordinary"))
-        assert blocked.read_bytes() == ordinary.read_bytes(), name
+    for i, axis in enumerate([[1e9, 3e9, 10e9], *AXES]):
+        doc = {**SWEEP, "region": {"bandwidths_hz": axis}}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _blocked("region", "--config", str(config), "--out", f"blocked-{i}",
+                        cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        ordinary = str(tmp_path / f"ordinary-{i}")
+        assert main(["region", "--config", str(config), "--out", ordinary]) == 0
+        for name in ("region.csv", "meta.json"):
+            blocked, ordinary = (tmp_path / f"{d}-{i}" / name for d in ("blocked", "ordinary"))
+            assert blocked.read_bytes() == ordinary.read_bytes(), name
 
     # a refused config exits 2 before a numeric command loads numpy
     doc["compensator"] = {"alphas": [2.0]}
     config.write_text(json.dumps(doc), encoding="utf-8")
     proc = _blocked("sweep-k", "--config", str(config), "--out", "refused", cwd=tmp_path)
     assert proc.returncode == 2
-    assert proc.stderr == "error: compensator.alphas values must lie in (0, 1]\n"
+    assert proc.stderr == "error: compensator.alphas[0] = 2.0 is outside its domain (0, 1]\n"
     assert not (tmp_path / "refused").exists()
 
     # so does a config that lacks a part its command needs (config.REQUIRED_PARTS);
@@ -276,8 +289,8 @@ def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
         assert proc.stderr == f"error: {refusal}\n"
         assert not (tmp_path / out).exists(), (command, refusal)
 
-    # so does a pulse that does not fit its window, or whose grid forms a
-    # table or a quantity out of range, which region does not build; a span
+    # so does a pulse that does not fit its window, or whose width metric
+    # would build too large a table, which region does not build; a span
     # outside the convergence region, whose boundary region reports, exits 3
     refused = [(2, *case) for case in WINDOW + GRID] + [(3, *case) for case in DIVERGING]
     for i, (code, command, doc, refusal) in enumerate(refused):
@@ -289,3 +302,134 @@ def test_convert_region_help_and_refused_configs_run_without_numpy(tmp_path):
         assert not (tmp_path / out).exists(), (command, refusal)
         proc = _blocked("region", "--config", str(config), "--out", out, cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (0, ""), refusal
+
+
+#: a config inside every domain that region runs, with a dcf and no pcf, so
+#: that any dispersion of the domains, of either sign or zero, parses
+BOUNDS_DOC = {
+    "scenario": "bounds",
+    "fiber": {"beta2_ps2_km": -21.0, "lambda0_m": 1.55e-6, "z_km": 130.0},
+    "dcf": {"d_ps_nm_km": -250.0, "quoted_path_km": 7.0},
+    "compensator": {"alphas": [1.0], "k_max": 12, "target_broadening": 1.1},
+    "signal": {"pulse": "sinc", "bandwidth_hz": 3e9, "n_samples": 16384,
+               "window_factor": 64.0},
+    "sweep": {"xi": [1.0]},
+    "region": {"bandwidths_hz": [3e9]},
+}
+#: domain key -> (its section in BOUNDS_DOC, the name a refusal gives it)
+SITES = {
+    "beta2_ps2_km": ("fiber", "fiber.beta2_ps2_km"),
+    "d_ps_nm_km": ("fiber", "fiber.d_ps_nm_km"),
+    "lambda0_m": ("fiber", "fiber.lambda0_m"),
+    "z_km": ("fiber", "fiber.z_km"),
+    "quoted_path_km": ("dcf", "dcf.quoted_path_km"),
+    "alphas": ("compensator", "compensator.alphas[0]"),
+    "k_max": ("compensator", "compensator.k_max"),
+    "k_list": ("compensator", "compensator.k_list[0]"),
+    "target_broadening": ("compensator", "compensator.target_broadening"),
+    "bandwidth_hz": ("signal", "signal.bandwidth_hz"),
+    "width_s": ("signal", "signal.width_s"),
+    "n_samples": ("signal", "signal.n_samples"),
+    "window_factor": ("signal", "signal.window_factor"),
+    "xi": ("sweep", "sweep.xi[0]"),
+    "bandwidths_hz": ("region", "region.bandwidths_hz[0]"),
+    "count": ("region", "region.bandwidths_hz.count"),
+}
+#: convert flag -> the key whose domain it takes
+FLAGS = {"--d": "d_ps_nm_km", "--beta2": "beta2_ps2_km", "--lambda": "lambda0_m"}
+#: runs ``main`` on each argv read from stdin where numpy cannot be imported,
+#: and prints the exit codes and stderr
+BOUNDS_DRIVER = (
+    "import contextlib, io, json, sys; sys.modules['numpy'] = None; "
+    "sys.path.insert(0, sys.argv[1]); from dispersim.cli import main\n"
+    "results = []\n"
+    "for argv in json.load(sys.stdin):\n"
+    "    err = io.StringIO()\n"
+    "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+    "        results.append([main(argv), err.getvalue()])\n"
+    "print(json.dumps(results))\n"
+)
+
+
+def _with(key, value):
+    """BOUNDS_DOC with ``key`` set to ``value``, and the refusal's name for it."""
+    doc = json.loads(json.dumps(BOUNDS_DOC))
+    section, name = SITES[key]
+    body = doc[section]
+    if key == "d_ps_nm_km":
+        del body["beta2_ps2_km"]
+    elif key == "width_s":
+        body["pulse"] = "gaussian"
+        del body["bandwidth_hz"]
+    elif key == "k_list":
+        del body["k_max"]
+    if key == "count":
+        body["bandwidths_hz"] = {"min": 1e9, "max": 1e10, "count": value}
+    else:
+        body[key] = [value] if name.endswith("[0]") else value
+    return doc, name
+
+
+def _bounds(domain):
+    """(the values on the bounds of ``domain``, the next values outside it)."""
+    if isinstance(domain.hi, int):
+        inside, outside = [domain.lo, domain.hi], [domain.lo - 1, domain.hi + 1]
+    else:
+        inside = [domain.lo or math.ulp(0.0), domain.hi]
+        below = math.nextafter(domain.lo, -math.inf) if domain.lo else 0.0
+        outside = [below, math.nextafter(domain.hi, math.inf)]
+    if domain.signed:
+        inside, outside = inside + [-v for v in inside], outside + [-v for v in outside]
+    return inside + [0] * domain.zero, outside
+
+
+def test_every_domain_bound_runs_and_the_next_value_out_exits_2(tmp_path):
+    # at each bound of each key's domain, region runs as on BOUNDS_DOC (and
+    # convert as on its defaults); one double or integer past it, each exits
+    # 2 with the line that names the key, the value and the domain, without
+    # numpy and before the output directory exists. region's output of 10**6
+    # rows is not written: that count's top is parsed instead
+    assert set(SITES) == set(config.DOMAINS)
+    top = parse_config(_with("count", config.DOMAINS["count"].hi)[0])
+    assert len(top.region_bandwidths_hz) == config.DOMAINS["count"].hi
+    cases = [(["convert", "--d", "17"], 0, ""), (["region", "--config", "mid.json"], 0, "")]
+    (tmp_path / "mid.json").write_text(json.dumps(BOUNDS_DOC), encoding="utf-8")
+    for key, domain in config.DOMAINS.items():
+        inside, outside = _bounds(domain)
+        for code, values in ((0, inside), (2, outside)):
+            for value in values:
+                if key == "count" and value == domain.hi:
+                    continue
+                doc, name = _with(key, value)
+                path = f"{len(cases)}.json"
+                (tmp_path / path).write_text(json.dumps(doc), encoding="utf-8")
+                line = f"error: {name} = {value!r} is outside its domain {domain}\n"
+                cases.append((["region", "--config", path], code, line * (code != 0)))
+    for flag, key in FLAGS.items():
+        inside, outside = _bounds(config.DOMAINS[key])
+        given = ["--d=17"] if flag == "--lambda" else []
+        for code, values in ((0, inside), (2, outside)):
+            for value in values:
+                line = f"error: {flag} = {float(value)!r} is outside its domain "
+                line += f"{config.DOMAINS[key]}\n"
+                argv = ["convert", *given, f"{flag}={value!r}"]
+                cases.append((argv, code, line * (code != 0)))
+    for i, (argv, _, _) in enumerate(cases):
+        if argv[0] == "region":
+            argv += ["--out", f"out-{i}"]
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDS_DRIVER, str(SRC)],
+        input=json.dumps([argv for argv, _, _ in cases]),
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for i, ((argv, code, line), got) in enumerate(zip(cases, results, strict=True)):
+        assert got == [code, line], argv
+        if argv[0] == "region":
+            written = sorted(p.name for p in (tmp_path / f"out-{i}").glob("*"))
+            assert written == (["meta.json", "region.csv"] if code == 0 else []), argv
+    assert (
+        "error: fiber.z_km = 1000000.0000000001 is outside its domain "
+        "0 or [1e-06, 1e+06] km\n"
+    ) in [line for _, _, line in cases]

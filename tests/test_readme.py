@@ -121,3 +121,11 @@ def test_output_columns_are_the_stage_record():
     [entry] = re.findall(r"^- `scenario\.json`:.*?(?=^- )", text, re.M | re.S)
     missing = [key for key in Stage._fields if f"`{key}`" not in entry]
     assert not missing, f"k_table keys the README does not name: {missing}"
+
+
+def test_domain_table_is_the_config_table():
+    # one row per numeric key, in the table's order, each domain as the
+    # refusal line prints it
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|$", text, re.M)
+    assert rows == [(key, str(domain)) for key, domain in config_module.DOMAINS.items()]
