@@ -91,13 +91,14 @@ def _cmd_convert(args) -> int:
         raise ConfigError("give exactly one of --d or --beta2")
     lambda0 = args.lambda0
     check_domain(lambda0, "--lambda", "lambda0_m")
+    # + 0.0 echoes a given -0 as 0, as the converted value reads
     if args.d is not None:
-        d = args.d
-        check_domain(d, "--d", "d_ps_nm_km")
+        check_domain(args.d, "--d", "d_ps_nm_km")
+        d = args.d + 0.0
         beta2 = d_to_beta2(d, lambda0)
     else:
         check_domain(args.beta2, "--beta2", "beta2_ps2_km")
-        beta2 = args.beta2 * _BETA2_CONVENTIONAL
+        beta2 = (args.beta2 + 0.0) * _BETA2_CONVENTIONAL
         d = beta2_to_d(beta2, lambda0)
     print(f"lambda0  {lambda0 * 1e9:.6g} nm  ({lambda0:.9g} m)")
     print(f"D        {d:.6g} ps/nm/km  ({d * 1e-6:.9g} s/m^2)")

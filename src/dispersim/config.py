@@ -132,7 +132,8 @@ def _beta2_from(section: dict, path: str, lambda0_m: float) -> float:
         )
     key = "d_ps_nm_km" if has_d else "beta2_ps2_km"
     value = _number(section[key], f"{path}.{key}", key)
-    return d_to_beta2(value, lambda0_m) if has_d else value * _BETA2_CONVENTIONAL
+    # + 0.0 writes a zero beta2 as 0, as d_to_beta2 writes a zero D's
+    return d_to_beta2(value, lambda0_m) if has_d else value * _BETA2_CONVENTIONAL + 0.0
 
 
 def _bandwidth_axis(spec, path: str) -> tuple:

@@ -11,11 +11,12 @@ The sinc commands run on the sinc's band bins: ``sweep-k`` and
 ``scenario`` through :func:`_stage_search`, ``propagate`` through
 :func:`_sinc_envelopes`. The matched pcf's response is the span's own, so
 each span has one, and the pcf's D sets only ``scenario``'s lengths and
-latency. Each command measures every width of its run in one
-:func:`band_outcomes` call and reports the outcomes in its own order,
-with a wraparound guard (:func:`_guard_span`) between them. The
-envelope CSVs are written by :func:`_envelope_csv`, with the encoder
-:func:`_encode_9g`.
+latency. The stage search measures every width of its run in one
+:func:`band_outcomes` call, without N-point transforms; ``propagate``
+writes the N-point envelopes, so its wraparound guards measure them with
+:func:`samples_fwhm`, as the gaussian path's do with
+:func:`intensity_fwhm`. The envelope CSVs are written by
+:func:`_envelope_csv`, with the encoder :func:`_encode_9g`.
 """
 
 import contextlib
@@ -46,7 +47,7 @@ from .convergence import dispersion_strength, edge_error, span_length, stable
 from .fiber import FiberParams, dispersion_response, propagate
 from .signal import (
     FrequencyGrid,
-    BandReference,
+    band_offsets,
     band_outcomes,
     band_reference,
     band_samples,
@@ -54,6 +55,7 @@ from .signal import (
     make_gaussian_pulse,
     make_sinc_band,
     report_outcomes,
+    samples_fwhm,
 )
 
 ENVELOPE_CSV_HEADER = "t_s,re,im"
@@ -295,48 +297,33 @@ class Stage(NamedTuple):
 SWEEP_CSV_HEADER = ",".join(("xi", "alpha", "K", *Stage._fields[1:]))  # K: Stage.k
 
 
-def _report(outcomes, lo: int, hi: int) -> np.ndarray:
-    """:func:`report_outcomes` of bands lo..hi-1 of a run's :func:`band_outcomes`."""
-    return report_outcomes(*(values[lo:hi] for values in outcomes))
-
-
-def _guard_span(sent, sent_width, gvd, k, rx_band, outcomes, at) -> None:
-    """The wraparound guards of the full-grid path for one span, on the band's offsets.
-
-    They run in its order: the span's, of GVD ``gvd`` = beta2 * z, on the
-    sent pulse of width ``sent_width`` (:func:`propagate`), and, unless
-    ``k`` is None, the K matched stages', K * |gvd|, on the received band
-    (:func:`compensate`), whose width is reported between the two, from
-    band ``at`` of the run's ``outcomes``.
-    """
-    grid, offsets = sent.grid, sent.offsets
-    check_wraparound(grid, offsets, sent.band, sent_width, gvd)
-    if k is not None:
-        [rx_width] = _report(outcomes, at, at + 1)
-        check_wraparound(grid, offsets, rx_band, rx_width, k * abs(gvd))
-
-
-def _stage_search(cfg: ExperimentConfig, sent: BandReference, spans, alphas) -> list:
+def _stage_search(cfg: ExperimentConfig, spans, alphas) -> list:
     """``[(alpha, [Stage per K of cfg.k_list]) per alpha]`` for each span of ``spans``.
 
-    ``spans`` holds the span lengths z_m. Everything runs on the bins of the
-    sent sinc's band; no N-point array is built. Each span where some alpha
-    converges gets one :func:`dispersion_response`, the matched pcf's too,
-    and its received band, built up front: two band-sized arrays per such
-    span. Each converging alpha's :func:`stage_responses` gives the output
-    of every K, the spectrum :func:`compensate` forms there. A generator
-    yields every band of the run to one :func:`band_outcomes` call: the sent
-    band, then, for each converging span, its received band and the outputs
-    of its converging alphas and K. So the memory does not grow with the
-    alphas and K, and a run whose every span diverges measures nothing. The
+    ``spans`` holds the span lengths z_m. The run's grid, the sent sinc's
+    band (:func:`make_sinc_band`) and its :func:`band_reference` are built
+    once, and everything runs on the bins of that band; no N-point array is
+    built. Each span where some alpha converges gets one
+    :func:`dispersion_response`, the matched pcf's too, and its received
+    band, built up front: two band-sized arrays per such span. Each
+    converging alpha's :func:`stage_responses` gives the output of every K,
+    the spectrum :func:`compensate` forms there. A generator yields every
+    band of the run to one :func:`band_outcomes` call: the sent band, then,
+    for each converging span, its received band and the outputs of its
+    converging alphas and K. So the memory does not grow with the alphas
+    and K, and a run whose every span diverges measures nothing. The
     outcomes are then reported one span after the other: the sent width
-    (once), the span's guards (:func:`_guard_span`), which report the
-    received width between them, then the span's outputs, each as
+    (once), then the full-grid path's wraparound guards in its order, the
+    span's on the sent band (:func:`propagate`) and the K matched stages'
+    on the received band (:func:`compensate`), whose width is reported
+    between the two, then the span's outputs, each as
     :func:`intensity_fwhm` would measure its inverse transform, with the
     same bits, warnings and first error. As K grows the outputs near the
     sent band, and from there on the reference's bounds stand in for their
     coarse transforms.
     """
+    grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
+    sent = band_reference(grid, make_sinc_band(grid, cfg.pulse_width_s))
     beta2, bandwidth, count = cfg.fiber_beta2, cfg.bandwidth_hz, len(cfg.k_list)
     k_max = cfg.k_list[-1]
     received = {}  # span index -> (alphas, response, received band), if any converge
@@ -354,14 +341,20 @@ def _stage_search(cfg: ExperimentConfig, sent: BandReference, spans, alphas) -> 
                 for response in stage_responses(alpha, h_span, cfg.k_list):
                     yield rx_band * response
 
+    def report(lo: int, hi: int) -> np.ndarray:
+        return report_outcomes(*(values[lo:hi] for values in outcomes))
+
     if received:
         outcomes = band_outcomes(sent, bands())
-        [sent_width] = _report(outcomes, 0, 1)
+        [sent_width] = report(0, 1)
     factors, at = {}, 1
     for i, (span_alphas, _, rx_band) in received.items():
-        _guard_span(sent, sent_width, beta2 * spans[i], k_max, rx_band, outcomes, at)
+        gvd = beta2 * spans[i]
+        check_wraparound(grid, sent.offsets, sent.band, sent_width, gvd)
+        [rx_width] = report(at, at + 1)
+        check_wraparound(grid, sent.offsets, rx_band, rx_width, k_max * abs(gvd))
         end = at + 1 + len(span_alphas) * count
-        widths = _report(outcomes, at + 1, end) / sent_width
+        widths = report(at + 1, end) / sent_width
         at = end
         factors[i] = dict(zip(span_alphas, widths.reshape(-1, count).tolist()))
     searches = []
@@ -378,15 +371,11 @@ def _stage_search(cfg: ExperimentConfig, sent: BandReference, spans, alphas) -> 
 def run_sweep(cfg: ExperimentConfig, outdir: Path) -> int:
     """Broadening factor against stage count for each (xi, alpha) pair.
 
-    The pulse's band and its :func:`band_reference` are built once per run,
-    and one :func:`_stage_search` runs every xi's span over the sorted
-    alphas, with one :func:`band_outcomes` call for the whole run. ``cfg``
-    has passed :func:`~dispersim.config.check_run`.
+    One :func:`_stage_search` runs every xi's span over the sorted alphas.
+    ``cfg`` has passed :func:`~dispersim.config.check_run`.
     """
-    grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
-    sent = band_reference(grid, make_sinc_band(grid, cfg.pulse_width_s))
     spans = [span_length(xi, cfg.fiber_beta2, cfg.bandwidth_hz) for xi in cfg.xi_values]
-    searches = _stage_search(cfg, sent, spans, sorted(cfg.alphas))
+    searches = _stage_search(cfg, spans, sorted(cfg.alphas))
     lines = [SWEEP_CSV_HEADER]
     diverged = 0
     for xi, search in zip(cfg.xi_values, searches):
@@ -406,18 +395,14 @@ def run_scenario(cfg: ExperimentConfig, outdir: Path) -> int:
     """Single-link design report: strength, matched lengths, stage search.
 
     The stage search (:func:`_stage_search`) runs the one span over the
-    first alpha, with one :func:`band_outcomes` call for the run. ``cfg``
-    has passed :func:`~dispersim.config.check_run`, so the span converges.
+    first alpha. ``cfg`` has passed :func:`~dispersim.config.check_run`, so
+    the span converges.
     """
-    grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
-    tx_band = make_sinc_band(grid, cfg.pulse_width_s)
     bandwidth = cfg.bandwidth_hz
     alpha = cfg.alphas[0]
     xi = dispersion_strength(cfg.fiber_beta2, cfg.z_m, bandwidth)
     sub = match_pcf(FiberParams(cfg.fiber_beta2, cfg.z_m), cfg.pcf_beta2, alpha=alpha)
-    [[(_, stages)]] = _stage_search(
-        cfg, band_reference(grid, tx_band), [cfg.z_m], [alpha]
-    )
+    [[(_, stages)]] = _stage_search(cfg, [cfg.z_m], [alpha])
     required_k = next(
         (s.k for s in stages if s.broadening_factor <= cfg.target_broadening), None
     )
@@ -499,31 +484,35 @@ def _envelope_csv(outdir: Path, grid: FrequencyGrid, envelopes: dict) -> None:
 
 
 def _sinc_envelopes(
-    sent: BandReference, fiber: FiberParams, alpha: float, k: int | None
+    grid: FrequencyGrid, band: np.ndarray, fiber: FiberParams, alpha: float, k: int | None
 ) -> dict:
     """The sent, dispersed and, unless ``k`` is None, compensated sinc.
 
-    ``sent`` is the :func:`band_reference` of the sent band. One
+    ``band`` is the sent sinc's :func:`make_sinc_band` on ``grid``. One
     :func:`dispersion_response` of ``fiber`` on its bins gives the received
     band and, as the matched pcf's, :func:`stage_responses` of ``alpha`` at
-    K = ``k``. The sent band and, with a K, the received one are
-    measured in one :func:`band_outcomes` call; the sent width is reported,
-    then :func:`_guard_span` runs. Only the last step leaves the band: each
-    envelope is the samples of :func:`band_samples` of its band, so the
-    input envelope is :func:`make_sinc_pulse` bit for bit. No bin outside
-    the band holds rounding noise for the cascade to amplify, whatever K.
+    K = ``k``. Only the last step leaves the band: each envelope is the
+    samples of :func:`band_samples` of its band, so the input envelope is
+    :func:`make_sinc_pulse` bit for bit. No bin outside the band holds
+    rounding noise for the cascade to amplify, whatever K. The full-grid
+    path's wraparound guards run in its order on the envelopes they guard,
+    each width their :func:`samples_fwhm`: the span's on the input envelope
+    (:func:`propagate`) and, with a K, the K matched stages' on the
+    dispersed one (:func:`compensate`), before the cascade is formed.
     """
-    h_span = dispersion_response(fiber, sent.offsets)
-    rx_band = sent.band * h_span
-    measured = [sent.band] if k is None else [sent.band, rx_band]
-    outcomes = band_outcomes(sent, measured)
-    [sent_width] = _report(outcomes, 0, 1)
-    _guard_span(sent, sent_width, fiber.beta2 * fiber.length_m, k, rx_band, outcomes, 1)
-    bands = {"envelope_input.csv": sent.band, "envelope_dispersed.csv": rx_band}
+    offsets = band_offsets(grid, band.size // 2)
+    h_span = dispersion_response(fiber, offsets)
+    gvd = fiber.beta2 * fiber.length_m
+    sent = band_samples(grid, band)
+    check_wraparound(grid, offsets, band, samples_fwhm(sent, grid.dt), gvd)
+    rx_band = band * h_span
+    rx = band_samples(grid, rx_band)
+    envelopes = {"envelope_input.csv": sent, "envelope_dispersed.csv": rx}
     if k is not None:
+        check_wraparound(grid, offsets, rx_band, samples_fwhm(rx, grid.dt), k * abs(gvd))
         [response] = stage_responses(alpha, h_span, [k])
-        bands["envelope_compensated.csv"] = rx_band * response
-    return {name: band_samples(sent.grid, b) for name, b in bands.items()}
+        envelopes["envelope_compensated.csv"] = band_samples(grid, rx_band * response)
+    return envelopes
 
 
 def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
@@ -543,7 +532,7 @@ def run_propagate(cfg: ExperimentConfig, outdir: Path) -> int:
         k = cfg.k_list[-1]
         extra = {"compensated": True, "k_stages": k}
     if cfg.pulse == "sinc":
-        envelopes = _sinc_envelopes(band_reference(grid, sent), fiber, alpha, k)
+        envelopes = _sinc_envelopes(grid, sent, fiber, alpha, k)
     else:
         rx = propagate(sent, fiber)
         envelopes = {"envelope_input.csv": sent.samples}

@@ -8,8 +8,9 @@ Nyquist bin assigned to the negative side, i.e. the ordering of
 
 A sinc pulse is defined by its band (:func:`make_sinc_band`). The width
 metric is :func:`intensity_fwhm` on a whole envelope, and
-:func:`band_outcomes` on the band-limited ones of a run, from their band
-bins alone. :func:`check_wraparound` is the one window guard for both.
+:func:`band_outcomes` on the band-limited ones of a stage search, from
+their band bins alone. :func:`check_wraparound` is the one window guard for
+both.
 """
 
 import sys
@@ -259,16 +260,22 @@ def make_gaussian_pulse(grid: FrequencyGrid, t0: float) -> Envelope:
 
 
 def intensity_fwhm(e: Envelope) -> float:
-    """Full width at half maximum of |s(t)|^2, seconds.
+    """Full width at half maximum of |s(t)|^2, seconds: :func:`samples_fwhm`."""
+    return samples_fwhm(e.samples, e.grid.dt)
+
+
+def samples_fwhm(samples: np.ndarray, dt: float) -> float:
+    """Full width at half maximum of |s(t)|^2 of samples spaced ``dt`` seconds.
 
     Crossings are located by linear interpolation of the intensity between
     samples. If several lobes exceed half maximum the outermost crossings
     are used and a warning is emitted. The width is computed from fractional
     bin offsets only, so it is invariant under integer-sample delays. An
     all-zero signal or a lobe on the window edge raises
-    :class:`WidthMetricError`.
+    :class:`WidthMetricError`. It measures sample arrays that no
+    :class:`Envelope` holds, such as a sinc ``propagate``'s dumps.
     """
-    return report_outcomes(*_every_sample((np.abs(e.samples) ** 2)[None], e.grid.dt))[0]
+    return report_outcomes(*_every_sample((np.abs(samples) ** 2)[None], dt))[0]
 
 
 #: The errors of the width rule, by the code a band's outcome carries (0: none).

@@ -55,7 +55,13 @@ from dispersim.signal import (
     make_sinc_pulse,
     report_outcomes,
 )
-from dispersim import cli, experiments, signal as signal_module
+from dispersim import (
+    cli,
+    compensator as compensator_module,
+    experiments,
+    fiber as fiber_module,
+    signal as signal_module,
+)
 
 SRC = Path(signal_module.__file__).resolve().parent.parent
 
@@ -132,23 +138,32 @@ class TestConvert:
                     "D        17 ps/nm/km"]),
             # a zero D converts to a zero beta2, not -0
             ("0", ["beta2    0 ps^2/km  (0 s^2/m)"]),
+            # and a given -0 is echoed as 0
+            ("-0", ["D        0 ps/nm/km  (0 s/m^2)", "beta2    0 ps^2/km  (0 s^2/m)"]),
         ],
-        ids=["d-17", "d-0"],
+        ids=["d-17", "d-0", "d-minus-0"],
     )
     def test_d_to_beta2(self, capsys, d, lines):
         assert main(["convert", "--d", d, "--lambda", "1550e-9"]) == 0
         out = capsys.readouterr().out
         for line in lines:
             assert line in out
+        assert "-0 " not in out
 
     @pytest.mark.parametrize(
         "beta2, line",
-        [("0", "D        0 ps/nm/km"), ("-21.6826", "D        17 ps/nm/km")],
-        ids=["beta2-0", "beta2-21.6826"],
+        [
+            ("0", "D        0 ps/nm/km"),
+            ("-21.6826", "D        17 ps/nm/km"),
+            ("-0", "beta2    0 ps^2/km  (0 s^2/m)"),
+        ],
+        ids=["beta2-0", "beta2-21.6826", "beta2-minus-0"],
     )
     def test_beta2_to_d(self, capsys, beta2, line):
         assert main(["convert", "--beta2", beta2]) == 0
-        assert line in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert line in out
+        assert "-0 " not in out
 
     def test_high_dispersion_fiber(self, capsys):
         assert main(["convert", "--d", "2200", "--lambda", "1550e-9"]) == 0
@@ -314,6 +329,22 @@ class TestRegion:
         text2, out2 = self.run(tmp_path, "out2")
         assert text1 == text2
         assert (out1 / "meta.json").read_bytes() == (out2 / "meta.json").read_bytes()
+
+    def test_zero_dispersion_writes_0_whichever_key_gives_it(self, tmp_path):
+        outputs = set()
+        for key in ("beta2_ps2_km", "d_ps_nm_km"):
+            for zero in (0.0, -0.0):
+                doc = region_doc()
+                doc["fiber"] = {key: zero}
+                out = tmp_path / f"{key}{zero}"
+                config = write_config(tmp_path, doc)
+                assert main(["region", "--config", config, "--out", str(out)]) == 0
+                outputs.add((out / "region.csv").read_bytes())
+                meta = json.loads((out / "meta.json").read_text())
+                beta2 = meta["resolved_si"]["fiber_beta2_s2_m"]
+                assert (beta2, math.copysign(1.0, beta2)) == (0.0, 1.0)
+        [csv] = outputs
+        assert {row.split(",")[3] for row in csv.decode().splitlines()[1:]} == {"0"}
 
     def test_meta_contents(self, tmp_path):
         _, out = self.run(tmp_path)
@@ -889,9 +920,10 @@ def test_band_runs_peak_below_100_mb(tmp_path, command, doc, rows):
 @pytest.mark.parametrize("command", ["sweep-k", "scenario", "propagate"])
 def test_sent_band_is_built_and_measured_once_per_run(tmp_path, monkeypatch, command):
     # sweep-k over 3 xi x 2 alpha, scenario and a sinc propagate each build
-    # one grid, one sent band and one band_reference, which every span
-    # shares; propagate's input envelope is that band's transform, so no
-    # make_sinc_pulse synthesizes the band again
+    # one grid and one sent band, which every span shares. The stage search
+    # builds one band_reference; propagate builds none, as its guards measure
+    # the envelopes it writes. Its input envelope is the band's transform, so
+    # no make_sinc_pulse synthesizes the band again
     spies = {
         name: mock.Mock(wraps=getattr(experiments, name))
         for name in ("FrequencyGrid", "make_sinc_band", "band_reference")
@@ -907,7 +939,7 @@ def test_sent_band_is_built_and_measured_once_per_run(tmp_path, monkeypatch, com
     config = write_config(tmp_path, doc)
     assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 0
     counts = {name: spy.call_count for name, spy in spies.items()}
-    assert counts == dict.fromkeys(spies, 1)
+    assert counts == {**dict.fromkeys(spies, 1), "band_reference": int(command != "propagate")}
 
 
 def test_sinc_propagate_builds_no_envelope(tmp_path, monkeypatch):
@@ -979,7 +1011,11 @@ def run_recorded(argv):
 
 
 class TestWidthStream:
-    """Each sinc run measures all its widths in one stream, reported in the old order."""
+    """Each stage search measures all its widths in one stream, reported in the old order.
+
+    A sinc propagate measures the envelopes it writes instead
+    (``TestPropagate.test_guards_measure_the_envelopes_they_guard``).
+    """
 
     @staticmethod
     def scenario_k40():
@@ -1000,8 +1036,9 @@ class TestWidthStream:
             # xi 9.5: its received band and alpha 0.25's 13 (alpha 1 diverges)
             ("sweep-k", sweep_doc([0.5, 9.5], [0.25, 1.0], 12, 16384), [1 + 27 + 14]),
             ("scenario", scenario_k40(), [1 + 1 + 41]),
-            ("propagate", scenario_doc(n_samples=16384), [2]),
-            ("propagate", uncompensated(), [1]),
+            # propagate measures the envelopes it writes, not their bands
+            ("propagate", scenario_doc(n_samples=16384), []),
+            ("propagate", uncompensated(), []),
             # every span diverges: no width is measured
             ("sweep-k", sweep_doc([20.0, 100.0], [0.25, 1.0], 12, 16384), []),
         ],
@@ -1156,6 +1193,49 @@ class TestPropagate:
         assert "outside the convergence region" in err
         assert list(out.glob("envelope_*.csv")) == []
 
+    @pytest.mark.parametrize("compensated", [True, False])
+    @pytest.mark.parametrize("pulse", ["gaussian", "sinc"])
+    def test_guards_measure_the_envelopes_they_guard(
+        self, tmp_path, monkeypatch, pulse, compensated
+    ):
+        # the span's guard takes its width from the input envelope and the
+        # stages' guard from the dispersed one, each as written, bit for bit;
+        # a sinc propagate builds no band reference and measures no band
+        doc = self.propagate_doc(z_km=100.0)
+        if pulse == "sinc":
+            doc = _doc(readme_doc(), signal=_SMALL_SINC)
+        if not compensated:
+            del doc["pcf"]
+        widths, written = [], {}
+        guard = signal_module.check_wraparound
+
+        def recording(grid, offsets, spectrum, width, accumulated_gvd):
+            widths.append(width)
+            guard(grid, offsets, spectrum, width, accumulated_gvd)
+
+        for module in (experiments, fiber_module, compensator_module):
+            monkeypatch.setattr(module, "check_wraparound", recording)
+        dump = experiments._envelope_csv
+        monkeypatch.setattr(
+            experiments, "_envelope_csv",
+            lambda outdir, grid, envelopes: written.update(envelopes)
+            or dump(outdir, grid, envelopes),
+        )
+        band_spies = {}
+        for module in (experiments, signal_module):
+            for name in ("band_reference", "band_outcomes"):
+                spy = band_spies[module.__name__, name] = mock.Mock(
+                    wraps=getattr(module, name)
+                )
+                monkeypatch.setattr(module, name, spy)
+        config = write_config(tmp_path, doc)
+        assert main(["propagate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+        grid = sent_pulse(parse_config(doc)).grid
+        guarded = ["envelope_input.csv", "envelope_dispersed.csv"][: 1 + compensated]
+        want = [intensity_fwhm(Envelope(grid, written[name])) for name in guarded]
+        assert [w.hex() for w in widths] == [w.hex() for w in want]
+        assert [spy.call_count for spy in band_spies.values()] == [0] * 4
+
     @pytest.mark.parametrize("pulse", ["gaussian", "sinc"])
     @pytest.mark.parametrize(
         "n_samples", [ENVELOPE_BLOCK // 4, ENVELOPE_BLOCK, 2 * ENVELOPE_BLOCK]
@@ -1307,7 +1387,7 @@ def test_sinc_band_envelopes_match_the_full_grid(
     fiber = FiberParams(cfg.fiber_beta2, cfg.z_m)
     spec = CompensatorSpec(match_pcf(fiber, cfg.pcf_beta2, alpha=alpha), k_max)
     grid = FrequencyGrid(cfg.n_samples, cfg.dt_s)
-    sent = band_reference(grid, make_sinc_band(grid, cfg.pulse_width_s))
+    band = make_sinc_band(grid, cfg.pulse_width_s)
     tx = sent_pulse(cfg)
     try:
         rx = propagate(tx, fiber)
@@ -1318,9 +1398,9 @@ def test_sinc_band_envelopes_match_the_full_grid(
         }
     except WraparoundError:
         with pytest.raises(WraparoundError):
-            _sinc_envelopes(sent, fiber, alpha, k_max)
+            _sinc_envelopes(grid, band, fiber, alpha, k_max)
         return
-    envelopes = _sinc_envelopes(sent, fiber, alpha, k_max)
+    envelopes = _sinc_envelopes(grid, band, fiber, alpha, k_max)
     assert envelopes.keys() == full.keys()
     for name, samples in envelopes.items():
         peak = np.abs(full[name].samples).max()

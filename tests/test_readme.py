@@ -1,6 +1,8 @@
 """The README's examples run, and what it names exists, against the current code."""
 
+import ast
 import importlib
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -98,18 +100,43 @@ def test_shell_commands_parse():
             pytest.fail(f"the parser refuses {line!r}")
 
 
+def _assigned_at_top_level(module) -> set:
+    """The names a module's source binds by a top-level assignment."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    return {
+        name.id for target in targets for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+    }
+
+
 def test_named_objects_exist_and_are_public():
-    # inline code spans only: the tests above check the fenced blocks
+    # inline code spans only: the tests above check the fenced blocks. A
+    # function or class must be defined in the module it is named by, and a
+    # constant assigned at its top level, so no name is cited by an import path
     text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
     spans = re.findall(r"`([^`\n]+)`", text)
     names = [name for span in spans for name in re.findall(r"\bdispersim(?:\.\w+)+", span)]
-    assert "dispersim.compensator.MAX_STAGES" in names
+    assert any(name.count(".") >= 2 for name in names)
     for name in names:
-        _, module, *attributes = name.split(".")
-        obj = importlib.import_module(f"dispersim.{module}")
+        _, module_name, *attributes = name.split(".")
+        module = importlib.import_module(f"dispersim.{module_name}")
+        obj = module
         for attribute in attributes:
             assert hasattr(obj, attribute), f"{name} does not exist"
             obj = getattr(obj, attribute)
+        if attributes:
+            home = getattr(module, attributes[0])
+            if inspect.isfunction(home) or inspect.isclass(home):
+                defined = home.__module__ == module.__name__
+            else:
+                defined = attributes[0] in _assigned_at_top_level(module)
+            assert defined, f"{name} is not defined in {module.__name__}"
     private = [span for span in spans if re.search(r"(?<!\w)_\w", span)]
     assert not private, f"private names in the README: {private}"
 
